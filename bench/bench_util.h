@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -38,6 +39,17 @@ T Unwrap(StatusOr<T> v, const char* what) {
     std::exit(1);
   }
   return std::move(v).value();
+}
+
+// True when `arg` is `--<name>=value`, pointing `*value` at the value.
+// Bench mains chain these over argv; each keeps its own handling of
+// arguments no flag matches.
+inline bool FlagValue(const char* arg, const char* name, const char** value) {
+  size_t n = std::strlen(name);
+  bool match = std::strncmp(arg, "--", 2) == 0 &&
+               std::strncmp(arg + 2, name, n) == 0 && arg[2 + n] == '=';
+  if (match) *value = arg + 3 + n;
+  return match;
 }
 
 // Best-effort git revision of the working tree ("describe --always
@@ -121,17 +133,14 @@ class ObsSession {
 };
 
 // Stamps the engine configuration an engine-driving bench ran with —
-// batch_size, vector_size, and the client thread count(s) — so
-// `bench_report` consumers can compare trajectories like-for-like. Every
-// driver that executes queries should call this instead of hand-stamping a
-// subset (micro_engine used to stamp vector_size while calibration stamped
-// nothing). `threads` is free-form so sweep drivers can record "1,4,8".
+// batch_size and the client thread count(s) — so `bench_report` consumers
+// can compare trajectories like-for-like. Every driver that executes
+// queries should call this instead of hand-stamping a subset. `threads` is
+// free-form so sweep drivers can record "1,4,8".
 inline void StampEngineMeta(ObsSession* session,
                             const engine::ExecOptions& options,
                             const std::string& threads = "1") {
   session->SetMeta("batch_size", std::to_string(options.batch_size));
-  session->SetMeta("vector_size",
-                   std::to_string(options.EffectiveVectorSize()));
   session->SetMeta("threads", threads);
 }
 

@@ -257,18 +257,19 @@ int main(int argc, char** argv) {
   size_t page_size = 4096;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      batch_size = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      disk = std::strcmp(argv[i] + 10, "disk") == 0;
-    } else if (std::strncmp(argv[i], "--pool-pages=", 13) == 0) {
-      pool_pages = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--page-size=", 12) == 0) {
-      page_size = static_cast<size_t>(std::atol(argv[i] + 12));
+    const char* v = nullptr;
+    if (bench::FlagValue(argv[i], "batch-size", &v)) {
+      batch_size = static_cast<size_t>(std::atol(v));
+    } else if (bench::FlagValue(argv[i], "scale", &v)) {
+      scale = std::atoi(v);
+    } else if (bench::FlagValue(argv[i], "reps", &v)) {
+      reps = std::atoi(v);
+    } else if (bench::FlagValue(argv[i], "backend", &v)) {
+      disk = std::strcmp(v, "disk") == 0;
+    } else if (bench::FlagValue(argv[i], "pool-pages", &v)) {
+      pool_pages = static_cast<size_t>(std::atol(v));
+    } else if (bench::FlagValue(argv[i], "page-size", &v)) {
+      page_size = static_cast<size_t>(std::atol(v));
     } else if (std::strcmp(argv[i], "--require-io") == 0) {
       require_io = true;
     } else {

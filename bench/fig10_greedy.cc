@@ -11,7 +11,6 @@
 // there as JSON, e.g. `fig10_greedy BENCH_fig10_greedy.json`; `--threads=N`
 // sets the candidate-evaluation worker count (0 = hardware concurrency).
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
@@ -24,8 +23,9 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = hardware concurrency
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
+    const char* v = nullptr;
+    if (bench::FlagValue(argv[i], "threads", &v)) {
+      threads = std::atoi(v);
     } else {
       json_out = argv[i];
     }

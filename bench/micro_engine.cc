@@ -7,7 +7,6 @@
 // (provenance-stamped; see bench::ObsSession) there as JSON.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -205,8 +204,9 @@ int main(int argc, char** argv) {
   std::string obs_out;
   int out_argc = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
-      obs_out = argv[i] + 10;
+    const char* v = nullptr;
+    if (bench::FlagValue(argv[i], "obs-out", &v)) {
+      obs_out = v;
     } else {
       argv[out_argc++] = argv[i];
     }

@@ -28,7 +28,6 @@
 //           [--max-inflight=N] [BENCH_out.json]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,25 +135,26 @@ int main(int argc, char** argv) {
   size_t max_inflight = 0;  // 0 = unbounded (no Unavailable, no retries)
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+    const char* v = nullptr;
+    if (bench::FlagValue(argv[i], "threads", &v)) {
       thread_counts.clear();
-      for (const char* p = argv[i] + 10; *p != '\0';) {
+      for (const char* p = v; *p != '\0';) {
         thread_counts.push_back(std::atoi(p));
         while (*p != '\0' && *p != ',') ++p;
         if (*p == ',') ++p;
       }
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      batch_size = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--cache-shards=", 15) == 0) {
-      cache_shards = static_cast<size_t>(std::atol(argv[i] + 15));
-    } else if (std::strncmp(argv[i], "--cache-capacity=", 17) == 0) {
-      cache_capacity = static_cast<size_t>(std::atol(argv[i] + 17));
-    } else if (std::strncmp(argv[i], "--max-inflight=", 15) == 0) {
-      max_inflight = static_cast<size_t>(std::atol(argv[i] + 15));
+    } else if (bench::FlagValue(argv[i], "requests", &v)) {
+      requests = std::atoi(v);
+    } else if (bench::FlagValue(argv[i], "scale", &v)) {
+      scale = std::atoi(v);
+    } else if (bench::FlagValue(argv[i], "batch-size", &v)) {
+      batch_size = static_cast<size_t>(std::atol(v));
+    } else if (bench::FlagValue(argv[i], "cache-shards", &v)) {
+      cache_shards = static_cast<size_t>(std::atol(v));
+    } else if (bench::FlagValue(argv[i], "cache-capacity", &v)) {
+      cache_capacity = static_cast<size_t>(std::atol(v));
+    } else if (bench::FlagValue(argv[i], "max-inflight", &v)) {
+      max_inflight = static_cast<size_t>(std::atol(v));
     } else {
       json_out = argv[i];
     }

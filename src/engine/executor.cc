@@ -19,15 +19,6 @@ using store::HashIndex;
 using store::Row;
 using store::StoredTable;
 
-void ExecStats::Add(const ExecStats& other) {
-  tuples_processed += other.tuples_processed;
-  bytes_read += other.bytes_read;
-  seeks += other.seeks;
-  rows_out += other.rows_out;
-  bytes_out += other.bytes_out;
-  bytes_spilled += other.bytes_spilled;
-}
-
 double OpActual::QError() const {
   double est = std::max(est_rows, 1.0);
   double act = std::max(static_cast<double>(actual_rows), 1.0);
@@ -114,8 +105,10 @@ struct ExecContext {
   ExecStats* stats = nullptr;
   const opt::QueryBlock* block = nullptr;
   ExprEnv env;  // env.tables doubles as the block's table list
-  size_t vector_size = 1;
-  bool timed = false;  // operators accumulate wall time per Next/Open
+  size_t batch_size = 1;
+  // Operators accumulate per-operator wall time, rows and IO per Next/Open.
+  // Gates only that bookkeeping: what runs never depends on it.
+  bool timed = false;
   // Prepared templates for this plan, or nullptr (normal Open-time
   // compilation). Only set when compiled against this executor's Database.
   const PreparedPrograms* prepared = nullptr;
@@ -145,7 +138,7 @@ struct ExecContext {
   }
 };
 
-// A pipelined operator: Next() refills `out` with up to ctx->vector_size
+// A pipelined operator: Next() refills `out` with up to ctx->batch_size
 // lanes (join operators may overshoot when one input lane matches several
 // rows); zero lanes signal end of stream.
 class Operator {
@@ -161,25 +154,11 @@ class Operator {
   // inclusive wall time and inclusive seeks (child pulls included,
   // mirroring the optimizer's inclusive est_cost).
   Status OpenTimed() {
-    if (!ctx_->timed) return Open();
-    int64_t t0 = obs::NowNanos();
-    double seeks0 = ctx_->stats->seeks;
-    double bytes0 = ctx_->stats->bytes_read;
-    Status s = Open();
-    ns_ += obs::NowNanos() - t0;
-    seeks_ += ctx_->stats->seeks - seeks0;
-    bytes_ += ctx_->stats->bytes_read - bytes0;
-    return s;
+    return ctx_->timed ? Metered([&] { return Open(); }) : Open();
   }
   Status NextTimed(ColumnBatch* out) {
     if (!ctx_->timed) return Next(out);
-    int64_t t0 = obs::NowNanos();
-    double seeks0 = ctx_->stats->seeks;
-    double bytes0 = ctx_->stats->bytes_read;
-    Status s = Next(out);
-    ns_ += obs::NowNanos() - t0;
-    seeks_ += ctx_->stats->seeks - seeks0;
-    bytes_ += ctx_->stats->bytes_read - bytes0;
+    Status s = Metered([&] { return Next(out); });
     rows_ += static_cast<int64_t>(out->lanes);
     ++batches_;
     if (out->lanes > 0) {
@@ -200,10 +179,16 @@ class Operator {
   double millis() const { return static_cast<double>(ns_) / 1e6; }
 
  protected:
-  double RowWidth(int rel) const {
-    return ctx_->tables()[rel]->meta().RowWidth();
-  }
   ExecStats& stats() const { return *ctx_->stats; }
+  StoredTable* table(int rel) const { return ctx_->tables()[rel]; }
+  // Adds the IO a storage call reports (StoredTable::SeekIo, FetchRowRange
+  // or FetchRows — the one place IO is priced) to the execution's stats.
+  Status Charge(const StatusOr<store::TableIo>& io) {
+    if (!io.ok()) return io.status();
+    stats().seeks += io->seeks;
+    stats().bytes_read += io->bytes;
+    return Status::OK();
+  }
   void CountInput(size_t lanes) {
     rows_in_ += static_cast<int64_t>(lanes);
   }
@@ -212,6 +197,20 @@ class Operator {
   const opt::PhysicalPlan* node_;
 
  private:
+  // Runs `call`, adding its wall time, seeks and bytes read to this
+  // operator's inclusive totals.
+  template <typename Call>
+  Status Metered(Call call) {
+    int64_t t0 = obs::NowNanos();
+    double seeks0 = ctx_->stats->seeks;
+    double bytes0 = ctx_->stats->bytes_read;
+    Status s = call();
+    ns_ += obs::NowNanos() - t0;
+    seeks_ += ctx_->stats->seeks - seeks0;
+    bytes_ += ctx_->stats->bytes_read - bytes0;
+    return s;
+  }
+
   int64_t rows_ = 0;
   int64_t rows_in_ = 0;
   int64_t batches_ = 0;
@@ -270,21 +269,15 @@ class SeqScanOp : public Operator {
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(filter_.Compile(*ctx_, node_));
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
-    // The memory backend keeps the modeled per-scan charge (one seek plus
-    // width bytes per row below) so its stats — and every golden built on
-    // them — are unchanged; the paged backend instead charges the page
-    // traffic its reads actually cause (pool faults, below).
-    if (!paged_) stats().seeks += 1;
+    LEGODB_RETURN_IF_ERROR(Charge(table(node_->rel)->SeekIo()));
     pos_ = 0;
     return Status::OK();
   }
 
   Status Next(ColumnBatch* out) override {
     out->Clear();
-    StoredTable* table = ctx_->tables()[node_->rel];
-    size_t total = table->row_count();
+    StoredTable* scanned = table(node_->rel);
+    size_t total = scanned->row_count();
     std::vector<int32_t>& col = out->rels[node_->rel];
     // An empty batch signals end of stream, so keep scanning candidate
     // vectors until at least one row survives or the table is exhausted.
@@ -292,13 +285,8 @@ class SeqScanOp : public Operator {
     // not just the root pull loop — must poll for deadline/cancellation.
     while (col.empty() && pos_ < total) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->vector_size, total - pos_);
-      if (paged_) {
-        LEGODB_ASSIGN_OR_RETURN(store::TableIo io,
-                                table->FetchRowRange(pos_, pos_ + take));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      size_t take = std::min(ctx_->batch_size, total - pos_);
+      LEGODB_RETURN_IF_ERROR(Charge(scanned->FetchRowRange(pos_, pos_ + take)));
       if (filter_.empty()) {
         col.resize(take);
         std::iota(col.begin(), col.end(), static_cast<int32_t>(pos_));
@@ -310,7 +298,6 @@ class SeqScanOp : public Operator {
       pos_ += take;
       CountInput(take);
       stats().tuples_processed += static_cast<double>(take);
-      if (!paged_) stats().bytes_read += static_cast<double>(take) * width_;
     }
     out->lanes = col.size();
     return Status::OK();
@@ -319,9 +306,7 @@ class SeqScanOp : public Operator {
  private:
   ScanFilter filter_;
   std::vector<int32_t> cand_;
-  double width_ = 0;
   size_t pos_ = 0;
-  bool paged_ = false;
 };
 
 class IndexLookupOp : public Operator {
@@ -348,13 +333,10 @@ class IndexLookupOp : public Operator {
       index = prep->index;
     } else {
       LEGODB_ASSIGN_OR_RETURN(
-          index,
-          ctx_->tables()[node_->rel]->GetOrBuildIndex(node_->index_column));
+          index, table(node_->rel)->GetOrBuildIndex(node_->index_column));
     }
     hits_ = &index->Find(key);
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
-    if (!paged_) stats().seeks += 1;  // modeled charge; see SeqScanOp::Open
+    LEGODB_RETURN_IF_ERROR(Charge(table(node_->rel)->SeekIo()));
     pos_ = 0;
     return Status::OK();
   }
@@ -367,19 +349,14 @@ class IndexLookupOp : public Operator {
     // as in SeqScan).
     while (col.empty() && pos_ < hits_->size()) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->vector_size, hits_->size() - pos_);
+      size_t take = std::min(ctx_->batch_size, hits_->size() - pos_);
       cand_.resize(take);
       for (size_t i = 0; i < take; ++i) {
         cand_[i] = static_cast<int32_t>((*hits_)[pos_ + i]);
       }
       pos_ += take;
-      if (paged_) {
-        LEGODB_ASSIGN_OR_RETURN(
-            store::TableIo io,
-            ctx_->tables()[node_->rel]->FetchRows(cand_.data(), take));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      LEGODB_RETURN_IF_ERROR(
+          Charge(table(node_->rel)->FetchRows(cand_.data(), take)));
       if (filter_.empty()) {
         col.assign(cand_.begin(), cand_.end());
       } else {
@@ -387,10 +364,6 @@ class IndexLookupOp : public Operator {
       }
       CountInput(take);
       stats().tuples_processed += static_cast<double>(take);
-      if (!paged_) {
-        stats().seeks += static_cast<double>(take);
-        stats().bytes_read += static_cast<double>(take) * width_;
-      }
     }
     out->lanes = col.size();
     return Status::OK();
@@ -400,9 +373,7 @@ class IndexLookupOp : public Operator {
   ScanFilter filter_;
   std::vector<int32_t> cand_;
   const std::vector<size_t>* hits_ = nullptr;
-  double width_ = 0;
   size_t pos_ = 0;
-  bool paged_ = false;
 };
 
 // Match-candidate plumbing shared by the two join operators: candidates are
@@ -544,14 +515,13 @@ class SpilledBuild {
 // matches per probe lane come in build order, so output order is identical
 // to the materializing reference executor at any batch size.
 //
-// When the build side is a bare unfiltered scan of the joined relation,
-// the join skips materialization entirely and probes the table's shared
-// pre-built hash index (same row order, so same output): repeated queries
-// stop re-hashing the build side on every execution. Profiled runs keep
-// the materializing path so per-operator actuals reflect the full
-// dataflow; stats are charged identically either way.
+// When ProbesSharedIndex() holds, the build child is never constructed:
+// the join probes the build table's shared hash index instead (same row
+// order, so same output), so repeated queries stop re-hashing the build
+// side on every execution. It still charges the scan it stands in for.
 class HashJoinOp : public Operator {
  public:
+  // `build` is null when the join probes the shared index.
   HashJoinOp(ExecContext* ctx, const opt::PhysicalPlan* node,
              std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build)
       : Operator(ctx, node),
@@ -583,27 +553,21 @@ class HashJoinOp : public Operator {
     relptrs_.assign(nrels, nullptr);
 
     int build_rel = node_->right_join_rel;
-    const opt::PhysicalPlan* b = node_->right.get();
-    // The shared-index bypass charges the *modeled* build-side cost, so it
-    // only applies to memory tables: a paged build side must run the real
-    // scan (and pay its real page traffic).
-    if (!ctx_->timed && !ctx_->tables()[build_rel]->paged() && b &&
-        b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
-        b->rel == build_rel && b->filters.empty()) {
+    StoredTable* build_table = table(build_rel);
+    if (build_ == nullptr) {
       if (prep != nullptr && prep->index != nullptr) {
         shared_index_ = prep->index;
       } else {
-        LEGODB_ASSIGN_OR_RETURN(
-            shared_index_, ctx_->tables()[build_rel]->GetOrBuildIndex(
-                               node_->right_join_column));
+        LEGODB_ASSIGN_OR_RETURN(shared_index_, build_table->GetOrBuildIndex(
+                                                   node_->right_join_column));
       }
       build_bound_[build_rel] = 1;
-      // Charge what the materializing path would have: the build-side scan
-      // (one seek, every row read) plus the join's build-input tuples.
-      double n = static_cast<double>(ctx_->tables()[build_rel]->row_count());
-      stats().seeks += 1;
-      stats().tuples_processed += 2 * n;
-      stats().bytes_read += n * RowWidth(build_rel);
+      // The unfiltered scan the index stands in for — charged through the
+      // same storage calls SeqScan makes — plus the join's build input.
+      size_t n = build_table->row_count();
+      LEGODB_RETURN_IF_ERROR(Charge(build_table->SeekIo()));
+      LEGODB_RETURN_IF_ERROR(Charge(build_table->FetchRowRange(0, n)));
+      stats().tuples_processed += 2 * static_cast<double>(n);
       return Status::OK();
     }
 
@@ -624,7 +588,6 @@ class HashJoinOp : public Operator {
       }
       count += bin.lanes;
     } while (bin.lanes > 0);
-    build_count_ = count;
     const std::vector<int32_t>* brows =
         build_bound_[build_rel] ? &build_cols_[build_rel] : nullptr;
     // Integer join keys (the common case: ids) key an int64 table directly,
@@ -644,12 +607,11 @@ class HashJoinOp : public Operator {
     // Spill oversized build sides to temp pages (paged backend only): the
     // hash table itself (ordinals) stays in memory, but the per-relation
     // row-index vectors — the bulk of the materialization — move to disk.
-    store::Pager* pager = ctx_->tables()[build_rel]->pager();
+    store::Pager* pager = build_table->pager();
     if (pager != nullptr) {
       size_t threshold = ctx_->e->options().spill_build_bytes;
       if (threshold == 0) {
-        threshold = ctx_->tables()[build_rel]->pool()->capacity() *
-                    pager->page_size() / 4;
+        threshold = build_table->pool()->capacity() * pager->page_size() / 4;
       }
       size_t build_bytes = 0;
       for (const auto& c : build_cols_) build_bytes += c.size() * sizeof(int32_t);
@@ -669,7 +631,6 @@ class HashJoinOp : public Operator {
   Status Next(ColumnBatch* out) override {
     out->Clear();
     const int probe_rel = node_->left_join_rel;
-    const int build_rel = node_->right_join_rel;
     while (out->lanes == 0) {
       LEGODB_RETURN_IF_ERROR(probe_->NextTimed(&in_));
       if (in_.lanes == 0) return Status::OK();  // end of stream
@@ -683,7 +644,6 @@ class HashJoinOp : public Operator {
         if (r >= 0 && !probe_key_->is_null(r)) {
           if (shared_index_) {
             for (size_t idx : shared_index_->Find(probe_key_->value(r))) {
-              if (build_key_->is_null(idx)) continue;
               cand_.Add(l, static_cast<int32_t>(idx));
             }
           } else if (typed_keys_) {
@@ -701,7 +661,7 @@ class HashJoinOp : public Operator {
 
       const uint8_t* mask = nullptr;
       if (!residuals_.empty() && !cand_.ord.empty()) {
-        LEGODB_RETURN_IF_ERROR(EvalResiduals(build_rel));
+        LEGODB_RETURN_IF_ERROR(EvalResiduals());
         mask = mask_.data();
       }
       cand_.EmitLanes(in_.lanes, mask, node_->left_outer);
@@ -715,27 +675,10 @@ class HashJoinOp : public Operator {
         dst.resize(m);
         for (size_t j = 0; j < m; ++j) dst[j] = src[cand_.emit_lane[j]];
       }
-      if (shared_index_) {
-        out->rels[build_rel] = cand_.emit_ord;
-      } else if (spill_) {
-        for (size_t r = 0; r < build_bound_.size(); ++r) {
-          if (!build_bound_[r]) continue;
-          std::vector<int32_t>& dst = out->rels[r];
-          dst.resize(m);
-          LEGODB_RETURN_IF_ERROR(spill_->Gather(
-              ctx_->stats, r, cand_.emit_ord.data(), m, dst.data()));
-        }
-      } else {
-        for (size_t r = 0; r < build_bound_.size(); ++r) {
-          if (!build_bound_[r]) continue;
-          const int32_t* src = build_cols_[r].data();
-          std::vector<int32_t>& dst = out->rels[r];
-          dst.resize(m);
-          for (size_t j = 0; j < m; ++j) {
-            int32_t o = cand_.emit_ord[j];
-            dst[j] = o < 0 ? kUnboundRow : src[o];
-          }
-        }
+      for (size_t r = 0; r < build_bound_.size(); ++r) {
+        if (!build_bound_[r]) continue;
+        LEGODB_RETURN_IF_ERROR(
+            GatherBuild(r, cand_.emit_ord.data(), m, &out->rels[r]));
       }
       out->lanes = m;
     }
@@ -743,10 +686,28 @@ class HashJoinOp : public Operator {
   }
 
  private:
+  // Gathers relation `r`'s build-side row indices at ordinals ords[0..n)
+  // into `dst` (negative ordinals become kUnboundRow). Shared-index
+  // ordinals already are the build table's row indices.
+  Status GatherBuild(size_t r, const int32_t* ords, size_t n,
+                     std::vector<int32_t>* dst) {
+    if (shared_index_) {
+      dst->assign(ords, ords + n);
+      return Status::OK();
+    }
+    dst->resize(n);
+    if (spill_) return spill_->Gather(ctx_->stats, r, ords, n, dst->data());
+    const int32_t* src = build_cols_[r].data();
+    for (size_t j = 0; j < n; ++j) {
+      (*dst)[j] = ords[j] < 0 ? kUnboundRow : src[ords[j]];
+    }
+    return Status::OK();
+  }
+
   // Materializes the candidate lanes the residual program reads (probe-side
   // columns gathered by candidate lane, build-side by candidate ordinal)
   // and evaluates it into mask_.
-  Status EvalResiduals(int build_rel) {
+  Status EvalResiduals() {
     size_t c = cand_.ord.size();
     std::fill(relptrs_.begin(), relptrs_.end(), nullptr);
     for (size_t r = 0; r < in_.rels.size(); ++r) {
@@ -756,25 +717,10 @@ class HashJoinOp : public Operator {
       for (size_t j = 0; j < c; ++j) gather_[r][j] = src[cand_.lane[j]];
       relptrs_[r] = gather_[r].data();
     }
-    if (shared_index_) {
-      relptrs_[build_rel] = cand_.ord.data();
-    } else if (spill_) {
-      for (size_t r = 0; r < build_bound_.size(); ++r) {
-        if (!build_bound_[r]) continue;
-        gather_[r].resize(c);
-        LEGODB_RETURN_IF_ERROR(spill_->Gather(ctx_->stats, r,
-                                              cand_.ord.data(), c,
-                                              gather_[r].data()));
-        relptrs_[r] = gather_[r].data();
-      }
-    } else {
-      for (size_t r = 0; r < build_bound_.size(); ++r) {
-        if (!build_bound_[r]) continue;
-        const int32_t* src = build_cols_[r].data();
-        gather_[r].resize(c);
-        for (size_t j = 0; j < c; ++j) gather_[r][j] = src[cand_.ord[j]];
-        relptrs_[r] = gather_[r].data();
-      }
+    for (size_t r = 0; r < build_bound_.size(); ++r) {
+      if (!build_bound_[r]) continue;
+      LEGODB_RETURN_IF_ERROR(GatherBuild(r, cand_.ord.data(), c, &gather_[r]));
+      relptrs_[r] = gather_[r].data();
     }
     mask_.resize(c);
     residuals_.Eval(LaneView{relptrs_.data(), relptrs_.size(), c},
@@ -791,7 +737,6 @@ class HashJoinOp : public Operator {
   std::unique_ptr<SpilledBuild> spill_;  // build cols on temp pages when set
   std::vector<std::vector<int32_t>> build_cols_;  // materialized build side
   std::vector<uint8_t> build_bound_;
-  size_t build_count_ = 0;
   bool typed_keys_ = false;
   std::unordered_map<Value, std::vector<int32_t>, ValueHash> table_;
   std::unordered_map<int64_t, std::vector<int32_t>> int_table_;
@@ -821,13 +766,10 @@ class IndexNLJoinOp : public Operator {
           ResolveColumnVector(ctx_->env, node_->left_join_rel,
                               node_->left_join_column, "index join"));
       LEGODB_ASSIGN_OR_RETURN(
-          index_,
-          ctx_->tables()[node_->rel]->GetOrBuildIndex(node_->index_column));
+          index_, table(node_->rel)->GetOrBuildIndex(node_->index_column));
       LEGODB_ASSIGN_OR_RETURN(
           residuals_, CompileResiduals(ctx_->env, node_->residual_joins));
     }
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
     in_.Init(ctx_->nrels());
     gather_.resize(ctx_->nrels());
     relptrs_.assign(ctx_->nrels(), nullptr);
@@ -845,30 +787,19 @@ class IndexNLJoinOp : public Operator {
 
       cand_.Reset(in_.lanes);
       const std::vector<int32_t>& orow = in_.rels[outer_rel];
-      // Memory tables keep the modeled per-probe charges; paged tables are
-      // charged the page traffic the matched rows actually cause (below).
-      if (!paged_) stats().seeks += static_cast<double>(in_.lanes);
+      // One index probe per outer lane, then a fetch of every matched row.
+      LEGODB_RETURN_IF_ERROR(Charge(table(inner_rel)->SeekIo(in_.lanes)));
       for (size_t l = 0; l < in_.lanes; ++l) {
         int32_t r = orow.empty() ? kUnboundRow : orow[l];
         if (r >= 0 && !outer_key_->is_null(r)) {
           const std::vector<size_t>& hits = index_->Find(outer_key_->value(r));
           stats().tuples_processed += static_cast<double>(hits.size());
-          if (!paged_) {
-            stats().seeks += static_cast<double>(hits.size());
-            stats().bytes_read += static_cast<double>(hits.size()) * width_;
-          }
           for (size_t idx : hits) cand_.Add(l, static_cast<int32_t>(idx));
         }
         cand_.CloseGroup(l);
       }
-      if (paged_ && !cand_.ord.empty()) {
-        LEGODB_ASSIGN_OR_RETURN(
-            store::TableIo io,
-            ctx_->tables()[inner_rel]->FetchRows(cand_.ord.data(),
-                                                 cand_.ord.size()));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      LEGODB_RETURN_IF_ERROR(Charge(
+          table(inner_rel)->FetchRows(cand_.ord.data(), cand_.ord.size())));
 
       // Combined selection: inner residual filters AND residual join edges,
       // both over the candidate lanes.
@@ -923,8 +854,6 @@ class IndexNLJoinOp : public Operator {
   ExprProgram residuals_;
   const ColumnVector* outer_key_ = nullptr;
   const HashIndex* index_ = nullptr;
-  double width_ = 0;
-  bool paged_ = false;
   ColumnBatch in_;
   JoinCandidates cand_;
   std::vector<std::vector<int32_t>> gather_;
@@ -941,6 +870,9 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
                                             std::vector<Operator*>* preorder,
                                             std::vector<int>* depths) {
   if (!p) return Status::Internal("null plan node");
+  preorder->push_back(nullptr);  // this node's pre-order slot, filled below
+  depths->push_back(depth);
+  size_t slot = preorder->size() - 1;
   std::unique_ptr<Operator> op;
   switch (p->kind) {
     case opt::PhysicalPlan::Kind::kSeqScan:
@@ -950,36 +882,29 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
       op = std::make_unique<IndexLookupOp>(ctx, p.get());
       break;
     case opt::PhysicalPlan::Kind::kHashJoin: {
-      preorder->push_back(nullptr);  // reserve the parent's pre-order slot
-      depths->push_back(depth);
-      size_t slot = preorder->size() - 1;
       LEGODB_ASSIGN_OR_RETURN(
           std::unique_ptr<Operator> probe,
           BuildOp(ctx, p->left, depth + 1, preorder, depths));
-      LEGODB_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> build,
-          BuildOp(ctx, p->right, depth + 1, preorder, depths));
+      std::unique_ptr<Operator> build;
+      if (!ProbesSharedIndex(*p, ctx->tables())) {
+        LEGODB_ASSIGN_OR_RETURN(
+            build, BuildOp(ctx, p->right, depth + 1, preorder, depths));
+      }
       op = std::make_unique<HashJoinOp>(ctx, p.get(), std::move(probe),
                                         std::move(build));
-      (*preorder)[slot] = op.get();
-      return op;
+      break;
     }
     case opt::PhysicalPlan::Kind::kIndexNLJoin: {
-      preorder->push_back(nullptr);
-      depths->push_back(depth);
-      size_t slot = preorder->size() - 1;
       LEGODB_ASSIGN_OR_RETURN(
           std::unique_ptr<Operator> outer,
           BuildOp(ctx, p->left, depth + 1, preorder, depths));
       op = std::make_unique<IndexNLJoinOp>(ctx, p.get(), std::move(outer));
-      (*preorder)[slot] = op.get();
-      return op;
+      break;
     }
     case opt::PhysicalPlan::Kind::kProject:
       return Status::Internal("nested projection");
   }
-  preorder->push_back(op.get());
-  depths->push_back(depth);
+  (*preorder)[slot] = op.get();
   return op;
 }
 
@@ -1020,7 +945,7 @@ class BlockExecutor {
     ctx_.params = &e->params_;
     ctx_.stats = &e->stats_;
     ctx_.block = &block;
-    ctx_.vector_size = e->options_.EffectiveVectorSize();
+    ctx_.batch_size = std::max<size_t>(e->options_.batch_size, 1);
     ctx_.timed =
         e->options_.collect_profile || obs::Current() != nullptr;
     // A prepared set compiled against a different database would hand out
@@ -1134,37 +1059,34 @@ class BlockExecutor {
       }
     }
     if (e->options_.collect_profile) {
-      Operator* root_op = root.get();
-      OpActual project;
-      project.kind = opt::PhysicalPlan::Kind::kProject;
-      project.label = OpLabel(ctx_, *plan);
-      project.est_rows = plan->est_rows;
-      project.est_cost = plan->est_cost;
+      // The projection first (depth 0), then every operator in pre-order.
+      auto add = [&](const opt::PhysicalPlan& node, int depth) -> OpActual& {
+        OpActual& a = e->profile_.ops.emplace_back();
+        a.kind = node.kind;
+        a.label = OpLabel(ctx_, node);
+        a.est_rows = node.est_rows;
+        a.est_cost = node.est_cost;
+        a.depth = depth;
+        return a;
+      };
+      OpActual& project = add(*plan, 0);
       project.actual_rows = static_cast<int64_t>(result.rows.size());
-      project.rows_in = root_op->rows_produced();
+      project.rows_in = root->rows_produced();
       project.batches = root_batches;
-      project.vectors = root_op->vectors();
-      project.seeks = root_op->seeks();
-      project.bytes = root_op->bytes();
+      project.vectors = root->vectors();
+      project.seeks = root->seeks();
+      project.bytes = root->bytes();
       project.ms = total_ms;
-      project.depth = 0;
-      e->profile_.ops.push_back(std::move(project));
       for (size_t i = 0; i < preorder.size(); ++i) {
-        Operator* op = preorder[i];
-        OpActual actual;
-        actual.kind = op->node()->kind;
-        actual.label = OpLabel(ctx_, *op->node());
-        actual.est_rows = op->node()->est_rows;
-        actual.est_cost = op->node()->est_cost;
-        actual.actual_rows = op->rows_produced();
-        actual.rows_in = op->rows_examined();
-        actual.batches = op->batches();
-        actual.vectors = op->vectors();
-        actual.seeks = op->seeks();
-        actual.bytes = op->bytes();
-        actual.ms = op->millis();
-        actual.depth = depths[i];
-        e->profile_.ops.push_back(std::move(actual));
+        const Operator& op = *preorder[i];
+        OpActual& actual = add(*op.node(), depths[i]);
+        actual.actual_rows = op.rows_produced();
+        actual.rows_in = op.rows_examined();
+        actual.batches = op.batches();
+        actual.vectors = op.vectors();
+        actual.seeks = op.seeks();
+        actual.bytes = op.bytes();
+        actual.ms = op.millis();
       }
     }
     return result;

@@ -36,18 +36,14 @@ struct ExecStats {
            (bytes_out + bytes_spilled) * write_per_byte +
            tuples_processed * cpu_per_tuple;
   }
-
-  void Add(const ExecStats& other);
 };
 
 // Execution knobs.
 struct ExecOptions {
-  // Lanes pulled per operator Next() call. 1 degenerates to
-  // tuple-at-a-time; larger batches amortize per-call overhead.
+  // Lanes pulled per operator Next() call (0 is treated as 1). 1
+  // degenerates to tuple-at-a-time; larger batches amortize per-call
+  // overhead.
   size_t batch_size = 1024;
-  // Lanes per column vector exchanged between operators; 0 means "same as
-  // batch_size" (the engine exchanges exactly one vector per Next()).
-  size_t vector_size = 0;
   // Record a per-operator estimated-vs-actual profile for each executed
   // block (see ExecProfile). Off by default: profiles accumulate until
   // ResetProfile(), which loops calling ExecuteBlock would otherwise grow.
@@ -74,12 +70,6 @@ struct ExecOptions {
   // memory tables never spill). 0 = automatic: a quarter of the buffer
   // pool's capacity in bytes. SIZE_MAX disables spilling.
   size_t spill_build_bytes = 0;
-
-  // The lane count operators actually use.
-  size_t EffectiveVectorSize() const {
-    size_t n = vector_size != 0 ? vector_size : batch_size;
-    return n == 0 ? 1 : n;
-  }
 };
 
 // One plan operator's estimates next to what execution actually observed.

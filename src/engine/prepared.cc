@@ -2,6 +2,16 @@
 
 namespace legodb::engine {
 
+bool ProbesSharedIndex(const opt::PhysicalPlan& join,
+                       const std::vector<store::StoredTable*>& tables) {
+  const opt::PhysicalPlan* b = join.right.get();
+  return join.right_join_rel >= 0 &&
+         join.right_join_rel < static_cast<int>(tables.size()) &&
+         !tables[join.right_join_rel]->paged() && b != nullptr &&
+         b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
+         b->rel == join.right_join_rel && b->filters.empty();
+}
+
 Status PreparedPrograms::WalkPlan(const ExprEnv& env,
                                   const opt::PhysicalPlanPtr& p) {
   if (!p) return Status::Internal("null plan node");
@@ -30,18 +40,17 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
                                             p->right_join_column, "hash join"));
       LEGODB_ASSIGN_OR_RETURN(np.residuals,
                               CompileResiduals(env, p->residual_joins));
-      // Mirror the executor's shared-index build-side bypass so the index
-      // exists before the first execution needs it.
-      const opt::PhysicalPlan* b = p->right.get();
-      if (b && b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
-          b->rel == p->right_join_rel && b->filters.empty()) {
+      // A shared-index probe never constructs its build child, so resolve
+      // the index instead of preparing that child.
+      bool shared = ProbesSharedIndex(*p, env.tables);
+      if (shared) {
         LEGODB_ASSIGN_OR_RETURN(
             np.index, env.tables[p->right_join_rel]->GetOrBuildIndex(
                           p->right_join_column));
       }
       by_node_.emplace(p.get(), std::move(np));
       LEGODB_RETURN_IF_ERROR(WalkPlan(env, p->left));
-      return WalkPlan(env, p->right);
+      return shared ? Status::OK() : WalkPlan(env, p->right);
     }
     case opt::PhysicalPlan::Kind::kIndexNLJoin: {
       LEGODB_ASSIGN_OR_RETURN(

@@ -31,6 +31,14 @@
 
 namespace legodb::engine {
 
+// Whether hash join `join` (over the block's `tables`) probes its build
+// table's shared index instead of materializing its build side: the build
+// side is a bare unfiltered scan of a memory table (paged build sides
+// materialize, so they can spill). The executor and Compile() both decide
+// with this rule alone, so watching a query never changes its strategy.
+bool ProbesSharedIndex(const opt::PhysicalPlan& join,
+                       const std::vector<store::StoredTable*>& tables);
+
 class PreparedPrograms {
  public:
   // Everything one operator Open() would otherwise compile or resolve.
@@ -65,7 +73,6 @@ class PreparedPrograms {
   Status CheckFresh() const;
 
   store::Database* database() const { return db_; }
-  size_t num_nodes() const { return by_node_.size(); }
 
  private:
   Status WalkPlan(const ExprEnv& env, const opt::PhysicalPlanPtr& p);

@@ -169,16 +169,15 @@ class ReferenceBlockExecutor {
           return Status::Internal("index lookup without driving filter");
         }
         LEGODB_ASSIGN_OR_RETURN(Value key, ResolveConstant(driver->value));
-        t.EnsureIndex(p->index_column);
-        const std::vector<size_t>* hits = t.Probe(p->index_column, key);
-        e_->stats_.seeks += 1;
-        std::vector<Binding> out;
-        if (!hits) return out;
-        e_->stats_.seeks += static_cast<double>(hits->size());
-        e_->stats_.tuples_processed += static_cast<double>(hits->size());
+        LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
+                                t.GetOrBuildIndex(p->index_column));
+        const std::vector<size_t>& hits = index->Find(key);
+        e_->stats_.seeks += 1 + static_cast<double>(hits.size());
+        e_->stats_.tuples_processed += static_cast<double>(hits.size());
         e_->stats_.bytes_read +=
-            static_cast<double>(hits->size()) * RowWidth(p->rel);
-        for (size_t idx : *hits) {
+            static_cast<double>(hits.size()) * RowWidth(p->rel);
+        std::vector<Binding> out;
+        for (size_t idx : hits) {
           const Row& row = t.rows()[idx];
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
@@ -236,7 +235,8 @@ class ReferenceBlockExecutor {
       case opt::PhysicalPlan::Kind::kIndexNLJoin: {
         LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> outer, Exec(p->left));
         StoredTable& inner = *tables_[p->rel];
-        inner.EnsureIndex(p->index_column);
+        LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
+                                inner.GetOrBuildIndex(p->index_column));
         int outer_rel = p->left_join_rel;
         int outer_col =
             tables_[outer_rel]->meta().ColumnIndex(p->left_join_column);
@@ -249,26 +249,23 @@ class ReferenceBlockExecutor {
           bool matched = false;
           e_->stats_.seeks += 1;
           if (row && !(*row)[outer_col].is_null()) {
-            const std::vector<size_t>* hits =
-                inner.Probe(p->index_column, (*row)[outer_col]);
-            if (hits) {
-              e_->stats_.seeks += static_cast<double>(hits->size());
-              e_->stats_.tuples_processed +=
-                  static_cast<double>(hits->size());
-              e_->stats_.bytes_read +=
-                  static_cast<double>(hits->size()) * RowWidth(p->rel);
-              for (size_t idx : *hits) {
-                const Row& irow = inner.rows()[idx];
-                LEGODB_ASSIGN_OR_RETURN(
-                    bool pass, PassFilters(p->rel, irow, p->filters));
-                if (!pass) continue;
-                Binding merged = l;
-                merged[p->rel] = &irow;
-                LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
-                if (!rpass) continue;
-                out.push_back(std::move(merged));
-                matched = true;
-              }
+            const std::vector<size_t>& hits =
+                index->Find((*row)[outer_col]);
+            e_->stats_.seeks += static_cast<double>(hits.size());
+            e_->stats_.tuples_processed += static_cast<double>(hits.size());
+            e_->stats_.bytes_read +=
+                static_cast<double>(hits.size()) * RowWidth(p->rel);
+            for (size_t idx : hits) {
+              const Row& irow = inner.rows()[idx];
+              LEGODB_ASSIGN_OR_RETURN(bool pass,
+                                      PassFilters(p->rel, irow, p->filters));
+              if (!pass) continue;
+              Binding merged = l;
+              merged[p->rel] = &irow;
+              LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
+              if (!rpass) continue;
+              out.push_back(std::move(merged));
+              matched = true;
             }
           }
           if (!matched && p->left_outer) out.push_back(l);

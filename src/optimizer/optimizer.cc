@@ -64,7 +64,6 @@ class BlockPlanner {
                      best.rows * p_.cpu_per_tuple;
     root->est_seeks = best.seeks;  // output writing adds no read IO
     root->est_bytes = best.bytes;
-    root->vectorized = true;
     return PlannedBlock{root, root->est_cost, root->est_rows};
   }
 
@@ -251,7 +250,6 @@ class BlockPlanner {
                        base * p_.cpu_per_tuple;
       plan->est_seeks = seeks;
       plan->est_bytes = bytes;
-      plan->vectorized = true;
       best = Entry{plan->est_cost, out_rows, width, seeks, bytes, plan};
     }
     // Index lookup on the most selective indexed filter column (hash
@@ -276,7 +274,6 @@ class BlockPlanner {
         plan->est_cost = cost;
         plan->est_seeks = seeks;
         plan->est_bytes = bytes;
-        plan->vectorized = true;
         best = Entry{cost, out_rows, width, seeks, bytes, plan};
       }
     }
@@ -348,7 +345,6 @@ class BlockPlanner {
         plan->est_cost = cost;
         plan->est_seeks = seeks;
         plan->est_bytes = bytes;
-        plan->vectorized = true;
         best = Entry{cost, out_rows, width, seeks, bytes, plan};
       }
     }
@@ -397,7 +393,6 @@ class BlockPlanner {
           plan->est_cost = cost;
           plan->est_seeks = a.seeks + seeks_added;
           plan->est_bytes = a.bytes + bytes_added;
-          plan->vectorized = true;
           best = Entry{cost,
                        out_rows,
                        a.width + RowWidth(inner_rel),

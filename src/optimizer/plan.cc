@@ -97,8 +97,8 @@ std::string PhysicalPlan::ToString(const QueryBlock& block, int indent) const {
       break;
   }
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "  {rows=%.0f cost=%.1f%s}", est_rows,
-                est_cost, vectorized ? " vec" : "");
+  std::snprintf(buf, sizeof(buf), "  {rows=%.0f cost=%.1f}", est_rows,
+                est_cost);
   out += buf;
   out += "\n";
   if (left) out += left->ToString(block, indent + 1);

@@ -118,12 +118,6 @@ struct PhysicalPlan {
   double est_seeks = 0;
   double est_bytes = 0;
 
-  // The executor runs this operator vector-at-a-time with compiled
-  // predicate bytecode (see engine/expr_vm.h). Set by the optimizer for
-  // every operator it emits today; kept per node so future operators that
-  // fall back to row-at-a-time execution surface that in EXPLAIN.
-  bool vectorized = false;
-
   // Indented operator-tree rendering for debugging and EXPLAIN output.
   std::string ToString(const QueryBlock& block, int indent = 0) const;
 };

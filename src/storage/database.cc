@@ -1,5 +1,6 @@
 #include "storage/database.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -139,17 +140,39 @@ Status SlotExtent(const char* page, size_t page_size, uint16_t slot,
   return Status::OK();
 }
 
+// Pins pages in access order, charging each pool fault as one seek plus one
+// page of bytes; resident pages and repeats of the page just touched are
+// free. Only the current page stays pinned, so a 1-frame pool works.
+class PageToucher {
+ public:
+  PageToucher(BufferPool* pool, size_t page_size)
+      : pool_(pool), page_bytes_(static_cast<double>(page_size)) {}
+
+  Status Touch(uint32_t page) {
+    if (guard_.valid() && page == last_page_) return Status::OK();
+    guard_.Release();
+    LEGODB_ASSIGN_OR_RETURN(guard_, pool_->Pin(page));
+    if (guard_.faulted()) {
+      io_.seeks += 1;
+      io_.bytes += page_bytes_;
+    }
+    last_page_ = page;
+    return Status::OK();
+  }
+
+  const TableIo& io() const { return io_; }
+
+ private:
+  BufferPool* pool_;
+  double page_bytes_;
+  BufferPool::PageGuard guard_;
+  uint32_t last_page_ = 0;
+  TableIo io_;
+};
+
 }  // namespace
 
 const std::vector<size_t> HashIndex::kEmpty;
-
-HashIndex::HashIndex(const std::vector<Row>& rows, int column_index) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][static_cast<size_t>(column_index)];
-    if (v.is_null()) continue;
-    map_[v].push_back(i);
-  }
-}
 
 HashIndex::HashIndex(const ColumnVector& column) {
   for (size_t i = 0; i < column.size(); ++i) {
@@ -159,39 +182,25 @@ HashIndex::HashIndex(const ColumnVector& column) {
 }
 
 ColumnVector::ColumnVector(const std::vector<Row>& rows, int column_index) {
-  size_t col = static_cast<size_t>(column_index);
-  nulls_.resize(rows.size());
-  ints_.resize(rows.size());
-  vals_.resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][col];
-    vals_[i] = &v;
-    if (v.is_null()) {
-      nulls_[i] = 1;
-    } else if (v.is_int()) {
-      ints_[i] = v.as_int();
-    } else {
-      typed_int_ = false;
-    }
+  vals_.reserve(rows.size());
+  for (const Row& row : rows) {
+    vals_.push_back(&row[static_cast<size_t>(column_index)]);
   }
-  if (!typed_int_) {
-    ints_.clear();
-    ints_.shrink_to_fit();
-  }
+  Build();
 }
 
 ColumnVector::ColumnVector(std::vector<Value> owned)
     : owned_(std::move(owned)) {
+  vals_.reserve(owned_.size());
+  for (const Value& v : owned_) vals_.push_back(&v);
   Build();
 }
 
 void ColumnVector::Build() {
-  nulls_.resize(owned_.size());
-  ints_.resize(owned_.size());
-  vals_.resize(owned_.size());
-  for (size_t i = 0; i < owned_.size(); ++i) {
-    const Value& v = owned_[i];
-    vals_[i] = &v;
+  nulls_.resize(vals_.size());
+  ints_.resize(vals_.size());
+  for (size_t i = 0; i < vals_.size(); ++i) {
+    const Value& v = *vals_[i];
     if (v.is_null()) {
       nulls_[i] = 1;
     } else if (v.is_int()) {
@@ -345,55 +354,47 @@ StatusOr<Row> StoredTable::ReadRowPaged(size_t i) const {
   return row;
 }
 
-StatusOr<TableIo> StoredTable::FetchRowRange(size_t begin, size_t end) const {
+TableIo StoredTable::SeekIo(size_t n) const {
   TableIo io;
-  if (!paged()) return io;
-  BufferPool* bp = pool();
-  const double page_bytes = static_cast<double>(pager()->page_size());
-  uint32_t last_page = 0;
-  bool have_last = false;
-  BufferPool::PageGuard guard;  // keeps the current page pinned
-  for (size_t i = begin; i < end && i < locators_.size(); ++i) {
-    const uint32_t page = locators_[i].page;
-    if (have_last && page == last_page) continue;
-    guard.Release();  // before pinning the next page: a 1-frame pool must work
-    LEGODB_ASSIGN_OR_RETURN(guard, bp->Pin(page));
-    if (guard.faulted()) {
-      io.seeks += 1;
-      io.bytes += page_bytes;
-    }
-    last_page = page;
-    have_last = true;
-  }
+  if (!paged()) io.seeks = static_cast<double>(n);
   return io;
 }
 
+StatusOr<TableIo> StoredTable::FetchRowRange(size_t begin, size_t end) const {
+  if (!paged()) {
+    TableIo io;
+    end = std::min(end, rows_.size());
+    if (end > begin) {
+      io.bytes = static_cast<double>(end - begin) * meta_.RowWidth();
+    }
+    return io;
+  }
+  PageToucher touch(pool(), pager()->page_size());
+  for (size_t i = begin; i < end && i < locators_.size(); ++i) {
+    LEGODB_RETURN_IF_ERROR(touch.Touch(locators_[i].page));
+  }
+  return touch.io();
+}
+
 StatusOr<TableIo> StoredTable::FetchRows(const int32_t* rows, size_t n) const {
-  TableIo io;
-  if (!paged()) return io;
-  BufferPool* bp = pool();
-  const double page_bytes = static_cast<double>(pager()->page_size());
-  uint32_t last_page = 0;
-  bool have_last = false;
-  BufferPool::PageGuard guard;
+  if (!paged()) {
+    TableIo io;
+    size_t bound = 0;
+    for (size_t i = 0; i < n; ++i) bound += rows[i] >= 0 ? 1 : 0;
+    io.seeks = static_cast<double>(bound);
+    io.bytes = static_cast<double>(bound) * meta_.RowWidth();
+    return io;
+  }
+  PageToucher touch(pool(), pager()->page_size());
   for (size_t i = 0; i < n; ++i) {
     if (rows[i] < 0) continue;  // unbound lane
     const size_t r = static_cast<size_t>(rows[i]);
     if (r >= locators_.size()) {
       return Status::Internal("FetchRows: row index out of range");
     }
-    const uint32_t page = locators_[r].page;
-    if (have_last && page == last_page) continue;
-    guard.Release();
-    LEGODB_ASSIGN_OR_RETURN(guard, bp->Pin(page));
-    if (guard.faulted()) {
-      io.seeks += 1;
-      io.bytes += page_bytes;
-    }
-    last_page = page;
-    have_last = true;
+    LEGODB_RETURN_IF_ERROR(touch.Touch(locators_[r].page));
   }
-  return io;
+  return touch.io();
 }
 
 StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
@@ -401,21 +402,15 @@ StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
   std::lock_guard<std::mutex> lock(index_mu_);
   auto it = indexes_.find(column);
   if (it != indexes_.end()) return static_cast<const HashIndex*>(it->second.get());
-  int idx = meta_.ColumnIndex(column);
-  if (idx < 0) {
+  if (meta_.ColumnIndex(column) < 0) {
     return Status::Internal("no column '" + column + "' in table '" +
                             meta_.name + "' to index");
   }
-  std::unique_ptr<HashIndex> built;
-  if (paged()) {
-    // Paged tables index via the columnar shadow (one sequential page scan,
-    // cached for every later reader).
-    LEGODB_ASSIGN_OR_RETURN(const ColumnVector* col,
-                            GetOrBuildColumnLocked(column));
-    built = std::make_unique<HashIndex>(*col);
-  } else {
-    built = std::make_unique<HashIndex>(rows_, idx);
-  }
+  // Indexes build from the column shadow (on paged tables one sequential
+  // page scan), which stays cached for every later reader.
+  LEGODB_ASSIGN_OR_RETURN(const ColumnVector* col,
+                          GetOrBuildColumnLocked(column));
+  auto built = std::make_unique<HashIndex>(*col);
   const HashIndex* result = built.get();
   indexes_.emplace(column, std::move(built));
   return result;
@@ -464,28 +459,6 @@ StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumnLocked(
   const ColumnVector* result = built.get();
   columns_.emplace(column, std::move(built));
   return result;
-}
-
-void StoredTable::EnsureIndex(const std::string& column) {
-  StatusOr<const HashIndex*> index = GetOrBuildIndex(column);
-  LEGODB_CHECK(index.ok(), "EnsureIndex: unknown column");
-}
-
-bool StoredTable::HasIndex(const std::string& column) const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return indexes_.count(column) > 0;
-}
-
-const std::vector<size_t>* StoredTable::Probe(const std::string& column,
-                                              const Value& key) const {
-  const HashIndex* index = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    auto it = indexes_.find(column);
-    if (it == indexes_.end()) return nullptr;
-    index = it->second.get();
-  }
-  return &index->Find(key);
 }
 
 Database::Database(const rel::Catalog& catalog, StorageOptions options)

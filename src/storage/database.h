@@ -27,9 +27,7 @@ class ColumnVector;
 // synchronization.
 class HashIndex {
  public:
-  HashIndex(const std::vector<Row>& rows, int column_index);
-  // Builds from a columnar shadow — the paged backend's path, where rows
-  // live on pages rather than in a Row vector.
+  // Builds from the column's shadow (see StoredTable::GetOrBuildIndex).
   explicit HashIndex(const ColumnVector& column);
 
   // Row indices whose indexed column equals `key`; empty vector when none.
@@ -37,8 +35,6 @@ class HashIndex {
     auto it = map_.find(key);
     return it == map_.end() ? kEmpty : it->second;
   }
-
-  size_t distinct_keys() const { return map_.size(); }
 
  private:
   static const std::vector<size_t> kEmpty;
@@ -55,7 +51,7 @@ class HashIndex {
 //  - ints(): the int64 payload, meaningful only when typed_int() — i.e.
 //    every non-null value in the column is an integer (catalog drift or
 //    mixed-kind data degrade gracefully to the generic view);
-//  - values(): a Value pointer per row — into the owning table's rows for
+//  - value(i): the Value of row i — in the owning table's rows for
 //    the memory backend, or into this vector's own deserialized copies for
 //    the paged backend (the owning constructor).
 class ColumnVector {
@@ -72,10 +68,9 @@ class ColumnVector {
   const uint8_t* null_mask() const { return nulls_.data(); }
   const int64_t* ints() const { return ints_.data(); }
   const Value& value(size_t i) const { return *vals_[i]; }
-  const Value* const* values() const { return vals_.data(); }
 
  private:
-  void Build();  // fills nulls_/ints_/vals_ from owned_
+  void Build();  // fills nulls_/ints_ from vals_
 
   bool typed_int_ = true;
   std::vector<Value> owned_;  // paged backend only; empty otherwise
@@ -84,10 +79,10 @@ class ColumnVector {
   std::vector<const Value*> vals_;
 };
 
-// Page traffic attributable to one table access: how many buffer-pool
-// faults (seeks) it caused and how many bytes those faults read. The memory
-// backend always reports zeros — its "IO" stays the modeled per-row charge
-// the executor has always used.
+// IO attributable to one table access: seeks and bytes read. The paged
+// backend reports the buffer-pool faults the access actually caused; the
+// memory backend reports the cost model's charge (row width bytes per row
+// read, one seek per random row access or probe).
 struct TableIo {
   double seeks = 0;
   double bytes = 0;
@@ -100,8 +95,10 @@ struct TableIo {
 //    std::vector<Row>, directly addressable via rows();
 //  - paged: rows serialized into fixed-size slotted pages behind the
 //    database's buffer pool; a RowLocator (page, slot) per row. rows() is
-//    then illegal — readers go through ReadRow()/column shadows, and charge
-//    real page traffic via FetchRowRange()/FetchRows().
+//    then illegal — readers go through ReadRow()/column shadows.
+//
+// Either way, readers charge IO through SeekIo()/FetchRowRange()/
+// FetchRows(), so the executor never asks which backend it runs on.
 //
 // Loading (Insert/RemoveLastRows) must be single-threaded and finish before
 // query serving starts; after that, any number of threads may read rows and
@@ -159,12 +156,18 @@ class StoredTable {
   // FetchRows for attribution).
   StatusOr<Row> ReadRow(size_t i) const;
 
-  // Touches the pages holding rows [begin, end) in order, returning the
-  // page traffic this call actually caused (pool faults only — resident
-  // pages are free). The sequential-scan IO path.
+  // The positioning cost of starting `n` scans or index probes: one seek
+  // each on memory, nothing on paged (where the faults the following
+  // fetches cause are the whole cost).
+  TableIo SeekIo(size_t n = 1) const;
+  // The sequential-scan IO path: the IO of reading rows [begin, end). Paged
+  // tables touch the pages holding them in order and report only the pool
+  // faults (resident pages are free); memory tables charge width bytes per
+  // row.
   StatusOr<TableIo> FetchRowRange(size_t begin, size_t end) const;
-  // Same for an explicit row-index list (negative entries are skipped —
-  // they are unbound lanes). The index-probe IO path.
+  // The index-probe IO path, for an explicit row-index list (negative
+  // entries are skipped — they are unbound lanes). Memory tables charge one
+  // seek plus width bytes per row.
   StatusOr<TableIo> FetchRows(const int32_t* rows, size_t n) const;
 
   // Returns the index on `column`, building it on first use (thread-safe).
@@ -174,15 +177,6 @@ class StoredTable {
   // Returns the columnar shadow of `column`, building it on first use
   // (thread-safe). Internal error when the column does not exist.
   StatusOr<const ColumnVector*> GetOrBuildColumn(const std::string& column);
-
-  // Legacy convenience used by the reconstructor and tests: builds (or
-  // reuses) the index, aborting on unknown columns.
-  void EnsureIndex(const std::string& column);
-  bool HasIndex(const std::string& column) const;
-  // Row indices whose `column` equals `key` (nullptr when no index built;
-  // pointer to an empty vector when the key is absent).
-  const std::vector<size_t>* Probe(const std::string& column,
-                                   const Value& key) const;
 
  private:
   struct RowLocator {

@@ -46,13 +46,13 @@ class Reconstructor {
       return Status::InvalidArgument("not a concrete type: " + type_name);
     }
     StoredTable& table = db_->GetTable(tm->table);
-    table.EnsureIndex(table.meta().key_column);
-    const std::vector<size_t>* hits =
-        table.Probe(table.meta().key_column, Value::Int(id));
-    if (!hits || hits->empty()) {
+    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
+                            table.GetOrBuildIndex(table.meta().key_column));
+    const std::vector<size_t>& hits = index->Find(Value::Int(id));
+    if (hits.empty()) {
       return Status::NotFound("no row with id " + std::to_string(id));
     }
-    return (*hits)[0];
+    return hits[0];
   }
 
  private:
@@ -76,7 +76,7 @@ class Reconstructor {
 
   // True if any column value or descendant row exists under `prefix` —
   // presence test for optional content.
-  bool HasDataUnder(const Ctx& ctx, const RelPath& prefix) {
+  StatusOr<bool> HasDataUnder(const Ctx& ctx, const RelPath& prefix) {
     for (const auto& slot : ctx.tm->slots) {
       if (slot.path.size() < prefix.size()) continue;
       if (!std::equal(prefix.begin(), prefix.end(), slot.path.begin())) {
@@ -90,56 +90,59 @@ class Reconstructor {
       if (!std::equal(prefix.begin(), prefix.end(), child.path.begin())) {
         continue;
       }
-      if (!FetchChildren(ctx, child.type_name).empty()) return true;
+      std::vector<ChildRow> rows;
+      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, child.type_name, 0, &rows));
+      if (!rows.empty()) return true;
     }
     return false;
   }
 
-  // (id, concrete type, row index) of all child instances of `ref_type`
-  // under this instance, in document (id) order.
+  // A child instance: (id, concrete type, row index).
   struct ChildRow {
     int64_t id;
     std::string type;
     size_t row_idx;
   };
-  std::vector<ChildRow> FetchChildren(const Ctx& ctx,
-                                      const std::string& ref_type) const {
-    std::vector<ChildRow> out;
-    CollectChildren(ctx, ref_type, 0, &out);
-    std::sort(out.begin(), out.end(),
-              [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
-    return out;
-  }
 
-  void CollectChildren(const Ctx& ctx, const std::string& ref_type, int depth,
-                       std::vector<ChildRow>* out) const {
-    if (depth > 16) return;
+  // Appends every child instance of `ref_type` under this instance.
+  Status CollectChildren(const Ctx& ctx, const std::string& ref_type,
+                         int depth, std::vector<ChildRow>* out) const {
+    if (depth > 16) return Status::OK();
     const TypeMapping* ctm = m_.FindType(ref_type);
-    if (!ctm) return;
+    if (!ctm) return Status::OK();
     if (ctm->virtual_union) {
       for (const auto& alt : ctm->union_alternatives) {
-        CollectChildren(ctx, alt, depth + 1, out);
+        LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, alt, depth + 1, out));
       }
-      return;
+      return Status::OK();
     }
     StoredTable& table = db_->GetTable(ctm->table);
     std::string fk = "parent_" + ctx.tm->type_name;
-    if (table.meta().ColumnIndex(fk) < 0) return;
-    table.EnsureIndex(fk);
-    const std::vector<size_t>* hits =
-        table.Probe(fk, Value::Int(ctx.self_id));
-    if (!hits) return;
-    StatusOr<const ColumnVector*> keys =
-        table.GetOrBuildColumn(table.meta().key_column);
-    if (!keys.ok()) return;  // best-effort: no children on IO failure
-    for (size_t idx : *hits) {
-      out->push_back(ChildRow{(*keys)->value(idx).as_int(), ref_type, idx});
+    if (table.meta().ColumnIndex(fk) < 0) return Status::OK();
+    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index, table.GetOrBuildIndex(fk));
+    LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
+                            table.GetOrBuildColumn(table.meta().key_column));
+    for (size_t idx : index->Find(Value::Int(ctx.self_id))) {
+      out->push_back(ChildRow{keys->value(idx).as_int(), ref_type, idx});
     }
+    return Status::OK();
   }
 
-  Status EmitChildren(const Ctx& ctx, const std::string& ref_type,
-                      xml::Node* parent) {
-    for (const auto& child : FetchChildren(ctx, ref_type)) {
+  // Emits the children a type ref — or a union of refs, whose alternatives
+  // a repetition may interleave — points at, in id (= document) order.
+  Status EmitChildren(const Ctx& ctx, const Type& t, xml::Node* parent) {
+    std::vector<ChildRow> children;
+    if (t.kind == Type::Kind::kUnion) {
+      for (const auto& alt : t.children) {
+        LEGODB_RETURN_IF_ERROR(
+            CollectChildren(ctx, alt->ref_name, 0, &children));
+      }
+    } else {
+      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, t.ref_name, 0, &children));
+    }
+    std::sort(children.begin(), children.end(),
+              [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
+    for (const auto& child : children) {
       LEGODB_RETURN_IF_ERROR(EmitInstance(child.type, child.row_idx, parent));
     }
     return Status::OK();
@@ -167,7 +170,9 @@ class Reconstructor {
           if (present) tag = tilde->as_string();
         } else {
           tag = t->name.name;
-          if (under_optional) present = HasDataUnder(*ctx, ctx->path);
+          if (under_optional) {
+            LEGODB_ASSIGN_OR_RETURN(present, HasDataUnder(*ctx, ctx->path));
+          }
         }
         Status st = Status::OK();
         if (present) {
@@ -192,24 +197,8 @@ class Reconstructor {
         }
         return Status::OK();
       }
-      case Type::Kind::kUnion: {
-        // Union of refs: merge the alternatives' children and emit them in
-        // id (= document) order, since a repetition over the union may
-        // interleave alternatives.
-        std::vector<ChildRow> merged;
-        for (const auto& alt : t->children) {
-          CollectChildren(*ctx, alt->ref_name, 0, &merged);
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const ChildRow& a, const ChildRow& b) {
-                    return a.id < b.id;
-                  });
-        for (const auto& child : merged) {
-          LEGODB_RETURN_IF_ERROR(
-              EmitInstance(child.type, child.row_idx, parent));
-        }
-        return Status::OK();
-      }
+      case Type::Kind::kUnion:
+        return EmitChildren(*ctx, *t, parent);
       case Type::Kind::kRepetition: {
         if (t->is_optional_rep() &&
             t->child->kind != Type::Kind::kTypeRef &&
@@ -219,7 +208,7 @@ class Reconstructor {
         return EmitBody(t->child, ctx, parent, under_optional);
       }
       case Type::Kind::kTypeRef:
-        return EmitChildren(*ctx, t->ref_name, parent);
+        return EmitChildren(*ctx, *t, parent);
     }
     return Status::Internal("unreachable");
   }

@@ -7,12 +7,15 @@
 // index registry's synchronization).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "engine/executor.h"
 #include "engine/reference_executor.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
+#include "obs/obs.h"
 #include "optimizer/optimizer.h"
 #include "pschema/pschema.h"
 #include "storage/shredder.h"
@@ -125,14 +128,17 @@ class ExecutorEquivalenceTest : public ::testing::Test {
             {"c4", Value::Str("person3")}};
   }
 
-  // Executes every prepared query with the reference executor.
-  static std::vector<xq::ResultSet> ReferenceResults(store::Database* db) {
+  // Executes every prepared query with the reference executor, appending
+  // each query's ExecStats to `stats` when given.
+  static std::vector<xq::ResultSet> ReferenceResults(
+      store::Database* db, std::vector<engine::ExecStats>* stats = nullptr) {
     std::vector<xq::ResultSet> results;
     for (const PreparedQuery& p : *prepared_) {
       engine::ReferenceExecutor exec(db, Params());
       auto r = exec.ExecuteQuery(p.rq, p.plans);
       EXPECT_TRUE(r.ok()) << p.name << ": " << r.status().ToString();
       results.push_back(std::move(r).value());
+      if (stats != nullptr) stats->push_back(exec.stats());
     }
     return results;
   }
@@ -152,6 +158,36 @@ class ExecutorEquivalenceTest : public ::testing::Test {
             << actual.rows[i][j].ToString();
       }
     }
+  }
+
+  // Every prepared query's ExecStats and profile from one executor run at
+  // `batch_size`, optionally profiled and/or under an ambient registry.
+  struct Watched {
+    std::vector<engine::ExecStats> stats;
+    std::vector<engine::ExecProfile> profiles;
+  };
+  static Watched RunWatched(store::Database* db, size_t batch_size,
+                            bool profile, bool registry) {
+    obs::Registry metrics;
+    std::optional<obs::ScopedRegistry> scoped;
+    if (registry) scoped.emplace(&metrics);
+    engine::ExecOptions options;
+    options.batch_size = batch_size;
+    options.collect_profile = profile;
+    Watched out;
+    for (const PreparedQuery& p : *prepared_) {
+      engine::Executor exec(db, Params(), options);
+      auto r = exec.ExecuteQuery(p.rq, p.plans);
+      EXPECT_TRUE(r.ok()) << p.name << ": " << r.status().ToString();
+      out.stats.push_back(exec.stats());
+      out.profiles.push_back(exec.profile());
+    }
+    return out;
+  }
+
+  static size_t PlanNodes(const opt::PhysicalPlanPtr& p) {
+    if (!p) return 0;
+    return 1 + PlanNodes(p->child) + PlanNodes(p->left) + PlanNodes(p->right);
   }
 
   static map::Mapping* mapping_;
@@ -186,9 +222,8 @@ TEST_F(ExecutorEquivalenceTest, BitIdenticalAcrossBatchSizes) {
 }
 
 TEST_F(ExecutorEquivalenceTest, BitIdenticalWithProfilingEnabled) {
-  // collect_profile forces the materializing hash-join path and per-op
-  // timing; results must not change, and the profile must cover every
-  // operator with sane actuals.
+  // collect_profile turns on per-op timing; results must not change, and
+  // the profile must cover every operator that ran with sane actuals.
   auto db = FreshDatabase();
   std::vector<xq::ResultSet> expected = ReferenceResults(db.get());
   engine::ExecOptions options;
@@ -405,6 +440,79 @@ TEST_F(ExecutorEquivalenceTest, ConcurrentDiskServingIsBitIdentical) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(failures[t].empty())
         << "thread " << t << ": " << failures[t];
+  }
+}
+
+// Watching a query (profiling it, or metering it under a registry) must
+// not change what it does. Memory runs charge the reference executor's IO
+// (bytes_read to 1e-9: per-batch sums round differently); paged runs on
+// identically shredded databases charge identical faults.
+TEST_F(ExecutorEquivalenceTest, ExecStatsIndependentOfWatching) {
+  for (bool disk : {false, true}) {
+    for (size_t batch_size : {size_t{1}, size_t{64}, size_t{1024}}) {
+      std::vector<engine::ExecStats> want;
+      if (disk) {
+        want = RunWatched(FreshDiskDatabase().get(), batch_size, false, false)
+                   .stats;
+      } else {
+        ReferenceResults(FreshDatabase().get(), &want);
+      }
+      for (auto [profile, registry] : {std::pair{false, false},
+                                       std::pair{true, false},
+                                       std::pair{false, true}}) {
+        auto db = disk ? FreshDiskDatabase() : FreshDatabase();
+        Watched run = RunWatched(db.get(), batch_size, profile, registry);
+        for (size_t i = 0; i < prepared_->size(); ++i) {
+          const engine::ExecStats& w = want[i];
+          const engine::ExecStats& g = run.stats[i];
+          std::string context =
+              (*prepared_)[i].name + (disk ? " disk" : "") + " batch_size=" +
+              std::to_string(batch_size) + " profile=" +
+              std::to_string(profile) + " registry=" + std::to_string(registry);
+          EXPECT_EQ(w.seeks, g.seeks) << context;
+          EXPECT_EQ(w.tuples_processed, g.tuples_processed) << context;
+          EXPECT_EQ(w.rows_out, g.rows_out) << context;
+          EXPECT_EQ(w.bytes_out, g.bytes_out) << context;
+          EXPECT_EQ(w.bytes_spilled, g.bytes_spilled) << context;
+          EXPECT_NEAR(w.bytes_read, g.bytes_read,
+                      (disk ? 0 : 1e-9) * std::max(1.0, w.bytes_read))
+              << context;
+        }
+      }
+    }
+  }
+}
+
+// EXPLAIN ANALYZE shows the plan that ran, and only it: the same operators
+// at the same depths with and without a registry, each answering at least
+// its end-of-stream batch. On memory, shared-index hash joins run (and are
+// profiled) without their build-side scan; paged runs build every join.
+TEST_F(ExecutorEquivalenceTest, ProfiledPlanShapeIndependentOfRegistry) {
+  for (bool disk : {false, true}) {
+    for (size_t batch_size : {size_t{1}, size_t{64}, size_t{1024}}) {
+      auto db = disk ? FreshDiskDatabase() : FreshDatabase();
+      Watched plain = RunWatched(db.get(), batch_size, true, false);
+      Watched metered = RunWatched(db.get(), batch_size, true, true);
+      bool skipped_build = false;
+      for (size_t i = 0; i < prepared_->size(); ++i) {
+        const PreparedQuery& p = (*prepared_)[i];
+        std::string context = p.name + (disk ? " disk" : " memory") +
+                              " batch_size=" + std::to_string(batch_size);
+        const auto& want = plain.profiles[i].ops;
+        const auto& got = metered.profiles[i].ops;
+        ASSERT_EQ(want.size(), got.size()) << context;
+        for (size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ(want[j].label, got[j].label) << context;
+          EXPECT_EQ(want[j].depth, got[j].depth) << context;
+          EXPECT_GE(got[j].batches, 1) << context << " " << got[j].label;
+        }
+        size_t nodes = 0;
+        for (const auto& plan : p.plans) nodes += PlanNodes(plan);
+        if (disk) EXPECT_EQ(want.size(), nodes) << context;
+        skipped_build |= want.size() < nodes;
+      }
+      EXPECT_EQ(skipped_build, !disk) << "batch_size=" << batch_size;
+    }
   }
 }
 

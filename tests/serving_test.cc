@@ -610,7 +610,7 @@ TEST_F(ServingTest, PreparedPlanStalenessIsDetectedAfterTableMutation) {
 // --- Deadlines and cancellation during execution ---------------------------
 
 // A table large enough that a vector-at-a-time scan takes comfortably
-// longer than the budgets below; vector_size=1 maximizes interrupt-check
+// longer than the budgets below; batch_size=1 maximizes interrupt-check
 // granularity (one check per row).
 class SlowScanTest : public ::testing::Test {
  protected:
@@ -659,7 +659,7 @@ class SlowScanTest : public ::testing::Test {
 
 TEST_F(SlowScanTest, ExecutorStopsAtExpiredDeadlineDuringExecution) {
   engine::ExecOptions exec_options;
-  exec_options.vector_size = 1;
+  exec_options.batch_size = 1;
   exec_options.deadline_ns = obs::NowNanos() - 1;  // already expired
   auto result = Execute(exec_options);
   ASSERT_FALSE(result.ok());
@@ -676,7 +676,7 @@ TEST_F(SlowScanTest, ExecutorStopsAtCancelledTokenDuringExecution) {
   common::CancelToken token;
   token.Cancel();
   engine::ExecOptions exec_options;
-  exec_options.vector_size = 1;
+  exec_options.batch_size = 1;
   exec_options.cancel = &token;
   auto result = Execute(exec_options);
   ASSERT_FALSE(result.ok());
@@ -688,7 +688,7 @@ TEST_F(SlowScanTest, ExecutorStopsAtCancelledTokenDuringExecution) {
 
 TEST_F(SlowScanTest, ServeDeadlineFiresDuringExecutionNotBefore) {
   ServerOptions options;
-  options.exec.vector_size = 1;  // one interrupt check per row
+  options.exec.batch_size = 1;  // one interrupt check per row
   QueryServer server(db_.get(), mapping_.get(), options);
   ASSERT_TRUE(server.Prewarm().ok());
   ASSERT_TRUE(server.Serve(query_).ok());  // warm the cache, no deadline
@@ -710,7 +710,7 @@ TEST_F(SlowScanTest, ServeDeadlineFiresDuringExecutionNotBefore) {
 TEST_F(SlowScanTest, ServeWithRetryRidesOutTransientOverload) {
   ServerOptions options;
   options.max_inflight = 1;
-  options.exec.vector_size = 1;
+  options.exec.batch_size = 1;
   QueryServer server(db_.get(), mapping_.get(), options);
   ASSERT_TRUE(server.Prewarm().ok());
   ASSERT_TRUE(server.Serve(query_).ok());  // warm the cache serially

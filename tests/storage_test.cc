@@ -53,12 +53,12 @@ TEST(StoredTable, InsertAndIndex) {
   t.Insert({Value::Int(1), Value::Str("a")});
   t.Insert({Value::Int(2), Value::Str("a")});
   t.Insert({Value::Int(3), Value::MakeNull()});
-  t.EnsureIndex("x");
-  const auto* hits = t.Probe("x", Value::Str("a"));
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(hits->size(), 2u);
+  auto index = t.GetOrBuildIndex("x");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->Find(Value::Str("a")).size(), 2u);
   // NULLs are not indexed.
-  EXPECT_TRUE(t.Probe("x", Value::MakeNull())->empty());
+  EXPECT_TRUE((*index)->Find(Value::MakeNull()).empty());
+  EXPECT_FALSE(t.GetOrBuildIndex("no_such_column").ok());
 }
 
 TEST(StoredTable, InsertInvalidatesIndexes) {
@@ -70,12 +70,14 @@ TEST(StoredTable, InsertInvalidatesIndexes) {
   meta.columns = {id};
   StoredTable t(meta);
   t.Insert({Value::Int(1)});
-  t.EnsureIndex("T_id");
-  EXPECT_TRUE(t.HasIndex("T_id"));
+  auto before = t.GetOrBuildIndex("T_id");
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE((*before)->Find(Value::Int(2)).empty());
   t.Insert({Value::Int(2)});
-  EXPECT_FALSE(t.HasIndex("T_id"));
-  t.EnsureIndex("T_id");
-  EXPECT_EQ(t.Probe("T_id", Value::Int(2))->size(), 1u);
+  // The insert dropped the stale index; the rebuilt one sees the new row.
+  auto after = t.GetOrBuildIndex("T_id");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->Find(Value::Int(2)).size(), 1u);
 }
 
 TEST(DatabaseTest, CreatesAllTablesEmpty) {
