@@ -33,6 +33,15 @@
 // (calibration.<domain>.seeks_spearman / .bytes_spearman). --require-io
 // makes a zero-measured-IO run a hard failure (exit 1) — the disk smoke
 // check in tools/check.sh uses it to prove the counters are real.
+//
+// Both domains plan with statistics collected from the very document they
+// execute over, so the figures measure the cost model, not a mismatch
+// between planned and loaded data. That makes them a gate: the run exits 1
+// when any domain's median cardinality q-error exceeds 2, or when on the
+// memory backend its seeks or bytes Spearman falls below 0.95 (ctest runs
+// it as calibration_gate). Cost-vs-ms Spearman is reported but not gated —
+// wall times rank too noisily — and neither is disk IO, which low rep
+// counts measure cold.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -111,13 +120,27 @@ double QError(double est, double act) {
   return hi / lo;
 }
 
+// The figures of one domain's report that main() checks.
+struct DomainReport {
+  double io_total = 0;  // measured seeks + bytes across the workload
+  double median_qerror = 0;
+  double seeks_spearman = 0;
+  double bytes_spearman = 0;
+};
+
+// Statistics of the document a domain executes over, for annotation.
+xs::StatsSet CollectStats(const xml::Document& doc) {
+  xs::StatsCollector collector;
+  collector.AddDocument(doc);
+  return collector.Finish();
+}
+
 // Runs one domain's workload and prints + exports its calibration report.
-// Returns the total measured IO (seeks + bytes) across the workload, so
-// main can enforce --require-io.
-double RunDomain(const std::string& domain, const map::Mapping& mapping,
-                 store::Database* db, const std::vector<QuerySpec>& queries,
-                 const opt::CostParams& cost_params, size_t batch_size,
-                 int reps) {
+DomainReport RunDomain(const std::string& domain, const map::Mapping& mapping,
+                       store::Database* db,
+                       const std::vector<QuerySpec>& queries,
+                       const opt::CostParams& cost_params, size_t batch_size,
+                       int reps) {
   std::printf("== %s ==\n", domain.c_str());
   opt::Optimizer optimizer(mapping.catalog(), cost_params);
 
@@ -222,11 +245,11 @@ double RunDomain(const std::string& domain, const map::Mapping& mapping,
   double seeks_rho = Spearman(est_seeks, act_seeks);
   double bytes_rho = Spearman(est_bytes, act_bytes);
   std::vector<double> seeks_qerrs, bytes_qerrs;
-  double io_total = 0;
+  DomainReport report;
   for (size_t i = 0; i < qnames.size(); ++i) {
     seeks_qerrs.push_back(QError(est_seeks[i], act_seeks[i]));
     bytes_qerrs.push_back(QError(est_bytes[i], act_bytes[i]));
-    io_total += act_seeks[i] + act_bytes[i];
+    report.io_total += act_seeks[i] + act_bytes[i];
   }
   obs::SetGauge("calibration." + domain + ".seeks_spearman", seeks_rho);
   obs::SetGauge("calibration." + domain + ".bytes_spearman", bytes_rho);
@@ -241,7 +264,30 @@ double RunDomain(const std::string& domain, const map::Mapping& mapping,
       "seek q-error median %.2f, byte q-error median %.2f\n\n",
       rho, qnames.size(), med_q, max_q, seeks_rho, bytes_rho,
       Median(seeks_qerrs), Median(bytes_qerrs));
-  return io_total;
+  report.median_qerror = med_q;
+  report.seeks_spearman = seeks_rho;
+  report.bytes_spearman = bytes_rho;
+  return report;
+}
+
+// The calibration gate (see the file comment); prints each violation.
+bool PassesGate(const std::string& domain, const DomainReport& r, bool disk) {
+  bool ok = true;
+  auto fail = [&](const char* what, double value, const char* bound) {
+    std::fprintf(stderr, "calibration gate: %s %s = %.3f, want %s\n",
+                 domain.c_str(), what, value, bound);
+    ok = false;
+  };
+  if (r.median_qerror > 2) {
+    fail("median cardinality q-error", r.median_qerror, "<= 2");
+  }
+  if (!disk && r.seeks_spearman < 0.95) {
+    fail("seeks spearman", r.seeks_spearman, ">= 0.95");
+  }
+  if (!disk && r.bytes_spearman < 0.95) {
+    fail("bytes spearman", r.bytes_spearman, ">= 0.95");
+  }
+  return ok;
 }
 
 }  // namespace
@@ -300,6 +346,7 @@ int main(int argc, char** argv) {
   }
   std::printf(").\n\n");
   double measured_io = 0;
+  bool gate_ok = true;
 
   // --- IMDB: the fig10 lookup + publish and fig13 workload queries. -------
   {
@@ -308,7 +355,8 @@ int main(int argc, char** argv) {
     data_scale.directors = 50 * scale;
     data_scale.actors = 150 * scale;
     xml::Document doc = imdb::Generate(data_scale);
-    xs::Schema config = ps::AllInlined(bench::AnnotatedImdb());
+    xs::Schema config = ps::AllInlined(
+        xs::AnnotateSchema(bench::RawImdb(), CollectStats(doc)));
     auto mapping = bench::Unwrap(map::MapSchema(config), "map imdb");
     store::Database db(mapping.catalog(), storage);
     bench::Check(store::ShredDocument(doc, mapping, &db), "shred imdb");
@@ -324,9 +372,14 @@ int main(int argc, char** argv) {
                              "Q12", "Q13", "Q15", "Q16", "Q17"}) {
       queries.push_back({name, imdb::QueryText(name), params});
     }
-    measured_io +=
-        RunDomain("imdb", mapping, &db, queries, cost_params, batch_size,
-                  reps);
+    // Q11 compares c1 with played/character, so bind it to a character.
+    for (QuerySpec& q : queries) {
+      if (q.name == "Q11") q.params["c1"] = Value::Str("character1");
+    }
+    DomainReport report = RunDomain("imdb", mapping, &db, queries,
+                                    cost_params, batch_size, reps);
+    measured_io += report.io_total;
+    gate_ok &= PassesGate("imdb", report, disk);
   }
 
   // --- Auction: the bidding + export workload queries. --------------------
@@ -337,10 +390,8 @@ int main(int argc, char** argv) {
     data_scale.closed_auctions = 60 * scale;
     xml::Document doc = auction::Generate(data_scale);
     auto schema = bench::Unwrap(auction::Schema(), "auction schema");
-    xs::StatsCollector collector;
-    collector.AddDocument(doc);
     xs::Schema config =
-        ps::AllInlined(xs::AnnotateSchema(schema, collector.Finish()));
+        ps::AllInlined(xs::AnnotateSchema(schema, CollectStats(doc)));
     auto mapping = bench::Unwrap(map::MapSchema(config), "map auction");
     store::Database db(mapping.catalog(), storage);
     bench::Check(store::ShredDocument(doc, mapping, &db), "shred auction");
@@ -358,9 +409,10 @@ int main(int argc, char** argv) {
       }
       queries.push_back({name, auction::QueryText(name), params});
     }
-    measured_io +=
-        RunDomain("auction", mapping, &db, queries, cost_params, batch_size,
-                  reps);
+    DomainReport report = RunDomain("auction", mapping, &db, queries,
+                                    cost_params, batch_size, reps);
+    measured_io += report.io_total;
+    gate_ok &= PassesGate("auction", report, disk);
   }
 
   if (!json_out.empty()) obs_session.WriteJson(json_out);
@@ -370,5 +422,5 @@ int main(int argc, char** argv) {
                  "(seeks + bytes == 0); storage counters are not wired up\n");
     return 1;
   }
-  return 0;
+  return gate_ok ? 0 : 1;
 }

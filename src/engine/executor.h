@@ -48,11 +48,10 @@ struct ExecOptions {
   // block (see ExecProfile). Off by default: profiles accumulate until
   // ResetProfile(), which loops calling ExecuteBlock would otherwise grow.
   bool collect_profile = false;
-  // Prepared per-node bytecode templates and resolved column/index pointers
-  // for the plans about to execute (see engine/prepared.h). When set — and
-  // compiled against this executor's Database — operators skip Open-time
-  // predicate compilation and catalog resolution; otherwise it is ignored.
-  // Not owned; must outlive the execution.
+  // The compiled plans about to execute (see engine/prepared.h), e.g. a
+  // plan cache entry's. When null, or compiled against another Database,
+  // each block compiles its own set before it runs. Not owned; must outlive
+  // the execution.
   const PreparedPrograms* prepared = nullptr;
   // Absolute obs::NowNanos() deadline (0 = none). Checked once per
   // exchanged vector — including inside the scan operators' candidate
@@ -65,10 +64,11 @@ struct ExecOptions {
   // vector boundary with Status::Cancelled. Not owned; must outlive the
   // execution.
   const common::CancelToken* cancel = nullptr;
-  // Hash-join build sides larger than this many bytes spill their
-  // materialized row-index vectors to temp pages (paged backend only;
-  // memory tables never spill). 0 = automatic: a quarter of the buffer
-  // pool's capacity in bytes. SIZE_MAX disables spilling.
+  // Hash-join build sides that materialize (see ProbesSharedIndex) and
+  // exceed this many bytes spill their row-index vectors to temp pages
+  // (paged backend only; memory tables never spill). 0 = automatic: a
+  // quarter of the buffer pool's capacity in bytes. SIZE_MAX disables
+  // spilling.
   size_t spill_build_bytes = 0;
 };
 
@@ -102,14 +102,16 @@ struct ExecProfile {
   void Clear() { ops.clear(); }
 };
 
-// Executes physical plans over an in-memory Database as a pipelined,
-// vector-at-a-time pull engine: operators exchange columnar batches (one
-// row-index column per base relation, no per-tuple allocation), filters and
-// residual join predicates run as compiled bytecode over the storage
-// layer's column vectors (see engine/expr_vm.h), only hash-join build sides
-// materialize, and all column shadows and constants are resolved once per
-// operator open (never per row). Rows materialize only at the final
-// projection boundary, so results stay bit-identical to ReferenceExecutor.
+// Executes physical plans over a Database (memory or paged backend) as a
+// pipelined, vector-at-a-time pull engine: operators exchange columnar
+// batches (one row-index column per base relation, no per-tuple
+// allocation), filters and residual join predicates run as compiled
+// bytecode over the storage layer's column vectors (see engine/expr_vm.h),
+// and only hash-join build sides materialize. Every execution runs from a
+// PreparedPrograms (engine/prepared.h): operators compile and resolve
+// nothing, they bind parameters at open and never touch the catalog per
+// row. Rows materialize only at the final projection boundary, so results
+// stay bit-identical to ReferenceExecutor.
 //
 // One Executor serves one query stream on one thread; any number of
 // Executors may share a Database concurrently (the storage index and

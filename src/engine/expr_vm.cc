@@ -425,28 +425,6 @@ std::string ExprProgram::Disassemble() const {
 // --- Predicate compilation ------------------------------------------------
 
 StatusOr<ExprProgram> CompileFilters(
-    const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters,
-    const std::map<std::string, Value>& params) {
-  ExprProgramBuilder b;
-  int terms = 0;
-  for (const opt::FilterPred& f : filters) {
-    if (f.rel != rel) continue;
-    LEGODB_ASSIGN_OR_RETURN(
-        const store::ColumnVector* col,
-        ResolveColumnVector(env, rel, f.column, "filter"));
-    int cslot = b.AddColumn(rel, col, env.QualifiedColumn(rel, f.column));
-    if (f.not_null) {
-      b.LoadCol(cslot).TestNotNull();
-    } else {
-      LEGODB_ASSIGN_OR_RETURN(Value want, ResolveConstant(params, f.value));
-      b.LoadCol(cslot).LoadConst(b.AddConst(std::move(want))).Cmp(f.op);
-    }
-    if (++terms > 1) b.And();
-  }
-  return std::move(b).Build();
-}
-
-StatusOr<ExprProgram> CompileFilterTemplate(
     const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters) {
   ExprProgramBuilder b;
   int terms = 0;

@@ -3,15 +3,14 @@
 
 // Compiled-predicate bytecode for the vectorized executor.
 //
-// Filters and residual join predicates are compiled once per operator
-// Open() into a flat stack-machine bytecode — load-column, load-constant,
-// compare, not-null test, and/or — and evaluated vector-at-a-time by a
-// dispatch loop: every instruction processes a whole batch of lanes before
-// the next instruction runs, writing 0/1 selection masks instead of
-// branching per row. This replaces the interpreted per-row predicate
-// tree-walk (the old CompileFilters/PassFilters and
-// CompileResiduals/ResidualsPass pairs, which were duplicated across the
-// hash-join and index-nested-loop paths).
+// Filters and residual join predicates are compiled once per plan (see
+// engine/prepared.h) into a flat stack-machine bytecode — load-column,
+// load-constant, compare, not-null test, and/or — and evaluated
+// vector-at-a-time by a dispatch loop: every instruction processes a whole
+// batch of lanes before the next instruction runs, writing 0/1 selection
+// masks instead of branching per row. The hash-join and index-nested-loop
+// operators share the residual program instead of each walking a
+// predicate tree per row.
 //
 // Bytecode grammar (stack effects in brackets):
 //
@@ -30,11 +29,11 @@
 // back to the generic Value loop.
 //
 // Compilation resolves column names against the storage catalog up front:
-// unknown columns and unbound parameters fail compilation (and therefore
-// the operator's Open()) with the same diagnostics the row engine raised —
-// they never silently drop rows. The produced bytecode is deterministic:
-// compiling the same predicate against the same tables twice yields
-// identical instruction streams (see Disassemble).
+// unknown columns fail compilation, and unbound parameters fail BindParams
+// before any row is evaluated, with the same diagnostics the row engine
+// raised — they never silently drop rows. The produced bytecode is
+// deterministic: compiling the same predicate against the same tables
+// twice yields identical instruction streams (see Disassemble).
 
 #include <cstdint>
 #include <map>
@@ -61,7 +60,7 @@ struct LaneView {
 
 // One compiled predicate. Immutable after Build(); Eval uses internal
 // scratch, so one program instance serves one executor thread at a time
-// (operators compile their own copy per Open, matching that model).
+// (operators copy their prepared template per Open, matching that model).
 class ExprProgram {
  public:
   enum class OpCode : uint8_t {
@@ -105,14 +104,11 @@ class ExprProgram {
 
   // --- Parameter slots (prepared templates) -------------------------------
   //
-  // A program compiled as a *template* (see CompileFilterTemplate) leaves
-  // symbolic query constants as named parameter slots instead of baking
-  // their values in. Copy the template, then BindParams on the copy with
-  // that execution's bindings — the copy is then evaluable with no
+  // A compiled filter is a *template* (see CompileFilters): symbolic query
+  // constants stay named parameter slots instead of baking their values
+  // in. Copy the template, then BindParams on the copy with that
+  // execution's bindings — the copy is then evaluable with no
   // recompilation. A template with unbound slots must not be Eval'd.
-
-  // Number of unbound parameter slots (0 for directly compiled programs).
-  size_t num_params() const { return param_slots_.size(); }
 
   // Substitutes `params` into every parameter slot. InvalidArgument on a
   // missing binding, with the row engine's "unbound query parameter"
@@ -196,19 +192,13 @@ StatusOr<const store::ColumnVector*> ResolveColumnVector(
     const ExprEnv& env, int rel, const std::string& column, const char* what);
 
 // Compiles the subset of `filters` that applies to relation `rel` into one
-// conjunctive program (empty program when none apply). Each equality/order
-// filter becomes LoadCol LoadConst Cmp; NOT NULL becomes LoadCol
-// TestNotNull; terms are And-chained in filter order.
-StatusOr<ExprProgram> CompileFilters(const ExprEnv& env, int rel,
-                                     const std::vector<opt::FilterPred>& filters,
-                                     const std::map<std::string, Value>& params);
-
-// Like CompileFilters, but compiles a reusable *template*: symbolic
-// constants become named parameter slots (literals still bake in), so one
-// compilation serves any number of executions — copy the template and
-// BindParams the copy with that request's bindings. The serving layer's
-// plan cache stores these alongside the physical plan.
-StatusOr<ExprProgram> CompileFilterTemplate(
+// conjunctive template program (empty program when none apply). Each
+// equality/order filter becomes LoadCol LoadConst Cmp; NOT NULL becomes
+// LoadCol TestNotNull; terms are And-chained in filter order. Literals bake
+// in; symbolic constants become named parameter slots, so one compilation
+// serves any number of executions — copy the template and BindParams the
+// copy with that execution's bindings.
+StatusOr<ExprProgram> CompileFilters(
     const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters);
 
 // Compiles residual join edges into one conjunctive program of column =

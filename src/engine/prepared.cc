@@ -1,14 +1,12 @@
 #include "engine/prepared.h"
 
+#include <algorithm>
+
 namespace legodb::engine {
 
-bool ProbesSharedIndex(const opt::PhysicalPlan& join,
-                       const std::vector<store::StoredTable*>& tables) {
+bool ProbesSharedIndex(const opt::PhysicalPlan& join) {
   const opt::PhysicalPlan* b = join.right.get();
-  return join.right_join_rel >= 0 &&
-         join.right_join_rel < static_cast<int>(tables.size()) &&
-         !tables[join.right_join_rel]->paged() && b != nullptr &&
-         b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
+  return b != nullptr && b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
          b->rel == join.right_join_rel && b->filters.empty();
 }
 
@@ -18,15 +16,25 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
   NodePrograms np;
   switch (p->kind) {
     case opt::PhysicalPlan::Kind::kProject:
-      return WalkPlan(env, p->child);
+      return Status::Internal("nested projection");
     case opt::PhysicalPlan::Kind::kSeqScan: {
-      LEGODB_ASSIGN_OR_RETURN(
-          np.filter, CompileFilterTemplate(env, p->rel, p->filters));
+      LEGODB_ASSIGN_OR_RETURN(np.filter,
+                              CompileFilters(env, p->rel, p->filters));
       break;
     }
     case opt::PhysicalPlan::Kind::kIndexLookup: {
-      LEGODB_ASSIGN_OR_RETURN(
-          np.filter, CompileFilterTemplate(env, p->rel, p->filters));
+      LEGODB_ASSIGN_OR_RETURN(np.filter,
+                              CompileFilters(env, p->rel, p->filters));
+      for (const auto& f : p->filters) {
+        if (f.rel == p->rel && f.column == p->index_column && !f.not_null &&
+            f.op == xq::CompareOp::kEq) {
+          np.driver = &f.value;
+          break;
+        }
+      }
+      if (np.driver == nullptr) {
+        return Status::Internal("index lookup without driving filter");
+      }
       LEGODB_ASSIGN_OR_RETURN(
           np.index, env.tables[p->rel]->GetOrBuildIndex(p->index_column));
       break;
@@ -42,7 +50,7 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
                               CompileResiduals(env, p->residual_joins));
       // A shared-index probe never constructs its build child, so resolve
       // the index instead of preparing that child.
-      bool shared = ProbesSharedIndex(*p, env.tables);
+      bool shared = ProbesSharedIndex(*p);
       if (shared) {
         LEGODB_ASSIGN_OR_RETURN(
             np.index, env.tables[p->right_join_rel]->GetOrBuildIndex(
@@ -53,8 +61,8 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
       return shared ? Status::OK() : WalkPlan(env, p->right);
     }
     case opt::PhysicalPlan::Kind::kIndexNLJoin: {
-      LEGODB_ASSIGN_OR_RETURN(
-          np.filter, CompileFilterTemplate(env, p->rel, p->filters));
+      LEGODB_ASSIGN_OR_RETURN(np.filter,
+                              CompileFilters(env, p->rel, p->filters));
       LEGODB_ASSIGN_OR_RETURN(
           np.left_key, ResolveColumnVector(env, p->left_join_rel,
                                            p->left_join_column, "index join"));
@@ -70,32 +78,48 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
   return Status::OK();
 }
 
+Status PreparedPrograms::AddBlock(const opt::QueryBlock& block,
+                                  const opt::PhysicalPlanPtr& plan) {
+  if (!plan || plan->kind != opt::PhysicalPlan::Kind::kProject) {
+    return Status::InvalidArgument("plan root must be a projection");
+  }
+  ExprEnv env;
+  for (const auto& rel : block.rels) {
+    store::StoredTable* table = db_->FindTable(rel.table);
+    if (!table) return Status::NotFound("table '" + rel.table + "'");
+    env.tables.push_back(table);
+    if (std::none_of(table_versions_.begin(), table_versions_.end(),
+                     [&](const auto& tv) { return tv.first == table; })) {
+      table_versions_.emplace_back(table, table->mutation_count());
+    }
+  }
+  LEGODB_RETURN_IF_ERROR(WalkPlan(env, plan->child));
+  // A missing output column projects NULL (the outer-union publishing
+  // encoding relies on heterogeneous outputs).
+  NodePrograms np;
+  for (const auto& out : block.output) {
+    const store::ColumnVector* vec = nullptr;
+    if (out.rel >= 0 &&
+        env.tables[out.rel]->meta().ColumnIndex(out.column) >= 0) {
+      LEGODB_ASSIGN_OR_RETURN(
+          vec, env.tables[out.rel]->GetOrBuildColumn(out.column));
+    }
+    np.outputs.push_back(vec);
+  }
+  np.tables = std::move(env.tables);
+  by_node_[plan.get()] = std::move(np);
+  return Status::OK();
+}
+
 StatusOr<PreparedPrograms> PreparedPrograms::Compile(
     store::Database* db, const opt::RelQuery& query,
     const std::vector<opt::PhysicalPlanPtr>& block_plans) {
   if (block_plans.size() != query.blocks.size()) {
     return Status::InvalidArgument("plan count mismatch");
   }
-  PreparedPrograms prepared;
-  prepared.db_ = db;
+  PreparedPrograms prepared(db);
   for (size_t i = 0; i < query.blocks.size(); ++i) {
-    ExprEnv env;
-    for (const auto& rel : query.blocks[i].rels) {
-      store::StoredTable* table = db->FindTable(rel.table);
-      if (!table) return Status::NotFound("table '" + rel.table + "'");
-      env.tables.push_back(table);
-      bool seen = false;
-      for (const auto& [t, version] : prepared.table_versions_) {
-        if (t == table) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        prepared.table_versions_.emplace_back(table, table->mutation_count());
-      }
-    }
-    LEGODB_RETURN_IF_ERROR(prepared.WalkPlan(env, block_plans[i]));
+    LEGODB_RETURN_IF_ERROR(prepared.AddBlock(query.blocks[i], block_plans[i]));
   }
   return prepared;
 }

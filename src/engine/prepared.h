@@ -1,25 +1,24 @@
 #ifndef LEGODB_ENGINE_PREPARED_H_
 #define LEGODB_ENGINE_PREPARED_H_
 
-// Prepared execution state for a cached physical plan.
+// Prepared execution state for a physical plan — the one place a plan is
+// compiled. Every execution runs from a PreparedPrograms: each node gets a
+// compiled *template* program (symbolic constants left as named parameter
+// slots, see ExprProgram::BindParams) plus its resolved ColumnVector /
+// HashIndex pointers, so operators only copy templates and bind that
+// execution's parameters — no predicate compilation, no catalog lookups,
+// and no storage-registry mutex traffic when a plan runs.
 //
-// The executor normally compiles filter/residual bytecode and resolves
-// column shadows and hash indexes inside every operator Open(). For a plan
-// that will be executed many times (the serving layer's plan cache),
-// PreparedPrograms front-loads all of that once per plan: every scan/join
-// node gets a compiled *template* program (symbolic constants left as named
-// parameter slots, see ExprProgram::BindParams) plus its resolved
-// ColumnVector/HashIndex pointers. Executions then copy the template, bind
-// that request's parameters, and run — no predicate compilation, no
-// catalog lookups, and no storage-registry mutex traffic on the hot path.
+// A plan executed many times (the serving layer's plan cache) is compiled
+// once with Compile() and passed as ExecOptions::prepared; otherwise, or
+// when the set was compiled against another Database, the executor
+// compiles its own per block with AddBlock().
 //
-// A PreparedPrograms is immutable after Compile() and safe to share across
-// any number of concurrent executors (lookups are const; executors copy the
-// programs they use). It is keyed by plan-node identity, so it is only
-// meaningful for the exact plan trees it was compiled from — callers keep
-// the PhysicalPlanPtrs alive alongside it (the plan cache stores both in
-// one entry). The executor additionally ignores a prepared set whose
-// Database differs from its own.
+// A compiled PreparedPrograms is immutable and safe to share across
+// concurrent executors (lookups are const; executors copy the programs
+// they use). It is keyed by plan-node identity, so callers keep the
+// PhysicalPlanPtrs it was compiled from alive alongside it (the plan cache
+// stores both in one entry).
 
 #include <map>
 #include <vector>
@@ -31,17 +30,15 @@
 
 namespace legodb::engine {
 
-// Whether hash join `join` (over the block's `tables`) probes its build
-// table's shared index instead of materializing its build side: the build
-// side is a bare unfiltered scan of a memory table (paged build sides
-// materialize, so they can spill). The executor and Compile() both decide
-// with this rule alone, so watching a query never changes its strategy.
-bool ProbesSharedIndex(const opt::PhysicalPlan& join,
-                       const std::vector<store::StoredTable*>& tables);
+// Whether hash join `join` probes its build table's shared index instead of
+// materializing its build side: the build side is a bare unfiltered scan of
+// the build relation. The rule reads plan shape only, so both backends and
+// every way of watching a query run the same join.
+bool ProbesSharedIndex(const opt::PhysicalPlan& join);
 
 class PreparedPrograms {
  public:
-  // Everything one operator Open() would otherwise compile or resolve.
+  // Everything one operator reads instead of compiling or resolving.
   // Unused members stay empty/null for node kinds that don't need them.
   struct NodePrograms {
     ExprProgram filter;     // parameterized filter template (scan kinds)
@@ -49,7 +46,14 @@ class PreparedPrograms {
     const store::ColumnVector* left_key = nullptr;   // probe/outer join key
     const store::ColumnVector* right_key = nullptr;  // hash-join build key
     const store::HashIndex* index = nullptr;  // lookup/NL-join/shared index
+    const xq::Constant* driver = nullptr;  // index lookup's key (plan-owned)
+    // Projection root only: the block's tables in relation order, and one
+    // column shadow per block output (nullptr projects NULL).
+    std::vector<store::StoredTable*> tables;
+    std::vector<const store::ColumnVector*> outputs;
   };
+
+  explicit PreparedPrograms(store::Database* db = nullptr) : db_(db) {}
 
   // Compiles templates for every operator of every block plan. Resolving
   // columns and indexes here doubles as a prewarm: the first concurrent
@@ -58,15 +62,20 @@ class PreparedPrograms {
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);
 
-  // The prepared state for `node`, or nullptr if the node is unknown (the
-  // executor then falls back to its normal Open-time compilation).
+  // Compiles one block's plan into this set. A plan not rooted at a
+  // projection is InvalidArgument, unknown tables are NotFound, unknown
+  // filter/join columns and malformed plan nodes are Internal.
+  Status AddBlock(const opt::QueryBlock& block,
+                  const opt::PhysicalPlanPtr& plan);
+
+  // The prepared state for `node`, or nullptr if the node was not compiled.
   const NodePrograms* Find(const opt::PhysicalPlan* node) const {
     auto it = by_node_.find(node);
     return it == by_node_.end() ? nullptr : &it->second;
   }
 
   // OK while every table this plan touches still has the mutation count it
-  // had at Compile() time; Internal (naming the table) once any of them has
+  // had when compiled; Internal (naming the table) once any of them has
   // been mutated since. The resolved ColumnVector/HashIndex pointers above
   // dangle after a mutation clears the table registries, so the executor
   // calls this before trusting them.

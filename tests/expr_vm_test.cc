@@ -1,8 +1,8 @@
 // Unit tests for the compiled-predicate bytecode (engine/expr_vm.h):
 // comparison semantics against columnar storage shadows, NULL and
 // unbound-lane handling, compile-time diagnostics (unknown columns,
-// out-of-range relations, unbound parameters), builder-level And/Or
-// programs, stack validation, and bytecode determinism.
+// out-of-range relations), unbound parameters at bind time, builder-level
+// And/Or programs, stack validation, and bytecode determinism.
 #include "engine/expr_vm.h"
 
 #include <gtest/gtest.h>
@@ -68,11 +68,14 @@ class ExprVmTest : public ::testing::Test {
     env_.tables = {&t_, &u_};
   }
 
-  // Compiles `filters` against relation 0 and evaluates over all rows of T.
+  // Compiles `filters` against relation 0, binds `params`, and evaluates
+  // over all rows of T.
   std::vector<uint8_t> EvalT(const std::vector<opt::FilterPred>& filters,
                              const std::map<std::string, Value>& params = {}) {
-    auto program = CompileFilters(env_, 0, filters, params);
+    auto program = CompileFilters(env_, 0, filters);
     EXPECT_TRUE(program.ok()) << program.status().ToString();
+    Status bound = program.value().BindParams(params);
+    EXPECT_TRUE(bound.ok()) << bound.ToString();
     std::vector<int32_t> rows(t_.row_count());
     for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int32_t>(i);
     std::vector<uint8_t> mask(rows.size(), 0xee);
@@ -133,7 +136,7 @@ TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
   // which selects every lane.
   opt::FilterPred other = IntFilter("y", xq::CompareOp::kEq, 10);
   other.rel = 1;
-  auto program = CompileFilters(env_, 0, {other}, {});
+  auto program = CompileFilters(env_, 0, {other});
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_TRUE(program.value().empty());
   EXPECT_EQ(program.value().Disassemble(), "(empty)");
@@ -142,14 +145,13 @@ TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
 
 TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
   // Row index -1 (outer-join miss) fails comparisons and NOT NULL alike.
-  auto eq = CompileFilters(env_, 0, {IntFilter("x", xq::CompareOp::kEq, 10)},
-                           {});
+  auto eq = CompileFilters(env_, 0, {IntFilter("x", xq::CompareOp::kEq, 10)});
   ASSERT_TRUE(eq.ok());
   opt::FilterPred nn;
   nn.rel = 0;
   nn.column = "x";
   nn.not_null = true;
-  auto notnull = CompileFilters(env_, 0, {nn}, {});
+  auto notnull = CompileFilters(env_, 0, {nn});
   ASSERT_TRUE(notnull.ok());
   const int32_t rows[] = {0, -1};
   uint8_t mask[2] = {0xee, 0xee};
@@ -163,7 +165,7 @@ TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
 
 TEST_F(ExprVmTest, UnknownColumnFailsAtCompileTime) {
   auto program =
-      CompileFilters(env_, 0, {IntFilter("bogus", xq::CompareOp::kEq, 1)}, {});
+      CompileFilters(env_, 0, {IntFilter("bogus", xq::CompareOp::kEq, 1)});
   ASSERT_FALSE(program.ok());
   EXPECT_NE(program.status().message().find(
                 "filter references unknown column 'T.bogus' "
@@ -186,17 +188,23 @@ TEST_F(ExprVmTest, OutOfRangeRelationFailsAtCompileTime) {
       << program.status().ToString();
 }
 
-TEST_F(ExprVmTest, UnboundParameterFailsAtCompileTime) {
+TEST_F(ExprVmTest, UnboundParameterFailsAtBind) {
+  // A symbolic constant compiles to a parameter slot; binding without it
+  // fails before any row is evaluated.
   opt::FilterPred f;
   f.rel = 0;
   f.column = "x";
   f.op = xq::CompareOp::kEq;
   f.value = xq::Constant::Symbol("c9");
-  auto program = CompileFilters(env_, 0, {f}, {});
-  ASSERT_FALSE(program.ok());
-  EXPECT_NE(program.status().message().find("unbound query parameter 'c9'"),
+  auto program = CompileFilters(env_, 0, {f});
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Status bound = program.value().BindParams({});
+  ASSERT_FALSE(bound.ok());
+  EXPECT_NE(bound.message().find("unbound query parameter 'c9'"),
             std::string::npos)
-      << program.status().ToString();
+      << bound.ToString();
+  EXPECT_EQ(EvalT({f}, {{"c9", Value::Int(20)}}),
+            (std::vector<uint8_t>{0, 1, 0, 0}));
 }
 
 TEST_F(ExprVmTest, ResidualJoinRequiresBothSidesNonNullAndEqual) {
@@ -271,8 +279,8 @@ TEST_F(ExprVmTest, BytecodeIsDeterministic) {
   nn.column = "s";
   nn.not_null = true;
   filters.push_back(nn);
-  auto a = CompileFilters(env_, 0, filters, {});
-  auto b = CompileFilters(env_, 0, filters, {});
+  auto a = CompileFilters(env_, 0, filters);
+  auto b = CompileFilters(env_, 0, filters);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().Disassemble(), b.value().Disassemble());
   // (load,const,cmp) + (load,const,cmp,and) + (load,test_not_null,and).
