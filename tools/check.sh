@@ -193,6 +193,3 @@ fi
 cmake -B build -S . "$@"
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
-# Calibration smoke: the estimated-vs-measured report must run end to end
-# (low rep count; the numbers are not checked here, only that it works).
-./build/bench/calibration --reps=2 > /dev/null
