@@ -10,13 +10,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/cost.h"
 #include "core/transforms.h"
-#include "engine/executor.h"
 #include "imdb/imdb.h"
 #include "obs/obs.h"
 #include "pschema/pschema.h"
@@ -52,68 +50,19 @@ inline bool FlagValue(const char* arg, const char* name, const char** value) {
   return match;
 }
 
-// Best-effort git revision of the working tree ("describe --always
-// --dirty"), or "unknown" outside a checkout / without git. Shelling out is
-// fine here: this runs once per bench process, not per measurement.
-inline std::string GitDescribe() {
-  std::string out;
-#if !defined(_WIN32)
-  if (FILE* pipe =
-          popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-    pclose(pipe);
-  }
-#endif
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
-}
-
-inline const char* BuildType() {
-#ifdef NDEBUG
-  return "release";
-#else
-  return "debug";
-#endif
-}
-
 // Installs an obs::Registry for the harness's lifetime, so spans / counters
 // / histograms recorded anywhere in the pipeline (search iterations,
 // optimizer planning time, translation time) accumulate here. WriteJson
-// dumps the obs::Report in the same format `legodb --metrics-out` emits —
-// BENCH_*.json trajectories get phase-level timings, not just totals.
-//
-// Every report is stamped with run provenance (workload name, git revision,
-// build type, hardware threads) so `bench_report` can merge and compare
-// trajectories across commits; SetMeta adds or overrides entries.
+// dumps the obs::Report in the same format `legodb --metrics-out` emits,
+// with any SetMeta facts the bench recorded about its own run.
 class ObsSession {
  public:
-  explicit ObsSession(std::string workload = "") : scope_(&registry_) {
-    SetMeta("workload", std::move(workload));
-    SetMeta("git", GitDescribe());
-    SetMeta("build", BuildType());
-    SetMeta("hardware_threads",
-            std::to_string(std::thread::hardware_concurrency()));
-  }
+  ObsSession() : scope_(&registry_) {}
 
   obs::Registry* registry() { return &registry_; }
 
-  void SetMeta(const std::string& key, std::string value) {
-    for (auto& kv : meta_) {
-      if (kv.first == key) {
-        kv.second = std::move(value);
-        return;
-      }
-    }
-    meta_.emplace_back(key, std::move(value));
-  }
-
-  obs::Report Snapshot() const {
-    obs::Report report = registry_.Snapshot();
-    for (const auto& kv : meta_) report.SetMeta(kv.first, kv.second);
-    return report;
+  void SetMeta(std::string key, std::string value) {
+    meta_.emplace_back(std::move(key), std::move(value));
   }
 
   void WriteJson(const std::string& path) const {
@@ -122,7 +71,9 @@ class ObsSession {
       std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
       std::exit(1);
     }
-    out << Snapshot().ToJson();
+    obs::Report report = registry_.Snapshot();
+    for (const auto& [key, value] : meta_) report.SetMeta(key, value);
+    out << report.ToJson();
     std::printf("metrics report written to %s\n", path.c_str());
   }
 
@@ -131,18 +82,6 @@ class ObsSession {
   obs::ScopedRegistry scope_;
   std::vector<std::pair<std::string, std::string>> meta_;
 };
-
-// Stamps the engine configuration an engine-driving bench ran with —
-// batch_size and the client thread count(s) — so `bench_report` consumers
-// can compare trajectories like-for-like. Every driver that executes
-// queries should call this instead of hand-stamping a subset. `threads` is
-// free-form so sweep drivers can record "1,4,8".
-inline void StampEngineMeta(ObsSession* session,
-                            const engine::ExecOptions& options,
-                            const std::string& threads = "1") {
-  session->SetMeta("batch_size", std::to_string(options.batch_size));
-  session->SetMeta("threads", threads);
-}
 
 // Raw IMDB schema (un-annotated).
 inline xs::Schema RawImdb() {

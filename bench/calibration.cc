@@ -14,8 +14,8 @@
 // The summary statistics are exported through the obs registry as gauges
 // (calibration.<domain>.spearman, .median_qerror, .max_qerror) and the
 // per-operator q-errors as a histogram (calibration.qerror), so a JSON
-// output path captures the whole report in the same format as the other
-// BENCH_*.json trajectories:
+// output path captures the whole report in the `legodb --metrics-out`
+// format:
 //
 //   calibration [--batch-size=N] [--scale=N] [--reps=N] [--backend=mem|disk]
 //               [--pool-pages=N] [--page-size=N] [--require-io]
@@ -293,7 +293,7 @@ bool PassesGate(const std::string& domain, const DomainReport& r, bool disk) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs_session("calibration");
+  bench::ObsSession obs_session;
   size_t batch_size = 1024;
   int scale = 1;
   int reps = 20;
@@ -331,11 +331,6 @@ int main(int argc, char** argv) {
            : store::StorageOptions::Memory();
   opt::CostParams cost_params;
   if (disk) cost_params.page_size = static_cast<double>(page_size);
-  {
-    engine::ExecOptions options;
-    options.batch_size = batch_size;
-    bench::StampEngineMeta(&obs_session, options);
-  }
   obs_session.SetMeta("backend", disk ? "disk" : "mem");
   std::printf(
       "Cost-model calibration: estimated vs. measured per operator and per\n"

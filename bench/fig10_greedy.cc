@@ -19,7 +19,7 @@
 using namespace legodb;
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs_session("fig10_greedy");
+  bench::ObsSession obs_session;
   int threads = 0;  // 0 = hardware concurrency
   std::string json_out;
   for (int i = 1; i < argc; ++i) {

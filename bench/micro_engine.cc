@@ -3,11 +3,9 @@
 //
 // The reference-vs-batched executor equality check runs unconditionally in
 // main() before any benchmark (even with --benchmark_filter), and a
-// mismatch exits nonzero. `--obs-out=FILE` writes the run's obs::Report
-// (provenance-stamped; see bench::ObsSession) there as JSON.
+// mismatch exits nonzero.
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -196,46 +194,13 @@ BENCHMARK(BM_ExecuteLookup);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN so the correctness gate always runs
-// and the obs report can be written after the benchmarks.
+// Custom main instead of BENCHMARK_MAIN so the correctness gate always runs.
 int main(int argc, char** argv) {
-  // Strip --obs-out before google-benchmark sees the arguments (it rejects
-  // flags it does not know).
-  std::string obs_out;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (bench::FlagValue(argv[i], "obs-out", &v)) {
-      obs_out = v;
-    } else {
-      argv[out_argc++] = argv[i];
-    }
-  }
-  argc = out_argc;
-
-  // Ambient metrics only when a report was asked for: the per-operator
-  // timing wrappers activate whenever a registry is installed, and that
-  // overhead must not leak into the default benchmark numbers.
-  std::optional<bench::ObsSession> obs_session;
-  if (!obs_out.empty()) {
-    obs_session.emplace("micro_engine");
-    // The trajectory signal is the histograms/counters; cap the raw trace
-    // so thousands of benchmark iterations don't bloat the report (the
-    // first iterations stay inspectable).
-    obs_session->registry()->set_max_spans(2048);
-    // Stamp the engine configuration the unparameterized benchmarks and the
-    // correctness gate ran with (BM_Fig10Batched additionally sweeps its
-    // batch-size argument); report consumers need it to compare runs.
-    bench::StampEngineMeta(&*obs_session, engine::ExecOptions{});
-  }
-
   VerifyFig10();
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  if (!obs_out.empty()) obs_session->WriteJson(obs_out);
   return 0;
 }

@@ -21,7 +21,7 @@
 using namespace legodb;
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs_session("micro_search_parallel");
+  bench::ObsSession obs_session;
   std::printf(
       "Greedy-so search on the IMDB lookup workload: wall time vs worker\n"
       "threads (hardware concurrency: %d). Identical results at every\n"

@@ -16,12 +16,12 @@
 //
 // Latencies also feed the obs serving.request_ms histogram, and the sweep
 // results are exported as gauges (serving.tN.{p50_ms,p99_ms,qps}), so a
-// JSON output path captures the trajectory in the usual BENCH format:
+// JSON output path captures them in the `legodb --metrics-out` format.
 //
 // Requests rejected with Status::Unavailable (possible once
 // --max-inflight bounds admission) are not dropped: they retry through
 // serving::ServeWithRetry with bounded exponential backoff, and the sweep
-// reports total retries in the obs meta (retries.tN) and gauges.
+// reports total retries in the serving.tN.retries gauges.
 //
 //   serving [--threads=1,4,8] [--requests=N] [--scale=N]
 //           [--batch-size=N] [--cache-shards=N] [--cache-capacity=N]
@@ -125,7 +125,7 @@ double Quantile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs_session("serving");
+  bench::ObsSession obs_session;
   std::vector<int> thread_counts = {1, 4, 8};
   int requests = 400;  // per client thread
   int scale = 1;
@@ -165,14 +165,6 @@ int main(int argc, char** argv) {
 
   engine::ExecOptions exec;
   exec.batch_size = batch_size;
-  {
-    std::string threads_meta;
-    for (int n : thread_counts) {
-      if (!threads_meta.empty()) threads_meta += ",";
-      threads_meta += std::to_string(n);
-    }
-    bench::StampEngineMeta(&obs_session, exec, threads_meta);
-  }
 
   // Shred the fig10 database (all-inlined IMDB, micro_engine's scale).
   xs::Schema config = ps::AllInlined(bench::AnnotatedImdb());
@@ -284,8 +276,6 @@ int main(int argc, char** argv) {
     obs::SetGauge(prefix + ".hit_rate", stats.HitRate());
     obs::SetGauge(prefix + ".retries", static_cast<double>(total_retries));
     obs::SetGauge(prefix + ".retry_backoff_ms", total_backoff_ms);
-    obs_session.SetMeta("retries.t" + std::to_string(nthreads),
-                        std::to_string(total_retries));
     table.AddRow({std::to_string(nthreads), std::to_string(all.size()),
                   FormatDouble(p50, 3), FormatDouble(p99, 3),
                   FormatDouble(qps, 0), FormatDouble(stats.HitRate(), 3),

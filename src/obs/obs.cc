@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -76,19 +75,15 @@ void Histogram::Observe(double value) {
   ++buckets_[static_cast<size_t>(HistogramBucketIndex(value))];
 }
 
-Histogram::Snapshot Histogram::snapshot() const {
+Report::HistogramEntry Histogram::Entry(std::string name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  Snapshot s;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
+  Report::HistogramEntry entry{std::move(name), count_, sum_, min_, max_, {}};
   for (int i = 0; i < kHistogramNumBuckets; ++i) {
     if (buckets_[static_cast<size_t>(i)] != 0) {
-      s.buckets.emplace_back(i, buckets_[static_cast<size_t>(i)]);
+      entry.buckets.push_back({i, buckets_[static_cast<size_t>(i)]});
     }
   }
-  return s;
+  return entry;
 }
 
 // ---- Registry ------------------------------------------------------------
@@ -164,12 +159,7 @@ Report Registry::Snapshot() const {
     report.gauges.push_back({name, gauge->value()});
   }
   for (const auto& [name, hist] : histograms_) {
-    Histogram::Snapshot s = hist->snapshot();
-    Report::HistogramEntry entry{name, s.count, s.sum, s.min, s.max, {}};
-    for (const auto& [bucket, count] : s.buckets) {
-      entry.buckets.push_back({bucket, count});
-    }
-    report.histograms.push_back(std::move(entry));
+    report.histograms.push_back(hist->Entry(name));
   }
   report.dropped_spans = dropped_spans_;
   return report;
@@ -259,35 +249,30 @@ double Report::HistogramEntry::Quantile(double q) const {
   // quantiles need the bucket estimate.
   if (q <= 0.0) return min;
   if (q >= 1.0) return max;
+  // The observation with 1-based rank ceil(q * count), by bucket walk.
+  int64_t rank =
+      static_cast<int64_t>(std::ceil(q * static_cast<double>(count)));
+  rank = std::max<int64_t>(1, std::min(rank, count));
+  int64_t seen = 0;
+  int bucket = buckets.back().bucket;
+  for (const BucketCount& b : buckets) {
+    seen += b.count;
+    if (seen >= rank) {
+      bucket = b.bucket;
+      break;
+    }
+  }
+  double lo = HistogramBucketLowerBound(bucket);
+  double hi = HistogramBucketUpperBound(bucket);
+  // Geometric bucket midpoint; the unbounded edges fall back to the finite
+  // side and the final clamp to the observed range.
   double result;
-  if (buckets.empty()) {
-    // Pre-bucket report (older JSON): all that is known is the range.
-    result = min + q * (max - min);
+  if (!std::isfinite(hi)) {
+    result = lo;
+  } else if (lo <= 0) {
+    result = hi;
   } else {
-    // The observation with 1-based rank ceil(q * count), by bucket walk.
-    int64_t rank = static_cast<int64_t>(
-        std::ceil(q * static_cast<double>(count)));
-    rank = std::max<int64_t>(1, std::min(rank, count));
-    int64_t seen = 0;
-    int bucket = buckets.back().bucket;
-    for (const BucketCount& b : buckets) {
-      seen += b.count;
-      if (seen >= rank) {
-        bucket = b.bucket;
-        break;
-      }
-    }
-    double lo = HistogramBucketLowerBound(bucket);
-    double hi = HistogramBucketUpperBound(bucket);
-    // Geometric bucket midpoint; the unbounded edges fall back to the
-    // finite side and the final clamp to the observed range.
-    if (!std::isfinite(hi)) {
-      result = lo;
-    } else if (lo <= 0) {
-      result = hi;
-    } else {
-      result = std::sqrt(lo * hi);
-    }
+    result = std::sqrt(lo * hi);
   }
   return std::min(max, std::max(min, result));
 }
@@ -300,13 +285,6 @@ void Report::SetMeta(std::string_view key, std::string_view value) {
     }
   }
   meta.emplace_back(std::string(key), std::string(value));
-}
-
-std::string Report::MetaValue(std::string_view key) const {
-  for (const auto& [k, v] : meta) {
-    if (k == key) return v;
-  }
-  return "";
 }
 
 void Report::AddBlob(std::string_view name, std::string raw_json) {
@@ -337,8 +315,7 @@ std::string Report::SpanTable() const {
     std::string name(2 * static_cast<size_t>(s.depth), ' ');
     name += s.name;
     // A negative duration marks a span still open when the report was made
-    // (hand-written or round-tripped reports; Registry::Snapshot closes its
-    // own open spans).
+    // (hand-written reports; Registry::Snapshot closes its own open spans).
     table.AddRow({name, FormatDouble(static_cast<double>(s.start_ns) / 1e6, 3),
                   s.duration_ns < 0
                       ? "open"
@@ -404,8 +381,7 @@ void AppendJsonString(std::string* out, std::string_view s) {
 
 std::string JsonDouble(double v) {
   // JSON has no literals for non-finite doubles; encode them as strings
-  // the parser maps back (a NaN calibration gauge must not corrupt the
-  // file).
+  // (a NaN calibration gauge must not corrupt the file).
   if (std::isnan(v)) return "\"NaN\"";
   if (std::isinf(v)) return v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
   // Round-trippable without drowning the file in digits.
@@ -526,59 +502,26 @@ std::string Report::ToChromeTrace() const {
   return out;
 }
 
-// ---- JSON parsing (the subset ToJson emits) ------------------------------
+// ---- JSON validation -----------------------------------------------------
 
 namespace {
 
-// Minimal recursive-descent JSON reader. Supports objects, arrays, strings,
-// numbers, true/false/null — enough to round-trip Report::ToJson and to
-// read hand-edited metric files.
-class JsonParser {
+// Minimal recursive-descent JSON scanner: accepts exactly one well-formed
+// value (objects, arrays, strings, numbers, true/false/null).
+class JsonValidator {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonValidator(const std::string& text) : text_(text) {}
 
-  StatusOr<Report> ParseReport() {
-    SkipWs();
-    if (!Consume('{')) return Err("expected '{'");
-    Report report;
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) break;
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      if (key == "spans") {
-        LEGODB_RETURN_IF_ERROR(ParseSpans(&report));
-      } else if (key == "counters") {
-        LEGODB_RETURN_IF_ERROR(ParseCounters(&report));
-      } else if (key == "gauges") {
-        LEGODB_RETURN_IF_ERROR(ParseGauges(&report));
-      } else if (key == "histograms") {
-        LEGODB_RETURN_IF_ERROR(ParseHistograms(&report));
-      } else if (key == "meta") {
-        LEGODB_RETURN_IF_ERROR(ParseStringMap(&report.meta));
-      } else if (key == "blobs") {
-        LEGODB_RETURN_IF_ERROR(ParseBlobs(&report));
-      } else if (key == "dropped_spans") {
-        LEGODB_ASSIGN_OR_RETURN(double v, ParseNumber());
-        report.dropped_spans = static_cast<int64_t>(v);
-      } else {
-        return Err("unknown report key '" + key + "'");
-      }
-    }
+  Status ValidateWhole() {
+    LEGODB_RETURN_IF_ERROR(SkipValue(0));
     SkipWs();
     if (pos_ != text_.size()) return Err("trailing characters");
-    return report;
+    return Status::OK();
   }
 
  private:
   Status Err(const std::string& msg) const {
-    return Status::InvalidArgument("obs report JSON: " + msg + " at offset " +
+    return Status::InvalidArgument("JSON: " + msg + " at offset " +
                                    std::to_string(pos_));
   }
 
@@ -597,72 +540,6 @@ class JsonParser {
     return false;
   }
 
-  StatusOr<std::string> ParseString() {
-    if (!Consume('"')) return Err("expected string");
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Err("bad \\u escape");
-            int code = std::stoi(text_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            out.push_back(static_cast<char>(code));  // BMP-ASCII subset
-            break;
-          }
-          default:
-            return Err("bad escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return Err("unterminated string");
-  }
-
-  StatusOr<double> ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Err("expected number");
-    return std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-  }
-
-  StatusOr<int64_t> ParseInt() {
-    LEGODB_ASSIGN_OR_RETURN(double v, ParseNumber());
-    return static_cast<int64_t>(v);
-  }
-
-  // A double-valued field: a plain number, the string encodings of the
-  // non-finite values ("NaN", "Infinity", "-Infinity"), or null (read as
-  // NaN) — the decode side of JsonDouble.
-  StatusOr<double> ParseDouble() {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      LEGODB_ASSIGN_OR_RETURN(std::string s, ParseString());
-      if (s == "NaN") return std::numeric_limits<double>::quiet_NaN();
-      if (s == "Infinity") return std::numeric_limits<double>::infinity();
-      if (s == "-Infinity") return -std::numeric_limits<double>::infinity();
-      return Err("unknown double string '" + s + "'");
-    }
-    if (ConsumeLiteral("null")) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return ParseNumber();
-  }
-
   bool ConsumeLiteral(std::string_view lit) {
     if (text_.compare(pos_, lit.size(), lit) == 0) {
       pos_ += lit.size();
@@ -671,8 +548,42 @@ class JsonParser {
     return false;
   }
 
-  // Skips one well-formed JSON value of any shape (used for blob capture
-  // and standalone validation).
+  Status ParseString() {
+    if (!Consume('"')) return Err("expected string");
+    while (pos_ < text_.size()) {
+      char c = text_[pos_++];
+      if (c == '"') return Status::OK();
+      if (c != '\\') continue;
+      if (pos_ >= text_.size()) break;
+      char esc = text_[pos_++];
+      if (esc == 'u') {
+        if (pos_ + 4 > text_.size()) return Err("bad \\u escape");
+        for (size_t k = 0; k < 4; ++k) {
+          if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + k]))) {
+            return Err("bad \\u escape");
+          }
+        }
+        pos_ += 4;
+      } else if (std::string_view("\"\\/bfnrt").find(esc) ==
+                 std::string_view::npos) {
+        return Err("bad escape");
+      }
+    }
+    return Err("unterminated string");
+  }
+
+  Status ParseNumber() {
+    size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+    }
+    if (pos_ == start) return Err("expected number");
+    return Status::OK();
+  }
+
   Status SkipValue(int depth) {
     if (depth > 256) return Err("nesting too deep");
     SkipWs();
@@ -689,220 +600,19 @@ class JsonParser {
         first = false;
         SkipWs();
         if (close == '}') {
-          LEGODB_RETURN_IF_ERROR(ParseString().status());
+          LEGODB_RETURN_IF_ERROR(ParseString());
           SkipWs();
           if (!Consume(':')) return Err("expected ':'");
         }
         LEGODB_RETURN_IF_ERROR(SkipValue(depth + 1));
       }
     }
-    if (c == '"') return ParseString().status();
+    if (c == '"') return ParseString();
     if (ConsumeLiteral("true") || ConsumeLiteral("false") ||
         ConsumeLiteral("null")) {
       return Status::OK();
     }
-    return ParseNumber().status();
-  }
-
-  // Captures the raw text of one well-formed JSON value, verbatim.
-  StatusOr<std::string> ParseRawValue() {
-    SkipWs();
-    size_t start = pos_;
-    LEGODB_RETURN_IF_ERROR(SkipValue(0));
-    return text_.substr(start, pos_ - start);
-  }
-
-  // Validates one complete JSON document (any value at the root).
- public:
-  Status ValidateWhole() {
-    LEGODB_RETURN_IF_ERROR(SkipValue(0));
-    SkipWs();
-    if (pos_ != text_.size()) return Err("trailing characters");
-    return Status::OK();
-  }
-
- private:
-
-  Status ParseSpans(Report* report) {
-    if (!Consume('[')) return Err("expected '['");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume(']')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      if (!Consume('{')) return Err("expected span object");
-      SpanRecord span;
-      bool first_field = true;
-      while (true) {
-        SkipWs();
-        if (Consume('}')) break;
-        if (!first_field && !Consume(',')) return Err("expected ','");
-        first_field = false;
-        SkipWs();
-        LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-        SkipWs();
-        if (!Consume(':')) return Err("expected ':'");
-        SkipWs();
-        if (key == "name") {
-          LEGODB_ASSIGN_OR_RETURN(span.name, ParseString());
-        } else if (key == "start_ns") {
-          LEGODB_ASSIGN_OR_RETURN(span.start_ns, ParseInt());
-        } else if (key == "duration_ns") {
-          LEGODB_ASSIGN_OR_RETURN(span.duration_ns, ParseInt());
-        } else if (key == "parent") {
-          LEGODB_ASSIGN_OR_RETURN(int64_t v, ParseInt());
-          span.parent = static_cast<int>(v);
-        } else if (key == "depth") {
-          LEGODB_ASSIGN_OR_RETURN(int64_t v, ParseInt());
-          span.depth = static_cast<int>(v);
-        } else if (key == "tid") {
-          LEGODB_ASSIGN_OR_RETURN(int64_t v, ParseInt());
-          span.tid = static_cast<int>(v);
-        } else {
-          return Err("unknown span key '" + key + "'");
-        }
-      }
-      report->spans.push_back(std::move(span));
-    }
-  }
-
-  Status ParseCounters(Report* report) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      Report::CounterEntry entry;
-      LEGODB_ASSIGN_OR_RETURN(entry.name, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(entry.value, ParseInt());
-      report->counters.push_back(std::move(entry));
-    }
-  }
-
-  Status ParseGauges(Report* report) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      Report::GaugeEntry entry;
-      LEGODB_ASSIGN_OR_RETURN(entry.name, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(entry.value, ParseDouble());
-      report->gauges.push_back(std::move(entry));
-    }
-  }
-
-  Status ParseHistograms(Report* report) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      Report::HistogramEntry entry;
-      LEGODB_ASSIGN_OR_RETURN(entry.name, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      if (!Consume('{')) return Err("expected histogram object");
-      bool first_field = true;
-      while (true) {
-        SkipWs();
-        if (Consume('}')) break;
-        if (!first_field && !Consume(',')) return Err("expected ','");
-        first_field = false;
-        SkipWs();
-        LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-        SkipWs();
-        if (!Consume(':')) return Err("expected ':'");
-        SkipWs();
-        if (key == "count") {
-          LEGODB_ASSIGN_OR_RETURN(entry.count, ParseInt());
-        } else if (key == "sum") {
-          LEGODB_ASSIGN_OR_RETURN(entry.sum, ParseDouble());
-        } else if (key == "min") {
-          LEGODB_ASSIGN_OR_RETURN(entry.min, ParseDouble());
-        } else if (key == "max") {
-          LEGODB_ASSIGN_OR_RETURN(entry.max, ParseDouble());
-        } else if (key == "buckets") {
-          LEGODB_RETURN_IF_ERROR(ParseBuckets(&entry));
-        } else {
-          return Err("unknown histogram key '" + key + "'");
-        }
-      }
-      report->histograms.push_back(std::move(entry));
-    }
-  }
-
-  Status ParseBuckets(Report::HistogramEntry* entry) {
-    if (!Consume('{')) return Err("expected buckets object");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      Report::BucketCount b;
-      b.bucket = std::atoi(key.c_str());
-      LEGODB_ASSIGN_OR_RETURN(b.count, ParseInt());
-      entry->buckets.push_back(b);
-    }
-  }
-
-  Status ParseStringMap(std::vector<std::pair<std::string, std::string>>* out) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(std::string value, ParseString());
-      out->emplace_back(std::move(key), std::move(value));
-    }
-  }
-
-  Status ParseBlobs(Report* report) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return Status::OK();
-      if (!first && !Consume(',')) return Err("expected ','");
-      first = false;
-      SkipWs();
-      LEGODB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      LEGODB_ASSIGN_OR_RETURN(std::string raw, ParseRawValue());
-      report->blobs.emplace_back(std::move(key), std::move(raw));
-    }
+    return ParseNumber();
   }
 
   const std::string& text_;
@@ -911,12 +621,8 @@ class JsonParser {
 
 }  // namespace
 
-StatusOr<Report> ReportFromJson(const std::string& json) {
-  return JsonParser(json).ParseReport();
-}
-
 Status ValidateJsonText(const std::string& text) {
-  return JsonParser(text).ValidateWhole();
+  return JsonValidator(text).ValidateWhole();
 }
 
 }  // namespace legodb::obs

@@ -28,7 +28,7 @@
 //   }
 //   obs::Report report = registry.Snapshot();
 //   std::cout << report.SpanTable() << report.MetricsTable();
-//   std::string json = report.ToJson();     // round-trips via ReportFromJson
+//   std::string json = report.ToJson();     // same as --metrics-out
 //
 // Registry, Counter, Gauge and Histogram are thread-safe; span parent/child
 // nesting is tracked per thread (spans opened on different threads attach
@@ -91,31 +91,6 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-class Histogram {
- public:
-  struct Snapshot {
-    int64_t count = 0;
-    double sum = 0;
-    double min = 0;
-    double max = 0;
-    // Sparse nonzero bucket counts, sorted by bucket index (see the fixed
-    // layout above).
-    std::vector<std::pair<int, int64_t>> buckets;
-    double Mean() const { return count == 0 ? 0 : sum / count; }
-  };
-
-  void Observe(double value);
-  Snapshot snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  std::array<int64_t, kHistogramNumBuckets> buckets_{};
-};
-
 // Last-value-wins metric for computed results (calibration correlations,
 // q-error summaries): unlike a Counter it holds a double, unlike a
 // Histogram it keeps only the most recent value.
@@ -167,9 +142,8 @@ struct Report {
 
     // Quantile estimate from the log-spaced buckets, clamped to [min, max]
     // (so a single observation is exact and q=0/1 return min/max). `q` is
-    // clamped to [0, 1]; returns 0 on an empty histogram. Reports parsed
-    // from pre-bucket JSON (no bucket data) fall back to linear
-    // interpolation between min and max.
+    // clamped to [0, 1]; returns 0 on an empty histogram. A nonempty entry
+    // must carry its buckets, as every Registry::Snapshot entry does.
     double Quantile(double q) const;
   };
   struct GaugeEntry {
@@ -181,9 +155,9 @@ struct Report {
   std::vector<CounterEntry> counters;      // sorted by name
   std::vector<GaugeEntry> gauges;          // sorted by name
   std::vector<HistogramEntry> histograms;  // sorted by name
-  // Free-form string annotations (workload, git revision, build type, ...)
-  // and named raw-JSON sub-documents (EXPLAIN ANALYZE blocks, merged bench
-  // reports), both in insertion order.
+  // Free-form string annotations (the producing tool, the demo workload,
+  // a bench's storage backend) and named raw-JSON sub-documents (EXPLAIN
+  // ANALYZE blocks), both in insertion order.
   std::vector<std::pair<std::string, std::string>> meta;
   std::vector<std::pair<std::string, std::string>> blobs;
   int64_t dropped_spans = 0;               // spans beyond the registry cap
@@ -205,10 +179,8 @@ struct Report {
   // Total duration (ms) of all spans with this name.
   double SpanTotalMillis(std::string_view name) const;
 
-  // Meta annotations: last SetMeta for a key wins; MetaValue returns ""
-  // when absent.
+  // Meta annotations: last SetMeta for a key wins.
   void SetMeta(std::string_view key, std::string_view value);
-  std::string MetaValue(std::string_view key) const;
 
   // Attaches a named raw-JSON document, emitted verbatim under "blobs".
   // `raw_json` must be a valid JSON value (see ValidateJsonText); an
@@ -220,11 +192,23 @@ struct Report {
 
 // Validates that `text` is exactly one well-formed JSON value (with
 // optional surrounding whitespace). Used to gate Report blobs and to check
-// exporter output in tests and tooling.
+// exporter output in tests.
 Status ValidateJsonText(const std::string& text);
 
-// Parses a report previously produced by Report::ToJson.
-StatusOr<Report> ReportFromJson(const std::string& json);
+class Histogram {
+ public:
+  void Observe(double value);
+  // Consistent copy of the aggregate, reported under `name`.
+  Report::HistogramEntry Entry(std::string name) const;
+
+ private:
+  mutable std::mutex mu_;
+  int64_t count_ = 0;
+  double sum_ = 0;
+  double min_ = 0;
+  double max_ = 0;
+  std::array<int64_t, kHistogramNumBuckets> buckets_{};
+};
 
 class Registry {
  public:

@@ -14,8 +14,8 @@
 //
 // The failpoint firing sequence is a pure function of (seed, hit index)
 // and only the single migration thread hits migrate.* sites, so the
-// success/rollback pattern replays deterministically. The suite is the
-// primary target of `tools/check.sh --chaos` (TSan build).
+// success/rollback pattern replays deterministically. `tools/check.sh
+// --tsan` runs the suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
