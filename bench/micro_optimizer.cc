@@ -64,6 +64,28 @@ void BM_PlanPublishQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanPublishQuery);
 
+// The widest block the Figure-10 searches send through the join-order DP:
+// Q12 under the all-outlined start of greedy-so/lookup translates into two
+// 12-relation blocks (dp_rel_limit), the DP's worst case.
+void BM_PlanDpLimitBlock(benchmark::State& state) {
+  xs::Schema config = ps::AllOutlined(bench::AnnotatedImdb());
+  auto mapping = bench::Unwrap(map::MapSchema(config), "map");
+  auto query = bench::Unwrap(xq::ParseQuery(imdb::QueryText("Q12")), "parse");
+  auto rq = bench::Unwrap(xlat::TranslateQuery(query, mapping), "translate");
+  opt::Optimizer optimizer(mapping.catalog());
+  const opt::QueryBlock& block = rq.blocks.front();
+  if (block.rels.size() !=
+      static_cast<size_t>(optimizer.params().dp_rel_limit)) {
+    state.SkipWithError("Q12 block is not at dp_rel_limit");
+    return;
+  }
+  for (auto _ : state) {
+    auto planned = optimizer.PlanBlock(block);
+    benchmark::DoNotOptimize(planned);
+  }
+}
+BENCHMARK(BM_PlanDpLimitBlock);
+
 void BM_EnumerateTransformations(benchmark::State& state) {
   xs::Schema config = ps::AllOutlined(bench::AnnotatedImdb());
   core::TransformOptions options;

@@ -27,7 +27,8 @@ struct CostParams {
   bool index_on_predicates = false;
 
   // Join-order search switches from dynamic programming to a greedy
-  // heuristic above this many relations.
+  // heuristic above this many relations. The DP's memo is a flat array of
+  // 2^n entries, so keep this small.
   int dp_rel_limit = 12;
 
   // Storage page size in bytes for the paged backend; 0 models exact-byte

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/failpoint.h"
 #include "obs/obs.h"
@@ -14,15 +13,24 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// A memo entry: estimates for joining one subset of the block's relations,
+// plus the recipe that achieves them. Candidates are compared on recipes;
+// a PhysicalPlan is built only for the recipe that wins (BuildDp, or each
+// merge greedy picks).
 struct Entry {
+  enum class Op : uint8_t { kNone, kAccess, kHashJoin, kIndexNLJoin };
+
   double cost = kInf;
   double rows = 0;
   double width = 0;  // bytes per intermediate tuple
   double seeks = 0;  // predicted seeks, inclusive of inputs
   double bytes = 0;  // predicted bytes read, inclusive of inputs
-  PhysicalPlanPtr plan;
+  Op op = Op::kNone;
+  int edge = -1;       // driving join edge, an index into QueryBlock::joins
+  uint64_t probe = 0;  // left input: hash probe side / INLJ outer side
+  uint64_t build = 0;  // right input: hash build side / INLJ inner relation
 
-  bool valid() const { return plan != nullptr; }
+  bool valid() const { return op != Op::kNone; }
 };
 
 // Plans one SPJ block: access paths, join order, join methods.
@@ -44,11 +52,24 @@ class BlockPlanner {
         return Status::NotFound("table '" + block_.rels[i].table +
                                 "' not in catalog");
       }
-      tables_.push_back(table);
+      rels_.emplace_back().table = table;
+      rels_.back().rows = FilteredRows(static_cast<int>(i));
+    }
+    for (const auto& e : block_.joins) {
+      if (e.left_rel < 0 || e.right_rel < 0 ||
+          static_cast<size_t>(e.left_rel) >= n ||
+          static_cast<size_t>(e.right_rel) >= n) {
+        return Status::InvalidArgument(
+            "join edge references a relation outside the block");
+      }
+      rels_[e.left_rel].adjacent |= 1ull << e.right_rel;
+      rels_[e.right_rel].adjacent |= 1ull << e.left_rel;
+      edge_sel_.push_back(EdgeSelectivity(e));
     }
 
-    Entry best = n <= static_cast<size_t>(p_.dp_rel_limit) ? PlanDp()
-                                                           : PlanGreedy();
+    PhysicalPlanPtr plan;
+    Entry best = n <= static_cast<size_t>(p_.dp_rel_limit) ? PlanDp(&plan)
+                                                           : PlanGreedy(&plan);
     if (!best.valid()) {
       return Status::Internal("no plan found for block");
     }
@@ -56,7 +77,7 @@ class BlockPlanner {
     // Root projection: producing the result counts as writing.
     auto root = std::make_shared<PhysicalPlan>();
     root->kind = PhysicalPlan::Kind::kProject;
-    root->child = best.plan;
+    root->child = std::move(plan);
     root->outputs = block_.output;
     double out_width = OutputWidth();
     root->est_rows = best.rows;
@@ -97,7 +118,7 @@ class BlockPlanner {
   // ---- statistics helpers ----
 
   const rel::Column* Col(int rel, const std::string& name) const {
-    return tables_[rel]->FindColumn(name);
+    return rels_[rel].table->FindColumn(name);
   }
 
   double ColDistincts(int rel, const std::string& name) const {
@@ -111,10 +132,10 @@ class BlockPlanner {
   }
 
   double BaseRows(int rel) const {
-    return std::max(1.0, tables_[rel]->row_count);
+    return std::max(1.0, rels_[rel].table->row_count);
   }
 
-  double RowWidth(int rel) const { return tables_[rel]->RowWidth(); }
+  double RowWidth(int rel) const { return rels_[rel].table->RowWidth(); }
 
   double FilterSelectivity(const FilterPred& f) const {
     double nn = 1.0 - ColNullFrac(f.rel, f.column);
@@ -170,11 +191,11 @@ class BlockPlanner {
   // Effective distinct count of a join column among the filtered rows.
   double EffDistincts(int rel, const std::string& column) const {
     return std::max(1.0,
-                    std::min(ColDistincts(rel, column), FilteredRows(rel)));
+                    std::min(ColDistincts(rel, column), rels_[rel].rows));
   }
 
   bool Indexed(int rel, const std::string& column) const {
-    const rel::Table* t = tables_[rel];
+    const rel::Table* t = rels_[rel].table;
     if (column == t->key_column) return true;
     for (const auto& fk : t->foreign_keys) {
       if (fk.column == column) return true;
@@ -195,214 +216,233 @@ class BlockPlanner {
     return std::max(w, 1.0);
   }
 
+  // Selectivity of one join edge among the filtered rows, clamped.
+  double EdgeSelectivity(const JoinEdge& e) const {
+    double dl = EffDistincts(e.left_rel, e.left_column);
+    double dr = EffDistincts(e.right_rel, e.right_column);
+    double sel = 1.0 / std::max(dl, dr);
+    sel *= (1.0 - ColNullFrac(e.left_rel, e.left_column)) *
+           (1.0 - ColNullFrac(e.right_rel, e.right_column));
+    if (e.left_outer) {
+      // A preserved outer row always survives: at least one row per outer
+      // row, i.e. the edge cannot reduce cardinality below 1 match.
+      sel = std::max(sel, 1.0 / rels_[e.right_rel].rows);
+    }
+    return std::clamp(sel, 1e-12, 1.0);
+  }
+
   // Estimated cardinality of joining the relations in `mask`: product of
   // filtered cardinalities discounted by each internal join edge.
-  double Card(uint64_t mask) {
-    auto it = card_memo_.find(mask);
-    if (it != card_memo_.end()) return it->second;
+  double Card(uint64_t mask) const {
     double rows = 1;
-    for (size_t i = 0; i < block_.rels.size(); ++i) {
-      if (mask & (1ull << i)) rows *= FilteredRows(static_cast<int>(i));
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      if (mask & (1ull << i)) rows *= rels_[i].rows;
     }
-    for (const auto& e : block_.joins) {
-      if (!(mask & (1ull << e.left_rel)) || !(mask & (1ull << e.right_rel))) {
-        continue;
+    for (size_t k = 0; k < block_.joins.size(); ++k) {
+      const JoinEdge& e = block_.joins[k];
+      if ((mask & (1ull << e.left_rel)) && (mask & (1ull << e.right_rel))) {
+        rows *= edge_sel_[k];
       }
-      double dl = EffDistincts(e.left_rel, e.left_column);
-      double dr = EffDistincts(e.right_rel, e.right_column);
-      double sel = 1.0 / std::max(dl, dr);
-      sel *= (1.0 - ColNullFrac(e.left_rel, e.left_column)) *
-             (1.0 - ColNullFrac(e.right_rel, e.right_column));
-      if (e.left_outer) {
-        // A preserved outer row always survives: at least one row per outer
-        // row, i.e. the edge cannot reduce cardinality below 1 match.
-        double inner_rows = FilteredRows(e.right_rel);
-        sel = std::max(sel, 1.0 / inner_rows);
-      }
-      rows *= std::clamp(sel, 1e-12, 1.0);
     }
-    rows = std::max(rows, 1e-6);
-    card_memo_[mask] = rows;
-    return rows;
+    return std::max(rows, 1e-6);
+  }
+
+  // Relations joined to some relation in `mask`.
+  uint64_t Neighbours(uint64_t mask) const {
+    uint64_t out = 0;
+    for (; mask; mask &= mask - 1) out |= rels_[std::countr_zero(mask)].adjacent;
+    return out;
+  }
+
+  // True when join edge `k` connects the disjoint subsets `a` and `b`.
+  bool Joins(size_t k, uint64_t a, uint64_t b) const {
+    uint64_t lm = 1ull << block_.joins[k].left_rel;
+    uint64_t rm = 1ull << block_.joins[k].right_rel;
+    return ((lm & a) && (rm & b)) || ((lm & b) && (rm & a));
   }
 
   // ---- leaf access paths ----
 
+  // The cheapest access path for `rel`; its plan goes to rels_[rel].leaf.
   Entry AccessPath(int rel) {
-    std::vector<FilterPred> filters;
-    for (const auto& f : block_.filters) {
-      if (f.rel == rel) filters.push_back(f);
-    }
     double base = BaseRows(rel);
     double width = RowWidth(rel);
-    double out_rows = FilteredRows(rel);
+    double out_rows = rels_[rel].rows;
 
-    Entry best;
-    {  // sequential scan
-      double seeks = ScanSeeks(base * width);
-      double bytes = PagedBytes(base * width);
-      auto plan = std::make_shared<PhysicalPlan>();
-      plan->kind = PhysicalPlan::Kind::kSeqScan;
-      plan->rel = rel;
-      plan->filters = filters;
-      plan->est_rows = out_rows;
-      plan->est_cost = seeks * p_.seek_cost + bytes * p_.read_per_byte +
-                       base * p_.cpu_per_tuple;
-      plan->est_seeks = seeks;
-      plan->est_bytes = bytes;
-      best = Entry{plan->est_cost, out_rows, width, seeks, bytes, plan};
-    }
+    // Sequential scan.
+    double seeks = ScanSeeks(base * width);
+    double bytes = PagedBytes(base * width);
+    Entry best{seeks * p_.seek_cost + bytes * p_.read_per_byte +
+                   base * p_.cpu_per_tuple,
+               out_rows, width, seeks, bytes, Entry::Op::kAccess};
     // Index lookup on the most selective indexed filter column (hash
     // indexes serve equality probes only).
-    for (const auto& f : filters) {
-      if (f.not_null || f.op != xq::CompareOp::kEq ||
+    const FilterPred* index_filter = nullptr;
+    for (const auto& f : block_.filters) {
+      if (f.rel != rel || f.not_null || f.op != xq::CompareOp::kEq ||
           !Indexed(rel, f.column)) {
         continue;
       }
       double matches = base * FilterSelectivity(f);
-      double seeks = p_.index_probe_seeks + matches;
-      double bytes = matches * ProbeBytes(width);
+      seeks = p_.index_probe_seeks + matches;
+      bytes = matches * ProbeBytes(width);
       double cost = seeks * p_.seek_cost + bytes * p_.read_per_byte +
                     matches * p_.cpu_per_tuple;
       if (cost < best.cost) {
-        auto plan = std::make_shared<PhysicalPlan>();
-        plan->kind = PhysicalPlan::Kind::kIndexLookup;
-        plan->rel = rel;
-        plan->index_column = f.column;
-        plan->filters = filters;  // residuals re-checked cheaply
-        plan->est_rows = out_rows;
-        plan->est_cost = cost;
-        plan->est_seeks = seeks;
-        plan->est_bytes = bytes;
-        best = Entry{cost, out_rows, width, seeks, bytes, plan};
+        best = Entry{cost, out_rows, width, seeks, bytes, Entry::Op::kAccess};
+        index_filter = &f;
       }
     }
+
+    auto plan = std::make_shared<PhysicalPlan>();
+    if (index_filter) {
+      plan->kind = PhysicalPlan::Kind::kIndexLookup;
+      plan->index_column = index_filter->column;
+    }
+    plan->rel = rel;
+    plan->filters = RelFilters(rel);  // residuals re-checked cheaply
+    SetEstimates(best, plan.get());
+    rels_[rel].leaf = std::move(plan);
     return best;
+  }
+
+  std::vector<FilterPred> RelFilters(int rel) const {
+    std::vector<FilterPred> filters;
+    for (const auto& f : block_.filters) {
+      if (f.rel == rel) filters.push_back(f);
+    }
+    return filters;
+  }
+
+  static void SetEstimates(const Entry& e, PhysicalPlan* plan) {
+    plan->est_rows = e.rows;
+    plan->est_cost = e.cost;
+    plan->est_seeks = e.seeks;
+    plan->est_bytes = e.bytes;
   }
 
   // ---- join combination ----
 
-  std::vector<const JoinEdge*> EdgesBetween(uint64_t a, uint64_t b) const {
-    std::vector<const JoinEdge*> edges;
-    for (const auto& e : block_.joins) {
-      uint64_t lm = 1ull << e.left_rel;
-      uint64_t rm = 1ull << e.right_rel;
-      if (((lm & a) && (rm & b)) || ((lm & b) && (rm & a))) {
-        edges.push_back(&e);
-      }
+  // The join edges between two disjoint subsets, summarized: the first in
+  // block order (it drives the join) and whether any is left-outer.
+  struct Link {
+    int first = -1;  // -1: no edge joins the subsets
+    bool outer = false;
+  };
+
+  Link LinkBetween(uint64_t a, uint64_t b) const {
+    Link link;
+    for (size_t k = 0; k < block_.joins.size(); ++k) {
+      if (!Joins(k, a, b)) continue;
+      if (link.first < 0) link.first = static_cast<int>(k);
+      link.outer |= block_.joins[k].left_outer;
     }
-    return edges;
+    return link;
   }
 
-  // Combines two planned subsets. `single_b_rel` >= 0 when the right subset
-  // is one base relation (enables index nested loops).
+  // The cheapest recipe joining planned subsets `a` and `b`, linked by
+  // `link` (at least one edge), into a result of `out_rows`: a hash join
+  // either way round, then index nested loops into `b` when it is one base
+  // relation.
   Entry Combine(const Entry& a, uint64_t mask_a, const Entry& b,
-                uint64_t mask_b, int single_b_rel) {
-    uint64_t mask = mask_a | mask_b;
-    double out_rows = Card(mask);
-    double width = a.width + b.width;
-    std::vector<const JoinEdge*> edges = EdgesBetween(mask_a, mask_b);
-    bool outer = false;
-    for (const auto* e : edges) outer |= e->left_outer;
-
+                uint64_t mask_b, Link link, double out_rows) const {
     Entry best;
-    // Hash join: build the smaller side.
-    for (int build_right = 0; build_right < 2; ++build_right) {
+    // Hash join: build the smaller side. Left-outer joins preserve the left
+    // (probe=a) side; only the build_right orientation is valid.
+    for (int build_right = link.outer; build_right < 2; ++build_right) {
       const Entry& probe = build_right ? a : b;
       const Entry& build = build_right ? b : a;
-      if (outer) {
-        // Left-outer joins preserve the left (probe=a) side; only the
-        // build_right orientation is valid.
-        if (!build_right) continue;
-      }
-      if (edges.empty()) continue;
       double cost = probe.cost + build.cost +
-                    build.rows * (p_.cpu_per_probe +
-                                  build.width * 0.0) +  // build
-                    probe.rows * p_.cpu_per_probe +     // probe
+                    build.rows * p_.cpu_per_probe +  // build
+                    probe.rows * p_.cpu_per_probe +  // probe
                     out_rows * p_.cpu_per_tuple;
-      double seeks = probe.seeks + build.seeks;  // joins add CPU, not IO
-      double bytes = probe.bytes + build.bytes;
       if (cost < best.cost) {
-        auto plan = std::make_shared<PhysicalPlan>();
-        plan->kind = PhysicalPlan::Kind::kHashJoin;
-        plan->left = probe.plan;
-        plan->right = build.plan;
-        const JoinEdge* e = edges[0];
-        bool e_left_in_probe =
-            ((1ull << e->left_rel) & (build_right ? mask_a : mask_b)) != 0;
-        plan->left_join_rel = e_left_in_probe ? e->left_rel : e->right_rel;
-        plan->left_join_column =
-            e_left_in_probe ? e->left_column : e->right_column;
-        plan->right_join_rel = e_left_in_probe ? e->right_rel : e->left_rel;
-        plan->right_join_column =
-            e_left_in_probe ? e->right_column : e->left_column;
-        plan->left_outer = outer;
-        for (size_t k = 1; k < edges.size(); ++k) {
-          plan->residual_joins.push_back(*edges[k]);
-        }
-        plan->est_rows = out_rows;
-        plan->est_cost = cost;
-        plan->est_seeks = seeks;
-        plan->est_bytes = bytes;
-        best = Entry{cost, out_rows, width, seeks, bytes, plan};
+        // Joins add CPU, not IO.
+        best = Entry{cost,
+                     out_rows,
+                     a.width + b.width,
+                     probe.seeks + build.seeks,
+                     probe.bytes + build.bytes,
+                     Entry::Op::kHashJoin,
+                     link.first,
+                     build_right ? mask_a : mask_b,
+                     build_right ? mask_b : mask_a};
       }
     }
     // Index nested loops: inner side must be a single base relation with an
     // index on its join column.
-    if (single_b_rel >= 0) {
-      for (const auto* e : edges) {
-        bool inner_is_right = e->right_rel == single_b_rel;
-        int inner_rel = single_b_rel;
-        const std::string& inner_col =
-            inner_is_right ? e->right_column : e->left_column;
-        int outer_rel = inner_is_right ? e->left_rel : e->right_rel;
-        const std::string& outer_col =
-            inner_is_right ? e->left_column : e->right_column;
-        if (e->left_outer && !inner_is_right) continue;  // must preserve left
-        if (!Indexed(inner_rel, inner_col)) continue;
-        double matches_per_probe =
-            BaseRows(inner_rel) * (1.0 - ColNullFrac(inner_rel, inner_col)) /
-            EffDistinctsBase(inner_rel, inner_col);
-        double seeks_added =
-            a.rows * (p_.index_probe_seeks + matches_per_probe);
-        double bytes_added =
-            a.rows * matches_per_probe * ProbeBytes(RowWidth(inner_rel));
-        double cost = a.cost + seeks_added * p_.seek_cost +
-                      bytes_added * p_.read_per_byte +
-                      a.rows * matches_per_probe * p_.cpu_per_tuple +
-                      out_rows * p_.cpu_per_tuple;
-        if (cost < best.cost) {
-          auto plan = std::make_shared<PhysicalPlan>();
-          plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
-          plan->left = a.plan;
-          plan->rel = inner_rel;
-          plan->index_column = inner_col;
-          for (const auto& f : block_.filters) {
-            if (f.rel == inner_rel) plan->filters.push_back(f);
-          }
-          plan->left_join_rel = outer_rel;
-          plan->left_join_column = outer_col;
-          plan->right_join_rel = inner_rel;
-          plan->right_join_column = inner_col;
-          plan->left_outer = e->left_outer;
-          for (const auto* other : edges) {
-            if (other != e) plan->residual_joins.push_back(*other);
-          }
-          plan->est_rows = out_rows;
-          plan->est_cost = cost;
-          plan->est_seeks = a.seeks + seeks_added;
-          plan->est_bytes = a.bytes + bytes_added;
-          best = Entry{cost,
-                       out_rows,
-                       a.width + RowWidth(inner_rel),
-                       a.seeks + seeks_added,
-                       a.bytes + bytes_added,
-                       plan};
-        }
+    if (std::popcount(mask_b) != 1) return best;
+    int inner_rel = std::countr_zero(mask_b);
+    for (auto k = static_cast<size_t>(link.first); k < block_.joins.size();
+         ++k) {
+      if (!Joins(k, mask_a, mask_b)) continue;
+      const JoinEdge& e = block_.joins[k];
+      bool inner_is_right = e.right_rel == inner_rel;
+      const std::string& inner_col =
+          inner_is_right ? e.right_column : e.left_column;
+      if (e.left_outer && !inner_is_right) continue;  // must preserve left
+      if (!Indexed(inner_rel, inner_col)) continue;
+      double matches_per_probe =
+          BaseRows(inner_rel) * (1.0 - ColNullFrac(inner_rel, inner_col)) /
+          EffDistinctsBase(inner_rel, inner_col);
+      double seeks_added =
+          a.rows * (p_.index_probe_seeks + matches_per_probe);
+      double bytes_added =
+          a.rows * matches_per_probe * ProbeBytes(RowWidth(inner_rel));
+      double cost = a.cost + seeks_added * p_.seek_cost +
+                    bytes_added * p_.read_per_byte +
+                    a.rows * matches_per_probe * p_.cpu_per_tuple +
+                    out_rows * p_.cpu_per_tuple;
+      if (cost < best.cost) {
+        best = Entry{cost,
+                     out_rows,
+                     a.width + RowWidth(inner_rel),
+                     a.seeks + seeks_added,
+                     a.bytes + bytes_added,
+                     Entry::Op::kIndexNLJoin,
+                     static_cast<int>(k),
+                     mask_a,
+                     mask_b};
       }
     }
     return best;
+  }
+
+  // The join node a Combine recipe describes, over its inputs' plans
+  // (`right` is unused for index nested loops, whose inner side is a base
+  // relation probed in place).
+  PhysicalPlanPtr BuildJoin(const Entry& e, PhysicalPlanPtr left,
+                            PhysicalPlanPtr right) const {
+    auto plan = std::make_shared<PhysicalPlan>();
+    plan->left = std::move(left);
+    const JoinEdge& d = block_.joins[e.edge];
+    // The driving edge oriented probe/outer side first.
+    bool d_left_first = (1ull << d.left_rel) & e.probe;
+    if (e.op == Entry::Op::kHashJoin) {
+      plan->kind = PhysicalPlan::Kind::kHashJoin;
+      plan->right = std::move(right);
+    } else {
+      plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
+      plan->rel = std::countr_zero(e.build);
+      plan->index_column = d_left_first ? d.right_column : d.left_column;
+      plan->filters = RelFilters(plan->rel);
+      plan->left_outer = d.left_outer;
+    }
+    plan->left_join_rel = d_left_first ? d.left_rel : d.right_rel;
+    plan->left_join_column = d_left_first ? d.left_column : d.right_column;
+    plan->right_join_rel = d_left_first ? d.right_rel : d.left_rel;
+    plan->right_join_column = d_left_first ? d.right_column : d.left_column;
+    for (size_t k = 0; k < block_.joins.size(); ++k) {
+      if (!Joins(k, e.probe, e.build)) continue;
+      if (e.op == Entry::Op::kHashJoin) {
+        plan->left_outer |= block_.joins[k].left_outer;
+      }
+      if (static_cast<int>(k) != e.edge) {
+        plan->residual_joins.push_back(block_.joins[k]);
+      }
+    }
+    SetEstimates(e, plan.get());
+    return plan;
   }
 
   // Distincts over the unfiltered base table (for index probe fan-out).
@@ -410,111 +450,127 @@ class BlockPlanner {
     return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
   }
 
-  Entry PlanDp() {
-    size_t n = block_.rels.size();
-    std::map<uint64_t, Entry> best;
-    for (size_t i = 0; i < n; ++i) {
-      best[1ull << i] = AccessPath(static_cast<int>(i));
-    }
-    uint64_t full = n == 64 ? ~0ull : (1ull << n) - 1;
-    // Enumerate subsets in increasing size.
-    std::vector<uint64_t> masks;
-    for (uint64_t m = 1; m <= full; ++m) {
-      if (std::popcount(m) >= 2) masks.push_back(m);
-    }
-    std::sort(masks.begin(), masks.end(), [](uint64_t a, uint64_t b) {
-      int pa = std::popcount(a), pb = std::popcount(b);
-      return pa != pb ? pa < pb : a < b;
-    });
+  // Dynamic programming over the connected subsets of the join graph (no
+  // other subset can be joined without a cartesian product, which is not
+  // modeled). The memo is flat, indexed by subset mask. Masks run in
+  // increasing value, so every proper subset is planned before its
+  // supersets; each mask tries its splits in the historical order (sub
+  // descending, each unordered split once, both directions) and keeps the
+  // first strictly cheapest recipe.
+  Entry PlanDp(PhysicalPlanPtr* plan) {
     obs::Count("optimizer.dp_plans");
-    for (uint64_t mask : masks) {
-      Entry entry;
-      bool found_connected = false;
-      for (int pass = 0; pass < 2 && !entry.valid(); ++pass) {
-        bool allow_cartesian = pass == 1;
-        // Enumerate proper sub-splits.
-        for (uint64_t sub = (mask - 1) & mask; sub; sub = (sub - 1) & mask) {
-          uint64_t rest = mask ^ sub;
-          if (sub > rest) continue;  // each split once; Combine tries both
-          auto a_it = best.find(sub);
-          auto b_it = best.find(rest);
-          if (a_it == best.end() || b_it == best.end()) continue;
-          if (!a_it->second.valid() || !b_it->second.valid()) continue;
-          bool connected = !EdgesBetween(sub, rest).empty();
-          if (!connected && !allow_cartesian) continue;
-          if (connected) found_connected = true;
-          if (!connected) {
-            // Cartesian product via (degenerate) hash join is not modeled;
-            // skip — translation never produces disconnected blocks.
-            continue;
-          }
-          for (int dir = 0; dir < 2; ++dir) {
-            uint64_t ma = dir ? rest : sub;
-            uint64_t mb = dir ? sub : rest;
-            const Entry& ea = best[ma];
-            const Entry& eb = best[mb];
-            int single = std::popcount(mb) == 1
-                             ? std::countr_zero(mb)
-                             : -1;
-            Entry cand = Combine(ea, ma, eb, mb, single);
-            if (cand.valid() && cand.cost < entry.cost) entry = cand;
-          }
-        }
-        if (found_connected) break;
-      }
-      if (entry.valid()) best[mask] = entry;
+    size_t n = block_.rels.size();
+    uint64_t full = (1ull << n) - 1;
+    std::vector<Entry> memo(full + 1);
+    std::vector<uint64_t> neighbours(full + 1, 0);
+    for (uint64_t m = 1; m <= full; ++m) {
+      neighbours[m] =
+          neighbours[m & (m - 1)] | rels_[std::countr_zero(m)].adjacent;
     }
-    obs::Observe("optimizer.memo_size", static_cast<double>(best.size()));
-    auto it = best.find(full);
-    return it == best.end() ? Entry{} : it->second;
+    for (size_t i = 0; i < n; ++i) {
+      memo[1ull << i] = AccessPath(static_cast<int>(i));
+    }
+    size_t memo_size = n;
+    for (uint64_t mask = 3; mask <= full; ++mask) {
+      if (std::has_single_bit(mask)) continue;
+      uint64_t reach = mask & -mask;  // grow from the lowest relation
+      for (uint64_t prev = 0; reach != prev;) {
+        prev = reach;
+        reach |= neighbours[reach] & mask;
+      }
+      if (reach != mask) continue;  // disconnected
+
+      double rows = Card(mask);
+      Entry& entry = memo[mask];
+      // The half of each split without the highest relation, descending.
+      // Both halves of a connected mask are joined by some edge.
+      uint64_t low = mask ^ std::bit_floor(mask);
+      for (uint64_t sub = low; sub; sub = (sub - 1) & low) {
+        uint64_t rest = mask ^ sub;
+        if (!memo[sub].valid() || !memo[rest].valid()) continue;
+        Link link = LinkBetween(sub, rest);
+        for (int dir = 0; dir < 2; ++dir) {
+          uint64_t ma = dir ? rest : sub;
+          uint64_t mb = dir ? sub : rest;
+          Entry cand = Combine(memo[ma], ma, memo[mb], mb, link, rows);
+          if (cand.valid() && cand.cost < entry.cost) entry = cand;
+        }
+      }
+      if (entry.valid()) ++memo_size;
+    }
+    obs::Observe("optimizer.memo_size", static_cast<double>(memo_size));
+    if (!memo[full].valid()) return Entry{};
+    *plan = BuildDp(memo, full);
+    return memo[full];
   }
 
-  Entry PlanGreedy() {
+  PhysicalPlanPtr BuildDp(const std::vector<Entry>& memo,
+                          uint64_t mask) const {
+    const Entry& e = memo[mask];
+    if (e.op == Entry::Op::kAccess) return rels_[std::countr_zero(mask)].leaf;
+    return BuildJoin(e, BuildDp(memo, e.probe),
+                     e.op == Entry::Op::kHashJoin ? BuildDp(memo, e.build)
+                                                  : nullptr);
+  }
+
+  // Greedy join ordering: repeatedly merge the pair of partial plans whose
+  // join is cheapest (first strictly cheapest pair in (i, j) order).
+  Entry PlanGreedy(PhysicalPlanPtr* plan) {
     obs::Count("optimizer.greedy_plans");
     size_t n = block_.rels.size();
     std::vector<uint64_t> masks;
     std::vector<Entry> entries;
+    std::vector<PhysicalPlanPtr> plans;
     for (size_t i = 0; i < n; ++i) {
       masks.push_back(1ull << i);
       entries.push_back(AccessPath(static_cast<int>(i)));
+      plans.push_back(rels_[i].leaf);
     }
     while (entries.size() > 1) {
-      double best_cost = kInf;
       size_t bi = 0, bj = 0;
-      Entry best_entry;
+      Entry best;
       for (size_t i = 0; i < entries.size(); ++i) {
+        uint64_t joined = Neighbours(masks[i]);
         for (size_t j = 0; j < entries.size(); ++j) {
-          if (i == j) continue;
-          if (EdgesBetween(masks[i], masks[j]).empty()) continue;
-          int single = std::popcount(masks[j]) == 1
-                           ? std::countr_zero(masks[j])
-                           : -1;
-          Entry cand =
-              Combine(entries[i], masks[i], entries[j], masks[j], single);
-          if (cand.valid() && cand.cost < best_cost) {
-            best_cost = cand.cost;
-            best_entry = cand;
+          if (i == j || !(joined & masks[j])) continue;
+          Entry cand = Combine(entries[i], masks[i], entries[j], masks[j],
+                               LinkBetween(masks[i], masks[j]),
+                               Card(masks[i] | masks[j]));
+          if (cand.valid() && cand.cost < best.cost) {
+            best = cand;
             bi = i;
             bj = j;
           }
         }
       }
-      if (!best_entry.valid()) return Entry{};  // disconnected
-      uint64_t merged = masks[bi] | masks[bj];
+      if (!best.valid()) return Entry{};  // disconnected
+      bool i_probes = best.probe == masks[bi];
+      PhysicalPlanPtr merged =
+          BuildJoin(best, i_probes ? plans[bi] : plans[bj],
+                    i_probes ? plans[bj] : plans[bi]);
       size_t lo = std::min(bi, bj), hi = std::max(bi, bj);
       masks.erase(masks.begin() + hi);
       entries.erase(entries.begin() + hi);
-      masks[lo] = merged;
-      entries[lo] = best_entry;
+      plans.erase(plans.begin() + hi);
+      masks[lo] = best.probe | best.build;
+      entries[lo] = best;
+      plans[lo] = std::move(merged);
     }
+    *plan = plans[0];
     return entries[0];
   }
 
   const rel::Catalog& catalog_;
   const CostParams& p_;
   const QueryBlock& block_;
-  std::vector<const rel::Table*> tables_;
-  std::map<uint64_t, double> card_memo_;
+  struct Rel {
+    const rel::Table* table = nullptr;
+    double rows = 0;        // FilteredRows
+    uint64_t adjacent = 0;  // join-graph neighbours
+    PhysicalPlanPtr leaf;   // chosen access path
+  };
+  std::vector<Rel> rels_;          // per relation of the block
+  std::vector<double> edge_sel_;   // EdgeSelectivity, per join edge
 };
 
 }  // namespace

@@ -25,7 +25,8 @@ struct PlannedQuery {
 // A System-R / Volcano-style cost-based optimizer over SPJ blocks, standing
 // in for the paper's "relational optimizer" component (Figure 7): access
 // path selection (seq scan vs index lookup), join ordering (dynamic
-// programming up to CostParams::dp_rel_limit relations, greedy beyond), and
+// programming over the join graph's connected subsets up to
+// CostParams::dp_rel_limit relations, greedy beyond), and
 // join method selection (hash join vs index nested loops). Cost estimates
 // count seeks, bytes read, bytes written and CPU.
 class Optimizer {

@@ -3,8 +3,20 @@
 // monotonicity properties — over hand-built synthetic catalogs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "auction/auction.h"
+#include "core/transforms.h"
+#include "imdb/imdb.h"
+#include "mapping/mapping.h"
+#include "obs/obs.h"
 #include "optimizer/optimizer.h"
+#include "pschema/pschema.h"
 #include "relational/catalog.h"
+#include "translate/translate.h"
+#include "xschema/annotate.h"
+#include "xschema/stats_collector.h"
 
 namespace legodb::opt {
 namespace {
@@ -309,6 +321,283 @@ TEST(Optimizer, PlanToStringRendersTree) {
   std::string s = planned->plan->ToString(b);
   EXPECT_NE(s.find("Project"), std::string::npos);
   EXPECT_NE(s.find("HashJoin"), std::string::npos);
+}
+
+// ---- Join enumeration edges -------------------------------------------
+
+// Tables T0..T<n-1> and one block over all of them. Each (parent, child,
+// left_outer) edge joins T<parent>'s key to an FK column of T<child>.
+struct JoinGraph {
+  rel::Catalog catalog;
+  QueryBlock block;
+};
+
+struct GraphEdge {
+  int parent;
+  int child;
+  bool left_outer = false;
+};
+
+JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges) {
+  std::vector<rel::Table> tables(n);
+  for (int i = 0; i < n; ++i) {
+    rel::Table& t = tables[i];
+    t.name = "T" + std::to_string(i);
+    t.key_column = t.name + "_id";
+    t.row_count = 100.0 * (i + 1);
+    t.columns = {Col(t.key_column, rel::SqlType::Int(), t.row_count),
+                 Col("payload", rel::SqlType::Char(10 + 7 * i), 50)};
+  }
+  JoinGraph g;
+  for (const GraphEdge& e : edges) {
+    const std::string& parent = tables[e.parent].name;
+    std::string fk = "parent_" + parent;
+    rel::Table& child = tables[e.child];
+    child.columns.push_back(
+        Col(fk, rel::SqlType::Int(), tables[e.parent].row_count));
+    child.foreign_keys.push_back(rel::ForeignKey{fk, parent});
+    g.block.joins.push_back(JoinEdge{e.parent, parent + "_id", e.child, fk,
+                                     e.left_outer});
+  }
+  for (int i = 0; i < n; ++i) {
+    g.catalog.AddTable(tables[i]);
+    g.block.rels.push_back(BaseRel{tables[i].name, tables[i].name});
+  }
+  g.block.output.push_back(ColumnRef{n - 1, "payload", ""});
+  return g;
+}
+
+TEST(JoinEnumeration, DisconnectedBlockHasNoPlan) {
+  JoinGraph g = MakeJoinGraph(2, {});
+  Optimizer dp(g.catalog);
+  auto planned = dp.PlanBlock(g.block);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.status().code(), Status::Code::kInternal);
+  EXPECT_EQ(planned.status().message(), "no plan found for block");
+
+  CostParams params;
+  params.dp_rel_limit = 1;  // two relations take the greedy path
+  Optimizer greedy(g.catalog, params);
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  planned = greedy.PlanBlock(g.block);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.status().code(), Status::Code::kInternal);
+  EXPECT_EQ(planned.status().message(), "no plan found for block");
+  EXPECT_EQ(registry.counter("optimizer.greedy_plans")->value(), 1);
+}
+
+TEST(JoinEnumeration, EdgeOutsideBlockRejected) {
+  JoinGraph g = MakeJoinGraph(2, {{0, 1}});
+  g.block.joins[0].right_rel = 2;
+  auto planned = Optimizer(g.catalog).PlanBlock(g.block);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.status().code(), Status::Code::kInvalidArgument);
+}
+
+// The memo holds one entry per connected subset (singletons included).
+double MemoSize(const JoinGraph& g) {
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  auto planned = Optimizer(g.catalog).PlanBlock(g.block);
+  EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+  auto memo = registry.histogram("optimizer.memo_size")->Entry("memo");
+  EXPECT_EQ(memo.count, 1);
+  return memo.max;
+}
+
+TEST(JoinEnumeration, MemoHoldsConnectedSubsetsOnly) {
+  // Chain: the contiguous runs, 5 + 4 + 3 + 2 + 1.
+  EXPECT_EQ(MemoSize(MakeJoinGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}})),
+            15);
+  // Star: the four leaves, plus the hub with any nonempty set of leaves.
+  EXPECT_EQ(MemoSize(MakeJoinGraph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}})),
+            20);
+}
+
+TEST(JoinEnumeration, TwelveRelationOuterJoinBlockUsesDp) {
+  // A bushy tree of twelve relations, its deeper edges left-outer like a
+  // publish block's optional children.
+  JoinGraph g = MakeJoinGraph(
+      12, {{0, 1},
+           {0, 2},
+           {1, 3},
+           {1, 4, true},
+           {2, 5},
+           {2, 6, true},
+           {3, 7, true},
+           {4, 8, true},
+           {5, 9},
+           {6, 10, true},
+           {9, 11, true}});
+  g.block.filters.push_back(
+      FilterPred{0, "T0_id", xq::CompareOp::kEq, xq::Constant::Int(3)});
+  Optimizer opt(g.catalog);
+  ASSERT_EQ(opt.params().dp_rel_limit, 12);
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  RelQuery q;
+  q.blocks.push_back(g.block);
+  auto planned = opt.PlanQuery(q);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(registry.counter("optimizer.dp_plans")->value(), 1);
+  EXPECT_EQ(registry.counter("optimizer.greedy_plans")->value(), 0);
+  ASSERT_EQ(planned->blocks.size(), 1u);
+  EXPECT_EQ(planned->blocks[0].plan->est_cost, planned->total_cost);
+  // The memo holds the tree's 166 subtrees, not its 4095 subsets.
+  EXPECT_EQ(registry.histogram("optimizer.memo_size")->Entry("memo").max,
+            166);
+}
+
+// ---- Golden plans over the paper's workloads ---------------------------
+
+// FNV-1a over a structural walk of a plan: every field the engine reads,
+// with estimates as exact bit patterns (ToString() rounds costs and omits
+// residual joins, so it cannot pin a plan down).
+class PlanDigest {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ p[i]) * 1099511628211ull;
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof v); }
+  void Double(double v) { Int(std::bit_cast<int64_t>(v)); }
+  void Str(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  void Edge(const JoinEdge& e) {
+    Int(e.left_rel);
+    Str(e.left_column);
+    Int(e.right_rel);
+    Str(e.right_column);
+    Int(e.left_outer);
+  }
+  void Plan(const PhysicalPlanPtr& p) {
+    if (!p) {
+      Int(-1);
+      return;
+    }
+    Int(static_cast<int>(p->kind));
+    Int(p->rel);
+    Str(p->index_column);
+    Int(static_cast<int64_t>(p->filters.size()));
+    for (const auto& f : p->filters) {
+      Int(f.rel);
+      Str(f.column);
+      Int(static_cast<int>(f.op));
+      Int(static_cast<int>(f.value.kind));
+      Str(f.value.symbol);
+      Int(f.value.int_value);
+      Str(f.value.string_value);
+      Int(f.not_null);
+    }
+    Int(p->left_join_rel);
+    Str(p->left_join_column);
+    Int(p->right_join_rel);
+    Str(p->right_join_column);
+    Int(p->left_outer);
+    Int(static_cast<int64_t>(p->residual_joins.size()));
+    for (const auto& e : p->residual_joins) Edge(e);
+    Int(static_cast<int64_t>(p->outputs.size()));
+    Double(p->est_rows);
+    Double(p->est_cost);
+    Double(p->est_seeks);
+    Double(p->est_bytes);
+    Plan(p->left);
+    Plan(p->right);
+    Plan(p->child);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+struct GoldenTotals {
+  PlanDigest digest;
+  int blocks = 0;
+  int greedy_blocks = 0;  // wider than the default dp_rel_limit
+  size_t widest = 0;
+};
+
+// Plans every block of every workload query under AllInlined, AllOutlined
+// and each configuration one inline or outline move away from either.
+void DigestNeighbourhood(const xs::Schema& annotated,
+                         const std::vector<core::Workload>& workloads,
+                         GoldenTotals* totals) {
+  core::TransformOptions moves;
+  moves.inline_types = true;
+  moves.outline_elements = true;
+  std::vector<xs::Schema> configs;
+  for (const xs::Schema& start :
+       {ps::AllInlined(annotated), ps::AllOutlined(annotated)}) {
+    configs.push_back(start);
+    for (const auto& t : core::EnumerateTransformations(start, moves)) {
+      auto next = core::ApplyTransformation(start, t);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      configs.push_back(std::move(next).value());
+    }
+  }
+  CostParams params;
+  for (const xs::Schema& config : configs) {
+    auto mapping = map::MapSchema(config);
+    ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+    Optimizer opt(mapping->catalog(), params);
+    for (const auto& workload : workloads) {
+      for (const auto& wq : workload.queries) {
+        auto rq = xlat::TranslateQuery(wq.query, *mapping);
+        ASSERT_TRUE(rq.ok()) << wq.name << ": " << rq.status().ToString();
+        for (const QueryBlock& block : rq->blocks) {
+          auto planned = opt.PlanBlock(block);
+          ASSERT_TRUE(planned.ok()) << wq.name << ": "
+                                    << planned.status().ToString();
+          totals->digest.Plan(planned->plan);
+          totals->digest.Double(planned->cost);
+          totals->digest.Double(planned->rows);
+          ++totals->blocks;
+          size_t n = block.rels.size();
+          if (n > static_cast<size_t>(params.dp_rel_limit)) {
+            ++totals->greedy_blocks;
+          }
+          totals->widest = std::max(totals->widest, n);
+        }
+      }
+    }
+  }
+}
+
+// Pins every plan the optimizer picks for the paper's IMDB lookup and
+// publish workloads and the auction workloads, across the neighbourhoods
+// the greedy searches start from — a bit-for-bit regression gate for the
+// join enumeration (split order, tie-breaks, estimates).
+TEST(OptimizerGolden, PlansMatchRecordedDigest) {
+  GoldenTotals totals;
+  {
+    xs::Schema annotated = xs::AnnotateSchema(
+        imdb::Schema().value(), imdb::Stats().value());
+    std::vector<core::Workload> workloads = {
+        imdb::MakeWorkload("lookup").value(),
+        imdb::MakeWorkload("publish").value()};
+    DigestNeighbourhood(annotated, workloads, &totals);
+  }
+  {
+    xs::StatsCollector collector;
+    collector.AddDocument(auction::Generate(auction::AuctionScale{}));
+    xs::Schema annotated =
+        xs::AnnotateSchema(auction::Schema().value(), collector.Finish());
+    std::vector<core::Workload> workloads = {
+        auction::MakeWorkload("bidding").value(),
+        auction::MakeWorkload("export").value()};
+    DigestNeighbourhood(annotated, workloads, &totals);
+  }
+  ASSERT_FALSE(HasFatalFailure());
+  // Coverage: the neighbourhoods reach past dp_rel_limit into greedy.
+  EXPECT_EQ(totals.greedy_blocks, 50);
+  EXPECT_EQ(totals.widest, 16u);
+  // Recorded from the map-memo DP that enumerated every subset.
+  EXPECT_EQ(totals.blocks, 2815);
+  EXPECT_EQ(totals.digest.value(), 0xc58cd3b5e3970cafull);
 }
 
 TEST(QueryBlockSql, RendersSelectFromWhere) {

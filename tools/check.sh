@@ -5,9 +5,9 @@
 #   tools/check.sh                           # plain build + tests
 #   tools/check.sh -DLEGODB_SANITIZE=address # ASan build + tests
 #   tools/check.sh --asan                    # ASan/UBSan build of the
-#                                            # executor, serving and storage
-#                                            # suites, then three bench
-#                                            # smoke gates
+#                                            # optimizer, executor, serving
+#                                            # and storage suites, then three
+#                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving and
 #                                            # online-reconfiguration paths
@@ -15,10 +15,13 @@
 #                                            # invariant/malformed-input suites
 #
 # --asan builds into build-asan with -DLEGODB_SANITIZE=address,undefined and
-# runs the suites whose bugs would be memory bugs: the vectorized executor
-# and expression VM (engine_equivalence_test proves reference-vs-vectorized
-# bit-identity across batch sizes, under concurrency, and disk-vs-memory
-# including forced hash-join spills; engine_test, expr_vm_test), the
+# runs the suites whose bugs would be memory bugs: the join-order optimizer
+# (optimizer_test, costmodel_test: its DP memo is a flat array indexed by
+# relation-subset mask, so an indexing slip reads out of bounds), the
+# vectorized executor and expression VM (engine_equivalence_test proves
+# reference-vs-vectorized bit-identity across batch sizes, under
+# concurrency, and disk-vs-memory including forced hash-join spills;
+# engine_test, expr_vm_test), the
 # serving layer (serving_test: canonicalization, plan cache, admission
 # control, 8-thread bit-identity), and the paged storage backend
 # (pager_test, storage_test). Then three smoke gates: micro_engine's
@@ -52,10 +55,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   shift
   cmake -B build-asan -S . -DLEGODB_SANITIZE=address,undefined "$@"
   cmake --build build-asan -j"$(nproc)" --target \
-    engine_equivalence_test engine_test expr_vm_test serving_test \
-    pager_test storage_test micro_engine serving calibration
+    optimizer_test costmodel_test engine_equivalence_test engine_test \
+    expr_vm_test serving_test pager_test storage_test micro_engine serving \
+    calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R 'engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test'
+    -R 'optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/serving --threads=1,4,8 --requests=100 > /dev/null
