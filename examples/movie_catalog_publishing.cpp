@@ -86,7 +86,9 @@ int main() {
       const store::StoredTable& table = db.GetTable(tm.table);
       if (table.row_count() == 0) continue;
       int key = table.meta().ColumnIndex(table.meta().key_column);
-      int64_t id = table.rows()[0][key].as_int();
+      auto first = table.ReadRow(0);
+      if (!first.ok()) return 1;
+      int64_t id = (*first)[key].as_int();
       xml::NodePtr holder = xml::Node::Element("holder");
       if (store::ReconstructInstance(&db, mapping, type_name, id,
                                      holder.get())

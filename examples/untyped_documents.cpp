@@ -61,9 +61,11 @@ int main() {
   std::printf("\nAnyElement rows (tag, parent):\n");
   int tilde = any.meta().ColumnIndex("tilde");
   int fk_any = any.meta().ColumnIndex("parent_AnyElement");
-  for (const auto& row : any.rows()) {
-    std::printf("  %-10s parent=%s\n", row[tilde].ToString().c_str(),
-                row[fk_any].ToString().c_str());
+  for (size_t i = 0; i < any.row_count(); ++i) {
+    auto row = any.ReadRow(i);
+    if (!row.ok()) return 1;
+    std::printf("  %-10s parent=%s\n", (*row)[tilde].ToString().c_str(),
+                (*row)[fk_any].ToString().c_str());
   }
 
   auto rebuilt = store::ReconstructDocument(&db, mapping.value());

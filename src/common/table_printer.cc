@@ -18,7 +18,7 @@ TablePrinter::TablePrinter(std::vector<std::string> header)
 
 void TablePrinter::AddRow(std::vector<std::string> row) {
   row.resize(header_.size());
-  rows_.push_back(std::move(row));
+  body_.push_back(std::move(row));
 }
 
 void TablePrinter::AddRow(const std::string& label,
@@ -33,7 +33,7 @@ void TablePrinter::AddRow(const std::string& label,
 std::string TablePrinter::ToString() const {
   std::vector<size_t> widths(header_.size());
   for (size_t i = 0; i < header_.size(); ++i) widths[i] = header_[i].size();
-  for (const auto& row : rows_) {
+  for (const auto& row : body_) {
     for (size_t i = 0; i < row.size(); ++i) {
       widths[i] = std::max(widths[i], row[i].size());
     }
@@ -50,7 +50,7 @@ std::string TablePrinter::ToString() const {
   std::string sep = "|";
   for (size_t w : widths) sep += std::string(w + 2, '-') + "|";
   out += sep + "\n";
-  for (const auto& row : rows_) out += render_row(row);
+  for (const auto& row : body_) out += render_row(row);
   return out;
 }
 

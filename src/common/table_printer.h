@@ -26,7 +26,7 @@ class TablePrinter {
 
  private:
   std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<std::vector<std::string>> body_;
 };
 
 // Formats a double with fixed precision.

@@ -154,7 +154,7 @@ class Operator {
   Status NextTimed(ColumnBatch* out) {
     if (!ctx_->timed) return Next(out);
     Status s = Metered([&] { return Next(out); });
-    rows_ += static_cast<int64_t>(out->lanes);
+    rows_out_ += static_cast<int64_t>(out->lanes);
     ++batches_;
     if (out->lanes > 0) {
       for (const auto& col : out->rels) {
@@ -165,7 +165,7 @@ class Operator {
   }
 
   const opt::PhysicalPlan* node() const { return node_; }
-  int64_t rows_produced() const { return rows_; }
+  int64_t rows_produced() const { return rows_out_; }
   int64_t rows_examined() const { return rows_in_; }
   int64_t batches() const { return batches_; }
   int64_t vectors() const { return vectors_; }
@@ -207,7 +207,7 @@ class Operator {
     return s;
   }
 
-  int64_t rows_ = 0;
+  int64_t rows_out_ = 0;
   int64_t rows_in_ = 0;
   int64_t batches_ = 0;
   int64_t vectors_ = 0;
@@ -917,9 +917,8 @@ class BlockExecutor {
         std::unique_ptr<Operator> root,
         BuildOp(&ctx_, plan->child, /*depth=*/1, &preorder, &depths));
 
-    // Values materialize from the prepared column shadows, which both
-    // backends provide (paged tables have no rows() to address into); a
-    // null shadow projects NULL.
+    // Values materialize from the prepared columns; a null column projects
+    // NULL.
     const std::vector<const ColumnVector*>& outputs = project->outputs;
     xq::ResultSet result;
     for (const auto& out : block.output) {

@@ -79,7 +79,7 @@ class ExprProgram {
   };
 
   // A column operand: the relation slot it binds lanes through plus the
-  // prebuilt columnar shadow of the stored column.
+  // stored column.
   struct ColumnSlot {
     int rel = -1;
     const store::ColumnVector* column = nullptr;
@@ -171,7 +171,7 @@ class ExprProgramBuilder {
 };
 
 // The tables of the executed block, in relation order, used to resolve
-// column names and fetch columnar shadows at compile time.
+// column names and fetch columns at compile time.
 struct ExprEnv {
   std::vector<store::StoredTable*> tables;
 
@@ -185,7 +185,7 @@ struct ExprEnv {
 StatusOr<Value> ResolveConstant(const std::map<std::string, Value>& params,
                                 const xq::Constant& c);
 
-// Resolves `rel.column` to its columnar shadow, with the row engine's
+// Resolves `rel.column` to its stored column, with the row engine's
 // diagnostics on out-of-range relations and unknown columns (`what` names
 // the predicate kind, e.g. "filter" or "hash join").
 StatusOr<const store::ColumnVector*> ResolveColumnVector(

@@ -48,7 +48,7 @@ class PreparedPrograms {
     const store::HashIndex* index = nullptr;  // lookup/NL-join/shared index
     const xq::Constant* driver = nullptr;  // index lookup's key (plan-owned)
     // Projection root only: the block's tables in relation order, and one
-    // column shadow per block output (nullptr projects NULL).
+    // column per block output (nullptr projects NULL).
     std::vector<store::StoredTable*> tables;
     std::vector<const store::ColumnVector*> outputs;
   };

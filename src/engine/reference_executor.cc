@@ -1,5 +1,6 @@
 #include "engine/reference_executor.h"
 
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -31,14 +32,6 @@ class ReferenceBlockExecutor {
     for (const auto& rel : block_.rels) {
       StoredTable* table = e_->db_->FindTable(rel.table);
       if (!table) return Status::NotFound("table '" + rel.table + "'");
-      if (table->paged()) {
-        // The reference executor is deliberately row-at-a-time over heap
-        // rows; disk equivalence tests compare the paged engine against a
-        // memory database loaded from the same document instead.
-        return Status::Unsupported(
-            "reference executor requires the memory backend (table '" +
-            rel.table + "' is paged)");
-      }
       tables_.push_back(table);
     }
     LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> bindings, Exec(plan->child));
@@ -135,6 +128,13 @@ class ReferenceBlockExecutor {
     return b;
   }
 
+  // Keeps a row read through StoredTable::ReadRow alive for the bindings
+  // that point at it.
+  const Row* Keep(Row row) {
+    arena_.push_back(std::move(row));
+    return &arena_.back();
+  }
+
   double RowWidth(int rel) const { return tables_[rel]->meta().RowWidth(); }
 
   StatusOr<std::vector<Binding>> Exec(const opt::PhysicalPlanPtr& p) {
@@ -147,10 +147,11 @@ class ReferenceBlockExecutor {
         e_->stats_.bytes_read +=
             static_cast<double>(t.row_count()) * RowWidth(p->rel);
         std::vector<Binding> out;
-        for (const Row& row : t.rows()) {
+        for (size_t idx = 0; idx < t.row_count(); ++idx) {
+          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(idx));
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
-          if (pass) out.push_back(NewBinding(p->rel, &row));
+          if (pass) out.push_back(NewBinding(p->rel, Keep(std::move(row))));
         }
         return out;
       }
@@ -178,10 +179,10 @@ class ReferenceBlockExecutor {
             static_cast<double>(hits.size()) * RowWidth(p->rel);
         std::vector<Binding> out;
         for (size_t idx : hits) {
-          const Row& row = t.rows()[idx];
+          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(idx));
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
-          if (pass) out.push_back(NewBinding(p->rel, &row));
+          if (pass) out.push_back(NewBinding(p->rel, Keep(std::move(row))));
         }
         return out;
       }
@@ -256,12 +257,12 @@ class ReferenceBlockExecutor {
             e_->stats_.bytes_read +=
                 static_cast<double>(hits.size()) * RowWidth(p->rel);
             for (size_t idx : hits) {
-              const Row& irow = inner.rows()[idx];
+              LEGODB_ASSIGN_OR_RETURN(Row irow, inner.ReadRow(idx));
               LEGODB_ASSIGN_OR_RETURN(bool pass,
                                       PassFilters(p->rel, irow, p->filters));
               if (!pass) continue;
               Binding merged = l;
-              merged[p->rel] = &irow;
+              merged[p->rel] = Keep(std::move(irow));
               LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
               if (!rpass) continue;
               out.push_back(std::move(merged));
@@ -281,6 +282,9 @@ class ReferenceBlockExecutor {
   ReferenceExecutor* e_;
   const opt::QueryBlock& block_;
   std::vector<StoredTable*> tables_;
+  // The rows the bindings point at: only those that passed their filters,
+  // so memory follows what the block binds, not the table sizes.
+  std::deque<Row> arena_;
 };
 
 StatusOr<xq::ResultSet> ReferenceExecutor::ExecuteBlock(

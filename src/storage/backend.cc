@@ -13,14 +13,4 @@ StatusOr<std::unique_ptr<PagedBackend>> PagedBackend::Open(
       new PagedBackend(std::move(pager), pool_pages));
 }
 
-StatusOr<std::unique_ptr<StorageBackend>> OpenBackend(
-    const StorageOptions& options) {
-  if (options.backend == StorageOptions::Backend::kMemory) {
-    return std::unique_ptr<StorageBackend>(new MemoryBackend());
-  }
-  LEGODB_ASSIGN_OR_RETURN(std::unique_ptr<PagedBackend> paged,
-                          PagedBackend::Open(options));
-  return std::unique_ptr<StorageBackend>(std::move(paged));
-}
-
 }  // namespace legodb::store

@@ -1,20 +1,20 @@
 #ifndef LEGODB_STORAGE_BACKEND_H_
 #define LEGODB_STORAGE_BACKEND_H_
 
-// Storage backend selection for store::Database.
+// Storage selection for store::Database.
 //
 // The paper prices configurations in seeks and bytes; this repo long
 // validated those estimates against proxy counters over RAM-resident
-// tables. StorageBackend makes the physical layer swappable per database:
+// tables. A database stores its tables in one of two forms:
 //
-//  - MemoryBackend: the original heap tables (std::vector<Row>); zero IO,
-//    modeled stats. The default, and the bit-identity reference.
-//  - PagedBackend: fixed-size slotted pages in a backing file behind a
-//    pin-count BufferPool with LRU eviction and write-back. Row reads pin
-//    real pages; pool faults are real pread traffic, which feeds
+//  - memory (the default, and the bit-identity reference): each table is
+//    one ColumnVector per catalog column; zero IO, modeled stats.
+//  - paged: fixed-size slotted pages in a backing file behind a pin-count
+//    BufferPool with LRU eviction and write-back (PagedBackend below). Row
+//    reads pin real pages; pool faults are real pread traffic, which feeds
 //    ExecStats seeks/bytes and the calibration gauges.
 //
-// Both backends store the same logical rows in the same order, so every
+// Both forms store the same logical rows in the same order, so every
 // executor result is bit-identical across them — the equivalence suites
 // run against both.
 
@@ -47,46 +47,22 @@ struct StorageOptions {
   }
 };
 
-// One database's physical storage. Owns whatever machinery the backend
-// needs (file, buffer pool); StoredTables hold non-owning pointers into it,
-// so the backend must outlive them (Database declares it first).
-class StorageBackend {
+// The machinery of one paged database: its backing file and buffer pool.
+// StoredTables hold non-owning pointers into it, so it must outlive them
+// (Database declares it first). Memory databases have none.
+class PagedBackend {
  public:
-  virtual ~StorageBackend() = default;
-
-  virtual StorageOptions::Backend kind() const = 0;
-  bool paged() const { return kind() == StorageOptions::Backend::kPaged; }
-
-  // Write-back + durability barrier; no-op for the memory backend.
-  virtual Status Flush() = 0;
-
-  // Paged machinery (nullptr for the memory backend).
-  virtual BufferPool* pool() { return nullptr; }
-  virtual Pager* pager() { return nullptr; }
-};
-
-class MemoryBackend : public StorageBackend {
- public:
-  StorageOptions::Backend kind() const override {
-    return StorageOptions::Backend::kMemory;
-  }
-  Status Flush() override { return Status::OK(); }
-};
-
-class PagedBackend : public StorageBackend {
- public:
+  // Creating the backing file can fail.
   static StatusOr<std::unique_ptr<PagedBackend>> Open(
       const StorageOptions& options);
 
-  StorageOptions::Backend kind() const override {
-    return StorageOptions::Backend::kPaged;
-  }
-  Status Flush() override {
+  // Write-back + durability barrier.
+  Status Flush() {
     LEGODB_RETURN_IF_ERROR(pool_->FlushAll());
     return pager_->Sync();
   }
-  BufferPool* pool() override { return pool_.get(); }
-  Pager* pager() override { return pager_.get(); }
+  BufferPool* pool() { return pool_.get(); }
+  Pager* pager() { return pager_.get(); }
 
  private:
   PagedBackend(std::unique_ptr<Pager> pager, size_t pool_pages)
@@ -96,11 +72,6 @@ class PagedBackend : public StorageBackend {
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
 };
-
-// Builds the backend described by `options`. Creating the paged backend's
-// file can fail; the memory backend cannot.
-StatusOr<std::unique_ptr<StorageBackend>> OpenBackend(
-    const StorageOptions& options);
 
 }  // namespace legodb::store
 

@@ -170,6 +170,9 @@ class PageToucher {
   TableIo io_;
 };
 
+// A value that makes its column untyped (see ColumnVector::typed_int).
+bool NonInt(const Value& v) { return !v.is_null() && !v.is_int(); }
+
 }  // namespace
 
 const std::vector<size_t> HashIndex::kEmpty;
@@ -181,45 +184,46 @@ HashIndex::HashIndex(const ColumnVector& column) {
   }
 }
 
-ColumnVector::ColumnVector(const std::vector<Row>& rows, int column_index) {
-  vals_.reserve(rows.size());
-  for (const Row& row : rows) {
-    vals_.push_back(&row[static_cast<size_t>(column_index)]);
-  }
-  Build();
+void ColumnVector::Reserve(size_t n) {
+  values_.reserve(n);
+  nulls_.reserve(n);
+  ints_.reserve(n);
 }
 
-ColumnVector::ColumnVector(std::vector<Value> owned)
-    : owned_(std::move(owned)) {
-  vals_.reserve(owned_.size());
-  for (const Value& v : owned_) vals_.push_back(&v);
-  Build();
-}
-
-void ColumnVector::Build() {
-  nulls_.resize(vals_.size());
-  ints_.resize(vals_.size());
-  for (size_t i = 0; i < vals_.size(); ++i) {
-    const Value& v = *vals_[i];
-    if (v.is_null()) {
-      nulls_[i] = 1;
-    } else if (v.is_int()) {
-      ints_[i] = v.as_int();
-    } else {
-      typed_int_ = false;
+void ColumnVector::Append(Value v) {
+  nulls_.push_back(v.is_null() ? 1 : 0);
+  if (NonInt(v)) {
+    if (non_ints_++ == 0) {
+      ints_.clear();
+      ints_.shrink_to_fit();
     }
+  } else if (typed_int()) {
+    ints_.push_back(v.is_int() ? v.as_int() : 0);
   }
-  if (!typed_int_) {
-    ints_.clear();
-    ints_.shrink_to_fit();
-  }
+  values_.push_back(std::move(v));
 }
 
-const std::vector<Row>& StoredTable::rows() const {
-  LEGODB_CHECK(!paged(),
-               "StoredTable::rows(): direct row access on a paged table "
-               "(use ReadRow / column shadows)");
-  return rows_;
+void ColumnVector::Truncate(size_t n) {
+  if (n >= values_.size()) return;
+  for (size_t i = n; i < values_.size(); ++i) non_ints_ -= NonInt(values_[i]);
+  values_.resize(n);
+  nulls_.resize(n);
+  if (!typed_int()) return;
+  if (ints_.size() < n) {  // the removed tail held every non-integer
+    for (const Value& v : values_) ints_.push_back(v.is_int() ? v.as_int() : 0);
+  }
+  ints_.resize(n);
+}
+
+void ColumnVector::ShrinkToFit() {
+  values_.shrink_to_fit();
+  nulls_.shrink_to_fit();
+  ints_.shrink_to_fit();
+}
+
+StoredTable::StoredTable(rel::Table meta, PagedBackend* paged)
+    : meta_(std::move(meta)), paged_(paged) {
+  if (!paged_) columns_.resize(meta_.columns.size());
 }
 
 Status StoredTable::Insert(Row row) {
@@ -228,18 +232,20 @@ Status StoredTable::Insert(Row row) {
   if (paged()) {
     LEGODB_RETURN_IF_ERROR(InsertPaged(row));
   } else {
-    rows_.push_back(std::move(row));
+    for (size_t c = 0; c < row.size(); ++c) {
+      columns_[c].Append(std::move(row[c]));
+    }
   }
   mutations_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(index_mu_);
-  indexes_.clear();  // indexes/columns are rebuilt on first use after loading
-  columns_.clear();
+  indexes_.clear();  // indexes/shadows are rebuilt on first use after loading
+  shadows_.clear();
   return Status::OK();
 }
 
 Status StoredTable::InsertPaged(const Row& row) {
-  BufferPool* bp = pool();
-  Pager* pg = pager();
+  BufferPool* bp = paged_->pool();
+  Pager* pg = paged_->pager();
   const size_t page_size = pg->page_size();
   const size_t len = SerializedSize(row);
   // A fresh page must hold the header, one slot entry, and the payload.
@@ -317,25 +323,31 @@ Status StoredTable::RemoveLastRows(size_t n) {
       }
     }
   } else {
-    LEGODB_CHECK(n <= rows_.size(),
+    const size_t rows = row_count();
+    LEGODB_CHECK(n <= rows,
                  "StoredTable::RemoveLastRows: more rows than stored");
-    rows_.resize(rows_.size() - n);
+    for (ColumnVector& column : columns_) column.Truncate(rows - n);
   }
   mutations_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(index_mu_);
   indexes_.clear();
-  columns_.clear();
+  shadows_.clear();
   return Status::OK();
 }
 
+void StoredTable::ShrinkToFit() {
+  for (ColumnVector& column : columns_) column.ShrinkToFit();
+}
+
 StatusOr<Row> StoredTable::ReadRow(size_t i) const {
-  if (!paged()) {
-    if (i >= rows_.size()) {
-      return Status::Internal("ReadRow: row index out of range");
-    }
-    return rows_[i];
+  if (paged()) return ReadRowPaged(i);
+  if (i >= row_count()) {
+    return Status::Internal("ReadRow: row index out of range");
   }
-  return ReadRowPaged(i);
+  Row row;
+  row.reserve(columns_.size());
+  for (const ColumnVector& column : columns_) row.push_back(column.value(i));
+  return row;
 }
 
 StatusOr<Row> StoredTable::ReadRowPaged(size_t i) const {
@@ -363,7 +375,7 @@ TableIo StoredTable::SeekIo(size_t n) const {
 StatusOr<TableIo> StoredTable::FetchRowRange(size_t begin, size_t end) const {
   if (!paged()) {
     TableIo io;
-    end = std::min(end, rows_.size());
+    end = std::min(end, row_count());
     if (end > begin) {
       io.bytes = static_cast<double>(end - begin) * meta_.RowWidth();
     }
@@ -418,56 +430,58 @@ StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
 
 StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumn(
     const std::string& column) {
+  if (!paged()) return GetOrBuildColumnLocked(column);  // nothing to build
   std::lock_guard<std::mutex> lock(index_mu_);
   return GetOrBuildColumnLocked(column);
 }
 
 StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumnLocked(
     const std::string& column) {
-  auto it = columns_.find(column);
-  if (it != columns_.end()) {
-    return static_cast<const ColumnVector*>(it->second.get());
-  }
   int idx = meta_.ColumnIndex(column);
   if (idx < 0) {
     return Status::Internal("no column '" + column + "' in table '" +
                             meta_.name + "' to vectorize");
   }
-  std::unique_ptr<ColumnVector> built;
-  if (paged()) {
-    // Sequential page scan: deserialize each row once, keep only the
-    // requested column. The shadow owns the values it exposes.
-    std::vector<Value> owned;
-    owned.reserve(locators_.size());
-    Row scratch;
-    for (size_t i = 0; i < locators_.size(); ++i) {
-      const RowLocator loc = locators_[i];
-      LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard,
-                              pool()->Pin(loc.page));
-      uint16_t off = 0;
-      uint16_t len = 0;
-      LEGODB_RETURN_IF_ERROR(SlotExtent(guard.data(), pager()->page_size(),
-                                        loc.slot, &off, &len));
-      LEGODB_RETURN_IF_ERROR(DeserializeRow(guard.data() + off, len,
-                                            meta_.columns.size(), &scratch));
-      owned.push_back(std::move(scratch[static_cast<size_t>(idx)]));
-    }
-    built = std::make_unique<ColumnVector>(std::move(owned));
-  } else {
-    built = std::make_unique<ColumnVector>(rows_, idx);
+  if (!paged()) {
+    const ColumnVector* stored = &columns_[static_cast<size_t>(idx)];
+    return stored;
+  }
+  auto it = shadows_.find(column);
+  if (it != shadows_.end()) {
+    return static_cast<const ColumnVector*>(it->second.get());
+  }
+  // Sequential page scan: deserialize each row once, keep only the
+  // requested column. The shadow owns the values it exposes.
+  auto built = std::make_unique<ColumnVector>();
+  built->Reserve(locators_.size());
+  Row scratch;
+  for (size_t i = 0; i < locators_.size(); ++i) {
+    const RowLocator loc = locators_[i];
+    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard,
+                            pool()->Pin(loc.page));
+    uint16_t off = 0;
+    uint16_t len = 0;
+    LEGODB_RETURN_IF_ERROR(SlotExtent(guard.data(), pager()->page_size(),
+                                      loc.slot, &off, &len));
+    LEGODB_RETURN_IF_ERROR(DeserializeRow(guard.data() + off, len,
+                                          meta_.columns.size(), &scratch));
+    built->Append(std::move(scratch[static_cast<size_t>(idx)]));
   }
   const ColumnVector* result = built.get();
-  columns_.emplace(column, std::move(built));
+  shadows_.emplace(column, std::move(built));
   return result;
 }
 
 Database::Database(const rel::Catalog& catalog, StorageOptions options)
     : options_(std::move(options)) {
-  StatusOr<std::unique_ptr<StorageBackend>> backend = OpenBackend(options_);
-  LEGODB_CHECK(backend.ok(), "Database: cannot open storage backend");
-  backend_ = std::move(*backend);
+  if (options_.backend == StorageOptions::Backend::kPaged) {
+    StatusOr<std::unique_ptr<PagedBackend>> paged =
+        PagedBackend::Open(options_);
+    LEGODB_CHECK(paged.ok(), "Database: cannot open storage backend");
+    paged_ = std::move(*paged);
+  }
   for (const auto& name : catalog.table_names()) {
-    tables_.emplace(name, StoredTable(catalog.GetTable(name), backend_.get()));
+    tables_.emplace(name, StoredTable(catalog.GetTable(name), paged_.get()));
   }
 }
 
@@ -491,6 +505,12 @@ const StoredTable& Database::GetTable(const std::string& name) const {
   const StoredTable* t = FindTable(name);
   LEGODB_CHECK(t != nullptr, "Database::GetTable: unknown table");
   return *t;
+}
+
+Status Database::Flush() {
+  if (paged_) return paged_->Flush();
+  for (auto& [name, table] : tables_) table.ShrinkToFit();
+  return Status::OK();
 }
 
 Status Database::PrewarmIndexes() {

@@ -41,42 +41,43 @@ class HashIndex {
   std::unordered_map<Value, std::vector<size_t>, ValueHash> map_;
 };
 
-// A columnar shadow of one StoredTable column: the per-row values of the
-// column laid out contiguously, so vectorized operators can run tight
-// per-column loops instead of chasing one heap-allocated Row per tuple.
-// Immutable once built (same publication contract as HashIndex).
+// One column of a StoredTable: the per-row values of the column laid out
+// contiguously, so vectorized operators can run tight per-column loops.
+// On memory tables these columns *are* the table (appended by Insert,
+// truncated by RemoveLastRows); on paged tables the same type serves as a
+// shadow built from one page scan and immutable once published (same
+// publication contract as HashIndex).
 //
 // Three parallel views, all indexed by row position:
 //  - null_mask(): 1 byte per row, nonzero = SQL NULL;
 //  - ints(): the int64 payload, meaningful only when typed_int() — i.e.
 //    every non-null value in the column is an integer (catalog drift or
 //    mixed-kind data degrade gracefully to the generic view);
-//  - value(i): the Value of row i — in the owning table's rows for
-//    the memory backend, or into this vector's own deserialized copies for
-//    the paged backend (the owning constructor).
+//  - value(i): the Value of row i, owned by this vector.
 class ColumnVector {
  public:
-  ColumnVector(const std::vector<Row>& rows, int column_index);
-  // Owning variant: takes the column's values by value (deserialized from
-  // pages) and keeps them alive inside the shadow itself.
-  explicit ColumnVector(std::vector<Value> owned);
+  void Reserve(size_t n);
+  // Appends one value; a non-integer drops the packed ints.
+  void Append(Value v);
+  // Keeps the first `n` values; restores the packed ints when the values
+  // that made the column untyped are gone.
+  void Truncate(size_t n);
+  // Releases spare capacity left by appends.
+  void ShrinkToFit();
 
-  size_t size() const { return vals_.size(); }
-  bool typed_int() const { return typed_int_; }
+  size_t size() const { return values_.size(); }
+  bool typed_int() const { return non_ints_ == 0; }
 
   bool is_null(size_t i) const { return nulls_[i] != 0; }
   const uint8_t* null_mask() const { return nulls_.data(); }
   const int64_t* ints() const { return ints_.data(); }
-  const Value& value(size_t i) const { return *vals_[i]; }
+  const Value& value(size_t i) const { return values_[i]; }
 
  private:
-  void Build();  // fills nulls_/ints_ from vals_
-
-  bool typed_int_ = true;
-  std::vector<Value> owned_;  // paged backend only; empty otherwise
+  std::vector<Value> values_;
   std::vector<uint8_t> nulls_;
-  std::vector<int64_t> ints_;
-  std::vector<const Value*> vals_;
+  std::vector<int64_t> ints_;  // one per row while typed_int(), else empty
+  size_t non_ints_ = 0;        // non-null values that are not integers
 };
 
 // IO attributable to one table access: seeks and bytes read. The paged
@@ -88,53 +89,46 @@ struct TableIo {
   double bytes = 0;
 };
 
-// A table laid out per the catalog's column order, with hash indexes and
-// columnar shadows. Two physical forms behind one interface:
+// A table laid out per the catalog's column order, with hash indexes.
+// Two physical forms behind one interface:
 //
-//  - memory (backend == nullptr or MemoryBackend): rows in a heap
-//    std::vector<Row>, directly addressable via rows();
+//  - memory (no PagedBackend): one ColumnVector per catalog column, which
+//    GetOrBuildColumn hands out directly;
 //  - paged: rows serialized into fixed-size slotted pages behind the
-//    database's buffer pool; a RowLocator (page, slot) per row. rows() is
-//    then illegal — readers go through ReadRow()/column shadows.
+//    database's buffer pool; a RowLocator (page, slot) per row, and column
+//    shadows built lazily from one page scan.
 //
-// Either way, readers charge IO through SeekIo()/FetchRowRange()/
-// FetchRows(), so the executor never asks which backend it runs on.
+// Either way, ReadRow() materializes one row, and readers charge IO
+// through SeekIo()/FetchRowRange()/FetchRows(), so the executor never asks
+// which form it runs on.
 //
 // Loading (Insert/RemoveLastRows) must be single-threaded and finish before
 // query serving starts; after that, any number of threads may read rows and
-// fetch/build indexes or column vectors concurrently — both registries are
+// fetch/build indexes or column vectors concurrently — the registries are
 // internally synchronized, and published HashIndex / ColumnVector pointers
 // stay valid until the next mutation. Every mutation bumps
 // mutation_count(), which prepared plans record and re-check at Open().
 class StoredTable {
  public:
-  explicit StoredTable(rel::Table meta) : meta_(std::move(meta)) {}
-  StoredTable(rel::Table meta, StorageBackend* backend)
-      : meta_(std::move(meta)), backend_(backend) {}
+  explicit StoredTable(rel::Table meta, PagedBackend* paged = nullptr);
   StoredTable(StoredTable&& other) noexcept
       : meta_(std::move(other.meta_)),
-        backend_(other.backend_),
-        rows_(std::move(other.rows_)),
+        paged_(other.paged_),
+        columns_(std::move(other.columns_)),
         locators_(std::move(other.locators_)),
         pages_(std::move(other.pages_)),
         mutations_(other.mutations_.load(std::memory_order_relaxed)),
         indexes_(std::move(other.indexes_)),
-        columns_(std::move(other.columns_)) {}
+        shadows_(std::move(other.shadows_)) {}
 
   const rel::Table& meta() const { return meta_; }
-  bool paged() const { return backend_ != nullptr && backend_->paged(); }
-  BufferPool* pool() const {
-    return backend_ == nullptr ? nullptr : backend_->pool();
-  }
-  Pager* pager() const {
-    return backend_ == nullptr ? nullptr : backend_->pager();
-  }
+  bool paged() const { return paged_ != nullptr; }
+  BufferPool* pool() const { return paged_ ? paged_->pool() : nullptr; }
+  Pager* pager() const { return paged_ ? paged_->pager() : nullptr; }
 
-  // Direct row access — memory backend only (aborts on a paged table; use
-  // ReadRow / column shadows there).
-  const std::vector<Row>& rows() const;
   size_t row_count() const {
-    return paged() ? locators_.size() : rows_.size();
+    if (paged()) return locators_.size();
+    return columns_.empty() ? 0 : columns_.front().size();
   }
 
   // Monotonic mutation counter: bumped by every Insert/RemoveLastRows.
@@ -144,16 +138,19 @@ class StoredTable {
   }
 
   // Appends a row; must have one value per column. Invalidates indexes and
-  // column vectors. On the paged backend this serializes the row into the
+  // column shadows. On the paged backend this serializes the row into the
   // tail slotted page (allocating a fresh page when it does not fit) and
   // can fail on real IO — memory inserts always succeed.
   Status Insert(Row row);
   // Removes the n most recently inserted rows (shredder rollback support).
   Status RemoveLastRows(size_t n);
+  // Ends a load: memory tables release the spare capacity of their columns
+  // (no-op on paged tables).
+  void ShrinkToFit();
 
-  // Materializes row `i` as a Row (copy). Works on both backends; the paged
-  // read pins the row's page (IO charged to the pool, not attributed — use
-  // FetchRows for attribution).
+  // Materializes row `i` as a Row (copy). Memory tables assemble it from
+  // the columns; the paged read pins the row's page (IO charged to the
+  // pool, not attributed — use FetchRows for attribution).
   StatusOr<Row> ReadRow(size_t i) const;
 
   // The positioning cost of starting `n` scans or index probes: one seek
@@ -174,8 +171,9 @@ class StoredTable {
   // Internal error when the column does not exist in this table.
   StatusOr<const HashIndex*> GetOrBuildIndex(const std::string& column);
 
-  // Returns the columnar shadow of `column`, building it on first use
-  // (thread-safe). Internal error when the column does not exist.
+  // Returns `column`: on memory tables the column itself, on paged tables
+  // its shadow, built on first use (thread-safe). Internal error when the
+  // column does not exist.
   StatusOr<const ColumnVector*> GetOrBuildColumn(const std::string& column);
 
  private:
@@ -191,9 +189,10 @@ class StoredTable {
       const std::string& column);
 
   rel::Table meta_;
-  StorageBackend* backend_ = nullptr;  // owned by the Database
+  PagedBackend* paged_ = nullptr;  // owned by the Database; null on memory
 
-  std::vector<Row> rows_;  // memory backend only
+  // Memory tables: the data, one column per catalog column.
+  std::vector<ColumnVector> columns_;
 
   // Paged backend: one locator per row, plus the owned pages in order (the
   // tail page is the insertion target).
@@ -204,14 +203,15 @@ class StoredTable {
 
   mutable std::mutex index_mu_;
   std::map<std::string, std::unique_ptr<HashIndex>> indexes_;
-  std::map<std::string, std::unique_ptr<ColumnVector>> columns_;
+  // Paged backend: column shadows by name.
+  std::map<std::string, std::unique_ptr<ColumnVector>> shadows_;
 };
 
 // A relational database instance for one storage configuration.
 class Database {
  public:
-  // Creates empty tables for every table in the catalog, on the storage
-  // backend `options` describes (in-memory heap tables by default). A paged
+  // Creates empty tables for every table in the catalog, in the storage
+  // form `options` describes (in-memory columns by default). A paged
   // backend that cannot create its backing file aborts — callers wanting to
   // handle that probe with PagedBackend::Open first.
   explicit Database(const rel::Catalog& catalog,
@@ -221,19 +221,20 @@ class Database {
   // move only while single-threaded, i.e. before serving starts.
   Database(Database&& other) noexcept
       : options_(std::move(other.options_)),
-        backend_(std::move(other.backend_)),
+        paged_(std::move(other.paged_)),
         tables_(std::move(other.tables_)),
         next_id_(other.next_id_.load(std::memory_order_relaxed)) {}
 
   const StorageOptions& storage_options() const { return options_; }
-  bool paged() const { return backend_->paged(); }
+  bool paged() const { return paged_ != nullptr; }
   // Paged machinery, for metrics and spill paths (nullptr on memory).
-  BufferPool* buffer_pool() const { return backend_->pool(); }
-  Pager* pager() const { return backend_->pager(); }
+  BufferPool* buffer_pool() const { return paged_ ? paged_->pool() : nullptr; }
+  Pager* pager() const { return paged_ ? paged_->pager() : nullptr; }
 
-  // Write-back + durability barrier (no-op for the memory backend). Called
-  // by the shredder after loading.
-  Status Flush() { return backend_->Flush(); }
+  // Ends a load; called by the shredder. Paged storage writes back and
+  // syncs (the durability barrier); memory tables trim their columns to
+  // size.
+  Status Flush();
 
   StoredTable* FindTable(const std::string& name);
   const StoredTable* FindTable(const std::string& name) const;
@@ -245,10 +246,11 @@ class Database {
   // Call after loading, before serving.
   Status PrewarmIndexes();
 
-  // Builds the columnar shadow of every column of every table up front —
-  // the column-vector counterpart of PrewarmIndexes(). Without this, the
-  // first post-startup queries build shadows lazily under the per-table
-  // registry mutex, serializing concurrent sessions behind one another.
+  // Builds the shadow of every column of every paged table up front — the
+  // column counterpart of PrewarmIndexes() (memory tables have nothing to
+  // build). Without this, the first post-startup queries build shadows
+  // lazily under the per-table registry mutex, serializing concurrent
+  // sessions behind one another.
   Status PrewarmColumns();
 
   // Fresh unique id for a new row (shared across tables, like the paper's
@@ -265,9 +267,9 @@ class Database {
 
  private:
   StorageOptions options_;
-  // Declared before tables_: StoredTables point into the backend, so it
-  // must be destroyed after them.
-  std::unique_ptr<StorageBackend> backend_;
+  // Null on memory. Declared before tables_: StoredTables point into the
+  // backend, so it must be destroyed after them.
+  std::unique_ptr<PagedBackend> paged_;
   std::map<std::string, StoredTable> tables_;
   std::atomic<int64_t> next_id_{1};
 };

@@ -325,8 +325,8 @@ Status ShredDocument(const xml::Document& doc, const map::Mapping& mapping,
   obs::Span span("shred.document");
   obs::Count("shred.documents");
   LEGODB_RETURN_IF_ERROR(Shredder(mapping, db).Shred(doc));
-  // Write-back + durability barrier; no-op on the memory backend. This is
-  // where the `storage.flush` failpoint surfaces to loaders.
+  // Ends the load (paged write-back + durability barrier, memory column
+  // trim). This is where the `storage.flush` failpoint surfaces to loaders.
   return db->Flush();
 }
 

@@ -111,9 +111,8 @@ class ExecutorEquivalenceTest : public ::testing::Test {
   }
 
   // Same document on the paged backend, with a pool small enough that the
-  // workload actually faults and evicts (the reference executor only runs
-  // on memory tables, so disk tests compare against a separate memory
-  // database shredded from the same document).
+  // workload actually faults and evicts. Disk tests compare against a
+  // separate memory database shredded from the same document.
   std::unique_ptr<store::Database> FreshDiskDatabase() {
     auto db = std::make_unique<store::Database>(
         mapping_->catalog(),
@@ -371,6 +370,27 @@ TEST_F(ExecutorEquivalenceTest, DiskBackendBitIdenticalToMemory) {
   store::BufferPool::Stats stats = disk_db->buffer_pool()->stats();
   EXPECT_GT(stats.faults, 0u);
   EXPECT_GT(stats.evictions, 0u);
+}
+
+// The reference executor reads rows through StoredTable::ReadRow, so the
+// oracle runs on paged tables too: over the paged database it returns the
+// memory database's rows, and so does the vectorized executor.
+TEST_F(ExecutorEquivalenceTest, DiskReferenceExecutorMatchesMemory) {
+  auto mem_db = FreshDatabase();
+  std::vector<xq::ResultSet> expected = ReferenceResults(mem_db.get());
+  auto disk_db = FreshDiskDatabase();
+  std::vector<xq::ResultSet> disk_reference = ReferenceResults(disk_db.get());
+  ASSERT_EQ(expected.size(), disk_reference.size());
+  for (size_t i = 0; i < prepared_->size(); ++i) {
+    const PreparedQuery& p = (*prepared_)[i];
+    ExpectIdentical(expected[i], disk_reference[i],
+                    p.name + " reference on disk vs memory");
+    engine::Executor exec(disk_db.get(), Params());
+    auto actual = exec.ExecuteQuery(p.rq, p.plans);
+    ASSERT_TRUE(actual.ok()) << p.name << ": " << actual.status().ToString();
+    ExpectIdentical(disk_reference[i], actual.value(),
+                    p.name + " vectorized vs reference on disk");
+  }
 }
 
 // Measured IO on the paged backend is real: ExecStats seeks/bytes must come

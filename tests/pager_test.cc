@@ -232,8 +232,8 @@ TEST(BufferPool, FailedFaultLeavesPoolClean) {
 // ---- Paged StoredTable ----
 
 TEST(PagedTable, InsertReadRemoveAcrossPages) {
-  auto backend =
-      OpenBackend(StorageOptions::Paged(/*page_size=*/512, /*pool_pages=*/2));
+  auto backend = PagedBackend::Open(
+      StorageOptions::Paged(/*page_size=*/512, /*pool_pages=*/2));
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
   StoredTable t(SimpleMeta(), backend->get());
   ASSERT_TRUE(t.paged());
@@ -271,7 +271,7 @@ TEST(PagedTable, InsertReadRemoveAcrossPages) {
 }
 
 TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, 2));
+  auto backend = PagedBackend::Open(StorageOptions::Paged(512, 2));
   ASSERT_TRUE(backend.ok());
   StoredTable t(SimpleMeta(), backend->get());
   for (int i = 0; i < 20; ++i) {
@@ -288,7 +288,8 @@ TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
 }
 
 TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, /*pool_pages=*/1));
+  auto backend =
+      PagedBackend::Open(StorageOptions::Paged(512, /*pool_pages=*/1));
   ASSERT_TRUE(backend.ok());
   StoredTable t(SimpleMeta(), backend->get());
   for (int i = 0; i < 50; ++i) {
@@ -308,7 +309,7 @@ TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
 }
 
 TEST(PagedTable, RowTooLargeForPageIsRejected) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, 2));
+  auto backend = PagedBackend::Open(StorageOptions::Paged(512, 2));
   ASSERT_TRUE(backend.ok());
   StoredTable t(SimpleMeta(), backend->get());
   Status st = t.Insert({Value::Int(1), Value::Str(std::string(600, 'x'))});
@@ -325,7 +326,7 @@ constexpr const char* kDoc =
     "<a><b><x>alpha</x><y>1</y></b><b><x>beta</x><y>2</y></b>"
     "<b><x>gamma</x><y>3</y></b></a>";
 
-TEST(PagedDatabase, ShredReconstructMatchesMemoryBackend) {
+TEST(PagedDatabase, ShredReconstructMatchesMemory) {
   map::Mapping m = MapText(kSchema);
   auto doc = xml::ParseDocument(kDoc);
   ASSERT_TRUE(doc.ok());

@@ -1,6 +1,7 @@
-// Unit tests for the storage layer: heap tables and hash indexes, the
-// shredder (optionals, unions, wildcards, backtracking, rollback), and the
-// reconstructor (inverse mapping, ordering, presence of optional content).
+// Unit tests for the storage layer: memory tables, their columns and hash
+// indexes, the shredder (optionals, unions, wildcards, backtracking,
+// rollback), and the reconstructor (inverse mapping, ordering, presence of
+// optional content).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,6 +38,13 @@ Database Shred(const map::Mapping& m, const char* xml_text) {
   Status st = ShredDocument(doc.value(), m, &db);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return db;
+}
+
+// Cell (row, column) of a stored table, read through ReadRow.
+Value At(const StoredTable& t, size_t row, int column) {
+  auto r = t.ReadRow(row);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? (*r)[static_cast<size_t>(column)] : Value::MakeNull();
 }
 
 // ---- StoredTable / Database ----
@@ -80,6 +88,66 @@ TEST(StoredTable, InsertInvalidatesIndexes) {
   EXPECT_EQ((*after)->Find(Value::Int(2)).size(), 1u);
 }
 
+void ExpectSameColumn(const ColumnVector& want, const ColumnVector& got,
+                      const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  ASSERT_EQ(want.typed_int(), got.typed_int()) << context;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.null_mask()[i], got.null_mask()[i]) << context << " " << i;
+    EXPECT_EQ(want.value(i), got.value(i)) << context << " " << i;
+    if (want.typed_int()) {
+      EXPECT_EQ(want.ints()[i], got.ints()[i]) << context << " " << i;
+    }
+  }
+}
+
+// A memory table's columns are the table. Appending a string to an int
+// column and rolling it back must leave the column exactly as if it had
+// only ever held the int rows, and equal to the shadow a paged table builds
+// from its pages after the same sequence.
+TEST(StoredTable, ColumnStateAfterMixedKindRollback) {
+  rel::Table meta;
+  meta.name = "T";
+  meta.key_column = "T_id";
+  rel::Column id, x;
+  id.name = "T_id";
+  x.name = "x";
+  meta.columns = {id, x};
+  const std::vector<Row> int_rows = {{Value::Int(1), Value::Int(10)},
+                                     {Value::Int(2), Value::MakeNull()},
+                                     {Value::Int(3), Value::Int(-30)}};
+  const Row string_row = {Value::Int(4), Value::Str("forty")};
+
+  StoredTable ints_only(meta);
+  StoredTable rolled_back(meta);
+  auto backend = PagedBackend::Open(StorageOptions::Paged(512, 2));
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  StoredTable paged(meta, backend->get());
+  for (const Row& row : int_rows) {
+    ASSERT_TRUE(ints_only.Insert(row).ok());
+    ASSERT_TRUE(rolled_back.Insert(row).ok());
+    ASSERT_TRUE(paged.Insert(row).ok());
+  }
+  ASSERT_TRUE(rolled_back.Insert(string_row).ok());
+  ASSERT_TRUE(paged.Insert(string_row).ok());
+  auto mixed = rolled_back.GetOrBuildColumn("x");
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_FALSE((*mixed)->typed_int());
+  EXPECT_EQ((*mixed)->value(3), Value::Str("forty"));
+  ASSERT_TRUE(rolled_back.RemoveLastRows(1).ok());
+  ASSERT_TRUE(paged.RemoveLastRows(1).ok());
+
+  for (const char* column : {"T_id", "x"}) {
+    auto want = ints_only.GetOrBuildColumn(column);
+    auto got = rolled_back.GetOrBuildColumn(column);
+    auto shadow = paged.GetOrBuildColumn(column);
+    ASSERT_TRUE(want.ok() && got.ok() && shadow.ok()) << column;
+    EXPECT_TRUE((*want)->typed_int()) << column;
+    ExpectSameColumn(**want, **got, std::string(column) + " rolled back");
+    ExpectSameColumn(**want, **shadow, std::string(column) + " paged");
+  }
+}
+
 TEST(DatabaseTest, CreatesAllTablesEmpty) {
   map::Mapping m = MapText("type A = a[ B* ] type B = b[ String ]");
   Database db(m.catalog());
@@ -107,8 +175,8 @@ TEST(Shredder, ScalarColumnsCanonicalized) {
   int xi = t.meta().ColumnIndex("x");
   int yi = t.meta().ColumnIndex("y");
   // Integer-looking strings canonicalize to Int (matching the evaluator).
-  EXPECT_EQ(t.rows()[0][xi], Value::Int(123));
-  EXPECT_EQ(t.rows()[0][yi], Value::Int(45));
+  EXPECT_EQ(At(t, 0, xi), Value::Int(123));
+  EXPECT_EQ(At(t, 0, yi), Value::Int(45));
 }
 
 TEST(Shredder, ParentForeignKeysLinkRows) {
@@ -120,16 +188,16 @@ TEST(Shredder, ParentForeignKeysLinkRows) {
   ASSERT_EQ(b.row_count(), 2u);
   int key = a.meta().ColumnIndex("A_id");
   int fk = b.meta().ColumnIndex("parent_A");
-  EXPECT_EQ(b.rows()[0][fk], a.rows()[0][key]);
-  EXPECT_EQ(b.rows()[1][fk], a.rows()[0][key]);
+  EXPECT_EQ(At(b, 0, fk), At(a, 0, key));
+  EXPECT_EQ(At(b, 1, fk), At(a, 0, key));
 }
 
 TEST(Shredder, OptionalAbsenceStoresNull) {
   map::Mapping m = MapText("type A = a[ x[ String ]?, y[ String ] ]");
   Database db = Shred(m, "<a><y>present</y></a>");
   const StoredTable& t = db.GetTable("A");
-  EXPECT_TRUE(t.rows()[0][t.meta().ColumnIndex("x")].is_null());
-  EXPECT_EQ(t.rows()[0][t.meta().ColumnIndex("y")], Value::Str("present"));
+  EXPECT_TRUE(At(t, 0, t.meta().ColumnIndex("x")).is_null());
+  EXPECT_EQ(At(t, 0, t.meta().ColumnIndex("y")), Value::Str("present"));
 }
 
 TEST(Shredder, UnionPicksMatchingAlternative) {
@@ -157,8 +225,8 @@ TEST(Shredder, WildcardStoresTagName) {
   const StoredTable& r = db.GetTable("R");
   ASSERT_EQ(r.row_count(), 2u);
   int tilde = r.meta().ColumnIndex("tilde");
-  EXPECT_EQ(r.rows()[0][tilde], Value::Str("nyt"));
-  EXPECT_EQ(r.rows()[1][tilde], Value::Str("sun"));
+  EXPECT_EQ(At(r, 0, tilde), Value::Str("nyt"));
+  EXPECT_EQ(At(r, 1, tilde), Value::Str("sun"));
 }
 
 TEST(Shredder, WildcardExclusionRespected) {
@@ -201,7 +269,9 @@ TEST(Shredder, RecursiveTypes) {
   ASSERT_EQ(n.row_count(), 3u);
   int fk = n.meta().ColumnIndex("parent_N");
   int present = 0;
-  for (const auto& row : n.rows()) present += row[fk].is_null() ? 0 : 1;
+  for (size_t i = 0; i < n.row_count(); ++i) {
+    present += At(n, i, fk).is_null() ? 0 : 1;
+  }
   EXPECT_EQ(present, 2);  // two children reference the root
 }
 
