@@ -36,41 +36,111 @@ SearchOptions GreedySoOptions() {
   return o;
 }
 
+namespace {
+
+// FNV-1a over a stream of fields, each string prefixed by its length.
+class FieldHasher {
+ public:
+  void Int(int64_t v) { h_ = common::HashBytes(&v, sizeof(v), h_); }
+  void Str(const std::string& s) { h_ = common::HashString(s, h_); }
+  void Fold(uint64_t v) { h_ = common::HashCombine(h_, v); }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t TableStatsHash(const rel::Table& t) {
+  uint64_t h = common::HashString(t.name);
+  h = common::HashCombine(h, common::HashString(t.key_column));
+  h = common::HashDouble(t.row_count, h);
+  h = common::HashInt(static_cast<int64_t>(t.columns.size()), h);
+  for (const auto& col : t.columns) {
+    h = common::HashCombine(h, common::HashString(col.name));
+    h = common::HashInt(static_cast<int64_t>(col.type.kind), h);
+    h = common::HashDouble(col.type.width, h);
+    h = common::HashInt(col.nullable ? 1 : 0, h);
+    h = common::HashDouble(col.null_fraction, h);
+    h = common::HashDouble(col.distincts, h);
+    h = common::HashInt(col.min, h);
+    h = common::HashInt(col.max, h);
+  }
+  for (const auto& fk : t.foreign_keys) {
+    h = common::HashCombine(h, common::HashString(fk.column));
+    h = common::HashCombine(h, common::HashString(fk.parent_table));
+  }
+  return h;
+}
+
+}  // namespace
+
+uint64_t CostCacheKeyer::TableHash(const std::string& name) {
+  const rel::Table* table = &catalog_.GetTable(name);
+  for (const auto& [t, h] : table_hashes_) {
+    if (t == table) return h;
+  }
+  uint64_t h = TableStatsHash(*table);
+  table_hashes_.emplace_back(table, h);
+  return h;
+}
+
+uint64_t CostCacheKeyer::Key(const opt::RelQuery& query) {
+  FieldHasher h;
+  h.Int(query.publish ? 1 : 0);
+  h.Int(static_cast<int64_t>(query.blocks.size()));
+  for (const opt::QueryBlock& block : query.blocks) {
+    h.Int(static_cast<int64_t>(block.rels.size()));
+    for (const opt::BaseRel& rel : block.rels) {
+      h.Str(rel.table);
+      h.Str(rel.alias);
+      h.Fold(TableHash(rel.table));
+    }
+    h.Int(static_cast<int64_t>(block.output.size()));
+    for (const opt::ColumnRef& out : block.output) {
+      h.Int(out.rel);
+      h.Str(out.column);
+    }
+    h.Int(static_cast<int64_t>(block.joins.size()));
+    for (const opt::JoinEdge& j : block.joins) {
+      h.Int(j.left_rel);
+      h.Str(j.left_column);
+      h.Int(j.right_rel);
+      h.Str(j.right_column);
+      h.Int(j.left_outer ? 1 : 0);
+    }
+    h.Int(static_cast<int64_t>(block.filters.size()));
+    for (const opt::FilterPred& f : block.filters) {
+      h.Int(f.rel);
+      h.Str(f.column);
+      h.Int(f.not_null ? 1 : 0);
+      if (f.not_null) continue;  // op and value are ignored
+      h.Int(static_cast<int64_t>(f.op));
+      h.Int(static_cast<int64_t>(f.value.kind));
+      switch (f.value.kind) {
+        case xq::Constant::Kind::kSymbol:
+          h.Str(f.value.symbol);
+          break;
+        case xq::Constant::Kind::kInt:
+          h.Int(f.value.int_value);
+          break;
+        case xq::Constant::Kind::kString:
+          h.Str(f.value.string_value);
+          break;
+      }
+    }
+  }
+  return common::Mix64(h.value());
+}
+
 uint64_t CostCacheFingerprint(const opt::RelQuery& query,
                               const rel::Catalog& catalog) {
-  uint64_t h = common::HashString(query.ToSql());
-  std::set<std::string> tables;
-  for (const auto& block : query.blocks) {
-    for (const auto& rel : block.rels) tables.insert(rel.table);
-  }
-  for (const auto& name : tables) {
-    const rel::Table& t = catalog.GetTable(name);
-    h = common::HashCombine(h, common::HashString(t.name));
-    h = common::HashCombine(h, common::HashString(t.key_column));
-    h = common::HashDouble(t.row_count, h);
-    h = common::HashInt(static_cast<int64_t>(t.columns.size()), h);
-    for (const auto& col : t.columns) {
-      h = common::HashCombine(h, common::HashString(col.name));
-      h = common::HashInt(static_cast<int64_t>(col.type.kind), h);
-      h = common::HashDouble(col.type.width, h);
-      h = common::HashInt(col.nullable ? 1 : 0, h);
-      h = common::HashDouble(col.null_fraction, h);
-      h = common::HashDouble(col.distincts, h);
-      h = common::HashInt(col.min, h);
-      h = common::HashInt(col.max, h);
-    }
-    for (const auto& fk : t.foreign_keys) {
-      h = common::HashCombine(h, common::HashString(fk.column));
-      h = common::HashCombine(h, common::HashString(fk.parent_table));
-    }
-  }
-  return common::Mix64(h);
+  return CostCacheKeyer(catalog).Key(query);
 }
 
 namespace {
 
 // Costs workloads against configurations, reusing a query's estimate when
-// the fingerprint of its translated SQL plus the touched tables'
+// the structural key of its translation plus the touched tables'
 // statistics matches an earlier configuration. Most single transformations
 // affect one or two types, so most workload queries hit the cache.
 //
@@ -95,6 +165,7 @@ class CachedCoster {
     obs::Count("search.schemas_costed");
     LEGODB_ASSIGN_OR_RETURN(map::Mapping mapping, map::MapSchema(pschema));
     opt::Optimizer optimizer(mapping.catalog(), params_);
+    CostCacheKeyer keyer(mapping.catalog());
     double total = 0;
     for (size_t i = 0; i < workload_.queries.size(); ++i) {
       const WorkloadQuery& wq = workload_.queries[i];
@@ -102,7 +173,7 @@ class CachedCoster {
                               xlat::TranslateQuery(wq.query, mapping));
       uint64_t key = 0;
       if (enabled_) {
-        key = CostCacheFingerprint(rq, mapping.catalog());
+        key = keyer.Key(rq);
         std::optional<double> cached;
         {
           std::lock_guard<std::mutex> lock(mu_);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -10,6 +11,7 @@
 #include "core/transforms.h"
 #include "core/workload.h"
 #include "optimizer/plan.h"
+#include "relational/catalog.h"
 
 namespace legodb::core {
 
@@ -146,12 +148,30 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
 SearchOptions GreedySiOptions();  // start all-inlined, apply outlining
 SearchOptions GreedySoOptions();  // start all-outlined, apply inlining
 
-// Collision-safe cost-cache key for one translated query: a 64-bit hash of
-// the rendered SQL combined with a fingerprint of every touched table
-// (row count, key/foreign-key structure, and each column's type, width,
-// null fraction, distinct count and range hashed individually — unlike the
-// historical string key, which summed per-column statistics and could
-// collide across different column distributions). Exposed for tests.
+// Cost-cache keys for the translated queries of one configuration. A key
+// hashes the query's structure — publish flag, block count, and per block
+// the relations (table, alias), outputs, join edges and filters: every
+// field QueryBlock::ToSql renders — and folds in, per relation, a
+// fingerprint of its table's statistics (row count, key/foreign-key
+// structure, and each column's type, width, null fraction, distinct count
+// and range hashed individually). Each table's fingerprint is computed once
+// per keyer, so a keyer built once per configuration hashes a table once
+// however many of the workload's queries touch it. Not thread-safe.
+class CostCacheKeyer {
+ public:
+  explicit CostCacheKeyer(const rel::Catalog& catalog) : catalog_(catalog) {}
+
+  // Aborts when `query` names a table the catalog lacks.
+  uint64_t Key(const opt::RelQuery& query);
+
+ private:
+  uint64_t TableHash(const std::string& name);
+
+  const rel::Catalog& catalog_;
+  std::vector<std::pair<const rel::Table*, uint64_t>> table_hashes_;
+};
+
+// The key of one query, from a fresh keyer (for callers keying one query).
 uint64_t CostCacheFingerprint(const opt::RelQuery& query,
                               const rel::Catalog& catalog);
 

@@ -119,12 +119,11 @@ class Mapper {
 
   StatusOr<Mapping> Run() {
     LEGODB_RETURN_IF_ERROR(ps::CheckPhysical(schema_));
-    for (const auto& name : schema_.ReachableFromRoot()) {
-      AnalyzeType(name);
-    }
+    const std::vector<std::string> reachable = schema_.ReachableFromRoot();
+    for (const auto& name : reachable) AnalyzeType(name);
     ComputeCounts();
     ComputeParents();
-    LEGODB_RETURN_IF_ERROR(BuildCatalog());
+    LEGODB_RETURN_IF_ERROR(BuildCatalog(reachable));
     result_.schema_ = schema_;
     return std::move(result_);
   }
@@ -313,31 +312,67 @@ class Mapper {
     }
   }
 
+  // Instance counts: the fixpoint of "a type's count is the sum over its
+  // parents of parent count x expected children per parent", the root
+  // fixed at 1. Types are indexed by id in name order, so each child's sum
+  // accumulates in the same order as a walk over `types_`. The iteration
+  // stops when a pass reproduces its input exactly: every later pass would
+  // be identical, so the result equals that of running all 64 passes.
   void ComputeCounts() {
     auto& types = result_.types_;
     // Recursive types with expansion factor >= 1 diverge; cap instance
     // counts so the fixpoint iteration (and downstream arithmetic) stays
     // finite.
     constexpr double kMaxInstances = 1e12;
-    std::map<std::string, double> counts;
-    counts[schema_.root_type()] = 1;
-    for (int iter = 0; iter < 64; ++iter) {
-      std::map<std::string, double> next;
-      next[schema_.root_type()] = 1;
-      for (const auto& [name, tm] : types) {
-        double n = counts.count(name) ? counts[name] : 0;
-        if (n <= 0) continue;
-        for (const auto& child : tm.children) {
-          double& slot = next[child.type_name];
-          slot = std::min(kMaxInstances,
-                          slot + n * child.expected_per_parent);
+    std::vector<const std::string*> names;  // by id, sorted
+    names.reserve(types.size());
+    for (const auto& entry : types) names.push_back(&entry.first);
+    // The id of `name`, or types.size() when it is not a mapped type.
+    auto id_of = [&](const std::string& name) {
+      auto it = std::lower_bound(
+          names.begin(), names.end(), name,
+          [](const std::string* a, const std::string& b) { return *a < b; });
+      return it != names.end() && **it == name
+                 ? static_cast<size_t>(it - names.begin())
+                 : names.size();
+    };
+    // Parent-to-child references by id, parents in id order, each
+    // parent's children in body order.
+    struct Edge {
+      size_t parent;
+      size_t child;
+      double expected;
+    };
+    std::vector<Edge> edges;
+    size_t parent = 0;
+    for (const auto& [name, tm] : types) {
+      for (const auto& child : tm.children) {
+        // A count for an unmapped type would never be read.
+        size_t id = id_of(child.type_name);
+        if (id < names.size()) {
+          edges.push_back(Edge{parent, id, child.expected_per_parent});
         }
       }
-      counts = std::move(next);
+      ++parent;
     }
-    for (auto& [name, tm] : types) {
-      tm.instance_count = counts.count(name) ? counts[name] : 0;
+    const size_t root = id_of(schema_.root_type());
+    std::vector<double> counts(types.size(), 0.0);
+    std::vector<double> next(types.size());
+    if (root < counts.size()) counts[root] = 1;
+    for (int iter = 0; iter < 64; ++iter) {
+      std::fill(next.begin(), next.end(), 0.0);
+      if (root < next.size()) next[root] = 1;
+      for (const Edge& e : edges) {
+        double n = counts[e.parent];
+        if (n <= 0) continue;
+        next[e.child] = std::min(kMaxInstances, next[e.child] + n * e.expected);
+      }
+      bool fixpoint = next == counts;
+      counts.swap(next);
+      if (fixpoint) break;
     }
+    size_t id = 0;
+    for (auto& [name, tm] : types) tm.instance_count = counts[id++];
   }
 
   // Resolves FK targets: virtual union parents are contracted away.
@@ -387,9 +422,10 @@ class Mapper {
     }
   }
 
-  Status BuildCatalog() {
+  // One table per reachable non-virtual type, in reachability order.
+  Status BuildCatalog(const std::vector<std::string>& reachable) {
     auto& types = result_.types_;
-    for (const auto& name : schema_.ReachableFromRoot()) {
+    for (const auto& name : reachable) {
       TypeMapping& tm = types[name];
       if (tm.virtual_union) continue;
       rel::Table table;

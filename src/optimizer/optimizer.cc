@@ -33,6 +33,26 @@ struct Entry {
   bool valid() const { return op != Op::kNone; }
 };
 
+// The index-nested-loops terms of probing one side of a join edge: whether
+// that side's column is indexed, the rows each probe matches and the bytes
+// it reads per match.
+struct ProbeTerms {
+  bool indexed = false;
+  double matches_per_probe = 0;
+  double probe_bytes = 0;
+};
+
+// One join edge as the join enumeration reads it, computed once per block:
+// endpoint masks, the outer flag, the edge's selectivity and the probe
+// terms with each side as the inner relation.
+struct EdgeTerms {
+  uint64_t left = 0;   // 1 << left_rel
+  uint64_t right = 0;  // 1 << right_rel
+  bool outer = false;  // left_outer
+  double selectivity = 0;
+  ProbeTerms probe[2];  // [0]: left side inner, [1]: right side inner
+};
+
 // Plans one SPJ block: access paths, join order, join methods.
 class BlockPlanner {
  public:
@@ -52,8 +72,10 @@ class BlockPlanner {
         return Status::NotFound("table '" + block_.rels[i].table +
                                 "' not in catalog");
       }
-      rels_.emplace_back().table = table;
-      rels_.back().rows = FilteredRows(static_cast<int>(i));
+      Rel& r = rels_.emplace_back();
+      r.table = table;
+      r.width = table->RowWidth();
+      r.rows = FilteredRows(static_cast<int>(i));
     }
     for (const auto& e : block_.joins) {
       if (e.left_rel < 0 || e.right_rel < 0 ||
@@ -64,7 +86,7 @@ class BlockPlanner {
       }
       rels_[e.left_rel].adjacent |= 1ull << e.right_rel;
       rels_[e.right_rel].adjacent |= 1ull << e.left_rel;
-      edge_sel_.push_back(EdgeSelectivity(e));
+      edges_.push_back(EdgeTermsOf(e));
     }
 
     PhysicalPlanPtr plan;
@@ -135,7 +157,7 @@ class BlockPlanner {
     return std::max(1.0, rels_[rel].table->row_count);
   }
 
-  double RowWidth(int rel) const { return rels_[rel].table->RowWidth(); }
+  double RowWidth(int rel) const { return rels_[rel].width; }
 
   double FilterSelectivity(const FilterPred& f) const {
     double nn = 1.0 - ColNullFrac(f.rel, f.column);
@@ -231,6 +253,28 @@ class BlockPlanner {
     return std::clamp(sel, 1e-12, 1.0);
   }
 
+  // Distincts over the unfiltered base table (for index probe fan-out).
+  double EffDistinctsBase(int rel, const std::string& column) const {
+    return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
+  }
+
+  // Index-nested-loops terms for probing `column` of base relation `rel`.
+  ProbeTerms ProbeTermsOf(int rel, const std::string& column) const {
+    return ProbeTerms{Indexed(rel, column),
+                      BaseRows(rel) * (1.0 - ColNullFrac(rel, column)) /
+                          EffDistinctsBase(rel, column),
+                      ProbeBytes(RowWidth(rel))};
+  }
+
+  EdgeTerms EdgeTermsOf(const JoinEdge& e) const {
+    return EdgeTerms{1ull << e.left_rel,
+                     1ull << e.right_rel,
+                     e.left_outer,
+                     EdgeSelectivity(e),
+                     {ProbeTermsOf(e.left_rel, e.left_column),
+                      ProbeTermsOf(e.right_rel, e.right_column)}};
+  }
+
   // Estimated cardinality of joining the relations in `mask`: product of
   // filtered cardinalities discounted by each internal join edge.
   double Card(uint64_t mask) const {
@@ -238,11 +282,8 @@ class BlockPlanner {
     for (size_t i = 0; i < rels_.size(); ++i) {
       if (mask & (1ull << i)) rows *= rels_[i].rows;
     }
-    for (size_t k = 0; k < block_.joins.size(); ++k) {
-      const JoinEdge& e = block_.joins[k];
-      if ((mask & (1ull << e.left_rel)) && (mask & (1ull << e.right_rel))) {
-        rows *= edge_sel_[k];
-      }
+    for (const EdgeTerms& e : edges_) {
+      if ((mask & e.left) && (mask & e.right)) rows *= e.selectivity;
     }
     return std::max(rows, 1e-6);
   }
@@ -256,8 +297,8 @@ class BlockPlanner {
 
   // True when join edge `k` connects the disjoint subsets `a` and `b`.
   bool Joins(size_t k, uint64_t a, uint64_t b) const {
-    uint64_t lm = 1ull << block_.joins[k].left_rel;
-    uint64_t rm = 1ull << block_.joins[k].right_rel;
+    uint64_t lm = edges_[k].left;
+    uint64_t rm = edges_[k].right;
     return ((lm & a) && (rm & b)) || ((lm & b) && (rm & a));
   }
 
@@ -332,10 +373,10 @@ class BlockPlanner {
 
   Link LinkBetween(uint64_t a, uint64_t b) const {
     Link link;
-    for (size_t k = 0; k < block_.joins.size(); ++k) {
+    for (size_t k = 0; k < edges_.size(); ++k) {
       if (!Joins(k, a, b)) continue;
       if (link.first < 0) link.first = static_cast<int>(k);
-      link.outer |= block_.joins[k].left_outer;
+      link.outer |= edges_[k].outer;
     }
     return link;
   }
@@ -373,25 +414,20 @@ class BlockPlanner {
     // index on its join column.
     if (std::popcount(mask_b) != 1) return best;
     int inner_rel = std::countr_zero(mask_b);
-    for (auto k = static_cast<size_t>(link.first); k < block_.joins.size();
-         ++k) {
+    for (auto k = static_cast<size_t>(link.first); k < edges_.size(); ++k) {
       if (!Joins(k, mask_a, mask_b)) continue;
-      const JoinEdge& e = block_.joins[k];
-      bool inner_is_right = e.right_rel == inner_rel;
-      const std::string& inner_col =
-          inner_is_right ? e.right_column : e.left_column;
-      if (e.left_outer && !inner_is_right) continue;  // must preserve left
-      if (!Indexed(inner_rel, inner_col)) continue;
-      double matches_per_probe =
-          BaseRows(inner_rel) * (1.0 - ColNullFrac(inner_rel, inner_col)) /
-          EffDistinctsBase(inner_rel, inner_col);
+      const EdgeTerms& e = edges_[k];
+      bool inner_is_right = e.right == mask_b;
+      if (e.outer && !inner_is_right) continue;  // must preserve left
+      const ProbeTerms& inner = e.probe[inner_is_right];
+      if (!inner.indexed) continue;
       double seeks_added =
-          a.rows * (p_.index_probe_seeks + matches_per_probe);
+          a.rows * (p_.index_probe_seeks + inner.matches_per_probe);
       double bytes_added =
-          a.rows * matches_per_probe * ProbeBytes(RowWidth(inner_rel));
+          a.rows * inner.matches_per_probe * inner.probe_bytes;
       double cost = a.cost + seeks_added * p_.seek_cost +
                     bytes_added * p_.read_per_byte +
-                    a.rows * matches_per_probe * p_.cpu_per_tuple +
+                    a.rows * inner.matches_per_probe * p_.cpu_per_tuple +
                     out_rows * p_.cpu_per_tuple;
       if (cost < best.cost) {
         best = Entry{cost,
@@ -432,7 +468,7 @@ class BlockPlanner {
     plan->left_join_column = d_left_first ? d.left_column : d.right_column;
     plan->right_join_rel = d_left_first ? d.right_rel : d.left_rel;
     plan->right_join_column = d_left_first ? d.right_column : d.left_column;
-    for (size_t k = 0; k < block_.joins.size(); ++k) {
+    for (size_t k = 0; k < edges_.size(); ++k) {
       if (!Joins(k, e.probe, e.build)) continue;
       if (e.op == Entry::Op::kHashJoin) {
         plan->left_outer |= block_.joins[k].left_outer;
@@ -443,11 +479,6 @@ class BlockPlanner {
     }
     SetEstimates(e, plan.get());
     return plan;
-  }
-
-  // Distincts over the unfiltered base table (for index probe fan-out).
-  double EffDistinctsBase(int rel, const std::string& column) const {
-    return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
   }
 
   // Dynamic programming over the connected subsets of the join graph (no
@@ -565,12 +596,13 @@ class BlockPlanner {
   const QueryBlock& block_;
   struct Rel {
     const rel::Table* table = nullptr;
+    double width = 0;       // RowWidth of the table
     double rows = 0;        // FilteredRows
     uint64_t adjacent = 0;  // join-graph neighbours
     PhysicalPlanPtr leaf;   // chosen access path
   };
-  std::vector<Rel> rels_;          // per relation of the block
-  std::vector<double> edge_sel_;   // EdgeSelectivity, per join edge
+  std::vector<Rel> rels_;         // per relation of the block
+  std::vector<EdgeTerms> edges_;  // per join edge, in block order
 };
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "common/failpoint.h"
@@ -22,17 +25,47 @@ using map::TypeMapping;
 // named type it instantiates, and the inline path inside that type's body.
 struct Pos {
   int rel = -1;  // -1: unbound (outer-join miss), yields NULLs
-  std::string type;
+  const TypeMapping* type = nullptr;
   RelPath path;
 };
 
-// One UNION ALL branch under construction.
+// One UNION ALL branch under construction. Variables are indexed by their
+// id in the query (Translator::VarId); an id without a binding is unset.
 struct World {
   opt::QueryBlock block;
-  std::map<std::string, Pos> vars;
+  std::vector<std::optional<Pos>> vars;
   std::vector<opt::ColumnRef> outputs;
-  std::vector<std::string> publish_vars;
-  bool dead = false;
+  std::vector<int> publish_vars;
+
+  const Pos* Var(int id) const {
+    return static_cast<size_t>(id) < vars.size() && vars[id] ? &*vars[id]
+                                                             : nullptr;
+  }
+  void Bind(int id, Pos pos) {
+    if (static_cast<size_t>(id) >= vars.size()) vars.resize(id + 1);
+    vars[id] = std::move(pos);
+  }
+};
+
+// What a navigation route adds to the world it starts from: the relations
+// it joins in (in order, numbered after the world's own), their join edges,
+// and the tag filters of the wildcard positions it passes. Navigation
+// builds these small deltas; the caller applies each finished route to one
+// copy of the world.
+struct Delta {
+  std::vector<opt::BaseRel> rels;
+  std::vector<opt::JoinEdge> joins;
+  std::vector<opt::FilterPred> filters;
+
+  void ApplyTo(opt::QueryBlock* block) && {
+    auto append = [](auto* to, auto& from) {
+      to->insert(to->end(), std::make_move_iterator(from.begin()),
+                 std::make_move_iterator(from.end()));
+    };
+    append(&block->rels, rels);
+    append(&block->joins, joins);
+    append(&block->filters, filters);
+  }
 };
 
 bool PathHasPrefix(const RelPath& path, const RelPath& prefix) {
@@ -83,7 +116,7 @@ class Translator {
     std::set<std::string> published;  // types already dumped (see below)
 
     for (World& w : worlds) {
-      if (w.dead || w.block.rels.empty()) continue;
+      if (w.block.rels.empty()) continue;
       if (!publish) {
         // Prune union branches in which every returned path is statically
         // absent: the branch contributes no data (e.g. asking for
@@ -102,26 +135,26 @@ class Translator {
       // plain table scans — no ancestor joins are needed to identify the
       // published rows.
       bool unfiltered = w.block.filters.empty() && w.outputs.empty();
-      opt::QueryBlock base = w.block;  // binding context, no outputs yet
       if (unfiltered) {
-        for (const auto& var : w.publish_vars) {
-          const Pos& pos = w.vars.at(var);
-          if (pos.rel < 0) continue;
+        for (int var : w.publish_vars) {
+          const Pos* pos = w.Var(var);
+          if (!pos || pos->rel < 0) continue;
           // `published` is shared across union worlds: partitions of one
           // logical type (e.g. Show_Part1/Show_Part2) share child tables,
           // and each table needs dumping only once.
-          EmitPublishScans(pos.type, &published, &out.blocks);
+          EmitPublishScans(pos->type->type_name, &published, &out.blocks);
         }
         continue;
       }
+      const opt::QueryBlock& base = w.block;  // binding context, no outputs
       opt::QueryBlock main = base;
       main.output = w.outputs;
       std::vector<opt::QueryBlock> extra;
-      for (const auto& var : w.publish_vars) {
-        const Pos& pos = w.vars.at(var);
-        if (pos.rel < 0) continue;
-        AppendAllColumns(&main, pos.rel);
-        EmitDescendantBlocks(base, pos, &extra);
+      for (int var : w.publish_vars) {
+        const Pos* pos = w.Var(var);
+        if (!pos || pos->rel < 0) continue;
+        AppendAllColumns(&main, pos->rel);
+        EmitDescendantBlocks(base, *pos, &extra);
       }
       out.blocks.push_back(std::move(main));
       for (auto& b : extra) out.blocks.push_back(std::move(b));
@@ -130,14 +163,24 @@ class Translator {
   }
 
  private:
+  // The id of variable `name`, assigned on first use.
+  int VarId(const std::string& name) {
+    return var_ids_.emplace(name, static_cast<int>(var_ids_.size()))
+        .first->second;
+  }
+
   // ---- block building helpers ----
 
-  static int AddRel(opt::QueryBlock* block, const std::string& table) {
+  // Appends a relation of `table` to `b` (a QueryBlock, or a Delta whose
+  // relations are numbered from `first`); returns its index.
+  template <typename B>
+  static int AddRel(B* b, size_t first, const std::string& table) {
+    int index = static_cast<int>(first + b->rels.size());
     opt::BaseRel rel;
     rel.table = table;
-    rel.alias = table + "#" + std::to_string(block->rels.size());
-    block->rels.push_back(std::move(rel));
-    return static_cast<int>(block->rels.size()) - 1;
+    rel.alias = table + "#" + std::to_string(index);
+    b->rels.push_back(std::move(rel));
+    return index;
   }
 
   void AppendAllColumns(opt::QueryBlock* block, int rel) const {
@@ -153,59 +196,57 @@ class Translator {
   }
 
   // Joins child type `child` (non-virtual) under `parent_rel` of type
-  // `parent_type`; returns the child's new rel index, or -1 when no FK links
-  // them (should not happen on well-formed mappings).
-  int JoinChild(opt::QueryBlock* block, int parent_rel,
-                const std::string& parent_type, const std::string& child,
-                bool outer) const {
-    const TypeMapping& ctm = m_.GetType(child);
+  // `parent` into `b` (see AddRel); returns the child's new rel index, or -1
+  // when no FK links them (should not happen on well-formed mappings).
+  template <typename B>
+  int JoinChild(B* b, size_t first, int parent_rel, const TypeMapping& parent,
+                const TypeMapping& child, bool outer) const {
     const std::string* fk = nullptr;
-    for (const auto& link : ctm.parents) {
-      if (link.parent_type == parent_type) {
+    for (const auto& link : child.parents) {
+      if (link.parent_type == parent.type_name) {
         fk = &link.fk_column;
         break;
       }
     }
     if (!fk) return -1;
-    int rel = AddRel(block, ctm.table);
-    const rel::Table& ptable = m_.catalog().GetTable(
-        m_.GetType(parent_type).table);
+    int rel = AddRel(b, first, child.table);
     opt::JoinEdge edge;
     edge.left_rel = parent_rel;
-    edge.left_column = ptable.key_column;
+    edge.left_column = m_.catalog().GetTable(parent.table).key_column;
     edge.right_rel = rel;
     edge.right_column = *fk;
     edge.left_outer = outer;
-    block->joins.push_back(std::move(edge));
+    b->joins.push_back(std::move(edge));
     return rel;
   }
 
-  void AddTildeFilter(World* w, int rel, const std::string& type,
-                      const RelPath& tilde_path, const std::string& tag) const {
-    const Slot* tilde = TildeSlotAt(m_.GetType(type), tilde_path);
-    if (!tilde) return;
+  // Restricts the wildcard position of `tilde` in `rel` to tag `tag`.
+  static void AddTildeFilter(Delta* adds, int rel, const Slot& tilde,
+                             const std::string& tag) {
     opt::FilterPred pred;
     pred.rel = rel;
-    pred.column = tilde->column;
+    pred.column = tilde.column;
     pred.value = xq::Constant::Str(tag);
-    w->block.filters.push_back(std::move(pred));
+    adds->filters.push_back(std::move(pred));
   }
 
   // ---- navigation ----
 
+  // A way to reach `pos` from a world whose block has `first` relations:
+  // the world plus `adds`.
   struct Route {
-    World world;
+    Delta adds;
     Pos pos;
   };
 
-  // All ways one step `s` can proceed from `pos` in world `w`. Path
+  // Appends to `routes` all ways one step `s` can proceed from `from`. Path
   // components may carry ordinal suffixes ("~#2"); each matching component
   // is its own route.
-  std::vector<Route> StepFrom(const World& w, const Pos& pos,
-                              const std::string& s, bool outer) const {
-    std::vector<Route> routes;
-    if (pos.rel < 0) return routes;
-    const TypeMapping& tm = m_.GetType(pos.type);
+  void StepFrom(const Route& from, size_t first, const std::string& s,
+                bool outer, std::vector<Route>* routes) const {
+    const Pos& pos = from.pos;
+    if (pos.rel < 0) return;
+    const TypeMapping& tm = *pos.type;
 
     // Distinct components that extend the current inline path by one step.
     std::set<std::string> comps;
@@ -218,46 +259,43 @@ class Translator {
     for (const auto& slot : tm.slots) scan(slot.path);
     for (const auto& child : tm.children) scan(child.path);
 
+    auto extend = [&](const std::string& comp) {
+      RelPath cand = pos.path;
+      cand.push_back(comp);
+      return Route{from.adds, Pos{pos.rel, pos.type, std::move(cand)}};
+    };
     // (1) inline element / attribute / wildcard content.
     bool matched_elem = false;
     for (const std::string& comp : comps) {
-      std::string base = map::BaseStep(comp);
-      RelPath cand = pos.path;
-      cand.push_back(comp);
       if (StartsWith(s, "@")) {
-        if (comp == s) {
-          routes.push_back(Route{w, Pos{pos.rel, pos.type, cand}});
-        }
+        if (comp == s) routes->push_back(extend(comp));
         continue;
       }
+      std::string base = map::BaseStep(comp);
       if (base == s) {
-        routes.push_back(Route{w, Pos{pos.rel, pos.type, cand}});
+        routes->push_back(extend(comp));
         matched_elem = true;
       } else if (base == "~") {
-        const Slot* tilde = TildeSlotAt(tm, cand);
+        Route next = extend(comp);
+        const Slot* tilde = TildeSlotAt(tm, next.pos.path);
         if (tilde && tilde->wildcard_name.Matches(s)) {
-          World w2 = w;
-          AddTildeFilter(&w2, pos.rel, pos.type, cand, s);
-          routes.push_back(
-              Route{std::move(w2), Pos{pos.rel, pos.type, cand}});
+          AddTildeFilter(&next.adds, pos.rel, *tilde, s);
+          routes->push_back(std::move(next));
         }
       }
     }
     // Plain-name fallback to an attribute (the paper's Q1 writes $v/type).
     if (!StartsWith(s, "@") && !matched_elem && comps.count("@" + s)) {
-      RelPath cand = pos.path;
-      cand.push_back("@" + s);
-      routes.push_back(Route{w, Pos{pos.rel, pos.type, cand}});
+      routes->push_back(extend("@" + s));
     }
 
     // (2) cross into child types referenced at this position.
     if (!StartsWith(s, "@")) {
       for (const ChildRef* child : ChildRefsAt(tm, pos.path)) {
-        EnterChild(w, pos.rel, pos.type, child->type_name, s, outer,
-                   /*depth=*/0, &routes);
+        EnterChild(from.adds, first, pos.rel, tm, child->type_name, s, outer,
+                   /*depth=*/0, routes);
       }
     }
-    return routes;
   }
 
   std::vector<const ChildRef*> ChildRefsAt(const TypeMapping& tm,
@@ -270,17 +308,17 @@ class Translator {
   }
 
   // Tries to enter child type `child` with step `s` from `parent_rel`
-  // (of non-virtual type `parent_type`), expanding virtual unions and
-  // hopping through top-level references.
-  void EnterChild(const World& w, int parent_rel,
-                  const std::string& parent_type, const std::string& child,
+  // (of non-virtual type `parent`) after `adds`, expanding virtual unions
+  // and hopping through top-level references.
+  void EnterChild(const Delta& adds, size_t first, int parent_rel,
+                  const TypeMapping& parent, const std::string& child,
                   const std::string& s, bool outer, int depth,
                   std::vector<Route>* routes) const {
     if (depth > 8) return;
     const TypeMapping& ctm = m_.GetType(child);
     if (ctm.virtual_union) {
       for (const auto& alt : ctm.union_alternatives) {
-        EnterChild(w, parent_rel, parent_type, alt, s, outer, depth + 1,
+        EnterChild(adds, first, parent_rel, parent, alt, s, outer, depth + 1,
                    routes);
       }
       return;
@@ -291,20 +329,18 @@ class Translator {
     auto try_entry = [&](const std::string& comp) {
       if (!tried.insert(comp).second) return;
       std::string base = map::BaseStep(comp);
+      const Slot* tilde = nullptr;
       if (base == "~") {
-        const Slot* tilde = TildeSlotAt(ctm, {comp});
+        tilde = TildeSlotAt(ctm, {comp});
         if (!tilde || !tilde->wildcard_name.Matches(s)) return;
-        World w2 = w;
-        int rel = JoinChild(&w2.block, parent_rel, parent_type, child, outer);
-        if (rel < 0) return;
-        AddTildeFilter(&w2, rel, child, {comp}, s);
-        routes->push_back(Route{std::move(w2), Pos{rel, child, {comp}}});
-      } else if (base == s) {
-        World w2 = w;
-        int rel = JoinChild(&w2.block, parent_rel, parent_type, child, outer);
-        if (rel < 0) return;
-        routes->push_back(Route{std::move(w2), Pos{rel, child, {comp}}});
+      } else if (base != s) {
+        return;
       }
+      Route r{adds, Pos{-1, &ctm, {comp}}};
+      r.pos.rel = JoinChild(&r.adds, first, parent_rel, parent, ctm, outer);
+      if (r.pos.rel < 0) return;
+      if (tilde) AddTildeFilter(&r.adds, r.pos.rel, *tilde, s);
+      routes->push_back(std::move(r));
     };
     for (const auto& slot : ctm.slots) {
       if (!slot.path.empty() && !StartsWith(slot.path[0], "@")) {
@@ -317,27 +353,28 @@ class Translator {
       } else {
         // Top-level reference inside the child: join the child, then try to
         // enter the grandchild.
-        World w2 = w;
-        int rel = JoinChild(&w2.block, parent_rel, parent_type, child, outer);
+        Delta joined = adds;
+        int rel = JoinChild(&joined, first, parent_rel, parent, ctm, outer);
         if (rel < 0) continue;
-        EnterChild(w2, rel, child, cref.type_name, s, outer, depth + 1,
-                   routes);
+        EnterChild(joined, first, rel, ctm, cref.type_name, s, outer,
+                   depth + 1, routes);
       }
     }
   }
 
-  // Navigates a multi-step path; each element of the result is one complete
-  // route (its own world branch).
-  std::vector<Route> NavigatePath(const World& w, const Pos& start,
+  // Navigates a multi-step path from `start` in a world whose block has
+  // `first` relations; each element of the result is one complete route
+  // (its own world branch).
+  std::vector<Route> NavigatePath(Route start, size_t first,
                                   const std::vector<std::string>& steps,
                                   bool outer) const {
-    std::vector<Route> current = {Route{w, start}};
+    std::vector<Route> current;
+    current.push_back(std::move(start));
     for (const auto& step : steps) {
       std::vector<Route> next;
+      next.reserve(current.size());
       for (const auto& route : current) {
-        std::vector<Route> expanded =
-            StepFrom(route.world, route.pos, step, outer);
-        next.insert(next.end(), expanded.begin(), expanded.end());
+        StepFrom(route, first, step, outer, &next);
       }
       current = std::move(next);
       if (current.empty()) break;
@@ -345,120 +382,143 @@ class Translator {
     return current;
   }
 
-  // Navigates to a scalar value: the terminal position must hold a scalar
-  // slot (the element's own content).
+  // Navigates a path to scalar values: the terminal position must hold a
+  // scalar slot (the element's own content).
   struct ScalarRoute {
-    World world;
+    Delta adds;
     int rel;
-    std::string column;
-    bool nullable = false;
+    const Slot* slot;
   };
   std::vector<ScalarRoute> NavigateToScalar(
-      const World& w, const xq::PathExpr& path) const {
+      Route start, size_t first, const std::vector<std::string>& steps,
+      bool outer) const {
     std::vector<ScalarRoute> out;
-    auto it = w.vars.find(path.var);
-    if (it == w.vars.end()) return out;
-    for (auto& route : NavigatePath(w, it->second, path.steps,
-                                    /*outer=*/false)) {
+    for (auto& route : NavigatePath(std::move(start), first, steps, outer)) {
       if (route.pos.rel < 0) continue;
-      const Slot* slot =
-          ScalarSlotAt(m_.GetType(route.pos.type), route.pos.path);
+      const Slot* slot = ScalarSlotAt(*route.pos.type, route.pos.path);
       if (!slot) continue;
-      out.push_back(ScalarRoute{std::move(route.world), route.pos.rel,
-                                slot->column, slot->optional});
+      out.push_back(ScalarRoute{std::move(route.adds), route.pos.rel, slot});
     }
     return out;
+  }
+
+  // Appends one world per route to `next`: `w` plus the route's additions,
+  // then `finish(route, &world)`. The last route takes `w` itself.
+  template <typename R, typename F>
+  static void Branch(World& w, std::vector<R>& routes,
+                     std::vector<World>* next, F finish) {
+    for (size_t i = 0; i < routes.size(); ++i) {
+      World w2 = i + 1 < routes.size() ? w : std::move(w);
+      std::move(routes[i].adds).ApplyTo(&w2.block);
+      finish(routes[i], &w2);
+      next->push_back(std::move(w2));
+    }
   }
 
   // ---- clause translation ----
 
   Status BindFor(const xq::ForBinding& b, std::vector<World>* worlds,
-                 bool outer_mode) const {
+                 bool outer_mode) {
+    const int var = VarId(b.var);
+    const int source = b.from_document ? -1 : VarId(b.source_var);
     std::vector<World> next;
+    next.reserve(worlds->size());
     for (World& w : *worlds) {
-      if (w.dead) continue;
+      size_t first = w.block.rels.size();
       std::vector<Route> routes;
       if (b.from_document) {
         if (b.steps.empty()) {
           return Status::Unsupported("document() binding needs a path");
         }
-        const std::string& root = m_.schema().root_type();
-        const TypeMapping& rtm = m_.GetType(root);
+        const TypeMapping& rtm = m_.GetType(m_.schema().root_type());
         if (rtm.virtual_union) {
           return Status::Unsupported("virtual root type");
         }
-        World w2 = w;
-        int rel = AddRel(&w2.block, rtm.table);
+        Route start;
+        int rel = AddRel(&start.adds, first, rtm.table);
         // The first step names the root element itself.
         RelPath entry = {b.steps[0]};
         if (ScalarSlotAt(rtm, entry) || HasContentUnder(rtm, entry) ||
             !ChildRefsAt(rtm, entry).empty()) {
-          Pos pos{rel, root, entry};
+          start.pos = Pos{rel, &rtm, std::move(entry)};
           std::vector<std::string> rest(b.steps.begin() + 1, b.steps.end());
-          routes = NavigatePath(w2, pos, rest, /*outer=*/outer_mode);
+          routes = NavigatePath(std::move(start), first, rest,
+                                /*outer=*/outer_mode);
         }
       } else {
-        auto it = w.vars.find(b.source_var);
-        if (it == w.vars.end()) {
+        const Pos* from = w.Var(source);
+        if (!from) {
           return Status::InvalidArgument("unbound variable $" + b.source_var);
         }
-        routes = NavigatePath(w, it->second, b.steps, outer_mode);
+        routes = NavigatePath(Route{{}, *from}, first, b.steps, outer_mode);
       }
       if (routes.empty()) {
         if (outer_mode) {
           // Left outer: keep the world, variable is unbound (NULL columns).
-          World w2 = w;
-          w2.vars[b.var] = Pos{-1, "", {}};
-          next.push_back(std::move(w2));
+          w.Bind(var, Pos{});
+          next.push_back(std::move(w));
         }
         // Inner: binding can never match in this branch; world dropped.
         continue;
       }
-      for (auto& route : routes) {
-        World w2 = std::move(route.world);
-        w2.vars[b.var] = route.pos;
-        next.push_back(std::move(w2));
-      }
+      Branch(w, routes, &next,
+             [&](Route& route, World* w2) { w2->Bind(var, route.pos); });
     }
     *worlds = std::move(next);
     return Status::OK();
   }
 
-  Status ApplyPredicate(const xq::Predicate& p,
-                        std::vector<World>* worlds) const {
+  Status ApplyPredicate(const xq::Predicate& p, std::vector<World>* worlds) {
+    const int lhs_var = VarId(p.lhs.var);
+    const int rhs_var = p.rhs_is_path ? VarId(p.rhs_path.var) : -1;
     std::vector<World> next;
+    next.reserve(worlds->size());
     for (World& w : *worlds) {
-      if (w.dead) continue;
-      std::vector<ScalarRoute> lhs = NavigateToScalar(w, p.lhs);
-      for (auto& route : lhs) {
-        if (!p.rhs_is_path) {
-          World w2 = std::move(route.world);
+      const size_t first = w.block.rels.size();
+      const Pos* from = w.Var(lhs_var);
+      if (!from) continue;  // unbound: predicate unsatisfiable, world dropped
+      std::vector<ScalarRoute> lhs = NavigateToScalar(
+          Route{{}, *from}, first, p.lhs.steps, /*outer=*/false);
+      if (!p.rhs_is_path) {
+        Branch(w, lhs, &next, [&](ScalarRoute& route, World* w2) {
           opt::FilterPred pred;
           pred.rel = route.rel;
-          pred.column = route.column;
+          pred.column = route.slot->column;
           pred.op = p.op;
           pred.value = p.rhs_const;
-          w2.block.filters.push_back(std::move(pred));
-          next.push_back(std::move(w2));
-          continue;
-        }
-        if (p.op != xq::CompareOp::kEq) {
-          return Status::Unsupported("non-equality value joins");
-        }
-        // Value join: navigate the right-hand path inside this route.
-        std::vector<ScalarRoute> rhs =
-            NavigateToScalar(route.world, p.rhs_path);
-        for (auto& rroute : rhs) {
-          World w2 = std::move(rroute.world);
-          opt::JoinEdge edge;
-          edge.left_rel = route.rel;
-          edge.left_column = route.column;
-          edge.right_rel = rroute.rel;
-          edge.right_column = rroute.column;
-          w2.block.joins.push_back(std::move(edge));
-          next.push_back(std::move(w2));
+          w2->block.filters.push_back(std::move(pred));
+        });
+        continue;
+      }
+      if (p.op != xq::CompareOp::kEq && !lhs.empty()) {
+        return Status::Unsupported("non-equality value joins");
+      }
+      // Value join: navigate the right-hand path inside each left route.
+      struct JoinRoute {
+        Delta adds;  // left and right additions
+        const ScalarRoute* left;
+        int rel;
+        const Slot* slot;
+      };
+      std::vector<JoinRoute> joins;
+      const Pos* rfrom = w.Var(rhs_var);
+      for (const ScalarRoute& left : lhs) {
+        if (!rfrom) break;
+        for (auto& right : NavigateToScalar(Route{left.adds, *rfrom}, first,
+                                            p.rhs_path.steps,
+                                            /*outer=*/false)) {
+          joins.push_back(
+              JoinRoute{std::move(right.adds), &left, right.rel, right.slot});
         }
       }
+      Branch(w, joins, &next, [&](JoinRoute& route, World* w2) {
+        opt::JoinEdge edge;
+        edge.left_rel = route.left->rel;
+        edge.left_column = route.left->slot->column;
+        edge.right_rel = route.rel;
+        edge.right_column = route.slot->column;
+        w2->block.joins.push_back(std::move(edge));
+      });
       // No routes: predicate unsatisfiable in this branch; world dropped.
     }
     *worlds = std::move(next);
@@ -466,65 +526,56 @@ class Translator {
   }
 
   Status EmitReturnPath(const xq::PathExpr& path, std::vector<World>* worlds,
-                        bool outer_mode) const {
+                        bool outer_mode) {
+    const int var = VarId(path.var);
     std::string label = path.ToString();
     std::vector<World> next;
+    next.reserve(worlds->size());
     for (World& w : *worlds) {
-      if (w.dead) continue;
-      auto it = w.vars.find(path.var);
+      const Pos* from = w.Var(var);
       std::vector<ScalarRoute> routes;
-      if (it != w.vars.end() && it->second.rel >= 0) {
+      if (from && from->rel >= 0) {
         // Strict projection semantics: a return path is an inner join; a
         // union branch where the path is statically absent dies. Inside an
         // outer-joined subquery the joins preserve the outer rows instead.
-        for (auto& route :
-             NavigatePath(w, it->second, path.steps, /*outer=*/outer_mode)) {
-          if (route.pos.rel < 0) continue;
-          const Slot* slot =
-              ScalarSlotAt(m_.GetType(route.pos.type), route.pos.path);
-          if (!slot) continue;
-          routes.push_back(ScalarRoute{std::move(route.world), route.pos.rel,
-                                       slot->column, slot->optional});
-        }
+        routes = NavigateToScalar(Route{{}, *from}, w.block.rels.size(),
+                                  path.steps, /*outer=*/outer_mode);
       }
       if (routes.empty()) {
         if (outer_mode) {
           // Keep the outer row; the missing value renders as NULL.
-          World w2 = std::move(w);
           opt::ColumnRef ref;
           ref.rel = -1;
           ref.label = label;
-          w2.outputs.push_back(std::move(ref));
-          next.push_back(std::move(w2));
+          w.outputs.push_back(std::move(ref));
+          next.push_back(std::move(w));
         }
         // Strict mode: branch produces no rows; world dropped.
         continue;
       }
-      for (auto& route : routes) {
-        World w2 = std::move(route.world);
+      Branch(w, routes, &next, [&](ScalarRoute& route, World* w2) {
         opt::ColumnRef ref;
         ref.rel = route.rel;
-        ref.column = route.column;
+        ref.column = route.slot->column;
         ref.label = label;
         // Strict projection over a nullable inlined column: rows where the
         // value is absent are filtered out (IS NOT NULL).
-        if (!outer_mode && route.nullable) {
+        if (!outer_mode && route.slot->optional) {
           opt::FilterPred pred;
           pred.rel = route.rel;
-          pred.column = route.column;
+          pred.column = route.slot->column;
           pred.not_null = true;
-          w2.block.filters.push_back(std::move(pred));
+          w2->block.filters.push_back(std::move(pred));
         }
-        w2.outputs.push_back(std::move(ref));
-        next.push_back(std::move(w2));
-      }
+        w2->outputs.push_back(std::move(ref));
+      });
     }
     *worlds = std::move(next);
     return Status::OK();
   }
 
   Status TranslateBody(const xq::Query& q, std::vector<World>* worlds,
-                       bool outer_mode) const {
+                       bool outer_mode) {
     for (const auto& b : q.fors) {
       LEGODB_RETURN_IF_ERROR(BindFor(b, worlds, outer_mode));
     }
@@ -535,9 +586,8 @@ class Translator {
       switch (item->kind) {
         case xq::ReturnItem::Kind::kPath:
           if (item->path.steps.empty()) {
-            for (World& w : *worlds) {
-              if (!w.dead) w.publish_vars.push_back(item->path.var);
-            }
+            int var = VarId(item->path.var);
+            for (World& w : *worlds) w.publish_vars.push_back(var);
           } else {
             LEGODB_RETURN_IF_ERROR(
                 EmitReturnPath(item->path, worlds, outer_mode));
@@ -568,7 +618,7 @@ class Translator {
           const TypeMapping& tm = m_.GetType(name);
           if (!tm.virtual_union) {
             opt::QueryBlock block;
-            int rel = AddRel(&block, tm.table);
+            int rel = AddRel(&block, 0, tm.table);
             AppendAllColumns(&block, rel);
             out->push_back(std::move(block));
           }
@@ -586,7 +636,7 @@ class Translator {
     struct Frame {
       opt::QueryBlock block;
       int rel;
-      std::string type;
+      const TypeMapping* type;
       int depth;
     };
     std::vector<Frame> stack;
@@ -596,7 +646,6 @@ class Translator {
       Frame f = std::move(stack.back());
       stack.pop_back();
       if (f.depth > 8) continue;
-      const TypeMapping& tm = m_.GetType(f.type);
       std::function<void(const std::string&, int)> descend =
           [&](const std::string& child, int vdepth) {
             const TypeMapping& ctm = m_.GetType(child);
@@ -608,20 +657,24 @@ class Translator {
               return;
             }
             opt::QueryBlock block = f.block;
-            int rel = JoinChild(&block, f.rel, f.type, child, /*outer=*/false);
+            int rel = JoinChild(&block, 0, f.rel, *f.type, ctm,
+                                /*outer=*/false);
             if (rel < 0) return;
             opt::QueryBlock leaf = block;
             AppendAllColumns(&leaf, rel);
             out->push_back(std::move(leaf));
             ++emitted;
-            stack.push_back(Frame{std::move(block), rel, child, f.depth + 1});
+            stack.push_back(Frame{std::move(block), rel, &ctm, f.depth + 1});
           };
-      for (const auto& child : tm.children) descend(child.type_name, 0);
+      for (const auto& child : f.type->children) {
+        descend(child.type_name, 0);
+      }
     }
   }
 
   const xq::Query& q_;
   const Mapping& m_;
+  std::map<std::string, int> var_ids_;
 };
 
 }  // namespace

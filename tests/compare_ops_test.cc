@@ -208,6 +208,16 @@ TEST(CompareOps, NonEqualityValueJoinsRejected) {
   auto rq = xlat::TranslateQuery(q.value(), mapping.value());
   EXPECT_FALSE(rq.ok());
   EXPECT_EQ(rq.status().code(), Status::Code::kUnsupported);
+
+  // A left-hand path that resolves nowhere makes the predicate merely
+  // unsatisfiable: no blocks, no error.
+  auto absent = xq::ParseQuery(
+      R"(FOR $a IN document("d")/imdb/show, $b IN document("d")/imdb/show
+         WHERE $a/zzz < $b/year RETURN $a/title)");
+  ASSERT_TRUE(absent.ok());
+  auto none = xlat::TranslateQuery(absent.value(), mapping.value());
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->blocks.empty());
 }
 
 }  // namespace

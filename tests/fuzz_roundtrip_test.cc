@@ -4,19 +4,15 @@
 //  - for each derived configuration (normalized / all-inlined /
 //    all-outlined), shred -> reconstruct is the identity,
 //  - transformations preserve validity of the generated documents.
-//
-// The generator produces locally unambiguous content models (distinct
-// element names per container), matching the shredder's greedy matching
-// contract.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/transforms.h"
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
+#include "schema_fuzzer.h"
 #include "storage/reconstruct.h"
 #include "storage/shredder.h"
 #include "xml/writer.h"
@@ -28,159 +24,6 @@ namespace legodb {
 namespace {
 
 using xs::Schema;
-using xs::Type;
-using xs::TypePtr;
-
-// ---- random schema generation ----
-
-class SchemaFuzzer {
- public:
-  explicit SchemaFuzzer(uint64_t seed) : rng_(seed) {}
-
-  Schema Generate() {
-    Schema schema;
-    int n_types = 1 + static_cast<int>(rng_.Uniform(4));
-    // Define leaf-most types first; type i may reference types > i only
-    // (guarantees finite documents).
-    std::vector<std::string> names;
-    for (int i = n_types - 1; i >= 0; --i) {
-      std::string name = "T" + std::to_string(i);
-      std::vector<std::string> refs = names;  // already-defined types
-      TypePtr body =
-          Type::Element(FreshName(), GenContent(2, refs, /*top=*/true));
-      schema.Define(name, body);
-      names.push_back(name);
-    }
-    // The last defined type is the most "root-like"; make it the root.
-    schema.set_root_type("T0");
-    // Drop unreachable definitions so every type participates.
-    schema.GarbageCollect();
-    return schema;
-  }
-
-  // Generates a document valid under `schema` by construction.
-  xml::NodePtr GenerateDocument(const Schema& schema) {
-    TypePtr body = schema.Get(schema.root_type());
-    xml::NodePtr holder = xml::Node::Element("__holder__");
-    EmitType(schema, body, holder.get(), 0);
-    EXPECT_EQ(holder->children().size(), 1u);
-    return holder->ReleaseChild(0);
-  }
-
- private:
-  std::string FreshName() {
-    return "e" + std::to_string(name_counter_++);
-  }
-
-  TypePtr GenContent(int depth, const std::vector<std::string>& refs,
-                     bool top) {
-    // Sequences of distinct items; depth bounds nesting.
-    int n_items = 1 + static_cast<int>(rng_.Uniform(top ? 4 : 3));
-    std::vector<TypePtr> items;
-    for (int i = 0; i < n_items; ++i) {
-      items.push_back(GenItem(depth, refs));
-    }
-    return Type::Sequence(std::move(items));
-  }
-
-  TypePtr GenItem(int depth, const std::vector<std::string>& refs) {
-    uint64_t pick = rng_.Uniform(10);
-    if (pick < 3 || depth == 0) {  // scalar element
-      return Type::Element(FreshName(), GenScalar());
-    }
-    if (pick < 4) {  // attribute
-      return Type::Attribute("a" + std::to_string(name_counter_++),
-                             GenScalar());
-    }
-    if (pick < 5) {  // optional element
-      return Type::Optional(Type::Element(FreshName(), GenScalar()));
-    }
-    if (pick < 6) {  // nested structure
-      return Type::Element(FreshName(), GenContent(depth - 1, refs, false));
-    }
-    if (pick < 7) {  // wildcard element
-      return Type::Element(xs::NameClass::Any(), GenScalar());
-    }
-    if (pick < 9 && !refs.empty()) {  // repetition of a type ref
-      const std::string& ref = refs[rng_.Uniform(refs.size())];
-      uint32_t min = static_cast<uint32_t>(rng_.Uniform(2));
-      uint32_t max = min + 1 + static_cast<uint32_t>(rng_.Uniform(3));
-      return Type::Repetition(Type::Ref(ref), min, max);
-    }
-    if (!refs.empty() && refs.size() >= 2 && rng_.Bernoulli(0.5)) {
-      // union of two distinct refs
-      return Type::Union({Type::Ref(refs[0]), Type::Ref(refs.back())});
-    }
-    return Type::Element(FreshName(), GenScalar());
-  }
-
-  TypePtr GenScalar() {
-    return rng_.Bernoulli(0.5) ? Type::String() : Type::Integer();
-  }
-
-  // Emits one instance of `t` into `parent`.
-  void EmitType(const Schema& schema, const TypePtr& t, xml::Node* parent,
-                int depth) {
-    if (depth > 24) return;
-    switch (t->kind) {
-      case Type::Kind::kEmpty:
-        return;
-      case Type::Kind::kScalar:
-        parent->AddText(t->scalar_kind == xs::ScalarKind::kInteger
-                            ? std::to_string(rng_.UniformInt(0, 999))
-                            : "s" + rng_.RandomString(4));
-        return;
-      case Type::Kind::kElement: {
-        std::string tag;
-        switch (t->name.kind) {
-          case xs::NameClass::Kind::kLiteral:
-            tag = t->name.name;
-            break;
-          case xs::NameClass::Kind::kAny:
-            tag = "w" + rng_.RandomString(3);
-            break;
-          case xs::NameClass::Kind::kAnyExcept:
-            tag = t->name.name + "x";
-            break;
-        }
-        xml::Node* elem = parent->AddChild(xml::Node::Element(tag));
-        EmitType(schema, t->child, elem, depth + 1);
-        return;
-      }
-      case Type::Kind::kAttribute:
-        parent->SetAttribute(t->name.name,
-                             std::to_string(rng_.UniformInt(0, 99)));
-        return;
-      case Type::Kind::kSequence:
-        for (const auto& c : t->children) {
-          EmitType(schema, c, parent, depth + 1);
-        }
-        return;
-      case Type::Kind::kUnion: {
-        size_t pick = rng_.Uniform(t->children.size());
-        EmitType(schema, t->children[pick], parent, depth + 1);
-        return;
-      }
-      case Type::Kind::kRepetition: {
-        uint32_t span = t->max_occurs == xs::kUnbounded
-                            ? 3
-                            : t->max_occurs - t->min_occurs;
-        uint32_t count =
-            t->min_occurs + static_cast<uint32_t>(rng_.Uniform(span + 1));
-        for (uint32_t i = 0; i < count; ++i) {
-          EmitType(schema, t->child, parent, depth + 1);
-        }
-        return;
-      }
-      case Type::Kind::kTypeRef:
-        EmitType(schema, schema.Get(t->ref_name), parent, depth + 1);
-        return;
-    }
-  }
-
-  Rng rng_;
-  int name_counter_ = 0;
-};
 
 class FuzzRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 

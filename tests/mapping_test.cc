@@ -3,11 +3,18 @@
 // recursive types and wildcards, and statistics propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+
+#include "auction/auction.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
+#include "schema_fuzzer.h"
 #include "xschema/annotate.h"
 #include "xschema/schema_parser.h"
+#include "xschema/stats_collector.h"
 
 namespace legodb::map {
 namespace {
@@ -209,6 +216,76 @@ TEST(MapStats, RecursiveCountsConverge) {
   ASSERT_TRUE(mapping.ok());
   // presence defaults to 0.5: N rows = 1/(1-0.5) = 2.
   EXPECT_NEAR(mapping->catalog().GetTable("N").row_count, 2, 0.1);
+}
+
+// The instance-count fixpoint as a plain 64-iteration loop over
+// name-keyed maps: the reference the mapper's early-exit iteration must
+// reproduce bit for bit.
+std::map<std::string, double> ReferenceCounts(const Mapping& m) {
+  constexpr double kMaxInstances = 1e12;
+  const std::string& root = m.schema().root_type();
+  std::map<std::string, double> counts;
+  counts[root] = 1;
+  for (int iter = 0; iter < 64; ++iter) {
+    std::map<std::string, double> next;
+    next[root] = 1;
+    for (const auto& [name, tm] : m.types()) {
+      double n = counts.count(name) ? counts[name] : 0;
+      if (n <= 0) continue;
+      for (const auto& child : tm.children) {
+        double& slot = next[child.type_name];
+        slot = std::min(kMaxInstances, slot + n * child.expected_per_parent);
+      }
+    }
+    counts = std::move(next);
+  }
+  return counts;
+}
+
+// Maps `pschema` and requires every type's instance count to equal the
+// reference bit for bit; returns the largest count.
+double ExpectCountsMatchReference(const xs::Schema& pschema) {
+  auto mapping = MapSchema(pschema);
+  EXPECT_TRUE(mapping.ok()) << mapping.status().ToString();
+  if (!mapping.ok()) return 0;
+  std::map<std::string, double> ref = ReferenceCounts(*mapping);
+  double largest = 0;
+  for (const auto& [name, tm] : mapping->types()) {
+    double want = ref.count(name) ? ref[name] : 0;
+    EXPECT_EQ(std::bit_cast<uint64_t>(tm.instance_count),
+              std::bit_cast<uint64_t>(want))
+        << name << ": " << tm.instance_count << " vs " << want << "\n"
+        << pschema.ToString();
+    largest = std::max(largest, tm.instance_count);
+  }
+  return largest;
+}
+
+TEST(MapStats, CountsMatchFullIteration) {
+  xs::Schema imdb = AnnotatedImdb();
+  ExpectCountsMatchReference(ps::AllInlined(imdb));
+  ExpectCountsMatchReference(ps::AllOutlined(imdb));
+
+  xs::StatsCollector collector;
+  collector.AddDocument(auction::Generate(auction::AuctionScale{}));
+  ExpectCountsMatchReference(ps::Normalize(
+      xs::AnnotateSchema(auction::Schema().value(), collector.Finish())));
+
+  // Converging recursion (RecursiveCountsConverge's schema).
+  auto converging = ParseSchema("type R = r[ N ] type N = n[ N{0,1}<#0> ]");
+  ASSERT_TRUE(converging.ok());
+  ExpectCountsMatchReference(ps::Normalize(converging.value()));
+
+  // Diverging recursion: 3.5 children per node, so the counts hit the cap.
+  auto diverging = ParseSchema("type R = r[ N ] type N = n[ N{2,5} ]");
+  ASSERT_TRUE(diverging.ok());
+  EXPECT_EQ(ExpectCountsMatchReference(ps::Normalize(diverging.value())),
+            1e12);
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    xs::Schema schema = SchemaFuzzer(seed).Generate();
+    ExpectCountsMatchReference(ps::AllOutlined(schema));
+  }
 }
 
 TEST(MapStats, TotalBytesIsPositive) {

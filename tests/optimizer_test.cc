@@ -525,7 +525,7 @@ struct GoldenTotals {
 // and each configuration one inline or outline move away from either.
 void DigestNeighbourhood(const xs::Schema& annotated,
                          const std::vector<core::Workload>& workloads,
-                         GoldenTotals* totals) {
+                         const CostParams& params, GoldenTotals* totals) {
   core::TransformOptions moves;
   moves.inline_types = true;
   moves.outline_elements = true;
@@ -539,7 +539,6 @@ void DigestNeighbourhood(const xs::Schema& annotated,
       configs.push_back(std::move(next).value());
     }
   }
-  CostParams params;
   for (const xs::Schema& config : configs) {
     auto mapping = map::MapSchema(config);
     ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
@@ -567,11 +566,9 @@ void DigestNeighbourhood(const xs::Schema& annotated,
   }
 }
 
-// Pins every plan the optimizer picks for the paper's IMDB lookup and
-// publish workloads and the auction workloads, across the neighbourhoods
-// the greedy searches start from — a bit-for-bit regression gate for the
-// join enumeration (split order, tie-breaks, estimates).
-TEST(OptimizerGolden, PlansMatchRecordedDigest) {
+// Digests the IMDB lookup/publish and auction bidding/export neighbourhoods
+// under `params`.
+GoldenTotals DigestPaperWorkloads(const CostParams& params) {
   GoldenTotals totals;
   {
     xs::Schema annotated = xs::AnnotateSchema(
@@ -579,7 +576,7 @@ TEST(OptimizerGolden, PlansMatchRecordedDigest) {
     std::vector<core::Workload> workloads = {
         imdb::MakeWorkload("lookup").value(),
         imdb::MakeWorkload("publish").value()};
-    DigestNeighbourhood(annotated, workloads, &totals);
+    DigestNeighbourhood(annotated, workloads, params, &totals);
   }
   {
     xs::StatsCollector collector;
@@ -589,8 +586,17 @@ TEST(OptimizerGolden, PlansMatchRecordedDigest) {
     std::vector<core::Workload> workloads = {
         auction::MakeWorkload("bidding").value(),
         auction::MakeWorkload("export").value()};
-    DigestNeighbourhood(annotated, workloads, &totals);
+    DigestNeighbourhood(annotated, workloads, params, &totals);
   }
+  return totals;
+}
+
+// Pins every plan the optimizer picks for the paper's IMDB lookup and
+// publish workloads and the auction workloads, across the neighbourhoods
+// the greedy searches start from — a bit-for-bit regression gate for the
+// join enumeration (split order, tie-breaks, estimates).
+TEST(OptimizerGolden, PlansMatchRecordedDigest) {
+  GoldenTotals totals = DigestPaperWorkloads(CostParams{});
   ASSERT_FALSE(HasFatalFailure());
   // Coverage: the neighbourhoods reach past dp_rel_limit into greedy.
   EXPECT_EQ(totals.greedy_blocks, 50);
@@ -598,6 +604,23 @@ TEST(OptimizerGolden, PlansMatchRecordedDigest) {
   // Recorded from the map-memo DP that enumerated every subset.
   EXPECT_EQ(totals.blocks, 2815);
   EXPECT_EQ(totals.digest.value(), 0xc58cd3b5e3970cafull);
+}
+
+// The same neighbourhoods with paged IO terms and indexes on predicate
+// columns: pins the page-size and index-on-predicates branches of the
+// access-path and index-nested-loops costing, which the default digest
+// never takes.
+TEST(OptimizerGolden, PagedIndexedPlansMatchRecordedDigest) {
+  CostParams params;
+  params.page_size = 8192;
+  params.index_on_predicates = true;
+  GoldenTotals totals = DigestPaperWorkloads(params);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(totals.greedy_blocks, 50);
+  EXPECT_EQ(totals.blocks, 2815);
+  // Recorded before the per-edge index-nested-loops terms were
+  // precomputed.
+  EXPECT_EQ(totals.digest.value(), 0x0189fb7538624176ull);
 }
 
 TEST(QueryBlockSql, RendersSelectFromWhere) {

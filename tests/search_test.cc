@@ -275,6 +275,92 @@ TEST(CostCacheTest, FingerprintSeparatesSwappedColumnStats) {
   EXPECT_NE(cost_a->total, cost_b->total);
 }
 
+// The cost-cache key hashes the translated query's structure directly:
+// changing any field QueryBlock::ToSql renders must change the key, and two
+// independent translations of one query under equal catalogs share it.
+TEST(CostCacheTest, FingerprintSeparatesEveryRenderedField) {
+  xs::Schema config = ps::AllOutlined(AnnotatedImdb());
+  auto mapping = map::MapSchema(config);
+  auto again = map::MapSchema(config);
+  ASSERT_TRUE(mapping.ok());
+  ASSERT_TRUE(again.ok());
+  Workload lookup = Lookup();
+  const WorkloadQuery* q8 = nullptr;
+  for (const auto& wq : lookup.queries) {
+    if (wq.name == "Q8") q8 = &wq;
+  }
+  ASSERT_NE(q8, nullptr);
+  auto translated = xlat::TranslateQuery(q8->query, *mapping);
+  auto retranslated = xlat::TranslateQuery(q8->query, *again);
+  ASSERT_TRUE(translated.ok());
+  ASSERT_TRUE(retranslated.ok());
+  const opt::RelQuery& base = *translated;
+  ASSERT_FALSE(base.blocks.empty());
+  const opt::QueryBlock& b0 = base.blocks[0];
+  ASSERT_GE(b0.rels.size(), 2u);
+  ASSERT_FALSE(b0.output.empty());
+  ASSERT_FALSE(b0.joins.empty());
+  ASSERT_FALSE(b0.filters.empty());
+  ASSERT_FALSE(b0.filters[0].not_null);
+  ASSERT_EQ(b0.filters[0].value.kind, xq::Constant::Kind::kSymbol);
+
+  const rel::Catalog& catalog = mapping->catalog();
+  const uint64_t key = CostCacheFingerprint(base, catalog);
+  EXPECT_EQ(CostCacheFingerprint(*retranslated, again->catalog()), key);
+
+  std::string other_table;  // any catalog table but rel 0's
+  for (const auto& name : catalog.table_names()) {
+    if (name != b0.rels[0].table) other_table = name;
+  }
+  auto changed = [&](const char* field, auto mutate) {
+    opt::RelQuery q = base;
+    opt::QueryBlock& b = q.blocks[0];
+    mutate(q, b);
+    EXPECT_NE(CostCacheFingerprint(q, catalog), key) << field;
+  };
+  using Q = opt::RelQuery;
+  using B = opt::QueryBlock;
+  changed("table", [&](Q&, B& b) { b.rels[0].table = other_table; });
+  changed("alias", [](Q&, B& b) { b.rels[0].alias += "x"; });
+  changed("output rel", [&](Q&, B& b) {
+    b.output[0].rel = b.output[0].rel == 0 ? 1 : 0;
+  });
+  changed("output column", [](Q&, B& b) { b.output[0].column += "x"; });
+  changed("join left rel", [&](Q&, B& b) {
+    b.joins[0].left_rel = b.joins[0].left_rel == 0 ? 1 : 0;
+  });
+  changed("join right rel", [&](Q&, B& b) {
+    b.joins[0].right_rel = b.joins[0].right_rel == 0 ? 1 : 0;
+  });
+  changed("join left column", [](Q&, B& b) { b.joins[0].left_column += "x"; });
+  changed("join right column",
+          [](Q&, B& b) { b.joins[0].right_column += "x"; });
+  changed("left_outer",
+          [](Q&, B& b) { b.joins[0].left_outer = !b.joins[0].left_outer; });
+  changed("filter rel", [&](Q&, B& b) {
+    b.filters[0].rel = b.filters[0].rel == 0 ? 1 : 0;
+  });
+  changed("filter column", [](Q&, B& b) { b.filters[0].column += "x"; });
+  changed("filter op", [](Q&, B& b) { b.filters[0].op = xq::CompareOp::kLt; });
+  changed("constant kind", [](Q&, B& b) {
+    b.filters[0].value = xq::Constant::Str(b.filters[0].value.symbol);
+  });
+  changed("symbol payload", [](Q&, B& b) { b.filters[0].value.symbol += "x"; });
+  changed("not_null", [](Q&, B& b) { b.filters[0].not_null = true; });
+  changed("block count", [](Q& q, B& b) { q.blocks.push_back(b); });
+  changed("publish", [](Q& q, B&) { q.publish = !q.publish; });
+
+  // Payloads of the other constant kinds.
+  auto with_value = [&](xq::Constant c) {
+    opt::RelQuery q = base;
+    q.blocks[0].filters[0].value = std::move(c);
+    return CostCacheFingerprint(q, catalog);
+  };
+  EXPECT_NE(with_value(xq::Constant::Int(1)), with_value(xq::Constant::Int(2)));
+  EXPECT_NE(with_value(xq::Constant::Str("a")),
+            with_value(xq::Constant::Str("b")));
+}
+
 // Every (configuration, query) pair is either planned or served from the
 // fingerprint cache, exactly once — so the counters tie out against the
 // number of configurations costed, at any thread count. The obs counters
