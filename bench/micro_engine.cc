@@ -1,11 +1,14 @@
 // Google-benchmark microbenchmarks of the substrate components: XML
-// parsing, validation, shredding, reconstruction, and query execution.
+// parsing, validation, shredding, reconstruction, query execution, and the
+// hash index every equality probe goes through.
 //
 // The reference-vs-batched executor equality check runs unconditionally in
 // main() before any benchmark (even with --benchmark_filter), and a
 // mismatch exits nonzero.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <random>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -14,6 +17,7 @@
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
 #include "optimizer/optimizer.h"
+#include "storage/database.h"
 #include "storage/reconstruct.h"
 #include "storage/shredder.h"
 #include "translate/translate.h"
@@ -191,6 +195,52 @@ void BM_ExecuteLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteLookup);
+
+// A 100k-row join-key column: integer ids (argument 0) or strings
+// (argument 1), about four rows per distinct key, as in a foreign key.
+const store::ColumnVector& KeyColumn(bool strings) {
+  static const auto* columns = [] {
+    auto* cols = new std::array<store::ColumnVector, 2>();
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<int64_t> key(0, 24999);
+    for (int i = 0; i < 100000; ++i) {
+      int64_t k = key(rng);
+      (*cols)[0].Append(Value::Int(k));
+      (*cols)[1].Append(Value::Str("title" + std::to_string(k)));
+    }
+    return cols;
+  }();
+  return (*columns)[strings ? 1 : 0];
+}
+
+void BM_HashIndexBuild(benchmark::State& state) {
+  const store::ColumnVector& column = KeyColumn(state.range(0) != 0);
+  for (auto _ : state) {
+    store::HashIndex index(column);
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(column.size()));
+}
+BENCHMARK(BM_HashIndexBuild)->Arg(0)->Arg(1);
+
+// One probe per row of the column, through the typed FindInt for integer
+// keys and Find for strings (the hash-join probe loop's two paths).
+void BM_HashIndexProbe(benchmark::State& state) {
+  const store::ColumnVector& column = KeyColumn(state.range(0) != 0);
+  store::HashIndex index(column);
+  for (auto _ : state) {
+    size_t hits = 0;
+    for (size_t r = 0; r < column.size(); ++r) {
+      hits += column.typed_int() ? index.FindInt(column.ints()[r]).size()
+                                 : index.Find(column.value(r)).size();
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(column.size()));
+}
+BENCHMARK(BM_HashIndexProbe)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -4,7 +4,8 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "engine/expr_vm.h"
@@ -307,7 +308,7 @@ class IndexLookupOp : public Operator {
         filter_.Bind(prep_.filter, node_->rel, *ctx_->params));
     LEGODB_ASSIGN_OR_RETURN(Value key,
                             ResolveConstant(*ctx_->params, *prep_.driver));
-    hits_ = &prep_.index->Find(key);
+    hits_ = prep_.index->Find(key);
     return Charge(table(node_->rel)->SeekIo());
   }
 
@@ -317,13 +318,10 @@ class IndexLookupOp : public Operator {
     // As in SeqScan: empty output means EOS, so drain candidate vectors
     // until a row survives the residual filter (polling for interruption,
     // as in SeqScan).
-    while (col.empty() && pos_ < hits_->size()) {
+    while (col.empty() && pos_ < hits_.size()) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->batch_size, hits_->size() - pos_);
-      cand_.resize(take);
-      for (size_t i = 0; i < take; ++i) {
-        cand_[i] = static_cast<int32_t>((*hits_)[pos_ + i]);
-      }
+      size_t take = std::min(ctx_->batch_size, hits_.size() - pos_);
+      cand_.assign(hits_.begin() + pos_, hits_.begin() + pos_ + take);
       pos_ += take;
       LEGODB_RETURN_IF_ERROR(
           Charge(table(node_->rel)->FetchRows(cand_.data(), take)));
@@ -342,7 +340,7 @@ class IndexLookupOp : public Operator {
  private:
   ScanFilter filter_;
   std::vector<int32_t> cand_;
-  const std::vector<size_t>* hits_ = nullptr;
+  std::span<const int32_t> hits_;
   size_t pos_ = 0;
 };
 
@@ -395,6 +393,14 @@ struct JoinCandidates {
     }
   }
 };
+
+// The positions of `index` whose key equals row `r` of `key` (non-null):
+// int64 keys on both sides skip Value hashing and comparison.
+std::span<const int32_t> Probe(const HashIndex& index, const ColumnVector& key,
+                               int32_t r) {
+  return key.typed_int() && index.int_keys() ? index.FindInt(key.ints()[r])
+                                             : index.Find(key.value(r));
+}
 
 // Gathers every bound relation column of `in` at `lanes` into the same
 // relation's column of `out` (unbound relations are left untouched).
@@ -498,10 +504,13 @@ class SpilledBuild {
 // matches per probe lane come in build order, so output order is identical
 // to the materializing reference executor at any batch size.
 //
-// When ProbesSharedIndex() holds, the build child is never constructed:
-// the join probes the build table's shared hash index instead (same row
-// order, so same output), so repeated queries stop re-hashing the build
-// side on every execution. It still charges the scan it stands in for.
+// Every probe goes through one HashIndex. When ProbesSharedIndex() holds,
+// the build child is never constructed: the join probes the build table's
+// shared index (its positions are row indices, in the order a scan would
+// produce them, so the output is the same), so repeated queries stop
+// re-hashing the build side on every execution. It still charges the scan
+// it stands in for. Otherwise the join builds a private index over the
+// materialized build side, whose positions are build ordinals.
 class HashJoinOp : public Operator {
  public:
   // `build` is null when the join probes the shared index.
@@ -524,7 +533,7 @@ class HashJoinOp : public Operator {
     int build_rel = node_->right_join_rel;
     StoredTable* build_table = table(build_rel);
     if (build_ == nullptr) {
-      shared_index_ = prep_.index;
+      index_ = prep_.index;
       build_bound_[build_rel] = 1;
       // The unfiltered scan the index stands in for — charged through the
       // same storage calls SeqScan makes — plus the join's build input.
@@ -552,21 +561,10 @@ class HashJoinOp : public Operator {
       }
       count += bin.lanes;
     } while (bin.lanes > 0);
-    const std::vector<int32_t>* brows =
-        build_bound_[build_rel] ? &build_cols_[build_rel] : nullptr;
-    // Integer join keys (the common case: ids) key an int64 table directly,
-    // skipping Value hashing/equality on every build row and probe lane.
-    const ColumnVector& build_key = *prep_.right_key;
-    typed_keys_ = build_key.typed_int() && prep_.left_key->typed_int();
-    for (size_t i = 0; i < count; ++i) {
-      int32_t r = brows ? (*brows)[i] : kUnboundRow;
-      if (r < 0 || build_key.is_null(r)) continue;
-      if (typed_keys_) {
-        int_table_[build_key.ints()[r]].push_back(static_cast<int32_t>(i));
-      } else {
-        table_[build_key.value(r)].push_back(static_cast<int32_t>(i));
-      }
-    }
+    // A build side that never binds the build relation has no keys.
+    std::span<const int32_t> brows;
+    if (build_bound_[build_rel]) brows = build_cols_[build_rel];
+    index_ = &local_index_.emplace(*prep_.right_key, brows);
     stats().tuples_processed += static_cast<double>(count);
 
     // Spill oversized build sides to temp pages (paged backend only): the
@@ -607,19 +605,7 @@ class HashJoinOp : public Operator {
       for (size_t l = 0; l < in_.lanes; ++l) {
         int32_t r = prow.empty() ? kUnboundRow : prow[l];
         if (r >= 0 && !probe_key.is_null(r)) {
-          if (shared_index_) {
-            for (size_t idx : shared_index_->Find(probe_key.value(r))) {
-              cand_.Add(l, static_cast<int32_t>(idx));
-            }
-          } else if (typed_keys_) {
-            if (auto it = int_table_.find(probe_key.ints()[r]);
-                it != int_table_.end()) {
-              for (int32_t ordinal : it->second) cand_.Add(l, ordinal);
-            }
-          } else if (auto it = table_.find(probe_key.value(r));
-                     it != table_.end()) {
-            for (int32_t ordinal : it->second) cand_.Add(l, ordinal);
-          }
+          for (int32_t pos : Probe(*index_, probe_key, r)) cand_.Add(l, pos);
         }
         cand_.CloseGroup(l);
       }
@@ -650,7 +636,7 @@ class HashJoinOp : public Operator {
   // ordinals already are the build table's row indices.
   Status GatherBuild(size_t r, const int32_t* ords, size_t n,
                      std::vector<int32_t>* dst) {
-    if (shared_index_) {
+    if (build_ == nullptr) {
       dst->assign(ords, ords + n);
       return Status::OK();
     }
@@ -686,13 +672,11 @@ class HashJoinOp : public Operator {
   std::unique_ptr<Operator> probe_;
   std::unique_ptr<Operator> build_;
   ExprProgram residuals_;
-  const HashIndex* shared_index_ = nullptr;  // fast path when non-null
+  const HashIndex* index_ = nullptr;  // the shared index or local_index_
+  std::optional<HashIndex> local_index_;  // keyed build side, when built
   std::unique_ptr<SpilledBuild> spill_;  // build cols on temp pages when set
   std::vector<std::vector<int32_t>> build_cols_;  // materialized build side
   std::vector<uint8_t> build_bound_;
-  bool typed_keys_ = false;
-  std::unordered_map<Value, std::vector<int32_t>, ValueHash> table_;
-  std::unordered_map<int64_t, std::vector<int32_t>> int_table_;
   ColumnBatch in_;
   JoinCandidates cand_;
   std::vector<std::vector<int32_t>> gather_;
@@ -736,10 +720,9 @@ class IndexNLJoinOp : public Operator {
       for (size_t l = 0; l < in_.lanes; ++l) {
         int32_t r = orow.empty() ? kUnboundRow : orow[l];
         if (r >= 0 && !outer_key.is_null(r)) {
-          const std::vector<size_t>& hits =
-              prep_.index->Find(outer_key.value(r));
+          std::span<const int32_t> hits = Probe(*prep_.index, outer_key, r);
           stats().tuples_processed += static_cast<double>(hits.size());
-          for (size_t idx : hits) cand_.Add(l, static_cast<int32_t>(idx));
+          for (int32_t idx : hits) cand_.Add(l, idx);
         }
         cand_.CloseGroup(l);
       }

@@ -1,6 +1,7 @@
 #include "engine/reference_executor.h"
 
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -172,14 +173,14 @@ class ReferenceBlockExecutor {
         LEGODB_ASSIGN_OR_RETURN(Value key, ResolveConstant(driver->value));
         LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
                                 t.GetOrBuildIndex(p->index_column));
-        const std::vector<size_t>& hits = index->Find(key);
+        std::span<const int32_t> hits = index->Find(key);
         e_->stats_.seeks += 1 + static_cast<double>(hits.size());
         e_->stats_.tuples_processed += static_cast<double>(hits.size());
         e_->stats_.bytes_read +=
             static_cast<double>(hits.size()) * RowWidth(p->rel);
         std::vector<Binding> out;
-        for (size_t idx : hits) {
-          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(idx));
+        for (int32_t idx : hits) {
+          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(static_cast<size_t>(idx)));
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
           if (pass) out.push_back(NewBinding(p->rel, Keep(std::move(row))));
@@ -250,14 +251,14 @@ class ReferenceBlockExecutor {
           bool matched = false;
           e_->stats_.seeks += 1;
           if (row && !(*row)[outer_col].is_null()) {
-            const std::vector<size_t>& hits =
-                index->Find((*row)[outer_col]);
+            std::span<const int32_t> hits = index->Find((*row)[outer_col]);
             e_->stats_.seeks += static_cast<double>(hits.size());
             e_->stats_.tuples_processed += static_cast<double>(hits.size());
             e_->stats_.bytes_read +=
                 static_cast<double>(hits.size()) * RowWidth(p->rel);
-            for (size_t idx : hits) {
-              LEGODB_ASSIGN_OR_RETURN(Row irow, inner.ReadRow(idx));
+            for (int32_t idx : hits) {
+              LEGODB_ASSIGN_OR_RETURN(Row irow,
+                                      inner.ReadRow(static_cast<size_t>(idx)));
               LEGODB_ASSIGN_OR_RETURN(bool pass,
                                       PassFilters(p->rel, irow, p->filters));
               if (!pass) continue;

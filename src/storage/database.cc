@@ -1,7 +1,9 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 
 #include "common/check.h"
 
@@ -175,12 +177,88 @@ bool NonInt(const Value& v) { return !v.is_null() && !v.is_int(); }
 
 }  // namespace
 
-const std::vector<size_t> HashIndex::kEmpty;
-
 HashIndex::HashIndex(const ColumnVector& column) {
-  for (size_t i = 0; i < column.size(); ++i) {
-    if (column.is_null(i)) continue;
-    map_[column.value(i)].push_back(i);
+  Build(column, nullptr, column.size());
+}
+
+HashIndex::HashIndex(const ColumnVector& column,
+                     std::span<const int32_t> rows) {
+  Build(column, rows.data(), rows.size());
+}
+
+uint64_t HashIndex::HashValue(const Value& v) {
+  if (v.is_int()) return HashInt(v.as_int());
+  return std::hash<std::string>()(v.as_string());
+}
+
+std::span<const int32_t> HashIndex::Find(const Value& key) const {
+  if (key.is_int()) return FindInt(key.as_int());
+  if (key.is_null() || int_keyed_) return {};
+  const size_t mask = slots_.size() - 1;
+  const uint64_t h = HashValue(key);
+  for (size_t s = h & mask;; s = (s + 1) & mask) {
+    const int32_t g = slots_[s];
+    if (g < 0) return {};
+    if (hashes_[g] == h && keys_[g] == key) return Group(g);
+  }
+}
+
+void HashIndex::Build(const ColumnVector& column, const int32_t* rows,
+                      size_t n) {
+  LEGODB_CHECK(n <= static_cast<size_t>(INT32_MAX),
+               "HashIndex: more positions than int32 row ids address");
+  int_keyed_ = column.typed_int();
+  const int64_t* ints = column.ints();
+  // Pass 1: the group of every indexed position (-1 = skipped), counting
+  // each group's positions. At most n groups, so 2n slots keep the load
+  // factor at or below one half.
+  size_t cap = 2;
+  while (cap < 2 * n) cap <<= 1;
+  slots_.assign(cap, -1);
+  const size_t mask = cap - 1;
+  std::vector<int32_t> group_of(n, -1);
+  std::vector<int32_t> counts;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t r = rows ? rows[i] : static_cast<int32_t>(i);
+    if (r < 0 || column.is_null(static_cast<size_t>(r))) continue;
+    int32_t g = -1;
+    if (int_keyed_) {
+      const int64_t key = ints[r];
+      size_t s = HashInt(key) & mask;
+      while ((g = slots_[s]) >= 0 && int_keys_[g] != key) s = (s + 1) & mask;
+      if (g < 0) {
+        g = slots_[s] = static_cast<int32_t>(int_keys_.size());
+        int_keys_.push_back(key);
+        counts.push_back(0);
+      }
+    } else {
+      const Value& key = column.value(static_cast<size_t>(r));
+      const uint64_t h = HashValue(key);
+      size_t s = h & mask;
+      while ((g = slots_[s]) >= 0 && (hashes_[g] != h || keys_[g] != key)) {
+        s = (s + 1) & mask;
+      }
+      if (g < 0) {
+        g = slots_[s] = static_cast<int32_t>(keys_.size());
+        keys_.push_back(key);
+        hashes_.push_back(h);
+        counts.push_back(0);
+      }
+    }
+    group_of[i] = g;
+    ++counts[g];
+  }
+  // Pass 2: prefix sums, then every position into its group's run in
+  // input order, so each run is ascending.
+  starts_.assign(counts.size() + 1, 0);
+  for (size_t g = 0; g < counts.size(); ++g) {
+    starts_[g + 1] = starts_[g] + counts[g];
+  }
+  rows_.resize(static_cast<size_t>(starts_.back()));
+  std::vector<int32_t>& next = counts;  // reused: next free slot per group
+  std::copy(starts_.begin(), starts_.end() - 1, next.begin());
+  for (size_t i = 0; i < n; ++i) {
+    if (group_of[i] >= 0) rows_[next[group_of[i]]++] = static_cast<int32_t>(i);
   }
 }
 

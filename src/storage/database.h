@@ -6,8 +6,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -21,24 +21,72 @@ using Row = std::vector<Value>;
 
 class ColumnVector;
 
-// An equality (hash) index over one column of a StoredTable. Immutable once
-// built — built under the table's registry lock and published as a const
-// pointer, so any number of concurrent queries may probe it without further
-// synchronization.
+// An equality (hash) index over one column: key -> the ascending positions
+// that hold it. One flat layout serves both a StoredTable's shared index
+// (positions are row indices) and a hash join's private build side
+// (positions are build ordinals):
+//  - slots_: power-of-two open-addressing table of group ids (-1 = empty);
+//  - per group its key: an int64 when the column is typed_int(), otherwise
+//    a Value plus its cached hash;
+//  - CSR starts_/rows_: group g's positions are rows_[starts_[g],
+//    starts_[g + 1]), filled by a counting pass so they stay ascending.
+// Equality is exact Value equality: NULL never matches and Int(5) does not
+// equal Str("5"). Immutable once built — shared indexes are built under the
+// table's registry lock and published as a const pointer, so any number of
+// concurrent queries may probe one without further synchronization.
 class HashIndex {
  public:
-  // Builds from the column's shadow (see StoredTable::GetOrBuildIndex).
+  // Every non-null row of `column` (see StoredTable::GetOrBuildIndex); the
+  // positions are row indices.
   explicit HashIndex(const ColumnVector& column);
+  // The non-null rows of `column` named by `rows` (negative entries are
+  // unbound lanes and are skipped); the positions are ordinals into `rows`.
+  HashIndex(const ColumnVector& column, std::span<const int32_t> rows);
 
-  // Row indices whose indexed column equals `key`; empty vector when none.
-  const std::vector<size_t>& Find(const Value& key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? kEmpty : it->second;
+  // True when keys are int64 (the column was typed_int()).
+  bool int_keys() const { return int_keyed_; }
+
+  // Positions whose key equals `key`; empty when none (always for NULL).
+  std::span<const int32_t> Find(const Value& key) const;
+  // Find(Value::Int(key)) without building the Value.
+  std::span<const int32_t> FindInt(int64_t key) const {
+    const size_t mask = slots_.size() - 1;
+    const uint64_t h = HashInt(key);
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+      const int32_t g = slots_[s];
+      if (g < 0) return {};
+      if (int_keyed_ ? int_keys_[g] == key
+                     : hashes_[g] == h && keys_[g].is_int() &&
+                           keys_[g].as_int() == key) {
+        return Group(g);
+      }
+    }
   }
 
  private:
-  static const std::vector<size_t> kEmpty;
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> map_;
+  static uint64_t HashInt(int64_t v) {  // splitmix64 finalizer
+    uint64_t x = static_cast<uint64_t>(v);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+  static uint64_t HashValue(const Value& v);
+
+  // `rows` null: every row of `column`, positions are row indices.
+  void Build(const ColumnVector& column, const int32_t* rows, size_t n);
+
+  std::span<const int32_t> Group(int32_t g) const {
+    return {rows_.data() + starts_[g],
+            static_cast<size_t>(starts_[g + 1] - starts_[g])};
+  }
+
+  bool int_keyed_ = false;
+  std::vector<int32_t> slots_;     // group id per slot, -1 when empty
+  std::vector<int64_t> int_keys_;  // per group, when int-keyed
+  std::vector<Value> keys_;        // per group, otherwise
+  std::vector<uint64_t> hashes_;   // per group, beside keys_
+  std::vector<int32_t> starts_;    // CSR offsets, one per group plus one
+  std::vector<int32_t> rows_;      // positions grouped by key
 };
 
 // One column of a StoredTable: the per-row values of the column laid out

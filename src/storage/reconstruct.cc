@@ -1,6 +1,7 @@
 #include "storage/reconstruct.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/obs.h"
 #include "pschema/pschema.h"
@@ -48,11 +49,11 @@ class Reconstructor {
     StoredTable& table = db_->GetTable(tm->table);
     LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
                             table.GetOrBuildIndex(table.meta().key_column));
-    const std::vector<size_t>& hits = index->Find(Value::Int(id));
+    std::span<const int32_t> hits = index->FindInt(id);
     if (hits.empty()) {
       return Status::NotFound("no row with id " + std::to_string(id));
     }
-    return hits[0];
+    return static_cast<size_t>(hits[0]);
   }
 
  private:
@@ -122,8 +123,9 @@ class Reconstructor {
     LEGODB_ASSIGN_OR_RETURN(const HashIndex* index, table.GetOrBuildIndex(fk));
     LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
                             table.GetOrBuildColumn(table.meta().key_column));
-    for (size_t idx : index->Find(Value::Int(ctx.self_id))) {
-      out->push_back(ChildRow{keys->value(idx).as_int(), ref_type, idx});
+    for (int32_t idx : index->FindInt(ctx.self_id)) {
+      const size_t row = static_cast<size_t>(idx);
+      out->push_back(ChildRow{keys->value(row).as_int(), ref_type, row});
     }
     return Status::OK();
   }

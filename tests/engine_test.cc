@@ -5,6 +5,7 @@
 
 #include "engine/executor.h"
 #include "engine/explain_analyze.h"
+#include "engine/prepared.h"
 #include "engine/reference_executor.h"
 #include "obs/obs.h"
 #include "mapping/mapping.h"
@@ -374,6 +375,132 @@ TEST_F(EngineTest, OuterJoinStillEmitsMatchesThatPassResiduals) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), 3u);
   for (const auto& row : r->rows) EXPECT_FALSE(row[0].is_null());
+}
+
+// --- Join keys of mixed kinds ----------------------------------------------
+// Equi-joins between an integer-only column (A.k) and one holding integers,
+// numeric-looking strings and NULLs (B.v) compare exact Values: Int(5)
+// matches Int(5) but never Str("5"), and NULL matches nothing. Every hash
+// table path must agree with the reference executor row for row.
+
+rel::Table KeyTable(const std::string& name, const std::string& key_column) {
+  rel::Table t;
+  t.name = name;
+  t.key_column = name + "_id";
+  rel::Column id, key;
+  id.name = t.key_column;
+  key.name = key_column;
+  key.nullable = true;
+  t.columns = {id, key};
+  return t;
+}
+
+// Rel `probe` joins the other rel (0 = A on k, 1 = B on v) through `path`:
+// a HashJoin probing the shared index, a HashJoin that materializes its
+// build side (forced by an always-true NOT NULL filter on the build table's
+// id column), or an IndexNLJoin over the build table's index.
+enum class JoinPath { kSharedIndexHash, kMaterializedHash, kIndexNL };
+
+opt::PhysicalPlanPtr MixedJoinPlan(JoinPath path, int probe, bool outer) {
+  const char* columns[] = {"k", "v"};
+  const char* ids[] = {"A_id", "B_id"};
+  const int build = 1 - probe;
+  auto scan = [](int rel) {
+    auto s = std::make_shared<PhysicalPlan>();
+    s->kind = PhysicalPlan::Kind::kSeqScan;
+    s->rel = rel;
+    return s;
+  };
+  auto join = std::make_shared<PhysicalPlan>();
+  join->left = scan(probe);
+  join->left_join_rel = probe;
+  join->left_join_column = columns[probe];
+  join->right_join_rel = build;
+  join->right_join_column = columns[build];
+  join->left_outer = outer;
+  if (path == JoinPath::kIndexNL) {
+    join->kind = PhysicalPlan::Kind::kIndexNLJoin;
+    join->rel = build;
+    join->index_column = columns[build];
+  } else {
+    join->kind = PhysicalPlan::Kind::kHashJoin;
+    auto build_scan = scan(build);
+    if (path == JoinPath::kMaterializedHash) {
+      opt::FilterPred not_null;
+      not_null.rel = build;
+      not_null.column = ids[build];
+      not_null.not_null = true;
+      build_scan->filters.push_back(not_null);
+    }
+    join->right = build_scan;
+  }
+  EXPECT_EQ(ProbesSharedIndex(*join), path == JoinPath::kSharedIndexHash);
+  auto project = std::make_shared<PhysicalPlan>();
+  project->kind = PhysicalPlan::Kind::kProject;
+  project->child = join;
+  return project;
+}
+
+TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
+  rel::Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(KeyTable("A", "k")).ok());
+  ASSERT_TRUE(catalog.AddTable(KeyTable("B", "v")).ok());
+  store::Database db(catalog);
+  const std::vector<Value> a_keys = {Value::Int(5),  Value::MakeNull(),
+                                     Value::Int(7),  Value::Int(-3),
+                                     Value::Int(5),  Value::Int(0)};
+  const std::vector<Value> b_keys = {
+      Value::Int(5), Value::Str("5"), Value::MakeNull(), Value::Int(7),
+      Value::Str("x"), Value::Int(5), Value::Int(0),   Value::Str("0")};
+  int64_t id = 1;
+  for (const Value& k : a_keys) {
+    ASSERT_TRUE(db.GetTable("A").Insert({Value::Int(id++), k}).ok());
+  }
+  for (const Value& v : b_keys) {
+    ASSERT_TRUE(db.GetTable("B").Insert({Value::Int(id++), v}).ok());
+  }
+  auto a_col = db.GetTable("A").GetOrBuildColumn("k");
+  auto b_col = db.GetTable("B").GetOrBuildColumn("v");
+  ASSERT_TRUE(a_col.ok() && b_col.ok());
+  ASSERT_TRUE((*a_col)->typed_int());
+  ASSERT_FALSE((*b_col)->typed_int());
+
+  opt::QueryBlock b;
+  b.rels = {opt::BaseRel{"A", "a"}, opt::BaseRel{"B", "b"}};
+  b.output = {opt::ColumnRef{0, "A_id", "a_id"}, opt::ColumnRef{0, "k", "k"},
+              opt::ColumnRef{1, "B_id", "b_id"}, opt::ColumnRef{1, "v", "v"}};
+  for (JoinPath path : {JoinPath::kSharedIndexHash,
+                        JoinPath::kMaterializedHash, JoinPath::kIndexNL}) {
+    for (int probe : {0, 1}) {
+      for (bool outer : {false, true}) {
+        std::string context = "path=" + std::to_string(static_cast<int>(path)) +
+                              " probe=" + std::to_string(probe) +
+                              " outer=" + std::to_string(outer);
+        b.joins = {opt::JoinEdge{probe, probe == 0 ? "k" : "v", 1 - probe,
+                                 probe == 0 ? "v" : "k", outer}};
+        opt::PhysicalPlanPtr plan = MixedJoinPlan(path, probe, outer);
+        ReferenceExecutor ref(&db);
+        auto want = ref.ExecuteBlock(b, plan);
+        ASSERT_TRUE(want.ok()) << context << want.status().ToString();
+        // A=5 twice x B=5 twice, A=7 x B=7, A=0 x B=0.
+        size_t inner_rows = 6;
+        size_t outer_rows = probe == 0 ? inner_rows + 2 : inner_rows + 4;
+        EXPECT_EQ(want->rows.size(), outer ? outer_rows : inner_rows)
+            << context;
+        for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+          ExecOptions options;
+          options.batch_size = batch_size;
+          Executor exec(&db, {}, options);
+          auto got = exec.ExecuteBlock(b, plan);
+          ASSERT_TRUE(got.ok()) << context << got.status().ToString();
+          EXPECT_EQ(got->rows, want->rows)
+              << context << " batch_size=" << batch_size << "\nwant:\n"
+              << want->ToString() << "got:\n"
+              << got->ToString();
+        }
+      }
+    }
+  }
 }
 
 TEST_F(EngineTest, ExplainAnalyzeRendersProfiledExecution) {

@@ -1,12 +1,17 @@
 // Unit tests for the storage layer: memory tables, their columns and hash
-// indexes, the shredder (optionals, unions, wildcards, backtracking,
-// rollback), and the reconstructor (inverse mapping, ordering, presence of
-// optional content).
+// indexes (checked against an ordered-map reference), the shredder
+// (optionals, unions, wildcards, backtracking, rollback), and the
+// reconstructor (inverse mapping, ordering, presence of optional content).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,6 +91,137 @@ TEST(StoredTable, InsertInvalidatesIndexes) {
   auto after = t.GetOrBuildIndex("T_id");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ((*after)->Find(Value::Int(2)).size(), 1u);
+}
+
+// ---- HashIndex ----
+
+using PositionMap = std::map<Value, std::vector<int32_t>>;
+
+// The positions HashIndex must report, from an ordered map: every non-null
+// row of `column` (row list null) or the non-null, bound entries of `rows`.
+PositionMap ReferencePositions(const ColumnVector& column,
+                               const std::vector<int32_t>* rows) {
+  PositionMap ref;
+  size_t n = rows ? rows->size() : column.size();
+  for (size_t i = 0; i < n; ++i) {
+    int32_t r = rows ? (*rows)[i] : static_cast<int32_t>(i);
+    if (r < 0 || column.is_null(static_cast<size_t>(r))) continue;
+    ref[column.value(static_cast<size_t>(r))].push_back(
+        static_cast<int32_t>(i));
+  }
+  return ref;
+}
+
+std::vector<int32_t> ToVector(std::span<const int32_t> s) {
+  return std::vector<int32_t>(s.begin(), s.end());
+}
+
+// Every key of the reference finds exactly its positions, in order, through
+// Find and (for integers) FindInt; every absent probe finds nothing.
+void ExpectMatchesReference(const HashIndex& index, const PositionMap& ref,
+                            const std::vector<Value>& absent_probes,
+                            const std::string& context) {
+  for (const auto& [key, positions] : ref) {
+    EXPECT_EQ(ToVector(index.Find(key)), positions)
+        << context << " key " << key.ToString();
+    if (key.is_int()) {
+      EXPECT_EQ(ToVector(index.FindInt(key.as_int())), positions)
+          << context << " FindInt " << key.ToString();
+    }
+  }
+  for (const Value& probe : absent_probes) {
+    if (ref.count(probe) > 0) continue;
+    EXPECT_TRUE(index.Find(probe).empty())
+        << context << " absent " << probe.ToString();
+    if (probe.is_int()) {
+      EXPECT_TRUE(index.FindInt(probe.as_int()).empty())
+          << context << " absent FindInt " << probe.ToString();
+    }
+  }
+}
+
+ColumnVector MakeColumn(const std::vector<Value>& values) {
+  ColumnVector col;
+  for (const Value& v : values) col.Append(v);
+  return col;
+}
+
+TEST(HashIndexTest, MatchesMapReference) {
+  std::mt19937_64 rng(20);
+  auto pick = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  std::vector<std::pair<std::string, std::vector<Value>>> columns;
+
+  std::vector<Value> ints;
+  for (int i = 0; i < 5000; ++i) {
+    int64_t roll = pick(0, 19);
+    if (roll == 0) {
+      ints.push_back(Value::MakeNull());
+    } else if (roll == 1) {
+      ints.push_back(Value::Int(INT64_MIN));
+    } else if (roll == 2) {
+      ints.push_back(Value::Int(INT64_MAX));
+    } else {
+      ints.push_back(Value::Int(pick(-300, 300)));
+    }
+  }
+  columns.emplace_back("typed ints", ints);
+
+  std::vector<Value> strings;
+  for (int i = 0; i < 5000; ++i) {
+    strings.push_back(pick(0, 15) == 0
+                          ? Value::MakeNull()
+                          : Value::Str("s" + std::to_string(pick(0, 400))));
+  }
+  columns.emplace_back("strings", strings);
+
+  std::vector<Value> mixed;
+  for (int i = 0; i < 3000; ++i) {
+    switch (pick(0, 5)) {
+      case 0: mixed.push_back(Value::Int(5)); break;
+      case 1: mixed.push_back(Value::Str("5")); break;
+      case 2: mixed.push_back(Value::MakeNull()); break;
+      case 3: mixed.push_back(Value::Int(pick(-20, 20))); break;
+      default: mixed.push_back(Value::Str(std::to_string(pick(-20, 20))));
+    }
+  }
+  columns.emplace_back("mixed Int(5)/Str(\"5\")", mixed);
+
+  columns.emplace_back("NULL only", std::vector<Value>(100, Value::MakeNull()));
+  columns.emplace_back("empty", std::vector<Value>());
+  columns.emplace_back("one key 10k times",
+                       std::vector<Value>(10000, Value::Int(42)));
+
+  const std::vector<Value> absent = {
+      Value::MakeNull(), Value::Int(5),         Value::Str("5"),
+      Value::Int(0),     Value::Int(-1),        Value::Int(301),
+      Value::Int(-301),  Value::Int(INT64_MIN), Value::Int(INT64_MAX),
+      Value::Str(""),    Value::Str("s401"),    Value::Int(42),
+      Value::Str("42"),  Value::Int(1 << 20)};
+
+  for (const auto& [name, values] : columns) {
+    ColumnVector col = MakeColumn(values);
+    HashIndex whole(col);
+    EXPECT_EQ(whole.int_keys(), col.typed_int()) << name;
+    ExpectMatchesReference(whole, ReferencePositions(col, nullptr), absent,
+                           name + " (whole column)");
+
+    // A build side's row list: unordered, with repeats and unbound lanes.
+    std::vector<int32_t> rows;
+    for (int i = 0; i < 4000; ++i) {
+      if (values.empty() || pick(0, 9) == 0) {
+        rows.push_back(-1);  // kUnboundRow
+      } else {
+        rows.push_back(static_cast<int32_t>(
+            pick(0, static_cast<int64_t>(values.size()) - 1)));
+      }
+    }
+    HashIndex build(col, rows);
+    EXPECT_EQ(build.int_keys(), col.typed_int()) << name;
+    ExpectMatchesReference(build, ReferencePositions(col, &rows), absent,
+                           name + " (row list)");
+  }
 }
 
 void ExpectSameColumn(const ColumnVector& want, const ColumnVector& got,

@@ -25,7 +25,9 @@
 # engine_test, expr_vm_test), the
 # serving layer (serving_test: canonicalization, plan cache, admission
 # control, 8-thread bit-identity), and the paged storage backend
-# (pager_test, storage_test). It also runs the candidate-costing suites
+# (pager_test, storage_test), plus fuzz_roundtrip_test, whose
+# reconstruction of generated documents probes every foreign-key hash index
+# through its span API. It also runs the candidate-costing suites
 # whose layers index flat vectors by id: the mapper's instance-count
 # fixpoint (mapping_test), query translation's interned variables and
 # route deltas (translate_test), and the search's cost-cache keys
@@ -61,10 +63,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-asan -S . -DLEGODB_SANITIZE=address,undefined "$@"
   cmake --build build-asan -j"$(nproc)" --target \
     optimizer_test costmodel_test engine_equivalence_test engine_test \
-    expr_vm_test serving_test pager_test storage_test mapping_test \
-    translate_test search_test micro_engine serving calibration
+    expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
+    mapping_test translate_test search_test micro_engine serving calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R 'optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|mapping_test|translate_test|search_test'
+    -R 'optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|mapping_test|translate_test|search_test'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/serving --threads=1,4,8 --requests=100 > /dev/null
