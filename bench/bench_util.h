@@ -59,8 +59,6 @@ class ObsSession {
  public:
   ObsSession() : scope_(&registry_) {}
 
-  obs::Registry* registry() { return &registry_; }
-
   void SetMeta(std::string key, std::string value) {
     meta_.emplace_back(std::move(key), std::move(value));
   }
@@ -102,18 +100,18 @@ inline xs::Schema AnnotatedImdb(const std::string& extra_stats = "") {
 // Applies the first enumerated transformation of `kind` (optionally
 // restricted to type `in_type`); aborts if none applies.
 inline xs::Schema ApplyFirst(const xs::Schema& schema,
-                             core::Transformation::Kind kind,
+                             core::TransformDescriptor::Kind kind,
                              const std::string& in_type = "",
                              const std::string& tag = "") {
+  using Kind = core::TransformDescriptor::Kind;
   core::TransformOptions options;
   options.inline_types = false;
   options.outline_elements = false;
-  options.union_distribute = kind == core::Transformation::Kind::kUnionDistribute;
-  options.union_to_options = kind == core::Transformation::Kind::kUnionToOptions;
-  options.repetition_split = kind == core::Transformation::Kind::kRepetitionSplit;
-  options.repetition_merge = kind == core::Transformation::Kind::kRepetitionMerge;
-  options.wildcard_materialize =
-      kind == core::Transformation::Kind::kWildcardMaterialize;
+  options.union_distribute = kind == Kind::kUnionDistribute;
+  options.union_to_options = kind == Kind::kUnionToOptions;
+  options.repetition_split = kind == Kind::kRepetitionSplit;
+  options.repetition_merge = kind == Kind::kRepetitionMerge;
+  options.wildcard_materialize = kind == Kind::kWildcardMaterialize;
   if (!tag.empty()) options.wildcard_tags.push_back(tag);
   for (const auto& t : core::EnumerateTransformations(schema, options)) {
     if (t.kind != kind) continue;
@@ -147,9 +145,10 @@ inline xs::Schema WildcardConfig(const xs::Schema& raw,
                                  const std::string& tag = "nyt") {
   xs::Schema base = ps::AllInlined(raw);
   xs::Schema materialized = ApplyFirst(
-      base, core::Transformation::Kind::kWildcardMaterialize, "", tag);
+      base, core::TransformDescriptor::Kind::kWildcardMaterialize, "", tag);
   xs::Schema distributed = ApplyFirst(
-      materialized, core::Transformation::Kind::kUnionDistribute, "Reviews");
+      materialized, core::TransformDescriptor::Kind::kUnionDistribute,
+      "Reviews");
   return xs::AnnotateSchema(distributed, stats);
 }
 
@@ -159,7 +158,7 @@ inline xs::Schema UnionDistributedConfig(const xs::Schema& raw,
                                          const xs::StatsSet& stats) {
   xs::Schema normalized = ps::Normalize(raw);
   xs::Schema distributed = ApplyFirst(
-      normalized, core::Transformation::Kind::kUnionDistribute, "Show");
+      normalized, core::TransformDescriptor::Kind::kUnionDistribute, "Show");
   xs::Schema inlined = ps::AllInlined(distributed, /*flatten_unions=*/false);
   return xs::AnnotateSchema(inlined, stats);
 }

@@ -67,7 +67,7 @@ int main() {
     // carries the occurrence statistics over (first occurrence required,
     // remainder averages count-1), so the rest-of-akas table shrinks.
     xs::Schema split = ps::AllInlined(bench::ApplyFirst(
-        inlined, core::Transformation::Kind::kRepetitionSplit, "Show"));
+        inlined, core::TransformDescriptor::Kind::kRepetitionSplit, "Show"));
 
     double li = LookupCost(inlined, params);
     double ls = LookupCost(split, params);

@@ -55,28 +55,28 @@ int main() {
   // Enumerate one applicable instance of each structural rewriting and show
   // its effect.
   struct Case {
-    core::Transformation::Kind kind;
+    core::TransformDescriptor::Kind kind;
     const char* title;
   };
   Case cases[] = {
-      {core::Transformation::Kind::kInline, "inlining (one step)"},
-      {core::Transformation::Kind::kUnionDistribute,
+      {core::TransformDescriptor::Kind::kInline, "inlining (one step)"},
+      {core::TransformDescriptor::Kind::kUnionDistribute,
        "union distribution (Show -> Show_Part | Show_Part_2)"},
-      {core::Transformation::Kind::kUnionToOptions,
+      {core::TransformDescriptor::Kind::kUnionToOptions,
        "union to options (lossy: branches become nullable columns)"},
-      {core::Transformation::Kind::kWildcardMaterialize,
+      {core::TransformDescriptor::Kind::kWildcardMaterialize,
        "wildcard materialization (~ == nyt | ~!nyt)"},
   };
   for (const Case& c : cases) {
     core::TransformOptions options;
-    options.inline_types = c.kind == core::Transformation::Kind::kInline;
+    options.inline_types = c.kind == core::TransformDescriptor::Kind::kInline;
     options.outline_elements = false;
     options.union_distribute =
-        c.kind == core::Transformation::Kind::kUnionDistribute;
+        c.kind == core::TransformDescriptor::Kind::kUnionDistribute;
     options.union_to_options =
-        c.kind == core::Transformation::Kind::kUnionToOptions;
+        c.kind == core::TransformDescriptor::Kind::kUnionToOptions;
     options.wildcard_materialize =
-        c.kind == core::Transformation::Kind::kWildcardMaterialize;
+        c.kind == core::TransformDescriptor::Kind::kWildcardMaterialize;
     options.wildcard_tags = {"nyt"};
     bool applied = false;
     for (const auto& t : core::EnumerateTransformations(base, options)) {

@@ -229,7 +229,7 @@ std::vector<TransformDescriptor> EnumerateTransformations(
 namespace {
 
 StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
-                                      const Transformation& t) {
+                                      const TransformDescriptor& t) {
   TypePtr body = schema.Find(t.type_name);
   if (!body) return Status::NotFound("type " + t.type_name);
   TypePtr node = ps::NodeAt(body, t.path);
@@ -259,7 +259,7 @@ StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
 }
 
 StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
-                                     const Transformation& t) {
+                                     const TransformDescriptor& t) {
   TypePtr body = schema.Find(t.type_name);
   if (!body) return Status::NotFound("type " + t.type_name);
   TypePtr node = ps::NodeAt(body, t.path);
@@ -281,7 +281,7 @@ StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
 }
 
 StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
-                                      const Transformation& t) {
+                                      const TransformDescriptor& t) {
   TypePtr body = schema.Find(t.type_name);
   if (!body) return Status::NotFound("type " + t.type_name);
   TypePtr node = ps::NodeAt(body, t.path);
@@ -304,7 +304,7 @@ StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
 }
 
 StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
-                                      const Transformation& t) {
+                                      const TransformDescriptor& t) {
   TypePtr body = schema.Find(t.type_name);
   if (!body) return Status::NotFound("type " + t.type_name);
   if (t.path.empty()) return Status::InvalidArgument("bad merge path");
@@ -338,7 +338,7 @@ StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
 }
 
 StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
-                                          const Transformation& t) {
+                                          const TransformDescriptor& t) {
   TypePtr body = schema.Find(t.type_name);
   if (!body) return Status::NotFound("type " + t.type_name);
   TypePtr node = ps::NodeAt(body, t.path);
@@ -362,26 +362,26 @@ StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
 }  // namespace
 
 StatusOr<Schema> ApplyTransformation(const Schema& schema,
-                                     const Transformation& t) {
+                                     const TransformDescriptor& t) {
   LEGODB_FAILPOINT("transforms.apply");
   switch (t.kind) {
-    case Transformation::Kind::kInline: {
+    case TransformDescriptor::Kind::kInline: {
       // Re-normalize: inlining can duplicate references to shared types.
       LEGODB_ASSIGN_OR_RETURN(xs::Schema out,
                               ps::InlineType(schema, t.type_name));
       return ps::Normalize(out);
     }
-    case Transformation::Kind::kOutline:
+    case TransformDescriptor::Kind::kOutline:
       return ps::OutlineAt(schema, t.type_name, t.path);
-    case Transformation::Kind::kUnionDistribute:
+    case TransformDescriptor::Kind::kUnionDistribute:
       return ApplyUnionDistribute(schema, t);
-    case Transformation::Kind::kUnionToOptions:
+    case TransformDescriptor::Kind::kUnionToOptions:
       return ApplyUnionToOptions(schema, t);
-    case Transformation::Kind::kRepetitionSplit:
+    case TransformDescriptor::Kind::kRepetitionSplit:
       return ApplyRepetitionSplit(schema, t);
-    case Transformation::Kind::kRepetitionMerge:
+    case TransformDescriptor::Kind::kRepetitionMerge:
       return ApplyRepetitionMerge(schema, t);
-    case Transformation::Kind::kWildcardMaterialize:
+    case TransformDescriptor::Kind::kWildcardMaterialize:
       return ApplyWildcardMaterialize(schema, t);
   }
   return Status::Internal("unknown transformation");

@@ -43,9 +43,6 @@ struct TransformDescriptor {
   std::string Describe(const xs::Schema& schema) const;
 };
 
-// Legacy name, kept for call sites predating the descriptor refactor.
-using Transformation = TransformDescriptor;
-
 // Which rewritings the search may propose. The paper's greedy prototype
 // explores inlining/outlining; the other rewritings are explored separately
 // (Section 5.4), which the per-figure benchmarks replicate.

@@ -57,14 +57,22 @@ std::string BaseStep(const std::string& step) {
   return step.substr(0, hash);
 }
 
-std::string Mapping::ElementStep(const std::string& type_name,
-                                 const xs::Type* node) const {
-  auto type_it = element_steps_.find(type_name);
-  if (type_it != element_steps_.end()) {
-    auto it = type_it->second.find(node);
-    if (it != type_it->second.end()) return it->second;
+int TypeMapping::SlotColumn(const xs::Type* node, bool tilde) const {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].node == node && slots[i].is_tilde == tilde) {
+      return kKeyColumn + 1 + static_cast<int>(i);
+    }
   }
-  return StepFor(node->name);
+  return -1;
+}
+
+int TypeMapping::ParentColumn(const std::string& parent_type) const {
+  for (size_t i = 0; i < parents.size(); ++i) {
+    if (parents[i].parent_type == parent_type) {
+      return kKeyColumn + 1 + static_cast<int>(slots.size() + i);
+    }
+  }
+  return -1;
 }
 
 const TypeMapping* Mapping::FindType(const std::string& name) const {
@@ -151,34 +159,33 @@ class Mapper {
       tm.table = name;
       step_counts_.clear();
       RelPath path;
-      WalkBody(body, &path, /*presence=*/1.0, /*optional=*/false, &tm);
+      WalkBody(body, &path, /*owner=*/nullptr, /*presence=*/1.0,
+               /*optional=*/false, &tm);
       NameColumns(&tm, body);
     }
     result_.types_[name] = std::move(tm);
   }
 
   // Assigns the path step for an element node, suffixing an ordinal when
-  // the same step already occurred among siblings at this position, and
-  // records the assignment for Mapping::ElementStep.
-  std::string AssignStep(const TypePtr& t, const RelPath& parent_path,
-                         TypeMapping* tm) {
+  // the same step already occurred among siblings at this position.
+  std::string AssignStep(const TypePtr& t, const RelPath& parent_path) {
     std::string base = StepFor(t->name);
     int& count = step_counts_[parent_path][base];
     ++count;
-    std::string step =
-        count == 1 ? base : base + "#" + std::to_string(count);
-    result_.element_steps_[tm->type_name][t.get()] = step;
-    return step;
+    return count == 1 ? base : base + "#" + std::to_string(count);
   }
 
-  void WalkBody(const TypePtr& t, RelPath* path, double presence,
-                bool optional, TypeMapping* tm) {
+  // `owner` is the innermost element or attribute around `t` (null at the
+  // body root): the node a scalar's slot belongs to.
+  void WalkBody(const TypePtr& t, RelPath* path, const Type* owner,
+                double presence, bool optional, TypeMapping* tm) {
     switch (t->kind) {
       case Type::Kind::kEmpty:
         return;
       case Type::Kind::kScalar: {
         Slot slot;
         slot.path = *path;
+        slot.node = owner;
         slot.scalar = t;
         slot.optional = optional;
         slot.presence = presence;
@@ -186,29 +193,30 @@ class Mapper {
         return;
       }
       case Type::Kind::kElement: {
-        path->push_back(AssignStep(t, *path, tm));
+        path->push_back(AssignStep(t, *path));
         if (t->name.is_wildcard()) {
           Slot tilde;
           tilde.path = *path;
+          tilde.node = t.get();
           tilde.is_tilde = true;
           tilde.wildcard_name = t->name;
           tilde.optional = optional;
           tilde.presence = presence;
           tm->slots.push_back(std::move(tilde));
         }
-        WalkBody(t->child, path, presence, optional, tm);
+        WalkBody(t->child, path, t.get(), presence, optional, tm);
         path->pop_back();
         return;
       }
       case Type::Kind::kAttribute: {
         path->push_back("@" + t->name.name);
-        WalkBody(t->child, path, presence, optional, tm);
+        WalkBody(t->child, path, t.get(), presence, optional, tm);
         path->pop_back();
         return;
       }
       case Type::Kind::kSequence: {
         for (const auto& c : t->children) {
-          WalkBody(c, path, presence, optional, tm);
+          WalkBody(c, path, owner, presence, optional, tm);
         }
         return;
       }
@@ -233,7 +241,8 @@ class Mapper {
       case Type::Kind::kRepetition: {
         if (t->is_optional_rep()) {
           double p = t->avg_count > 0 ? std::min(1.0, t->avg_count) : 0.5;
-          WalkBody(t->child, path, presence * p, /*optional=*/true, tm);
+          WalkBody(t->child, path, owner, presence * p, /*optional=*/true,
+                   tm);
           return;
         }
         // Stratification: content is a ref or union of refs.
@@ -422,7 +431,8 @@ class Mapper {
     }
   }
 
-  // One table per reachable non-virtual type, in reachability order.
+  // One table per reachable non-virtual type, in reachability order, its
+  // columns in the order TypeMapping::SlotColumn and ParentColumn read.
   Status BuildCatalog(const std::vector<std::string>& reachable) {
     auto& types = result_.types_;
     for (const auto& name : reachable) {

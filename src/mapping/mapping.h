@@ -27,6 +27,12 @@ std::string BaseStep(const std::string& step);
 struct Slot {
   RelPath path;          // from the body root, including the root element
   std::string column;    // column name in the table
+  // The body node whose value the slot holds: the element or attribute
+  // directly around the scalar, the wildcard element itself for a tilde
+  // slot, or null for a scalar directly at the body root. It is a node of
+  // the Mapping's own schema, so it lives as long as the Mapping; the
+  // shredder and reconstructor walk that schema and find slots by it.
+  const xs::Type* node = nullptr;
   bool is_tilde = false;  // the tag-name column of a wildcard element
   // For tilde slots: the wildcard's name class ('~' or '~!a'), needed to
   // decide whether a literal query step can match this position.
@@ -72,6 +78,14 @@ struct TypeMapping {
     double expected_per_parent = 1;
   };
   std::vector<ParentLink> parents;
+
+  // Column positions in this type's table, as the mapper lays it out: the
+  // key first, then one column per slot in `slots` order, then one foreign
+  // key per link in `parents` order. The lookups return -1 when no slot is
+  // owned by `node` (or no link names `parent_type`).
+  static constexpr int kKeyColumn = 0;
+  int SlotColumn(const xs::Type* node, bool tilde) const;
+  int ParentColumn(const std::string& parent_type) const;
 };
 
 // The full fixed mapping rel(ps) of Section 3.2: one relation per
@@ -90,20 +104,10 @@ class Mapping {
   // ("*" for wildcard). Descends through virtual unions.
   std::vector<std::string> EntryNames(const std::string& type_name) const;
 
-  // The (possibly ordinal-suffixed) path step assigned to an element node
-  // of `type_name`'s body during mapping. The shredder and reconstructor
-  // walk the same shared type nodes and use this to stay aligned with slot
-  // coordinates.
-  std::string ElementStep(const std::string& type_name,
-                          const xs::Type* node) const;
-
  private:
   friend class Mapper;
   rel::Catalog catalog_;
   std::map<std::string, TypeMapping> types_;
-  // Per type: element node -> assigned step.
-  std::map<std::string, std::map<const xs::Type*, std::string>>
-      element_steps_;
   xs::Schema schema_;
 };
 

@@ -114,7 +114,7 @@ StatusOr<MigrationReport> Migrator::RunPhases(
 
   // Phase 2: prewarm every index and column shadow, so post-swap requests
   // never pay (or contend on) a first-use build.
-  if (options.prewarm) {
+  {
     obs::Span prewarm_span("migrate.prewarm");
     const int64_t t0 = obs::NowNanos();
     LEGODB_RETURN_IF_ERROR(shadow->PrewarmIndexes());

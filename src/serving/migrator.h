@@ -78,9 +78,6 @@ struct MigrationOptions {
   // migration still succeeds on timeout (the version drains whenever its
   // last request finishes), drain_ms just reports the cap.
   double drain_timeout_ms = 5000;
-  // Build all indexes/column shadows of the shadow database before the
-  // swap (step 2). Disable only in tests that measure lazy builds.
-  bool prewarm = true;
 };
 
 struct MigrationReport {

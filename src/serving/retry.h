@@ -8,8 +8,8 @@
 // situations: the in-flight bound is hit (admission control) or a
 // migration holds a resource it will soon release. Both clear on their
 // own, so the right client behaviour is to back off briefly and retry a
-// bounded number of times — not to drop the request (what bench/serving
-// used to do) and not to hammer the server in a tight loop.
+// bounded number of times — not to drop the request and not to hammer the
+// server in a tight loop.
 //
 // The backoff for attempt k is initial_backoff_ms * multiplier^k, capped
 // at max_backoff_ms, then scaled by a jitter factor in [0.5, 1.0) derived
@@ -47,8 +47,7 @@ struct RetryPolicy {
   uint64_t seed = 0;
 };
 
-// What the retry loop actually did, for reporting (bench/serving surfaces
-// these in its obs meta).
+// What the retry loop actually did, for reporting.
 struct RetryStats {
   int attempts = 0;      // Serve calls issued (>= 1)
   int retries = 0;       // attempts - 1

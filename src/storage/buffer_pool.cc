@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "obs/obs.h"
 
 namespace legodb::store {
 
@@ -85,7 +84,6 @@ Status BufferPool::EvictOneLocked() {
   }
   ++stats_.evictions;
   --stats_.resident;
-  obs::Count("storage.pool.evictions");
   frames_.erase(victim->page);
   return Status::OK();
 }
@@ -99,7 +97,6 @@ StatusOr<BufferPool::PageGuard> BufferPool::Pin(uint32_t page) {
     if (f->pins == 0) ++stats_.pinned;
     ++f->pins;
     ++stats_.hits;
-    obs::Count("storage.pool.hits");
     return PageGuard(this, f, page, /*faulted=*/false);
   }
   while (frames_.size() >= capacity_) {
@@ -118,7 +115,6 @@ StatusOr<BufferPool::PageGuard> BufferPool::Pin(uint32_t page) {
   stats_.bytes_read += pager_->page_size();
   ++stats_.resident;
   ++stats_.pinned;
-  obs::Count("storage.pool.faults");
   return PageGuard(this, f, page, /*faulted=*/true);
 }
 

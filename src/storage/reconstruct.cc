@@ -10,7 +10,6 @@ namespace legodb::store {
 namespace {
 
 using map::Mapping;
-using map::RelPath;
 using map::TypeMapping;
 using xs::Type;
 using xs::TypePtr;
@@ -19,24 +18,18 @@ class Reconstructor {
  public:
   Reconstructor(Database* db, const Mapping& mapping) : db_(db), m_(mapping) {}
 
-  Status EmitInstance(const std::string& type_name, size_t row_idx,
+  // Emits row `row_idx` of concrete type `tm`'s table.
+  Status EmitInstance(const TypeMapping& tm, size_t row_idx,
                       xml::Node* parent) {
-    const TypeMapping* tm = m_.FindType(type_name);
-    if (!tm || tm->virtual_union) {
-      return Status::Internal("EmitInstance on virtual/unknown type '" +
-                              type_name + "'");
-    }
-    StoredTable& table = db_->GetTable(tm->table);
     // Materialize the row once per instance — on the paged backend this is
     // the only way at it (rows live on slotted pages, not in a Row vector).
-    LEGODB_ASSIGN_OR_RETURN(Row row, table.ReadRow(row_idx));
-    int key_idx = table.meta().ColumnIndex(table.meta().key_column);
+    LEGODB_ASSIGN_OR_RETURN(Row row,
+                            db_->GetTable(tm.table).ReadRow(row_idx));
     Ctx ctx;
-    ctx.tm = tm;
-    ctx.table = &table;
+    ctx.tm = &tm;
     ctx.row = &row;
-    ctx.self_id = row[key_idx].as_int();
-    return EmitBody(m_.schema().Get(type_name), &ctx, parent,
+    ctx.self_id = row[TypeMapping::kKeyColumn].as_int();
+    return EmitBody(m_.schema().Get(tm.type_name), &ctx, parent,
                     /*under_optional=*/false);
   }
 
@@ -59,41 +52,51 @@ class Reconstructor {
  private:
   struct Ctx {
     const TypeMapping* tm = nullptr;
-    StoredTable* table = nullptr;
     const Row* row = nullptr;
     int64_t self_id = 0;
-    RelPath path;
+    // The innermost element or attribute emitted so far (null at the body
+    // root): the owner of the slot a scalar here reads (map::Slot::node).
+    const Type* owner = nullptr;
   };
 
-  const Value* SlotValue(const Ctx& ctx, bool tilde) const {
-    for (const auto& slot : ctx.tm->slots) {
-      if (slot.is_tilde == tilde && slot.path == ctx.path) {
-        int idx = ctx.table->meta().ColumnIndex(slot.column);
-        if (idx >= 0) return &(*ctx.row)[idx];
-      }
-    }
-    return nullptr;
+  const Value* SlotValue(const Ctx& ctx, const Type* owner,
+                         bool tilde) const {
+    int col = ctx.tm->SlotColumn(owner, tilde);
+    return col < 0 ? nullptr : &(*ctx.row)[col];
   }
 
-  // True if any column value or descendant row exists under `prefix` —
-  // presence test for optional content.
-  StatusOr<bool> HasDataUnder(const Ctx& ctx, const RelPath& prefix) {
-    for (const auto& slot : ctx.tm->slots) {
-      if (slot.path.size() < prefix.size()) continue;
-      if (!std::equal(prefix.begin(), prefix.end(), slot.path.begin())) {
-        continue;
+  // True if any column value or descendant row exists inside `t`, whose
+  // scalars `owner` owns — presence test for optional content.
+  StatusOr<bool> HasDataUnder(const Ctx& ctx, const Type& t,
+                              const Type* owner) {
+    switch (t.kind) {
+      case Type::Kind::kEmpty:
+        return false;
+      case Type::Kind::kScalar: {
+        const Value* v = SlotValue(ctx, owner, /*tilde=*/false);
+        return v && !v->is_null();
       }
-      int idx = ctx.table->meta().ColumnIndex(slot.column);
-      if (idx >= 0 && !(*ctx.row)[idx].is_null()) return true;
-    }
-    for (const auto& child : ctx.tm->children) {
-      if (child.path.size() < prefix.size()) continue;
-      if (!std::equal(prefix.begin(), prefix.end(), child.path.begin())) {
-        continue;
+      case Type::Kind::kElement:
+      case Type::Kind::kAttribute:
+        if (t.name.is_wildcard()) {
+          const Value* tag = SlotValue(ctx, &t, /*tilde=*/true);
+          if (tag && !tag->is_null()) return true;
+        }
+        return HasDataUnder(ctx, *t.child, &t);
+      case Type::Kind::kRepetition:
+        return HasDataUnder(ctx, *t.child, owner);
+      case Type::Kind::kSequence:
+        for (const auto& c : t.children) {
+          LEGODB_ASSIGN_OR_RETURN(bool found, HasDataUnder(ctx, *c, owner));
+          if (found) return true;
+        }
+        return false;
+      case Type::Kind::kUnion:
+      case Type::Kind::kTypeRef: {
+        std::vector<ChildRow> rows;
+        LEGODB_RETURN_IF_ERROR(CollectRefChildren(ctx, t, &rows));
+        return !rows.empty();
       }
-      std::vector<ChildRow> rows;
-      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, child.type_name, 0, &rows));
-      if (!rows.empty()) return true;
     }
     return false;
   }
@@ -101,7 +104,7 @@ class Reconstructor {
   // A child instance: (id, concrete type, row index).
   struct ChildRow {
     int64_t id;
-    std::string type;
+    const TypeMapping* tm;
     size_t row_idx;
   };
 
@@ -117,15 +120,29 @@ class Reconstructor {
       }
       return Status::OK();
     }
+    const int fk = ctm->ParentColumn(ctx.tm->type_name);
+    if (fk < 0) return Status::OK();
     StoredTable& table = db_->GetTable(ctm->table);
-    std::string fk = "parent_" + ctx.tm->type_name;
-    if (table.meta().ColumnIndex(fk) < 0) return Status::OK();
-    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index, table.GetOrBuildIndex(fk));
+    LEGODB_ASSIGN_OR_RETURN(
+        const HashIndex* index,
+        table.GetOrBuildIndex(table.meta().columns[fk].name));
     LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
                             table.GetOrBuildColumn(table.meta().key_column));
     for (int32_t idx : index->FindInt(ctx.self_id)) {
       const size_t row = static_cast<size_t>(idx);
-      out->push_back(ChildRow{keys->value(row).as_int(), ref_type, row});
+      out->push_back(ChildRow{keys->value(row).as_int(), ctm, row});
+    }
+    return Status::OK();
+  }
+
+  // Appends the children a type ref — or a union of refs — points at.
+  Status CollectRefChildren(const Ctx& ctx, const Type& t,
+                            std::vector<ChildRow>* out) const {
+    if (t.kind != Type::Kind::kUnion) {
+      return CollectChildren(ctx, t.ref_name, 0, out);
+    }
+    for (const auto& alt : t.children) {
+      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, alt->ref_name, 0, out));
     }
     return Status::OK();
   }
@@ -134,18 +151,11 @@ class Reconstructor {
   // a repetition may interleave — points at, in id (= document) order.
   Status EmitChildren(const Ctx& ctx, const Type& t, xml::Node* parent) {
     std::vector<ChildRow> children;
-    if (t.kind == Type::Kind::kUnion) {
-      for (const auto& alt : t.children) {
-        LEGODB_RETURN_IF_ERROR(
-            CollectChildren(ctx, alt->ref_name, 0, &children));
-      }
-    } else {
-      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, t.ref_name, 0, &children));
-    }
+    LEGODB_RETURN_IF_ERROR(CollectRefChildren(ctx, t, &children));
     std::sort(children.begin(), children.end(),
               [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
     for (const auto& child : children) {
-      LEGODB_RETURN_IF_ERROR(EmitInstance(child.type, child.row_idx, parent));
+      LEGODB_RETURN_IF_ERROR(EmitInstance(*child.tm, child.row_idx, parent));
     }
     return Status::OK();
   }
@@ -156,41 +166,39 @@ class Reconstructor {
       case Type::Kind::kEmpty:
         return Status::OK();
       case Type::Kind::kScalar: {
-        const Value* v = SlotValue(*ctx, /*tilde=*/false);
+        const Value* v = SlotValue(*ctx, ctx->owner, /*tilde=*/false);
         if (v && !v->is_null() && !v->ToString().empty()) {
           parent->AddText(v->ToString());
         }
         return Status::OK();
       }
       case Type::Kind::kElement: {
-        ctx->path.push_back(m_.ElementStep(ctx->tm->type_name, t.get()));
         std::string tag;
         bool present = true;
         if (t->name.is_wildcard()) {
-          const Value* tilde = SlotValue(*ctx, /*tilde=*/true);
+          const Value* tilde = SlotValue(*ctx, t.get(), /*tilde=*/true);
           present = tilde && !tilde->is_null();
           if (present) tag = tilde->as_string();
         } else {
           tag = t->name.name;
           if (under_optional) {
-            LEGODB_ASSIGN_OR_RETURN(present, HasDataUnder(*ctx, ctx->path));
+            LEGODB_ASSIGN_OR_RETURN(present,
+                                    HasDataUnder(*ctx, *t, ctx->owner));
           }
         }
-        Status st = Status::OK();
-        if (present) {
-          xml::Node* elem = parent->AddChild(xml::Node::Element(tag));
-          st = EmitBody(t->child, ctx, elem, /*under_optional=*/false);
-        }
-        ctx->path.pop_back();
+        if (!present) return Status::OK();
+        xml::Node* elem = parent->AddChild(xml::Node::Element(tag));
+        const Type* outer = ctx->owner;
+        ctx->owner = t.get();
+        Status st = EmitBody(t->child, ctx, elem, /*under_optional=*/false);
+        ctx->owner = outer;
         return st;
       }
       case Type::Kind::kAttribute: {
-        ctx->path.push_back("@" + t->name.name);
-        const Value* v = SlotValue(*ctx, /*tilde=*/false);
+        const Value* v = SlotValue(*ctx, t.get(), /*tilde=*/false);
         if (v && !v->is_null()) {
           parent->SetAttribute(t->name.name, v->ToString());
         }
-        ctx->path.pop_back();
         return Status::OK();
       }
       case Type::Kind::kSequence: {
@@ -227,7 +235,7 @@ Status ReconstructInstance(Database* db, const map::Mapping& mapping,
   obs::Count("reconstruct.instances");
   Reconstructor r(db, mapping);
   LEGODB_ASSIGN_OR_RETURN(size_t row_idx, r.FindRow(type_name, id));
-  return r.EmitInstance(type_name, row_idx, parent);
+  return r.EmitInstance(mapping.GetType(type_name), row_idx, parent);
 }
 
 StatusOr<xml::Document> ReconstructDocument(Database* db,
@@ -258,7 +266,7 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
   }
   Reconstructor r(db, mapping);
   xml::NodePtr holder = xml::Node::Element("__doc__");
-  LEGODB_RETURN_IF_ERROR(r.EmitInstance(root, root_idx, holder.get()));
+  LEGODB_RETURN_IF_ERROR(r.EmitInstance(*tm, root_idx, holder.get()));
   if (holder->children().size() != 1 || !holder->children()[0]->is_element()) {
     return Status::Internal("reconstruction did not yield a single root");
   }

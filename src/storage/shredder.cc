@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "common/check.h"
 #include "common/failpoint.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
@@ -12,8 +11,6 @@ namespace legodb::store {
 namespace {
 
 using map::Mapping;
-using map::RelPath;
-using map::Slot;
 using map::TypeMapping;
 using xs::Type;
 using xs::TypePtr;
@@ -27,7 +24,7 @@ class Shredder {
     std::vector<const xml::Node*> items = {doc.root.get()};
     size_t pos = 0;
     if (!ShredInstance(m_.schema().root_type(), items, &pos,
-                       /*parent_type=*/"", /*parent_id=*/0, nullptr) ||
+                       /*parent=*/nullptr, /*parent_id=*/0, nullptr) ||
         pos != items.size()) {
       return Status::InvalidArgument(
           "document does not match the physical schema");
@@ -38,11 +35,10 @@ class Shredder {
     // the database exactly as it found it.
     obs::Count("shred.rows", static_cast<int64_t>(buffer_.size()));
     for (size_t i = 0; i < buffer_.size(); ++i) {
-      Status st = db_->GetTable(buffer_[i].table).Insert(
-          std::move(buffer_[i].row));
+      Status st = buffer_[i].table->Insert(std::move(buffer_[i].row));
       if (!st.ok()) {
         for (size_t k = i; k-- > 0;) {
-          (void)db_->GetTable(buffer_[k].table).RemoveLastRows(1);
+          (void)buffer_[k].table->RemoveLastRows(1);
         }
         buffer_.clear();
         return st;
@@ -54,7 +50,7 @@ class Shredder {
 
  private:
   struct Pending {
-    std::string table;
+    StoredTable* table;
     Row row;
   };
 
@@ -69,7 +65,9 @@ class Shredder {
     std::set<std::string>* matched_attrs = nullptr;
     Row* row = nullptr;
     const TypeMapping* tm = nullptr;
-    RelPath path;
+    // The innermost element or attribute matched so far (null at the body
+    // root): the owner of the slot a scalar here fills (map::Slot::node).
+    const Type* owner = nullptr;
     int64_t self_id = 0;  // key of the row under construction
   };
 
@@ -92,25 +90,18 @@ class Shredder {
     if (ctx->matched_attrs) *ctx->matched_attrs = cp.attrs_snapshot;
   }
 
-  int SlotColumnIndex(const Ctx& ctx, bool tilde) const {
-    for (const auto& slot : ctx.tm->slots) {
-      if (slot.is_tilde == tilde && slot.path == ctx.path) {
-        const rel::Table& meta = db_->GetTable(ctx.tm->table).meta();
-        return meta.ColumnIndex(slot.column);
-      }
-    }
-    return -1;
-  }
-
-  bool SetScalar(Ctx* ctx, const TypePtr& scalar, const std::string& text) {
-    std::string_view trimmed = StrTrim(text);
-    if (scalar->scalar_kind == xs::ScalarKind::kInteger &&
-        !IsInteger(trimmed)) {
+  // Stores `text` in the scalar slot owned by `owner`; false when the text
+  // does not fit an integer `content` or no slot is owned by `owner`.
+  bool SetScalar(const Ctx& ctx, const Type* owner, const Type& content,
+                 const std::string& text) {
+    if (content.kind == Type::Kind::kScalar &&
+        content.scalar_kind == xs::ScalarKind::kInteger &&
+        !IsInteger(StrTrim(text))) {
       return false;
     }
-    int col = SlotColumnIndex(*ctx, /*tilde=*/false);
+    int col = ctx.tm->SlotColumn(owner, /*tilde=*/false);
     if (col < 0) return false;
-    (*ctx->row)[col] = xq::CanonicalValue(text);
+    (*ctx.row)[col] = xq::CanonicalValue(text);
     return true;
   }
 
@@ -124,7 +115,8 @@ class Shredder {
       case Type::Kind::kScalar: {
         if (ctx->pos < ctx->items->size() &&
             (*ctx->items)[ctx->pos]->is_text()) {
-          if (!SetScalar(ctx, t, (*ctx->items)[ctx->pos]->text())) {
+          if (!SetScalar(*ctx, ctx->owner, *t,
+                         (*ctx->items)[ctx->pos]->text())) {
             return false;
           }
           ++ctx->pos;
@@ -132,7 +124,7 @@ class Shredder {
         }
         // Empty content: acceptable for strings only.
         if (t->scalar_kind == xs::ScalarKind::kString) {
-          return SetScalar(ctx, t, "");
+          return SetScalar(*ctx, ctx->owner, *t, "");
         }
         return false;
       }
@@ -142,13 +134,9 @@ class Shredder {
         if (!item->is_element() || !t->name.Matches(item->name())) {
           return false;
         }
-        ctx->path.push_back(m_.ElementStep(ctx->tm->type_name, t.get()));
         if (t->name.is_wildcard()) {
-          int col = SlotColumnIndex(*ctx, /*tilde=*/true);
-          if (col < 0) {
-            ctx->path.pop_back();
-            return false;
-          }
+          int col = ctx->tm->SlotColumn(t.get(), /*tilde=*/true);
+          if (col < 0) return false;
           (*ctx->row)[col] = Value::Str(item->name());
         }
         std::vector<const xml::Node*> children;
@@ -159,6 +147,7 @@ class Shredder {
         inner.pos = 0;
         inner.attr_elem = item;
         inner.matched_attrs = &attrs;
+        inner.owner = t.get();
         bool ok = MatchBody(t->child, &inner) && inner.pos == children.size();
         if (ok) {
           // Every attribute present on the element must be declared.
@@ -170,7 +159,6 @@ class Shredder {
             }
           }
         }
-        ctx->path.pop_back();
         if (!ok) return false;
         ++ctx->pos;
         return true;
@@ -180,9 +168,7 @@ class Shredder {
         const std::string* value =
             ctx->attr_elem->FindAttribute(t->name.name);
         if (!value) return false;
-        ctx->path.push_back("@" + t->name.name);
-        bool ok = SetScalarFromAttr(ctx, t->child, *value);
-        ctx->path.pop_back();
+        bool ok = SetScalar(*ctx, t.get(), *t->child, *value);
         if (ok && ctx->matched_attrs) {
           ctx->matched_attrs->insert(t->name.name);
         }
@@ -199,7 +185,7 @@ class Shredder {
         for (const auto& alt : t->children) {
           Checkpoint cp = Save(*ctx);
           if (ShredInstance(alt->ref_name, *ctx->items, &ctx->pos,
-                            ctx->tm->type_name, ctx->self_id,
+                            ctx->tm, ctx->self_id,
                             ctx->attr_elem, ctx->matched_attrs)) {
             return true;
           }
@@ -221,7 +207,7 @@ class Shredder {
           bool ok;
           if (t->child->kind == Type::Kind::kTypeRef) {
             ok = ShredInstance(t->child->ref_name, *ctx->items, &ctx->pos,
-                               ctx->tm->type_name, ctx->self_id,
+                               ctx->tm, ctx->self_id,
                                ctx->attr_elem, ctx->matched_attrs);
           } else {
             // Union of refs.
@@ -237,30 +223,19 @@ class Shredder {
       }
       case Type::Kind::kTypeRef:
         return ShredInstance(t->ref_name, *ctx->items, &ctx->pos,
-                             ctx->tm->type_name, ctx->self_id,
+                             ctx->tm, ctx->self_id,
                              ctx->attr_elem, ctx->matched_attrs);
     }
     return false;
   }
 
-  bool SetScalarFromAttr(Ctx* ctx, const TypePtr& scalar,
-                         const std::string& value) {
-    if (scalar && scalar->kind == Type::Kind::kScalar &&
-        scalar->scalar_kind == xs::ScalarKind::kInteger &&
-        !IsInteger(StrTrim(value))) {
-      return false;
-    }
-    int col = SlotColumnIndex(*ctx, /*tilde=*/false);
-    if (col < 0) return false;
-    (*ctx->row)[col] = xq::CanonicalValue(value);
-    return true;
-  }
-
   // Matches one instance of named type `name` starting at items[*pos],
-  // inserting (buffering) its row and its descendants' rows.
+  // inserting (buffering) its row and its descendants' rows. `parent` is
+  // the concrete (non-virtual) type whose row `parent_id` keys; null for
+  // the document root.
   bool ShredInstance(const std::string& name,
                      const std::vector<const xml::Node*>& items, size_t* pos,
-                     const std::string& parent_type, int64_t parent_id,
+                     const TypeMapping* parent, int64_t parent_id,
                      const xml::Node* attr_elem,
                      std::set<std::string>* matched_attrs = nullptr) {
     const TypeMapping* tm = m_.FindType(name);
@@ -269,7 +244,7 @@ class Shredder {
       for (const auto& alt : tm->union_alternatives) {
         size_t saved_buffer = buffer_.size();
         size_t saved_pos = *pos;
-        if (ShredInstance(alt, items, pos, parent_type, parent_id,
+        if (ShredInstance(alt, items, pos, parent, parent_id,
                           attr_elem, matched_attrs)) {
           return true;
         }
@@ -278,18 +253,15 @@ class Shredder {
       }
       return false;
     }
-    const rel::Table& meta = db_->GetTable(tm->table).meta();
-    Row row(meta.columns.size(), Value::MakeNull());
+    StoredTable* table = &db_->GetTable(tm->table);
+    Row row(table->meta().columns.size(), Value::MakeNull());
     int64_t id = db_->NextId();
-    int key_idx = meta.ColumnIndex(meta.key_column);
-    LEGODB_CHECK(key_idx >= 0, "mapped table lost its key column");
-    row[key_idx] = Value::Int(id);
-    if (!parent_type.empty()) {
-      // Resolve the FK through virtual-union contraction: the effective
-      // parent may be an ancestor of `parent_type`; since the caller passes
-      // the concrete (non-virtual) parent, a direct link must exist.
-      int fk_idx = meta.ColumnIndex("parent_" + parent_type);
-      if (fk_idx >= 0) row[fk_idx] = Value::Int(parent_id);
+    row[TypeMapping::kKeyColumn] = Value::Int(id);
+    if (parent) {
+      // Virtual-union contraction links the child to the concrete parent
+      // the caller passes, so a direct link exists.
+      int fk = tm->ParentColumn(parent->type_name);
+      if (fk >= 0) row[fk] = Value::Int(parent_id);
     }
     size_t saved_buffer = buffer_.size();
     size_t saved_pos = *pos;
@@ -308,7 +280,7 @@ class Shredder {
       return false;
     }
     *pos = ctx.pos;
-    buffer_.push_back(Pending{tm->table, std::move(row)});
+    buffer_.push_back(Pending{table, std::move(row)});
     return true;
   }
 

@@ -28,17 +28,18 @@ struct NamedConfig {
   xs::Schema schema;
 };
 
-xs::Schema ApplyFirstKind(const xs::Schema& s, core::Transformation::Kind kind,
+xs::Schema ApplyFirstKind(const xs::Schema& s,
+                          core::TransformDescriptor::Kind kind,
                           const std::string& tag = "") {
   core::TransformOptions options;
   options.inline_types = false;
   options.outline_elements = false;
   options.union_distribute =
-      kind == core::Transformation::Kind::kUnionDistribute;
+      kind == core::TransformDescriptor::Kind::kUnionDistribute;
   options.repetition_split =
-      kind == core::Transformation::Kind::kRepetitionSplit;
+      kind == core::TransformDescriptor::Kind::kRepetitionSplit;
   options.wildcard_materialize =
-      kind == core::Transformation::Kind::kWildcardMaterialize;
+      kind == core::TransformDescriptor::Kind::kWildcardMaterialize;
   if (!tag.empty()) options.wildcard_tags.push_back(tag);
   for (const auto& t : core::EnumerateTransformations(s, options)) {
     auto out = core::ApplyTransformation(s, t);
@@ -62,11 +63,11 @@ std::vector<NamedConfig> AllConfigs() {
   configs.push_back(
       {"union-distributed",
        ApplyFirstKind(normalized,
-                      core::Transformation::Kind::kUnionDistribute)});
+                      core::TransformDescriptor::Kind::kUnionDistribute)});
   configs.push_back(
       {"wildcard-materialized",
        ApplyFirstKind(normalized,
-                      core::Transformation::Kind::kWildcardMaterialize,
+                      core::TransformDescriptor::Kind::kWildcardMaterialize,
                       "nyt")});
   return configs;
 }

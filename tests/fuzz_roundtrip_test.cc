@@ -2,10 +2,13 @@
 //  - generated documents validate against their schema,
 //  - schema print -> parse is a fixpoint,
 //  - for each derived configuration (normalized / all-inlined /
-//    all-outlined), shred -> reconstruct is the identity,
-//  - transformations preserve validity of the generated documents.
+//    all-outlined / each single move of the normalized schema),
+//    shred -> reconstruct is the identity,
+//  - transformations preserve validity of the generated documents,
+//  - a hand-written schema round-trips through every single move kind.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "schema_fuzzer.h"
 #include "storage/reconstruct.h"
 #include "storage/shredder.h"
+#include "xml/parser.h"
 #include "xml/writer.h"
 #include "xschema/schema.h"
 #include "xschema/schema_parser.h"
@@ -51,6 +55,34 @@ TEST_P(FuzzRoundTrip, PrintParseFixpoint) {
   }
 }
 
+// The single moves both transformation tests apply: the search's default
+// inline/outline plus union distribution and repetition split and merge,
+// whose distributed and ordinal-suffixed layouts the shredder and
+// reconstructor must resolve.
+core::TransformOptions SingleMoves() {
+  core::TransformOptions options;
+  options.union_distribute = true;
+  options.repetition_split = true;
+  options.repetition_merge = true;
+  return options;
+}
+
+// Shreds `doc` into `config`'s mapping and expects reconstruction to
+// serialize back to `original`.
+void ExpectRoundTrip(const Schema& config, const xml::Document& doc,
+                     const std::string& original, const std::string& label) {
+  SCOPED_TRACE(label + "\nconfig:\n" + config.ToString());
+  ASSERT_TRUE(ps::CheckPhysical(config).ok());
+  auto mapping = map::MapSchema(config);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  store::Database db(mapping->catalog());
+  Status st = store::ShredDocument(doc, mapping.value(), &db);
+  ASSERT_TRUE(st.ok()) << st.ToString() << "\ndoc:\n" << original;
+  auto rebuilt = store::ReconstructDocument(&db, mapping.value());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(original, xml::Serialize(rebuilt.value()));
+}
+
 TEST_P(FuzzRoundTrip, ShredReconstructIdentityAcrossConfigs) {
   SchemaFuzzer fuzzer(GetParam());
   Schema schema = fuzzer.Generate();
@@ -58,22 +90,15 @@ TEST_P(FuzzRoundTrip, ShredReconstructIdentityAcrossConfigs) {
   doc.root = fuzzer.GenerateDocument(schema);
   std::string original = xml::Serialize(doc);
 
-  const Schema configs[] = {ps::Normalize(schema), ps::AllInlined(schema),
-                            ps::AllOutlined(schema)};
-  for (const Schema& config : configs) {
-    ASSERT_TRUE(ps::CheckPhysical(config).ok()) << config.ToString();
-    auto mapping = map::MapSchema(config);
-    ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
-    store::Database db(mapping->catalog());
-    Status st = store::ShredDocument(doc, mapping.value(), &db);
-    ASSERT_TRUE(st.ok()) << st.ToString() << "\nconfig:\n"
-                         << config.ToString() << "\ndoc:\n"
-                         << original;
-    auto rebuilt = store::ReconstructDocument(&db, mapping.value());
-    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-    EXPECT_EQ(original, xml::Serialize(rebuilt.value()))
-        << "config:\n"
-        << config.ToString();
+  Schema normalized = ps::Normalize(schema);
+  ExpectRoundTrip(normalized, doc, original, "normalized");
+  ExpectRoundTrip(ps::AllInlined(schema), doc, original, "all inlined");
+  ExpectRoundTrip(ps::AllOutlined(schema), doc, original, "all outlined");
+  for (const auto& t :
+       core::EnumerateTransformations(normalized, SingleMoves())) {
+    auto out = core::ApplyTransformation(normalized, t);
+    if (!out.ok()) continue;
+    ExpectRoundTrip(out.value(), doc, original, t.Describe(normalized));
   }
 }
 
@@ -85,11 +110,8 @@ TEST_P(FuzzRoundTrip, TransformationsPreserveValidity) {
   Schema normalized = ps::Normalize(schema);
   ASSERT_TRUE(xs::ValidateDocument(doc, normalized).ok());
 
-  core::TransformOptions options;
-  options.union_distribute = true;
-  options.repetition_split = true;
-  options.repetition_merge = true;
-  for (const auto& t : core::EnumerateTransformations(normalized, options)) {
+  for (const auto& t :
+       core::EnumerateTransformations(normalized, SingleMoves())) {
     auto out = core::ApplyTransformation(normalized, t);
     if (!out.ok()) continue;
     EXPECT_TRUE(xs::ValidateDocument(doc, out.value()).ok())
@@ -98,6 +120,49 @@ TEST_P(FuzzRoundTrip, TransformationsPreserveValidity) {
         << out->ToString() << "\ndoc:\n"
         << xml::Serialize(doc);
   }
+}
+
+// The generated schemas rarely offer union distribution or a merge, so one
+// hand-written schema covers them: a distributable union in S, a splittable
+// S{1,3}, and two wildcard siblings whose steps are "~" and "~#2".
+TEST(SingleMoveRoundTrip, DistributedSplitMergedAndOrdinalLayouts) {
+  auto parsed = xs::ParseSchema(
+      "type R = r[ S{1,3}, ~[ String ], ~[ Integer ] ] "
+      "type S = s[ common[ String ], (M | T) ] "
+      "type M = box[ Integer ] type T = seasons[ Integer ]");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Schema normalized = ps::Normalize(parsed.value());
+  auto doc = xml::ParseDocument(
+      "<r><s><common>a</common><box>1</box></s>"
+      "<s><common>b</common><seasons>2</seasons></s><p>x</p><q>3</q></r>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::string original = xml::Serialize(doc.value());
+
+  std::set<core::TransformDescriptor::Kind> kinds;
+  for (const auto& t :
+       core::EnumerateTransformations(normalized, SingleMoves())) {
+    auto out = core::ApplyTransformation(normalized, t);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    kinds.insert(t.kind);
+    ExpectRoundTrip(out.value(), doc.value(), original,
+                    t.Describe(normalized));
+    if (t.kind != core::TransformDescriptor::Kind::kRepetitionSplit) continue;
+    // Merging the split back exercises the merge move.
+    for (const auto& m :
+         core::EnumerateTransformations(out.value(), SingleMoves())) {
+      if (m.kind != core::TransformDescriptor::Kind::kRepetitionMerge) {
+        continue;
+      }
+      auto merged = core::ApplyTransformation(out.value(), m);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      kinds.insert(m.kind);
+      ExpectRoundTrip(merged.value(), doc.value(), original,
+                      m.Describe(out.value()));
+    }
+  }
+  EXPECT_TRUE(kinds.count(core::TransformDescriptor::Kind::kUnionDistribute));
+  EXPECT_TRUE(kinds.count(core::TransformDescriptor::Kind::kRepetitionSplit));
+  EXPECT_TRUE(kinds.count(core::TransformDescriptor::Kind::kRepetitionMerge));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRoundTrip,

@@ -18,6 +18,7 @@ namespace {
 
 using xs::ParseSchema;
 using xs::Schema;
+using Kind = TransformDescriptor::Kind;
 
 Schema S(const char* text) {
   auto schema = ParseSchema(text);
@@ -25,7 +26,7 @@ Schema S(const char* text) {
   return ps::Normalize(schema.value());
 }
 
-std::vector<Transformation> Enumerate(const Schema& s, bool all = true) {
+std::vector<TransformDescriptor> Enumerate(const Schema& s, bool all = true) {
   TransformOptions options;
   options.inline_types = all;
   options.outline_elements = all;
@@ -38,8 +39,8 @@ std::vector<Transformation> Enumerate(const Schema& s, bool all = true) {
   return EnumerateTransformations(s, options);
 }
 
-const Transformation* FindKind(const std::vector<Transformation>& ts,
-                               Transformation::Kind kind) {
+const TransformDescriptor* FindKind(const std::vector<TransformDescriptor>& ts,
+                                    Kind kind) {
   for (const auto& t : ts) {
     if (t.kind == kind) return &t;
   }
@@ -53,7 +54,7 @@ TEST(UnionDistribute, PartitionsTheType) {
                "type S = s[ common[ String ], (M | T) ] "
                "type M = box[ Integer ] type T = seasons[ Integer ]");
   auto ts = Enumerate(s);
-  const Transformation* t = FindKind(ts, Transformation::Kind::kUnionDistribute);
+  const TransformDescriptor* t = FindKind(ts, Kind::kUnionDistribute);
   ASSERT_NE(t, nullptr);
   auto out = ApplyTransformation(s, *t);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -70,9 +71,9 @@ TEST(UnionDistribute, PartitionsTheType) {
 TEST(UnionDistribute, MatchesPaperShowExample) {
   Schema s = ps::Normalize(*imdb::Schema());
   auto ts = Enumerate(s);
-  const Transformation* t = nullptr;
+  const TransformDescriptor* t = nullptr;
   for (const auto& cand : ts) {
-    if (cand.kind == Transformation::Kind::kUnionDistribute &&
+    if (cand.kind == Kind::kUnionDistribute &&
         cand.type_name == "Show") {
       t = &cand;
     }
@@ -95,7 +96,7 @@ TEST(UnionToOptions, InlinesBranchesAsOptionals) {
   Schema s = S("type R = r[ (M | T) ] "
                "type M = box[ Integer ] type T = seasons[ Integer ]");
   auto ts = Enumerate(s);
-  const Transformation* t = FindKind(ts, Transformation::Kind::kUnionToOptions);
+  const TransformDescriptor* t = FindKind(ts, Kind::kUnionToOptions);
   ASSERT_NE(t, nullptr);
   auto out = ApplyTransformation(s, *t);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -111,7 +112,7 @@ TEST(UnionToOptions, IsLossyButGeneralizes) {
                     "type M = box[ Integer ] type T = seasons[ Integer ]");
   auto ts = Enumerate(before);
   auto out = ApplyTransformation(
-      before, *FindKind(ts, Transformation::Kind::kUnionToOptions));
+      before, *FindKind(ts, Kind::kUnionToOptions));
   ASSERT_TRUE(out.ok());
   auto doc_m = xml::ParseDocument("<r><box>1</box></r>");
   auto doc_both = xml::ParseDocument("<r><box>1</box><seasons>2</seasons></r>");
@@ -127,8 +128,8 @@ TEST(UnionToOptions, IsLossyButGeneralizes) {
 TEST(RepetitionSplit, PeelsFirstOccurrence) {
   Schema s = S("type R = r[ Aka{1,10} ] type Aka = aka[ String ]");
   auto ts = Enumerate(s);
-  const Transformation* t =
-      FindKind(ts, Transformation::Kind::kRepetitionSplit);
+  const TransformDescriptor* t =
+      FindKind(ts, Kind::kRepetitionSplit);
   ASSERT_NE(t, nullptr);
   auto out = ApplyTransformation(s, *t);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -140,7 +141,7 @@ TEST(RepetitionSplit, UnboundedStaysUnbounded) {
   Schema s = S("type R = r[ Aka+ ] type Aka = aka[ String ]");
   auto ts = Enumerate(s);
   auto out = ApplyTransformation(
-      s, *FindKind(ts, Transformation::Kind::kRepetitionSplit));
+      s, *FindKind(ts, Kind::kRepetitionSplit));
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->Get("R")->ToString().find("aka[ String ], Aka*"),
             std::string::npos);
@@ -149,18 +150,18 @@ TEST(RepetitionSplit, UnboundedStaysUnbounded) {
 TEST(RepetitionSplit, NotOfferedForOptionalRepetitions) {
   Schema s = S("type R = r[ Aka{0,10} ] type Aka = aka[ String ]");
   auto ts = Enumerate(s);
-  EXPECT_EQ(FindKind(ts, Transformation::Kind::kRepetitionSplit), nullptr);
+  EXPECT_EQ(FindKind(ts, Kind::kRepetitionSplit), nullptr);
 }
 
 TEST(RepetitionMerge, InvertsSplit) {
   Schema s = S("type R = r[ Aka{1,10} ] type Aka = aka[ String ]");
   auto ts = Enumerate(s);
   auto split = ApplyTransformation(
-      s, *FindKind(ts, Transformation::Kind::kRepetitionSplit));
+      s, *FindKind(ts, Kind::kRepetitionSplit));
   ASSERT_TRUE(split.ok());
   auto ts2 = Enumerate(split.value());
-  const Transformation* merge =
-      FindKind(ts2, Transformation::Kind::kRepetitionMerge);
+  const TransformDescriptor* merge =
+      FindKind(ts2, Kind::kRepetitionMerge);
   ASSERT_NE(merge, nullptr);
   auto back = ApplyTransformation(split.value(), *merge);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -173,8 +174,8 @@ TEST(RepetitionMerge, InvertsSplit) {
 TEST(WildcardMaterialize, SplitsTagFromRest) {
   Schema s = S("type R = r[ Rev* ] type Rev = rev[ ~[ String ] ]");
   auto ts = Enumerate(s);
-  const Transformation* t =
-      FindKind(ts, Transformation::Kind::kWildcardMaterialize);
+  const TransformDescriptor* t =
+      FindKind(ts, Kind::kWildcardMaterialize);
   ASSERT_NE(t, nullptr);
   auto out = ApplyTransformation(s, *t);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -188,7 +189,7 @@ TEST(WildcardMaterialize, SplitsTagFromRest) {
 TEST(WildcardMaterialize, NotOfferedForExclusionWildcards) {
   Schema s = S("type R = r[ W ] type W = ~!x[ String ]");
   auto ts = Enumerate(s);
-  EXPECT_EQ(FindKind(ts, Transformation::Kind::kWildcardMaterialize), nullptr);
+  EXPECT_EQ(FindKind(ts, Kind::kWildcardMaterialize), nullptr);
 }
 
 // ---- Enumeration hygiene ----
@@ -204,7 +205,7 @@ TEST(Enumeration, RespectsOptionFlags) {
 TEST(Enumeration, RootTypeNeverDistributed) {
   Schema s = S("type R = (A | B) type A = a[ String ] type B = b[ String ]");
   auto ts = Enumerate(s);
-  EXPECT_EQ(FindKind(ts, Transformation::Kind::kUnionDistribute), nullptr);
+  EXPECT_EQ(FindKind(ts, Kind::kUnionDistribute), nullptr);
 }
 
 TEST(Enumeration, DescriptionsAreInformative) {
@@ -259,7 +260,7 @@ TEST(Preservation, ChainsOfTransformationsPreserveValidity) {
     auto ts = Enumerate(s);
     ASSERT_FALSE(ts.empty());
     // Pick a deterministic but varied candidate.
-    const Transformation& t = ts[(step * 7) % ts.size()];
+    const TransformDescriptor& t = ts[(step * 7) % ts.size()];
     auto out = ApplyTransformation(s, t);
     if (!out.ok()) continue;
     std::string desc = t.Describe(s);

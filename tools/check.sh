@@ -7,7 +7,7 @@
 #   tools/check.sh --asan                    # ASan/UBSan build of the
 #                                            # optimizer, executor, serving,
 #                                            # storage, mapping, translation
-#                                            # and search suites, then three
+#                                            # and search suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving and
@@ -31,12 +31,13 @@
 # whose layers index flat vectors by id: the mapper's instance-count
 # fixpoint (mapping_test), query translation's interned variables and
 # route deltas (translate_test), and the search's cost-cache keys
-# (search_test). Then three smoke gates: micro_engine's
-# always-on executor-equality check, the serving bench's startup check that
-# cached results are bit-identical to the uncached front end, and a disk
-# calibration run with a deliberately small pool whose --require-io fails
-# the script if no real buffer-pool IO was measured. Any sanitizer report or
-# result mismatch fails the script.
+# (search_test). Then two smoke gates: micro_engine's always-on
+# executor-equality check, and a disk calibration run with a deliberately
+# small pool whose --require-io fails the script if no real buffer-pool IO
+# was measured. Any sanitizer report or result mismatch fails the script.
+# (The cached-vs-uncached bit-identity the serving bench used to check at
+# startup is serving_test's HitSkipsFrontEndAndMatchesUncached and
+# ConcurrentServingIsBitIdentical, 8 clients, in the suite run above.)
 #
 # --tsan builds into build-tsan with -DLEGODB_SANITIZE=thread and runs the
 # tests exercising the parallel search (search_test, plus the transform and
@@ -64,12 +65,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build build-asan -j"$(nproc)" --target \
     optimizer_test costmodel_test engine_equivalence_test engine_test \
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
-    mapping_test translate_test search_test micro_engine serving calibration
+    mapping_test translate_test search_test micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
     -R 'optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|mapping_test|translate_test|search_test'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
-  ./build-asan/bench/serving --threads=1,4,8 --requests=100 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \
     --page-size=1024 --require-io > /dev/null
   echo "asan checks passed"
