@@ -57,7 +57,7 @@ class PreparedPrograms {
 
   // Compiles templates for every operator of every block plan. Resolving
   // columns and indexes here doubles as a prewarm: the first concurrent
-  // executions never race to lazily build shadows for these plans.
+  // executions never race to lazily decode columns for these plans.
   static StatusOr<PreparedPrograms> Compile(
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);

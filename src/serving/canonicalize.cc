@@ -1,94 +1,23 @@
 #include "serving/canonicalize.h"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "common/hash.h"
 #include "xquery/evaluator.h"
+#include "xquery/lexer.h"
 
 namespace legodb::serving {
 
 namespace {
 
-// Mirrors the token classes of the XQuery lexer (xquery/parser.cc). Kept
-// deliberately tiny: the serving hot path runs this instead of a parse.
-struct Tok {
-  enum class Kind { kIdent, kVar, kNumber, kString, kPunct };
-  Kind kind = Kind::kPunct;
-  std::string_view text;  // literal body for strings (no quotes)
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view input) : input_(input) {}
-
-  // False at end of input; otherwise fills `out` with the next token.
-  bool Next(Tok* out) {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ >= input_.size()) return false;
-    char c = input_[pos_];
-    if (c == '$') {
-      ++pos_;
-      *out = Tok{Tok::Kind::kVar, LexIdent()};
-      return true;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      *out = Tok{Tok::Kind::kIdent, LexIdent()};
-      return true;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-      *out = Tok{Tok::Kind::kNumber, input_.substr(start, pos_ - start)};
-      return true;
-    }
-    if (c == '"' || c == '\'') {
-      char quote = c;
-      ++pos_;
-      size_t start = pos_;
-      while (pos_ < input_.size() && input_[pos_] != quote) ++pos_;
-      std::string_view body = input_.substr(start, pos_ - start);
-      if (pos_ < input_.size()) ++pos_;
-      *out = Tok{Tok::Kind::kString, body};
-      return true;
-    }
-    if (c == '<' && pos_ + 1 < input_.size() && input_[pos_ + 1] == '/') {
-      pos_ += 2;
-      *out = Tok{Tok::Kind::kPunct, input_.substr(pos_ - 2, 2)};
-      return true;
-    }
-    ++pos_;
-    *out = Tok{Tok::Kind::kPunct, input_.substr(pos_ - 1, 1)};
-    return true;
-  }
-
- private:
-  std::string_view LexIdent() {
-    size_t start = pos_;
-    while (pos_ < input_.size() &&
-           (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-            input_[pos_] == '_')) {
-      ++pos_;
-    }
-    return input_.substr(start, pos_ - start);
-  }
-
-  std::string_view input_;
-  size_t pos_ = 0;
-};
+using xq::Token;
 
 // A literal is in comparison position iff the previous token ends a
 // comparison operator. The grammar's operators are =, !=, <, <=, >, >= —
 // lexed as single-character punct tokens, every one of which ends in '=',
 // '<' or '>'. `document("...")` follows '(' and never matches.
-bool ComparisonPosition(const Tok& prev) {
-  return prev.kind == Tok::Kind::kPunct &&
+bool ComparisonPosition(const Token& prev) {
+  return prev.kind == Token::Kind::kPunct &&
          (prev.text == "=" || prev.text == "<" || prev.text == ">");
 }
 
@@ -105,22 +34,20 @@ void AppendQuoted(std::string_view body, std::string* out) {
 
 CanonicalQuery Canonicalize(std::string_view query_text) {
   CanonicalQuery out;
-  Lexer lex(query_text);
-  Tok tok;
-  Tok prev;  // starts as empty punct — never comparison position
-  bool first = true;
-  while (lex.Next(&tok)) {
-    if (!first) out.text.push_back(' ');
-    first = false;
-    bool parameterize = (tok.kind == Tok::Kind::kNumber ||
-                         tok.kind == Tok::Kind::kString) &&
+  Token prev;  // starts as kEnd — never comparison position
+  for (xq::Lexer lex(query_text); lex.current().kind != Token::Kind::kEnd;
+       lex.Advance()) {
+    const Token& tok = lex.current();
+    if (!out.text.empty()) out.text.push_back(' ');
+    bool parameterize = (tok.kind == Token::Kind::kNumber ||
+                         tok.kind == Token::Kind::kString) &&
                         ComparisonPosition(prev);
     if (parameterize) {
       std::string name = "__p" + std::to_string(out.bindings.size());
       out.text.append(name);
       // Exactly ResolveConstant's literal conversions, so a bound
       // execution is bit-identical to planning the literal text.
-      if (tok.kind == Tok::Kind::kNumber) {
+      if (tok.kind == Token::Kind::kNumber) {
         out.bindings.emplace(
             std::move(name),
             Value::Int(std::strtoll(std::string(tok.text).c_str(), nullptr,
@@ -131,11 +58,11 @@ CanonicalQuery Canonicalize(std::string_view query_text) {
       }
     } else {
       switch (tok.kind) {
-        case Tok::Kind::kVar:
+        case Token::Kind::kVar:
           out.text.push_back('$');
           out.text.append(tok.text);
           break;
-        case Tok::Kind::kString:
+        case Token::Kind::kString:
           AppendQuoted(tok.text, &out.text);
           break;
         default:

@@ -7,12 +7,12 @@
 // constants — `$show/year > 1994` vs `$show/year > 2000` — describe the
 // same relational plan shape, and should share one cached entry. Rather
 // than parse-then-normalize (which would put a full parse on the cache-hit
-// path), Canonicalize() runs a token-level pass with exactly the XQuery
-// lexer's rules: every number or string literal that sits in comparison
-// position (immediately after a `=`, `<` or `>` token, which terminates
-// every comparison operator the grammar admits) is replaced by a generated
-// `__pN` bind-parameter identifier, and its value is captured in the
-// binding map using the same conversions the executor applies to inline
+// path), Canonicalize() runs a token-level pass over the parser's own
+// lexer (xquery/lexer.h): every number or string literal that sits in
+// comparison position (immediately after a `=`, `<` or `>` token, which
+// terminates every comparison operator the grammar admits) is replaced by a
+// generated `__pN` bind-parameter identifier, and its value is captured in
+// the binding map using the same conversions the executor applies to inline
 // literals (ints directly, strings through xq::CanonicalValue) — so a
 // cached execution is bit-identical to planning the literal text directly.
 // Literals anywhere else — notably the `document("...")` source name,

@@ -112,8 +112,9 @@ StatusOr<MigrationReport> Migrator::RunPhases(
         "shadow shred produced no rows for a non-empty source");
   }
 
-  // Phase 2: prewarm every index and column shadow, so post-swap requests
-  // never pay (or contend on) a first-use build.
+  // Phase 2: prewarm every index and the decoded columns of every paged
+  // table, so post-swap requests never pay (or contend on) a first-use
+  // build.
   {
     obs::Span prewarm_span("migrate.prewarm");
     const int64_t t0 = obs::NowNanos();

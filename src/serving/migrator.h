@@ -12,9 +12,9 @@
 //                 (map::MapSchema) and shred the source document into a
 //                 fresh shadow store::Database on the caller's thread,
 //                 touching nothing the serving path reads;
-//   2. prewarm  — build every index and column shadow of the shadow
-//                 database, so the first post-swap requests pay no lazy
-//                 builds;
+//   2. prewarm  — build every index and decode every paged table of the
+//                 shadow database, so the first post-swap requests pay no
+//                 lazy builds;
 //   3. verify   — execute every workload query against the old (pinned)
 //                 version and the shadow, requiring bit-identical result
 //                 rows (which subsumes row counts); a mismatch aborts.

@@ -139,8 +139,9 @@ class QueryServer {
   QueryServer(store::Database* db, const map::Mapping* mapping,
               ServerOptions options = {});
 
-  // Builds every hash index and column shadow of the *current* version up
-  // front so first requests don't pay (or contend on) lazy builds.
+  // Builds every hash index and decodes every paged table of the *current*
+  // version up front so first requests don't pay (or contend on) lazy
+  // builds.
   Status Prewarm();
 
   // Serves one query. Thread-safe. Unavailable when over the in-flight

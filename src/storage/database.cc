@@ -300,7 +300,7 @@ void ColumnVector::ShrinkToFit() {
 }
 
 StoredTable::StoredTable(rel::Table meta, PagedBackend* paged)
-    : meta_(std::move(meta)), paged_(paged) {
+    : meta_(std::move(meta)), paged_(paged), indexes_(meta_.columns.size()) {
   if (!paged_) columns_.resize(meta_.columns.size());
 }
 
@@ -314,10 +314,7 @@ Status StoredTable::Insert(Row row) {
       columns_[c].Append(std::move(row[c]));
     }
   }
-  mutations_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(index_mu_);
-  indexes_.clear();  // indexes/shadows are rebuilt on first use after loading
-  shadows_.clear();
+  Mutated();
   return Status::OK();
 }
 
@@ -406,11 +403,16 @@ Status StoredTable::RemoveLastRows(size_t n) {
                  "StoredTable::RemoveLastRows: more rows than stored");
     for (ColumnVector& column : columns_) column.Truncate(rows - n);
   }
+  Mutated();
+  return Status::OK();
+}
+
+void StoredTable::Mutated() {
   mutations_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(index_mu_);
-  indexes_.clear();
-  shadows_.clear();
-  return Status::OK();
+  // Indexes and decoded columns are rebuilt on first use after loading.
+  for (std::unique_ptr<HashIndex>& index : indexes_) index.reset();
+  if (paged()) columns_.clear();
 }
 
 void StoredTable::ShrinkToFit() {
@@ -489,65 +491,54 @@ StatusOr<TableIo> StoredTable::FetchRows(const int32_t* rows, size_t n) const {
 
 StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
     const std::string& column) {
+  LEGODB_ASSIGN_OR_RETURN(const ColumnVector* values,
+                          GetOrBuildColumn(column));
   std::lock_guard<std::mutex> lock(index_mu_);
-  auto it = indexes_.find(column);
-  if (it != indexes_.end()) return static_cast<const HashIndex*>(it->second.get());
-  if (meta_.ColumnIndex(column) < 0) {
-    return Status::Internal("no column '" + column + "' in table '" +
-                            meta_.name + "' to index");
-  }
-  // Indexes build from the column shadow (on paged tables one sequential
-  // page scan), which stays cached for every later reader.
-  LEGODB_ASSIGN_OR_RETURN(const ColumnVector* col,
-                          GetOrBuildColumnLocked(column));
-  auto built = std::make_unique<HashIndex>(*col);
-  const HashIndex* result = built.get();
-  indexes_.emplace(column, std::move(built));
-  return result;
+  std::unique_ptr<HashIndex>& index =
+      indexes_[static_cast<size_t>(meta_.ColumnIndex(column))];
+  if (!index) index = std::make_unique<HashIndex>(*values);
+  return static_cast<const HashIndex*>(index.get());
 }
 
 StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumn(
     const std::string& column) {
-  if (!paged()) return GetOrBuildColumnLocked(column);  // nothing to build
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return GetOrBuildColumnLocked(column);
-}
-
-StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumnLocked(
-    const std::string& column) {
-  int idx = meta_.ColumnIndex(column);
+  const int idx = meta_.ColumnIndex(column);
   if (idx < 0) {
     return Status::Internal("no column '" + column + "' in table '" +
-                            meta_.name + "' to vectorize");
+                            meta_.name + "'");
   }
-  if (!paged()) {
-    const ColumnVector* stored = &columns_[static_cast<size_t>(idx)];
-    return stored;
-  }
-  auto it = shadows_.find(column);
-  if (it != shadows_.end()) {
-    return static_cast<const ColumnVector*>(it->second.get());
-  }
-  // Sequential page scan: deserialize each row once, keep only the
-  // requested column. The shadow owns the values it exposes.
-  auto built = std::make_unique<ColumnVector>();
-  built->Reserve(locators_.size());
-  Row scratch;
-  for (size_t i = 0; i < locators_.size(); ++i) {
-    const RowLocator loc = locators_[i];
-    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard,
-                            pool()->Pin(loc.page));
+  LEGODB_RETURN_IF_ERROR(Decode());
+  return &columns_[static_cast<size_t>(idx)];
+}
+
+Status StoredTable::Decode() {
+  if (!paged()) return Status::OK();
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (!columns_.empty()) return Status::OK();
+  // One sequential page scan, each page pinned once and each row
+  // deserialized once into every column. Built aside, so a failed scan
+  // leaves the table undecoded.
+  std::vector<ColumnVector> decoded(meta_.columns.size());
+  for (ColumnVector& column : decoded) column.Reserve(locators_.size());
+  BufferPool::PageGuard guard;
+  Row row;
+  for (const RowLocator& loc : locators_) {
+    if (!guard.valid() || guard.page_id() != loc.page) {
+      guard.Release();
+      LEGODB_ASSIGN_OR_RETURN(guard, pool()->Pin(loc.page));
+    }
     uint16_t off = 0;
     uint16_t len = 0;
     LEGODB_RETURN_IF_ERROR(SlotExtent(guard.data(), pager()->page_size(),
                                       loc.slot, &off, &len));
-    LEGODB_RETURN_IF_ERROR(DeserializeRow(guard.data() + off, len,
-                                          meta_.columns.size(), &scratch));
-    built->Append(std::move(scratch[static_cast<size_t>(idx)]));
+    LEGODB_RETURN_IF_ERROR(
+        DeserializeRow(guard.data() + off, len, decoded.size(), &row));
+    for (size_t c = 0; c < decoded.size(); ++c) {
+      decoded[c].Append(std::move(row[c]));
+    }
   }
-  const ColumnVector* result = built.get();
-  shadows_.emplace(column, std::move(built));
-  return result;
+  columns_ = std::move(decoded);
+  return Status::OK();
 }
 
 Database::Database(const rel::Catalog& catalog, StorageOptions options)
@@ -606,9 +597,7 @@ Status Database::PrewarmIndexes() {
 
 Status Database::PrewarmColumns() {
   for (auto& [name, table] : tables_) {
-    for (const auto& col : table.meta().columns) {
-      LEGODB_RETURN_IF_ERROR(table.GetOrBuildColumn(col.name).status());
-    }
+    LEGODB_RETURN_IF_ERROR(table.Decode());
   }
   return Status::OK();
 }

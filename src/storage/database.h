@@ -92,9 +92,9 @@ class HashIndex {
 // One column of a StoredTable: the per-row values of the column laid out
 // contiguously, so vectorized operators can run tight per-column loops.
 // On memory tables these columns *are* the table (appended by Insert,
-// truncated by RemoveLastRows); on paged tables the same type serves as a
-// shadow built from one page scan and immutable once published (same
-// publication contract as HashIndex).
+// truncated by RemoveLastRows); on paged tables they are the table's pages
+// decoded once, immutable once published (same publication contract as
+// HashIndex).
 //
 // Three parallel views, all indexed by row position:
 //  - null_mask(): 1 byte per row, nonzero = SQL NULL;
@@ -143,8 +143,8 @@ struct TableIo {
 //  - memory (no PagedBackend): one ColumnVector per catalog column, which
 //    GetOrBuildColumn hands out directly;
 //  - paged: rows serialized into fixed-size slotted pages behind the
-//    database's buffer pool; a RowLocator (page, slot) per row, and column
-//    shadows built lazily from one page scan.
+//    database's buffer pool, a RowLocator (page, slot) per row, and the
+//    same columns decoded from one page scan on first use (see Decode).
 //
 // Either way, ReadRow() materializes one row, and readers charge IO
 // through SeekIo()/FetchRowRange()/FetchRows(), so the executor never asks
@@ -166,8 +166,7 @@ class StoredTable {
         locators_(std::move(other.locators_)),
         pages_(std::move(other.pages_)),
         mutations_(other.mutations_.load(std::memory_order_relaxed)),
-        indexes_(std::move(other.indexes_)),
-        shadows_(std::move(other.shadows_)) {}
+        indexes_(std::move(other.indexes_)) {}
 
   const rel::Table& meta() const { return meta_; }
   bool paged() const { return paged_ != nullptr; }
@@ -185,10 +184,10 @@ class StoredTable {
     return mutations_.load(std::memory_order_acquire);
   }
 
-  // Appends a row; must have one value per column. Invalidates indexes and
-  // column shadows. On the paged backend this serializes the row into the
-  // tail slotted page (allocating a fresh page when it does not fit) and
-  // can fail on real IO — memory inserts always succeed.
+  // Appends a row; must have one value per column. Drops the indexes and a
+  // paged table's decoded columns. On the paged backend this serializes the
+  // row into the tail slotted page (allocating a fresh page when it does
+  // not fit) and can fail on real IO — memory inserts always succeed.
   Status Insert(Row row);
   // Removes the n most recently inserted rows (shredder rollback support).
   Status RemoveLastRows(size_t n);
@@ -220,9 +219,13 @@ class StoredTable {
   StatusOr<const HashIndex*> GetOrBuildIndex(const std::string& column);
 
   // Returns `column`: on memory tables the column itself, on paged tables
-  // its shadow, built on first use (thread-safe). Internal error when the
-  // column does not exist.
+  // its decoded copy (see Decode). Internal error when the column does not
+  // exist.
   StatusOr<const ColumnVector*> GetOrBuildColumn(const std::string& column);
+
+  // Paged tables: unless already decoded, decodes the pages into the
+  // columns in one page scan (thread-safe). No-op on memory tables.
+  Status Decode();
 
  private:
   struct RowLocator {
@@ -233,13 +236,13 @@ class StoredTable {
   // Paged-backend internals (all assume paged()).
   Status InsertPaged(const Row& row);
   StatusOr<Row> ReadRowPaged(size_t i) const;
-  StatusOr<const ColumnVector*> GetOrBuildColumnLocked(
-      const std::string& column);
+  // Bumps mutation_count() and drops the indexes and decoded columns.
+  void Mutated();
 
   rel::Table meta_;
   PagedBackend* paged_ = nullptr;  // owned by the Database; null on memory
 
-  // Memory tables: the data, one column per catalog column.
+  // One per catalog column: the data, or a paged table's decode (or empty).
   std::vector<ColumnVector> columns_;
 
   // Paged backend: one locator per row, plus the owned pages in order (the
@@ -249,10 +252,9 @@ class StoredTable {
 
   std::atomic<uint64_t> mutations_{0};
 
+  // Guards the paged decode and indexes_ (one per column, null until built).
   mutable std::mutex index_mu_;
-  std::map<std::string, std::unique_ptr<HashIndex>> indexes_;
-  // Paged backend: column shadows by name.
-  std::map<std::string, std::unique_ptr<ColumnVector>> shadows_;
+  std::vector<std::unique_ptr<HashIndex>> indexes_;
 };
 
 // A relational database instance for one storage configuration.
@@ -294,11 +296,10 @@ class Database {
   // Call after loading, before serving.
   Status PrewarmIndexes();
 
-  // Builds the shadow of every column of every paged table up front — the
-  // column counterpart of PrewarmIndexes() (memory tables have nothing to
-  // build). Without this, the first post-startup queries build shadows
-  // lazily under the per-table registry mutex, serializing concurrent
-  // sessions behind one another.
+  // Decodes every paged table up front, one page scan each — the column
+  // counterpart of PrewarmIndexes() (memory tables have nothing to decode).
+  // Without this, the first post-startup queries decode lazily under the
+  // per-table mutex, serializing concurrent sessions behind one another.
   Status PrewarmColumns();
 
   // Fresh unique id for a new row (shared across tables, like the paper's

@@ -2,105 +2,23 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <string>
+
+#include "xquery/lexer.h"
 
 namespace legodb::xq {
 namespace {
 
-struct Token {
-  enum class Kind { kIdent, kVar, kNumber, kString, kPunct, kEnd };
-  Kind kind = Kind::kEnd;
-  std::string text;  // identifier, variable name (no '$'), literal, or punct
-  int line = 1;
-};
-
-std::string ToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
+// Case-insensitive comparison with an upper-case keyword.
+bool EqualsKeyword(std::string_view text, std::string_view kw) {
+  if (text.size() != kw.size()) return false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(text[i])) != kw[i]) {
+      return false;
+    }
+  }
+  return true;
 }
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view input) : input_(input) { Advance(); }
-
-  const Token& current() const { return current_; }
-
-  void Advance() {
-    SkipSpace();
-    current_.line = line_;
-    if (pos_ >= input_.size()) {
-      current_ = Token{Token::Kind::kEnd, "", line_};
-      return;
-    }
-    char c = input_[pos_];
-    if (c == '$') {
-      ++pos_;
-      current_ = Token{Token::Kind::kVar, LexIdent(), line_};
-      return;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      current_ = Token{Token::Kind::kIdent, LexIdent(), line_};
-      return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-      current_ = Token{Token::Kind::kNumber,
-                       std::string(input_.substr(start, pos_ - start)), line_};
-      return;
-    }
-    if (c == '"' || c == '\'') {
-      char quote = c;
-      ++pos_;
-      size_t start = pos_;
-      while (pos_ < input_.size() && input_[pos_] != quote) ++pos_;
-      std::string text(input_.substr(start, pos_ - start));
-      if (pos_ < input_.size()) ++pos_;
-      current_ = Token{Token::Kind::kString, std::move(text), line_};
-      return;
-    }
-    // "</" is one token (element constructor close).
-    if (c == '<' && pos_ + 1 < input_.size() && input_[pos_ + 1] == '/') {
-      pos_ += 2;
-      current_ = Token{Token::Kind::kPunct, "</", line_};
-      return;
-    }
-    ++pos_;
-    current_ = Token{Token::Kind::kPunct, std::string(1, c), line_};
-  }
-
- private:
-  std::string LexIdent() {
-    size_t start = pos_;
-    while (pos_ < input_.size() &&
-           (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-            input_[pos_] == '_')) {
-      ++pos_;
-    }
-    return std::string(input_.substr(start, pos_ - start));
-  }
-
-  void SkipSpace() {
-    while (pos_ < input_.size()) {
-      char c = input_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  std::string_view input_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  Token current_;
-};
 
 class Parser {
  public:
@@ -118,7 +36,7 @@ class Parser {
  private:
   bool IsKeyword(std::string_view kw) const {
     return lex_.current().kind == Token::Kind::kIdent &&
-           ToUpper(lex_.current().text) == kw;
+           EqualsKeyword(lex_.current().text, kw);
   }
   bool ConsumeKeyword(std::string_view kw) {
     if (!IsKeyword(kw)) return false;
@@ -215,14 +133,14 @@ class Parser {
         if (lex_.current().kind != Token::Kind::kIdent) {
           return Error("expected attribute name after '@'");
         }
-        steps.push_back("@" + lex_.current().text);
+        steps.push_back("@" + std::string(lex_.current().text));
         lex_.Advance();
         continue;
       }
       if (lex_.current().kind != Token::Kind::kIdent) {
         return Error("expected step name after '/'");
       }
-      steps.push_back(lex_.current().text);
+      steps.emplace_back(lex_.current().text);
       lex_.Advance();
     }
     return steps;
@@ -274,15 +192,16 @@ class Parser {
         return pred;
       }
       case Token::Kind::kNumber:
-        pred.rhs_const = Constant::Int(std::strtoll(t.text.c_str(), nullptr, 10));
+        pred.rhs_const = Constant::Int(
+            std::strtoll(std::string(t.text).c_str(), nullptr, 10));
         lex_.Advance();
         return pred;
       case Token::Kind::kString:
-        pred.rhs_const = Constant::Str(t.text);
+        pred.rhs_const = Constant::Str(std::string(t.text));
         lex_.Advance();
         return pred;
       case Token::Kind::kIdent:
-        pred.rhs_const = Constant::Symbol(t.text);
+        pred.rhs_const = Constant::Symbol(std::string(t.text));
         lex_.Advance();
         return pred;
       default:

@@ -398,7 +398,7 @@ TEST_F(ExecutorEquivalenceTest, DiskReferenceExecutorMatchesMemory) {
 // only when everything is resident.
 TEST_F(ExecutorEquivalenceTest, DiskExecStatsReflectPoolFaults) {
   auto disk_db = FreshDiskDatabase();
-  // Prewarm indexes and column shadows: their lazy builds scan pages, and
+  // Prewarm indexes and decoded columns: their lazy builds scan pages, and
   // that traffic belongs to warmup, not to the query being measured.
   ASSERT_TRUE(disk_db->PrewarmIndexes().ok());
   ASSERT_TRUE(disk_db->PrewarmColumns().ok());
@@ -489,8 +489,8 @@ TEST_F(ExecutorEquivalenceTest, ConcurrentDiskServingIsBitIdentical) {
 // paged runs on identically shredded databases charge identical faults.
 // Runs start cold, so a lazy build only watching triggers shows up as extra
 // faults. Only the prepared mode starts prewarmed, against a prewarmed
-// unwatched run: its caller compiles every block (paging shadow builds
-// through the pool) before the first block runs.
+// unwatched run: its caller compiles every block (decoding the paged
+// tables through the pool) before the first block runs.
 TEST_F(ExecutorEquivalenceTest, ExecStatsIndependentOfWatching) {
   auto fresh_db = [&](bool disk, bool warm) {
     auto db = disk ? FreshDiskDatabase() : FreshDatabase();

@@ -1,5 +1,5 @@
 // Unit tests for the compiled-predicate bytecode (engine/expr_vm.h):
-// comparison semantics against columnar storage shadows, NULL and
+// comparison semantics against columnar storage, NULL and
 // unbound-lane handling, compile-time diagnostics (unknown columns,
 // out-of-range relations), unbound parameters at bind time, builder-level
 // And/Or programs, stack validation, and bytecode determinism.

@@ -2,12 +2,16 @@
 //  - generated documents validate against their schema,
 //  - schema print -> parse is a fixpoint,
 //  - for each derived configuration (normalized / all-inlined /
-//    all-outlined / each single move of the normalized schema),
-//    shred -> reconstruct is the identity,
+//    all-outlined / each single move of the normalized schema, and each
+//    merge of a split), shred -> reconstruct is the identity on both the
+//    memory and the paged backend,
+//  - the generated schemas offer union distribution and merges,
 //  - transformations preserve validity of the generated documents,
 //  - a hand-written schema round-trips through every single move kind.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
 #include "schema_fuzzer.h"
+#include "storage/database.h"
 #include "storage/reconstruct.h"
 #include "storage/shredder.h"
 #include "xml/parser.h"
@@ -28,6 +33,7 @@ namespace legodb {
 namespace {
 
 using xs::Schema;
+using Kind = core::TransformDescriptor::Kind;
 
 class FuzzRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
@@ -67,7 +73,8 @@ core::TransformOptions SingleMoves() {
   return options;
 }
 
-// Shreds `doc` into `config`'s mapping and expects reconstruction to
+// Shreds `doc` into `config`'s mapping, once into memory and once into
+// small pages behind an 8-page pool, and expects both reconstructions to
 // serialize back to `original`.
 void ExpectRoundTrip(const Schema& config, const xml::Document& doc,
                      const std::string& original, const std::string& label) {
@@ -75,12 +82,42 @@ void ExpectRoundTrip(const Schema& config, const xml::Document& doc,
   ASSERT_TRUE(ps::CheckPhysical(config).ok());
   auto mapping = map::MapSchema(config);
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
-  store::Database db(mapping->catalog());
-  Status st = store::ShredDocument(doc, mapping.value(), &db);
-  ASSERT_TRUE(st.ok()) << st.ToString() << "\ndoc:\n" << original;
-  auto rebuilt = store::ReconstructDocument(&db, mapping.value());
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ(original, xml::Serialize(rebuilt.value()));
+  for (const store::StorageOptions& storage :
+       {store::StorageOptions::Memory(),
+        store::StorageOptions::Paged(512, 8)}) {
+    store::Database db(mapping->catalog(), storage);
+    SCOPED_TRACE(db.paged() ? "paged" : "memory");
+    Status st = store::ShredDocument(doc, mapping.value(), &db);
+    ASSERT_TRUE(st.ok()) << st.ToString() << "\ndoc:\n" << original;
+    auto rebuilt = store::ReconstructDocument(&db, mapping.value());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(original, xml::Serialize(rebuilt.value()));
+  }
+}
+
+// Round-trips every single move of `normalized` that applies, and every
+// merge of each split it makes; returns how many of each kind it ran.
+std::map<Kind, int> RoundTripSingleMoves(const Schema& normalized,
+                                         const xml::Document& doc,
+                                         const std::string& original) {
+  std::map<Kind, int> ran;
+  for (const auto& t :
+       core::EnumerateTransformations(normalized, SingleMoves())) {
+    auto out = core::ApplyTransformation(normalized, t);
+    if (!out.ok()) continue;
+    ++ran[t.kind];
+    ExpectRoundTrip(out.value(), doc, original, t.Describe(normalized));
+    if (t.kind != Kind::kRepetitionSplit) continue;
+    for (const auto& m :
+         core::EnumerateTransformations(out.value(), SingleMoves())) {
+      if (m.kind != Kind::kRepetitionMerge) continue;
+      auto merged = core::ApplyTransformation(out.value(), m);
+      if (!merged.ok()) continue;
+      ++ran[m.kind];
+      ExpectRoundTrip(merged.value(), doc, original, m.Describe(out.value()));
+    }
+  }
+  return ran;
 }
 
 TEST_P(FuzzRoundTrip, ShredReconstructIdentityAcrossConfigs) {
@@ -94,12 +131,33 @@ TEST_P(FuzzRoundTrip, ShredReconstructIdentityAcrossConfigs) {
   ExpectRoundTrip(normalized, doc, original, "normalized");
   ExpectRoundTrip(ps::AllInlined(schema), doc, original, "all inlined");
   ExpectRoundTrip(ps::AllOutlined(schema), doc, original, "all outlined");
-  for (const auto& t :
-       core::EnumerateTransformations(normalized, SingleMoves())) {
-    auto out = core::ApplyTransformation(normalized, t);
-    if (!out.ok()) continue;
-    ExpectRoundTrip(out.value(), doc, original, t.Describe(normalized));
+  RoundTripSingleMoves(normalized, doc, original);
+}
+
+// Over the seeds the suite runs, the generated schemas put unions of refs
+// in non-root types, so union distribution (and a merge of a split) is
+// enumerated and round-tripped, not only the inline/outline moves.
+TEST(FuzzMoveCoverage, SeedsOneToThirtyTwoDistributeAndMerge) {
+  std::map<Kind, int> ran;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SchemaFuzzer fuzzer(seed);
+    Schema schema = fuzzer.Generate();
+    xml::Document doc;
+    doc.root = fuzzer.GenerateDocument(schema);
+    const std::string original = xml::Serialize(doc);
+    for (const auto& [kind, n] :
+         RoundTripSingleMoves(ps::Normalize(schema), doc, original)) {
+      ran[kind] += n;
+    }
   }
+  std::printf("round-tripped: %d inline, %d outline, %d distribute, %d split, "
+              "%d merge\n",
+              ran[Kind::kInline], ran[Kind::kOutline],
+              ran[Kind::kUnionDistribute], ran[Kind::kRepetitionSplit],
+              ran[Kind::kRepetitionMerge]);
+  EXPECT_GT(ran[Kind::kUnionDistribute], 0);
+  EXPECT_GT(ran[Kind::kRepetitionMerge], 0);
 }
 
 TEST_P(FuzzRoundTrip, TransformationsPreserveValidity) {

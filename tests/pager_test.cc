@@ -1,12 +1,16 @@
 // Tests for the paged storage stack: Pager page IO and its failpoint
-// sites, BufferPool pin/eviction invariants, the slotted-page StoredTable,
-// and failure recovery (shredder rollback, flush errors, write-back
-// retries).
+// sites, BufferPool pin/eviction invariants, the slotted-page StoredTable
+// and its decode-once columns (fault counts, invalidation, concurrent first
+// requests), and failure recovery (shredder rollback, flush errors,
+// write-back retries).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -50,6 +54,34 @@ rel::Table SimpleMeta() {
   x.name = "x";
   meta.columns = {id, x};
   return meta;
+}
+
+// Four columns: the key, a string, an int with NULLs and a mixed-kind one.
+rel::Table WideMeta(const std::string& name) {
+  rel::Table meta = SimpleMeta();
+  meta.name = name;
+  meta.key_column = name + "_id";
+  meta.columns.resize(4);
+  meta.columns[0].name = meta.key_column;
+  meta.columns[1].name = "s";
+  meta.columns[2].name = "n";
+  meta.columns[3].name = "m";
+  return meta;
+}
+
+Row WideRow(int i) {
+  return {Value::Int(i), Value::Str("row_" + std::to_string(i) + "_padding"),
+          i % 5 == 0 ? Value::MakeNull() : Value::Int(i % 7),
+          i % 3 == 0 ? Value::Str("m" + std::to_string(i)) : Value::Int(i)};
+}
+
+void ExpectSameValues(const ColumnVector& want, const ColumnVector& got,
+                      const std::string& column) {
+  ASSERT_EQ(want.size(), got.size()) << column;
+  EXPECT_EQ(want.typed_int(), got.typed_int()) << column;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.value(i), got.value(i)) << column << " row " << i;
+  }
 }
 
 // ---- Pager ----
@@ -287,6 +319,94 @@ TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
   EXPECT_EQ((*col)->value(7), Value::Int(7));
 }
 
+TEST(PagedTable, MutationsDropDecodedColumns) {
+  auto backend = PagedBackend::Open(StorageOptions::Paged(512, 2));
+  ASSERT_TRUE(backend.ok());
+  StoredTable t(WideMeta("T"), backend->get());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(t.Insert(WideRow(i)).ok());
+  auto before = t.GetOrBuildColumn("n");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ((*before)->size(), 20u);
+
+  ASSERT_TRUE(t.Insert(WideRow(20)).ok());
+  auto after = t.GetOrBuildColumn("n");
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ((*after)->size(), 21u);
+  EXPECT_EQ((*after)->value(20), WideRow(20)[2]);
+  auto index = t.GetOrBuildIndex("T_id");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index)->FindInt(20).size(), 1u);
+
+  ASSERT_TRUE(t.RemoveLastRows(2).ok());
+  auto rolled_back = t.GetOrBuildColumn("n");
+  ASSERT_TRUE(rolled_back.ok());
+  EXPECT_EQ((*rolled_back)->size(), 19u);
+  index = t.GetOrBuildIndex("T_id");
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE((*index)->FindInt(19).empty());
+  EXPECT_EQ((*index)->FindInt(18).size(), 1u);
+}
+
+// Eight threads make the first requests of a freshly loaded table at once,
+// each starting at a different column and alternating columns and indexes:
+// one decode serves them all, so every thread sees the same pointers, and
+// the values equal a memory table loaded with the same rows.
+TEST(PagedTable, ConcurrentFirstRequestsShareOneDecode) {
+  auto backend = PagedBackend::Open(StorageOptions::Paged(512, 2));
+  ASSERT_TRUE(backend.ok());
+  StoredTable paged(WideMeta("T"), backend->get());
+  StoredTable memory(WideMeta("T"));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(paged.Insert(WideRow(i)).ok());
+    ASSERT_TRUE(memory.Insert(WideRow(i)).ok());
+  }
+  const std::vector<rel::Column>& columns = paged.meta().columns;
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<const ColumnVector*>> seen_columns(
+      kThreads, std::vector<const ColumnVector*>(columns.size()));
+  std::vector<std::vector<const HashIndex*>> seen_indexes(
+      kThreads, std::vector<const HashIndex*>(columns.size()));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      start.arrive_and_wait();
+      for (size_t j = 0; j < 2 * columns.size(); ++j) {
+        const size_t c = (k + j / 2) % columns.size();
+        if ((k + j) % 2 == 0) {
+          auto column = paged.GetOrBuildColumn(columns[c].name);
+          EXPECT_TRUE(column.ok());
+          if (column.ok()) seen_columns[k][c] = *column;
+        } else {
+          auto index = paged.GetOrBuildIndex(columns[c].name);
+          EXPECT_TRUE(index.ok());
+          if (index.ok()) seen_indexes[k][c] = *index;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t k = 1; k < kThreads; ++k) {
+    EXPECT_EQ(seen_columns[k], seen_columns[0]) << "thread " << k;
+    EXPECT_EQ(seen_indexes[k], seen_indexes[0]) << "thread " << k;
+  }
+  for (size_t c = 0; c < columns.size(); ++c) {
+    auto want = memory.GetOrBuildColumn(columns[c].name);
+    auto want_index = memory.GetOrBuildIndex(columns[c].name);
+    ASSERT_TRUE(want.ok() && want_index.ok());
+    ASSERT_NE(seen_columns[0][c], nullptr);
+    ASSERT_NE(seen_indexes[0][c], nullptr);
+    ExpectSameValues(**want, *seen_columns[0][c], columns[c].name);
+    for (size_t i = 0; i < (*want)->size(); ++i) {
+      const Value& key = (*want)->value(i);
+      EXPECT_TRUE(std::ranges::equal((*want_index)->Find(key),
+                                     seen_indexes[0][c]->Find(key)))
+          << columns[c].name << " row " << i;
+    }
+  }
+}
+
 TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
   auto backend =
       PagedBackend::Open(StorageOptions::Paged(512, /*pool_pages=*/1));
@@ -376,6 +496,43 @@ TEST(PagedDatabase, FlushFailureSurfacesFromLoad) {
   fp::ScopedFailpoints fps("storage.flush");
   Status st = ShredDocument(doc.value(), m, &db);
   EXPECT_EQ(st.code(), Status::Code::kInternal);
+}
+
+// With a pool smaller than the table, the first column request reads each
+// of the table's pages exactly once; every other column, index and prewarm
+// of that table is then served from the decoded columns without a fault.
+TEST(PagedDatabase, FirstColumnRequestDecodesEachPageOnce) {
+  rel::Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(WideMeta("A")).ok());
+  ASSERT_TRUE(catalog.AddTable(WideMeta("B")).ok());
+  Database db(catalog, StorageOptions::Paged(512, /*pool_pages=*/2));
+  StoredTable& a = db.GetTable("A");
+  StoredTable& b = db.GetTable("B");
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(a.Insert(WideRow(i)).ok());
+  const uint64_t a_pages = db.pager()->page_count();
+  ASSERT_GT(a_pages, 4u);  // the table is larger than the pool
+  // Loading B afterwards evicts every page of A.
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(b.Insert(WideRow(i)).ok());
+  BufferPool* pool = db.buffer_pool();
+
+  uint64_t faults = pool->stats().faults;
+  ASSERT_TRUE(a.GetOrBuildColumn("s").ok());
+  EXPECT_EQ(pool->stats().faults - faults, a_pages);
+  ASSERT_TRUE(b.GetOrBuildIndex("B_id").ok());
+
+  faults = pool->stats().faults;
+  StoredTable memory(WideMeta("A"));
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(memory.Insert(WideRow(i)).ok());
+  for (const rel::Column& column : a.meta().columns) {
+    auto got = a.GetOrBuildColumn(column.name);
+    ASSERT_TRUE(got.ok()) << column.name;
+    ExpectSameValues(**memory.GetOrBuildColumn(column.name), **got,
+                     column.name);
+    ASSERT_TRUE(a.GetOrBuildIndex(column.name).ok()) << column.name;
+  }
+  EXPECT_TRUE(db.PrewarmColumns().ok());
+  EXPECT_TRUE(db.PrewarmIndexes().ok());
+  EXPECT_EQ(pool->stats().faults, faults);
 }
 
 TEST(PagedDatabase, PrewarmBuildsIndexesAndColumns) {

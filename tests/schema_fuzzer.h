@@ -1,8 +1,10 @@
 // Random schema and document generator shared by the property tests. The
 // generator produces locally unambiguous content models (distinct element
-// names per container), matching the shredder's greedy matching contract,
-// and acyclic type graphs (type i references only types > i), so generated
-// documents are finite.
+// names per container, so a sequence references each type at most once),
+// matching the shredder's greedy matching contract, and acyclic type graphs
+// (type i references only types > i), so generated documents are finite.
+// Up to six types, so non-root types, too, can hold a union of two refs
+// (where union distribution applies).
 #ifndef LEGODB_TESTS_SCHEMA_FUZZER_H_
 #define LEGODB_TESTS_SCHEMA_FUZZER_H_
 
@@ -23,7 +25,7 @@ class SchemaFuzzer {
 
   xs::Schema Generate() {
     xs::Schema schema;
-    int n_types = 1 + static_cast<int>(rng_.Uniform(4));
+    int n_types = 1 + static_cast<int>(rng_.Uniform(6));
     // Define leaf-most types first; type i may reference types > i only
     // (guarantees finite documents).
     std::vector<std::string> names;
@@ -58,16 +60,27 @@ class SchemaFuzzer {
 
   xs::TypePtr GenContent(int depth, const std::vector<std::string>& refs,
                      bool top) {
-    // Sequences of distinct items; depth bounds nesting.
+    // Sequences of distinct items; depth bounds nesting. A referenced type
+    // is no longer available to the rest of the sequence.
     int n_items = 1 + static_cast<int>(rng_.Uniform(top ? 4 : 3));
+    std::vector<std::string> unused = refs;
     std::vector<xs::TypePtr> items;
     for (int i = 0; i < n_items; ++i) {
-      items.push_back(GenItem(depth, refs));
+      items.push_back(GenItem(depth, &unused));
     }
     return xs::Type::Sequence(std::move(items));
   }
 
-  xs::TypePtr GenItem(int depth, const std::vector<std::string>& refs) {
+  // Removes and returns a random entry of `refs` (which is non-empty).
+  std::string TakeRef(std::vector<std::string>* refs) {
+    auto it =
+        refs->begin() + static_cast<ptrdiff_t>(rng_.Uniform(refs->size()));
+    std::string ref = std::move(*it);
+    refs->erase(it);
+    return ref;
+  }
+
+  xs::TypePtr GenItem(int depth, std::vector<std::string>* refs) {
     uint64_t pick = rng_.Uniform(10);
     if (pick < 3 || depth == 0) {  // scalar element
       return xs::Type::Element(FreshName(), GenScalar());
@@ -80,20 +93,23 @@ class SchemaFuzzer {
       return xs::Type::Optional(xs::Type::Element(FreshName(), GenScalar()));
     }
     if (pick < 6) {  // nested structure
-      return xs::Type::Element(FreshName(), GenContent(depth - 1, refs, false));
+      return xs::Type::Element(FreshName(),
+                               GenContent(depth - 1, *refs, false));
     }
     if (pick < 7) {  // wildcard element
       return xs::Type::Element(xs::NameClass::Any(), GenScalar());
     }
-    if (pick < 9 && !refs.empty()) {  // repetition of a type ref
-      const std::string& ref = refs[rng_.Uniform(refs.size())];
+    // A repetition of one type ref, or (pick 8-9) a union of two.
+    if (refs->size() == 1 || (pick < 8 && !refs->empty())) {
+      std::string ref = TakeRef(refs);
       uint32_t min = static_cast<uint32_t>(rng_.Uniform(2));
       uint32_t max = min + 1 + static_cast<uint32_t>(rng_.Uniform(3));
-      return xs::Type::Repetition(xs::Type::Ref(ref), min, max);
+      return xs::Type::Repetition(xs::Type::Ref(std::move(ref)), min, max);
     }
-    if (!refs.empty() && refs.size() >= 2 && rng_.Bernoulli(0.5)) {
-      // union of two distinct refs
-      return xs::Type::Union({xs::Type::Ref(refs[0]), xs::Type::Ref(refs.back())});
+    if (refs->size() >= 2) {  // union of two distinct refs
+      std::string first = TakeRef(refs);
+      return xs::Type::Union(
+          {xs::Type::Ref(std::move(first)), xs::Type::Ref(TakeRef(refs))});
     }
     return xs::Type::Element(FreshName(), GenScalar());
   }

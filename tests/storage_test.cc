@@ -239,8 +239,8 @@ void ExpectSameColumn(const ColumnVector& want, const ColumnVector& got,
 
 // A memory table's columns are the table. Appending a string to an int
 // column and rolling it back must leave the column exactly as if it had
-// only ever held the int rows, and equal to the shadow a paged table builds
-// from its pages after the same sequence.
+// only ever held the int rows, and equal to the decoded columns of a paged
+// table after the same sequence.
 TEST(StoredTable, ColumnStateAfterMixedKindRollback) {
   rel::Table meta;
   meta.name = "T";
@@ -276,11 +276,11 @@ TEST(StoredTable, ColumnStateAfterMixedKindRollback) {
   for (const char* column : {"T_id", "x"}) {
     auto want = ints_only.GetOrBuildColumn(column);
     auto got = rolled_back.GetOrBuildColumn(column);
-    auto shadow = paged.GetOrBuildColumn(column);
-    ASSERT_TRUE(want.ok() && got.ok() && shadow.ok()) << column;
+    auto decoded = paged.GetOrBuildColumn(column);
+    ASSERT_TRUE(want.ok() && got.ok() && decoded.ok()) << column;
     EXPECT_TRUE((*want)->typed_int()) << column;
     ExpectSameColumn(**want, **got, std::string(column) + " rolled back");
-    ExpectSameColumn(**want, **shadow, std::string(column) + " paged");
+    ExpectSameColumn(**want, **decoded, std::string(column) + " paged");
   }
 }
 

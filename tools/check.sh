@@ -10,8 +10,9 @@
 #                                            # and search suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
-#                                            # search, concurrent serving and
-#                                            # online-reconfiguration paths
+#                                            # search, concurrent serving,
+#                                            # online-reconfiguration and
+#                                            # paged-decode paths
 #   tools/check.sh --release-checks          # Release (NDEBUG) build of the
 #                                            # invariant/malformed-input suites
 #
@@ -48,7 +49,9 @@
 # carries the stale-plan, cancellation and deadline regressions), and online
 # reconfiguration (migration_chaos_test races 8 serving threads against a
 # migration loop with failpoints at every migrate.* site; storage_test
-# covers DbRegistry publish/drain and NextId concurrency) with
+# covers DbRegistry publish/drain and NextId concurrency), and the paged
+# table's decode-once columns (pager_test races eight first requests for
+# different columns and indexes of one freshly loaded table) with
 # halt_on_error=1, so any reported data race — or any non-bit-identical
 # response under migration fire — fails the script.
 #
@@ -81,10 +84,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -S . -DLEGODB_SANITIZE=thread "$@"
   cmake --build build-tsan -j"$(nproc)" --target \
     search_test transforms_test pipeline_test robustness_test \
-    engine_equivalence_test serving_test migration_chaos_test storage_test
+    engine_equivalence_test serving_test migration_chaos_test storage_test \
+    pager_test
   export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
   ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-    -R 'search_test|transforms_test|pipeline_test|robustness_test|engine_equivalence_test|serving_test|migration_chaos_test|storage_test'
+    -R 'search_test|transforms_test|pipeline_test|robustness_test|engine_equivalence_test|serving_test|migration_chaos_test|storage_test|pager_test'
   exit 0
 fi
 
