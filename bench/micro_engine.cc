@@ -84,6 +84,59 @@ void BM_Reconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_Reconstruct);
 
+// The load-publish-paged setting: a scale-16 IMDB document (about 6.4 MB
+// of XML) in the all-inlined configuration, stored in 8 KiB pages behind a
+// 64-page buffer pool (roughly an eighth of the data).
+map::Mapping PagedMapping() {
+  return bench::Unwrap(
+      map::MapSchema(ps::AllInlined(bench::AnnotatedImdb())), "map");
+}
+
+xml::Document PagedDocument() {
+  imdb::ImdbScale scale;
+  scale.shows = 300 * 16;
+  scale.directors = 120 * 16;
+  scale.actors = 400 * 16;
+  scale.seed = 1;
+  return imdb::Generate(scale);
+}
+
+store::StorageOptions PagedOptions() {
+  return store::StorageOptions::Paged(/*page_size=*/8192, /*pool_pages=*/64);
+}
+
+// Shreds into a fresh paged database, flush included.
+void BM_ShredPagedAllInlined(benchmark::State& state) {
+  const map::Mapping mapping = PagedMapping();
+  const xml::Document doc = PagedDocument();
+  for (auto _ : state) {
+    store::Database db(mapping.catalog(), PagedOptions());
+    Status st = store::ShredDocument(doc, mapping, &db);
+    benchmark::DoNotOptimize(st);
+  }
+}
+BENCHMARK(BM_ShredPagedAllInlined)->Unit(benchmark::kMillisecond);
+
+// Rebuilds the document from a loaded and prewarmed paged database. As in
+// load-publish-paged, the source document is released before the rebuild
+// (which changes how fast the rebuild allocates its nodes), and tearing
+// the rebuilt document down is not timed.
+void BM_ReconstructPagedAllInlined(benchmark::State& state) {
+  const map::Mapping mapping = PagedMapping();
+  store::Database db(mapping.catalog(), PagedOptions());
+  bench::Check(store::ShredDocument(PagedDocument(), mapping, &db), "shred");
+  bench::Check(db.PrewarmIndexes(), "prewarm indexes");
+  bench::Check(db.PrewarmColumns(), "prewarm columns");
+  for (auto _ : state) {
+    auto rebuilt = store::ReconstructDocument(&db, mapping);
+    benchmark::DoNotOptimize(rebuilt);
+    state.PauseTiming();
+    rebuilt = Status::Internal("released");
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ReconstructPagedAllInlined)->Unit(benchmark::kMillisecond);
+
 // A prepared fig10 workload (lookup Q8/Q9/Q11/Q12/Q13 + publish
 // Q15/Q16/Q17) over the all-inlined IMDB configuration, shared by the
 // executor comparison benchmarks below.

@@ -1,45 +1,64 @@
 #include "storage/reconstruct.h"
 
 #include <algorithm>
+#include <memory>
 #include <span>
+#include <vector>
 
+#include "mapping/program.h"
 #include "obs/obs.h"
-#include "pschema/pschema.h"
 
 namespace legodb::store {
 namespace {
 
+using map::BodyOp;
 using map::Mapping;
 using map::TypeMapping;
+using map::TypeProgram;
 using xs::Type;
-using xs::TypePtr;
+
+// Where one parent->child reference finds its children: the child type,
+// the hash index on its foreign key to the parent's type, and its keys.
+struct ChildLink {
+  int type;
+  const HashIndex* fk_index;
+  const ColumnVector* keys;
+};
+
+// A concrete type's reconstruct program beyond its body (map::TypeProgram),
+// resolved on first use: its table's columns, and per type-ref or union op
+// the links its children are found through (virtual unions flattened).
+struct ReconstructType {
+  std::vector<const ColumnVector*> columns;
+  std::vector<ChildLink> links;
+  std::vector<uint32_t> link_begin;  // op i's links: [link_begin[i], [i+1])
+
+  std::span<const ChildLink> Links(uint32_t op) const {
+    return {links.data() + link_begin[op],
+            link_begin[op + 1] - link_begin[op]};
+  }
+};
 
 class Reconstructor {
  public:
-  Reconstructor(Database* db, const Mapping& mapping) : db_(db), m_(mapping) {}
+  Reconstructor(Database* db, const Mapping& mapping)
+      : db_(db),
+        programs_(map::CompileTypes(mapping)),
+        types_(programs_.size()) {}
 
-  // Emits row `row_idx` of concrete type `tm`'s table.
-  Status EmitInstance(const TypeMapping& tm, size_t row_idx,
-                      xml::Node* parent) {
-    // Materialize the row once per instance — on the paged backend this is
-    // the only way at it (rows live on slotted pages, not in a Row vector).
-    LEGODB_ASSIGN_OR_RETURN(Row row,
-                            db_->GetTable(tm.table).ReadRow(row_idx));
+  // Emits row `row` of concrete type `type`'s table.
+  Status EmitInstance(int type, size_t row, xml::Node* parent) {
+    LEGODB_ASSIGN_OR_RETURN(const ReconstructType* rt, Resolve(type));
     Ctx ctx;
-    ctx.tm = &tm;
-    ctx.row = &row;
-    ctx.self_id = row[TypeMapping::kKeyColumn].as_int();
-    return EmitBody(m_.schema().Get(tm.type_name), &ctx, parent,
-                    /*under_optional=*/false);
+    ctx.rt = rt;
+    ctx.row = row;
+    ctx.self_id = rt->columns[TypeMapping::kKeyColumn]->value(row).as_int();
+    return EmitBody(programs_[type], 0, ctx, parent, /*under_optional=*/false);
   }
 
-  // Finds a row by key id.
-  StatusOr<size_t> FindRow(const std::string& type_name, int64_t id) {
-    const TypeMapping* tm = m_.FindType(type_name);
-    if (!tm || tm->virtual_union) {
-      return Status::InvalidArgument("not a concrete type: " + type_name);
-    }
-    StoredTable& table = db_->GetTable(tm->table);
+  // Finds a row of concrete type `type` by key id.
+  StatusOr<size_t> FindRow(int type, int64_t id) {
+    StoredTable& table = db_->GetTable(programs_[type].tm->table);
     LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
                             table.GetOrBuildIndex(table.meta().key_column));
     std::span<const int32_t> hits = index->FindInt(id);
@@ -49,182 +68,204 @@ class Reconstructor {
     return static_cast<size_t>(hits[0]);
   }
 
- private:
-  struct Ctx {
-    const TypeMapping* tm = nullptr;
-    const Row* row = nullptr;
-    int64_t self_id = 0;
-    // The innermost element or attribute emitted so far (null at the body
-    // root): the owner of the slot a scalar here reads (map::Slot::node).
-    const Type* owner = nullptr;
-  };
-
-  const Value* SlotValue(const Ctx& ctx, const Type* owner,
-                         bool tilde) const {
-    int col = ctx.tm->SlotColumn(owner, tilde);
-    return col < 0 ? nullptr : &(*ctx.row)[col];
-  }
-
-  // True if any column value or descendant row exists inside `t`, whose
-  // scalars `owner` owns — presence test for optional content.
-  StatusOr<bool> HasDataUnder(const Ctx& ctx, const Type& t,
-                              const Type* owner) {
-    switch (t.kind) {
-      case Type::Kind::kEmpty:
-        return false;
-      case Type::Kind::kScalar: {
-        const Value* v = SlotValue(ctx, owner, /*tilde=*/false);
-        return v && !v->is_null();
-      }
-      case Type::Kind::kElement:
-      case Type::Kind::kAttribute:
-        if (t.name.is_wildcard()) {
-          const Value* tag = SlotValue(ctx, &t, /*tilde=*/true);
-          if (tag && !tag->is_null()) return true;
+  // Concrete type `type`'s program, resolving it on first use.
+  StatusOr<const ReconstructType*> Resolve(int type) {
+    std::unique_ptr<ReconstructType>& slot = types_[type];
+    if (slot) return slot.get();
+    const TypeProgram& p = programs_[type];
+    auto rt = std::make_unique<ReconstructType>();
+    StoredTable& table = db_->GetTable(p.tm->table);
+    for (const auto& column : table.meta().columns) {
+      LEGODB_ASSIGN_OR_RETURN(const ColumnVector* cv,
+                              table.GetOrBuildColumn(column.name));
+      rt->columns.push_back(cv);
+    }
+    rt->link_begin.reserve(p.ops.size() + 1);
+    for (const BodyOp& op : p.ops) {
+      rt->link_begin.push_back(static_cast<uint32_t>(rt->links.size()));
+      if (op.type->kind == Type::Kind::kTypeRef) {
+        LEGODB_RETURN_IF_ERROR(AddLinks(*p.tm, op.ref, 0, &rt->links));
+      } else if (op.type->kind == Type::Kind::kUnion) {
+        for (uint32_t kid : p.Kids(op)) {
+          LEGODB_RETURN_IF_ERROR(
+              AddLinks(*p.tm, p.ops[kid].ref, 0, &rt->links));
         }
-        return HasDataUnder(ctx, *t.child, &t);
-      case Type::Kind::kRepetition:
-        return HasDataUnder(ctx, *t.child, owner);
-      case Type::Kind::kSequence:
-        for (const auto& c : t.children) {
-          LEGODB_ASSIGN_OR_RETURN(bool found, HasDataUnder(ctx, *c, owner));
-          if (found) return true;
-        }
-        return false;
-      case Type::Kind::kUnion:
-      case Type::Kind::kTypeRef: {
-        std::vector<ChildRow> rows;
-        LEGODB_RETURN_IF_ERROR(CollectRefChildren(ctx, t, &rows));
-        return !rows.empty();
       }
     }
-    return false;
+    rt->link_begin.push_back(static_cast<uint32_t>(rt->links.size()));
+    slot = std::move(rt);
+    return slot.get();
   }
+
+ private:
+  struct Ctx {
+    const ReconstructType* rt = nullptr;
+    size_t row = 0;
+    int64_t self_id = 0;
+  };
 
   // A child instance: (id, concrete type, row index).
   struct ChildRow {
     int64_t id;
-    const TypeMapping* tm;
-    size_t row_idx;
+    int type;
+    size_t row;
   };
 
-  // Appends every child instance of `ref_type` under this instance.
-  Status CollectChildren(const Ctx& ctx, const std::string& ref_type,
-                         int depth, std::vector<ChildRow>* out) const {
-    if (depth > 16) return Status::OK();
-    const TypeMapping* ctm = m_.FindType(ref_type);
-    if (!ctm) return Status::OK();
-    if (ctm->virtual_union) {
-      for (const auto& alt : ctm->union_alternatives) {
-        LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, alt, depth + 1, out));
+  // Appends the links to the children of type `child` (-1: none) under a
+  // `parent` instance.
+  Status AddLinks(const TypeMapping& parent, int child, int depth,
+                  std::vector<ChildLink>* out) {
+    if (child < 0 || depth > 16) return Status::OK();
+    const TypeProgram& cp = programs_[child];
+    if (cp.tm->virtual_union) {
+      for (int alt : cp.alternatives) {
+        LEGODB_RETURN_IF_ERROR(AddLinks(parent, alt, depth + 1, out));
       }
       return Status::OK();
     }
-    const int fk = ctm->ParentColumn(ctx.tm->type_name);
+    const int fk = cp.tm->ParentColumn(parent.type_name);
     if (fk < 0) return Status::OK();
-    StoredTable& table = db_->GetTable(ctm->table);
+    StoredTable& table = db_->GetTable(cp.tm->table);
     LEGODB_ASSIGN_OR_RETURN(
         const HashIndex* index,
         table.GetOrBuildIndex(table.meta().columns[fk].name));
     LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
                             table.GetOrBuildColumn(table.meta().key_column));
-    for (int32_t idx : index->FindInt(ctx.self_id)) {
-      const size_t row = static_cast<size_t>(idx);
-      out->push_back(ChildRow{keys->value(row).as_int(), ctm, row});
-    }
+    out->push_back(ChildLink{child, index, keys});
     return Status::OK();
   }
 
-  // Appends the children a type ref — or a union of refs — points at.
-  Status CollectRefChildren(const Ctx& ctx, const Type& t,
-                            std::vector<ChildRow>* out) const {
-    if (t.kind != Type::Kind::kUnion) {
-      return CollectChildren(ctx, t.ref_name, 0, out);
+  const Value* ValueAt(const Ctx& ctx, int column) const {
+    return column < 0 ? nullptr : &ctx.rt->columns[column]->value(ctx.row);
+  }
+
+  // True if any column value or descendant row exists inside op `i` —
+  // presence test for optional content.
+  bool HasDataUnder(const TypeProgram& p, uint32_t i, const Ctx& ctx) const {
+    const BodyOp& op = p.ops[i];
+    switch (op.type->kind) {
+      case Type::Kind::kEmpty:
+        return false;
+      case Type::Kind::kScalar: {
+        const Value* v = ValueAt(ctx, op.column);
+        return v && !v->is_null();
+      }
+      case Type::Kind::kElement:
+      case Type::Kind::kAttribute:
+        if (op.type->name.is_wildcard()) {
+          const Value* tag = ValueAt(ctx, op.column);
+          if (tag && !tag->is_null()) return true;
+        }
+        return HasDataUnder(p, p.Kids(op)[0], ctx);
+      case Type::Kind::kRepetition:
+        return HasDataUnder(p, p.Kids(op)[0], ctx);
+      case Type::Kind::kSequence:
+        for (uint32_t kid : p.Kids(op)) {
+          if (HasDataUnder(p, kid, ctx)) return true;
+        }
+        return false;
+      case Type::Kind::kUnion:
+      case Type::Kind::kTypeRef:
+        for (const ChildLink& link : ctx.rt->Links(i)) {
+          if (!link.fk_index->FindInt(ctx.self_id).empty()) return true;
+        }
+        return false;
     }
-    for (const auto& alt : t.children) {
-      LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, alt->ref_name, 0, out));
-    }
-    return Status::OK();
+    return false;
   }
 
   // Emits the children a type ref — or a union of refs, whose alternatives
-  // a repetition may interleave — points at, in id (= document) order.
-  Status EmitChildren(const Ctx& ctx, const Type& t, xml::Node* parent) {
-    std::vector<ChildRow> children;
-    LEGODB_RETURN_IF_ERROR(CollectRefChildren(ctx, t, &children));
-    std::sort(children.begin(), children.end(),
-              [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
-    for (const auto& child : children) {
-      LEGODB_RETURN_IF_ERROR(EmitInstance(*child.tm, child.row_idx, parent));
+  // a repetition may interleave — at op `i` points at, in id (= document)
+  // order.
+  Status EmitChildren(uint32_t i, const Ctx& ctx, xml::Node* parent) {
+    // children_ is a stack: nested calls push above `begin` and pop back.
+    const size_t begin = children_.size();
+    for (const ChildLink& link : ctx.rt->Links(i)) {
+      for (int32_t row : link.fk_index->FindInt(ctx.self_id)) {
+        const auto r = static_cast<size_t>(row);
+        children_.push_back(
+            ChildRow{link.keys->value(r).as_int(), link.type, r});
+      }
     }
-    return Status::OK();
+    std::sort(children_.begin() + static_cast<std::ptrdiff_t>(begin),
+              children_.end(),
+              [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
+    Status st;
+    for (size_t k = begin; k < children_.size() && st.ok(); ++k) {
+      const ChildRow child = children_[k];
+      st = EmitInstance(child.type, child.row, parent);
+    }
+    children_.resize(begin);
+    return st;
   }
 
-  Status EmitBody(const TypePtr& t, Ctx* ctx, xml::Node* parent,
-                  bool under_optional) {
-    switch (t->kind) {
+  Status EmitBody(const TypeProgram& p, uint32_t i, const Ctx& ctx,
+                  xml::Node* parent, bool under_optional) {
+    const BodyOp& op = p.ops[i];
+    const Type& t = *op.type;
+    switch (t.kind) {
       case Type::Kind::kEmpty:
         return Status::OK();
       case Type::Kind::kScalar: {
-        const Value* v = SlotValue(*ctx, ctx->owner, /*tilde=*/false);
-        if (v && !v->is_null() && !v->ToString().empty()) {
-          parent->AddText(v->ToString());
+        const Value* v = ValueAt(ctx, op.column);
+        if (v && !v->is_null()) {
+          std::string text = v->ToString();
+          if (!text.empty()) parent->AddText(std::move(text));
         }
         return Status::OK();
       }
       case Type::Kind::kElement: {
         std::string tag;
         bool present = true;
-        if (t->name.is_wildcard()) {
-          const Value* tilde = SlotValue(*ctx, t.get(), /*tilde=*/true);
+        if (t.name.is_wildcard()) {
+          const Value* tilde = ValueAt(ctx, op.column);
           present = tilde && !tilde->is_null();
           if (present) tag = tilde->as_string();
         } else {
-          tag = t->name.name;
-          if (under_optional) {
-            LEGODB_ASSIGN_OR_RETURN(present,
-                                    HasDataUnder(*ctx, *t, ctx->owner));
-          }
+          tag = t.name.name;
+          if (under_optional) present = HasDataUnder(p, i, ctx);
         }
         if (!present) return Status::OK();
-        xml::Node* elem = parent->AddChild(xml::Node::Element(tag));
-        const Type* outer = ctx->owner;
-        ctx->owner = t.get();
-        Status st = EmitBody(t->child, ctx, elem, /*under_optional=*/false);
-        ctx->owner = outer;
-        return st;
+        xml::Node* elem =
+            parent->AddChild(xml::Node::Element(std::move(tag)));
+        return EmitBody(p, p.Kids(op)[0], ctx, elem,
+                        /*under_optional=*/false);
       }
       case Type::Kind::kAttribute: {
-        const Value* v = SlotValue(*ctx, t.get(), /*tilde=*/false);
+        const Value* v = ValueAt(ctx, op.column);
         if (v && !v->is_null()) {
-          parent->SetAttribute(t->name.name, v->ToString());
+          parent->SetAttribute(t.name.name, v->ToString());
         }
         return Status::OK();
       }
       case Type::Kind::kSequence: {
-        for (const auto& c : t->children) {
-          LEGODB_RETURN_IF_ERROR(EmitBody(c, ctx, parent, under_optional));
+        for (uint32_t kid : p.Kids(op)) {
+          LEGODB_RETURN_IF_ERROR(
+              EmitBody(p, kid, ctx, parent, under_optional));
         }
         return Status::OK();
       }
       case Type::Kind::kUnion:
-        return EmitChildren(*ctx, *t, parent);
-      case Type::Kind::kRepetition: {
-        if (t->is_optional_rep() &&
-            t->child->kind != Type::Kind::kTypeRef &&
-            t->child->kind != Type::Kind::kUnion) {
-          return EmitBody(t->child, ctx, parent, /*under_optional=*/true);
-        }
-        return EmitBody(t->child, ctx, parent, under_optional);
-      }
       case Type::Kind::kTypeRef:
-        return EmitChildren(*ctx, *t, parent);
+        return EmitChildren(i, ctx, parent);
+      case Type::Kind::kRepetition: {
+        const uint32_t item = p.Kids(op)[0];
+        const Type::Kind kind = p.ops[item].type->kind;
+        if (t.is_optional_rep() && kind != Type::Kind::kTypeRef &&
+            kind != Type::Kind::kUnion) {
+          return EmitBody(p, item, ctx, parent, /*under_optional=*/true);
+        }
+        return EmitBody(p, item, ctx, parent, under_optional);
+      }
     }
     return Status::Internal("unreachable");
   }
 
   Database* db_;
-  const Mapping& m_;
+  const std::vector<TypeProgram> programs_;
+  // By type index, beside programs_; null until resolved.
+  std::vector<std::unique_ptr<ReconstructType>> types_;
+  std::vector<ChildRow> children_;
 };
 
 }  // namespace
@@ -233,9 +274,14 @@ Status ReconstructInstance(Database* db, const map::Mapping& mapping,
                            const std::string& type_name, int64_t id,
                            xml::Node* parent) {
   obs::Count("reconstruct.instances");
+  const map::TypeMapping* tm = mapping.FindType(type_name);
+  if (!tm || tm->virtual_union) {
+    return Status::InvalidArgument("not a concrete type: " + type_name);
+  }
+  const int type = map::TypeIndex(mapping, type_name);
   Reconstructor r(db, mapping);
-  LEGODB_ASSIGN_OR_RETURN(size_t row_idx, r.FindRow(type_name, id));
-  return r.EmitInstance(mapping.GetType(type_name), row_idx, parent);
+  LEGODB_ASSIGN_OR_RETURN(size_t row, r.FindRow(type, id));
+  return r.EmitInstance(type, row, parent);
 }
 
 StatusOr<xml::Document> ReconstructDocument(Database* db,
@@ -247,26 +293,26 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
   if (!tm || tm->virtual_union) {
     return Status::Unsupported("virtual root type");
   }
-  StoredTable& table = db->GetTable(tm->table);
-  if (table.row_count() == 0) {
+  if (db->GetTable(tm->table).row_count() == 0) {
     return Status::NotFound("no root instance stored");
   }
+  const int root_type = map::TypeIndex(mapping, root);
+  Reconstructor r(db, mapping);
+  LEGODB_ASSIGN_OR_RETURN(const ReconstructType* rt, r.Resolve(root_type));
   // The document root has the smallest node id (the shredder assigns ids in
   // document order; buffered insert order differs for recursive types).
-  LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
-                          table.GetOrBuildColumn(table.meta().key_column));
+  const ColumnVector& keys = *rt->columns[TypeMapping::kKeyColumn];
   size_t root_idx = 0;
-  int64_t best_id = keys->value(0).as_int();
-  for (size_t i = 1; i < table.row_count(); ++i) {
-    int64_t id = keys->value(i).as_int();
+  int64_t best_id = keys.value(0).as_int();
+  for (size_t i = 1; i < keys.size(); ++i) {
+    int64_t id = keys.value(i).as_int();
     if (id < best_id) {
       best_id = id;
       root_idx = i;
     }
   }
-  Reconstructor r(db, mapping);
   xml::NodePtr holder = xml::Node::Element("__doc__");
-  LEGODB_RETURN_IF_ERROR(r.EmitInstance(*tm, root_idx, holder.get()));
+  LEGODB_RETURN_IF_ERROR(r.EmitInstance(root_type, root_idx, holder.get()));
   if (holder->children().size() != 1 || !holder->children()[0]->is_element()) {
     return Status::Internal("reconstruction did not yield a single root");
   }

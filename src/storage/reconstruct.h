@@ -9,10 +9,13 @@
 namespace legodb::store {
 
 // Rebuilds the XML content of one type instance (row) and appends it to
-// `parent` — the inverse of shredding. Children are fetched via foreign-key
-// indexes and emitted in node-id order, which is document order because the
-// shredder assigns ids in document order. Builds FK/key indexes on demand
-// (hence the non-const Database).
+// `parent` — the inverse of shredding. Instances are read from the tables'
+// decoded columns (a paged table's pages are not read again once decoded).
+// Children are fetched via foreign-key indexes and emitted in node-id
+// order, which is document order because the shredder assigns ids in
+// document order. Each type's columns, FK indexes and key column are
+// resolved once per call, on the type's first use, building what is not
+// built yet (hence the non-const Database).
 Status ReconstructInstance(Database* db, const map::Mapping& mapping,
                            const std::string& type_name, int64_t id,
                            xml::Node* parent);

@@ -1,31 +1,96 @@
 #include "storage/shredder.h"
 
-#include <set>
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
+#include "mapping/program.h"
 #include "obs/obs.h"
 #include "xquery/evaluator.h"
 
 namespace legodb::store {
 namespace {
 
+using map::BodyOp;
 using map::Mapping;
 using map::TypeMapping;
+using map::TypeProgram;
 using xs::Type;
-using xs::TypePtr;
+
+// What the first item an instance consumes can be, and whether it can
+// consume none. Both over-approximate what the matcher accepts, so a type
+// whose set rules out the current item (and that is not nullable) cannot
+// match there.
+struct FirstSet {
+  std::vector<std::string> tags;  // literal element names, sorted
+  bool any_element = false;       // a wildcard element
+  bool text = false;              // a scalar's text
+  bool nullable = false;
+
+  void Merge(const FirstSet& other) {
+    for (const auto& tag : other.tags) AddTag(tag);
+    any_element |= other.any_element;
+    text |= other.text;
+  }
+  void AddTag(const std::string& tag) {
+    auto it = std::lower_bound(tags.begin(), tags.end(), tag);
+    if (it == tags.end() || *it != tag) tags.insert(it, tag);
+  }
+  bool operator==(const FirstSet&) const = default;
+};
+
+// A type's shred program beyond its body (map::TypeProgram): the table its
+// rows go to and the foreign key each parent type fills.
+struct ShredType {
+  StoredTable* table = nullptr;  // null for virtual unions
+  size_t columns = 0;
+  std::vector<std::pair<int, int>> parent_fks;  // (parent type, FK column)
+  FirstSet first;
+
+  int ParentFk(int parent) const {
+    for (const auto& [type, column] : parent_fks) {
+      if (type == parent) return column;
+    }
+    return -1;
+  }
+};
 
 class Shredder {
  public:
-  Shredder(const Mapping& mapping, Database* db) : m_(mapping), db_(db) {}
+  Shredder(const Mapping& mapping, Database* db)
+      : db_(db),
+        programs_(map::CompileTypes(mapping)),
+        types_(programs_.size()),
+        root_(map::TypeIndex(mapping, mapping.schema().root_type())) {
+    for (size_t i = 0; i < programs_.size(); ++i) {
+      const TypeMapping& tm = *programs_[i].tm;
+      ShredType& st = types_[i];
+      if (!tm.virtual_union) {
+        st.table = &db->GetTable(tm.table);
+        st.columns = st.table->meta().columns.size();
+      }
+      for (const auto& link : tm.parents) {
+        const int parent = map::TypeIndex(mapping, link.parent_type);
+        if (parent >= 0 && st.ParentFk(parent) < 0) {
+          st.parent_fks.emplace_back(parent,
+                                     tm.ParentColumn(link.parent_type));
+        }
+      }
+    }
+    ComputeFirstSets();
+  }
 
   Status Shred(const xml::Document& doc) {
     if (!doc.root) return Status::InvalidArgument("document has no root");
-    std::vector<const xml::Node*> items = {doc.root.get()};
-    size_t pos = 0;
-    if (!ShredInstance(m_.schema().root_type(), items, &pos,
-                       /*parent=*/nullptr, /*parent_id=*/0, nullptr) ||
-        pos != items.size()) {
+    Ctx top;
+    top.items = std::span<const xml::NodePtr>(&doc.root, 1);
+    if (root_ < 0 || !ShredInstance(root_, &top) ||
+        top.pos != top.items.size()) {
       return Status::InvalidArgument(
           "document does not match the physical schema");
     }
@@ -56,237 +121,318 @@ class Shredder {
 
   // Matching context for one type instance.
   struct Ctx {
-    const std::vector<const xml::Node*>* items;
+    std::span<const xml::NodePtr> items;
     size_t pos = 0;
-    const xml::Node* attr_elem = nullptr;  // element whose attributes apply
-    // Attribute names of attr_elem consumed so far (scoped per element; an
-    // element with unconsumed attributes does not match, mirroring the
-    // validator).
-    std::set<std::string>* matched_attrs = nullptr;
-    Row* row = nullptr;
-    const TypeMapping* tm = nullptr;
-    // The innermost element or attribute matched so far (null at the body
-    // root): the owner of the slot a scalar here fills (map::Slot::node).
-    const Type* owner = nullptr;
-    int64_t self_id = 0;  // key of the row under construction
+    // The element whose attributes apply (null at the document root), and
+    // where its matched-attribute marks start in attr_marks_.
+    const xml::Node* attr_elem = nullptr;
+    size_t attr_base = 0;
+    Row* row = nullptr;  // the row under construction (null at the top)
+    int type = -1;       // its type
+    int64_t self_id = 0;  // its key
   };
 
-  struct Checkpoint {
-    size_t buffer_size;
+  // A backtracking point: the sizes of the trails, and the item position.
+  struct Mark {
+    size_t buffer;
+    size_t cells;
+    size_t attrs;
     size_t pos;
-    Row row_snapshot;
-    std::set<std::string> attrs_snapshot;
+  };
+  // A cell of the current row as it was before a write.
+  struct CellUndo {
+    int column;
+    Value old;
   };
 
-  Checkpoint Save(const Ctx& ctx) const {
-    return Checkpoint{buffer_.size(), ctx.pos, *ctx.row,
-                      ctx.matched_attrs ? *ctx.matched_attrs
-                                        : std::set<std::string>()};
+  Mark Save(const Ctx& ctx) const {
+    return Mark{buffer_.size(), cells_.size(), attr_log_.size(), ctx.pos};
   }
-  void Restore(const Checkpoint& cp, Ctx* ctx) {
-    buffer_.resize(cp.buffer_size);
-    ctx->pos = cp.pos;
-    *ctx->row = cp.row_snapshot;
-    if (ctx->matched_attrs) *ctx->matched_attrs = cp.attrs_snapshot;
+  // Undoes everything matched since `mark`. The cell trail past `mark`
+  // holds only ctx's row: an instance drops its own entries when it ends.
+  void Restore(const Mark& mark, Ctx* ctx) {
+    buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(mark.buffer),
+                  buffer_.end());
+    while (cells_.size() > mark.cells) {
+      (*ctx->row)[cells_.back().column] = std::move(cells_.back().old);
+      cells_.pop_back();
+    }
+    while (attr_log_.size() > mark.attrs) {
+      attr_marks_[attr_log_.back()] = 0;
+      attr_log_.pop_back();
+    }
+    ctx->pos = mark.pos;
   }
 
-  // Stores `text` in the scalar slot owned by `owner`; false when the text
-  // does not fit an integer `content` or no slot is owned by `owner`.
-  bool SetScalar(const Ctx& ctx, const Type* owner, const Type& content,
+  void SetCell(Ctx* ctx, int column, Value v) {
+    Value& cell = (*ctx->row)[column];
+    cells_.push_back(CellUndo{column, std::move(cell)});
+    cell = std::move(v);
+  }
+
+  // Stores `text` in `column`; false when the text does not fit an integer
+  // `content` or the mapper laid out no column here.
+  bool SetScalar(Ctx* ctx, int column, const Type& content,
                  const std::string& text) {
     if (content.kind == Type::Kind::kScalar &&
         content.scalar_kind == xs::ScalarKind::kInteger &&
         !IsInteger(StrTrim(text))) {
       return false;
     }
-    int col = ctx.tm->SlotColumn(owner, /*tilde=*/false);
-    if (col < 0) return false;
-    (*ctx.row)[col] = xq::CanonicalValue(text);
+    if (column < 0) return false;
+    SetCell(ctx, column, xq::CanonicalValue(text));
     return true;
   }
 
-  // Matches type expression `t` against the context; consumes items and
-  // fills columns. Returns false (restoring nothing itself — callers
-  // checkpoint) on mismatch.
-  bool MatchBody(const TypePtr& t, Ctx* ctx) {
-    switch (t->kind) {
+  // Matches op `op` of program `p` against the context; consumes items and
+  // fills columns. Returns false (restoring nothing itself — callers mark
+  // and restore) on mismatch.
+  bool Match(const TypeProgram& p, const BodyOp& op, Ctx* ctx) {
+    const Type& t = *op.type;
+    switch (t.kind) {
       case Type::Kind::kEmpty:
         return true;
       case Type::Kind::kScalar: {
-        if (ctx->pos < ctx->items->size() &&
-            (*ctx->items)[ctx->pos]->is_text()) {
-          if (!SetScalar(*ctx, ctx->owner, *t,
-                         (*ctx->items)[ctx->pos]->text())) {
+        if (ctx->pos < ctx->items.size() && ctx->items[ctx->pos]->is_text()) {
+          if (!SetScalar(ctx, op.column, t, ctx->items[ctx->pos]->text())) {
             return false;
           }
           ++ctx->pos;
           return true;
         }
         // Empty content: acceptable for strings only.
-        if (t->scalar_kind == xs::ScalarKind::kString) {
-          return SetScalar(*ctx, ctx->owner, *t, "");
+        if (t.scalar_kind == xs::ScalarKind::kString) {
+          return SetScalar(ctx, op.column, t, "");
         }
         return false;
       }
       case Type::Kind::kElement: {
-        if (ctx->pos >= ctx->items->size()) return false;
-        const xml::Node* item = (*ctx->items)[ctx->pos];
-        if (!item->is_element() || !t->name.Matches(item->name())) {
+        if (ctx->pos >= ctx->items.size()) return false;
+        const xml::Node* item = ctx->items[ctx->pos].get();
+        if (!item->is_element() || !t.name.Matches(item->name())) {
           return false;
         }
-        if (t->name.is_wildcard()) {
-          int col = ctx->tm->SlotColumn(t.get(), /*tilde=*/true);
-          if (col < 0) return false;
-          (*ctx->row)[col] = Value::Str(item->name());
+        if (t.name.is_wildcard()) {
+          if (op.column < 0) return false;
+          SetCell(ctx, op.column, Value::Str(item->name()));
         }
-        std::vector<const xml::Node*> children;
-        for (const auto& c : item->children()) children.push_back(c.get());
-        std::set<std::string> attrs;
+        // The element's attributes get one mark each; its content marks
+        // them as it matches them.
+        const size_t attr_base = attr_marks_.size();
+        const size_t attr_log = attr_log_.size();
+        attr_marks_.resize(attr_base + item->attributes().size(), 0);
         Ctx inner = *ctx;
-        inner.items = &children;
+        inner.items = item->children();
         inner.pos = 0;
         inner.attr_elem = item;
-        inner.matched_attrs = &attrs;
-        inner.owner = t.get();
-        bool ok = MatchBody(t->child, &inner) && inner.pos == children.size();
-        if (ok) {
-          // Every attribute present on the element must be declared.
-          for (const auto& [attr_name, attr_value] : item->attributes()) {
-            (void)attr_value;
-            if (!attrs.count(attr_name)) {
-              ok = false;
-              break;
-            }
-          }
-        }
+        inner.attr_base = attr_base;
+        // Every attribute present on the element must be declared.
+        const bool ok =
+            Match(p, p.ops[p.Kids(op)[0]], &inner) &&
+            inner.pos == inner.items.size() &&
+            std::all_of(attr_marks_.begin() +
+                            static_cast<std::ptrdiff_t>(attr_base),
+                        attr_marks_.end(), [](uint8_t m) { return m != 0; });
+        attr_log_.resize(attr_log);
+        attr_marks_.resize(attr_base);
         if (!ok) return false;
         ++ctx->pos;
         return true;
       }
       case Type::Kind::kAttribute: {
         if (!ctx->attr_elem) return false;
-        const std::string* value =
-            ctx->attr_elem->FindAttribute(t->name.name);
-        if (!value) return false;
-        bool ok = SetScalar(*ctx, t.get(), *t->child, *value);
-        if (ok && ctx->matched_attrs) {
-          ctx->matched_attrs->insert(t->name.name);
+        size_t index = 0;
+        for (const auto& [name, value] : ctx->attr_elem->attributes()) {
+          if (name == t.name.name) {
+            if (!SetScalar(ctx, op.column, *t.child, value)) return false;
+            uint8_t& mark = attr_marks_[ctx->attr_base + index];
+            if (!mark) {
+              mark = 1;
+              attr_log_.push_back(ctx->attr_base + index);
+            }
+            return true;
+          }
+          ++index;
         }
-        return ok;
+        return false;
       }
       case Type::Kind::kSequence: {
-        for (const auto& c : t->children) {
-          if (!MatchBody(c, ctx)) return false;
+        for (uint32_t kid : p.Kids(op)) {
+          if (!Match(p, p.ops[kid], ctx)) return false;
         }
         return true;
       }
       case Type::Kind::kUnion: {
-        // Stratification: alternatives are type refs.
-        for (const auto& alt : t->children) {
-          Checkpoint cp = Save(*ctx);
-          if (ShredInstance(alt->ref_name, *ctx->items, &ctx->pos,
-                            ctx->tm, ctx->self_id,
-                            ctx->attr_elem, ctx->matched_attrs)) {
-            return true;
-          }
-          Restore(cp, ctx);
+        // Stratification: alternatives are type refs, and a failed
+        // instance undoes itself.
+        for (uint32_t kid : p.Kids(op)) {
+          const int ref = p.ops[kid].ref;
+          if (ref >= 0 && ShredInstance(ref, ctx)) return true;
         }
         return false;
       }
       case Type::Kind::kRepetition: {
-        if (t->is_optional_rep()) {
-          Checkpoint cp = Save(*ctx);
-          if (MatchBody(t->child, ctx)) return true;
-          Restore(cp, ctx);
+        const BodyOp& item = p.ops[p.Kids(op)[0]];
+        if (t.is_optional_rep()) {
+          const Mark mark = Save(*ctx);
+          if (Match(p, item, ctx)) return true;
+          Restore(mark, ctx);
           return true;  // zero occurrences
         }
         uint32_t matched = 0;
-        while (matched < t->max_occurs) {
-          Checkpoint cp = Save(*ctx);
-          size_t before = ctx->pos;
-          bool ok;
-          if (t->child->kind == Type::Kind::kTypeRef) {
-            ok = ShredInstance(t->child->ref_name, *ctx->items, &ctx->pos,
-                               ctx->tm, ctx->self_id,
-                               ctx->attr_elem, ctx->matched_attrs);
-          } else {
-            // Union of refs.
-            ok = MatchBody(t->child, ctx);
-          }
-          if (!ok || ctx->pos == before) {
-            Restore(cp, ctx);
+        while (matched < t.max_occurs) {
+          const Mark mark = Save(*ctx);
+          if (!Match(p, item, ctx) || ctx->pos == mark.pos) {
+            Restore(mark, ctx);
             break;
           }
           ++matched;
         }
-        return matched >= t->min_occurs;
+        return matched >= t.min_occurs;
       }
       case Type::Kind::kTypeRef:
-        return ShredInstance(t->ref_name, *ctx->items, &ctx->pos,
-                             ctx->tm, ctx->self_id,
-                             ctx->attr_elem, ctx->matched_attrs);
+        return op.ref >= 0 && ShredInstance(op.ref, ctx);
     }
     return false;
   }
 
-  // Matches one instance of named type `name` starting at items[*pos],
-  // inserting (buffering) its row and its descendants' rows. `parent` is
-  // the concrete (non-virtual) type whose row `parent_id` keys; null for
-  // the document root.
-  bool ShredInstance(const std::string& name,
-                     const std::vector<const xml::Node*>& items, size_t* pos,
-                     const TypeMapping* parent, int64_t parent_id,
-                     const xml::Node* attr_elem,
-                     std::set<std::string>* matched_attrs = nullptr) {
-    const TypeMapping* tm = m_.FindType(name);
-    if (!tm) return false;
-    if (tm->virtual_union) {
-      for (const auto& alt : tm->union_alternatives) {
-        size_t saved_buffer = buffer_.size();
-        size_t saved_pos = *pos;
-        if (ShredInstance(alt, items, pos, parent, parent_id,
-                          attr_elem, matched_attrs)) {
-          return true;
-        }
-        buffer_.resize(saved_buffer);
-        *pos = saved_pos;
+  // True unless type `type`'s first set rules out the item at ctx's
+  // position.
+  bool CanStart(int type, const Ctx& ctx) const {
+    const FirstSet& first = types_[type].first;
+    if (first.nullable) return true;
+    if (ctx.pos >= ctx.items.size()) return false;
+    const xml::Node& item = *ctx.items[ctx.pos];
+    if (item.is_text()) return first.text;
+    return first.any_element ||
+           std::binary_search(first.tags.begin(), first.tags.end(),
+                              item.name());
+  }
+
+  // Matches one instance of type `type` at ctx's position, as a child of
+  // ctx's row, buffering its row and its descendants' rows. On failure it
+  // leaves the buffer, the trails and the position as it found them (only
+  // a drawn id is spent).
+  bool ShredInstance(int type, Ctx* ctx) {
+    if (!CanStart(type, *ctx)) return false;
+    const TypeProgram& p = programs_[type];
+    if (p.tm->virtual_union) {
+      for (int alt : p.alternatives) {
+        if (ShredInstance(alt, ctx)) return true;
       }
       return false;
     }
-    StoredTable* table = &db_->GetTable(tm->table);
-    Row row(table->meta().columns.size(), Value::MakeNull());
-    int64_t id = db_->NextId();
+    const ShredType& st = types_[type];
+    Row row(st.columns, Value::MakeNull());
+    const int64_t id = db_->NextId();
     row[TypeMapping::kKeyColumn] = Value::Int(id);
-    if (parent) {
+    if (ctx->type >= 0) {
       // Virtual-union contraction links the child to the concrete parent
       // the caller passes, so a direct link exists.
-      int fk = tm->ParentColumn(parent->type_name);
-      if (fk >= 0) row[fk] = Value::Int(parent_id);
+      const int fk = st.ParentFk(ctx->type);
+      if (fk >= 0) row[fk] = Value::Int(ctx->self_id);
     }
-    size_t saved_buffer = buffer_.size();
-    size_t saved_pos = *pos;
-    Ctx ctx;
-    ctx.items = &items;
-    ctx.pos = *pos;
-    ctx.attr_elem = attr_elem;
-    ctx.matched_attrs = matched_attrs;
-    ctx.row = &row;
-    ctx.tm = tm;
-    ctx.self_id = id;
-    TypePtr body = m_.schema().Get(name);
-    if (!MatchBody(body, &ctx)) {
-      buffer_.resize(saved_buffer);
-      *pos = saved_pos;
+    const Mark entry = Save(*ctx);
+    Ctx inner = *ctx;
+    inner.row = &row;
+    inner.type = type;
+    inner.self_id = id;
+    const bool ok = Match(p, p.ops[0], &inner);
+    // This row's cell entries: it is buffered whole or dropped whole.
+    cells_.resize(entry.cells);
+    if (!ok) {
+      Restore(entry, ctx);
       return false;
     }
-    *pos = ctx.pos;
-    buffer_.push_back(Pending{table, std::move(row)});
+    ctx->pos = inner.pos;
+    buffer_.push_back(Pending{st.table, std::move(row)});
     return true;
   }
 
-  const Mapping& m_;
+  // The first set of op `op` of program `p`, from the types' current sets.
+  FirstSet FirstOf(const TypeProgram& p, const BodyOp& op) const {
+    const Type& t = *op.type;
+    FirstSet f;
+    switch (t.kind) {
+      case Type::Kind::kEmpty:
+      case Type::Kind::kAttribute:  // consumes no item
+        f.nullable = true;
+        break;
+      case Type::Kind::kScalar:
+        f.text = true;
+        f.nullable = t.scalar_kind == xs::ScalarKind::kString;
+        break;
+      case Type::Kind::kElement:
+        if (t.name.is_wildcard()) {
+          f.any_element = true;
+        } else {
+          f.AddTag(t.name.name);
+        }
+        break;
+      case Type::Kind::kSequence:
+        f.nullable = true;
+        for (uint32_t kid : p.Kids(op)) {
+          FirstSet k = FirstOf(p, p.ops[kid]);
+          f.Merge(k);
+          if (!k.nullable) {
+            f.nullable = false;
+            break;
+          }
+        }
+        break;
+      case Type::Kind::kUnion:
+        for (uint32_t kid : p.Kids(op)) {
+          FirstSet k = FirstOf(p, p.ops[kid]);
+          f.Merge(k);
+          f.nullable |= k.nullable;
+        }
+        break;
+      case Type::Kind::kRepetition:
+        f = FirstOf(p, p.ops[p.Kids(op)[0]]);
+        f.nullable |= t.min_occurs == 0;
+        break;
+      case Type::Kind::kTypeRef:
+        if (op.ref >= 0) f = types_[op.ref].first;
+        break;
+    }
+    return f;
+  }
+
+  // Least fixpoint over the (possibly recursive) type references.
+  void ComputeFirstSets() {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (size_t i = 0; i < programs_.size(); ++i) {
+        const TypeProgram& p = programs_[i];
+        FirstSet f;
+        if (p.tm->virtual_union) {
+          for (int alt : p.alternatives) {
+            f.Merge(types_[alt].first);
+            f.nullable |= types_[alt].first.nullable;
+          }
+        } else {
+          f = FirstOf(p, p.ops[0]);
+        }
+        if (!(f == types_[i].first)) {
+          types_[i].first = std::move(f);
+          changed = true;
+        }
+      }
+    }
+  }
+
   Database* db_;
+  const std::vector<TypeProgram> programs_;
+  std::vector<ShredType> types_;  // by type index, beside programs_
+  const int root_;
+
   std::vector<Pending> buffer_;
+  // The trails a Mark sizes: cell writes to the rows under construction,
+  // and attribute marks set (indexes into attr_marks_, which holds one
+  // mark per attribute of each element being matched, innermost last).
+  std::vector<CellUndo> cells_;
+  std::vector<size_t> attr_log_;
+  std::vector<uint8_t> attr_marks_;
 };
 
 }  // namespace

@@ -13,13 +13,20 @@ namespace legodb::store {
 // foreign keys, scalar content in the mapped columns (Section 3.1's
 // "corresponding mapping from XML documents to databases").
 //
-// Matching is greedy with local backtracking over optionals and union
-// alternatives, which is complete for the (unambiguous) content models the
-// transformations produce. Values are stored canonicalized (integer text as
-// integers), matching the DOM evaluator.
+// Each call first compiles the mapping into per-type shred programs (body
+// ops with their columns, the table, the FK column per parent type, and
+// the items an instance can start with), so matching does no name
+// lookups. Matching is greedy with local backtracking over optionals and
+// union alternatives, which is complete for the (unambiguous) content
+// models the transformations produce; a backtracking point marks trails of
+// the cells and attributes written instead of copying the row, and a type
+// that cannot start at the current item is skipped before it draws an id.
+// Values are stored canonicalized (integer text as integers), matching the
+// DOM evaluator.
 //
 // Multiple documents may be shredded into the same database; each gets
-// fresh node ids. Nothing is inserted if the document does not match.
+// fresh node ids, unique and increasing in document pre-order. Nothing is
+// inserted if the document does not match.
 Status ShredDocument(const xml::Document& doc, const map::Mapping& mapping,
                      Database* db);
 

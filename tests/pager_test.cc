@@ -1,8 +1,8 @@
 // Tests for the paged storage stack: Pager page IO and its failpoint
 // sites, BufferPool pin/eviction invariants, the slotted-page StoredTable
 // and its decode-once columns (fault counts, invalidation, concurrent first
-// requests), and failure recovery (shredder rollback, flush errors,
-// write-back retries).
+// requests), reconstruction reading each page at most once, and failure
+// recovery (shredder rollback, flush errors, write-back retries).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -533,6 +533,42 @@ TEST(PagedDatabase, FirstColumnRequestDecodesEachPageOnce) {
   EXPECT_TRUE(db.PrewarmColumns().ok());
   EXPECT_TRUE(db.PrewarmIndexes().ok());
   EXPECT_EQ(pool->stats().faults, faults);
+}
+
+// Reconstruction reads instances from the decoded columns: after
+// PrewarmColumns it touches no page, and on a cold database (a pool smaller
+// than the data) it reads each page at most once, in the decode.
+TEST(PagedDatabase, ReconstructReadsEachPageAtMostOnce) {
+  map::Mapping m = MapText(kSchema);
+  std::string text = "<a>";
+  for (int i = 0; i < 100; ++i) {
+    text += "<b><x>row" + std::to_string(i) + "</x><y>" + std::to_string(i) +
+            "</y></b>";
+  }
+  text += "</a>";
+  auto doc = xml::ParseDocument(text);
+  ASSERT_TRUE(doc.ok());
+  const std::string want = xml::Serialize(doc.value());
+
+  for (bool prewarm : {false, true}) {
+    Database db(m.catalog(), StorageOptions::Paged(512, /*pool_pages=*/2));
+    ASSERT_TRUE(ShredDocument(doc.value(), m, &db).ok());
+    const uint64_t pages = db.pager()->page_count();
+    ASSERT_GT(pages, 4u);  // the data is larger than the pool
+    if (prewarm) {
+      ASSERT_TRUE(db.PrewarmColumns().ok());
+    }
+    BufferPool* pool = db.buffer_pool();
+    const uint64_t faults = pool->stats().faults;
+    auto rebuilt = ReconstructDocument(&db, m);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(xml::Serialize(rebuilt.value()), want);
+    if (prewarm) {
+      EXPECT_EQ(pool->stats().faults, faults);
+    } else {
+      EXPECT_LE(pool->stats().faults - faults, pages);
+    }
+  }
 }
 
 TEST(PagedDatabase, PrewarmBuildsIndexesAndColumns) {

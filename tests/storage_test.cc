@@ -534,6 +534,163 @@ TEST(Reconstruct, EmptyDatabaseFails) {
   EXPECT_FALSE(ReconstructDocument(&db, m).ok());
 }
 
+// ---- Backtracking: what a failed match attempt leaves behind ----
+
+// Every stored row, table by table and in row order. Key and foreign-key
+// cells name the row their id keys ("B#1"), so the rendering does not
+// depend on which ids failed match attempts used up.
+std::string StoredRows(const Database& db) {
+  std::map<int64_t, std::string> row_of;
+  for (const auto& name : db.table_names()) {
+    const StoredTable& t = db.GetTable(name);
+    for (size_t i = 0; i < t.row_count(); ++i) {
+      row_of[At(t, i, 0).as_int()] = name + "#" + std::to_string(i);
+    }
+  }
+  std::string out;
+  for (const auto& name : db.table_names()) {
+    const StoredTable& t = db.GetTable(name);
+    std::set<std::string> fks;
+    for (const auto& fk : t.meta().foreign_keys) fks.insert(fk.column);
+    for (size_t i = 0; i < t.row_count(); ++i) {
+      out += name + "#" + std::to_string(i) + ":";
+      for (size_t c = 1; c < t.meta().columns.size(); ++c) {
+        const std::string& column = t.meta().columns[c].name;
+        Value v = At(t, i, static_cast<int>(c));
+        std::string cell = v.is_string() ? "'" + v.as_string() + "'"
+                                         : v.ToString();
+        if (fks.count(column) && v.is_int()) cell = row_of[v.as_int()];
+        out += " " + column + "=" + cell;
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+// Shreds `xml_text`, checks the stored rows against `rows`, and checks the
+// document round-trips.
+void ExpectRows(const char* schema_text, const char* xml_text,
+                const std::string& rows) {
+  map::Mapping m = MapText(schema_text);
+  Database db = Shred(m, xml_text);
+  EXPECT_EQ(StoredRows(db), rows) << schema_text << "\n" << xml_text;
+  auto rebuilt = ReconstructDocument(&db, m);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  auto original = xml::ParseDocument(xml_text);
+  EXPECT_EQ(xml::Serialize(original.value()), xml::Serialize(rebuilt.value()))
+      << schema_text;
+}
+
+void ExpectNoMatch(const char* schema_text, const char* xml_text) {
+  map::Mapping m = MapText(schema_text);
+  Database db(m.catalog());
+  auto doc = xml::ParseDocument(xml_text);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_FALSE(ShredDocument(doc.value(), m, &db).ok()) << xml_text;
+  EXPECT_EQ(db.TotalRows(), 0u);
+}
+
+TEST(ShredBacktracking, HalfMatchedOptionalGroupLeavesItsSlotNull) {
+  // The group fills its x, fails at y, and must take that x back: the
+  // document's x belongs to the second x slot.
+  ExpectRows("type A = a[ (x[ String ], y[ Integer ])?, x[ String ] ]",
+             "<a><x>1</x></a>", "A#0: x=NULL y=NULL x_2=1\n");
+  ExpectRows("type A = a[ (x[ String ], y[ Integer ])?, x[ String ] ]",
+             "<a><x>1</x><y>2</y><x>3</x></a>", "A#0: x=1 y=2 x_2=3\n");
+}
+
+TEST(ShredBacktracking, FailedAlternativeLeavesNoAttributeMatched) {
+  // B matches @k before failing at x; C does not declare k, so the
+  // element's k is unmatched and the document does not shred.
+  const char* in_body =
+      "type A = a[ (B | C) ] type B = @k[ String ], x[ String ] "
+      "type C = y[ String ]";
+  ExpectRows(in_body, "<a k=\"v\"><x>1</x></a>",
+             "A#0:\nB#0: k='v' x=1 parent_A=A#0\n");
+  ExpectNoMatch(in_body, "<a k=\"v\"><y>1</y></a>");
+  // The same through a virtual union, whose alternatives are tried
+  // without a checkpoint of their own around them.
+  const char* virtual_union =
+      "type A = a[ U ] type U = (B | C) type B = @k[ String ], x[ String ] "
+      "type C = y[ String ]";
+  ExpectRows(virtual_union, "<a k=\"v\"><x>1</x></a>",
+             "A#0:\nB#0: k='v' x=1 parent_A=A#0\n");
+  ExpectNoMatch(virtual_union, "<a k=\"v\"><y>1</y></a>");
+}
+
+TEST(ShredBacktracking, AlternativesWithOverlappingFirstTags) {
+  // Both alternatives start with <b>: only matching tells them apart.
+  ExpectRows(
+      "type A = a[ (B | B2)* ] type B = b[ x[ String ]? ] "
+      "type B2 = b[ x[ String ]?, z[ String ] ]",
+      "<a><b><x>1</x></b><b><x>2</x><z>3</z></b><b/><b><z>4</z></b></a>",
+      "A#0:\n"
+      "B#0: x=1 parent_A=A#0\n"
+      "B#1: x=NULL parent_A=A#0\n"
+      "B2#0: x=2 z=3 parent_A=A#0\n"
+      "B2#1: x=NULL z=4 parent_A=A#0\n");
+}
+
+TEST(ShredBacktracking, NullableTypesAreNotSkipped) {
+  // N and K can match without consuming an item: at <y>, or at the end of
+  // the content, they must still be tried (and store a row).
+  const char* schema =
+      "type A = a[ N, K, y[ String ]? ] type N = x[ String ]? "
+      "type K = @k[ String ]";
+  ExpectRows(schema, "<a k=\"v\"><y>1</y></a>",
+             "A#0: y=1\nK#0: k='v' parent_A=A#0\nN#0: x=NULL parent_A=A#0\n");
+  ExpectRows(schema, "<a k=\"v\"/>",
+             "A#0: y=NULL\nK#0: k='v' parent_A=A#0\n"
+             "N#0: x=NULL parent_A=A#0\n");
+  ExpectRows(schema, "<a k=\"v\"><x>2</x></a>",
+             "A#0: y=NULL\nK#0: k='v' parent_A=A#0\nN#0: x=2 parent_A=A#0\n");
+}
+
+TEST(ShredBacktracking, WildcardBesideNamedTag) {
+  // T is tried first, so <title> goes to T and every other tag to W.
+  ExpectRows(
+      "type A = a[ (T | W)* ] type T = title[ String ] type W = ~[ String ]",
+      "<a><title>t</title><nyt>x</nyt><title>u</title></a>",
+      "A#0:\nT#0: title='t' parent_A=A#0\nT#1: title='u' parent_A=A#0\n"
+      "W#0: tilde='nyt' _data='x' parent_A=A#0\n");
+  // Greedy: info takes <info>, the wildcard takes the rest.
+  ExpectRows(
+      "type A = a[ D* ] type D = d[ info[ String ]?, ~[ String ]? ]",
+      "<a><d><info>i</info><w>x</w></d><d><w>y</w></d><d><info>j</info></d>"
+      "</a>",
+      "A#0:\nD#0: info='i' tilde='w' d='x' parent_A=A#0\n"
+      "D#1: info=NULL tilde='w' d='y' parent_A=A#0\n"
+      "D#2: info='j' tilde=NULL d=NULL parent_A=A#0\n");
+}
+
+TEST(Shredder, KeyIdsFollowDocumentPreOrder) {
+  // Each instance's v is its position in document pre-order; B is tried
+  // (and fails) before B2 on the first <b>, and the repetition ends with
+  // failed attempts at every level.
+  map::Mapping m = MapText(
+      "type A = a[ v[ Integer ], (B | B2 | A)* ] "
+      "type B = b[ v[ Integer ], x[ String ]? ] "
+      "type B2 = b[ v[ Integer ], x[ String ]?, z[ String ] ]");
+  Database db = Shred(
+      m,
+      "<a><v>1</v><b><v>2</v><x>p</x><z>q</z></b>"
+      "<a><v>3</v><b><v>4</v></b><a><v>5</v></a></a><b><v>6</v></b></a>");
+  std::map<int64_t, int64_t> v_by_id;
+  for (const auto& name : db.table_names()) {
+    const StoredTable& t = db.GetTable(name);
+    const int v = t.meta().ColumnIndex("v");
+    for (size_t i = 0; i < t.row_count(); ++i) {
+      const int64_t id = At(t, i, 0).as_int();
+      EXPECT_TRUE(v_by_id.emplace(id, At(t, i, v).as_int()).second)
+          << "duplicate id " << id;
+    }
+  }
+  std::vector<int64_t> pre_order;
+  for (const auto& [id, v] : v_by_id) pre_order.push_back(v);
+  EXPECT_EQ(pre_order, (std::vector<int64_t>{1, 2, 3, 4, 5, 6}));
+}
+
 // ---- Id allocation under concurrency ----
 
 TEST(DatabaseTest, NextIdIsUniqueAcrossThreads) {

@@ -6,8 +6,9 @@
 #   tools/check.sh -DLEGODB_SANITIZE=address # ASan build + tests
 #   tools/check.sh --asan                    # ASan/UBSan build of the
 #                                            # optimizer, executor, serving,
-#                                            # storage, mapping, translation
-#                                            # and search suites, then two
+#                                            # storage, shred/reconstruct,
+#                                            # mapping, translation and
+#                                            # search suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving,
@@ -26,9 +27,13 @@
 # engine_test, expr_vm_test), the
 # serving layer (serving_test: canonicalization, plan cache, admission
 # control, 8-thread bit-identity), and the paged storage backend
-# (pager_test, storage_test), plus fuzz_roundtrip_test, whose
-# reconstruction of generated documents probes every foreign-key hash index
-# through its span API. It also runs the candidate-costing suites
+# (pager_test, storage_test), plus the two suites that shred and
+# reconstruct through the per-type programs, which hold pointers into the
+# mapping's schema and the database's columns and indexes:
+# fuzz_roundtrip_test (generated documents, every foreign-key hash index
+# probed through its span API) and equivalence_test (its
+# CrossConfigRoundTrip covers every IMDB configuration). It also runs the
+# candidate-costing suites
 # whose layers index flat vectors by id: the mapper's instance-count
 # fixpoint (mapping_test), query translation's interned variables and
 # route deltas (translate_test), and the search's cost-cache keys
@@ -68,9 +73,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build build-asan -j"$(nproc)" --target \
     optimizer_test costmodel_test engine_equivalence_test engine_test \
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
-    mapping_test translate_test search_test micro_engine calibration
+    equivalence_test mapping_test translate_test search_test micro_engine \
+    calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R 'optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|mapping_test|translate_test|search_test'
+    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|mapping_test|translate_test|search_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \
