@@ -1,10 +1,5 @@
 #include "core/cost.h"
 
-#include <algorithm>
-#include <functional>
-#include <set>
-
-#include "common/str_util.h"
 #include "optimizer/optimizer.h"
 #include "translate/translate.h"
 
@@ -21,64 +16,6 @@ StatusOr<double> CostQuery(const map::Mapping& mapping, const xq::Query& query,
 }
 
 namespace {
-
-// A resolved position of an update path: the concrete type whose table is
-// touched, and whether the final step crossed into that type (outlined
-// target) or stayed within its inlined content.
-struct UpdateTarget {
-  std::string type;
-  bool outlined = false;
-};
-
-// Lightweight path resolution over the mapping (a simplified version of the
-// translator's navigation: no joins or predicates are built, only the set
-// of types the path can land in).
-void ResolveStep(const map::Mapping& m, const UpdateTarget& pos,
-                 const map::RelPath& rel_path, const std::string& step,
-                 std::vector<std::pair<UpdateTarget, map::RelPath>>* out) {
-  const map::TypeMapping& tm = m.GetType(pos.type);
-  // Inline continuation: scan for components extending the current path
-  // whose base matches the step (literally or via a wildcard position).
-  std::set<std::string> comps;
-  auto scan = [&](const map::RelPath& p) {
-    if (p.size() > rel_path.size() &&
-        std::equal(rel_path.begin(), rel_path.end(), p.begin())) {
-      comps.insert(p[rel_path.size()]);
-    }
-  };
-  for (const auto& slot : tm.slots) scan(slot.path);
-  for (const auto& child : tm.children) scan(child.path);
-  for (const auto& comp : comps) {
-    std::string base = map::BaseStep(comp);
-    if (base == step || base == "~") {
-      map::RelPath next = rel_path;
-      next.push_back(comp);
-      out->push_back({UpdateTarget{pos.type, false}, next});
-    }
-  }
-  // Crossing into child types referenced at this position.
-  std::function<void(const std::string&, int)> enter =
-      [&](const std::string& child, int depth) {
-        if (depth > 8) return;
-        const map::TypeMapping& ctm = m.GetType(child);
-        if (ctm.virtual_union) {
-          for (const auto& alt : ctm.union_alternatives) {
-            enter(alt, depth + 1);
-          }
-          return;
-        }
-        for (const std::string& entry : m.EntryNames(child)) {
-          if (entry == step || entry == "*") {
-            out->push_back({UpdateTarget{child, true},
-                            map::RelPath{entry == "*" ? "~" : entry}});
-            break;
-          }
-        }
-      };
-  for (const auto& child : tm.children) {
-    if (child.path == rel_path) enter(child.type_name, 0);
-  }
-}
 
 // Expected rows written when one instance of `type` is inserted: its own
 // row plus expected descendant rows.
@@ -116,37 +53,49 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
   if (!rtm || rtm->virtual_union) {
     return Status::Unsupported("virtual root type");
   }
+  // Resolve the path as query translation does, without building joins:
+  // each target is a body position, and `outlined` the first type its last
+  // step entered (null when that step stayed in inlined content).
+  struct Target {
+    const map::TypeMapping* type;
+    const xs::Type* node;
+    const map::TypeMapping* outlined;
+  };
+  std::vector<Target> targets;
   // The first step names the root element.
-  std::vector<std::pair<UpdateTarget, map::RelPath>> positions;
-  for (const std::string& entry : mapping.EntryNames(root)) {
-    if (entry == op.path[0] || entry == "*") {
-      positions.push_back({UpdateTarget{root, false},
-                           map::RelPath{entry == "*" ? "~" : op.path[0]}});
-    }
+  if (const xs::Type* entry = mapping.RootPosition(op.path[0])) {
+    targets.push_back(Target{rtm, entry, nullptr});
   }
-  for (size_t i = 1; i < op.path.size() && !positions.empty(); ++i) {
-    std::vector<std::pair<UpdateTarget, map::RelPath>> next;
-    for (const auto& [pos, rel_path] : positions) {
-      ResolveStep(mapping, pos, rel_path, op.path[i], &next);
+  std::vector<map::Move> moves;
+  for (size_t i = 1; i < op.path.size() && !targets.empty(); ++i) {
+    std::vector<Target> next;
+    for (const Target& target : targets) {
+      moves.clear();
+      mapping.Step(*target.type, target.node, op.path[i], &moves);
+      for (const map::Move& move : moves) {
+        next.push_back(Target{move.type, move.node,
+                              move.entered.empty() ? nullptr
+                                                   : move.entered.front()});
+      }
     }
-    positions = std::move(next);
+    targets = std::move(next);
   }
-  if (positions.empty()) {
+  if (targets.empty()) {
     return Status::NotFound("update path does not resolve: " + op.name);
   }
 
   // Average the cost over the resolved alternatives.
   double total = 0;
-  for (const auto& [target, rel_path] : positions) {
-    const map::TypeMapping& tm = mapping.GetType(target.type);
-    const rel::Table& table = mapping.catalog().GetTable(tm.table);
+  for (const Target& target : targets) {
     double locate = params.index_probe_seeks * params.seek_cost +
                     params.seek_cost;  // find the owning/parent row
     double write;
     if (target.outlined) {
       // New row(s) in the target's table and its expected descendants.
-      write = SubtreeRowCost(mapping, target.type, params, 0);
+      write = SubtreeRowCost(mapping, target.outlined->type_name, params, 0);
     } else {
+      const rel::Table& table =
+          mapping.catalog().GetTable(target.type->table);
       // Inlined content: read-modify-write of the whole (wide) row plus
       // the owning table's index maintenance.
       double indexes =
@@ -157,7 +106,7 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
     }
     total += locate + write;
   }
-  return total / static_cast<double>(positions.size());
+  return total / static_cast<double>(targets.size());
 }
 
 StatusOr<SchemaCost> CostSchema(const xs::Schema& pschema,

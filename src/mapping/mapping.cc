@@ -1,10 +1,10 @@
 #include "mapping/mapping.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <functional>
 #include <set>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -24,10 +24,6 @@ namespace {
 constexpr double kTildeWidth = 12;
 constexpr double kTildeDistincts = 10;
 
-std::string StepFor(const xs::NameClass& name) {
-  return name.kind == xs::NameClass::Kind::kLiteral ? name.name : "~";
-}
-
 // Relative weights of a union's alternatives: statistics-derived ref
 // weights when the annotator attached them, an even split otherwise.
 std::vector<double> UnionSplit(const TypePtr& u) {
@@ -45,25 +41,59 @@ std::vector<double> UnionSplit(const TypePtr& u) {
   return weights;
 }
 
+// Calls `f` on each element or attribute directly inside body node `t`
+// (through sequences and optionals), in body order.
+template <typename F>
+void ForEachPosition(const Type& t, const F& f) {
+  switch (t.kind) {
+    case Type::Kind::kElement:
+    case Type::Kind::kAttribute:
+      f(&t);
+      return;
+    case Type::Kind::kSequence:
+      for (const auto& c : t.children) ForEachPosition(*c, f);
+      return;
+    case Type::Kind::kRepetition:
+      if (t.is_optional_rep()) ForEachPosition(*t.child, f);
+      return;
+    default:
+      return;
+  }
+}
+
+// Whether a slot or a type reference lies at or under body node `t`.
+bool HoldsContent(const Type& t) {
+  switch (t.kind) {
+    case Type::Kind::kEmpty:
+      return false;
+    case Type::Kind::kElement:
+      return t.name.is_wildcard() || HoldsContent(*t.child);
+    case Type::Kind::kAttribute:
+      return HoldsContent(*t.child);
+    case Type::Kind::kSequence:
+      return std::any_of(t.children.begin(), t.children.end(),
+                         [](const TypePtr& c) { return HoldsContent(*c); });
+    case Type::Kind::kUnion:
+      return !t.children.empty();
+    case Type::Kind::kRepetition:
+      return !t.is_optional_rep() || HoldsContent(*t.child);
+    default:  // scalars and type references
+      return true;
+  }
+}
+
 }  // namespace
 
-std::string BaseStep(const std::string& step) {
-  size_t hash = step.rfind('#');
-  if (hash == std::string::npos || hash == 0) return step;
-  // "@name" steps never carry ordinals at position 0; verify digits follow.
-  for (size_t i = hash + 1; i < step.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(step[i]))) return step;
+const Slot* TypeMapping::FindSlot(const xs::Type* node, bool tilde) const {
+  for (const Slot& slot : slots) {
+    if (slot.node == node && slot.is_tilde == tilde) return &slot;
   }
-  return step.substr(0, hash);
+  return nullptr;
 }
 
 int TypeMapping::SlotColumn(const xs::Type* node, bool tilde) const {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].node == node && slots[i].is_tilde == tilde) {
-      return kKeyColumn + 1 + static_cast<int>(i);
-    }
-  }
-  return -1;
+  const Slot* slot = FindSlot(node, tilde);
+  return slot ? kKeyColumn + 1 + static_cast<int>(slot - slots.data()) : -1;
 }
 
 int TypeMapping::ParentColumn(const std::string& parent_type) const {
@@ -89,7 +119,6 @@ const TypeMapping& Mapping::GetType(const std::string& name) const {
 std::vector<std::string> Mapping::EntryNames(
     const std::string& type_name) const {
   std::vector<std::string> names;
-  std::set<std::string> seen;
   std::function<void(const std::string&, int)> visit =
       [&](const std::string& name, int depth) {
         const TypeMapping* tm = FindType(name);
@@ -98,26 +127,95 @@ std::vector<std::string> Mapping::EntryNames(
           for (const auto& alt : tm->union_alternatives) visit(alt, depth + 1);
           return;
         }
-        auto add = [&](const RelPath& path) {
-          if (path.empty()) return;
-          std::string base = BaseStep(path[0]);
-          std::string step = base == "~" ? "*" : base;
-          if (!StartsWith(step, "@") && seen.insert(step).second) {
-            names.push_back(step);
+        for (const auto& entry : tm->entries) {
+          if (!entry.node) {
+            visit(entry.hop, depth + 1);
+            continue;
           }
-        };
-        for (const auto& slot : tm->slots) add(slot.path);
-        for (const auto& child : tm->children) {
-          if (!child.path.empty()) {
-            add(child.path);
-          } else {
-            // Ref at the very top of the body: entries come from the child.
-            visit(child.type_name, depth + 1);
+          std::string step =
+              entry.node->name.is_wildcard() ? "*" : entry.node->name.name;
+          if (std::find(names.begin(), names.end(), step) == names.end()) {
+            names.push_back(std::move(step));
           }
         }
       };
   visit(type_name, 0);
   return names;
+}
+
+const xs::Type* Mapping::RootPosition(const std::string& step) const {
+  const Type* found = nullptr;
+  ForEachPosition(*schema_.Get(schema_.root_type()), [&](const Type* n) {
+    if (!found && n->kind == Type::Kind::kElement &&
+        n->name.kind == xs::NameClass::Kind::kLiteral && n->name.name == step) {
+      found = n;
+    }
+  });
+  return found && HoldsContent(*found) ? found : nullptr;
+}
+
+void Mapping::Step(const TypeMapping& tm, const xs::Type* at,
+                   const std::string& step, std::vector<Move>* out) const {
+  const bool attribute_step = StartsWith(step, "@");
+  bool matched_element = false;
+  const std::string_view attribute_name =
+      std::string_view(step).substr(attribute_step ? 1 : 0);
+  const Type* attribute = nullptr;
+  std::vector<const Type*> wildcards;
+  ForEachPosition(*at->child, [&](const Type* n) {
+    if (n->kind == Type::Kind::kAttribute) {
+      if (!attribute && n->name.name == attribute_name && HoldsContent(*n)) {
+        attribute = n;
+      }
+    } else if (attribute_step) {
+      return;
+    } else if (!n->name.is_wildcard()) {
+      if (n->name.name == step && HoldsContent(*n)) {
+        out->push_back(Move{{}, &tm, n, nullptr});
+        matched_element = true;
+      }
+    } else if (n->name.Matches(step)) {
+      wildcards.push_back(n);
+    }
+  });
+  for (const Type* n : wildcards) {
+    out->push_back(Move{{}, &tm, n, tm.FindSlot(n, /*tilde=*/true)});
+  }
+  // A plain name falls back to an attribute (the paper's Q1 writes
+  // $v/type for @type).
+  if (attribute && (attribute_step || !matched_element)) {
+    out->push_back(Move{{}, &tm, attribute, nullptr});
+  }
+  if (attribute_step) return;
+  std::vector<const TypeMapping*> entered;
+  for (const ChildRef& child : tm.children) {
+    if (child.node == at) Enter(child.type_name, step, &entered, 0, out);
+  }
+}
+
+void Mapping::Enter(const std::string& name, const std::string& step,
+                    std::vector<const TypeMapping*>* entered, int depth,
+                    std::vector<Move>* out) const {
+  if (depth > 8) return;
+  const TypeMapping& tm = GetType(name);
+  if (tm.virtual_union) {
+    for (const auto& alt : tm.union_alternatives) {
+      Enter(alt, step, entered, depth + 1, out);
+    }
+    return;
+  }
+  entered->push_back(&tm);
+  for (const TypeMapping::Entry& entry : tm.entries) {
+    if (!entry.node) {
+      Enter(entry.hop, step, entered, depth + 1, out);
+    } else if (entry.node->name.Matches(step)) {
+      const Slot* tilde = entry.node->name.is_wildcard()
+                              ? tm.FindSlot(entry.node, /*tilde=*/true)
+                              : nullptr;
+      out->push_back(Move{*entered, &tm, entry.node, tilde});
+    }
+  }
+  entered->pop_back();
 }
 
 // Builds the Mapping from a validated p-schema.
@@ -157,66 +255,111 @@ class Mapper {
       }
     } else {
       tm.table = name;
-      step_counts_.clear();
-      RelPath path;
-      WalkBody(body, &path, /*owner=*/nullptr, /*presence=*/1.0,
-               /*optional=*/false, &tm);
-      NameColumns(&tm, body);
+      body_ = body.get();
+      columns_.clear();
+      ref_entries_.clear();
+      WalkBody(body, /*presence=*/1.0, /*optional=*/false, &tm);
+      for (TypeMapping::Entry& entry : ref_entries_) {
+        if (entry.node &&
+            std::any_of(tm.entries.begin(), tm.entries.end(),
+                        [&](const auto& e) { return e.node == entry.node; })) {
+          continue;
+        }
+        tm.entries.push_back(std::move(entry));
+      }
     }
     result_.types_[name] = std::move(tm);
   }
 
-  // Assigns the path step for an element node, suffixing an ordinal when
-  // the same step already occurred among siblings at this position.
-  std::string AssignStep(const TypePtr& t, const RelPath& parent_path) {
-    std::string base = StepFor(t->name);
-    int& count = step_counts_[parent_path][base];
-    ++count;
-    return count == 1 ? base : base + "#" + std::to_string(count);
+  // The body's top-level element around the walk, or null.
+  const Type* TopElement() const {
+    return !around_.empty() && around_[0]->kind == Type::Kind::kElement
+               ? around_[0]
+               : nullptr;
   }
 
-  // `owner` is the innermost element or attribute around `t` (null at the
-  // body root): the node a scalar's slot belongs to.
-  void WalkBody(const TypePtr& t, RelPath* path, const Type* owner,
-                double presence, bool optional, TypeMapping* tm) {
+  // Adds `slot`, owned by the innermost node around the walk, and records
+  // its top-level element as an entry of the type.
+  void AddSlot(Slot slot, TypeMapping* tm) {
+    slot.node = around_.empty() ? nullptr : around_.back();
+    slot.column = ColumnName(slot.is_tilde);
+    const Type* top = TopElement();
+    if (top && (tm->entries.empty() || tm->entries.back().node != top)) {
+      tm->entries.push_back(TypeMapping::Entry{top, ""});
+    }
+    tm->slots.push_back(std::move(slot));
+  }
+
+  // Adds `ref` at the walk's position; its entry (its top-level element,
+  // or a hop into it at the body root) follows the slots' entries.
+  void AddRef(ChildRef ref, TypeMapping* tm) {
+    ref.node = around_.empty() ? nullptr : around_.back();
+    const Type* top = TopElement();
+    ref_entries_.push_back(
+        TypeMapping::Entry{top, top ? std::string() : ref.type_name});
+    tm->children.push_back(std::move(ref));
+  }
+
+  // The column name of a slot at the walk's position: the names of the
+  // elements and attributes around it joined by '_', leaving out the body's
+  // root element and wildcards, plus "tilde" for a wildcard's tag column. A
+  // scalar directly in the root element is named after that element (e.g.
+  // table Aka, column aka); a nameless position falls back to "_data". A
+  // name already taken in the table gets the first free suffix "_2", ...
+  std::string ColumnName(bool tilde) {
+    std::string name;
+    for (const Type* n : around_) {
+      if ((n == body_ && n->kind == Type::Kind::kElement) ||
+          n->name.is_wildcard()) {
+        continue;
+      }
+      if (!name.empty()) name += '_';
+      name += n->name.name;
+    }
+    if (tilde) {
+      name += name.empty() ? "tilde" : "_tilde";
+    } else if (name.empty()) {
+      name = body_->kind == Type::Kind::kElement && !body_->name.is_wildcard()
+                 ? body_->name.name
+                 : "_data";
+    }
+    std::string unique = name;
+    for (int i = 2; !columns_.insert(unique).second; ++i) {
+      unique = name + "_" + std::to_string(i);
+    }
+    return unique;
+  }
+
+  void WalkBody(const TypePtr& t, double presence, bool optional,
+                TypeMapping* tm) {
     switch (t->kind) {
       case Type::Kind::kEmpty:
         return;
       case Type::Kind::kScalar: {
         Slot slot;
-        slot.path = *path;
-        slot.node = owner;
         slot.scalar = t;
         slot.optional = optional;
         slot.presence = presence;
-        tm->slots.push_back(std::move(slot));
+        AddSlot(std::move(slot), tm);
         return;
       }
-      case Type::Kind::kElement: {
-        path->push_back(AssignStep(t, *path));
-        if (t->name.is_wildcard()) {
+      case Type::Kind::kElement:
+      case Type::Kind::kAttribute: {
+        around_.push_back(t.get());
+        if (t->kind == Type::Kind::kElement && t->name.is_wildcard()) {
           Slot tilde;
-          tilde.path = *path;
-          tilde.node = t.get();
           tilde.is_tilde = true;
-          tilde.wildcard_name = t->name;
           tilde.optional = optional;
           tilde.presence = presence;
-          tm->slots.push_back(std::move(tilde));
+          AddSlot(std::move(tilde), tm);
         }
-        WalkBody(t->child, path, t.get(), presence, optional, tm);
-        path->pop_back();
-        return;
-      }
-      case Type::Kind::kAttribute: {
-        path->push_back("@" + t->name.name);
-        WalkBody(t->child, path, t.get(), presence, optional, tm);
-        path->pop_back();
+        WalkBody(t->child, presence, optional, tm);
+        around_.pop_back();
         return;
       }
       case Type::Kind::kSequence: {
         for (const auto& c : t->children) {
-          WalkBody(c, path, owner, presence, optional, tm);
+          WalkBody(c, presence, optional, tm);
         }
         return;
       }
@@ -229,20 +372,18 @@ class Mapper {
           LEGODB_CHECK(alt->kind == Type::Kind::kTypeRef,
                        "stratified union alternative must be a type ref");
           ChildRef ref;
-          ref.path = *path;
           ref.type_name = alt->ref_name;
           ref.expected_per_parent = presence * weights[i];
           ref.optional = true;
           ref.in_union = true;
-          tm->children.push_back(std::move(ref));
+          AddRef(std::move(ref), tm);
         }
         return;
       }
       case Type::Kind::kRepetition: {
         if (t->is_optional_rep()) {
           double p = t->avg_count > 0 ? std::min(1.0, t->avg_count) : 0.5;
-          WalkBody(t->child, path, owner, presence * p, /*optional=*/true,
-                   tm);
+          WalkBody(t->child, presence * p, /*optional=*/true, tm);
           return;
         }
         // Stratification: content is a ref or union of refs.
@@ -250,14 +391,13 @@ class Mapper {
         auto add_ref = [&](const std::string& ref_name, double expected,
                            bool in_union) {
           ChildRef ref;
-          ref.path = *path;
           ref.type_name = ref_name;
           ref.expected_per_parent = expected;
           ref.optional = t->min_occurs == 0 || optional || in_union;
           ref.min_occurs = t->min_occurs;
           ref.max_occurs = t->max_occurs;
           ref.in_union = in_union;
-          tm->children.push_back(std::move(ref));
+          AddRef(std::move(ref), tm);
         };
         if (t->child->kind == Type::Kind::kTypeRef) {
           add_ref(t->child->ref_name, count, false);
@@ -272,52 +412,12 @@ class Mapper {
       }
       case Type::Kind::kTypeRef: {
         ChildRef ref;
-        ref.path = *path;
         ref.type_name = t->ref_name;
         ref.expected_per_parent = presence;
         ref.optional = optional;
-        tm->children.push_back(std::move(ref));
+        AddRef(std::move(ref), tm);
         return;
       }
-    }
-  }
-
-  // Assigns column names: path components joined by '_', dropping the body
-  // root element's own step, mapping "@a" to "a" and wildcard steps to
-  // nothing (the tilde column itself is named "tilde"). A scalar directly in
-  // the root element is named after that element (e.g. table Aka, column
-  // aka); a nameless position falls back to "_data".
-  void NameColumns(TypeMapping* tm, const TypePtr& body) {
-    std::string root_step;
-    if (body->kind == Type::Kind::kElement &&
-        body->name.kind == xs::NameClass::Kind::kLiteral) {
-      root_step = body->name.name;
-    }
-    std::set<std::string> used;
-    for (auto& slot : tm->slots) {
-      std::vector<std::string> comps;
-      for (size_t i = 0; i < slot.path.size(); ++i) {
-        std::string step = BaseStep(slot.path[i]);
-        if (i == 0 && !root_step.empty() && step == root_step) continue;
-        if (step == "~") continue;
-        if (StartsWith(step, "@")) step = step.substr(1);
-        comps.push_back(std::move(step));
-      }
-      std::string name;
-      if (slot.is_tilde) {
-        comps.push_back("tilde");
-        name = StrJoin(comps, "_");
-      } else if (comps.empty()) {
-        name = !root_step.empty() ? root_step : "_data";
-      } else {
-        name = StrJoin(comps, "_");
-      }
-      std::string unique = name;
-      for (int i = 2; used.count(unique); ++i) {
-        unique = name + "_" + std::to_string(i);
-      }
-      used.insert(unique);
-      slot.column = std::move(unique);
     }
   }
 
@@ -501,8 +601,13 @@ class Mapper {
   }
 
   const Schema& schema_;
-  // Sibling-step occurrence counts for the type body being analyzed.
-  std::map<RelPath, std::map<std::string, int>> step_counts_;
+  // The type body being walked: its root node, the elements and attributes
+  // around the walk (outermost first), the column names taken, and the
+  // entries of its references in `children` order.
+  const Type* body_ = nullptr;
+  std::vector<const Type*> around_;
+  std::set<std::string> columns_;
+  std::vector<TypeMapping::Entry> ref_entries_;
   Mapping result_;
 };
 

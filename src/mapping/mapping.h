@@ -12,31 +12,21 @@
 
 namespace legodb::map {
 
-// Path steps inside a type body use element names verbatim, "@name" for
-// attributes, and "~" for wildcard elements. When the same step repeats
-// among siblings (e.g. two wildcard elements in one sequence), later
-// occurrences carry an ordinal suffix: "~", "~#2", "~#3", ... so slot
-// coordinates stay unambiguous.
-using RelPath = std::vector<std::string>;
-
-// Strips the "#k" ordinal suffix from a path step.
-std::string BaseStep(const std::string& step);
+// A position inside a type body is named by its schema node: the element
+// or attribute that owns it, or null at the body root. The nodes belong to
+// the Mapping's own schema, so they live as long as the Mapping; shredding,
+// reconstruction, query translation and update costing all find slots and
+// references by them.
 
 // A scalar (or wildcard-tag) position inside a type body that maps to a
 // column of the type's table.
 struct Slot {
-  RelPath path;          // from the body root, including the root element
   std::string column;    // column name in the table
   // The body node whose value the slot holds: the element or attribute
   // directly around the scalar, the wildcard element itself for a tilde
-  // slot, or null for a scalar directly at the body root. It is a node of
-  // the Mapping's own schema, so it lives as long as the Mapping; the
-  // shredder and reconstructor walk that schema and find slots by it.
+  // slot, or null for a scalar directly at the body root.
   const xs::Type* node = nullptr;
   bool is_tilde = false;  // the tag-name column of a wildcard element
-  // For tilde slots: the wildcard's name class ('~' or '~!a'), needed to
-  // decide whether a literal query step can match this position.
-  xs::NameClass wildcard_name;
   xs::TypePtr scalar;    // scalar type (nullptr for tilde slots)
   bool optional = false;  // sits under at least one optional
   double presence = 1.0;  // probability the column is non-null
@@ -45,7 +35,9 @@ struct Slot {
 // A reference to another named type inside a type body: becomes a
 // parent/child table relationship with a foreign key in the child.
 struct ChildRef {
-  RelPath path;            // where the reference sits in the body
+  // The innermost element or attribute around the reference, or null at
+  // the body root.
+  const xs::Type* node = nullptr;
   std::string type_name;   // referenced (child) type
   double expected_per_parent = 1;  // average child rows per parent row
   bool optional = false;           // may be absent for a given parent
@@ -68,6 +60,17 @@ struct TypeMapping {
   std::vector<Slot> slots;
   std::vector<ChildRef> children;
 
+  // How a path enters an instance of this type, in the order entry tries
+  // them: the body's top-level elements that hold a slot, in body order,
+  // then in `children` order those that hold only references and the
+  // references at the body root, through which a path enters the
+  // referenced type instead (`hop`).
+  struct Entry {
+    const xs::Type* node = nullptr;  // top-level element; null for a hop
+    std::string hop;
+  };
+  std::vector<Entry> entries;
+
   // Estimated number of instances (rows) of this type.
   double instance_count = 0;
 
@@ -79,6 +82,10 @@ struct TypeMapping {
   };
   std::vector<ParentLink> parents;
 
+  // The slot owned by `node` (the tag slot of a wildcard when `tilde`), or
+  // null.
+  const Slot* FindSlot(const xs::Type* node, bool tilde) const;
+
   // Column positions in this type's table, as the mapper lays it out: the
   // key first, then one column per slot in `slots` order, then one foreign
   // key per link in `parents` order. The lookups return -1 when no slot is
@@ -86,6 +93,19 @@ struct TypeMapping {
   static constexpr int kKeyColumn = 0;
   int SlotColumn(const xs::Type* node, bool tilde) const;
   int ParentColumn(const std::string& parent_type) const;
+};
+
+// One way a path step proceeds from a body position: to position `node` of
+// `type`, after entering the non-virtual types in `entered` in order (each
+// referenced from the one before, the first from the starting type; empty
+// when the step stays in the starting type's inlined content). `tilde` is
+// the tag slot of the wildcard the step matched, whose column must then
+// equal the step.
+struct Move {
+  std::vector<const TypeMapping*> entered;
+  const TypeMapping* type = nullptr;
+  const xs::Type* node = nullptr;
+  const Slot* tilde = nullptr;
 };
 
 // The full fixed mapping rel(ps) of Section 3.2: one relation per
@@ -104,8 +124,29 @@ class Mapping {
   // ("*" for wildcard). Descends through virtual unions.
   std::vector<std::string> EntryNames(const std::string& type_name) const;
 
+  // The navigator that query translation and update costing share.
+  //
+  // The position the first step `step` of a document() path names: the
+  // root type's first top-level element with that literal tag, or null
+  // when there is none or it holds no content.
+  const xs::Type* RootPosition(const std::string& step) const;
+  // Appends to `out` every way step `step` proceeds from position `at` (an
+  // element or attribute node) of non-virtual type `tm`, in route order: elements named `step` in body
+  // order, then wildcards that admit it in body order, then (when no
+  // element matched) an attribute of that name, then entries into each
+  // type referenced at `at`, in `children` order. An "@name" step only
+  // reaches the attribute. Only positions holding content are reached.
+  void Step(const TypeMapping& tm, const xs::Type* at, const std::string& step,
+            std::vector<Move>* out) const;
+
  private:
   friend class Mapper;
+  // Appends the entries of type `name` (virtual unions expanded) that
+  // admit `step`, having entered `entered` before it.
+  void Enter(const std::string& name, const std::string& step,
+             std::vector<const TypeMapping*>* entered, int depth,
+             std::vector<Move>* out) const;
+
   rel::Catalog catalog_;
   std::map<std::string, TypeMapping> types_;
   xs::Schema schema_;

@@ -8,25 +8,23 @@
 #include <set>
 
 #include "common/failpoint.h"
-#include "common/str_util.h"
 #include "obs/obs.h"
 #include "xquery/evaluator.h"
 
 namespace legodb::xlat {
 namespace {
 
-using map::ChildRef;
 using map::Mapping;
-using map::RelPath;
 using map::Slot;
 using map::TypeMapping;
 
 // A navigation position: a base relation in the block under construction, the
-// named type it instantiates, and the inline path inside that type's body.
+// named type it instantiates, and the position inside that type's body (an
+// element or attribute node, as map::Slot::node names it).
 struct Pos {
   int rel = -1;  // -1: unbound (outer-join miss), yields NULLs
   const TypeMapping* type = nullptr;
-  RelPath path;
+  const xs::Type* node = nullptr;
 };
 
 // One UNION ALL branch under construction. Variables are indexed by their
@@ -67,37 +65,6 @@ struct Delta {
     append(&block->filters, filters);
   }
 };
-
-bool PathHasPrefix(const RelPath& path, const RelPath& prefix) {
-  if (path.size() < prefix.size()) return false;
-  return std::equal(prefix.begin(), prefix.end(), path.begin());
-}
-
-// Scalar (non-tilde) slot exactly at `path`.
-const Slot* ScalarSlotAt(const TypeMapping& tm, const RelPath& path) {
-  for (const auto& slot : tm.slots) {
-    if (!slot.is_tilde && slot.path == path) return &slot;
-  }
-  return nullptr;
-}
-
-const Slot* TildeSlotAt(const TypeMapping& tm, const RelPath& path) {
-  for (const auto& slot : tm.slots) {
-    if (slot.is_tilde && slot.path == path) return &slot;
-  }
-  return nullptr;
-}
-
-// Any slot or child reference strictly inside `prefix`?
-bool HasContentUnder(const TypeMapping& tm, const RelPath& prefix) {
-  for (const auto& slot : tm.slots) {
-    if (PathHasPrefix(slot.path, prefix)) return true;
-  }
-  for (const auto& child : tm.children) {
-    if (PathHasPrefix(child.path, prefix)) return true;
-  }
-  return false;
-}
 
 class Translator {
  public:
@@ -239,126 +206,27 @@ class Translator {
     Pos pos;
   };
 
-  // Appends to `routes` all ways one step `s` can proceed from `from`. Path
-  // components may carry ordinal suffixes ("~#2"); each matching component
-  // is its own route.
+  // Appends to `routes` all ways one step `s` can proceed from `from`, in
+  // the order map::Mapping::Step gives them: each route joins in the types
+  // its step enters and filters the tag of the wildcard it matched.
   void StepFrom(const Route& from, size_t first, const std::string& s,
                 bool outer, std::vector<Route>* routes) const {
     const Pos& pos = from.pos;
     if (pos.rel < 0) return;
-    const TypeMapping& tm = *pos.type;
-
-    // Distinct components that extend the current inline path by one step.
-    std::set<std::string> comps;
-    auto scan = [&](const RelPath& p) {
-      if (p.size() > pos.path.size() &&
-          std::equal(pos.path.begin(), pos.path.end(), p.begin())) {
-        comps.insert(p[pos.path.size()]);
+    std::vector<map::Move> moves;
+    m_.Step(*pos.type, pos.node, s, &moves);
+    for (const map::Move& move : moves) {
+      Route r{from.adds, Pos{pos.rel, move.type, move.node}};
+      const TypeMapping* parent = pos.type;
+      for (const TypeMapping* child : move.entered) {
+        r.pos.rel = JoinChild(&r.adds, first, r.pos.rel, *parent, *child,
+                              outer);
+        if (r.pos.rel < 0) break;
+        parent = child;
       }
-    };
-    for (const auto& slot : tm.slots) scan(slot.path);
-    for (const auto& child : tm.children) scan(child.path);
-
-    auto extend = [&](const std::string& comp) {
-      RelPath cand = pos.path;
-      cand.push_back(comp);
-      return Route{from.adds, Pos{pos.rel, pos.type, std::move(cand)}};
-    };
-    // (1) inline element / attribute / wildcard content.
-    bool matched_elem = false;
-    for (const std::string& comp : comps) {
-      if (StartsWith(s, "@")) {
-        if (comp == s) routes->push_back(extend(comp));
-        continue;
-      }
-      std::string base = map::BaseStep(comp);
-      if (base == s) {
-        routes->push_back(extend(comp));
-        matched_elem = true;
-      } else if (base == "~") {
-        Route next = extend(comp);
-        const Slot* tilde = TildeSlotAt(tm, next.pos.path);
-        if (tilde && tilde->wildcard_name.Matches(s)) {
-          AddTildeFilter(&next.adds, pos.rel, *tilde, s);
-          routes->push_back(std::move(next));
-        }
-      }
-    }
-    // Plain-name fallback to an attribute (the paper's Q1 writes $v/type).
-    if (!StartsWith(s, "@") && !matched_elem && comps.count("@" + s)) {
-      routes->push_back(extend("@" + s));
-    }
-
-    // (2) cross into child types referenced at this position.
-    if (!StartsWith(s, "@")) {
-      for (const ChildRef* child : ChildRefsAt(tm, pos.path)) {
-        EnterChild(from.adds, first, pos.rel, tm, child->type_name, s, outer,
-                   /*depth=*/0, routes);
-      }
-    }
-  }
-
-  std::vector<const ChildRef*> ChildRefsAt(const TypeMapping& tm,
-                                           const RelPath& path) const {
-    std::vector<const ChildRef*> out;
-    for (const auto& child : tm.children) {
-      if (child.path == path) out.push_back(&child);
-    }
-    return out;
-  }
-
-  // Tries to enter child type `child` with step `s` from `parent_rel`
-  // (of non-virtual type `parent`) after `adds`, expanding virtual unions
-  // and hopping through top-level references.
-  void EnterChild(const Delta& adds, size_t first, int parent_rel,
-                  const TypeMapping& parent, const std::string& child,
-                  const std::string& s, bool outer, int depth,
-                  std::vector<Route>* routes) const {
-    if (depth > 8) return;
-    const TypeMapping& ctm = m_.GetType(child);
-    if (ctm.virtual_union) {
-      for (const auto& alt : ctm.union_alternatives) {
-        EnterChild(adds, first, parent_rel, parent, alt, s, outer, depth + 1,
-                   routes);
-      }
-      return;
-    }
-    // Direct entry: a top-level component of the child matches `s`
-    // (components may carry ordinal suffixes).
-    std::set<std::string> tried;
-    auto try_entry = [&](const std::string& comp) {
-      if (!tried.insert(comp).second) return;
-      std::string base = map::BaseStep(comp);
-      const Slot* tilde = nullptr;
-      if (base == "~") {
-        tilde = TildeSlotAt(ctm, {comp});
-        if (!tilde || !tilde->wildcard_name.Matches(s)) return;
-      } else if (base != s) {
-        return;
-      }
-      Route r{adds, Pos{-1, &ctm, {comp}}};
-      r.pos.rel = JoinChild(&r.adds, first, parent_rel, parent, ctm, outer);
-      if (r.pos.rel < 0) return;
-      if (tilde) AddTildeFilter(&r.adds, r.pos.rel, *tilde, s);
+      if (r.pos.rel < 0) continue;
+      if (move.tilde) AddTildeFilter(&r.adds, r.pos.rel, *move.tilde, s);
       routes->push_back(std::move(r));
-    };
-    for (const auto& slot : ctm.slots) {
-      if (!slot.path.empty() && !StartsWith(slot.path[0], "@")) {
-        try_entry(slot.path[0]);
-      }
-    }
-    for (const auto& cref : ctm.children) {
-      if (!cref.path.empty()) {
-        try_entry(cref.path[0]);
-      } else {
-        // Top-level reference inside the child: join the child, then try to
-        // enter the grandchild.
-        Delta joined = adds;
-        int rel = JoinChild(&joined, first, parent_rel, parent, ctm, outer);
-        if (rel < 0) continue;
-        EnterChild(joined, first, rel, ctm, cref.type_name, s, outer,
-                   depth + 1, routes);
-      }
     }
   }
 
@@ -395,7 +263,8 @@ class Translator {
     std::vector<ScalarRoute> out;
     for (auto& route : NavigatePath(std::move(start), first, steps, outer)) {
       if (route.pos.rel < 0) continue;
-      const Slot* slot = ScalarSlotAt(*route.pos.type, route.pos.path);
+      const Slot* slot =
+          route.pos.type->FindSlot(route.pos.node, /*tilde=*/false);
       if (!slot) continue;
       out.push_back(ScalarRoute{std::move(route.adds), route.pos.rel, slot});
     }
@@ -437,10 +306,8 @@ class Translator {
         Route start;
         int rel = AddRel(&start.adds, first, rtm.table);
         // The first step names the root element itself.
-        RelPath entry = {b.steps[0]};
-        if (ScalarSlotAt(rtm, entry) || HasContentUnder(rtm, entry) ||
-            !ChildRefsAt(rtm, entry).empty()) {
-          start.pos = Pos{rel, &rtm, std::move(entry)};
+        if (const xs::Type* entry = m_.RootPosition(b.steps[0])) {
+          start.pos = Pos{rel, &rtm, entry};
           std::vector<std::string> rest(b.steps.begin() + 1, b.steps.end());
           routes = NavigatePath(std::move(start), first, rest,
                                 /*outer=*/outer_mode);

@@ -303,6 +303,30 @@ TEST(MappingMeta, EntryNamesDescendVirtualUnions) {
   EXPECT_EQ(entries, (std::vector<std::string>{"s1", "s2"}));
 }
 
+TEST(MappingMeta, EntriesListSlotElementsBeforeReferences) {
+  // The slot-holding top-level element comes first although the reference
+  // precedes it in the body; the reference at the body root is entered
+  // through the referenced type.
+  Mapping m = M(
+      "type R = r[ W ] type W = X*, w[ String ] type X = x[ String ]");
+  EXPECT_EQ(m.EntryNames("W"), (std::vector<std::string>{"w", "x"}));
+}
+
+TEST(MappingMeta, ChildRefsRecordTheirOwningNode) {
+  Mapping m = M("type A = a[ b[ C* ], D ] type C = c[ String ] "
+                "type D = d[ String ]");
+  const TypeMapping& a = m.GetType("A");
+  ASSERT_EQ(a.children.size(), 2u);
+  ASSERT_NE(a.children[0].node, nullptr);
+  ASSERT_NE(a.children[1].node, nullptr);
+  EXPECT_EQ(a.children[0].node->name.name, "b");
+  EXPECT_EQ(a.children[1].node->name.name, "a");
+  // A reference at the body root has no owning node.
+  Mapping w = M("type R = r[ W ] type W = X* type X = x[ String ]");
+  ASSERT_EQ(w.GetType("W").children.size(), 1u);
+  EXPECT_EQ(w.GetType("W").children[0].node, nullptr);
+}
+
 TEST(MappingMeta, SlotsRecordOptionality) {
   Mapping m = M("type A = a[ b[ String ]? ]");
   const TypeMapping& tm = m.GetType("A");

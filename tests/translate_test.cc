@@ -3,12 +3,17 @@
 // filters, branch pruning, value joins, and publish block shapes.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/hash.h"
+#include "core/transforms.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
 #include "translate/translate.h"
 #include "xquery/parser.h"
 #include "xschema/annotate.h"
+#include "schema_fuzzer.h"
 #include "xschema/schema_parser.h"
 
 namespace legodb::xlat {
@@ -149,6 +154,51 @@ TEST(Translate, MaterializedWildcardSkipsExcludedBranch) {
   EXPECT_EQ(rq2.blocks[0].filters[0].value.string_value, "suntimes");
 }
 
+// Same-named siblings, several wildcards and an attribute sharing an
+// element's name: routes come in body order, literal matches before
+// wildcard matches, and the plain-name attribute fallback only applies when
+// no element matched.
+TEST(Translate, SiblingRoutesFollowBodyOrder) {
+  auto output = [](const opt::QueryBlock& b) {
+    return b.rels[b.output[0].rel].alias + "." + b.output[0].column;
+  };
+  {
+    map::Mapping m = MapText("type T = t[ a[ String ], a[ Integer ] ]");
+    opt::RelQuery rq =
+        Translate(m, "FOR $v IN document(\"d\")/t RETURN $v/a");
+    ASSERT_EQ(rq.blocks.size(), 2u);
+    EXPECT_EQ(output(rq.blocks[0]), "T#0.a");
+    EXPECT_EQ(output(rq.blocks[1]), "T#0.a_2");
+  }
+  {
+    map::Mapping m = MapText("type T = t[ ~[ String ], ~[ Integer ] ]");
+    opt::RelQuery rq =
+        Translate(m, "FOR $v IN document(\"d\")/t RETURN $v/x");
+    ASSERT_EQ(rq.blocks.size(), 2u);
+    const char* tags[] = {"tilde", "tilde_2"};
+    const char* columns[] = {"T#0.t", "T#0.t_2"};
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(output(rq.blocks[i]), columns[i]);
+      ASSERT_EQ(rq.blocks[i].filters.size(), 1u);
+      EXPECT_EQ(rq.blocks[i].filters[0].column, tags[i]);
+      EXPECT_EQ(rq.blocks[i].filters[0].value.string_value, "x");
+    }
+  }
+  {
+    map::Mapping m =
+        MapText("type T = t[ a[ String ], ~[ Integer ], @a[ String ] ]");
+    opt::RelQuery rq =
+        Translate(m, "FOR $v IN document(\"d\")/t RETURN $v/a");
+    ASSERT_EQ(rq.blocks.size(), 2u);
+    EXPECT_EQ(output(rq.blocks[0]), "T#0.a");
+    EXPECT_TRUE(rq.blocks[0].filters.empty());
+    EXPECT_EQ(output(rq.blocks[1]), "T#0.t");
+    ASSERT_EQ(rq.blocks[1].filters.size(), 1u);
+    EXPECT_EQ(rq.blocks[1].filters[0].column, "tilde");
+    EXPECT_EQ(rq.blocks[1].filters[0].value.string_value, "a");
+  }
+}
+
 TEST(Translate, StrictProjectionAddsNotNull) {
   map::Mapping m = MapText("type A = a[ x[ String ]?, y[ String ] ]");
   opt::RelQuery rq =
@@ -272,6 +322,111 @@ TEST(Translate, ImdbQ13ProducesSixWayJoin) {
   // imdb, show, actor, played, director, directed, aka = 7 rels.
   EXPECT_EQ(rq.blocks[0].rels.size(), 7u);
   EXPECT_GE(rq.blocks[0].joins.size(), 6u);
+}
+
+// Appends the path of every element or attribute under body node `t`
+// (prefix `prefix`) to `out`, at most `depth` more steps deep, following
+// type references into the referenced bodies. A wildcard element takes the
+// step "w", which the golden below also offers wildcard materialization.
+void CollectPaths(const xs::Schema& schema, const xs::Type& t,
+                  const std::string& prefix, int depth,
+                  std::vector<std::string>* out) {
+  auto extend = [&](const std::string& step) {
+    return prefix.empty() ? step : prefix + "/" + step;
+  };
+  switch (t.kind) {
+    case xs::Type::Kind::kElement: {
+      std::string path = extend(
+          t.name.kind == xs::NameClass::Kind::kLiteral ? t.name.name : "w");
+      out->push_back(path);
+      if (depth > 1) CollectPaths(schema, *t.child, path, depth - 1, out);
+      return;
+    }
+    case xs::Type::Kind::kAttribute:
+      out->push_back(extend("@" + t.name.name));
+      return;
+    case xs::Type::Kind::kSequence:
+    case xs::Type::Kind::kUnion:
+      for (const auto& c : t.children) {
+        CollectPaths(schema, *c, prefix, depth, out);
+      }
+      return;
+    case xs::Type::Kind::kRepetition:
+      CollectPaths(schema, *t.child, prefix, depth, out);
+      return;
+    case xs::Type::Kind::kTypeRef:
+      CollectPaths(schema, *schema.Get(t.ref_name), prefix, depth, out);
+      return;
+    default:
+      return;
+  }
+}
+
+// Pins the translation of every element and attribute path, and a publish,
+// of 32 generated schemas under AllInlined, AllOutlined and every single
+// move from either with all transforms on: each query's SQL in order and
+// every catalog column name. Recorded before body positions were named by
+// schema node instead of by path strings.
+TEST(TranslateGolden, GeneratedSchemasMatchRecordedDigest) {
+  core::TransformOptions moves;
+  moves.union_distribute = true;
+  moves.union_to_options = true;
+  moves.repetition_split = true;
+  moves.repetition_merge = true;
+  moves.wildcard_materialize = true;
+  moves.wildcard_tags = {"w"};
+  uint64_t digest = 0;
+  int configs = 0;
+  int blocks = 0;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    xs::Schema schema = SchemaFuzzer(seed).Generate();
+    const xs::Type& root = *schema.Get(schema.root_type());
+    ASSERT_EQ(root.kind, xs::Type::Kind::kElement);
+    std::vector<std::string> paths;
+    CollectPaths(schema, *root.child, "", 4, &paths);
+    std::set<std::string> seen;
+    std::vector<xq::Query> queries;
+    std::string head =
+        "FOR $v IN document(\"d\")/" + root.name.name + " RETURN $v";
+    for (const std::string& path : paths) {
+      if (!seen.insert(path).second) continue;
+      auto q = xq::ParseQuery(head + "/" + path);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      queries.push_back(std::move(q).value());
+    }
+    auto publish = xq::ParseQuery(head);
+    ASSERT_TRUE(publish.ok());
+    queries.push_back(std::move(publish).value());
+
+    std::vector<xs::Schema> candidates;
+    for (const xs::Schema& start :
+         {ps::AllInlined(schema), ps::AllOutlined(schema)}) {
+      candidates.push_back(start);
+      for (const auto& t : core::EnumerateTransformations(start, moves)) {
+        auto next = core::ApplyTransformation(start, t);
+        if (next.ok()) candidates.push_back(std::move(next).value());
+      }
+    }
+    for (const xs::Schema& config : candidates) {
+      auto mapping = map::MapSchema(config);
+      ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+      ++configs;
+      for (const std::string& name : mapping->catalog().table_names()) {
+        for (const auto& col : mapping->catalog().GetTable(name).columns) {
+          digest = common::HashString(col.name, digest);
+        }
+      }
+      for (const xq::Query& q : queries) {
+        auto rq = TranslateQuery(q, *mapping);
+        ASSERT_TRUE(rq.ok()) << rq.status().ToString();
+        digest = common::HashString(rq->ToSql(), digest);
+        blocks += static_cast<int>(rq->blocks.size());
+      }
+    }
+  }
+  EXPECT_EQ(configs, 502);
+  EXPECT_EQ(blocks, 11703);
+  EXPECT_EQ(digest, 0x1f16577888c897baull);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "imdb/imdb.h"
 #include "pschema/pschema.h"
 #include "xschema/annotate.h"
+#include "xschema/schema_parser.h"
 
 namespace legodb::core {
 namespace {
@@ -110,6 +111,37 @@ TEST(UpdateCost, WildcardTargetsResolve) {
   auto cost = CostUpdate(m, Op("imdb/show/reviews/nyt"), params);
   ASSERT_TRUE(cost.ok()) << cost.status().ToString();
   EXPECT_GT(*cost, 0);
+}
+
+map::Mapping MapText(const char* text) {
+  auto schema = xs::ParseSchema(text);
+  EXPECT_TRUE(schema.ok()) << schema.status().ToString();
+  return MapConfig(ps::Normalize(schema.value()));
+}
+
+TEST(UpdateCost, ExcludedWildcardDoesNotResolve) {
+  // A wildcard that excludes a name does not hold it, as in translation.
+  opt::CostParams params;
+  map::Mapping direct = MapText("type Show = show[ ~!nyt[ String ] ]");
+  auto cost = CostUpdate(direct, Op("show/nyt"), params);
+  ASSERT_FALSE(cost.ok());
+  EXPECT_EQ(cost.status().code(), Status::Code::kNotFound);
+  // Through a union of a literal and an excluding wildcard, only the
+  // literal branch holds the name: the cost equals that of a union whose
+  // other branch has an unrelated tag.
+  map::Mapping excluded = MapText(
+      "type Show = show[ reviews[ (Nyt | Other) ] ] "
+      "type Nyt = nyt[ String ] type Other = ~!nyt[ String ]");
+  map::Mapping unrelated = MapText(
+      "type Show = show[ reviews[ (Nyt | Other) ] ] "
+      "type Nyt = nyt[ String ] type Other = zzz[ String ]");
+  auto through_wildcard =
+      CostUpdate(excluded, Op("show/reviews/nyt"), params);
+  auto literal_only = CostUpdate(unrelated, Op("show/reviews/nyt"), params);
+  ASSERT_TRUE(through_wildcard.ok()) << through_wildcard.status().ToString();
+  ASSERT_TRUE(literal_only.ok()) << literal_only.status().ToString();
+  EXPECT_EQ(*through_wildcard, *literal_only);
+  EXPECT_NEAR(*literal_only, 160.144, 1e-9);
 }
 
 TEST(UpdateWorkload, CostSchemaIncludesUpdates) {

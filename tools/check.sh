@@ -7,8 +7,9 @@
 #   tools/check.sh --asan                    # ASan/UBSan build of the
 #                                            # optimizer, executor, serving,
 #                                            # storage, shred/reconstruct,
-#                                            # mapping, translation and
-#                                            # search suites, then two
+#                                            # mapping, translation,
+#                                            # update-costing and search
+#                                            # suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving,
@@ -34,10 +35,12 @@
 # probed through its span API) and equivalence_test (its
 # CrossConfigRoundTrip covers every IMDB configuration). It also runs the
 # candidate-costing suites
-# whose layers index flat vectors by id: the mapper's instance-count
-# fixpoint (mapping_test), query translation's interned variables and
-# route deltas (translate_test), and the search's cost-cache keys
-# (search_test). Then two smoke gates: micro_engine's always-on
+# whose layers index flat vectors by id or hold node pointers into the
+# mapping's schema: the mapper's instance-count fixpoint and entry lists
+# (mapping_test), query translation's interned variables, route deltas and
+# body positions (translate_test), update costing, which resolves its paths
+# through the same body positions (update_test), and the search's
+# cost-cache keys (search_test). Then two smoke gates: micro_engine's always-on
 # executor-equality check, and a disk calibration run with a deliberately
 # small pool whose --require-io fails the script if no real buffer-pool IO
 # was measured. Any sanitizer report or result mismatch fails the script.
@@ -73,10 +76,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build build-asan -j"$(nproc)" --target \
     optimizer_test costmodel_test engine_equivalence_test engine_test \
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
-    equivalence_test mapping_test translate_test search_test micro_engine \
-    calibration
+    equivalence_test mapping_test translate_test update_test search_test \
+    micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|mapping_test|translate_test|search_test)$'
+    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|mapping_test|translate_test|update_test|search_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \
