@@ -54,8 +54,11 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
     return Status::Unsupported("virtual root type");
   }
   // Resolve the path as query translation does, without building joins:
-  // each target is a body position, and `outlined` the first type its last
-  // step entered (null when that step stayed in inlined content).
+  // each target is a body position, and `outlined` the last type its last
+  // step entered, the one whose row the insert writes (null when that step
+  // stayed in inlined content). A step that hops through a reference at
+  // another type's body root enters that type first; an insert there adds
+  // no row of it.
   struct Target {
     const map::TypeMapping* type;
     const xs::Type* node;
@@ -75,7 +78,7 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
       for (const map::Move& move : moves) {
         next.push_back(Target{move.type, move.node,
                               move.entered.empty() ? nullptr
-                                                   : move.entered.front()});
+                                                   : move.entered.back()});
       }
     }
     targets = std::move(next);

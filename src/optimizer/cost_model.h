@@ -5,7 +5,10 @@ namespace legodb::opt {
 
 // Cost-model parameters. Per Section 5 of the paper, the cost of a query is
 // estimated from the number of seeks, the amount of data read, the amount of
-// data written, and CPU time for in-memory processing.
+// data written, and CPU time for in-memory processing. Every coefficient is
+// a cost and must not be negative: the join DP skips a split whose inputs
+// alone already cost more than the best plan found, which is exact only
+// because a join never costs less than its inputs.
 struct CostParams {
   // Cost of one random I/O (seek + rotational latency), in abstract units.
   double seek_cost = 40.0;
@@ -27,8 +30,10 @@ struct CostParams {
   bool index_on_predicates = false;
 
   // Join-order search switches from dynamic programming to a greedy
-  // heuristic above this many relations. The DP's memo is a flat array of
-  // 2^n entries, so keep this small.
+  // heuristic above this many relations. The DP prices only splits of a
+  // connected subset into two connected halves (286 on a 12-chain, 261625
+  // on a 12-clique), but its memo and its per-subset neighbour and edge
+  // tables are flat arrays of 2^n entries, so keep this small.
   int dp_rel_limit = 12;
 
   // Storage page size in bytes for the paged backend; 0 models exact-byte

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <random>
 
 #include "auction/auction.h"
 #include "core/transforms.h"
@@ -13,6 +14,7 @@
 #include "obs/obs.h"
 #include "optimizer/optimizer.h"
 #include "pschema/pschema.h"
+#include "reference_planner.h"
 #include "relational/catalog.h"
 #include "translate/translate.h"
 #include "xschema/annotate.h"
@@ -338,21 +340,28 @@ struct GraphEdge {
   bool left_outer = false;
 };
 
-JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges) {
+// Tables T0..Tn-1 with one foreign key per edge (a repeated edge gets a
+// second key column). Table i holds 100 * (i + 1) rows of growing width, or
+// with `uniform` every table holds the same rows, so that plans tie on
+// cost.
+JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges,
+                        bool uniform = false) {
   std::vector<rel::Table> tables(n);
   for (int i = 0; i < n; ++i) {
     rel::Table& t = tables[i];
     t.name = "T" + std::to_string(i);
     t.key_column = t.name + "_id";
-    t.row_count = 100.0 * (i + 1);
+    t.row_count = uniform ? 100.0 : 100.0 * (i + 1);
     t.columns = {Col(t.key_column, rel::SqlType::Int(), t.row_count),
-                 Col("payload", rel::SqlType::Char(10 + 7 * i), 50)};
+                 Col("payload", rel::SqlType::Char(uniform ? 10 : 10 + 7 * i),
+                     50)};
   }
   JoinGraph g;
   for (const GraphEdge& e : edges) {
     const std::string& parent = tables[e.parent].name;
-    std::string fk = "parent_" + parent;
     rel::Table& child = tables[e.child];
+    std::string fk = "parent_" + parent;
+    while (child.FindColumn(fk)) fk += "_";
     child.columns.push_back(
         Col(fk, rel::SqlType::Int(), tables[e.parent].row_count));
     child.foreign_keys.push_back(rel::ForeignKey{fk, parent});
@@ -621,6 +630,181 @@ TEST(OptimizerGolden, PagedIndexedPlansMatchRecordedDigest) {
   // Recorded before the per-edge index-nested-loops terms were
   // precomputed.
   EXPECT_EQ(totals.digest.value(), 0x0189fb7538624176ull);
+}
+
+// ---- Join enumeration against the subset-loop reference ----------------
+
+std::vector<GraphEdge> Chain(int n) {
+  std::vector<GraphEdge> edges;
+  for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
+  return edges;
+}
+
+std::vector<GraphEdge> Star(int n) {
+  std::vector<GraphEdge> edges;
+  for (int i = 1; i < n; ++i) edges.push_back({0, i});
+  return edges;
+}
+
+std::vector<GraphEdge> Cycle(int n) {
+  std::vector<GraphEdge> edges = Chain(n);
+  if (n > 2) edges.push_back({n - 1, 0});
+  return edges;
+}
+
+std::vector<GraphEdge> Clique(int n) {
+  std::vector<GraphEdge> edges;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) edges.push_back({i, j});
+  }
+  return edges;
+}
+
+// A random spanning tree plus up to n extra edges, which may repeat a
+// joined pair; about a quarter of all edges are left-outer.
+std::vector<GraphEdge> RandomConnected(int n, std::mt19937* rng) {
+  auto pick = [&](int bound) {
+    return std::uniform_int_distribution<int>(0, bound - 1)(*rng);
+  };
+  std::vector<GraphEdge> edges;
+  for (int i = 1; i < n; ++i) edges.push_back({pick(i), i, pick(4) == 0});
+  for (int extra = pick(n + 1); extra > 0; --extra) {
+    int a = pick(n), b = pick(n);
+    if (a != b) edges.push_back({a, b, pick(4) == 0});
+  }
+  return edges;
+}
+
+struct DpObservations {
+  double memo_size = -1;
+  double dp_pairs = -1;
+};
+
+// Plans `g` with the optimizer and with the reference planner and requires
+// the same outcome bit for bit: status, plan digest, cost and rows, and on
+// the DP path the same memo size and no more pairs than the reference
+// tried splits.
+DpObservations ExpectMatchesReference(const JoinGraph& g,
+                                      const CostParams& params,
+                                      const std::string& label) {
+  SCOPED_TRACE(label);
+  obs::Registry registry;
+  StatusOr<PlannedBlock> planned = Status::Internal("unplanned");
+  {
+    obs::ScopedRegistry scope(&registry);
+    planned = Optimizer(g.catalog, params).PlanBlock(g.block);
+  }
+  reference::BlockPlanner ref(g.catalog, params, g.block);
+  StatusOr<PlannedBlock> expected = ref.Plan();
+  EXPECT_EQ(planned.ok(), expected.ok());
+  if (planned.ok() && expected.ok()) {
+    PlanDigest got, want;
+    got.Plan(planned->plan);
+    want.Plan(expected->plan);
+    EXPECT_EQ(got.value(), want.value());
+    EXPECT_EQ(std::bit_cast<uint64_t>(planned->cost),
+              std::bit_cast<uint64_t>(expected->cost));
+    EXPECT_EQ(std::bit_cast<uint64_t>(planned->rows),
+              std::bit_cast<uint64_t>(expected->rows));
+  }
+  DpObservations dp;
+  if (g.block.rels.size() > static_cast<size_t>(params.dp_rel_limit)) {
+    return dp;
+  }
+  auto memo = registry.histogram("optimizer.memo_size")->Entry("memo");
+  auto pairs = registry.histogram("optimizer.dp_pairs")->Entry("pairs");
+  EXPECT_EQ(memo.count, 1);
+  EXPECT_EQ(pairs.count, 1);
+  dp.memo_size = memo.max;
+  dp.dp_pairs = pairs.max;
+  EXPECT_EQ(dp.memo_size, static_cast<double>(ref.memo_size()));
+  EXPECT_LE(dp.dp_pairs, static_cast<double>(ref.splits_tried()));
+  return dp;
+}
+
+// Every split the csg-cmp enumeration emits has two connected halves: on
+// the shapes with closed forms (Moerkotte & Neumann, VLDB 2006) it emits
+// exactly the connected splits, while the reference's subset loop tries
+// every split of every connected subset.
+TEST(JoinEnumeration, PairsMatchClosedFormsOnly) {
+  for (int n = 2; n <= 12; ++n) {
+    double chain = (n * n * n - n) / 6.0;
+    double star = (n - 1) * std::ldexp(1.0, n - 2);
+    double clique = (std::pow(3.0, n) - std::ldexp(1.0, n + 1) + 1) / 2;
+    for (bool uniform : {false, true}) {
+      std::string tag = " n=" + std::to_string(n) +
+                        (uniform ? " uniform" : "");
+      EXPECT_EQ(ExpectMatchesReference(MakeJoinGraph(n, Chain(n), uniform),
+                                       CostParams{}, "chain" + tag)
+                    .dp_pairs,
+                chain);
+      EXPECT_EQ(ExpectMatchesReference(MakeJoinGraph(n, Star(n), uniform),
+                                       CostParams{}, "star" + tag)
+                    .dp_pairs,
+                star);
+      EXPECT_EQ(ExpectMatchesReference(MakeJoinGraph(n, Clique(n), uniform),
+                                       CostParams{}, "clique" + tag)
+                    .dp_pairs,
+                clique);
+    }
+  }
+  // On a 12-chain the subset loop tries 8100 splits of the 66 connected
+  // multi-relation subsets; 286 of them have two connected halves.
+  JoinGraph chain = MakeJoinGraph(12, Chain(12));
+  CostParams params;  // the planner keeps a reference
+  reference::BlockPlanner ref(chain.catalog, params, chain.block);
+  ASSERT_TRUE(ref.Plan().ok());
+  EXPECT_EQ(ref.splits_tried(), 8100u);
+}
+
+// Chains, stars, cycles, cliques (a 12-clique has 66 edges, more than one
+// mask word) and random connected graphs with left-outer, repeated and
+// self-join edges, on tables that differ and on identical tables where
+// costs tie: the DP and the greedy path both reproduce the reference's
+// plans.
+TEST(JoinEnumeration, PlansMatchSubsetLoopReference) {
+  CostParams paged;
+  paged.page_size = 8192;
+  paged.index_on_predicates = true;
+  CostParams greedy;
+  greedy.dp_rel_limit = 3;
+  std::mt19937 rng(20061);
+  int graphs = 0;
+  for (int n = 2; n <= 12; ++n) {
+    std::vector<std::pair<std::string, std::vector<GraphEdge>>> shapes = {
+        {"cycle", Cycle(n)}, {"clique", Clique(n)}};
+    std::vector<GraphEdge> doubled = Chain(n);
+    doubled.push_back({0, 1, true});  // a second, outer edge on one pair
+    shapes.emplace_back("doubled chain", doubled);
+    std::vector<GraphEdge> self_joined = Cycle(n);
+    self_joined.push_back({n - 1, n - 1});  // a self-join is internal only
+    shapes.emplace_back("self-joined cycle", self_joined);
+    std::vector<GraphEdge> outer_star = Star(n);
+    for (size_t k = 0; k < outer_star.size(); k += 2) {
+      outer_star[k].left_outer = true;
+    }
+    shapes.emplace_back("outer star", outer_star);
+    for (int r = 0; r < 6; ++r) {
+      shapes.emplace_back("random " + std::to_string(r),
+                          RandomConnected(n, &rng));
+    }
+    for (const auto& [name, edges] : shapes) {
+      for (bool uniform : {false, true}) {
+        JoinGraph g = MakeJoinGraph(n, edges, uniform);
+        if (n > 2) {  // an index lookup on one relation
+          g.block.filters.push_back(FilterPred{
+              1, "T1_id", xq::CompareOp::kEq, xq::Constant::Int(3)});
+        }
+        std::string label = name + " n=" + std::to_string(n) +
+                            (uniform ? " uniform" : "");
+        ExpectMatchesReference(g, CostParams{}, label);
+        ExpectMatchesReference(g, paged, label + " paged");
+        ExpectMatchesReference(g, greedy, label + " greedy");
+        ++graphs;
+      }
+    }
+  }
+  EXPECT_EQ(graphs, 11 * 11 * 2);
 }
 
 TEST(QueryBlockSql, RendersSelectFromWhere) {

@@ -104,6 +104,26 @@ TEST(UpdateCost, SubtreeInsertIncludesDescendants) {
   EXPECT_GT(*show_insert, *aka_insert);
 }
 
+TEST(UpdateCost, HopChargesTheLandedType) {
+  // Normalized, TV = seasons[...], description[...], Episodes*: the episodes
+  // step enters TV and hops through the reference at its body root into
+  // Episodes. Inserting an episode writes one Episodes row, not a TV row
+  // with its expected episodes, so it costs less than inserting a show.
+  opt::CostParams params;
+  map::Mapping m = MapConfig(ps::Normalize(AnnotatedImdb()));
+  auto show = CostUpdate(m, Op("imdb/show"), params);
+  auto episodes = CostUpdate(m, Op("imdb/show/episodes"), params);
+  auto seasons = CostUpdate(m, Op("imdb/show/seasons"), params);
+  auto aka = CostUpdate(m, Op("imdb/show/aka"), params);
+  ASSERT_TRUE(show.ok() && episodes.ok() && seasons.ok() && aka.ok());
+  EXPECT_LT(*episodes, *show);
+  EXPECT_LT(*episodes, *seasons);
+  // Steps without a hop keep their costs: seasons inserts a TV subtree,
+  // aka one Aka row.
+  EXPECT_EQ(*seasons, 0x1.791fc9a0dc37bp+8);  // 377.124...
+  EXPECT_EQ(*aka, 0x1.4072b020c49bap+7);      // 160.224
+}
+
 TEST(UpdateCost, WildcardTargetsResolve) {
   map::Mapping m = MapConfig(ps::Normalize(AnnotatedImdb()));
   opt::CostParams params;

@@ -17,6 +17,7 @@
 #                                            # paged-decode paths
 #   tools/check.sh --release-checks          # Release (NDEBUG) build of the
 #                                            # invariant/malformed-input suites
+#                                            # and the optimizer goldens
 #
 # --asan builds into build-asan with -DLEGODB_SANITIZE=address,undefined and
 # runs the suites whose bugs would be memory bugs: the join-order optimizer
@@ -66,7 +67,10 @@
 # --release-checks builds into build-release with -DCMAKE_BUILD_TYPE=Release
 # and runs the suites covering invariant checks and malformed inputs. This
 # proves LEGODB_CHECK still aborts (death tests) and the malformed-input
-# paths return clean Statuses with asserts compiled out.
+# paths return clean Statuses with asserts compiled out. It also runs
+# optimizer_test, so the golden plan digests and the join enumeration's
+# reference comparison hold under the optimization level perfbench builds
+# with, not only under the default RelWithDebInfo build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,9 +110,9 @@ if [[ "${1:-}" == "--release-checks" ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
   cmake --build build-release -j"$(nproc)" --target \
     robustness_test search_test common_test relational_test \
-    storage_test mapping_test
+    storage_test mapping_test optimizer_test
   ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
-    -R 'robustness_test|search_test|common_test|relational_test|storage_test|mapping_test'
+    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test)$'
   exit 0
 fi
 
