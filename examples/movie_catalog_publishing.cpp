@@ -55,8 +55,8 @@ int main() {
   }
   std::printf("shredded %zu XML nodes into %zu rows across %zu tables\n",
               doc.root->SubtreeSize(), db.TotalRows(),
-              db.table_names().size());
-  for (const auto& name : db.table_names()) {
+              mapping.catalog().size());
+  for (const auto& name : mapping.catalog().table_names()) {
     std::printf("  %-12s %6zu rows\n", name.c_str(),
                 db.GetTable(name).row_count());
   }
@@ -79,10 +79,10 @@ int main() {
 
   // Reconstruct one show subtree from its rows (ids are document order; the
   // first show is the second node shredded after the imdb root).
-  for (const auto& [type_name, tm] : mapping.types()) {
-    if (tm.virtual_union || tm.table.empty()) continue;
-    if (mapping.EntryNames(type_name) ==
-        std::vector<std::string>{"show"}) {
+  for (const map::TypeMapping& tm : mapping.types()) {
+    if (tm.virtual_union) continue;
+    const xs::Type& body = *mapping.schema().Get(tm.type_name);
+    if (body.kind == xs::Type::Kind::kElement && body.name.name == "show") {
       const store::StoredTable& table = db.GetTable(tm.table);
       if (table.row_count() == 0) continue;
       int key = table.meta().ColumnIndex(table.meta().key_column);
@@ -90,7 +90,7 @@ int main() {
       if (!first.ok()) return 1;
       int64_t id = (*first)[key].as_int();
       xml::NodePtr holder = xml::Node::Element("holder");
-      if (store::ReconstructInstance(&db, mapping, type_name, id,
+      if (store::ReconstructInstance(&db, mapping, tm.type_name, id,
                                      holder.get())
               .ok()) {
         std::printf("\nreconstructed <show> (id %lld) from table %s:\n%s",

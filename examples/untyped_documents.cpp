@@ -53,7 +53,7 @@ int main() {
     return 1;
   }
   std::printf("shredded into:\n");
-  for (const auto& name : db.table_names()) {
+  for (const auto& name : mapping->catalog().table_names()) {
     std::printf("  %-12s %3zu rows\n", name.c_str(),
                 db.GetTable(name).row_count());
   }

@@ -17,17 +17,16 @@ StatusOr<double> CostQuery(const map::Mapping& mapping, const xq::Query& query,
 
 namespace {
 
-// Expected rows written when one instance of `type` is inserted: its own
+// Expected rows written when one instance of `tm` is inserted: its own
 // row plus expected descendant rows.
-double SubtreeRowCost(const map::Mapping& m, const std::string& type,
+double SubtreeRowCost(const map::Mapping& m, const map::TypeMapping& tm,
                       const opt::CostParams& p, int depth) {
   if (depth > 8) return 0;
-  const map::TypeMapping& tm = m.GetType(type);
   if (tm.virtual_union) {
     double total = 0;
     for (const auto& child : tm.children) {
       total += child.expected_per_parent *
-               SubtreeRowCost(m, child.type_name, p, depth + 1);
+               SubtreeRowCost(m, m.type(child.type), p, depth + 1);
     }
     return total;
   }
@@ -36,7 +35,7 @@ double SubtreeRowCost(const map::Mapping& m, const std::string& type,
   double row = table.RowWidth() * p.write_per_byte + indexes * p.seek_cost;
   for (const auto& child : tm.children) {
     row += child.expected_per_parent *
-           SubtreeRowCost(m, child.type_name, p, depth + 1);
+           SubtreeRowCost(m, m.type(child.type), p, depth + 1);
   }
   return row;
 }
@@ -48,11 +47,8 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
   if (op.path.empty()) {
     return Status::InvalidArgument("update path is empty");
   }
-  const std::string& root = mapping.schema().root_type();
-  const map::TypeMapping* rtm = mapping.FindType(root);
-  if (!rtm || rtm->virtual_union) {
-    return Status::Unsupported("virtual root type");
-  }
+  const map::TypeMapping* rtm = &mapping.type(mapping.root());
+  if (rtm->virtual_union) return Status::Unsupported("virtual root type");
   // Resolve the path as query translation does, without building joins:
   // each target is a body position, and `outlined` the last type its last
   // step entered, the one whose row the insert writes (null when that step
@@ -95,7 +91,7 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
     double write;
     if (target.outlined) {
       // New row(s) in the target's table and its expected descendants.
-      write = SubtreeRowCost(mapping, target.outlined->type_name, params, 0);
+      write = SubtreeRowCost(mapping, *target.outlined, params, 0);
     } else {
       const rel::Table& table =
           mapping.catalog().GetTable(target.type->table);

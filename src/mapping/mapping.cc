@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <set>
 #include <string_view>
 
@@ -96,9 +95,9 @@ int TypeMapping::SlotColumn(const xs::Type* node, bool tilde) const {
   return slot ? kKeyColumn + 1 + static_cast<int>(slot - slots.data()) : -1;
 }
 
-int TypeMapping::ParentColumn(const std::string& parent_type) const {
+int TypeMapping::ParentColumn(int parent) const {
   for (size_t i = 0; i < parents.size(); ++i) {
-    if (parents[i].parent_type == parent_type) {
+    if (parents[i].parent == parent) {
       return kKeyColumn + 1 + static_cast<int>(slots.size() + i);
     }
   }
@@ -106,41 +105,18 @@ int TypeMapping::ParentColumn(const std::string& parent_type) const {
 }
 
 const TypeMapping* Mapping::FindType(const std::string& name) const {
-  auto it = types_.find(name);
-  return it == types_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(
+      types_.begin(), types_.end(), name,
+      [](const TypeMapping& tm, const std::string& n) {
+        return tm.type_name < n;
+      });
+  return it != types_.end() && it->type_name == name ? &*it : nullptr;
 }
 
 const TypeMapping& Mapping::GetType(const std::string& name) const {
   const TypeMapping* tm = FindType(name);
   LEGODB_CHECK(tm != nullptr, "Mapping::GetType: unknown type");
   return *tm;
-}
-
-std::vector<std::string> Mapping::EntryNames(
-    const std::string& type_name) const {
-  std::vector<std::string> names;
-  std::function<void(const std::string&, int)> visit =
-      [&](const std::string& name, int depth) {
-        const TypeMapping* tm = FindType(name);
-        if (!tm || depth > 16) return;
-        if (tm->virtual_union) {
-          for (const auto& alt : tm->union_alternatives) visit(alt, depth + 1);
-          return;
-        }
-        for (const auto& entry : tm->entries) {
-          if (!entry.node) {
-            visit(entry.hop, depth + 1);
-            continue;
-          }
-          std::string step =
-              entry.node->name.is_wildcard() ? "*" : entry.node->name.name;
-          if (std::find(names.begin(), names.end(), step) == names.end()) {
-            names.push_back(std::move(step));
-          }
-        }
-      };
-  visit(type_name, 0);
-  return names;
 }
 
 const xs::Type* Mapping::RootPosition(const std::string& step) const {
@@ -189,17 +165,17 @@ void Mapping::Step(const TypeMapping& tm, const xs::Type* at,
   if (attribute_step) return;
   std::vector<const TypeMapping*> entered;
   for (const ChildRef& child : tm.children) {
-    if (child.node == at) Enter(child.type_name, step, &entered, 0, out);
+    if (child.node == at) Enter(child.type, step, &entered, 0, out);
   }
 }
 
-void Mapping::Enter(const std::string& name, const std::string& step,
+void Mapping::Enter(int type, const std::string& step,
                     std::vector<const TypeMapping*>* entered, int depth,
                     std::vector<Move>* out) const {
   if (depth > 8) return;
-  const TypeMapping& tm = GetType(name);
+  const TypeMapping& tm = types_[type];
   if (tm.virtual_union) {
-    for (const auto& alt : tm.union_alternatives) {
+    for (int alt : tm.union_alternatives) {
       Enter(alt, step, entered, depth + 1, out);
     }
     return;
@@ -226,49 +202,62 @@ class Mapper {
   StatusOr<Mapping> Run() {
     LEGODB_RETURN_IF_ERROR(ps::CheckPhysical(schema_));
     const std::vector<std::string> reachable = schema_.ReachableFromRoot();
-    for (const auto& name : reachable) AnalyzeType(name);
+    // Number the types once, in name order.
+    std::vector<std::string> names = reachable;
+    std::sort(names.begin(), names.end());
+    auto& types = result_.types_;
+    types.resize(names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      types[i].type_name = std::move(names[i]);
+    }
+    result_.root_ = Index(schema_.root_type());
+    for (TypeMapping& tm : types) AnalyzeType(&tm);
     ComputeCounts();
     ComputeParents();
+    for (TypeMapping& tm : types) NameSlots(&tm);
     LEGODB_RETURN_IF_ERROR(BuildCatalog(reachable));
     result_.schema_ = schema_;
     return std::move(result_);
   }
 
  private:
-  void AnalyzeType(const std::string& name) {
-    TypeMapping tm;
-    tm.type_name = name;
-    TypePtr body = schema_.Get(name);
+  // The index of mapped type `name`. Validation guarantees that every type
+  // a reachable type references is defined, hence reachable and mapped.
+  int Index(const std::string& name) const {
+    const TypeMapping* tm = result_.FindType(name);
+    LEGODB_CHECK(tm != nullptr, "Mapper: reference to an unmapped type");
+    return result_.Index(*tm);
+  }
+
+  void AnalyzeType(TypeMapping* tm) {
+    TypePtr body = schema_.Get(tm->type_name);
     if (body->kind == Type::Kind::kUnion) {
       // Stratification guarantees the alternatives are refs.
-      tm.virtual_union = true;
+      tm->virtual_union = true;
       std::vector<double> weights = UnionSplit(body);
       for (size_t i = 0; i < body->children.size(); ++i) {
-        const auto& alt = body->children[i];
-        tm.union_alternatives.push_back(alt->ref_name);
         ChildRef ref;
-        ref.type_name = alt->ref_name;
+        ref.type = Index(body->children[i]->ref_name);
         ref.expected_per_parent = weights[i];
         ref.optional = true;
         ref.in_union = true;
-        tm.children.push_back(std::move(ref));
+        tm->union_alternatives.push_back(ref.type);
+        tm->children.push_back(ref);
       }
-    } else {
-      tm.table = name;
-      body_ = body.get();
-      columns_.clear();
-      ref_entries_.clear();
-      WalkBody(body, /*presence=*/1.0, /*optional=*/false, &tm);
-      for (TypeMapping::Entry& entry : ref_entries_) {
-        if (entry.node &&
-            std::any_of(tm.entries.begin(), tm.entries.end(),
-                        [&](const auto& e) { return e.node == entry.node; })) {
-          continue;
-        }
-        tm.entries.push_back(std::move(entry));
-      }
+      return;
     }
-    result_.types_[name] = std::move(tm);
+    tm->table = tm->type_name;
+    body_ = body.get();
+    ref_entries_.clear();
+    WalkBody(body, /*presence=*/1.0, /*optional=*/false, tm);
+    for (const TypeMapping::Entry& entry : ref_entries_) {
+      if (entry.node &&
+          std::any_of(tm->entries.begin(), tm->entries.end(),
+                      [&](const auto& e) { return e.node == entry.node; })) {
+        continue;
+      }
+      tm->entries.push_back(entry);
+    }
   }
 
   // The body's top-level element around the walk, or null.
@@ -285,7 +274,7 @@ class Mapper {
     slot.column = ColumnName(slot.is_tilde);
     const Type* top = TopElement();
     if (top && (tm->entries.empty() || tm->entries.back().node != top)) {
-      tm->entries.push_back(TypeMapping::Entry{top, ""});
+      tm->entries.push_back(TypeMapping::Entry{top});
     }
     tm->slots.push_back(std::move(slot));
   }
@@ -295,18 +284,17 @@ class Mapper {
   void AddRef(ChildRef ref, TypeMapping* tm) {
     ref.node = around_.empty() ? nullptr : around_.back();
     const Type* top = TopElement();
-    ref_entries_.push_back(
-        TypeMapping::Entry{top, top ? std::string() : ref.type_name});
-    tm->children.push_back(std::move(ref));
+    ref_entries_.push_back(TypeMapping::Entry{top, top ? -1 : ref.type});
+    tm->children.push_back(ref);
   }
 
   // The column name of a slot at the walk's position: the names of the
   // elements and attributes around it joined by '_', leaving out the body's
   // root element and wildcards, plus "tilde" for a wildcard's tag column. A
   // scalar directly in the root element is named after that element (e.g.
-  // table Aka, column aka); a nameless position falls back to "_data". A
-  // name already taken in the table gets the first free suffix "_2", ...
-  std::string ColumnName(bool tilde) {
+  // table Aka, column aka); a nameless position falls back to "_data".
+  // NameSlots makes the names unique.
+  std::string ColumnName(bool tilde) const {
     std::string name;
     for (const Type* n : around_) {
       if ((n == body_ && n->kind == Type::Kind::kElement) ||
@@ -323,11 +311,22 @@ class Mapper {
                  ? body_->name.name
                  : "_data";
     }
-    std::string unique = name;
-    for (int i = 2; !columns_.insert(unique).second; ++i) {
-      unique = name + "_" + std::to_string(i);
+    return name;
+  }
+
+  // Gives each slot of `tm`, in slot order, the first name not yet taken in
+  // its table among its column name and that name suffixed "_2", "_3", ...
+  // The key and the foreign keys are taken first: their names are fixed.
+  static void NameSlots(TypeMapping* tm) {
+    std::set<std::string> taken{tm->table + "_id"};
+    for (const auto& link : tm->parents) taken.insert(link.fk_column);
+    for (Slot& slot : tm->slots) {
+      std::string unique = slot.column;
+      for (int i = 2; !taken.insert(unique).second; ++i) {
+        unique = slot.column + "_" + std::to_string(i);
+      }
+      slot.column = std::move(unique);
     }
-    return unique;
   }
 
   void WalkBody(const TypePtr& t, double presence, bool optional,
@@ -372,11 +371,11 @@ class Mapper {
           LEGODB_CHECK(alt->kind == Type::Kind::kTypeRef,
                        "stratified union alternative must be a type ref");
           ChildRef ref;
-          ref.type_name = alt->ref_name;
+          ref.type = Index(alt->ref_name);
           ref.expected_per_parent = presence * weights[i];
           ref.optional = true;
           ref.in_union = true;
-          AddRef(std::move(ref), tm);
+          AddRef(ref, tm);
         }
         return;
       }
@@ -391,13 +390,13 @@ class Mapper {
         auto add_ref = [&](const std::string& ref_name, double expected,
                            bool in_union) {
           ChildRef ref;
-          ref.type_name = ref_name;
+          ref.type = Index(ref_name);
           ref.expected_per_parent = expected;
           ref.optional = t->min_occurs == 0 || optional || in_union;
           ref.min_occurs = t->min_occurs;
           ref.max_occurs = t->max_occurs;
           ref.in_union = in_union;
-          AddRef(std::move(ref), tm);
+          AddRef(ref, tm);
         };
         if (t->child->kind == Type::Kind::kTypeRef) {
           add_ref(t->child->ref_name, count, false);
@@ -412,10 +411,10 @@ class Mapper {
       }
       case Type::Kind::kTypeRef: {
         ChildRef ref;
-        ref.type_name = t->ref_name;
+        ref.type = Index(t->ref_name);
         ref.expected_per_parent = presence;
         ref.optional = optional;
-        AddRef(std::move(ref), tm);
+        AddRef(ref, tm);
         return;
       }
     }
@@ -423,54 +422,35 @@ class Mapper {
 
   // Instance counts: the fixpoint of "a type's count is the sum over its
   // parents of parent count x expected children per parent", the root
-  // fixed at 1. Types are indexed by id in name order, so each child's sum
-  // accumulates in the same order as a walk over `types_`. The iteration
-  // stops when a pass reproduces its input exactly: every later pass would
-  // be identical, so the result equals that of running all 64 passes.
+  // fixed at 1. Each child's sum accumulates over its parents in index
+  // order, each parent's references in body order. The iteration stops
+  // when a pass reproduces its input exactly: every later pass would be
+  // identical, so the result equals that of running all 64 passes.
   void ComputeCounts() {
     auto& types = result_.types_;
+    const int root = result_.root_;
     // Recursive types with expansion factor >= 1 diverge; cap instance
     // counts so the fixpoint iteration (and downstream arithmetic) stays
     // finite.
     constexpr double kMaxInstances = 1e12;
-    std::vector<const std::string*> names;  // by id, sorted
-    names.reserve(types.size());
-    for (const auto& entry : types) names.push_back(&entry.first);
-    // The id of `name`, or types.size() when it is not a mapped type.
-    auto id_of = [&](const std::string& name) {
-      auto it = std::lower_bound(
-          names.begin(), names.end(), name,
-          [](const std::string* a, const std::string& b) { return *a < b; });
-      return it != names.end() && **it == name
-                 ? static_cast<size_t>(it - names.begin())
-                 : names.size();
-    };
-    // Parent-to-child references by id, parents in id order, each
-    // parent's children in body order.
     struct Edge {
-      size_t parent;
-      size_t child;
+      int parent;
+      int child;
       double expected;
     };
     std::vector<Edge> edges;
-    size_t parent = 0;
-    for (const auto& [name, tm] : types) {
-      for (const auto& child : tm.children) {
-        // A count for an unmapped type would never be read.
-        size_t id = id_of(child.type_name);
-        if (id < names.size()) {
-          edges.push_back(Edge{parent, id, child.expected_per_parent});
-        }
+    for (size_t parent = 0; parent < types.size(); ++parent) {
+      for (const auto& child : types[parent].children) {
+        edges.push_back(Edge{static_cast<int>(parent), child.type,
+                             child.expected_per_parent});
       }
-      ++parent;
     }
-    const size_t root = id_of(schema_.root_type());
     std::vector<double> counts(types.size(), 0.0);
     std::vector<double> next(types.size());
-    if (root < counts.size()) counts[root] = 1;
+    counts[root] = 1;
     for (int iter = 0; iter < 64; ++iter) {
       std::fill(next.begin(), next.end(), 0.0);
-      if (root < next.size()) next[root] = 1;
+      next[root] = 1;
       for (const Edge& e : edges) {
         double n = counts[e.parent];
         if (n <= 0) continue;
@@ -480,63 +460,56 @@ class Mapper {
       counts.swap(next);
       if (fixpoint) break;
     }
-    size_t id = 0;
-    for (auto& [name, tm] : types) tm.instance_count = counts[id++];
+    for (size_t i = 0; i < types.size(); ++i) {
+      types[i].instance_count = counts[i];
+    }
   }
 
-  // Resolves FK targets: virtual union parents are contracted away.
+  // Resolves FK targets: virtual union parents are contracted away. Each
+  // reference, parents in index order and each parent's references in body
+  // order, links its type to the referencing type, or through a virtual
+  // one to that type's own referrers; a type gets one link per parent.
   void ComputeParents() {
-    auto& types = result_.types_;
-    // Raw edges: parent -> (child, expected).
-    for (auto& [child_name, child_tm] : types) {
-      (void)child_name;
-      child_tm.parents.clear();
-    }
-    // For each type T and each ChildRef C, attach an effective-parent link
-    // to C (resolving virtual T up the chain).
-    std::function<void(const std::string&, const std::string&, double,
-                       std::set<std::string>*)>
-        attach = [&](const std::string& parent, const std::string& child,
-                     double expected, std::set<std::string>* guard) {
-          if (!guard->insert(parent).second) return;
-          auto it = types.find(parent);
-          if (it == types.end()) return;
-          if (!it->second.virtual_union) {
-            TypeMapping& child_tm = types[child];
-            // Merge with an existing link to the same parent, if any.
-            for (auto& link : child_tm.parents) {
-              if (link.parent_type == parent) {
-                link.expected_per_parent += expected;
-                return;
-              }
-            }
-            child_tm.parents.push_back(TypeMapping::ParentLink{
-                "parent_" + parent, parent, expected});
-            return;
-          }
-          // Virtual parent: climb to ITS parents.
-          for (const auto& [gp_name, gp_tm] : types) {
-            for (const auto& ref : gp_tm.children) {
-              if (ref.type_name != parent) continue;
-              attach(gp_name, child, expected * ref.expected_per_parent,
-                     guard);
-            }
-          }
-        };
-    for (const auto& [parent_name, parent_tm] : types) {
-      for (const auto& ref : parent_tm.children) {
-        std::set<std::string> guard;
-        attach(parent_name, ref.type_name, ref.expected_per_parent, &guard);
+    const auto& types = result_.types_;
+    referrers_.assign(types.size(), {});
+    for (size_t parent = 0; parent < types.size(); ++parent) {
+      for (const auto& ref : types[parent].children) {
+        referrers_[ref.type].push_back(static_cast<int>(parent));
       }
+    }
+    for (size_t parent = 0; parent < types.size(); ++parent) {
+      for (const auto& ref : types[parent].children) {
+        climbed_.assign(types.size(), false);
+        Attach(static_cast<int>(parent), ref.type);
+      }
+    }
+  }
+
+  // Links `child` to `parent`, or when `parent` is virtual to each of its
+  // referrers in turn; a climb through cyclic virtual unions ends at the
+  // first type it reaches twice.
+  void Attach(int parent, int child) {
+    if (climbed_[parent]) return;
+    climbed_[parent] = true;
+    auto& types = result_.types_;
+    if (types[parent].virtual_union) {
+      for (int referrer : referrers_[parent]) Attach(referrer, child);
+      return;
+    }
+    auto& links = types[child].parents;
+    if (std::none_of(links.begin(), links.end(),
+                     [&](const auto& link) { return link.parent == parent; })) {
+      links.push_back(
+          TypeMapping::ParentLink{"parent_" + types[parent].type_name, parent});
     }
   }
 
   // One table per reachable non-virtual type, in reachability order, its
   // columns in the order TypeMapping::SlotColumn and ParentColumn read.
   Status BuildCatalog(const std::vector<std::string>& reachable) {
-    auto& types = result_.types_;
+    const auto& types = result_.types_;
     for (const auto& name : reachable) {
-      TypeMapping& tm = types[name];
+      const TypeMapping& tm = types[Index(name)];
       if (tm.virtual_union) continue;
       rel::Table table;
       table.name = tm.table;
@@ -587,13 +560,13 @@ class Mapper {
         fk.type = rel::SqlType::Int();
         fk.nullable = tm.parents.size() > 1;
         double parent_rows =
-            std::max(1.0, types[link.parent_type].instance_count);
+            std::max(1.0, types[link.parent].instance_count);
         fk.distincts = std::min(parent_rows, std::max(1.0, table.row_count));
         fk.min = 1;
         fk.max = static_cast<int64_t>(parent_rows);
         table.columns.push_back(std::move(fk));
         table.foreign_keys.push_back(
-            rel::ForeignKey{link.fk_column, types[link.parent_type].table});
+            rel::ForeignKey{link.fk_column, types[link.parent].table});
       }
       LEGODB_RETURN_IF_ERROR(result_.catalog_.AddTable(std::move(table)));
     }
@@ -602,12 +575,15 @@ class Mapper {
 
   const Schema& schema_;
   // The type body being walked: its root node, the elements and attributes
-  // around the walk (outermost first), the column names taken, and the
-  // entries of its references in `children` order.
+  // around the walk (outermost first), and the entries of its references in
+  // `children` order.
   const Type* body_ = nullptr;
   std::vector<const Type*> around_;
-  std::set<std::string> columns_;
   std::vector<TypeMapping::Entry> ref_entries_;
+  // ComputeParents: the types referencing each type (in index order, once
+  // per reference), and the types the current reference's climb reached.
+  std::vector<std::vector<int>> referrers_;
+  std::vector<bool> climbed_;
   Mapping result_;
 };
 

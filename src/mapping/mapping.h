@@ -2,7 +2,6 @@
 #define LEGODB_MAPPING_MAPPING_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,7 @@ struct ChildRef {
   // The innermost element or attribute around the reference, or null at
   // the body root.
   const xs::Type* node = nullptr;
-  std::string type_name;   // referenced (child) type
+  int type = -1;  // the referenced (child) type's index
   double expected_per_parent = 1;  // average child rows per parent row
   bool optional = false;           // may be absent for a given parent
   uint32_t min_occurs = 1;
@@ -55,9 +54,10 @@ struct TypeMapping {
   // `type Show = (Show_Part1 | Show_Part2)`) materializes no table of its
   // own; variables bound to it expand to the alternatives.
   bool virtual_union = false;
-  std::vector<std::string> union_alternatives;  // when virtual_union
+  std::vector<int> union_alternatives;  // type indexes, when virtual_union
 
   std::vector<Slot> slots;
+  // One per type reference in the body, in body order.
   std::vector<ChildRef> children;
 
   // How a path enters an instance of this type, in the order entry tries
@@ -67,18 +67,18 @@ struct TypeMapping {
   // referenced type instead (`hop`).
   struct Entry {
     const xs::Type* node = nullptr;  // top-level element; null for a hop
-    std::string hop;
+    int hop = -1;                    // the hop's type index
   };
   std::vector<Entry> entries;
 
   // Estimated number of instances (rows) of this type.
   double instance_count = 0;
 
-  // Foreign keys of this type's table: (column, effective parent type).
+  // Foreign keys of this type's table: (column, effective parent type's
+  // index), one per parent.
   struct ParentLink {
     std::string fk_column;
-    std::string parent_type;
-    double expected_per_parent = 1;
+    int parent = -1;
   };
   std::vector<ParentLink> parents;
 
@@ -89,10 +89,10 @@ struct TypeMapping {
   // Column positions in this type's table, as the mapper lays it out: the
   // key first, then one column per slot in `slots` order, then one foreign
   // key per link in `parents` order. The lookups return -1 when no slot is
-  // owned by `node` (or no link names `parent_type`).
+  // owned by `node` (or no link names type `parent`).
   static constexpr int kKeyColumn = 0;
   int SlotColumn(const xs::Type* node, bool tilde) const;
-  int ParentColumn(const std::string& parent_type) const;
+  int ParentColumn(int parent) const;
 };
 
 // One way a path step proceeds from a body position: to position `node` of
@@ -112,17 +112,27 @@ struct Move {
 // (non-virtual) named type, a key column per relation, a foreign key per
 // parent type, a column per physical-type subelement — plus the translated
 // statistics, packaged as a relational catalog.
+//
+// The mapped types are the schema's types reachable from its root, numbered
+// once in name order: a type's index is its position in types(), and every
+// link between mapped types (ChildRef::type, union_alternatives,
+// Entry::hop, ParentLink::parent) is such an index. Names remain for
+// display, DDL and SQL.
 class Mapping {
  public:
   const rel::Catalog& catalog() const { return catalog_; }
+  const std::vector<TypeMapping>& types() const { return types_; }
+  const TypeMapping& type(int index) const { return types_[index]; }
+  // The index of `tm`, which must be one of types().
+  int Index(const TypeMapping& tm) const {
+    return static_cast<int>(&tm - types_.data());
+  }
+  // The root type's index.
+  int root() const { return root_; }
+  // Entry points by name: the type named `name`, or null (GetType aborts).
   const TypeMapping* FindType(const std::string& name) const;
   const TypeMapping& GetType(const std::string& name) const;
-  const std::map<std::string, TypeMapping>& types() const { return types_; }
   const xs::Schema& schema() const { return schema_; }
-
-  // Entry element names of a type: the tags its instances can start with
-  // ("*" for wildcard). Descends through virtual unions.
-  std::vector<std::string> EntryNames(const std::string& type_name) const;
 
   // The navigator that query translation and update costing share.
   //
@@ -141,14 +151,15 @@ class Mapping {
 
  private:
   friend class Mapper;
-  // Appends the entries of type `name` (virtual unions expanded) that
+  // Appends the entries of type `type` (virtual unions expanded) that
   // admit `step`, having entered `entered` before it.
-  void Enter(const std::string& name, const std::string& step,
+  void Enter(int type, const std::string& step,
              std::vector<const TypeMapping*>* entered, int depth,
              std::vector<Move>* out) const;
 
   rel::Catalog catalog_;
-  std::map<std::string, TypeMapping> types_;
+  std::vector<TypeMapping> types_;  // sorted by type_name
+  int root_ = -1;
   xs::Schema schema_;
 };
 

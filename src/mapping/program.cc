@@ -1,6 +1,6 @@
 #include "mapping/program.h"
 
-#include <iterator>
+#include "common/check.h"
 
 namespace legodb::map {
 namespace {
@@ -9,8 +9,7 @@ using xs::Type;
 
 class Compiler {
  public:
-  Compiler(const Mapping& mapping, TypeProgram* program)
-      : m_(mapping), p_(program) {}
+  explicit Compiler(TypeProgram* program) : p_(program) {}
 
   // Appends the ops of `t`, whose scalars `owner` owns (the innermost
   // element or attribute around them, null at the body root; see
@@ -44,7 +43,11 @@ class Compiler {
         for (const auto& c : t.children) kids.push_back(Compile(*c, owner));
         break;
       case Type::Kind::kTypeRef:
-        ref = TypeIndex(m_, t.ref_name);
+        // The body walk meets the references in body order, as the mapper
+        // listed them in `children`.
+        LEGODB_CHECK(next_ref_ < tm.children.size(),
+                     "CompileTypes: type reference the mapper did not list");
+        ref = tm.children[next_ref_++].type;
         break;
     }
     BodyOp& op = p_->ops[self];
@@ -57,35 +60,23 @@ class Compiler {
   }
 
  private:
-  const Mapping& m_;
   TypeProgram* p_;
+  size_t next_ref_ = 0;
 };
 
 }  // namespace
 
 std::vector<TypeProgram> CompileTypes(const Mapping& mapping) {
-  std::vector<TypeProgram> programs;
-  programs.reserve(mapping.types().size());
-  for (const auto& [name, tm] : mapping.types()) {
-    TypeProgram& p = programs.emplace_back();
-    p.tm = &tm;
-    if (tm.virtual_union) {
-      for (const auto& alt : tm.union_alternatives) {
-        const int index = TypeIndex(mapping, alt);
-        if (index >= 0) p.alternatives.push_back(index);
-      }
-      continue;
+  std::vector<TypeProgram> programs(mapping.types().size());
+  for (size_t i = 0; i < programs.size(); ++i) {
+    const TypeMapping& tm = mapping.types()[i];
+    programs[i].tm = &tm;
+    if (!tm.virtual_union) {
+      Compiler(&programs[i])
+          .Compile(*mapping.schema().Get(tm.type_name), /*owner=*/nullptr);
     }
-    Compiler(mapping, &p).Compile(*mapping.schema().Get(name),
-                                  /*owner=*/nullptr);
   }
   return programs;
-}
-
-int TypeIndex(const Mapping& mapping, const std::string& name) {
-  auto it = mapping.types().find(name);
-  if (it == mapping.types().end()) return -1;
-  return static_cast<int>(std::distance(mapping.types().begin(), it));
 }
 
 }  // namespace legodb::map

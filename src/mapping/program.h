@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "mapping/mapping.h"
@@ -21,8 +20,8 @@ struct BodyOp {
   // kElement: the column holding its tag; -1 otherwise, or when the mapper
   // laid out no such slot.
   int column = -1;
-  // kTypeRef: the referenced type's index (see CompileTypes); -1 when the
-  // mapping has no such type.
+  // kTypeRef: the referenced type's index in Mapping::types(); -1
+  // otherwise.
   int ref = -1;
   // The child positions: the content of an element, attribute or
   // repetition, the items of a sequence, the alternatives of a union.
@@ -33,24 +32,20 @@ struct BodyOp {
 // A type compiled for shredding and reconstruction.
 struct TypeProgram {
   const TypeMapping* tm = nullptr;
-  // Concrete types: the body, ops[0] its root. Empty for virtual unions.
+  // Concrete types: the body, ops[0] its root. Empty for virtual unions,
+  // which tm->union_alternatives expands.
   std::vector<BodyOp> ops;
   // The ops' child op indexes, grouped per parent op.
   std::vector<uint32_t> kids;
-  // Virtual unions: the alternatives' type indexes.
-  std::vector<int> alternatives;
 
   std::span<const uint32_t> Kids(const BodyOp& op) const {
     return {kids.data() + op.kids_begin, op.kids_end - op.kids_begin};
   }
 };
 
-// Compiles every type of `mapping`; a type's index is its position in
-// Mapping::types() (see TypeIndex).
+// Compiles every type of `mapping`; a type's program sits at its index in
+// Mapping::types().
 std::vector<TypeProgram> CompileTypes(const Mapping& mapping);
-
-// The index CompileTypes gives type `name`, or -1 when there is none.
-int TypeIndex(const Mapping& mapping, const std::string& name);
 
 }  // namespace legodb::map
 

@@ -45,6 +45,13 @@ Status Catalog::AddTable(Table table) {
   if (tables_.count(table.name) > 0) {
     return Status::InvalidArgument("duplicate table '" + table.name + "'");
   }
+  for (size_t i = 0; i < table.columns.size(); ++i) {
+    if (table.ColumnIndex(table.columns[i].name) != static_cast<int>(i)) {
+      return Status::InvalidArgument("duplicate column '" +
+                                     table.columns[i].name + "' in table '" +
+                                     table.name + "'");
+    }
+  }
   names_.push_back(table.name);
   tables_[table.name] = std::move(table);
   return Status::OK();
@@ -59,10 +66,6 @@ const Table& Catalog::GetTable(const std::string& name) const {
   const Table* t = FindTable(name);
   LEGODB_CHECK(t != nullptr, "Catalog::GetTable: unknown table");
   return *t;
-}
-
-bool Catalog::HasTable(const std::string& name) const {
-  return tables_.count(name) > 0;
 }
 
 double Catalog::TotalBytes() const {

@@ -73,14 +73,14 @@ class Catalog {
  public:
   Catalog() = default;
 
-  // Rejects duplicate table names with InvalidArgument (reachable from
-  // ingestion via the mapper, so recoverable rather than a crash).
+  // Rejects duplicate table names, and a table with two columns of one
+  // name, with InvalidArgument (reachable from ingestion via the mapper, so
+  // recoverable rather than a crash).
   Status AddTable(Table table);
   const Table* FindTable(const std::string& name) const;
   // Aborts (LEGODB_CHECK, all build modes) on an unknown table: callers on
-  // fallible paths must use FindTable/HasTable.
+  // fallible paths must use FindTable.
   const Table& GetTable(const std::string& name) const;
-  bool HasTable(const std::string& name) const;
 
   const std::vector<std::string>& table_names() const { return names_; }
   size_t size() const { return names_.size(); }

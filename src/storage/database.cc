@@ -608,11 +608,4 @@ size_t Database::TotalRows() const {
   return total;
 }
 
-std::vector<std::string> Database::table_names() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 }  // namespace legodb::store

@@ -312,8 +312,6 @@ class Database {
   // Total number of rows across all tables.
   size_t TotalRows() const;
 
-  std::vector<std::string> table_names() const;
-
  private:
   StorageOptions options_;
   // Null on memory. Declared before tables_: StoredTables point into the

@@ -84,11 +84,10 @@ class Reconstructor {
     for (const BodyOp& op : p.ops) {
       rt->link_begin.push_back(static_cast<uint32_t>(rt->links.size()));
       if (op.type->kind == Type::Kind::kTypeRef) {
-        LEGODB_RETURN_IF_ERROR(AddLinks(*p.tm, op.ref, 0, &rt->links));
+        LEGODB_RETURN_IF_ERROR(AddLinks(type, op.ref, 0, &rt->links));
       } else if (op.type->kind == Type::Kind::kUnion) {
         for (uint32_t kid : p.Kids(op)) {
-          LEGODB_RETURN_IF_ERROR(
-              AddLinks(*p.tm, p.ops[kid].ref, 0, &rt->links));
+          LEGODB_RETURN_IF_ERROR(AddLinks(type, p.ops[kid].ref, 0, &rt->links));
         }
       }
     }
@@ -111,19 +110,19 @@ class Reconstructor {
     size_t row;
   };
 
-  // Appends the links to the children of type `child` (-1: none) under a
-  // `parent` instance.
-  Status AddLinks(const TypeMapping& parent, int child, int depth,
+  // Appends the links to the children of type `child` under an instance of
+  // type `parent`.
+  Status AddLinks(int parent, int child, int depth,
                   std::vector<ChildLink>* out) {
-    if (child < 0 || depth > 16) return Status::OK();
+    if (depth > 16) return Status::OK();
     const TypeProgram& cp = programs_[child];
     if (cp.tm->virtual_union) {
-      for (int alt : cp.alternatives) {
+      for (int alt : cp.tm->union_alternatives) {
         LEGODB_RETURN_IF_ERROR(AddLinks(parent, alt, depth + 1, out));
       }
       return Status::OK();
     }
-    const int fk = cp.tm->ParentColumn(parent.type_name);
+    const int fk = cp.tm->ParentColumn(parent);
     if (fk < 0) return Status::OK();
     StoredTable& table = db_->GetTable(cp.tm->table);
     LEGODB_ASSIGN_OR_RETURN(
@@ -278,7 +277,7 @@ Status ReconstructInstance(Database* db, const map::Mapping& mapping,
   if (!tm || tm->virtual_union) {
     return Status::InvalidArgument("not a concrete type: " + type_name);
   }
-  const int type = map::TypeIndex(mapping, type_name);
+  const int type = mapping.Index(*tm);
   Reconstructor r(db, mapping);
   LEGODB_ASSIGN_OR_RETURN(size_t row, r.FindRow(type, id));
   return r.EmitInstance(type, row, parent);
@@ -288,15 +287,12 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
                                             const map::Mapping& mapping) {
   obs::Span span("reconstruct.document");
   obs::Count("reconstruct.documents");
-  const std::string& root = mapping.schema().root_type();
-  const map::TypeMapping* tm = mapping.FindType(root);
-  if (!tm || tm->virtual_union) {
-    return Status::Unsupported("virtual root type");
-  }
-  if (db->GetTable(tm->table).row_count() == 0) {
+  const int root_type = mapping.root();
+  const map::TypeMapping& tm = mapping.type(root_type);
+  if (tm.virtual_union) return Status::Unsupported("virtual root type");
+  if (db->GetTable(tm.table).row_count() == 0) {
     return Status::NotFound("no root instance stored");
   }
-  const int root_type = map::TypeIndex(mapping, root);
   Reconstructor r(db, mapping);
   LEGODB_ASSIGN_OR_RETURN(const ReconstructType* rt, r.Resolve(root_type));
   // The document root has the smallest node id (the shredder assigns ids in

@@ -45,19 +45,11 @@ struct FirstSet {
 };
 
 // A type's shred program beyond its body (map::TypeProgram): the table its
-// rows go to and the foreign key each parent type fills.
+// rows go to.
 struct ShredType {
   StoredTable* table = nullptr;  // null for virtual unions
   size_t columns = 0;
-  std::vector<std::pair<int, int>> parent_fks;  // (parent type, FK column)
   FirstSet first;
-
-  int ParentFk(int parent) const {
-    for (const auto& [type, column] : parent_fks) {
-      if (type == parent) return column;
-    }
-    return -1;
-  }
 };
 
 class Shredder {
@@ -66,20 +58,13 @@ class Shredder {
       : db_(db),
         programs_(map::CompileTypes(mapping)),
         types_(programs_.size()),
-        root_(map::TypeIndex(mapping, mapping.schema().root_type())) {
+        root_(mapping.root()) {
     for (size_t i = 0; i < programs_.size(); ++i) {
       const TypeMapping& tm = *programs_[i].tm;
       ShredType& st = types_[i];
       if (!tm.virtual_union) {
         st.table = &db->GetTable(tm.table);
         st.columns = st.table->meta().columns.size();
-      }
-      for (const auto& link : tm.parents) {
-        const int parent = map::TypeIndex(mapping, link.parent_type);
-        if (parent >= 0 && st.ParentFk(parent) < 0) {
-          st.parent_fks.emplace_back(parent,
-                                     tm.ParentColumn(link.parent_type));
-        }
       }
     }
     ComputeFirstSets();
@@ -89,7 +74,7 @@ class Shredder {
     if (!doc.root) return Status::InvalidArgument("document has no root");
     Ctx top;
     top.items = std::span<const xml::NodePtr>(&doc.root, 1);
-    if (root_ < 0 || !ShredInstance(root_, &top) ||
+    if (!ShredInstance(root_, &top) ||
         top.pos != top.items.size()) {
       return Status::InvalidArgument(
           "document does not match the physical schema");
@@ -266,8 +251,7 @@ class Shredder {
         // Stratification: alternatives are type refs, and a failed
         // instance undoes itself.
         for (uint32_t kid : p.Kids(op)) {
-          const int ref = p.ops[kid].ref;
-          if (ref >= 0 && ShredInstance(ref, ctx)) return true;
+          if (ShredInstance(p.ops[kid].ref, ctx)) return true;
         }
         return false;
       }
@@ -291,7 +275,7 @@ class Shredder {
         return matched >= t.min_occurs;
       }
       case Type::Kind::kTypeRef:
-        return op.ref >= 0 && ShredInstance(op.ref, ctx);
+        return ShredInstance(op.ref, ctx);
     }
     return false;
   }
@@ -317,7 +301,7 @@ class Shredder {
     if (!CanStart(type, *ctx)) return false;
     const TypeProgram& p = programs_[type];
     if (p.tm->virtual_union) {
-      for (int alt : p.alternatives) {
+      for (int alt : p.tm->union_alternatives) {
         if (ShredInstance(alt, ctx)) return true;
       }
       return false;
@@ -329,7 +313,7 @@ class Shredder {
     if (ctx->type >= 0) {
       // Virtual-union contraction links the child to the concrete parent
       // the caller passes, so a direct link exists.
-      const int fk = st.ParentFk(ctx->type);
+      const int fk = p.tm->ParentColumn(ctx->type);
       if (fk >= 0) row[fk] = Value::Int(ctx->self_id);
     }
     const Mark entry = Save(*ctx);
@@ -392,7 +376,7 @@ class Shredder {
         f.nullable |= t.min_occurs == 0;
         break;
       case Type::Kind::kTypeRef:
-        if (op.ref >= 0) f = types_[op.ref].first;
+        f = types_[op.ref].first;
         break;
     }
     return f;
@@ -406,7 +390,7 @@ class Shredder {
         const TypeProgram& p = programs_[i];
         FirstSet f;
         if (p.tm->virtual_union) {
-          for (int alt : p.alternatives) {
+          for (int alt : p.tm->union_alternatives) {
             f.Merge(types_[alt].first);
             f.nullable |= types_[alt].first.nullable;
           }

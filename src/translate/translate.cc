@@ -1,11 +1,8 @@
 #include "translate/translate.h"
 
-#include <algorithm>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "common/failpoint.h"
 #include "obs/obs.h"
@@ -80,7 +77,8 @@ class Translator {
     bool publish = false;
     for (const auto& w : worlds) publish |= !w.publish_vars.empty();
     out.publish = publish;
-    std::set<std::string> published;  // types already dumped (see below)
+    // The types already dumped, by index (see below).
+    std::vector<bool> published(m_.types().size());
 
     for (World& w : worlds) {
       if (w.block.rels.empty()) continue;
@@ -109,7 +107,8 @@ class Translator {
           // `published` is shared across union worlds: partitions of one
           // logical type (e.g. Show_Part1/Show_Part2) share child tables,
           // and each table needs dumping only once.
-          EmitPublishScans(pos->type->type_name, &published, &out.blocks);
+          EmitPublishScans(m_.Index(*pos->type), 0, &published,
+                           &out.blocks);
         }
         continue;
       }
@@ -170,7 +169,7 @@ class Translator {
                 const TypeMapping& child, bool outer) const {
     const std::string* fk = nullptr;
     for (const auto& link : child.parents) {
-      if (link.parent_type == parent.type_name) {
+      if (link.parent == m_.Index(parent)) {
         fk = &link.fk_column;
         break;
       }
@@ -299,7 +298,7 @@ class Translator {
         if (b.steps.empty()) {
           return Status::Unsupported("document() binding needs a path");
         }
-        const TypeMapping& rtm = m_.GetType(m_.schema().root_type());
+        const TypeMapping& rtm = m_.type(m_.root());
         if (rtm.virtual_union) {
           return Status::Unsupported("virtual root type");
         }
@@ -476,36 +475,37 @@ class Translator {
   // ---- publish ----
 
   // Unfiltered publish: one single-table scan block per concrete type
-  // reachable from `type` (including itself), each type emitted once.
-  void EmitPublishScans(const std::string& type, std::set<std::string>* done,
+  // reachable from type `type` (including itself) not yet in `done`, each
+  // type emitted once.
+  void EmitPublishScans(int type, int depth, std::vector<bool>* done,
                         std::vector<opt::QueryBlock>* out) const {
-    std::function<void(const std::string&, int)> visit =
-        [&](const std::string& name, int depth) {
-          if (depth > 16 || !done->insert(name).second) return;
-          const TypeMapping& tm = m_.GetType(name);
-          if (!tm.virtual_union) {
-            opt::QueryBlock block;
-            int rel = AddRel(&block, 0, tm.table);
-            AppendAllColumns(&block, rel);
-            out->push_back(std::move(block));
-          }
-          for (const auto& child : tm.children) {
-            visit(child.type_name, depth + 1);
-          }
-        };
-    visit(type, 0);
+    if (depth > 16 || (*done)[type]) return;
+    (*done)[type] = true;
+    const TypeMapping& tm = m_.type(type);
+    if (!tm.virtual_union) {
+      opt::QueryBlock block;
+      int rel = AddRel(&block, 0, tm.table);
+      AppendAllColumns(&block, rel);
+      out->push_back(std::move(block));
+    }
+    for (const auto& child : tm.children) {
+      EmitPublishScans(child.type, depth + 1, done, out);
+    }
   }
+
+  // A published type whose descendants EmitDescendantBlocks still visits:
+  // the block joining it in as relation `rel`.
+  struct Frame {
+    opt::QueryBlock block;
+    int rel;
+    const TypeMapping* type;
+    int depth;
+  };
 
   // Emits one block per descendant table of the published position:
   // binding context + inner joins down the chain + all columns of the leaf.
   void EmitDescendantBlocks(const opt::QueryBlock& base, const Pos& pos,
                             std::vector<opt::QueryBlock>* out) const {
-    struct Frame {
-      opt::QueryBlock block;
-      int rel;
-      const TypeMapping* type;
-      int depth;
-    };
     std::vector<Frame> stack;
     stack.push_back(Frame{base, pos.rel, pos.type, 0});
     int emitted = 0;
@@ -513,30 +513,32 @@ class Translator {
       Frame f = std::move(stack.back());
       stack.pop_back();
       if (f.depth > 8) continue;
-      std::function<void(const std::string&, int)> descend =
-          [&](const std::string& child, int vdepth) {
-            const TypeMapping& ctm = m_.GetType(child);
-            if (ctm.virtual_union) {
-              if (vdepth > 8) return;
-              for (const auto& alt : ctm.union_alternatives) {
-                descend(alt, vdepth + 1);
-              }
-              return;
-            }
-            opt::QueryBlock block = f.block;
-            int rel = JoinChild(&block, 0, f.rel, *f.type, ctm,
-                                /*outer=*/false);
-            if (rel < 0) return;
-            opt::QueryBlock leaf = block;
-            AppendAllColumns(&leaf, rel);
-            out->push_back(std::move(leaf));
-            ++emitted;
-            stack.push_back(Frame{std::move(block), rel, &ctm, f.depth + 1});
-          };
       for (const auto& child : f.type->children) {
-        descend(child.type_name, 0);
+        Descend(f, child.type, 0, &stack, &emitted, out);
       }
     }
+  }
+
+  // Joins child type `child` (its alternatives, when virtual) under frame
+  // `f`: emits the block of all its columns and stacks its frame.
+  void Descend(const Frame& f, int child, int vdepth, std::vector<Frame>* stack,
+               int* emitted, std::vector<opt::QueryBlock>* out) const {
+    const TypeMapping& ctm = m_.type(child);
+    if (ctm.virtual_union) {
+      if (vdepth > 8) return;
+      for (int alt : ctm.union_alternatives) {
+        Descend(f, alt, vdepth + 1, stack, emitted, out);
+      }
+      return;
+    }
+    opt::QueryBlock block = f.block;
+    int rel = JoinChild(&block, 0, f.rel, *f.type, ctm, /*outer=*/false);
+    if (rel < 0) return;
+    opt::QueryBlock leaf = block;
+    AppendAllColumns(&leaf, rel);
+    out->push_back(std::move(leaf));
+    ++*emitted;
+    stack->push_back(Frame{std::move(block), rel, &ctm, f.depth + 1});
   }
 
   const xq::Query& q_;

@@ -52,17 +52,6 @@ std::vector<std::string> Schema::ReferencedTypes(const TypePtr& type) {
   return refs;
 }
 
-std::map<std::string, std::vector<std::string>> Schema::ParentMap() const {
-  std::map<std::string, std::vector<std::string>> parents;
-  for (const auto& name : type_names_) {
-    std::set<std::string> seen;
-    for (const auto& ref : ReferencedTypes(Get(name))) {
-      if (seen.insert(ref).second) parents[ref].push_back(name);
-    }
-  }
-  return parents;
-}
-
 std::vector<std::string> Schema::ReachableFromRoot() const {
   std::vector<std::string> order;
   std::set<std::string> visited;

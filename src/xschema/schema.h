@@ -43,9 +43,6 @@ class Schema {
   // All type names referenced (via kTypeRef) from the body of `type`.
   static std::vector<std::string> ReferencedTypes(const TypePtr& type);
 
-  // Parent map: for each type T, the set of types whose bodies reference T.
-  std::map<std::string, std::vector<std::string>> ParentMap() const;
-
   // Types reachable from the root via type references (includes the root).
   std::vector<std::string> ReachableFromRoot() const;
 

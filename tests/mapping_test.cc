@@ -8,6 +8,8 @@
 #include <map>
 
 #include "auction/auction.h"
+#include "common/hash.h"
+#include "core/transforms.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
@@ -31,8 +33,8 @@ Mapping M(const char* text) {
 
 TEST(MapSchemaTest, OneTablePerNamedType) {
   Mapping m = M("type A = a[ B* ] type B = b[ String ]");
-  EXPECT_TRUE(m.catalog().HasTable("A"));
-  EXPECT_TRUE(m.catalog().HasTable("B"));
+  EXPECT_NE(m.catalog().FindTable("A"), nullptr);
+  EXPECT_NE(m.catalog().FindTable("B"), nullptr);
   EXPECT_EQ(m.catalog().size(), 2u);
 }
 
@@ -74,6 +76,21 @@ TEST(MapSchemaTest, DuplicateColumnNamesAreUniquified) {
   const rel::Table& t = m.catalog().GetTable("A");
   EXPECT_NE(t.FindColumn("x"), nullptr);
   EXPECT_NE(t.FindColumn("x_2"), nullptr);
+  // Slots never take the key's or a foreign key's name.
+  Mapping k = M("type A = a[ A_id[ Integer ], B* ] "
+                "type B = b[ parent_A[ String ], B_id[ String ] ]");
+  const rel::Table& a = k.catalog().GetTable("A");
+  ASSERT_EQ(a.columns.size(), 2u);
+  EXPECT_EQ(a.columns[0].name, "A_id");
+  EXPECT_EQ(a.columns[1].name, "A_id_2");
+  const rel::Table& b = k.catalog().GetTable("B");
+  ASSERT_EQ(b.columns.size(), 4u);
+  EXPECT_EQ(b.columns[0].name, "B_id");
+  EXPECT_EQ(b.columns[1].name, "parent_A_2");
+  EXPECT_EQ(b.columns[2].name, "B_id_2");
+  EXPECT_EQ(b.columns[3].name, "parent_A");
+  ASSERT_EQ(b.foreign_keys.size(), 1u);
+  EXPECT_EQ(b.foreign_keys[0].column, "parent_A");
 }
 
 TEST(MapSchemaTest, OptionalContentIsNullable) {
@@ -103,7 +120,7 @@ TEST(MapSchemaTest, BareScalarBodyGetsDataColumn) {
 TEST(MapSchemaTest, VirtualUnionTypesHaveNoTable) {
   Mapping m = M("type A = a[ S* ] type S = (S1 | S2) "
                 "type S1 = s[ x[ String ] ] type S2 = s[ y[ String ] ]");
-  EXPECT_FALSE(m.catalog().HasTable("S"));
+  EXPECT_EQ(m.catalog().FindTable("S"), nullptr);
   EXPECT_TRUE(m.GetType("S").virtual_union);
   // FKs skip the virtual type and point at the concrete parent A.
   EXPECT_NE(m.catalog().GetTable("S1").FindColumn("parent_A"), nullptr);
@@ -229,11 +246,11 @@ std::map<std::string, double> ReferenceCounts(const Mapping& m) {
   for (int iter = 0; iter < 64; ++iter) {
     std::map<std::string, double> next;
     next[root] = 1;
-    for (const auto& [name, tm] : m.types()) {
-      double n = counts.count(name) ? counts[name] : 0;
+    for (const TypeMapping& tm : m.types()) {
+      double n = counts.count(tm.type_name) ? counts[tm.type_name] : 0;
       if (n <= 0) continue;
       for (const auto& child : tm.children) {
-        double& slot = next[child.type_name];
+        double& slot = next[m.type(child.type).type_name];
         slot = std::min(kMaxInstances, slot + n * child.expected_per_parent);
       }
     }
@@ -250,11 +267,11 @@ double ExpectCountsMatchReference(const xs::Schema& pschema) {
   if (!mapping.ok()) return 0;
   std::map<std::string, double> ref = ReferenceCounts(*mapping);
   double largest = 0;
-  for (const auto& [name, tm] : mapping->types()) {
-    double want = ref.count(name) ? ref[name] : 0;
+  for (const TypeMapping& tm : mapping->types()) {
+    double want = ref.count(tm.type_name) ? ref[tm.type_name] : 0;
     EXPECT_EQ(std::bit_cast<uint64_t>(tm.instance_count),
               std::bit_cast<uint64_t>(want))
-        << name << ": " << tm.instance_count << " vs " << want << "\n"
+        << tm.type_name << ": " << tm.instance_count << " vs " << want << "\n"
         << pschema.ToString();
     largest = std::max(largest, tm.instance_count);
   }
@@ -294,13 +311,126 @@ TEST(MapStats, TotalBytesIsPositive) {
   EXPECT_GT(mapping->catalog().TotalBytes(), 1e6);
 }
 
+// ---- golden digest ----
+
+// Folds every catalog fact the optimizer reads (table order, columns with
+// their types and statistics bits, foreign keys) and every type's instance
+// count and parent links into `digest`.
+uint64_t HashMapping(const Mapping& m, uint64_t digest) {
+  auto bits = [](double v) { return std::bit_cast<int64_t>(v); };
+  for (const std::string& name : m.catalog().table_names()) {
+    const rel::Table& t = m.catalog().GetTable(name);
+    digest = common::HashString(t.name, digest);
+    digest = common::HashString(t.key_column, digest);
+    digest = common::HashInt(bits(t.row_count), digest);
+    for (const rel::Column& c : t.columns) {
+      digest = common::HashString(c.name, digest);
+      digest = common::HashInt(static_cast<int64_t>(c.type.kind), digest);
+      digest = common::HashInt(bits(c.type.width), digest);
+      digest = common::HashInt(c.nullable, digest);
+      digest = common::HashInt(bits(c.null_fraction), digest);
+      digest = common::HashInt(bits(c.distincts), digest);
+      digest = common::HashInt(c.min, digest);
+      digest = common::HashInt(c.max, digest);
+    }
+    for (const rel::ForeignKey& fk : t.foreign_keys) {
+      digest = common::HashString(fk.column, digest);
+      digest = common::HashString(fk.parent_table, digest);
+    }
+  }
+  for (const TypeMapping& tm : m.types()) {
+    digest = common::HashString(tm.type_name, digest);
+    digest = common::HashInt(bits(tm.instance_count), digest);
+    for (const auto& link : tm.parents) {
+      digest = common::HashString(link.fk_column, digest);
+      digest = common::HashString(m.type(link.parent).type_name, digest);
+    }
+  }
+  return digest;
+}
+
+// IMDB, auction and 16 generated schemas under the normalized, all-inlined
+// and all-outlined starts and every single-move neighbour of each start,
+// all rewritings enabled: the mapped catalogs, instance counts and parent
+// links must reproduce the recorded digest bit for bit.
+TEST(MappingGolden, StartsAndNeighboursMatchRecordedDigest) {
+  core::TransformOptions moves;
+  moves.union_distribute = true;
+  moves.union_to_options = true;
+  moves.repetition_split = true;
+  moves.repetition_merge = true;
+  moves.wildcard_materialize = true;
+  moves.wildcard_tags = {"nyt", "text"};
+  xs::StatsCollector collector;
+  collector.AddDocument(auction::Generate(auction::AuctionScale{}));
+  const xs::Schema auction =
+      xs::AnnotateSchema(auction::Schema().value(), collector.Finish());
+  uint64_t digest = 0;
+  int configs = 0;
+  size_t tables = 0;
+  // Virtual unions and types with several parents: the cases where the
+  // parent links climb and merge.
+  int virtual_unions = 0;
+  int shared_types = 0;
+  std::vector<xs::Schema> schemas{AnnotatedImdb(), auction};
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    schemas.push_back(SchemaFuzzer(seed).Generate());
+  }
+  for (const xs::Schema& schema : schemas) {
+    for (const xs::Schema& start :
+         {ps::Normalize(schema), ps::AllInlined(schema),
+          ps::AllOutlined(schema)}) {
+      std::vector<xs::Schema> candidates{start};
+      for (const auto& t : core::EnumerateTransformations(start, moves)) {
+        auto next = core::ApplyTransformation(start, t);
+        if (next.ok()) candidates.push_back(std::move(next).value());
+      }
+      for (const xs::Schema& config : candidates) {
+        auto mapping = MapSchema(config);
+        ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+        ++configs;
+        tables += mapping->catalog().size();
+        for (const TypeMapping& tm : mapping->types()) {
+          virtual_unions += tm.virtual_union;
+          shared_types += tm.parents.size() > 1;
+        }
+        digest = HashMapping(*mapping, digest);
+      }
+    }
+  }
+  EXPECT_EQ(configs, 629);
+  EXPECT_EQ(tables, 7187u);
+  EXPECT_EQ(virtual_unions, 46);
+  EXPECT_EQ(shared_types, 510);
+  EXPECT_EQ(digest, 0x959d87a5d19c20e9ull);
+}
+
 // ---- navigation metadata ----
 
-TEST(MappingMeta, EntryNamesDescendVirtualUnions) {
-  Mapping m = M("type A = a[ S* ] type S = (S1 | S2) "
+TEST(MappingMeta, TypesAreNumberedInNameOrder) {
+  Mapping m = M("type R = r[ S* ] type S = (S2 | S1) "
                 "type S1 = s1[ x[ String ] ] type S2 = s2[ y[ String ] ]");
-  auto entries = m.EntryNames("S");
-  EXPECT_EQ(entries, (std::vector<std::string>{"s1", "s2"}));
+  ASSERT_EQ(m.types().size(), 4u);
+  std::vector<std::string> names;
+  for (const TypeMapping& tm : m.types()) names.push_back(tm.type_name);
+  EXPECT_EQ(names, (std::vector<std::string>{"R", "S", "S1", "S2"}));
+  EXPECT_EQ(m.root(), 0);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.Index(m.type(i)), i);
+    EXPECT_EQ(m.FindType(names[i]), &m.type(i));
+  }
+  EXPECT_EQ(m.FindType("T"), nullptr);
+  // Links are indexes: R references S, whose alternatives (body order)
+  // are S2 and S1; the concrete parent of both is R.
+  ASSERT_EQ(m.type(0).children.size(), 1u);
+  EXPECT_EQ(m.type(0).children[0].type, 1);
+  EXPECT_EQ(m.type(1).union_alternatives, (std::vector<int>{3, 2}));
+  for (int alt : {2, 3}) {
+    ASSERT_EQ(m.type(alt).parents.size(), 1u);
+    EXPECT_EQ(m.type(alt).parents[0].parent, 0);
+    EXPECT_EQ(m.type(alt).ParentColumn(0), 2);
+    EXPECT_EQ(m.type(alt).ParentColumn(1), -1);
+  }
 }
 
 TEST(MappingMeta, EntriesListSlotElementsBeforeReferences) {
@@ -309,7 +439,12 @@ TEST(MappingMeta, EntriesListSlotElementsBeforeReferences) {
   // through the referenced type.
   Mapping m = M(
       "type R = r[ W ] type W = X*, w[ String ] type X = x[ String ]");
-  EXPECT_EQ(m.EntryNames("W"), (std::vector<std::string>{"w", "x"}));
+  const TypeMapping& w = m.GetType("W");
+  ASSERT_EQ(w.entries.size(), 2u);
+  ASSERT_NE(w.entries[0].node, nullptr);
+  EXPECT_EQ(w.entries[0].node->name.name, "w");
+  EXPECT_EQ(w.entries[1].node, nullptr);
+  EXPECT_EQ(w.entries[1].hop, m.Index(m.GetType("X")));
 }
 
 TEST(MappingMeta, ChildRefsRecordTheirOwningNode) {

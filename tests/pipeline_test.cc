@@ -72,7 +72,7 @@ TEST(Pipeline, MapSchemaProducesCatalog) {
   auto mapping = map::MapSchema(normalized);
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
   const rel::Catalog& catalog = mapping->catalog();
-  ASSERT_TRUE(catalog.HasTable("Show"));
+  ASSERT_NE(catalog.FindTable("Show"), nullptr);
   const rel::Table& show = catalog.GetTable("Show");
   EXPECT_NEAR(show.row_count, 34798, 1);
   EXPECT_NE(show.FindColumn("title"), nullptr);

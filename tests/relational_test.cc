@@ -58,12 +58,22 @@ TEST(TableTest, ColumnLookup) {
 TEST(CatalogTest, AddAndFind) {
   Catalog c;
   c.AddTable(MakeTable());
-  EXPECT_TRUE(c.HasTable("Show"));
-  EXPECT_FALSE(c.HasTable("Nope"));
+  EXPECT_NE(c.FindTable("Show"), nullptr);
   EXPECT_EQ(c.FindTable("Nope"), nullptr);
   EXPECT_EQ(c.GetTable("Show").row_count, 100);
   EXPECT_EQ(c.size(), 1u);
   EXPECT_EQ(c.table_names(), (std::vector<std::string>{"Show"}));
+}
+
+TEST(CatalogTest, RejectsDuplicateColumnNames) {
+  Catalog c;
+  Table t = MakeTable();
+  t.columns.push_back(t.columns[1]);
+  Status st = c.AddTable(t);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(c.FindTable("Show"), nullptr);
+  EXPECT_TRUE(c.AddTable(MakeTable()).ok());
+  EXPECT_EQ(c.AddTable(MakeTable()).code(), Status::Code::kInvalidArgument);
 }
 
 TEST(CatalogTest, TotalBytes) {

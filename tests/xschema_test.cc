@@ -209,14 +209,11 @@ TEST(ParsePrintFixpoint, ImdbSchema) {
 
 // ---- Schema operations ----
 
-TEST(Schema, ReferencedTypesAndParents) {
+TEST(Schema, ReferencedTypes) {
   auto schema = *ParseSchema(
       "type A = a[ B, C* ] type B = b[ String ] type C = c[ B? ]");
   auto refs = Schema::ReferencedTypes(schema.Get("A"));
   EXPECT_EQ(refs, (std::vector<std::string>{"B", "C"}));
-  auto parents = schema.ParentMap();
-  EXPECT_EQ(parents["B"], (std::vector<std::string>{"A", "C"}));
-  EXPECT_EQ(parents["C"], (std::vector<std::string>{"A"}));
 }
 
 TEST(Schema, ReachableAndGarbageCollect) {

@@ -17,7 +17,9 @@
 #                                            # paged-decode paths
 #   tools/check.sh --release-checks          # Release (NDEBUG) build of the
 #                                            # invariant/malformed-input suites
-#                                            # and the optimizer goldens
+#                                            # and the mapping, optimizer,
+#                                            # translation and update-costing
+#                                            # goldens
 #
 # --asan builds into build-asan with -DLEGODB_SANITIZE=address,undefined and
 # runs the suites whose bugs would be memory bugs: the join-order optimizer
@@ -67,10 +69,13 @@
 # --release-checks builds into build-release with -DCMAKE_BUILD_TYPE=Release
 # and runs the suites covering invariant checks and malformed inputs. This
 # proves LEGODB_CHECK still aborts (death tests) and the malformed-input
-# paths return clean Statuses with asserts compiled out. It also runs
-# optimizer_test, so the golden plan digests and the join enumeration's
-# reference comparison hold under the optimization level perfbench builds
-# with, not only under the default RelWithDebInfo build.
+# paths return clean Statuses with asserts compiled out. It also runs the
+# suites that pin candidate costing bit for bit: mapping_test (the
+# MappingGolden catalog digest), optimizer_test (the golden plan digests and
+# the join enumeration's reference comparison), translate_test (the
+# TranslateGolden SQL digest) and update_test (update costs), so they hold
+# under the optimization level perfbench builds with, not only under the
+# default RelWithDebInfo build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,7 +106,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     pager_test
   export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
   ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-    -R 'search_test|transforms_test|pipeline_test|robustness_test|engine_equivalence_test|serving_test|migration_chaos_test|storage_test|pager_test'
+    -R '^(search_test|transforms_test|pipeline_test|robustness_test|engine_equivalence_test|serving_test|migration_chaos_test|storage_test|pager_test)$'
   exit 0
 fi
 
@@ -110,9 +115,9 @@ if [[ "${1:-}" == "--release-checks" ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
   cmake --build build-release -j"$(nproc)" --target \
     robustness_test search_test common_test relational_test \
-    storage_test mapping_test optimizer_test
+    storage_test mapping_test optimizer_test translate_test update_test
   ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
-    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test)$'
+    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test|translate_test|update_test)$'
   exit 0
 fi
 
