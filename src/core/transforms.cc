@@ -38,6 +38,14 @@ void VisitNodes(const TypePtr& t, NodePath* path,
   }
 }
 
+// The number of type references in `t`.
+size_t CountRefs(const Type& t) {
+  size_t n = t.kind == Type::Kind::kTypeRef ? 1 : 0;
+  if (t.child) n += CountRefs(*t.child);
+  for (const auto& c : t.children) n += CountRefs(*c);
+  return n;
+}
+
 std::string Capitalized(std::string s) {
   if (!s.empty()) {
     s[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(s[0])));
@@ -149,14 +157,18 @@ std::vector<TransformDescriptor> EnumerateTransformations(
                          options.wildcard_materialize;
   if (!want_structural) return out;
 
-  for (const auto& name : schema.ReachableFromRoot()) {
-    TypePtr body = schema.Get(name);
+  for (int type : schema.ReachableFromRoot()) {
+    const std::string& name = schema.name(type);
+    // The visit meets the references in pre-order, as refs() lists them:
+    // the references under `node` start at refs[next_ref].
+    const std::vector<int>& refs = schema.refs(type);
+    size_t next_ref = 0;
     NodePath path;
-    VisitNodes(body, &path, [&](const TypePtr& node, const NodePath& p) {
+    VisitNodes(schema.body(type), &path, [&](const TypePtr& node,
+                                             const NodePath& p) {
       // Union rewritings.
       if (IsUnionOfRefs(node)) {
-        if (options.union_distribute && !p.empty() &&
-            name != schema.root_type()) {
+        if (options.union_distribute && !p.empty() && type != schema.root()) {
           TransformDescriptor t;
           t.kind = TransformDescriptor::Kind::kUnionDistribute;
           t.type_name = name;
@@ -165,8 +177,8 @@ std::vector<TransformDescriptor> EnumerateTransformations(
         }
         if (options.union_to_options) {
           bool ok = true;
-          for (const auto& alt : node->children) {
-            if (schema.IsRecursive(alt->ref_name)) ok = false;
+          for (size_t i = 0; i < node->children.size(); ++i) {
+            if (schema.IsRecursive(refs[next_ref + i])) ok = false;
           }
           if (ok) {
             TransformDescriptor t;
@@ -181,7 +193,7 @@ std::vector<TransformDescriptor> EnumerateTransformations(
       if (options.repetition_split && node->kind == Type::Kind::kRepetition &&
           node->min_occurs >= 1 && !(node->min_occurs == 1 && node->max_occurs == 1) &&
           node->child->kind == Type::Kind::kTypeRef &&
-          !schema.IsRecursive(node->child->ref_name)) {
+          !schema.IsRecursive(refs[next_ref])) {
         TransformDescriptor t;
         t.kind = TransformDescriptor::Kind::kRepetitionSplit;
         t.type_name = name;
@@ -190,16 +202,17 @@ std::vector<TransformDescriptor> EnumerateTransformations(
       }
       // Repetition merge: (X, C{0,n}) where X == body(C).
       if (options.repetition_merge && node->kind == Type::Kind::kSequence) {
+        size_t ref_at = next_ref;  // the references before item i + 1
         for (size_t i = 0; i + 1 < node->children.size(); ++i) {
           const TypePtr& x = node->children[i];
           const TypePtr& rep = node->children[i + 1];
+          ref_at += CountRefs(*x);
           if (rep->kind != Type::Kind::kRepetition || rep->min_occurs != 0 ||
               rep->is_optional_rep() ||
-              rep->child->kind != Type::Kind::kTypeRef) {
+              rep->child->kind != Type::Kind::kTypeRef || refs[ref_at] < 0 ||
+              !xs::TypeEqualsIgnoringStats(x, schema.body(refs[ref_at]))) {
             continue;
           }
-          TypePtr cbody = schema.Find(rep->child->ref_name);
-          if (!cbody || !xs::TypeEqualsIgnoringStats(x, cbody)) continue;
           TransformDescriptor t;
           t.kind = TransformDescriptor::Kind::kRepetitionMerge;
           t.type_name = name;
@@ -221,6 +234,7 @@ std::vector<TransformDescriptor> EnumerateTransformations(
           out.push_back(std::move(t));
         }
       }
+      if (node->kind == Type::Kind::kTypeRef) ++next_ref;
     });
   }
   return out;
@@ -230,8 +244,9 @@ namespace {
 
 StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
                                       const TransformDescriptor& t) {
-  TypePtr body = schema.Find(t.type_name);
-  if (!body) return Status::NotFound("type " + t.type_name);
+  const int type = schema.IndexOf(t.type_name);
+  if (type < 0) return Status::NotFound("type " + t.type_name);
+  const TypePtr body = schema.body(type);
   TypePtr node = ps::NodeAt(body, t.path);
   if (!IsUnionOfRefs(node)) {
     return Status::InvalidArgument("no union of refs at path");
@@ -247,7 +262,7 @@ StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
     part_refs.push_back(Type::Ref(part_name));
     alt_names.push_back(alt->ref_name);
   }
-  out.Define(t.type_name, Type::Union(std::move(part_refs)));
+  out.Redefine(type, Type::Union(std::move(part_refs)));
   // Fold each alternative's content into its part when possible (the
   // paper's worked example inlines Movie/TV into Show_Part1/Show_Part2).
   for (const auto& alt_name : alt_names) {
@@ -260,8 +275,9 @@ StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
 
 StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
                                      const TransformDescriptor& t) {
-  TypePtr body = schema.Find(t.type_name);
-  if (!body) return Status::NotFound("type " + t.type_name);
+  const int type = schema.IndexOf(t.type_name);
+  if (type < 0) return Status::NotFound("type " + t.type_name);
+  const TypePtr body = schema.body(type);
   TypePtr node = ps::NodeAt(body, t.path);
   if (!IsUnionOfRefs(node)) {
     return Status::InvalidArgument("no union of refs at path");
@@ -274,16 +290,17 @@ StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
     options.push_back(Type::Repetition(alt_body, 0, 1, presence));
   }
   Schema out = schema;
-  out.Define(t.type_name,
-             ps::ReplaceAt(body, t.path, Type::Sequence(std::move(options))));
+  out.Redefine(type,
+               ps::ReplaceAt(body, t.path, Type::Sequence(std::move(options))));
   out.GarbageCollect();
   return ps::Normalize(out);
 }
 
 StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
                                       const TransformDescriptor& t) {
-  TypePtr body = schema.Find(t.type_name);
-  if (!body) return Status::NotFound("type " + t.type_name);
+  const int type = schema.IndexOf(t.type_name);
+  if (type < 0) return Status::NotFound("type " + t.type_name);
+  const TypePtr body = schema.body(type);
   TypePtr node = ps::NodeAt(body, t.path);
   if (!node || node->kind != Type::Kind::kRepetition ||
       node->min_occurs < 1 || node->child->kind != Type::Kind::kTypeRef) {
@@ -298,15 +315,16 @@ StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
                                   rest_avg);
   TypePtr replacement = Type::Sequence({cbody, std::move(rest)});
   Schema out = schema;
-  out.Define(t.type_name, ps::ReplaceAt(body, t.path, std::move(replacement)));
+  out.Redefine(type, ps::ReplaceAt(body, t.path, std::move(replacement)));
   out.GarbageCollect();
   return ps::Normalize(out);
 }
 
 StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
                                       const TransformDescriptor& t) {
-  TypePtr body = schema.Find(t.type_name);
-  if (!body) return Status::NotFound("type " + t.type_name);
+  const int type = schema.IndexOf(t.type_name);
+  if (type < 0) return Status::NotFound("type " + t.type_name);
+  const TypePtr body = schema.body(type);
   if (t.path.empty()) return Status::InvalidArgument("bad merge path");
   NodePath seq_path(t.path.begin(), t.path.end() - 1);
   size_t idx = static_cast<size_t>(t.path.back());
@@ -332,15 +350,16 @@ StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
   children[idx] = Type::Repetition(rep->child, rep->min_occurs + 1, new_max,
                                    rep->avg_count + 1);
   Schema out = schema;
-  out.Define(t.type_name,
-             ps::ReplaceAt(body, seq_path, Type::Sequence(std::move(children))));
+  out.Redefine(type,
+               ps::ReplaceAt(body, seq_path, Type::Sequence(std::move(children))));
   return ps::Normalize(out);
 }
 
 StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
                                           const TransformDescriptor& t) {
-  TypePtr body = schema.Find(t.type_name);
-  if (!body) return Status::NotFound("type " + t.type_name);
+  const int type = schema.IndexOf(t.type_name);
+  if (type < 0) return Status::NotFound("type " + t.type_name);
+  const TypePtr body = schema.body(type);
   TypePtr node = ps::NodeAt(body, t.path);
   if (!node || node->kind != Type::Kind::kElement ||
       node->name.kind != xs::NameClass::Kind::kAny) {
@@ -354,8 +373,7 @@ StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
              Type::Element(xs::NameClass::AnyExcept(t.tag), node->child));
   TypePtr replacement =
       Type::Union({Type::Ref(tagged_name), Type::Ref(other_name)});
-  out.Define(t.type_name,
-             ps::ReplaceAt(body, t.path, std::move(replacement)));
+  out.Redefine(type, ps::ReplaceAt(body, t.path, std::move(replacement)));
   return ps::Normalize(out);
 }
 

@@ -121,7 +121,7 @@ const TypeMapping& Mapping::GetType(const std::string& name) const {
 
 const xs::Type* Mapping::RootPosition(const std::string& step) const {
   const Type* found = nullptr;
-  ForEachPosition(*schema_.Get(schema_.root_type()), [&](const Type* n) {
+  ForEachPosition(*types_[root_].body, [&](const Type* n) {
     if (!found && n->kind == Type::Kind::kElement &&
         n->name.kind == xs::NameClass::Kind::kLiteral && n->name.name == step) {
       found = n;
@@ -201,43 +201,48 @@ class Mapper {
 
   StatusOr<Mapping> Run() {
     LEGODB_RETURN_IF_ERROR(ps::CheckPhysical(schema_));
-    const std::vector<std::string> reachable = schema_.ReachableFromRoot();
-    // Number the types once, in name order.
-    std::vector<std::string> names = reachable;
-    std::sort(names.begin(), names.end());
+    const std::vector<int> reachable = schema_.ReachableFromRoot();
+    // Mark the reachable types, then number them once, in name order.
+    index_.assign(schema_.size(), -1);
+    for (int t : reachable) index_[t] = 0;
     auto& types = result_.types_;
-    types.resize(names.size());
-    for (size_t i = 0; i < names.size(); ++i) {
-      types[i].type_name = std::move(names[i]);
+    for (int t : schema_.name_order()) {
+      if (index_[t] < 0) continue;
+      index_[t] = static_cast<int>(types.size());
+      types.emplace_back().type_name = schema_.name(t);
     }
-    result_.root_ = Index(schema_.root_type());
-    for (TypeMapping& tm : types) AnalyzeType(&tm);
+    result_.root_ = index_[schema_.root()];
+    for (int t : reachable) AnalyzeType(t);
     ComputeCounts();
     ComputeParents();
-    for (TypeMapping& tm : types) NameSlots(&tm);
+    for (TypeMapping& tm : types) NameColumns(&tm);
     LEGODB_RETURN_IF_ERROR(BuildCatalog(reachable));
     result_.schema_ = schema_;
     return std::move(result_);
   }
 
  private:
-  // The index of mapped type `name`. Validation guarantees that every type
-  // a reachable type references is defined, hence reachable and mapped.
-  int Index(const std::string& name) const {
-    const TypeMapping* tm = result_.FindType(name);
-    LEGODB_CHECK(tm != nullptr, "Mapper: reference to an unmapped type");
-    return result_.Index(*tm);
+  // The mapped index of the body's next type reference; the walk meets
+  // them in pre-order, as Schema::refs lists them. Validation guarantees
+  // that each names a defined, hence reachable and mapped, type.
+  int NextRef() {
+    LEGODB_DCHECK(next_ref_ < refs_->size(), "Mapper: unlisted reference");
+    return index_[(*refs_)[next_ref_++]];
   }
 
-  void AnalyzeType(TypeMapping* tm) {
-    TypePtr body = schema_.Get(tm->type_name);
+  void AnalyzeType(int t) {
+    TypeMapping* tm = &result_.types_[index_[t]];
+    const TypePtr& body = schema_.body(t);
+    tm->body = body.get();
+    refs_ = &schema_.refs(t);
+    next_ref_ = 0;
     if (body->kind == Type::Kind::kUnion) {
       // Stratification guarantees the alternatives are refs.
       tm->virtual_union = true;
       std::vector<double> weights = UnionSplit(body);
       for (size_t i = 0; i < body->children.size(); ++i) {
         ChildRef ref;
-        ref.type = Index(body->children[i]->ref_name);
+        ref.type = NextRef();
         ref.expected_per_parent = weights[i];
         ref.optional = true;
         ref.in_union = true;
@@ -314,19 +319,21 @@ class Mapper {
     return name;
   }
 
-  // Gives each slot of `tm`, in slot order, the first name not yet taken in
-  // its table among its column name and that name suffixed "_2", "_3", ...
-  // The key and the foreign keys are taken first: their names are fixed.
-  static void NameSlots(TypeMapping* tm) {
+  // Makes the column names of `tm`'s table unique: the key keeps its name,
+  // then each foreign key in `parents` order and each slot in slot order
+  // takes the first name not yet taken among its own and that name
+  // suffixed "_2", "_3", ...
+  static void NameColumns(TypeMapping* tm) {
     std::set<std::string> taken{tm->table + "_id"};
-    for (const auto& link : tm->parents) taken.insert(link.fk_column);
-    for (Slot& slot : tm->slots) {
-      std::string unique = slot.column;
-      for (int i = 2; !taken.insert(unique).second; ++i) {
-        unique = slot.column + "_" + std::to_string(i);
+    auto unique = [&](std::string* column) {
+      std::string name = *column;
+      for (int i = 2; !taken.insert(name).second; ++i) {
+        name = *column + "_" + std::to_string(i);
       }
-      slot.column = std::move(unique);
-    }
+      *column = std::move(name);
+    };
+    for (auto& link : tm->parents) unique(&link.fk_column);
+    for (Slot& slot : tm->slots) unique(&slot.column);
   }
 
   void WalkBody(const TypePtr& t, double presence, bool optional,
@@ -371,7 +378,7 @@ class Mapper {
           LEGODB_CHECK(alt->kind == Type::Kind::kTypeRef,
                        "stratified union alternative must be a type ref");
           ChildRef ref;
-          ref.type = Index(alt->ref_name);
+          ref.type = NextRef();
           ref.expected_per_parent = presence * weights[i];
           ref.optional = true;
           ref.in_union = true;
@@ -387,10 +394,9 @@ class Mapper {
         }
         // Stratification: content is a ref or union of refs.
         double count = t->ExpectedCount() * presence;
-        auto add_ref = [&](const std::string& ref_name, double expected,
-                           bool in_union) {
+        auto add_ref = [&](double expected, bool in_union) {
           ChildRef ref;
-          ref.type = Index(ref_name);
+          ref.type = NextRef();
           ref.expected_per_parent = expected;
           ref.optional = t->min_occurs == 0 || optional || in_union;
           ref.min_occurs = t->min_occurs;
@@ -399,19 +405,18 @@ class Mapper {
           AddRef(ref, tm);
         };
         if (t->child->kind == Type::Kind::kTypeRef) {
-          add_ref(t->child->ref_name, count, false);
+          add_ref(count, false);
         } else {
           std::vector<double> weights = UnionSplit(t->child);
           for (size_t i = 0; i < t->child->children.size(); ++i) {
-            add_ref(t->child->children[i]->ref_name, count * weights[i],
-                    true);
+            add_ref(count * weights[i], true);
           }
         }
         return;
       }
       case Type::Kind::kTypeRef: {
         ChildRef ref;
-        ref.type = Index(t->ref_name);
+        ref.type = NextRef();
         ref.expected_per_parent = presence;
         ref.optional = optional;
         AddRef(ref, tm);
@@ -506,10 +511,10 @@ class Mapper {
 
   // One table per reachable non-virtual type, in reachability order, its
   // columns in the order TypeMapping::SlotColumn and ParentColumn read.
-  Status BuildCatalog(const std::vector<std::string>& reachable) {
+  Status BuildCatalog(const std::vector<int>& reachable) {
     const auto& types = result_.types_;
-    for (const auto& name : reachable) {
-      const TypeMapping& tm = types[Index(name)];
+    for (int t : reachable) {
+      const TypeMapping& tm = types[index_[t]];
       if (tm.virtual_union) continue;
       rel::Table table;
       table.name = tm.table;
@@ -574,10 +579,15 @@ class Mapper {
   }
 
   const Schema& schema_;
-  // The type body being walked: its root node, the elements and attributes
-  // around the walk (outermost first), and the entries of its references in
+  // Each schema type's mapped index, -1 when unreachable.
+  std::vector<int> index_;
+  // The type body being walked: its root node, its resolved references and
+  // the next one the walk meets, the elements and attributes around the
+  // walk (outermost first), and the entries of its references in
   // `children` order.
   const Type* body_ = nullptr;
+  const std::vector<int>* refs_ = nullptr;
+  size_t next_ref_ = 0;
   std::vector<const Type*> around_;
   std::vector<TypeMapping::Entry> ref_entries_;
   // ComputeParents: the types referencing each type (in index order, once

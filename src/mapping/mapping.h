@@ -48,6 +48,8 @@ struct ChildRef {
 // How one named type maps to the relational configuration.
 struct TypeMapping {
   std::string type_name;
+  // The type's body in the Mapping's schema.
+  const xs::Type* body = nullptr;
   // Table name (same as type name); empty for virtual types.
   std::string table;
   // A type whose body is purely a union of type references (e.g.

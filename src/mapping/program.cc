@@ -72,8 +72,7 @@ std::vector<TypeProgram> CompileTypes(const Mapping& mapping) {
     const TypeMapping& tm = mapping.types()[i];
     programs[i].tm = &tm;
     if (!tm.virtual_union) {
-      Compiler(&programs[i])
-          .Compile(*mapping.schema().Get(tm.type_name), /*owner=*/nullptr);
+      Compiler(&programs[i]).Compile(*tm.body, /*owner=*/nullptr);
     }
   }
   return programs;

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <functional>
-#include <map>
 
 #include "common/check.h"
 
@@ -97,6 +96,33 @@ std::string SuggestTypeName(const TypePtr& t) {
   return base;
 }
 
+// `t` with each direct child replaced by `f(child)`: the content of an
+// element, attribute or repetition, the items of a sequence, the
+// alternatives of a union. Leaves come back as they are.
+template <typename F>
+TypePtr MapChildren(const TypePtr& t, const F& f) {
+  switch (t->kind) {
+    case Type::Kind::kElement:
+      return Type::Element(t->name, f(t->child));
+    case Type::Kind::kAttribute:
+      return Type::Attribute(t->name.name, f(t->child));
+    case Type::Kind::kRepetition:
+      return Type::Repetition(f(t->child), t->min_occurs, t->max_occurs,
+                              t->avg_count);
+    case Type::Kind::kSequence:
+    case Type::Kind::kUnion: {
+      std::vector<TypePtr> children;
+      children.reserve(t->children.size());
+      for (const auto& c : t->children) children.push_back(f(c));
+      return t->kind == Type::Kind::kSequence
+                 ? Type::Sequence(std::move(children))
+                 : Type::Union(std::move(children));
+    }
+    default:
+      return t;
+  }
+}
+
 std::string OutlineInto(Schema* schema, TypePtr body) {
   std::string name = schema->FreshTypeName(SuggestTypeName(body));
   schema->Define(name, std::move(body));
@@ -106,64 +132,41 @@ std::string OutlineInto(Schema* schema, TypePtr body) {
 // Rewrites `t` so unions and non-optional repetitions contain only refs;
 // outlined bodies are themselves normalized first (bottom-up).
 TypePtr NormalizeType(const TypePtr& t, Schema* schema) {
-  switch (t->kind) {
-    case Type::Kind::kEmpty:
-    case Type::Kind::kScalar:
-    case Type::Kind::kTypeRef:
-      return t;
-    case Type::Kind::kElement:
-      return Type::Element(t->name, NormalizeType(t->child, schema));
-    case Type::Kind::kAttribute:
-      return Type::Attribute(t->name.name, NormalizeType(t->child, schema));
-    case Type::Kind::kSequence: {
-      std::vector<TypePtr> items;
-      items.reserve(t->children.size());
-      for (const auto& c : t->children) {
-        items.push_back(NormalizeType(c, schema));
-      }
-      return Type::Sequence(std::move(items));
-    }
-    case Type::Kind::kUnion: {
-      std::vector<TypePtr> alts;
-      alts.reserve(t->children.size());
-      for (const auto& c : t->children) {
-        TypePtr alt = NormalizeType(c, schema);
-        if (alt->kind != Type::Kind::kTypeRef) {
-          alt = Type::Ref(OutlineInto(schema, alt));
-        }
-        alts.push_back(std::move(alt));
-      }
-      return Type::Union(std::move(alts));
-    }
-    case Type::Kind::kRepetition: {
-      TypePtr child = NormalizeType(t->child, schema);
-      if (!t->is_optional_rep() && !IsRefOrUnionOfRefs(child)) {
-        child = Type::Ref(OutlineInto(schema, child));
-      }
-      return Type::Repetition(std::move(child), t->min_occurs, t->max_occurs,
-                              t->avg_count);
-    }
-  }
-  return t;
+  return MapChildren(t, [&](const TypePtr& c) {
+    TypePtr child = NormalizeType(c, schema);
+    const bool outline =
+        t->kind == Type::Kind::kUnion
+            ? child->kind != Type::Kind::kTypeRef
+            : t->kind == Type::Kind::kRepetition && !t->is_optional_rep() &&
+                  !IsRefOrUnionOfRefs(child);
+    return outline ? Type::Ref(OutlineInto(schema, child)) : child;
+  });
 }
 
 // Context describing whether a type-reference position permits inlining:
 // inlinable iff the reference sits under sequences / elements / optionals
 // only (Section 4.1's conditions).
 struct RefOccurrence {
-  std::string owner;  // type whose body holds the reference
+  int owner;  // type whose body holds the reference
   bool inlinable;
 };
 
-std::map<std::string, std::vector<RefOccurrence>> CollectRefOccurrences(
+// The occurrences of references to each type, by the referenced type's
+// index.
+std::vector<std::vector<RefOccurrence>> CollectRefOccurrences(
     const Schema& schema) {
-  std::map<std::string, std::vector<RefOccurrence>> occ;
-  for (const auto& name : schema.type_names()) {
+  std::vector<std::vector<RefOccurrence>> occ(schema.size());
+  for (int owner = 0; owner < static_cast<int>(schema.size()); ++owner) {
+    // The walk meets the references in pre-order, as refs() lists them.
+    const int* next_ref = schema.refs(owner).data();
     std::function<void(const TypePtr&, bool)> walk = [&](const TypePtr& t,
                                                          bool inlinable) {
       switch (t->kind) {
         case Type::Kind::kTypeRef:
-          occ[t->ref_name].push_back(RefOccurrence{name, inlinable});
+          if (*next_ref >= 0) {
+            occ[*next_ref].push_back(RefOccurrence{owner, inlinable});
+          }
+          ++next_ref;
           break;
         case Type::Kind::kElement:
         case Type::Kind::kAttribute:
@@ -182,7 +185,7 @@ std::map<std::string, std::vector<RefOccurrence>> CollectRefOccurrences(
           break;
       }
     };
-    walk(schema.Get(name), /*inlinable=*/true);
+    walk(schema.body(owner), /*inlinable=*/true);
   }
   return occ;
 }
@@ -190,73 +193,34 @@ std::map<std::string, std::vector<RefOccurrence>> CollectRefOccurrences(
 // Replaces every reference to `target` in `t` with `body`.
 TypePtr SubstituteRef(const TypePtr& t, const std::string& target,
                       const TypePtr& body) {
-  switch (t->kind) {
-    case Type::Kind::kTypeRef:
-      return t->ref_name == target ? body : t;
-    case Type::Kind::kElement:
-      return Type::Element(t->name, SubstituteRef(t->child, target, body));
-    case Type::Kind::kAttribute:
-      return Type::Attribute(t->name.name,
-                             SubstituteRef(t->child, target, body));
-    case Type::Kind::kSequence:
-    case Type::Kind::kUnion: {
-      std::vector<TypePtr> children;
-      children.reserve(t->children.size());
-      for (const auto& c : t->children) {
-        children.push_back(SubstituteRef(c, target, body));
-      }
-      return t->kind == Type::Kind::kSequence
-                 ? Type::Sequence(std::move(children))
-                 : Type::Union(std::move(children));
-    }
-    case Type::Kind::kRepetition:
-      return Type::Repetition(SubstituteRef(t->child, target, body),
-                              t->min_occurs, t->max_occurs, t->avg_count);
-    default:
-      return t;
-  }
+  if (t->kind == Type::Kind::kTypeRef) return t->ref_name == target ? body : t;
+  return MapChildren(
+      t, [&](const TypePtr& c) { return SubstituteRef(c, target, body); });
 }
 
 // Union over element structure -> sequence of optionals ("from union to
 // options", Section 4.1). Applied recursively. Branch presence statistics
 // default to 1/#alternatives.
 TypePtr FlattenUnions(const TypePtr& t) {
-  switch (t->kind) {
-    case Type::Kind::kElement:
-      return Type::Element(t->name, FlattenUnions(t->child));
-    case Type::Kind::kAttribute:
-      return Type::Attribute(t->name.name, FlattenUnions(t->child));
-    case Type::Kind::kSequence: {
-      std::vector<TypePtr> items;
-      for (const auto& c : t->children) items.push_back(FlattenUnions(c));
-      return Type::Sequence(std::move(items));
+  if (t->kind != Type::Kind::kUnion) return MapChildren(t, FlattenUnions);
+  // Branch presence: statistics-derived ref weights when available.
+  double sum = 0;
+  bool weighted = true;
+  for (const auto& c : t->children) {
+    if (c->kind != Type::Kind::kTypeRef || c->ref_weight <= 0) {
+      weighted = false;
+      break;
     }
-    case Type::Kind::kUnion: {
-      // Branch presence: statistics-derived ref weights when available.
-      double sum = 0;
-      bool weighted = true;
-      for (const auto& c : t->children) {
-        if (c->kind != Type::Kind::kTypeRef || c->ref_weight <= 0) {
-          weighted = false;
-          break;
-        }
-        sum += c->ref_weight;
-      }
-      std::vector<TypePtr> items;
-      for (const auto& c : t->children) {
-        double presence = weighted && sum > 0
-                              ? c->ref_weight / sum
-                              : 1.0 / static_cast<double>(t->children.size());
-        items.push_back(Type::Repetition(FlattenUnions(c), 0, 1, presence));
-      }
-      return Type::Sequence(std::move(items));
-    }
-    case Type::Kind::kRepetition:
-      return Type::Repetition(FlattenUnions(t->child), t->min_occurs,
-                              t->max_occurs, t->avg_count);
-    default:
-      return t;
+    sum += c->ref_weight;
   }
+  std::vector<TypePtr> items;
+  for (const auto& c : t->children) {
+    double presence = weighted && sum > 0
+                          ? c->ref_weight / sum
+                          : 1.0 / static_cast<double>(t->children.size());
+    items.push_back(Type::Repetition(FlattenUnions(c), 0, 1, presence));
+  }
+  return Type::Sequence(std::move(items));
 }
 
 // A type referenced more than once from one body (e.g. `a[ B, c[ B* ] ]`)
@@ -266,51 +230,30 @@ TypePtr FlattenUnions(const TypePtr& t) {
 // a distinct table. Recursive targets are skipped (aliasing would unfold
 // the cycle forever); their reconstruction ambiguity is inherent.
 Schema DisambiguateRepeatedRefs(Schema s) {
-  std::vector<std::string> work = s.type_names();
+  std::vector<int> work(s.size());
+  for (size_t i = 0; i < work.size(); ++i) work[i] = static_cast<int>(i);
   int guard = 0;
   while (!work.empty() && guard++ < 4096) {
-    std::string name = work.back();
+    const int type = work.back();
     work.pop_back();
-    if (!s.Has(name)) continue;
-    std::map<std::string, int> seen;
+    // Copies: aliases defined during the walk may move the table.
+    const TypePtr body = s.body(type);
+    const std::vector<int> refs = s.refs(type);
+    size_t next_ref = 0;
+    std::vector<int> seen(s.size(), 0);
     std::function<TypePtr(const TypePtr&)> walk =
         [&](const TypePtr& t) -> TypePtr {
-      switch (t->kind) {
-        case Type::Kind::kTypeRef: {
-          int& n = seen[t->ref_name];
-          ++n;
-          if (n > 1 && t->ref_name != name && s.Has(t->ref_name) &&
-              !s.IsRecursive(t->ref_name)) {
-            std::string alias = s.FreshTypeName(t->ref_name);
-            s.Define(alias, s.Get(t->ref_name));
-            work.push_back(alias);
-            return t->ref_weight > 0
-                       ? Type::RefWeighted(alias, t->ref_weight)
-                       : Type::Ref(alias);
-          }
-          return t;
-        }
-        case Type::Kind::kElement:
-          return Type::Element(t->name, walk(t->child));
-        case Type::Kind::kAttribute:
-          return Type::Attribute(t->name.name, walk(t->child));
-        case Type::Kind::kSequence:
-        case Type::Kind::kUnion: {
-          std::vector<TypePtr> children;
-          children.reserve(t->children.size());
-          for (const auto& c : t->children) children.push_back(walk(c));
-          return t->kind == Type::Kind::kSequence
-                     ? Type::Sequence(std::move(children))
-                     : Type::Union(std::move(children));
-        }
-        case Type::Kind::kRepetition:
-          return Type::Repetition(walk(t->child), t->min_occurs,
-                                  t->max_occurs, t->avg_count);
-        default:
-          return t;
+      if (t->kind != Type::Kind::kTypeRef) return MapChildren(t, walk);
+      const int target = refs[next_ref++];
+      if (target < 0 || ++seen[target] == 1 || target == type ||
+          s.IsRecursive(target)) {
+        return t;
       }
+      std::string alias = s.FreshTypeName(t->ref_name);
+      work.push_back(s.Define(alias, s.body(target)));
+      return Type::RefWeighted(alias, t->ref_weight);
     };
-    s.Define(name, walk(s.Get(name)));
+    s.Redefine(type, walk(body));
   }
   return s;
 }
@@ -319,18 +262,20 @@ Schema DisambiguateRepeatedRefs(Schema s) {
 
 Status CheckPhysical(const Schema& schema) {
   LEGODB_RETURN_IF_ERROR(schema.Validate());
-  for (const auto& name : schema.type_names()) {
-    LEGODB_RETURN_IF_ERROR(CheckPhysicalType(name, schema.Get(name)));
+  for (int t = 0; t < static_cast<int>(schema.size()); ++t) {
+    LEGODB_RETURN_IF_ERROR(CheckPhysicalType(schema.name(t), schema.body(t)));
   }
   return Status::OK();
 }
 
 Schema Normalize(const Schema& schema) {
   Schema out = schema;
-  // Iterate over a snapshot: newly outlined types are already normalized.
-  std::vector<std::string> names = out.type_names();
-  for (const auto& name : names) {
-    out.Define(name, NormalizeType(out.Get(name), &out));
+  // Newly outlined types append already normalized. The body is copied:
+  // outlining may move the table.
+  const int n = static_cast<int>(out.size());
+  for (int t = 0; t < n; ++t) {
+    const TypePtr body = out.body(t);
+    out.Redefine(t, NormalizeType(body, &out));
   }
   out = DisambiguateRepeatedRefs(std::move(out));
   LEGODB_DCHECK(CheckPhysical(out).ok(),
@@ -342,37 +287,19 @@ Schema AllOutlined(const Schema& schema) {
   Schema out = schema;
   // Outline every element strictly inside a type body. The body's own root
   // element (if any) stays, since the named type denotes it.
-  std::function<TypePtr(const TypePtr&, Schema*, bool)> walk =
-      [&](const TypePtr& t, Schema* s, bool is_body_root) -> TypePtr {
-    switch (t->kind) {
-      case Type::Kind::kElement: {
-        TypePtr content = walk(t->child, s, false);
-        TypePtr elem = Type::Element(t->name, std::move(content));
-        if (is_body_root) return elem;
-        return Type::Ref(OutlineInto(s, std::move(elem)));
-      }
-      case Type::Kind::kAttribute:
-        return t;  // attributes always stay with their element
-      case Type::Kind::kSequence: {
-        std::vector<TypePtr> items;
-        for (const auto& c : t->children) items.push_back(walk(c, s, false));
-        return Type::Sequence(std::move(items));
-      }
-      case Type::Kind::kUnion: {
-        std::vector<TypePtr> alts;
-        for (const auto& c : t->children) alts.push_back(walk(c, s, false));
-        return Type::Union(std::move(alts));
-      }
-      case Type::Kind::kRepetition:
-        return Type::Repetition(walk(t->child, s, false), t->min_occurs,
-                                t->max_occurs, t->avg_count);
-      default:
-        return t;
-    }
+  std::function<TypePtr(const TypePtr&, bool)> walk =
+      [&](const TypePtr& t, bool is_body_root) -> TypePtr {
+    // Attributes always stay with their element.
+    if (t->kind == Type::Kind::kAttribute) return t;
+    TypePtr rebuilt =
+        MapChildren(t, [&](const TypePtr& c) { return walk(c, false); });
+    if (t->kind != Type::Kind::kElement || is_body_root) return rebuilt;
+    return Type::Ref(OutlineInto(&out, std::move(rebuilt)));
   };
-  std::vector<std::string> names = out.type_names();
-  for (const auto& name : names) {
-    out.Define(name, walk(out.Get(name), &out, /*is_body_root=*/true));
+  const int n = static_cast<int>(out.size());
+  for (int t = 0; t < n; ++t) {
+    const TypePtr body = out.body(t);
+    out.Redefine(t, walk(body, /*is_body_root=*/true));
   }
   return Normalize(out);
 }
@@ -380,9 +307,8 @@ Schema AllOutlined(const Schema& schema) {
 Schema AllInlined(const Schema& schema, bool flatten_unions) {
   Schema out = Normalize(schema);
   if (flatten_unions) {
-    std::vector<std::string> names = out.type_names();
-    for (const auto& name : names) {
-      out.Define(name, FlattenUnions(out.Get(name)));
+    for (int t = 0; t < static_cast<int>(out.size()); ++t) {
+      out.Redefine(t, FlattenUnions(out.body(t)));
     }
     out = Normalize(out);
   }
@@ -426,36 +352,22 @@ TypePtr NodeAt(const TypePtr& type, const NodePath& path) {
 TypePtr ReplaceAt(const TypePtr& type, const NodePath& path,
                   TypePtr replacement) {
   if (path.empty()) return replacement;
-  int idx = path[0];
-  NodePath rest(path.begin() + 1, path.end());
-  if (type->child) {
-    LEGODB_CHECK(idx == 0, "node path steps into a single-child node");
-    TypePtr new_child = ReplaceAt(type->child, rest, std::move(replacement));
-    switch (type->kind) {
-      case Type::Kind::kElement:
-        return Type::Element(type->name, std::move(new_child));
-      case Type::Kind::kAttribute:
-        return Type::Attribute(type->name.name, std::move(new_child));
-      case Type::Kind::kRepetition:
-        return Type::Repetition(std::move(new_child), type->min_occurs,
-                                type->max_occurs, type->avg_count);
-      default:
-        LEGODB_CHECK(false, "unexpected single-child node");
-        return type;
-    }
-  }
-  std::vector<TypePtr> children = type->children;
-  LEGODB_CHECK(idx >= 0 && static_cast<size_t>(idx) < children.size(),
+  const int idx = path[0];
+  const size_t n = type->child ? 1 : type->children.size();
+  LEGODB_CHECK(idx >= 0 && static_cast<size_t>(idx) < n,
                "node path index out of range");
-  children[idx] = ReplaceAt(children[idx], rest, std::move(replacement));
-  return type->kind == Type::Kind::kSequence ? Type::Sequence(std::move(children))
-                                             : Type::Union(std::move(children));
+  const NodePath rest(path.begin() + 1, path.end());
+  int i = 0;
+  return MapChildren(type, [&](const TypePtr& c) {
+    return i++ == idx ? ReplaceAt(c, rest, replacement) : c;
+  });
 }
 
 StatusOr<Schema> OutlineAt(const Schema& schema, const std::string& type_name,
                            const NodePath& path, std::string* out_new_type) {
-  TypePtr body = schema.Find(type_name);
-  if (!body) return Status::NotFound("type '" + type_name + "' not defined");
+  const int type = schema.IndexOf(type_name);
+  if (type < 0) return Status::NotFound("type '" + type_name + "' not defined");
+  const TypePtr body = schema.body(type);
   TypePtr node = NodeAt(body, path);
   if (!node) return Status::InvalidArgument("bad node path");
   if (node->kind != Type::Kind::kElement) {
@@ -466,7 +378,7 @@ StatusOr<Schema> OutlineAt(const Schema& schema, const std::string& type_name,
   }
   Schema out = schema;
   std::string new_name = OutlineInto(&out, node);
-  out.Define(type_name, ReplaceAt(body, path, Type::Ref(new_name)));
+  out.Redefine(type, ReplaceAt(body, path, Type::Ref(new_name)));
   if (out_new_type) *out_new_type = new_name;
   return out;
 }
@@ -476,40 +388,41 @@ StatusOr<Schema> InlineType(const Schema& schema,
   if (type_name == schema.root_type()) {
     return Status::InvalidArgument("cannot inline the root type");
   }
-  if (!schema.Has(type_name)) {
+  const int type = schema.IndexOf(type_name);
+  if (type < 0) {
     return Status::NotFound("type '" + type_name + "' not defined");
   }
-  if (schema.IsRecursive(type_name)) {
+  if (schema.IsRecursive(type)) {
     return Status::InvalidArgument("cannot inline recursive type '" +
                                    type_name + "'");
   }
-  auto occurrences = CollectRefOccurrences(schema);
-  auto it = occurrences.find(type_name);
-  if (it == occurrences.end()) {
+  const std::vector<RefOccurrence> occurrences =
+      CollectRefOccurrences(schema)[type];
+  if (occurrences.empty()) {
     return Status::InvalidArgument("type '" + type_name + "' is unreferenced");
   }
-  if (it->second.size() != 1) {
+  if (occurrences.size() != 1) {
     return Status::InvalidArgument("type '" + type_name +
                                    "' is shared; cannot inline");
   }
-  const RefOccurrence& occ = it->second[0];
+  const RefOccurrence& occ = occurrences[0];
   if (!occ.inlinable) {
     return Status::InvalidArgument(
         "type '" + type_name +
         "' is referenced inside a union or repetition; cannot inline");
   }
   Schema out = schema;
-  TypePtr body = schema.Get(type_name);
-  out.Define(occ.owner,
-             SubstituteRef(schema.Get(occ.owner), type_name, body));
-  out.Undefine(type_name);
+  out.Redefine(occ.owner, SubstituteRef(schema.body(occ.owner), type_name,
+                                        schema.body(type)));
+  out.Undefine(type);
   return out;
 }
 
 std::vector<OutlineCandidate> EnumerateOutlineCandidates(
     const Schema& schema) {
   std::vector<OutlineCandidate> candidates;
-  for (const auto& name : schema.type_names()) {
+  for (int type = 0; type < static_cast<int>(schema.size()); ++type) {
+    const std::string& name = schema.name(type);
     std::function<void(const TypePtr&, NodePath*)> walk = [&](const TypePtr& t,
                                                               NodePath* path) {
       // Record element nodes strictly below the body root.
@@ -529,21 +442,20 @@ std::vector<OutlineCandidate> EnumerateOutlineCandidates(
       }
     };
     NodePath path;
-    walk(schema.Get(name), &path);
+    walk(schema.body(type), &path);
   }
   return candidates;
 }
 
 std::vector<std::string> EnumerateInlineCandidates(const Schema& schema) {
   std::vector<std::string> result;
-  auto occurrences = CollectRefOccurrences(schema);
-  for (const auto& name : schema.type_names()) {
-    if (name == schema.root_type()) continue;
-    auto it = occurrences.find(name);
-    if (it == occurrences.end() || it->second.size() != 1) continue;
-    if (!it->second[0].inlinable) continue;
-    if (schema.IsRecursive(name)) continue;
-    result.push_back(name);
+  const auto occurrences = CollectRefOccurrences(schema);
+  for (int type = 0; type < static_cast<int>(schema.size()); ++type) {
+    if (type == schema.root()) continue;
+    const std::vector<RefOccurrence>& occ = occurrences[type];
+    if (occ.size() != 1 || !occ[0].inlinable) continue;
+    if (schema.IsRecursive(type)) continue;
+    result.push_back(schema.name(type));
   }
   return result;
 }

@@ -1,7 +1,5 @@
 #include "xschema/annotate.h"
 
-#include <cmath>
-#include <functional>
 #include <optional>
 #include <set>
 
@@ -16,9 +14,8 @@ std::string PathStep(const NameClass& name) {
 
 class Annotator {
  public:
-  Annotator(const Schema& in, const StatsSet& stats) : in_(in), stats_(stats) {
-    out_ = in;
-  }
+  Annotator(const Schema& in, const StatsSet& stats)
+      : in_(in), stats_(stats), out_(in), done_(in.size(), 0) {}
 
   Schema Run() {
     // The document root exists exactly once.
@@ -30,78 +27,69 @@ class Annotator {
  private:
   void AnnotateNamed(const std::string& name, const StatPath& path,
                      double instances) {
-    if (!in_.Has(name) || !done_.insert(name).second) return;
-    out_.Define(name, Walk(in_.Get(name), path, instances));
+    int type = in_.IndexOf(name);
+    if (type < 0 || done_[type]) return;
+    done_[type] = 1;
+    out_.Redefine(type, Walk(in_.body(type), path, instances));
+  }
+
+  // The first node in `t` that is not a reference, sequence or repetition,
+  // following references, a sequence's first item and a repetition's item;
+  // null past 32 steps. `depth` counts the steps.
+  TypePtr FirstItem(TypePtr t, int* depth) {
+    for (; t && *depth <= 32; ++*depth) {
+      switch (t->kind) {
+        case Type::Kind::kTypeRef:
+          t = in_.Find(t->ref_name);
+          break;
+        case Type::Kind::kSequence:
+          t = t->children.empty() ? nullptr : t->children[0];
+          break;
+        case Type::Kind::kRepetition:
+          t = t->child;
+          break;
+        default:
+          return t;
+      }
+    }
+    return nullptr;
   }
 
   // Statistics path of the first element reachable in `t` at `path`.
   std::optional<StatPath> FirstElementPath(const TypePtr& t,
                                            const StatPath& path, int depth) {
-    if (!t || depth > 32) return std::nullopt;
-    switch (t->kind) {
-      case Type::Kind::kElement: {
-        StatPath p = path;
-        p.push_back(PathStep(t->name));
-        return p;
-      }
-      case Type::Kind::kTypeRef: {
-        TypePtr body = in_.Find(t->ref_name);
-        return body ? FirstElementPath(body, path, depth + 1) : std::nullopt;
-      }
-      case Type::Kind::kSequence:
-        return t->children.empty()
-                   ? std::nullopt
-                   : FirstElementPath(t->children[0], path, depth + 1);
-      case Type::Kind::kRepetition:
-        return FirstElementPath(t->child, path, depth + 1);
-      default:
-        return std::nullopt;
-    }
+    TypePtr first = FirstItem(t, &depth);
+    if (!first || first->kind != Type::Kind::kElement) return std::nullopt;
+    StatPath p = path;
+    p.push_back(PathStep(first->name));
+    return p;
   }
 
   // Absolute occurrence count of the first element reachable in `t` at
   // `path` (used to compute repetition averages).
   std::optional<double> TotalCountOf(const TypePtr& t, const StatPath& path,
                                      int depth = 0) {
-    if (!t || depth > 32) return std::nullopt;
-    switch (t->kind) {
-      case Type::Kind::kElement: {
-        StatPath p = path;
-        p.push_back(PathStep(t->name));
-        auto n = stats_.Count(p);
-        if (n) return static_cast<double>(*n);
-        return std::nullopt;
-      }
-      case Type::Kind::kTypeRef: {
-        TypePtr body = in_.Find(t->ref_name);
-        return body ? TotalCountOf(body, path, depth + 1) : std::nullopt;
-      }
-      case Type::Kind::kUnion: {
-        // Sum the alternatives, but count each first-element path once:
-        // distributed partitions (Show_Part1 | Show_Part2) both start with
-        // <show> and describe disjoint subsets of the same elements.
-        double total = 0;
-        bool any = false;
-        std::set<StatPath> seen;
-        for (const auto& alt : t->children) {
-          std::optional<StatPath> p = FirstElementPath(alt, path, depth + 1);
-          if (!p || !seen.insert(*p).second) continue;
-          if (auto n = stats_.Count(*p)) {
-            total += static_cast<double>(*n);
-            any = true;
-          }
-        }
-        return any ? std::optional<double>(total) : std::nullopt;
-      }
-      case Type::Kind::kSequence:
-        return t->children.empty()
-                   ? std::nullopt
-                   : TotalCountOf(t->children[0], path, depth + 1);
-      case Type::Kind::kRepetition:
-        return TotalCountOf(t->child, path, depth + 1);
-      default:
-        return std::nullopt;
+    TypePtr first = FirstItem(t, &depth);
+    if (first && first->kind == Type::Kind::kElement) {
+      auto n = stats_.Count(*FirstElementPath(first, path, depth));
+      return n ? std::optional<double>(*n) : std::nullopt;
     }
+    if (!first || first->kind != Type::Kind::kUnion) return std::nullopt;
+    // Sum the alternatives, but count each first-element path once:
+    // distributed partitions (Show_Part1 | Show_Part2) both start with
+    // <show> and describe disjoint subsets of the same elements.
+    double total = 0;
+    bool any = false;
+    std::set<StatPath> seen;
+    for (const auto& alt : first->children) {
+      std::optional<StatPath> p = FirstElementPath(alt, path, depth + 1);
+      if (!p || !seen.insert(*p).second) continue;
+      if (auto n = stats_.Count(*p)) {
+        total += static_cast<double>(*n);
+        any = true;
+      }
+    }
+    return any ? std::optional<double>(total) : std::nullopt;
   }
 
   TypePtr Walk(const TypePtr& t, const StatPath& path, double instances) {
@@ -134,11 +122,16 @@ class Annotator {
         std::vector<double> weights = UnionWeights(t, path);
         std::vector<TypePtr> alts;
         alts.reserve(t->children.size());
+        bool all_refs = true;
         for (size_t i = 0; i < t->children.size(); ++i) {
           alts.push_back(
               Walk(t->children[i], path, instances * weights[i]));
+          all_refs = all_refs && t->children[i]->kind == Type::Kind::kTypeRef;
         }
-        AttachUnionWeights(t, path, &alts);
+        // A union of references carries its branch weights on them.
+        for (size_t i = 0; all_refs && i < alts.size(); ++i) {
+          alts[i] = Type::RefWeighted(t->children[i]->ref_name, weights[i]);
+        }
         return Type::Union(std::move(alts));
       }
       case Type::Kind::kRepetition: {
@@ -159,48 +152,28 @@ class Annotator {
     return t;
   }
 
-  // Estimates relative weights of union alternatives from statistics. Each
-  // alternative's size is the count of its first element; when those are
-  // indistinguishable (e.g. all branches start with the same tag, as in a
-  // distributed Show), the minimum count among singleton child elements
-  // inside the branch discriminates (e.g. box_office vs seasons).
-  // Normalized branch weights for a union (even split when statistics
-  // cannot discriminate the branches).
+  // Normalized branch weights for a union, an even split when statistics
+  // cannot discriminate the branches. A branch's estimate is the minimum
+  // count among the singleton child elements of a referenced branch, which
+  // tells apart branches that start with the same tag (e.g. box_office vs
+  // seasons in a distributed Show), else the count of its first element.
   std::vector<double> UnionWeights(const TypePtr& u, const StatPath& path) {
     size_t n = u->children.size();
     std::vector<double> weights(n, 1.0 / static_cast<double>(n));
     std::vector<double> estimates;
+    double sum = 0;
     for (const auto& alt : u->children) {
-      std::optional<double> est = BranchEstimate(alt, path);
+      std::optional<double> est;
+      if (alt->kind == Type::Kind::kTypeRef) {
+        est = InnerSingletonCount(alt, path);
+      }
+      if (!est) est = TotalCountOf(alt, path);
       if (!est || *est <= 0) return weights;
       estimates.push_back(*est);
+      sum += *est;
     }
-    double sum = 0;
-    for (double e : estimates) sum += e;
-    if (sum <= 0) return weights;
     for (size_t i = 0; i < n; ++i) weights[i] = estimates[i] / sum;
     return weights;
-  }
-
-  std::optional<double> BranchEstimate(const TypePtr& alt,
-                                       const StatPath& path) {
-    std::optional<double> inner;
-    if (alt->kind == Type::Kind::kTypeRef) {
-      inner = InnerSingletonCount(alt, path);
-    }
-    return inner ? inner : TotalCountOf(alt, path);
-  }
-
-  void AttachUnionWeights(const TypePtr& u, const StatPath& path,
-                          std::vector<TypePtr>* alts) {
-    for (const auto& alt : u->children) {
-      if (alt->kind != Type::Kind::kTypeRef) return;
-    }
-    std::vector<double> weights = UnionWeights(u, path);
-    for (size_t i = 0; i < alts->size(); ++i) {
-      (*alts)[i] =
-          Type::RefWeighted(u->children[i]->ref_name, weights[i]);
-    }
   }
 
   // Minimum occurrence count among the singleton ({1,1}) literal child
@@ -215,21 +188,19 @@ class Annotator {
     StatPath subpath = path;
     subpath.push_back(body->name.name);
     std::optional<double> best;
-    std::function<void(const TypePtr&)> scan = [&](const TypePtr& t) {
-      if (t->kind == Type::Kind::kSequence) {
-        for (const auto& c : t->children) scan(c);
-        return;
+    // Sequences are flat: a sequence's items are not sequences.
+    const TypePtr& content = body->child;
+    for (const TypePtr& t : content->kind == Type::Kind::kSequence
+                                ? content->children
+                                : std::vector<TypePtr>{content}) {
+      if (t->kind != Type::Kind::kElement) continue;
+      StatPath p = subpath;
+      p.push_back(PathStep(t->name));
+      if (auto n = stats_.Count(p)) {
+        double v = static_cast<double>(*n);
+        if (!best || v < *best) best = v;
       }
-      if (t->kind == Type::Kind::kElement) {
-        StatPath p = subpath;
-        p.push_back(PathStep(t->name));
-        if (auto n = stats_.Count(p)) {
-          double v = static_cast<double>(*n);
-          if (!best || v < *best) best = v;
-        }
-      }
-    };
-    scan(body->child);
+    }
     return best;
   }
 
@@ -258,7 +229,7 @@ class Annotator {
   const Schema& in_;
   const StatsSet& stats_;
   Schema out_;
-  std::set<std::string> done_;
+  std::vector<char> done_;  // by type index
 };
 
 }  // namespace

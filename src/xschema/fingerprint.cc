@@ -1,7 +1,5 @@
 #include "xschema/fingerprint.h"
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -65,12 +63,13 @@ uint64_t FingerprintType(const TypePtr& type) {
 }
 
 uint64_t FingerprintSchema(const Schema& schema) {
-  std::vector<std::string> names = schema.ReachableFromRoot();
-  std::sort(names.begin(), names.end());
+  std::vector<char> reachable(schema.size(), 0);
+  for (int t : schema.ReachableFromRoot()) reachable[t] = 1;
   uint64_t h = HashString(schema.root_type());
-  for (const auto& name : names) {
-    h = HashCombine(h, HashString(name));
-    h = HashCombine(h, FingerprintType(schema.Find(name)));
+  for (int t : schema.name_order()) {
+    if (!reachable[t]) continue;
+    h = HashCombine(h, HashString(schema.name(t)));
+    h = HashCombine(h, FingerprintType(schema.body(t)));
   }
   return Mix64(h);
 }

@@ -100,20 +100,18 @@ class Parser {
       std::string name = lex_.current().text;
       lex_.Advance();
       if (!ConsumePunct("=")) return Error("expected '=' after type name");
-      auto type = ParseTypeExpr();
-      if (!type.ok()) return type.status();
+      LEGODB_ASSIGN_OR_RETURN(TypePtr type, ParseTypeExpr());
       if (schema.Has(name)) {
         return Error("duplicate definition of type '" + name + "'");
       }
-      schema.Define(name, std::move(type).value());
+      schema.Define(name, std::move(type));
     }
     if (schema.size() == 0) return Error("empty schema");
     return schema;
   }
 
   StatusOr<TypePtr> ParseSingleType() {
-    auto type = ParseTypeExpr();
-    if (!type.ok()) return type.status();
+    LEGODB_ASSIGN_OR_RETURN(TypePtr type, ParseTypeExpr());
     if (!AtEnd()) return Error("trailing input after type expression");
     return type;
   }
@@ -141,84 +139,59 @@ class Parser {
 
   // type := seq ('|' seq)*
   StatusOr<TypePtr> ParseTypeExpr() {
-    auto first = ParseSeq();
-    if (!first.ok()) return first.status();
     std::vector<TypePtr> alts;
-    alts.push_back(std::move(first).value());
-    while (ConsumePunct("|")) {
-      auto next = ParseSeq();
-      if (!next.ok()) return next.status();
-      alts.push_back(std::move(next).value());
-    }
+    do {
+      LEGODB_ASSIGN_OR_RETURN(alts.emplace_back(), ParseSeq());
+    } while (ConsumePunct("|"));
     return Type::Union(std::move(alts));
   }
 
   // seq := item (',' item)*
   StatusOr<TypePtr> ParseSeq() {
-    auto first = ParseItem();
-    if (!first.ok()) return first.status();
     std::vector<TypePtr> items;
-    items.push_back(std::move(first).value());
-    while (ConsumePunct(",")) {
-      auto next = ParseItem();
-      if (!next.ok()) return next.status();
-      items.push_back(std::move(next).value());
-    }
+    do {
+      LEGODB_ASSIGN_OR_RETURN(items.emplace_back(), ParseItem());
+    } while (ConsumePunct(","));
     return Type::Sequence(std::move(items));
   }
 
   // item := primary occurs*
   StatusOr<TypePtr> ParseItem() {
-    auto primary = ParsePrimary();
-    if (!primary.ok()) return primary.status();
-    TypePtr t = std::move(primary).value();
-    while (true) {
-      if (IsPunct("*") || IsPunct("+") || IsPunct("?") || IsPunct("{")) {
-        auto rep = ParseOccurs(std::move(t));
-        if (!rep.ok()) return rep.status();
-        t = std::move(rep).value();
-      } else {
-        return t;
-      }
+    LEGODB_ASSIGN_OR_RETURN(TypePtr t, ParsePrimary());
+    while (IsPunct("*") || IsPunct("+") || IsPunct("?") || IsPunct("{")) {
+      LEGODB_ASSIGN_OR_RETURN(t, ParseOccurs(std::move(t)));
     }
+    return t;
   }
 
   StatusOr<TypePtr> ParseOccurs(TypePtr inner) {
-    uint32_t min = 1, max = 1;
-    if (ConsumePunct("*")) {
-      min = 0;
-      max = kUnbounded;
-    } else if (ConsumePunct("+")) {
+    uint32_t min = 0, max = kUnbounded;  // '*'
+    if (ConsumePunct("+")) {
       min = 1;
-      max = kUnbounded;
     } else if (ConsumePunct("?")) {
-      min = 0;
       max = 1;
     } else if (ConsumePunct("{")) {
-      auto lo = ParseNumber();
-      if (!lo.ok()) return lo.status();
-      min = static_cast<uint32_t>(lo.value());
+      LEGODB_ASSIGN_OR_RETURN(int64_t lo, ParseNumber());
+      min = static_cast<uint32_t>(lo);
       if (!ConsumePunct(",")) return Error("expected ',' in {m,n}");
       if (ConsumePunct("*")) {
         max = kUnbounded;
       } else {
-        auto hi = ParseNumber();
-        if (!hi.ok()) return hi.status();
-        max = static_cast<uint32_t>(hi.value());
+        LEGODB_ASSIGN_OR_RETURN(int64_t hi, ParseNumber());
+        max = static_cast<uint32_t>(hi);
         if (max < min) return Error("repetition bounds out of order");
       }
       if (!ConsumePunct("}")) return Error("expected '}'");
-    } else {
+    } else if (!ConsumePunct("*")) {
       return Error("expected occurrence indicator");
     }
     double avg_count = 0;
     if (IsPunct("<")) {
-      auto stats = ParseStatNumbers();
-      if (!stats.ok()) return stats.status();
-      if (stats.value().size() != 1) {
+      LEGODB_ASSIGN_OR_RETURN(std::vector<int64_t> stats, ParseStatNumbers());
+      if (stats.size() != 1) {
         return Error("occurrence statistics take a single <#count>");
       }
-      avg_count = static_cast<double>(stats.value()[0]);
+      avg_count = static_cast<double>(stats[0]);
     }
     return Type::Repetition(std::move(inner), min, max, avg_count);
   }
@@ -239,9 +212,7 @@ class Parser {
     std::vector<int64_t> numbers;
     do {
       if (!ConsumePunct("#")) return Error("expected '#' in statistics");
-      auto n = ParseNumber();
-      if (!n.ok()) return n.status();
-      numbers.push_back(n.value());
+      LEGODB_ASSIGN_OR_RETURN(numbers.emplace_back(), ParseNumber());
     } while (ConsumePunct(","));
     if (!ConsumePunct(">")) return Error("expected '>'");
     return numbers;
@@ -250,9 +221,8 @@ class Parser {
   StatusOr<TypePtr> ParseScalar(ScalarKind kind) {
     ScalarStats stats;
     if (IsPunct("<")) {
-      auto numbers = ParseStatNumbers();
-      if (!numbers.ok()) return numbers.status();
-      const auto& ns = numbers.value();
+      LEGODB_ASSIGN_OR_RETURN(const std::vector<int64_t> ns,
+                              ParseStatNumbers());
       if (kind == ScalarKind::kString) {
         // String<#size> or String<#size,#distincts>
         if (ns.size() > 2) return Error("too many String statistics");
@@ -277,8 +247,7 @@ class Parser {
   StatusOr<TypePtr> ParseBracketContent() {
     if (!ConsumePunct("[")) return Error("expected '['");
     if (ConsumePunct("]")) return Type::Empty();
-    auto content = ParseTypeExpr();
-    if (!content.ok()) return content.status();
+    LEGODB_ASSIGN_OR_RETURN(TypePtr content, ParseTypeExpr());
     if (!ConsumePunct("]")) return Error("expected ']'");
     return content;
   }
@@ -287,8 +256,7 @@ class Parser {
     // Parenthesized group or empty content.
     if (ConsumePunct("(")) {
       if (ConsumePunct(")")) return Type::Empty();
-      auto inner = ParseTypeExpr();
-      if (!inner.ok()) return inner.status();
+      LEGODB_ASSIGN_OR_RETURN(TypePtr inner, ParseTypeExpr());
       if (!ConsumePunct(")")) return Error("expected ')'");
       return inner;
     }
@@ -299,9 +267,8 @@ class Parser {
       }
       std::string name = lex_.current().text;
       lex_.Advance();
-      auto content = ParseBracketContent();
-      if (!content.ok()) return content.status();
-      return Type::Attribute(std::move(name), std::move(content).value());
+      LEGODB_ASSIGN_OR_RETURN(TypePtr content, ParseBracketContent());
+      return Type::Attribute(std::move(name), std::move(content));
     }
     // Wildcard element: ~[t] or ~!a[t].
     if (ConsumePunct("~")) {
@@ -309,24 +276,15 @@ class Parser {
     }
     if (lex_.current().kind == Token::Kind::kIdent) {
       std::string ident = lex_.current().text;
-      if (ident == "String") {
-        lex_.Advance();
-        return ParseScalar(ScalarKind::kString);
-      }
-      if (ident == "Integer") {
-        lex_.Advance();
-        return ParseScalar(ScalarKind::kInteger);
-      }
-      if (ident == "TILDE") {  // Appendix-B spelling of '~'.
-        lex_.Advance();
-        return ParseWildcardElement();
-      }
       lex_.Advance();
+      if (ident == "String") return ParseScalar(ScalarKind::kString);
+      if (ident == "Integer") return ParseScalar(ScalarKind::kInteger);
+      // Appendix-B spelling of '~'.
+      if (ident == "TILDE") return ParseWildcardElement();
       // Identifier followed by '[' is an element; otherwise a type ref.
       if (IsPunct("[")) {
-        auto content = ParseBracketContent();
-        if (!content.ok()) return content.status();
-        return Type::Element(ident, std::move(content).value());
+        LEGODB_ASSIGN_OR_RETURN(TypePtr content, ParseBracketContent());
+        return Type::Element(ident, std::move(content));
       }
       return Type::Ref(std::move(ident));
     }
@@ -343,9 +301,8 @@ class Parser {
       nc = NameClass::AnyExcept(lex_.current().text);
       lex_.Advance();
     }
-    auto content = ParseBracketContent();
-    if (!content.ok()) return content.status();
-    return Type::Element(nc, std::move(content).value());
+    LEGODB_ASSIGN_OR_RETURN(TypePtr content, ParseBracketContent());
+    return Type::Element(nc, std::move(content));
   }
 
   Lexer lex_;

@@ -34,6 +34,28 @@ std::shared_ptr<Type> NewType(Type::Kind kind) {
   t->kind = kind;
   return t;
 }
+
+// A sequence or union of `items`, nested ones of the same kind spliced in
+// (and empties dropped from a sequence); Empty() for none, the item for one.
+TypePtr Flatten(Type::Kind kind, std::vector<TypePtr> items) {
+  std::vector<TypePtr> flat;
+  for (auto& item : items) {
+    if (!item || (kind == Type::Kind::kSequence &&
+                  item->kind == Type::Kind::kEmpty)) {
+      continue;
+    }
+    if (item->kind == kind) {
+      flat.insert(flat.end(), item->children.begin(), item->children.end());
+    } else {
+      flat.push_back(std::move(item));
+    }
+  }
+  if (flat.empty()) return Type::Empty();
+  if (flat.size() == 1) return flat[0];
+  auto t = NewType(kind);
+  t->children = std::move(flat);
+  return t;
+}
 }  // namespace
 
 TypePtr Type::Empty() {
@@ -78,37 +100,11 @@ TypePtr Type::Attribute(std::string name, TypePtr content) {
 }
 
 TypePtr Type::Sequence(std::vector<TypePtr> items) {
-  std::vector<TypePtr> flat;
-  for (auto& item : items) {
-    if (!item || item->kind == Kind::kEmpty) continue;
-    if (item->kind == Kind::kSequence) {
-      flat.insert(flat.end(), item->children.begin(), item->children.end());
-    } else {
-      flat.push_back(std::move(item));
-    }
-  }
-  if (flat.empty()) return Empty();
-  if (flat.size() == 1) return flat[0];
-  auto t = NewType(Kind::kSequence);
-  t->children = std::move(flat);
-  return t;
+  return Flatten(Kind::kSequence, std::move(items));
 }
 
 TypePtr Type::Union(std::vector<TypePtr> alternatives) {
-  std::vector<TypePtr> flat;
-  for (auto& alt : alternatives) {
-    if (!alt) continue;
-    if (alt->kind == Kind::kUnion) {
-      flat.insert(flat.end(), alt->children.begin(), alt->children.end());
-    } else {
-      flat.push_back(std::move(alt));
-    }
-  }
-  if (flat.empty()) return Empty();
-  if (flat.size() == 1) return flat[0];
-  auto t = NewType(Kind::kUnion);
-  t->children = std::move(flat);
-  return t;
+  return Flatten(Kind::kUnion, std::move(alternatives));
 }
 
 TypePtr Type::Repetition(TypePtr item, uint32_t min, uint32_t max,
@@ -127,9 +123,7 @@ TypePtr Type::Optional(TypePtr item) {
 }
 
 TypePtr Type::Ref(std::string type_name) {
-  auto t = NewType(Kind::kTypeRef);
-  t->ref_name = std::move(type_name);
-  return t;
+  return RefWeighted(std::move(type_name), 0);
 }
 
 TypePtr Type::RefWeighted(std::string type_name, double weight) {

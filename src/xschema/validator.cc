@@ -16,13 +16,7 @@ struct State {
   size_t pos;
   std::set<std::string> attrs;
 
-  bool operator<(const State& other) const {
-    if (pos != other.pos) return pos < other.pos;
-    return attrs < other.attrs;
-  }
-  bool operator==(const State& other) const {
-    return pos == other.pos && attrs == other.attrs;
-  }
+  auto operator<=>(const State&) const = default;
 };
 
 class Matcher {
@@ -39,14 +33,12 @@ class Matcher {
     for (const State& s : finals) {
       if (s.pos != items.size()) continue;
       // Every attribute present on the element must have been matched.
-      bool all_attrs = true;
-      for (const auto& [name, value] : element.attributes()) {
-        if (!s.attrs.count(name)) {
-          all_attrs = false;
-          break;
-        }
+      const auto& attributes = element.attributes();
+      if (std::all_of(attributes.begin(), attributes.end(), [&](const auto& a) {
+            return s.attrs.count(a.first) > 0;
+          })) {
+        return true;
       }
-      if (all_attrs) return true;
     }
     return false;
   }
@@ -179,12 +171,11 @@ class Matcher {
         out = std::move(all);
         break;
       }
-      case Type::Kind::kTypeRef: {
-        TypePtr body = schema_.Find(t->ref_name);
-        if (!body) break;
-        out = Match(body, items, parent, std::move(starts), depth + 1);
+      case Type::Kind::kTypeRef:
+        // An undefined name matches nothing.
+        out = Match(schema_.Find(t->ref_name), items, parent,
+                    std::move(starts), depth + 1);
         break;
-      }
     }
     Dedup(&out);
     return out;

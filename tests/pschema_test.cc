@@ -3,10 +3,21 @@
 // inline/outline primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+
+#include "auction/auction.h"
+#include "common/hash.h"
+#include "core/transforms.h"
 #include "imdb/imdb.h"
 #include "pschema/pschema.h"
+#include "schema_fuzzer.h"
 #include "xml/parser.h"
+#include "xschema/annotate.h"
+#include "xschema/fingerprint.h"
 #include "xschema/schema_parser.h"
+#include "xschema/stats_collector.h"
 #include "xschema/validator.h"
 
 namespace legodb::ps {
@@ -274,6 +285,121 @@ TEST(Candidates, MoveSetsShrinkToFixpoint) {
   }
   EXPECT_GT(steps, 5);
   EXPECT_TRUE(CheckPhysical(s).ok());
+}
+
+// ---- The type table against name resolution ----
+
+// The index of the type named `name` by a scan of the declarations, or -1.
+int ScanIndex(const Schema& s, const std::string& name) {
+  const std::vector<std::string> names = s.type_names();
+  auto it = std::find(names.begin(), names.end(), name);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+// The names the type references in `t` name, in pre-order.
+void RefNames(const TypePtr& t, std::vector<std::string>* out) {
+  if (t->kind == Type::Kind::kTypeRef) out->push_back(t->ref_name);
+  if (t->child) RefNames(t->child, out);
+  for (const auto& c : t->children) RefNames(c, out);
+}
+
+std::vector<std::string> RefNamesOf(const Schema& s, const std::string& n) {
+  std::vector<std::string> refs;
+  RefNames(s.body(ScanIndex(s, n)), &refs);
+  return refs;
+}
+
+// The reachability walk over names that the type table replaced.
+std::vector<std::string> ReachableByName(const Schema& s) {
+  std::vector<std::string> order;
+  std::set<std::string> visited;
+  std::function<void(const std::string&)> visit = [&](const std::string& n) {
+    if (!visited.insert(n).second || ScanIndex(s, n) < 0) return;
+    order.push_back(n);
+    for (const auto& ref : RefNamesOf(s, n)) visit(ref);
+  };
+  if (!s.root_type().empty()) visit(s.root_type());
+  return order;
+}
+
+// The recursion test over names that the type table replaced.
+bool IsRecursiveByName(const Schema& s, const std::string& name) {
+  std::set<std::string> visited;
+  std::function<bool(const std::string&)> visit =
+      [&](const std::string& n) -> bool {
+    if (ScanIndex(s, n) < 0) return false;
+    for (const auto& ref : RefNamesOf(s, n)) {
+      if (ref == name) return true;
+      if (visited.insert(ref).second && visit(ref)) return true;
+    }
+    return false;
+  };
+  return visit(name);
+}
+
+// Every configuration the search can start from or move to in one step,
+// over IMDB, the auction schema and generated schemas, with all rewritings
+// on: each type's resolved references, the reachability order and the
+// recursion test agree with resolving names, and the configurations print,
+// list their types and fingerprint as recorded.
+TEST(TypeTable, AgreesWithNameResolutionOverSearchMoves) {
+  core::TransformOptions moves;
+  moves.union_distribute = true;
+  moves.union_to_options = true;
+  moves.repetition_split = true;
+  moves.repetition_merge = true;
+  moves.wildcard_materialize = true;
+  moves.wildcard_tags = {"nyt", "text"};
+  xs::StatsCollector collector;
+  collector.AddDocument(auction::Generate(auction::AuctionScale{}));
+  std::vector<Schema> schemas{
+      xs::AnnotateSchema(*imdb::Schema(), *imdb::Stats()),
+      xs::AnnotateSchema(*auction::Schema(), collector.Finish())};
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    schemas.push_back(SchemaFuzzer(seed).Generate());
+  }
+  uint64_t digest = 0;
+  int configs = 0;
+  for (const Schema& schema : schemas) {
+    for (const Schema& start :
+         {Normalize(schema), AllInlined(schema), AllOutlined(schema)}) {
+      std::vector<Schema> candidates{start};
+      for (const auto& t : core::EnumerateTransformations(start, moves)) {
+        auto next = core::ApplyTransformation(start, t);
+        if (next.ok()) candidates.push_back(std::move(next).value());
+      }
+      for (const Schema& config : candidates) {
+        ++configs;
+        const std::vector<std::string> names = config.type_names();
+        for (int i = 0; i < static_cast<int>(config.size()); ++i) {
+          std::vector<int> resolved;
+          for (const auto& ref : RefNamesOf(config, names[i])) {
+            resolved.push_back(ScanIndex(config, ref));
+          }
+          ASSERT_EQ(config.refs(i), resolved) << names[i];
+          ASSERT_EQ(config.IsRecursive(i), IsRecursiveByName(config, names[i]))
+              << names[i];
+        }
+        std::vector<std::string> reachable;
+        for (int i : config.ReachableFromRoot()) reachable.push_back(names[i]);
+        ASSERT_EQ(reachable, ReachableByName(config));
+        ASSERT_EQ(config.root(), ScanIndex(config, config.root_type()));
+        std::vector<std::string> sorted;
+        for (int i : config.name_order()) sorted.push_back(names[i]);
+        ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+        ASSERT_EQ(sorted.size(), names.size());
+
+        digest = common::HashCombine(digest,
+                                     common::HashString(config.ToString()));
+        for (const auto& name : names) {
+          digest = common::HashCombine(digest, common::HashString(name));
+        }
+        digest = common::HashCombine(digest, xs::FingerprintSchema(config));
+      }
+    }
+  }
+  EXPECT_EQ(configs, 629);
+  EXPECT_EQ(digest, 0xc473b7bf7762df38ull);
 }
 
 }  // namespace

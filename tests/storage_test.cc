@@ -457,6 +457,19 @@ TEST(Reconstruct, ScalarAndAttribute) {
                   "<a k=\"v\"><x>s</x><y>7</y></a>");
 }
 
+TEST(Reconstruct, ForeignKeyNamedLikeTheKeyTakesASuffix) {
+  // Table `parent` keys on parent_id, the name its foreign key to type `id`
+  // would take too; the foreign key takes the first free suffix.
+  const char* schema = "type id = r[ parent* ] type parent = p[ String ]";
+  map::Mapping m = MapText(schema);
+  const rel::Table* parent = m.catalog().FindTable("parent");
+  ASSERT_NE(parent, nullptr);
+  EXPECT_EQ(parent->key_column, "parent_id");
+  ASSERT_EQ(parent->foreign_keys.size(), 1u);
+  EXPECT_EQ(parent->foreign_keys[0].column, "parent_id_2");
+  ExpectRoundTrip(schema, "<r><p>x</p></r>");
+}
+
 TEST(Reconstruct, OptionalPresentAndAbsent) {
   ExpectRoundTrip("type A = a[ x[ String ]?, y[ String ] ]",
                   "<a><x>1</x><y>2</y></a>");

@@ -209,29 +209,113 @@ TEST(ParsePrintFixpoint, ImdbSchema) {
 
 // ---- Schema operations ----
 
-TEST(Schema, ReferencedTypes) {
+// The names of types `indexes`.
+std::vector<std::string> Names(const Schema& schema,
+                               const std::vector<int>& indexes) {
+  std::vector<std::string> names;
+  for (int i : indexes) names.push_back(schema.name(i));
+  return names;
+}
+
+TEST(Schema, ReferencesResolveToIndexesInPreOrder) {
   auto schema = *ParseSchema(
       "type A = a[ B, C* ] type B = b[ String ] type C = c[ B? ]");
-  auto refs = Schema::ReferencedTypes(schema.Get("A"));
-  EXPECT_EQ(refs, (std::vector<std::string>{"B", "C"}));
+  EXPECT_EQ(schema.type_names(), (std::vector<std::string>{"A", "B", "C"}));
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(schema.refs(1).empty());
+  EXPECT_EQ(schema.refs(2), (std::vector<int>{1}));
+  EXPECT_EQ(schema.IndexOf("C"), 2);
+  EXPECT_EQ(schema.IndexOf("D"), -1);
+  EXPECT_EQ(schema.root(), 0);
+}
+
+TEST(Schema, ForwardReferenceResolvesWhenDefined) {
+  Schema schema;
+  schema.Define("A", Type::Element("a", Type::Sequence({Type::Ref("B"),
+                                                         Type::Ref("B")})));
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{-1, -1}));
+  EXPECT_FALSE(schema.Validate().ok());
+  EXPECT_EQ(schema.Define("B", Type::Element("b", Type::Ref("A"))), 1);
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{1, 1}));
+  EXPECT_EQ(schema.refs(1), (std::vector<int>{0}));
+  EXPECT_TRUE(schema.Validate().ok());
+  // A root named before it is defined resolves the same way.
+  Schema late;
+  late.set_root_type("R");
+  EXPECT_EQ(late.root(), -1);
+  late.Define("X", Type::Element("x", Type::String()));
+  late.Define("R", Type::Element("r", Type::Ref("X")));
+  EXPECT_EQ(late.root(), 1);
+  EXPECT_EQ(Names(late, late.ReachableFromRoot()),
+            (std::vector<std::string>{"R", "X"}));
+}
+
+TEST(Schema, RedefiningDropsAndAddsReferences) {
+  auto schema = *ParseSchema(
+      "type A = a[ B ] type B = b[ String ] type C = c[ String ]");
+  EXPECT_EQ(schema.Define("A", Type::Element("a", Type::String())), 0);
+  EXPECT_TRUE(schema.refs(0).empty());
+  EXPECT_EQ(Names(schema, schema.ReachableFromRoot()),
+            (std::vector<std::string>{"A"}));
+  schema.Redefine(0, Type::Element("a", Type::Sequence({Type::Ref("C"),
+                                                        Type::Ref("B")})));
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{2, 1}));
+  EXPECT_EQ(Names(schema, schema.ReachableFromRoot()),
+            (std::vector<std::string>{"A", "C", "B"}));
+  EXPECT_EQ(schema.size(), 3u);
+}
+
+TEST(Schema, UndefineShiftsLaterIndexes) {
+  auto schema = *ParseSchema(
+      "type A = a[ B, C, D ] type B = b[ C ] type C = c[ D? ] "
+      "type D = d[ String ]");
+  schema.Undefine(schema.IndexOf("B"));
+  EXPECT_EQ(schema.type_names(), (std::vector<std::string>{"A", "C", "D"}));
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{-1, 1, 2}));
+  EXPECT_EQ(schema.refs(1), (std::vector<int>{2}));
+  EXPECT_EQ(schema.IndexOf("B"), -1);
+  EXPECT_EQ(schema.IndexOf("D"), 2);
+  EXPECT_EQ(schema.name_order(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(schema.Validate().ToString(),
+            "InvalidArgument: type 'A' references undefined type 'B'");
+  // Defining the name again resolves the dangling reference.
+  EXPECT_EQ(schema.Define("B", Type::Element("b", Type::String())), 3);
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{3, 1, 2}));
+  EXPECT_TRUE(schema.Validate().ok());
+  // Undefining the root leaves it named but unresolved.
+  schema.Undefine(0);
+  EXPECT_EQ(schema.root(), -1);
+  EXPECT_EQ(schema.Validate().ToString(),
+            "InvalidArgument: root type 'A' is not defined");
 }
 
 TEST(Schema, ReachableAndGarbageCollect) {
   auto schema = *ParseSchema(
-      "type A = a[ B ] type B = b[ String ] type Z = z[ String ]");
-  EXPECT_EQ(schema.ReachableFromRoot(),
-            (std::vector<std::string>{"A", "B"}));
+      "type A = a[ C, B ] type Z = z[ B ] type B = b[ String ] "
+      "type C = c[ A? ]");
+  EXPECT_EQ(Names(schema, schema.ReachableFromRoot()),
+            (std::vector<std::string>{"A", "C", "B"}));
   schema.GarbageCollect();
   EXPECT_FALSE(schema.Has("Z"));
-  EXPECT_TRUE(schema.Has("B"));
+  EXPECT_EQ(schema.type_names(), (std::vector<std::string>{"A", "B", "C"}));
+  EXPECT_EQ(schema.refs(0), (std::vector<int>{2, 1}));
+  EXPECT_EQ(schema.refs(2), (std::vector<int>{0}));
+  EXPECT_EQ(schema.root(), 0);
+  EXPECT_EQ(schema.IndexOf("C"), 2);
+  EXPECT_TRUE(schema.Validate().ok());
 }
 
 TEST(Schema, RecursionDetection) {
   auto schema = *ParseSchema(
-      "type A = a[ B? ] type B = b[ A? ] type C = c[ String ]");
-  EXPECT_TRUE(schema.IsRecursive("A"));
-  EXPECT_TRUE(schema.IsRecursive("B"));
-  EXPECT_FALSE(schema.IsRecursive("C"));
+      "type A = a[ B? ] type B = b[ C, A? ] type C = c[ String ] "
+      "type D = d[ D* ] type E = e[ A ]");
+  EXPECT_TRUE(schema.IsRecursive(schema.IndexOf("A")));
+  EXPECT_TRUE(schema.IsRecursive(schema.IndexOf("B")));
+  EXPECT_FALSE(schema.IsRecursive(schema.IndexOf("C")));
+  EXPECT_TRUE(schema.IsRecursive(schema.IndexOf("D")));
+  // E reaches the A/B cycle but is not on it.
+  EXPECT_FALSE(schema.IsRecursive(schema.IndexOf("E")));
+  EXPECT_FALSE(schema.IsRecursive(-1));
 }
 
 TEST(Schema, FreshTypeName) {

@@ -7,6 +7,7 @@
 #   tools/check.sh --asan                    # ASan/UBSan build of the
 #                                            # optimizer, executor, serving,
 #                                            # storage, shred/reconstruct,
+#                                            # schema, p-schema, transform,
 #                                            # mapping, translation,
 #                                            # update-costing and search
 #                                            # suites, then two
@@ -36,8 +37,12 @@
 # mapping's schema and the database's columns and indexes:
 # fuzz_roundtrip_test (generated documents, every foreign-key hash index
 # probed through its span API) and equivalence_test (its
-# CrossConfigRoundTrip covers every IMDB configuration). It also runs the
-# candidate-costing suites
+# CrossConfigRoundTrip covers every IMDB configuration). It runs the suites
+# over the schema's type table, which keeps each type's references as
+# indexes and renumbers them when a type is undefined or collected:
+# xschema_test, pschema_test (its TypeTable test checks every search
+# start and single-move neighbour against name resolution) and
+# transforms_test. It also runs the candidate-costing suites
 # whose layers index flat vectors by id or hold node pointers into the
 # mapping's schema: the mapper's instance-count fixpoint and entry lists
 # (mapping_test), query translation's interned variables, route deltas and
@@ -85,10 +90,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build build-asan -j"$(nproc)" --target \
     optimizer_test costmodel_test engine_equivalence_test engine_test \
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
-    equivalence_test mapping_test translate_test update_test search_test \
-    micro_engine calibration
+    equivalence_test xschema_test pschema_test transforms_test mapping_test \
+    translate_test update_test search_test micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|mapping_test|translate_test|update_test|search_test)$'
+    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \
