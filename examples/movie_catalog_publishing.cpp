@@ -56,9 +56,10 @@ int main() {
   std::printf("shredded %zu XML nodes into %zu rows across %zu tables\n",
               doc.root->SubtreeSize(), db.TotalRows(),
               mapping.catalog().size());
-  for (const auto& name : mapping.catalog().table_names()) {
-    std::printf("  %-12s %6zu rows\n", name.c_str(),
-                db.GetTable(name).row_count());
+  for (size_t i = 0; i < db.size(); ++i) {
+    const store::StoredTable& table = db.table(static_cast<int>(i));
+    std::printf("  %-12s %6zu rows\n", table.meta().name.c_str(),
+                table.row_count());
   }
 
   // Publish all shows through the relational engine.
@@ -83,7 +84,7 @@ int main() {
     if (tm.virtual_union) continue;
     const xs::Type& body = *mapping.schema().Get(tm.type_name);
     if (body.kind == xs::Type::Kind::kElement && body.name.name == "show") {
-      const store::StoredTable& table = db.GetTable(tm.table);
+      const store::StoredTable& table = db.table(tm.table);
       if (table.row_count() == 0) continue;
       int key = table.meta().ColumnIndex(table.meta().key_column);
       auto first = table.ReadRow(0);
@@ -94,7 +95,7 @@ int main() {
                                      holder.get())
               .ok()) {
         std::printf("\nreconstructed <show> (id %lld) from table %s:\n%s",
-                    static_cast<long long>(id), tm.table.c_str(),
+                    static_cast<long long>(id), tm.type_name.c_str(),
                     xml::Serialize(*holder->children()[0]).c_str());
       }
       break;

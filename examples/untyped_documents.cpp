@@ -53,11 +53,13 @@ int main() {
     return 1;
   }
   std::printf("shredded into:\n");
-  for (const auto& name : mapping->catalog().table_names()) {
-    std::printf("  %-12s %3zu rows\n", name.c_str(),
-                db.GetTable(name).row_count());
+  for (size_t i = 0; i < db.size(); ++i) {
+    const store::StoredTable& table = db.table(static_cast<int>(i));
+    std::printf("  %-12s %3zu rows\n", table.meta().name.c_str(),
+                table.row_count());
   }
-  const store::StoredTable& any = db.GetTable("AnyElement");
+  const store::StoredTable& any =
+      db.table(mapping->catalog().IndexOf("AnyElement"));
   std::printf("\nAnyElement rows (tag, parent):\n");
   int tilde = any.meta().ColumnIndex("tilde");
   int fk_any = any.meta().ColumnIndex("parent_AnyElement");

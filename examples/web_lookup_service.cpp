@@ -87,7 +87,7 @@ int main() {
   auto query = xq::ParseQuery(imdb::QueryText("Q1"));
   auto rq = xlat::TranslateQuery(query.value(), mapping);
   auto planned = optimizer.PlanQuery(rq.value());
-  std::printf("\nSQL for Q1:\n%s\n\nplan:\n", rq->ToSql().c_str());
+  std::printf("\nSQL for Q1:\n%s\n\nplan:\n", rq->ToSql(mapping.catalog()).c_str());
   for (size_t i = 0; i < planned->blocks.size(); ++i) {
     std::printf("%s",
                 planned->blocks[i].plan->ToString(rq->blocks[i]).c_str());

@@ -30,7 +30,7 @@ double SubtreeRowCost(const map::Mapping& m, const map::TypeMapping& tm,
     }
     return total;
   }
-  const rel::Table& table = m.catalog().GetTable(tm.table);
+  const rel::Table& table = m.catalog().table(tm.table);
   double indexes = 1.0 + static_cast<double>(table.foreign_keys.size());
   double row = table.RowWidth() * p.write_per_byte + indexes * p.seek_cost;
   for (const auto& child : tm.children) {
@@ -93,8 +93,7 @@ StatusOr<double> CostUpdate(const map::Mapping& mapping, const UpdateOp& op,
       // New row(s) in the target's table and its expected descendants.
       write = SubtreeRowCost(mapping, *target.outlined, params, 0);
     } else {
-      const rel::Table& table =
-          mapping.catalog().GetTable(target.type->table);
+      const rel::Table& table = mapping.catalog().table(target.type->table);
       // Inlined content: read-modify-write of the whole (wide) row plus
       // the owning table's index maintenance.
       double indexes =

@@ -50,7 +50,7 @@ class FieldHasher {
   uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-uint64_t TableStatsHash(const rel::Table& t) {
+uint64_t TableStatsHash(const rel::Catalog& catalog, const rel::Table& t) {
   uint64_t h = common::HashString(t.name);
   h = common::HashCombine(h, common::HashString(t.key_column));
   h = common::HashDouble(t.row_count, h);
@@ -67,21 +67,19 @@ uint64_t TableStatsHash(const rel::Table& t) {
   }
   for (const auto& fk : t.foreign_keys) {
     h = common::HashCombine(h, common::HashString(fk.column));
-    h = common::HashCombine(h, common::HashString(fk.parent_table));
+    h = common::HashCombine(
+        h, common::HashString(catalog.table(fk.parent).name));
   }
   return h;
 }
 
 }  // namespace
 
-uint64_t CostCacheKeyer::TableHash(const std::string& name) {
-  const rel::Table* table = &catalog_.GetTable(name);
-  for (const auto& [t, h] : table_hashes_) {
-    if (t == table) return h;
-  }
-  uint64_t h = TableStatsHash(*table);
-  table_hashes_.emplace_back(table, h);
-  return h;
+uint64_t CostCacheKeyer::TableHash(int index) {
+  const rel::Table& table = catalog_.table(index);
+  std::optional<uint64_t>& h = table_hashes_[index];
+  if (!h) h = TableStatsHash(catalog_, table);
+  return *h;
 }
 
 uint64_t CostCacheKeyer::Key(const opt::RelQuery& query) {
@@ -91,7 +89,6 @@ uint64_t CostCacheKeyer::Key(const opt::RelQuery& query) {
   for (const opt::QueryBlock& block : query.blocks) {
     h.Int(static_cast<int64_t>(block.rels.size()));
     for (const opt::BaseRel& rel : block.rels) {
-      h.Str(rel.table);
       h.Str(rel.alias);
       h.Fold(TableHash(rel.table));
     }

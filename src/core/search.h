@@ -2,8 +2,8 @@
 #define LEGODB_CORE_SEARCH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -150,25 +150,26 @@ SearchOptions GreedySoOptions();  // start all-outlined, apply inlining
 
 // Cost-cache keys for the translated queries of one configuration. A key
 // hashes the query's structure — publish flag, block count, and per block
-// the relations (table, alias), outputs, join edges and filters: every
-// field QueryBlock::ToSql renders — and folds in, per relation, a
-// fingerprint of its table's statistics (row count, key/foreign-key
-// structure, and each column's type, width, null fraction, distinct count
-// and range hashed individually). Each table's fingerprint is computed once
-// per keyer, so a keyer built once per configuration hashes a table once
-// however many of the workload's queries touch it. Not thread-safe.
+// the relations, outputs, join edges and filters: every field
+// QueryBlock::ToSql renders — and folds in, per relation, a fingerprint of
+// its table by name, not index (row count, keys, FK parents' names, and each
+// column's type, width, null fraction, distincts and range), so keys match
+// across candidates. Fingerprints fill one slot per table index on first
+// use: a keyer hashes a table once however many queries touch it.
+// Not thread-safe.
 class CostCacheKeyer {
  public:
-  explicit CostCacheKeyer(const rel::Catalog& catalog) : catalog_(catalog) {}
+  explicit CostCacheKeyer(const rel::Catalog& catalog)
+      : catalog_(catalog), table_hashes_(catalog.size()) {}
 
-  // Aborts when `query` names a table the catalog lacks.
+  // Aborts when `query` names a table outside the catalog.
   uint64_t Key(const opt::RelQuery& query);
 
  private:
-  uint64_t TableHash(const std::string& name);
+  uint64_t TableHash(int index);
 
   const rel::Catalog& catalog_;
-  std::vector<std::pair<const rel::Table*, uint64_t>> table_hashes_;
+  std::vector<std::optional<uint64_t>> table_hashes_;  // by table index
 };
 
 // The key of one query, from a fresh keyer (for callers keying one query).

@@ -85,8 +85,10 @@ Status PreparedPrograms::AddBlock(const opt::QueryBlock& block,
   }
   ExprEnv env;
   for (const auto& rel : block.rels) {
-    store::StoredTable* table = db_->FindTable(rel.table);
-    if (!table) return Status::NotFound("table '" + rel.table + "'");
+    if (rel.table < 0 || static_cast<size_t>(rel.table) >= db_->size()) {
+      return Status::NotFound("no table #" + std::to_string(rel.table));
+    }
+    store::StoredTable* table = &db_->table(rel.table);
     env.tables.push_back(table);
     if (std::none_of(table_versions_.begin(), table_versions_.end(),
                      [&](const auto& tv) { return tv.first == table; })) {

@@ -31,9 +31,10 @@ class ReferenceBlockExecutor {
       return Status::InvalidArgument("plan root must be a projection");
     }
     for (const auto& rel : block_.rels) {
-      StoredTable* table = e_->db_->FindTable(rel.table);
-      if (!table) return Status::NotFound("table '" + rel.table + "'");
-      tables_.push_back(table);
+      if (rel.table < 0 || static_cast<size_t>(rel.table) >= e_->db_->size()) {
+        return Status::NotFound("no table #" + std::to_string(rel.table));
+      }
+      tables_.push_back(&e_->db_->table(rel.table));
     }
     LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> bindings, Exec(plan->child));
     xq::ResultSet result;

@@ -251,7 +251,7 @@ class Mapper {
       }
       return;
     }
-    tm->table = tm->type_name;
+    tm->table = tables_++;
     body_ = body.get();
     ref_entries_.clear();
     WalkBody(body, /*presence=*/1.0, /*optional=*/false, tm);
@@ -324,7 +324,7 @@ class Mapper {
   // takes the first name not yet taken among its own and that name
   // suffixed "_2", "_3", ...
   static void NameColumns(TypeMapping* tm) {
-    std::set<std::string> taken{tm->table + "_id"};
+    std::set<std::string> taken{tm->type_name + "_id"};
     auto unique = [&](std::string* column) {
       std::string name = *column;
       for (int i = 2; !taken.insert(name).second; ++i) {
@@ -509,17 +509,17 @@ class Mapper {
     }
   }
 
-  // One table per reachable non-virtual type, in reachability order, its
-  // columns in the order TypeMapping::SlotColumn and ParentColumn read.
+  // One table per reachable non-virtual type, numbered in reachability order
+  // by AnalyzeType, its columns in the order SlotColumn and ParentColumn read.
   Status BuildCatalog(const std::vector<int>& reachable) {
     const auto& types = result_.types_;
     for (int t : reachable) {
       const TypeMapping& tm = types[index_[t]];
       if (tm.virtual_union) continue;
       rel::Table table;
-      table.name = tm.table;
+      table.name = tm.type_name;
       table.row_count = std::max(0.0, tm.instance_count);
-      table.key_column = tm.table + "_id";
+      table.key_column = tm.type_name + "_id";
 
       rel::Column key;
       key.name = table.key_column;
@@ -573,7 +573,8 @@ class Mapper {
         table.foreign_keys.push_back(
             rel::ForeignKey{link.fk_column, types[link.parent].table});
       }
-      LEGODB_RETURN_IF_ERROR(result_.catalog_.AddTable(std::move(table)));
+      LEGODB_RETURN_IF_ERROR(
+          result_.catalog_.AddTable(std::move(table)).status());
     }
     return Status::OK();
   }
@@ -588,6 +589,7 @@ class Mapper {
   const Type* body_ = nullptr;
   const std::vector<int>* refs_ = nullptr;
   size_t next_ref_ = 0;
+  int tables_ = 0;  // the tables numbered so far
   std::vector<const Type*> around_;
   std::vector<TypeMapping::Entry> ref_entries_;
   // ComputeParents: the types referencing each type (in index order, once

@@ -50,8 +50,8 @@ struct TypeMapping {
   std::string type_name;
   // The type's body in the Mapping's schema.
   const xs::Type* body = nullptr;
-  // Table name (same as type name); empty for virtual types.
-  std::string table;
+  // Its table's catalog index (named after the type); -1 when virtual.
+  int table = -1;
   // A type whose body is purely a union of type references (e.g.
   // `type Show = (Show_Part1 | Show_Part2)`) materializes no table of its
   // own; variables bound to it expand to the alternatives.

@@ -10,7 +10,7 @@ std::string QualifiedName(const QueryBlock& block, int rel,
 }
 }  // namespace
 
-std::string QueryBlock::ToSql() const {
+std::string QueryBlock::ToSql(const rel::Catalog& catalog) const {
   std::string sql = "SELECT ";
   if (output.empty()) {
     sql += "*";
@@ -23,8 +23,9 @@ std::string QueryBlock::ToSql() const {
   sql += "\nFROM ";
   for (size_t i = 0; i < rels.size(); ++i) {
     if (i > 0) sql += ", ";
-    sql += rels[i].table;
-    if (rels[i].alias != rels[i].table) sql += " " + rels[i].alias;
+    const std::string& table = catalog.table(rels[i].table).name;
+    sql += table;
+    if (rels[i].alias != table) sql += " " + rels[i].alias;
   }
   bool first = true;
   auto add_cond = [&](const std::string& cond) {
@@ -47,11 +48,11 @@ std::string QueryBlock::ToSql() const {
   return sql;
 }
 
-std::string RelQuery::ToSql() const {
+std::string RelQuery::ToSql(const rel::Catalog& catalog) const {
   std::string sql;
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (i > 0) sql += publish ? "\n-- next publish block --\n" : "\nUNION ALL\n";
-    sql += blocks[i].ToSql();
+    sql += blocks[i].ToSql(catalog);
   }
   return sql;
 }

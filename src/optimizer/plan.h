@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "relational/catalog.h"
 #include "xquery/ast.h"
 
 namespace legodb::opt {
@@ -14,7 +15,7 @@ namespace legodb::opt {
 // A base relation occurrence in a query block (aliases disambiguate multiple
 // occurrences of the same table).
 struct BaseRel {
-  std::string table;
+  int table = -1;  // the table's index in the catalog
   std::string alias;
 };
 
@@ -55,7 +56,7 @@ struct QueryBlock {
   std::vector<FilterPred> filters;
   std::vector<ColumnRef> output;
 
-  std::string ToSql() const;  // display-only SQL rendering
+  std::string ToSql(const rel::Catalog& catalog) const;  // display only
 };
 
 // A translated XQuery: one or more blocks. For scalar queries the blocks
@@ -67,7 +68,7 @@ struct RelQuery {
   bool publish = false;
   std::vector<std::string> labels;
 
-  std::string ToSql() const;
+  std::string ToSql(const rel::Catalog& catalog) const;
 };
 
 // --- Physical plans -------------------------------------------------------

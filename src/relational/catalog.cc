@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/check.h"
-
 namespace legodb::rel {
 
 std::string SqlType::ToString() const {
@@ -41,8 +39,8 @@ int Table::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-Status Catalog::AddTable(Table table) {
-  if (tables_.count(table.name) > 0) {
+StatusOr<int> Catalog::AddTable(Table table) {
+  if (IndexOf(table.name) >= 0) {
     return Status::InvalidArgument("duplicate table '" + table.name + "'");
   }
   for (size_t i = 0; i < table.columns.size(); ++i) {
@@ -52,25 +50,20 @@ Status Catalog::AddTable(Table table) {
                                      table.name + "'");
     }
   }
-  names_.push_back(table.name);
-  tables_[table.name] = std::move(table);
-  return Status::OK();
+  tables_.push_back(std::move(table));
+  return static_cast<int>(tables_.size()) - 1;
 }
 
-const Table* Catalog::FindTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const Table& Catalog::GetTable(const std::string& name) const {
-  const Table* t = FindTable(name);
-  LEGODB_CHECK(t != nullptr, "Catalog::GetTable: unknown table");
-  return *t;
+int Catalog::IndexOf(const std::string& name) const {
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    if (tables_[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 double Catalog::TotalBytes() const {
   double total = 0;
-  for (const auto& [name, table] : tables_) {
+  for (const Table& table : tables_) {
     total += table.row_count * table.RowWidth();
   }
   return total;
@@ -78,8 +71,7 @@ double Catalog::TotalBytes() const {
 
 std::string Catalog::ToDdl() const {
   std::string out;
-  for (const auto& name : names_) {
-    const Table& t = tables_.at(name);
+  for (const Table& t : tables_) {
     out += "TABLE " + t.name + " (";
     for (size_t i = 0; i < t.columns.size(); ++i) {
       const Column& c = t.columns[i];
@@ -90,7 +82,7 @@ std::string Catalog::ToDdl() const {
     }
     for (const auto& fk : t.foreign_keys) {
       out += ",\n  FOREIGN KEY (" + fk.column + ") REFERENCES " +
-             fk.parent_table;
+             table(fk.parent).name;
     }
     out += "\n)  -- " + std::to_string(static_cast<int64_t>(t.row_count)) +
            " rows, width " +

@@ -2,11 +2,10 @@
 #define LEGODB_RELATIONAL_CATALOG_H_
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 
 namespace legodb::rel {
@@ -46,8 +45,8 @@ struct Column {
 
 // A foreign key column referencing the key of a parent table.
 struct ForeignKey {
-  std::string column;        // e.g. "parent_Show"
-  std::string parent_table;  // e.g. "Show"
+  std::string column;  // e.g. "parent_Show"
+  int parent = -1;     // the parent table's index in the catalog
 };
 
 struct Table {
@@ -68,22 +67,29 @@ struct Table {
 };
 
 // The relational configuration rel(ps): schema plus statistics, i.e. the
-// "relational catalog" box of Figure 7.
+// "relational catalog" box of Figure 7. A table's index is its position in
+// tables(), the order the mapper added it in; queries, foreign keys and
+// databases name tables by it. Names remain for display, SQL and DDL.
 class Catalog {
  public:
   Catalog() = default;
 
-  // Rejects duplicate table names, and a table with two columns of one
-  // name, with InvalidArgument (reachable from ingestion via the mapper, so
-  // recoverable rather than a crash).
-  Status AddTable(Table table);
-  const Table* FindTable(const std::string& name) const;
-  // Aborts (LEGODB_CHECK, all build modes) on an unknown table: callers on
-  // fallible paths must use FindTable.
-  const Table& GetTable(const std::string& name) const;
+  // Appends `table` and returns its index. Rejects a duplicate table name,
+  // and a table with two columns of one name, with InvalidArgument
+  // (reachable from ingestion via the mapper, so recoverable).
+  StatusOr<int> AddTable(Table table);
 
-  const std::vector<std::string>& table_names() const { return names_; }
-  size_t size() const { return names_.size(); }
+  const std::vector<Table>& tables() const { return tables_; }
+  // Aborts (LEGODB_CHECK, all build modes) outside [0, size()): callers
+  // holding an index from outside the catalog range-check it first.
+  const Table& table(int index) const {
+    LEGODB_CHECK(index >= 0 && static_cast<size_t>(index) < tables_.size(),
+                 "Catalog::table: index outside the catalog");
+    return tables_[index];
+  }
+  size_t size() const { return tables_.size(); }
+  // The table named `name`, or -1: a linear scan, for names from outside.
+  int IndexOf(const std::string& name) const;
 
   // Total data size in bytes across all tables.
   double TotalBytes() const;
@@ -92,8 +98,7 @@ class Catalog {
   std::string ToDdl() const;
 
  private:
-  std::vector<std::string> names_;
-  std::map<std::string, Table> tables_;
+  std::vector<Table> tables_;
 };
 
 }  // namespace legodb::rel

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "common/check.h"
 
@@ -549,41 +550,35 @@ Database::Database(const rel::Catalog& catalog, StorageOptions options)
     LEGODB_CHECK(paged.ok(), "Database: cannot open storage backend");
     paged_ = std::move(*paged);
   }
-  for (const auto& name : catalog.table_names()) {
-    tables_.emplace(name, StoredTable(catalog.GetTable(name), paged_.get()));
+  tables_.reserve(catalog.size());
+  for (const rel::Table& table : catalog.tables()) {
+    tables_.emplace_back(table, paged_.get());
+    by_name_.push_back(static_cast<int>(by_name_.size()));
   }
+  std::sort(by_name_.begin(), by_name_.end(), [&](int a, int b) {
+    return catalog.table(a).name < catalog.table(b).name;
+  });
 }
 
-StoredTable* Database::FindTable(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+const StoredTable& Database::table(int index) const {
+  LEGODB_CHECK(index >= 0 && static_cast<size_t>(index) < tables_.size(),
+               "Database::table: index outside the catalog");
+  return tables_[index];
 }
 
-const StoredTable* Database::FindTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-StoredTable& Database::GetTable(const std::string& name) {
-  StoredTable* t = FindTable(name);
-  LEGODB_CHECK(t != nullptr, "Database::GetTable: unknown table");
-  return *t;
-}
-
-const StoredTable& Database::GetTable(const std::string& name) const {
-  const StoredTable* t = FindTable(name);
-  LEGODB_CHECK(t != nullptr, "Database::GetTable: unknown table");
-  return *t;
+StoredTable& Database::table(int index) {
+  return const_cast<StoredTable&>(std::as_const(*this).table(index));
 }
 
 Status Database::Flush() {
   if (paged_) return paged_->Flush();
-  for (auto& [name, table] : tables_) table.ShrinkToFit();
+  for (StoredTable& table : tables_) table.ShrinkToFit();
   return Status::OK();
 }
 
 Status Database::PrewarmIndexes() {
-  for (auto& [name, table] : tables_) {
+  for (int i : by_name_) {
+    StoredTable& table = tables_[i];
     if (!table.meta().key_column.empty()) {
       LEGODB_RETURN_IF_ERROR(
           table.GetOrBuildIndex(table.meta().key_column).status());
@@ -596,15 +591,13 @@ Status Database::PrewarmIndexes() {
 }
 
 Status Database::PrewarmColumns() {
-  for (auto& [name, table] : tables_) {
-    LEGODB_RETURN_IF_ERROR(table.Decode());
-  }
+  for (int i : by_name_) LEGODB_RETURN_IF_ERROR(tables_[i].Decode());
   return Status::OK();
 }
 
 size_t Database::TotalRows() const {
   size_t total = 0;
-  for (const auto& [name, table] : tables_) total += table.row_count();
+  for (const StoredTable& table : tables_) total += table.row_count();
   return total;
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -260,10 +259,10 @@ class StoredTable {
 // A relational database instance for one storage configuration.
 class Database {
  public:
-  // Creates empty tables for every table in the catalog, in the storage
-  // form `options` describes (in-memory columns by default). A paged
-  // backend that cannot create its backing file aborts — callers wanting to
-  // handle that probe with PagedBackend::Open first.
+  // Creates an empty table(i) for each catalog table i, in the storage form
+  // `options` describes (in-memory columns by default). A paged backend that
+  // cannot create its backing file aborts — callers wanting to handle that
+  // probe with PagedBackend::Open first.
   explicit Database(const rel::Catalog& catalog,
                     StorageOptions options = StorageOptions());
 
@@ -273,6 +272,7 @@ class Database {
       : options_(std::move(other.options_)),
         paged_(std::move(other.paged_)),
         tables_(std::move(other.tables_)),
+        by_name_(std::move(other.by_name_)),
         next_id_(other.next_id_.load(std::memory_order_relaxed)) {}
 
   const StorageOptions& storage_options() const { return options_; }
@@ -286,14 +286,17 @@ class Database {
   // size.
   Status Flush();
 
-  StoredTable* FindTable(const std::string& name);
-  const StoredTable* FindTable(const std::string& name) const;
-  StoredTable& GetTable(const std::string& name);
-  const StoredTable& GetTable(const std::string& name) const;
+  // Aborts (LEGODB_CHECK, all build modes) outside [0, size()): callers
+  // holding an index from outside the catalog range-check it first.
+  StoredTable& table(int index);
+  const StoredTable& table(int index) const;
+  size_t size() const { return tables_.size(); }
 
   // Builds the primary-key and foreign-key indexes of every table up front,
   // so concurrent queries never pay (or contend on) a first-use build.
-  // Call after loading, before serving.
+  // Call after loading, before serving. Walks the tables in name order, as
+  // PrewarmColumns does: on the paged backend that order decides which
+  // pages are still in the pool when a table is read.
   Status PrewarmIndexes();
 
   // Decodes every paged table up front, one page scan each — the column
@@ -317,7 +320,8 @@ class Database {
   // Null on memory. Declared before tables_: StoredTables point into the
   // backend, so it must be destroyed after them.
   std::unique_ptr<PagedBackend> paged_;
-  std::map<std::string, StoredTable> tables_;
+  std::vector<StoredTable> tables_;   // in catalog order
+  std::vector<int> by_name_;          // table indexes sorted by name
   std::atomic<int64_t> next_id_{1};
 };
 

@@ -58,7 +58,7 @@ class Reconstructor {
 
   // Finds a row of concrete type `type` by key id.
   StatusOr<size_t> FindRow(int type, int64_t id) {
-    StoredTable& table = db_->GetTable(programs_[type].tm->table);
+    StoredTable& table = db_->table(programs_[type].tm->table);
     LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
                             table.GetOrBuildIndex(table.meta().key_column));
     std::span<const int32_t> hits = index->FindInt(id);
@@ -74,7 +74,7 @@ class Reconstructor {
     if (slot) return slot.get();
     const TypeProgram& p = programs_[type];
     auto rt = std::make_unique<ReconstructType>();
-    StoredTable& table = db_->GetTable(p.tm->table);
+    StoredTable& table = db_->table(p.tm->table);
     for (const auto& column : table.meta().columns) {
       LEGODB_ASSIGN_OR_RETURN(const ColumnVector* cv,
                               table.GetOrBuildColumn(column.name));
@@ -124,7 +124,7 @@ class Reconstructor {
     }
     const int fk = cp.tm->ParentColumn(parent);
     if (fk < 0) return Status::OK();
-    StoredTable& table = db_->GetTable(cp.tm->table);
+    StoredTable& table = db_->table(cp.tm->table);
     LEGODB_ASSIGN_OR_RETURN(
         const HashIndex* index,
         table.GetOrBuildIndex(table.meta().columns[fk].name));
@@ -290,7 +290,7 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
   const int root_type = mapping.root();
   const map::TypeMapping& tm = mapping.type(root_type);
   if (tm.virtual_union) return Status::Unsupported("virtual root type");
-  if (db->GetTable(tm.table).row_count() == 0) {
+  if (db->table(tm.table).row_count() == 0) {
     return Status::NotFound("no root instance stored");
   }
   Reconstructor r(db, mapping);

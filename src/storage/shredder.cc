@@ -63,7 +63,7 @@ class Shredder {
       const TypeMapping& tm = *programs_[i].tm;
       ShredType& st = types_[i];
       if (!tm.virtual_union) {
-        st.table = &db->GetTable(tm.table);
+        st.table = &db->table(tm.table);
         st.columns = st.table->meta().columns.size();
       }
     }

@@ -137,21 +137,20 @@ class Translator {
 
   // ---- block building helpers ----
 
-  // Appends a relation of `table` to `b` (a QueryBlock, or a Delta whose
-  // relations are numbered from `first`); returns its index.
+  // Appends non-virtual type `tm`'s table to `b` (a QueryBlock, or a Delta
+  // whose relations are numbered from `first`); returns its index.
   template <typename B>
-  static int AddRel(B* b, size_t first, const std::string& table) {
+  static int AddRel(B* b, size_t first, const TypeMapping& tm) {
     int index = static_cast<int>(first + b->rels.size());
     opt::BaseRel rel;
-    rel.table = table;
-    rel.alias = table + "#" + std::to_string(index);
+    rel.table = tm.table;
+    rel.alias = tm.type_name + "#" + std::to_string(index);
     b->rels.push_back(std::move(rel));
     return index;
   }
 
   void AppendAllColumns(opt::QueryBlock* block, int rel) const {
-    const rel::Table& table =
-        m_.catalog().GetTable(block->rels[rel].table);
+    const rel::Table& table = m_.catalog().table(block->rels[rel].table);
     for (const auto& col : table.columns) {
       opt::ColumnRef ref;
       ref.rel = rel;
@@ -175,10 +174,10 @@ class Translator {
       }
     }
     if (!fk) return -1;
-    int rel = AddRel(b, first, child.table);
+    int rel = AddRel(b, first, child);
     opt::JoinEdge edge;
     edge.left_rel = parent_rel;
-    edge.left_column = m_.catalog().GetTable(parent.table).key_column;
+    edge.left_column = m_.catalog().table(parent.table).key_column;
     edge.right_rel = rel;
     edge.right_column = *fk;
     edge.left_outer = outer;
@@ -303,7 +302,7 @@ class Translator {
           return Status::Unsupported("virtual root type");
         }
         Route start;
-        int rel = AddRel(&start.adds, first, rtm.table);
+        int rel = AddRel(&start.adds, first, rtm);
         // The first step names the root element itself.
         if (const xs::Type* entry = m_.RootPosition(b.steps[0])) {
           start.pos = Pos{rel, &rtm, entry};
@@ -484,7 +483,7 @@ class Translator {
     const TypeMapping& tm = m_.type(type);
     if (!tm.virtual_union) {
       opt::QueryBlock block;
-      int rel = AddRel(&block, 0, tm.table);
+      int rel = AddRel(&block, 0, tm);
       AppendAllColumns(&block, rel);
       out->push_back(std::move(block));
     }

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <unordered_map>
 
 #include "common/str_util.h"
 #include "xml/writer.h"
@@ -190,8 +191,9 @@ class Evaluator {
         if (rows.empty()) {
           if (item.subquery->where.empty()) {
             // Left-outer: keep the outer row with NULL inner columns.
-            out->push_back(std::vector<Value>(
-                QueryLabels(*item.subquery).size(), Value::MakeNull()));
+            auto [width, fresh] = widths_.try_emplace(item.subquery.get(), 0);
+            if (fresh) width->second = QueryLabels(*item.subquery).size();
+            out->emplace_back(width->second, Value::MakeNull());
           }
           // else: inner join — no partial rows, outer row is dropped.
           return Status::OK();
@@ -231,6 +233,8 @@ class Evaluator {
 
   const xml::Document& doc_;
   const std::map<std::string, Value>& params_;
+  // Each subquery's column count, counted on its first left-outer miss.
+  std::unordered_map<const Query*, size_t> widths_;
 };
 
 void CollectLabels(const std::vector<ReturnItem>& items,

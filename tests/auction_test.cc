@@ -118,7 +118,7 @@ TEST_P(AuctionEquivalence, EngineMatchesDom) {
         << GetParam() << "\nexpected:\n"
         << expected->ToString() << "\nactual:\n"
         << actual->ToString() << "\nSQL:\n"
-        << rq->ToSql();
+        << rq->ToSql(mapping->catalog());
   }
 }
 

@@ -87,11 +87,11 @@ TEST(CompareOps, RangeSelectivityUsesMinMax) {
   year.min = 1900;
   year.max = 2100;
   t.columns = {id, year};
-  catalog.AddTable(t);
+  const int table = catalog.AddTable(t).value();
   opt::Optimizer optimizer(catalog);
 
   opt::QueryBlock b;
-  b.rels.push_back(opt::BaseRel{"T", "t"});
+  b.rels.push_back(opt::BaseRel{table, "t"});
   b.output.push_back(opt::ColumnRef{0, "year", ""});
   // year > 2050: (2100-2050)/(2100-1900) = 25% of rows.
   b.filters.push_back(opt::FilterPred{0, "year", xq::CompareOp::kGt,
@@ -127,10 +127,10 @@ TEST(CompareOps, RangePredicateNeverDrivesHashIndex) {
   id.min = 1;
   id.max = 1000;
   t.columns = {id};
-  catalog.AddTable(t);
+  const int table = catalog.AddTable(t).value();
   opt::Optimizer optimizer(catalog);
   opt::QueryBlock b;
-  b.rels.push_back(opt::BaseRel{"T", "t"});
+  b.rels.push_back(opt::BaseRel{table, "t"});
   b.output.push_back(opt::ColumnRef{0, "T_id", ""});
   b.filters.push_back(opt::FilterPred{0, "T_id", xq::CompareOp::kGt,
                                       xq::Constant::Int(500)});

@@ -587,8 +587,8 @@ TEST_F(ExecutorEquivalenceTest, ForeignPreparedProgramsAreRecompiled) {
         engine::PreparedPrograms::Compile(compiled_on.get(), p.rq, p.plans);
     ASSERT_TRUE(programs.ok()) << p.name << ": "
                                << programs.status().ToString();
-    for (const std::string& name : mapping_->catalog().table_names()) {
-      store::StoredTable& t = compiled_on->GetTable(name);
+    for (size_t table = 0; table < compiled_on->size(); ++table) {
+      store::StoredTable& t = compiled_on->table(static_cast<int>(table));
       ASSERT_TRUE(
           t.Insert(store::Row(t.meta().columns.size(), Value::MakeNull()))
               .ok());

@@ -43,11 +43,27 @@ class EngineTest : public ::testing::Test {
     ASSERT_TRUE(store::ShredDocument(doc.value(), *mapping_, db_.get()).ok());
   }
 
+  // The index of table `name` in the fixture's catalog.
+  int Table(const char* name) const {
+    return mapping_->catalog().IndexOf(name);
+  }
+
   // A one-table scan block over C outputting `name`.
   opt::QueryBlock ChildBlock() {
     opt::QueryBlock b;
-    b.rels.push_back(opt::BaseRel{"C", "c"});
+    b.rels.push_back(opt::BaseRel{Table("C"), "c"});
     b.output.push_back(opt::ColumnRef{0, "name", "name"});
+    return b;
+  }
+
+  // P joined to its children C (left outer when `outer`), outputting the
+  // child's name.
+  opt::QueryBlock JoinBlock(bool outer) {
+    opt::QueryBlock b;
+    b.rels.push_back(opt::BaseRel{Table("P"), "p"});
+    b.rels.push_back(opt::BaseRel{Table("C"), "c"});
+    b.joins.push_back(opt::JoinEdge{0, "P_id", 1, "parent_P", outer});
+    b.output.push_back(opt::ColumnRef{1, "name", "name"});
     return b;
   }
 
@@ -118,15 +134,6 @@ TEST_F(EngineTest, IntegerFilterComparesNumerically) {
   xq::ResultSet r = Execute(b);
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0], Value::Str("alpha"));
-}
-
-opt::QueryBlock JoinBlock(bool outer) {
-  opt::QueryBlock b;
-  b.rels.push_back(opt::BaseRel{"P", "p"});
-  b.rels.push_back(opt::BaseRel{"C", "c"});
-  b.joins.push_back(opt::JoinEdge{0, "P_id", 1, "parent_P", outer});
-  b.output.push_back(opt::ColumnRef{1, "name", "name"});
-  return b;
 }
 
 TEST_F(EngineTest, InnerJoinMatchesFks) {
@@ -445,7 +452,7 @@ TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
   rel::Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(KeyTable("A", "k")).ok());
   ASSERT_TRUE(catalog.AddTable(KeyTable("B", "v")).ok());
-  store::Database db(catalog);
+  store::Database db(catalog);  // table 0 is A, table 1 is B
   const std::vector<Value> a_keys = {Value::Int(5),  Value::MakeNull(),
                                      Value::Int(7),  Value::Int(-3),
                                      Value::Int(5),  Value::Int(0)};
@@ -454,19 +461,19 @@ TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
       Value::Str("x"), Value::Int(5), Value::Int(0),   Value::Str("0")};
   int64_t id = 1;
   for (const Value& k : a_keys) {
-    ASSERT_TRUE(db.GetTable("A").Insert({Value::Int(id++), k}).ok());
+    ASSERT_TRUE(db.table(0).Insert({Value::Int(id++), k}).ok());
   }
   for (const Value& v : b_keys) {
-    ASSERT_TRUE(db.GetTable("B").Insert({Value::Int(id++), v}).ok());
+    ASSERT_TRUE(db.table(1).Insert({Value::Int(id++), v}).ok());
   }
-  auto a_col = db.GetTable("A").GetOrBuildColumn("k");
-  auto b_col = db.GetTable("B").GetOrBuildColumn("v");
+  auto a_col = db.table(0).GetOrBuildColumn("k");
+  auto b_col = db.table(1).GetOrBuildColumn("v");
   ASSERT_TRUE(a_col.ok() && b_col.ok());
   ASSERT_TRUE((*a_col)->typed_int());
   ASSERT_FALSE((*b_col)->typed_int());
 
   opt::QueryBlock b;
-  b.rels = {opt::BaseRel{"A", "a"}, opt::BaseRel{"B", "b"}};
+  b.rels = {opt::BaseRel{0, "a"}, opt::BaseRel{1, "b"}};
   b.output = {opt::ColumnRef{0, "A_id", "a_id"}, opt::ColumnRef{0, "k", "k"},
               opt::ColumnRef{1, "B_id", "b_id"}, opt::ColumnRef{1, "v", "v"}};
   for (JoinPath path : {JoinPath::kSharedIndexHash,

@@ -123,7 +123,7 @@ TEST_P(CrossConfigEquivalence, AllConfigurationsAgreeWithDom) {
         << qname << " on " << config.name << "\nexpected:\n"
         << expected->ToString() << "\nactual:\n"
         << actual->ToString() << "\nSQL:\n"
-        << rq->ToSql();
+        << rq->ToSql(mapping->catalog());
   }
 }
 

@@ -31,16 +31,21 @@ Mapping M(const char* text) {
   return std::move(mapping).value();
 }
 
+// The table named `name` (aborts when the catalog has none).
+const rel::Table& TableOf(const Mapping& m, const std::string& name) {
+  return m.catalog().table(m.catalog().IndexOf(name));
+}
+
 TEST(MapSchemaTest, OneTablePerNamedType) {
   Mapping m = M("type A = a[ B* ] type B = b[ String ]");
-  EXPECT_NE(m.catalog().FindTable("A"), nullptr);
-  EXPECT_NE(m.catalog().FindTable("B"), nullptr);
+  EXPECT_GE(m.catalog().IndexOf("A"), 0);
+  EXPECT_GE(m.catalog().IndexOf("B"), 0);
   EXPECT_EQ(m.catalog().size(), 2u);
 }
 
 TEST(MapSchemaTest, KeyColumnNamedAfterType) {
   Mapping m = M("type A = a[ String ]");
-  const rel::Table& t = m.catalog().GetTable("A");
+  const rel::Table& t = TableOf(m, "A");
   EXPECT_EQ(t.key_column, "A_id");
   ASSERT_NE(t.FindColumn("A_id"), nullptr);
   EXPECT_EQ(t.FindColumn("A_id")->type.kind, rel::SqlType::Kind::kInt);
@@ -50,40 +55,40 @@ TEST(MapSchemaTest, ScalarContentNamedAfterRootElement) {
   // `type Aka = aka[ String ]` maps to TABLE Aka (Aka_id, aka, ...)
   // — the paper's Figure 3.
   Mapping m = M("type Show = show[ Aka* ] type Aka = aka[ String ]");
-  const rel::Table& aka = m.catalog().GetTable("Aka");
+  const rel::Table& aka = TableOf(m, "Aka");
   EXPECT_NE(aka.FindColumn("aka"), nullptr);
   EXPECT_NE(aka.FindColumn("parent_Show"), nullptr);
   ASSERT_EQ(aka.foreign_keys.size(), 1u);
-  EXPECT_EQ(aka.foreign_keys[0].parent_table, "Show");
+  EXPECT_EQ(aka.foreign_keys[0].parent, m.catalog().IndexOf("Show"));
 }
 
 TEST(MapSchemaTest, NestedSingletonContentFlattensWithPrefixes) {
   Mapping m = M("type A = a[ bio[ birthday[ String ], text[ String ] ] ]");
-  const rel::Table& t = m.catalog().GetTable("A");
+  const rel::Table& t = TableOf(m, "A");
   EXPECT_NE(t.FindColumn("bio_birthday"), nullptr);
   EXPECT_NE(t.FindColumn("bio_text"), nullptr);
 }
 
 TEST(MapSchemaTest, AttributesMapToColumns) {
   Mapping m = M("type A = a[ @type[ String ], title[ String ] ]");
-  const rel::Table& t = m.catalog().GetTable("A");
+  const rel::Table& t = TableOf(m, "A");
   EXPECT_NE(t.FindColumn("type"), nullptr);
   EXPECT_NE(t.FindColumn("title"), nullptr);
 }
 
 TEST(MapSchemaTest, DuplicateColumnNamesAreUniquified) {
   Mapping m = M("type A = a[ @x[ String ], x[ Integer ] ]");
-  const rel::Table& t = m.catalog().GetTable("A");
+  const rel::Table& t = TableOf(m, "A");
   EXPECT_NE(t.FindColumn("x"), nullptr);
   EXPECT_NE(t.FindColumn("x_2"), nullptr);
   // Slots never take the key's or a foreign key's name.
   Mapping k = M("type A = a[ A_id[ Integer ], B* ] "
                 "type B = b[ parent_A[ String ], B_id[ String ] ]");
-  const rel::Table& a = k.catalog().GetTable("A");
+  const rel::Table& a = TableOf(k, "A");
   ASSERT_EQ(a.columns.size(), 2u);
   EXPECT_EQ(a.columns[0].name, "A_id");
   EXPECT_EQ(a.columns[1].name, "A_id_2");
-  const rel::Table& b = k.catalog().GetTable("B");
+  const rel::Table& b = TableOf(k, "B");
   ASSERT_EQ(b.columns.size(), 4u);
   EXPECT_EQ(b.columns[0].name, "B_id");
   EXPECT_EQ(b.columns[1].name, "parent_A_2");
@@ -95,7 +100,7 @@ TEST(MapSchemaTest, DuplicateColumnNamesAreUniquified) {
 
 TEST(MapSchemaTest, OptionalContentIsNullable) {
   Mapping m = M("type A = a[ b[ String ]?, c[ Integer ] ]");
-  const rel::Table& t = m.catalog().GetTable("A");
+  const rel::Table& t = TableOf(m, "A");
   EXPECT_TRUE(t.FindColumn("b")->nullable);
   EXPECT_FALSE(t.FindColumn("c")->nullable);
 }
@@ -105,14 +110,14 @@ TEST(MapSchemaTest, WildcardsGetTildeColumn) {
   // (tilde, reviews) columns.
   Mapping m = M("type Show = show[ Reviews* ] "
                 "type Reviews = reviews[ ~[ String ] ]");
-  const rel::Table& t = m.catalog().GetTable("Reviews");
+  const rel::Table& t = TableOf(m, "Reviews");
   EXPECT_NE(t.FindColumn("tilde"), nullptr);
   EXPECT_NE(t.FindColumn("reviews"), nullptr);
 }
 
 TEST(MapSchemaTest, BareScalarBodyGetsDataColumn) {
   Mapping m = M("type A = a[ B* ] type B = (~[ String ])");
-  const rel::Table& t = m.catalog().GetTable("B");
+  const rel::Table& t = TableOf(m, "B");
   EXPECT_NE(t.FindColumn("tilde"), nullptr);
   EXPECT_NE(t.FindColumn("_data"), nullptr);
 }
@@ -120,17 +125,17 @@ TEST(MapSchemaTest, BareScalarBodyGetsDataColumn) {
 TEST(MapSchemaTest, VirtualUnionTypesHaveNoTable) {
   Mapping m = M("type A = a[ S* ] type S = (S1 | S2) "
                 "type S1 = s[ x[ String ] ] type S2 = s[ y[ String ] ]");
-  EXPECT_EQ(m.catalog().FindTable("S"), nullptr);
+  EXPECT_EQ(m.catalog().IndexOf("S"), -1);
   EXPECT_TRUE(m.GetType("S").virtual_union);
   // FKs skip the virtual type and point at the concrete parent A.
-  EXPECT_NE(m.catalog().GetTable("S1").FindColumn("parent_A"), nullptr);
-  EXPECT_NE(m.catalog().GetTable("S2").FindColumn("parent_A"), nullptr);
+  EXPECT_NE(TableOf(m, "S1").FindColumn("parent_A"), nullptr);
+  EXPECT_NE(TableOf(m, "S2").FindColumn("parent_A"), nullptr);
 }
 
 TEST(MapSchemaTest, SharedTypeGetsOneFkPerParent) {
   Mapping m = M("type R = r[ A*, B* ] type A = a[ C* ] type B = b[ C* ] "
                 "type C = c[ String ]");
-  const rel::Table& c = m.catalog().GetTable("C");
+  const rel::Table& c = TableOf(m, "C");
   EXPECT_NE(c.FindColumn("parent_A"), nullptr);
   EXPECT_NE(c.FindColumn("parent_B"), nullptr);
   EXPECT_TRUE(c.FindColumn("parent_A")->nullable);
@@ -140,10 +145,10 @@ TEST(MapSchemaTest, SharedTypeGetsOneFkPerParent) {
 TEST(MapSchemaTest, RecursiveTypeSelfFk) {
   // Recursive types map fine: the child FK references the same table.
   Mapping m = M("type N = n[ v[ Integer ], N* ]");
-  const rel::Table& n = m.catalog().GetTable("N");
+  const rel::Table& n = TableOf(m, "N");
   EXPECT_NE(n.FindColumn("parent_N"), nullptr);
   ASSERT_EQ(n.foreign_keys.size(), 1u);
-  EXPECT_EQ(n.foreign_keys[0].parent_table, "N");
+  EXPECT_EQ(n.foreign_keys[0].parent, m.catalog().IndexOf("N"));
 }
 
 TEST(MapSchemaTest, AnyElementSchemaFromSection32) {
@@ -157,12 +162,12 @@ TEST(MapSchemaTest, AnyElementSchemaFromSection32) {
   ASSERT_TRUE(schema.ok()) << schema.status().ToString();
   auto mapping = MapSchema(ps::Normalize(schema.value()));
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
-  const rel::Table& any = mapping->catalog().GetTable("AnyElement");
+  const rel::Table& any = TableOf(*mapping, "AnyElement");
   EXPECT_NE(any.FindColumn("tilde"), nullptr);
   EXPECT_NE(any.FindColumn("parent_AnyElement"), nullptr);
   EXPECT_NE(any.FindColumn("parent_Root"), nullptr);
   EXPECT_NE(
-      mapping->catalog().GetTable("AnyScalar").FindColumn("_data"), nullptr);
+      TableOf(*mapping, "AnyScalar").FindColumn("_data"), nullptr);
 }
 
 TEST(MapSchemaTest, RejectsNonPhysicalSchema) {
@@ -185,20 +190,20 @@ TEST(MapStats, RowCountsFollowAppendixA) {
   auto mapping = MapSchema(ps::Normalize(AnnotatedImdb()));
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
   const rel::Catalog& c = mapping->catalog();
-  EXPECT_NEAR(c.GetTable("Show").row_count, 34798, 1);
-  EXPECT_NEAR(c.GetTable("Director").row_count, 26251, 1);
-  EXPECT_NEAR(c.GetTable("Actor").row_count, 165786, 1);
-  EXPECT_NEAR(c.GetTable("Aka").row_count, 13641, 1);
-  EXPECT_NEAR(c.GetTable("Reviews").row_count, 11250, 1);
-  EXPECT_NEAR(c.GetTable("Played").row_count, 663144, 2);
-  EXPECT_NEAR(c.GetTable("Directed").row_count, 105004, 1);
-  EXPECT_NEAR(c.GetTable("Episodes").row_count, 31250, 40);
+  EXPECT_NEAR(c.table(c.IndexOf("Show")).row_count, 34798, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Director")).row_count, 26251, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Actor")).row_count, 165786, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Aka")).row_count, 13641, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Reviews")).row_count, 11250, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Played")).row_count, 663144, 2);
+  EXPECT_NEAR(c.table(c.IndexOf("Directed")).row_count, 105004, 1);
+  EXPECT_NEAR(c.table(c.IndexOf("Episodes")).row_count, 31250, 40);
 }
 
 TEST(MapStats, ColumnStatisticsPropagate) {
   auto mapping = MapSchema(ps::Normalize(AnnotatedImdb()));
   ASSERT_TRUE(mapping.ok());
-  const rel::Table& show = mapping->catalog().GetTable("Show");
+  const rel::Table& show = TableOf(*mapping, "Show");
   const rel::Column* title = show.FindColumn("title");
   ASSERT_NE(title, nullptr);
   EXPECT_EQ(title->type.kind, rel::SqlType::Kind::kChar);
@@ -215,7 +220,7 @@ TEST(MapStats, FkDistinctsBoundedByParentRows) {
   auto mapping = MapSchema(ps::Normalize(AnnotatedImdb()));
   ASSERT_TRUE(mapping.ok());
   const rel::Column* fk =
-      mapping->catalog().GetTable("Aka").FindColumn("parent_Show");
+      TableOf(*mapping, "Aka").FindColumn("parent_Show");
   ASSERT_NE(fk, nullptr);
   EXPECT_LE(fk->distincts, 34798);
   EXPECT_LE(fk->distincts, 13641);
@@ -232,7 +237,7 @@ TEST(MapStats, RecursiveCountsConverge) {
   auto mapping = MapSchema(ps::Normalize(schema2.value()));
   ASSERT_TRUE(mapping.ok());
   // presence defaults to 0.5: N rows = 1/(1-0.5) = 2.
-  EXPECT_NEAR(mapping->catalog().GetTable("N").row_count, 2, 0.1);
+  EXPECT_NEAR(TableOf(*mapping, "N").row_count, 2, 0.1);
 }
 
 // The instance-count fixpoint as a plain 64-iteration loop over
@@ -318,8 +323,7 @@ TEST(MapStats, TotalBytesIsPositive) {
 // count and parent links into `digest`.
 uint64_t HashMapping(const Mapping& m, uint64_t digest) {
   auto bits = [](double v) { return std::bit_cast<int64_t>(v); };
-  for (const std::string& name : m.catalog().table_names()) {
-    const rel::Table& t = m.catalog().GetTable(name);
+  for (const rel::Table& t : m.catalog().tables()) {
     digest = common::HashString(t.name, digest);
     digest = common::HashString(t.key_column, digest);
     digest = common::HashInt(bits(t.row_count), digest);
@@ -335,7 +339,7 @@ uint64_t HashMapping(const Mapping& m, uint64_t digest) {
     }
     for (const rel::ForeignKey& fk : t.foreign_keys) {
       digest = common::HashString(fk.column, digest);
-      digest = common::HashString(fk.parent_table, digest);
+      digest = common::HashString(m.catalog().table(fk.parent).name, digest);
     }
   }
   for (const TypeMapping& tm : m.types()) {

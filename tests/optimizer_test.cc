@@ -35,7 +35,9 @@ rel::Column Col(const std::string& name, rel::SqlType type, double distincts,
 }
 
 // A two-table parent/child catalog: Parent(10k rows), Child(100k rows) with
-// an FK to Parent.
+// an FK to Parent, numbered kParent and kChild.
+constexpr int kParent = 0;
+constexpr int kChild = 1;
 rel::Catalog MakeCatalog() {
   rel::Catalog catalog;
   rel::Table parent;
@@ -54,14 +56,15 @@ rel::Catalog MakeCatalog() {
   child.columns = {Col("Child_id", rel::SqlType::Int(), 100000),
                    Col("value", rel::SqlType::Char(100), 50000),
                    Col("parent_Parent", rel::SqlType::Int(), 10000)};
-  child.foreign_keys = {rel::ForeignKey{"parent_Parent", "Parent"}};
+  child.foreign_keys = {rel::ForeignKey{"parent_Parent", kParent}};
   catalog.AddTable(child);
   return catalog;
 }
 
-QueryBlock ScanBlock(const std::string& table) {
+// A scan of `catalog`'s table `table` (of no table when it has none).
+QueryBlock ScanBlock(const rel::Catalog& catalog, const std::string& table) {
   QueryBlock b;
-  b.rels.push_back(BaseRel{table, table});
+  b.rels.push_back(BaseRel{catalog.IndexOf(table), table});
   b.output.push_back(ColumnRef{0, table + "_id", ""});
   return b;
 }
@@ -69,7 +72,7 @@ QueryBlock ScanBlock(const std::string& table) {
 TEST(Optimizer, SeqScanForUnfilteredTable) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  auto planned = opt.PlanBlock(ScanBlock("Parent"));
+  auto planned = opt.PlanBlock(ScanBlock(catalog, "Parent"));
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned->plan->child->kind, PhysicalPlan::Kind::kSeqScan);
   EXPECT_NEAR(planned->rows, 10000, 1);
@@ -78,7 +81,7 @@ TEST(Optimizer, SeqScanForUnfilteredTable) {
 TEST(Optimizer, KeyLookupUsesIndex) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  QueryBlock b = ScanBlock("Parent");
+  QueryBlock b = ScanBlock(catalog, "Parent");
   b.filters.push_back(FilterPred{0, "Parent_id", xq::CompareOp::kEq, xq::Constant::Int(5)});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -89,7 +92,7 @@ TEST(Optimizer, KeyLookupUsesIndex) {
 TEST(Optimizer, NonIndexedFilterScansByDefault) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  QueryBlock b = ScanBlock("Parent");
+  QueryBlock b = ScanBlock(catalog, "Parent");
   b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -101,7 +104,7 @@ TEST(Optimizer, PredicateIndexOptionEnablesLookup) {
   CostParams params;
   params.index_on_predicates = true;
   Optimizer opt(catalog, params);
-  QueryBlock b = ScanBlock("Parent");
+  QueryBlock b = ScanBlock(catalog, "Parent");
   b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -111,7 +114,7 @@ TEST(Optimizer, PredicateIndexOptionEnablesLookup) {
 TEST(Optimizer, SelectivityReducesCardinality) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  QueryBlock b = ScanBlock("Parent");
+  QueryBlock b = ScanBlock(catalog, "Parent");
   b.filters.push_back(FilterPred{0, "kind", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -128,7 +131,7 @@ TEST(Optimizer, NotNullSelectivityUsesNullFraction) {
                Col("opt", rel::SqlType::Char(10), 100, /*null_frac=*/0.75)};
   catalog.AddTable(t);
   Optimizer opt(catalog);
-  QueryBlock b = ScanBlock("T");
+  QueryBlock b = ScanBlock(catalog, "T");
   FilterPred f{0, "opt", xq::CompareOp::kEq, xq::Constant::Symbol("_"), /*not_null=*/true};
   b.filters.push_back(f);
   auto planned = opt.PlanBlock(b);
@@ -138,8 +141,8 @@ TEST(Optimizer, NotNullSelectivityUsesNullFraction) {
 
 QueryBlock JoinBlock() {
   QueryBlock b;
-  b.rels.push_back(BaseRel{"Parent", "p"});
-  b.rels.push_back(BaseRel{"Child", "c"});
+  b.rels.push_back(BaseRel{kParent, "p"});
+  b.rels.push_back(BaseRel{kChild, "c"});
   b.joins.push_back(JoinEdge{0, "Parent_id", 1, "parent_Parent", false});
   b.output.push_back(ColumnRef{1, "value", ""});
   return b;
@@ -177,8 +180,8 @@ TEST(Optimizer, LeftOuterJoinCardinalityAtLeastOuter) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   QueryBlock b;
-  b.rels.push_back(BaseRel{"Child", "c"});
-  b.rels.push_back(BaseRel{"Parent", "p"});
+  b.rels.push_back(BaseRel{kChild, "c"});
+  b.rels.push_back(BaseRel{kParent, "p"});
   // Left-outer from Child to a filtered Parent: every child row survives...
   b.joins.push_back(JoinEdge{0, "parent_Parent", 1, "Parent_id", true});
   b.output.push_back(ColumnRef{0, "value", ""});
@@ -200,7 +203,7 @@ TEST(Optimizer, CostGrowsWithTableSize) {
                  Col("x", rel::SqlType::Char(50), t.row_count)};
     catalog.AddTable(t);
     Optimizer opt(catalog);
-    auto planned = opt.PlanBlock(ScanBlock("T"));
+    auto planned = opt.PlanBlock(ScanBlock(catalog, "T"));
     ASSERT_TRUE(planned.ok());
     costs[i] = planned->cost;
   }
@@ -220,7 +223,8 @@ TEST(Optimizer, FiveWayChainJoinPlans) {
     if (!prev.empty()) {
       t.columns.push_back(
           Col("parent_" + prev, rel::SqlType::Int(), 1000));
-      t.foreign_keys = {rel::ForeignKey{"parent_" + prev, prev}};
+      t.foreign_keys = {rel::ForeignKey{
+          "parent_" + prev, static_cast<int>(catalog.size()) - 1}};
     }
     catalog.AddTable(t);
     prev = name;
@@ -228,7 +232,7 @@ TEST(Optimizer, FiveWayChainJoinPlans) {
   QueryBlock b;
   for (int i = 0; i < 5; ++i) {
     std::string name(1, static_cast<char>('A' + i));
-    b.rels.push_back(BaseRel{name, name});
+    b.rels.push_back(BaseRel{i, name});
     if (i > 0) {
       std::string parent(1, static_cast<char>('A' + i - 1));
       b.joins.push_back(
@@ -257,10 +261,10 @@ TEST(Optimizer, GreedyKicksInAboveDpLimit) {
     t.columns = {Col(t.key_column, rel::SqlType::Int(), 100)};
     if (!prev.empty()) {
       t.columns.push_back(Col("parent_" + prev, rel::SqlType::Int(), 100));
-      t.foreign_keys = {rel::ForeignKey{"parent_" + prev, prev}};
+      t.foreign_keys = {rel::ForeignKey{"parent_" + prev, i - 1}};
     }
     catalog.AddTable(t);
-    b.rels.push_back(BaseRel{name, name});
+    b.rels.push_back(BaseRel{i, name});
     if (i > 0) {
       b.joins.push_back(
           JoinEdge{i - 1, prev + "_id", i, "parent_" + prev, false});
@@ -285,15 +289,15 @@ TEST(Optimizer, EmptyBlockRejected) {
 TEST(Optimizer, UnknownTableRejected) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  EXPECT_FALSE(opt.PlanBlock(ScanBlock("Nope")).ok());
+  EXPECT_FALSE(opt.PlanBlock(ScanBlock(catalog, "Nope")).ok());
 }
 
 TEST(Optimizer, PlanQuerySumsBlockCosts) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   RelQuery q;
-  q.blocks.push_back(ScanBlock("Parent"));
-  q.blocks.push_back(ScanBlock("Child"));
+  q.blocks.push_back(ScanBlock(catalog, "Parent"));
+  q.blocks.push_back(ScanBlock(catalog, "Child"));
   auto planned = opt.PlanQuery(q);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->blocks.size(), 2u);
@@ -304,8 +308,8 @@ TEST(Optimizer, PlanQuerySumsBlockCosts) {
 TEST(Optimizer, WiderOutputCostsMore) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
-  QueryBlock narrow = ScanBlock("Child");
-  QueryBlock wide = ScanBlock("Child");
+  QueryBlock narrow = ScanBlock(catalog, "Child");
+  QueryBlock wide = ScanBlock(catalog, "Child");
   wide.output.push_back(ColumnRef{0, "value", ""});
   auto p_narrow = opt.PlanBlock(narrow);
   auto p_wide = opt.PlanBlock(wide);
@@ -364,13 +368,13 @@ JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges,
     while (child.FindColumn(fk)) fk += "_";
     child.columns.push_back(
         Col(fk, rel::SqlType::Int(), tables[e.parent].row_count));
-    child.foreign_keys.push_back(rel::ForeignKey{fk, parent});
+    child.foreign_keys.push_back(rel::ForeignKey{fk, e.parent});
     g.block.joins.push_back(JoinEdge{e.parent, parent + "_id", e.child, fk,
                                      e.left_outer});
   }
   for (int i = 0; i < n; ++i) {
     g.catalog.AddTable(tables[i]);
-    g.block.rels.push_back(BaseRel{tables[i].name, tables[i].name});
+    g.block.rels.push_back(BaseRel{i, tables[i].name});
   }
   g.block.output.push_back(ColumnRef{n - 1, "payload", ""});
   return g;
@@ -810,7 +814,7 @@ TEST(JoinEnumeration, PlansMatchSubsetLoopReference) {
 TEST(QueryBlockSql, RendersSelectFromWhere) {
   QueryBlock b = JoinBlock();
   b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
-  std::string sql = b.ToSql();
+  std::string sql = b.ToSql(MakeCatalog());
   EXPECT_NE(sql.find("SELECT c.value"), std::string::npos);
   EXPECT_NE(sql.find("FROM Parent p, Child c"), std::string::npos);
   EXPECT_NE(sql.find("p.Parent_id = c.parent_Parent"), std::string::npos);

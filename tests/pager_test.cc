@@ -506,8 +506,8 @@ TEST(PagedDatabase, FirstColumnRequestDecodesEachPageOnce) {
   ASSERT_TRUE(catalog.AddTable(WideMeta("A")).ok());
   ASSERT_TRUE(catalog.AddTable(WideMeta("B")).ok());
   Database db(catalog, StorageOptions::Paged(512, /*pool_pages=*/2));
-  StoredTable& a = db.GetTable("A");
-  StoredTable& b = db.GetTable("B");
+  StoredTable& a = db.table(0);
+  StoredTable& b = db.table(1);
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(a.Insert(WideRow(i)).ok());
   const uint64_t a_pages = db.pager()->page_count();
   ASSERT_GT(a_pages, 4u);  // the table is larger than the pool
@@ -581,7 +581,8 @@ TEST(PagedDatabase, PrewarmBuildsIndexesAndColumns) {
   EXPECT_TRUE(db.PrewarmColumns().ok());
   // The prewarmed index is served from the registry: no page is touched.
   uint64_t faults = db.buffer_pool()->stats().faults;
-  EXPECT_TRUE(db.GetTable("B").GetOrBuildIndex("B_id").ok());
+  EXPECT_TRUE(
+      db.table(m.catalog().IndexOf("B")).GetOrBuildIndex("B_id").ok());
   EXPECT_EQ(db.buffer_pool()->stats().faults, faults);
 }
 

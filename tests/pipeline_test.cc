@@ -72,8 +72,8 @@ TEST(Pipeline, MapSchemaProducesCatalog) {
   auto mapping = map::MapSchema(normalized);
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
   const rel::Catalog& catalog = mapping->catalog();
-  ASSERT_NE(catalog.FindTable("Show"), nullptr);
-  const rel::Table& show = catalog.GetTable("Show");
+  ASSERT_GE(catalog.IndexOf("Show"), 0);
+  const rel::Table& show = catalog.table(catalog.IndexOf("Show"));
   EXPECT_NEAR(show.row_count, 34798, 1);
   EXPECT_NE(show.FindColumn("title"), nullptr);
   EXPECT_NE(show.FindColumn("year"), nullptr);
@@ -151,7 +151,7 @@ void CheckEquivalence(const xs::Schema& pschema, const std::string& qname,
       << qname << "\nexpected:\n"
       << expected->ToString() << "\nactual:\n"
       << actual->ToString() << "\nSQL:\n"
-      << rq->ToSql();
+      << rq->ToSql(mapping->catalog());
 }
 
 TEST_P(EquivalenceTest, NormalizedConfiguration) {

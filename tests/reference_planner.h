@@ -76,14 +76,13 @@ class BlockPlanner {
     if (n == 0) return Status::InvalidArgument("query block has no relations");
     if (n > 62) return Status::Unsupported("too many relations in block");
     for (size_t i = 0; i < n; ++i) {
-      const rel::Table* table = catalog_.FindTable(block_.rels[i].table);
-      if (!table) {
-        return Status::NotFound("table '" + block_.rels[i].table +
-                                "' not in catalog");
+      const int t = block_.rels[i].table;
+      if (t < 0 || static_cast<size_t>(t) >= catalog_.size()) {
+        return Status::NotFound("no table #" + std::to_string(t));
       }
       Rel& r = rels_.emplace_back();
-      r.table = table;
-      r.width = table->RowWidth();
+      r.table = &catalog_.table(t);
+      r.width = r.table->RowWidth();
       r.rows = FilteredRows(static_cast<int>(i));
     }
     for (const auto& e : block_.joins) {

@@ -19,7 +19,9 @@ TEST(SqlTypeTest, Widths) {
   EXPECT_DOUBLE_EQ(SqlType::Varchar(123).width, 123);
 }
 
-Table MakeTable() {
+// Table Show, whose foreign key names catalog table `parent` (IMDB in the
+// catalogs below).
+Table MakeTable(int parent = 0) {
   Table t;
   t.name = "Show";
   t.key_column = "Show_id";
@@ -36,7 +38,19 @@ Table MakeTable() {
   fk.name = "parent_IMDB";
   fk.type = SqlType::Int();
   t.columns = {id, title, desc, fk};
-  t.foreign_keys = {ForeignKey{"parent_IMDB", "IMDB"}};
+  t.foreign_keys = {ForeignKey{"parent_IMDB", parent}};
+  return t;
+}
+
+Table MakeParent() {
+  Table t;
+  t.name = "IMDB";
+  t.key_column = "IMDB_id";
+  t.row_count = 1;
+  Column id;
+  id.name = "IMDB_id";
+  id.type = SqlType::Int();
+  t.columns = {id};
   return t;
 }
 
@@ -57,34 +71,43 @@ TEST(TableTest, ColumnLookup) {
 
 TEST(CatalogTest, AddAndFind) {
   Catalog c;
-  c.AddTable(MakeTable());
-  EXPECT_NE(c.FindTable("Show"), nullptr);
-  EXPECT_EQ(c.FindTable("Nope"), nullptr);
-  EXPECT_EQ(c.GetTable("Show").row_count, 100);
-  EXPECT_EQ(c.size(), 1u);
-  EXPECT_EQ(c.table_names(), (std::vector<std::string>{"Show"}));
+  EXPECT_EQ(c.AddTable(MakeTable(/*parent=*/1)).value(), 0);
+  EXPECT_EQ(c.AddTable(MakeParent()).value(), 1);
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.IndexOf("Show"), 0);
+  EXPECT_EQ(c.IndexOf("IMDB"), 1);
+  EXPECT_EQ(c.IndexOf("Nope"), -1);
+  EXPECT_EQ(c.table(0).row_count, 100);
+  EXPECT_EQ(c.table(c.table(0).foreign_keys[0].parent).name, "IMDB");
+  EXPECT_EQ(&c.tables()[1], &c.table(1));
 }
 
 TEST(CatalogTest, RejectsDuplicateColumnNames) {
   Catalog c;
   Table t = MakeTable();
   t.columns.push_back(t.columns[1]);
-  Status st = c.AddTable(t);
+  Status st = c.AddTable(t).status();
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(c.FindTable("Show"), nullptr);
+  EXPECT_EQ(c.IndexOf("Show"), -1);
+  EXPECT_EQ(c.size(), 0u);
   EXPECT_TRUE(c.AddTable(MakeTable()).ok());
-  EXPECT_EQ(c.AddTable(MakeTable()).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(c.AddTable(MakeTable()).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(c.size(), 1u);
 }
 
 TEST(CatalogTest, TotalBytes) {
   Catalog c;
-  c.AddTable(MakeTable());
-  EXPECT_DOUBLE_EQ(c.TotalBytes(), 100 * (8 + 4 + 50 + 60 + 1 + 4));
+  ASSERT_TRUE(c.AddTable(MakeParent()).ok());
+  ASSERT_TRUE(c.AddTable(MakeTable()).ok());
+  EXPECT_DOUBLE_EQ(c.TotalBytes(),
+                   1 * (8 + 4) + 100 * (8 + 4 + 50 + 60 + 1 + 4));
 }
 
 TEST(CatalogTest, DdlListsKeysAndConstraints) {
   Catalog c;
-  c.AddTable(MakeTable());
+  ASSERT_TRUE(c.AddTable(MakeParent()).ok());
+  ASSERT_TRUE(c.AddTable(MakeTable()).ok());
   std::string ddl = c.ToDdl();
   EXPECT_NE(ddl.find("TABLE Show"), std::string::npos);
   EXPECT_NE(ddl.find("Show_id INT PRIMARY KEY"), std::string::npos);
@@ -92,6 +115,7 @@ TEST(CatalogTest, DdlListsKeysAndConstraints) {
   EXPECT_NE(ddl.find("FOREIGN KEY (parent_IMDB) REFERENCES IMDB"),
             std::string::npos);
   EXPECT_NE(ddl.find("100 rows"), std::string::npos);
+  EXPECT_LT(ddl.find("TABLE IMDB"), ddl.find("TABLE Show"));  // index order
 }
 
 }  // namespace

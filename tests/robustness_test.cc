@@ -14,8 +14,12 @@
 #include "core/legodb.h"
 #include "core/parallel.h"
 #include "core/search.h"
+#include "engine/executor.h"
+#include "engine/prepared.h"
+#include "engine/reference_executor.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
+#include "optimizer/optimizer.h"
 #include "relational/catalog.h"
 
 namespace legodb {
@@ -237,13 +241,60 @@ TEST(MalformedInputTest, DuplicateCatalogTableIsRecoverable) {
   t.key_column = "T_id";
   rel::Catalog catalog;
   EXPECT_TRUE(catalog.AddTable(t).ok());
-  Status st = catalog.AddTable(t);
+  Status st = catalog.AddTable(t).status();
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
   EXPECT_NE(st.message().find("T"), std::string::npos);
   EXPECT_EQ(catalog.size(), 1u);
 }
 
 // ---- ParallelFor cancellation ----
+
+// Queries name tables by catalog index, so an index the catalog does not
+// have must come back as NotFound from the optimizer and from every
+// executor, never as an out-of-bounds read.
+TEST(MalformedInputTest, TableIndexOutsideCatalogIsNotFound) {
+  rel::Table t;
+  t.name = "T";
+  t.key_column = "T_id";
+  t.row_count = 1;
+  t.columns.emplace_back().name = "T_id";
+  rel::Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(t).ok());
+  store::Database db(catalog);
+  ASSERT_TRUE(db.table(0).Insert({Value::Int(1)}).ok());
+
+  opt::RelQuery good;
+  good.blocks.emplace_back();
+  good.blocks[0].rels.push_back(opt::BaseRel{0, "t"});
+  good.blocks[0].output.push_back(opt::ColumnRef{0, "T_id", "id"});
+  opt::Optimizer optimizer(catalog);
+  auto planned = optimizer.PlanQuery(good);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  std::vector<opt::PhysicalPlanPtr> plans{planned->blocks[0].plan};
+  ASSERT_TRUE(engine::ReferenceExecutor(&db).ExecuteQuery(good, plans).ok());
+
+  for (int index : {static_cast<int>(catalog.size()), -1}) {
+    opt::RelQuery bad = good;
+    bad.blocks[0].rels[0].table = index;
+    const std::string context = "table index " + std::to_string(index);
+    EXPECT_EQ(optimizer.PlanQuery(bad).status().code(),
+              Status::Code::kNotFound)
+        << context;
+    EXPECT_EQ(engine::PreparedPrograms::Compile(&db, bad, plans)
+                  .status()
+                  .code(),
+              Status::Code::kNotFound)
+        << context;
+    EXPECT_EQ(engine::ReferenceExecutor(&db).ExecuteQuery(bad, plans)
+                  .status()
+                  .code(),
+              Status::Code::kNotFound)
+        << context;
+    EXPECT_EQ(engine::Executor(&db).ExecuteQuery(bad, plans).status().code(),
+              Status::Code::kNotFound)
+        << context;
+  }
+}
 
 TEST(ParallelForTest, PreCancelledTokenRunsNothing) {
   core::CancelToken cancel;

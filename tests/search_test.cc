@@ -251,9 +251,11 @@ TEST(CostCacheTest, FingerprintSeparatesSwappedColumnStats) {
 
   // Identical SQL, identical per-table distinct SUMS: exactly the inputs
   // the old string key collapsed into one entry.
-  EXPECT_EQ(rq_a->ToSql(), rq_b->ToSql());
-  const rel::Table& ta = map_a->catalog().GetTable("R");
-  const rel::Table& tb = map_b->catalog().GetTable("R");
+  EXPECT_EQ(rq_a->ToSql(map_a->catalog()), rq_b->ToSql(map_b->catalog()));
+  const rel::Catalog& ca = map_a->catalog();
+  const rel::Catalog& cb = map_b->catalog();
+  const rel::Table& ta = ca.table(ca.IndexOf("R"));
+  const rel::Table& tb = cb.table(cb.IndexOf("R"));
   double sum_a = 0, sum_b = 0;
   for (const auto& col : ta.columns) sum_a += col.distincts;
   for (const auto& col : tb.columns) sum_b += col.distincts;
@@ -273,6 +275,49 @@ TEST(CostCacheTest, FingerprintSeparatesSwappedColumnStats) {
   ASSERT_TRUE(cost_a.ok());
   ASSERT_TRUE(cost_b.ok());
   EXPECT_NE(cost_a->total, cost_b->total);
+}
+
+// A key names tables by name, not by catalog index: the same query over
+// the same tables keys alike when the catalogs number them differently, as
+// candidate configurations do, and a foreign key's parent counts by name.
+TEST(CostCacheTest, FingerprintIgnoresTableNumbering) {
+  auto make = [](const std::string& name, const std::string& parent,
+                 int parent_index) {
+    rel::Table t;
+    t.name = name;
+    t.key_column = name + "_id";
+    t.row_count = 10;
+    t.columns.emplace_back().name = t.key_column;
+    if (parent_index >= 0) {
+      std::string fk = "parent_" + parent;
+      t.columns.emplace_back().name = fk;
+      t.foreign_keys.push_back(rel::ForeignKey{fk, parent_index});
+    }
+    return t;
+  };
+  rel::Catalog ab, ba;  // A then B, and B then A
+  ASSERT_TRUE(ab.AddTable(make("A", "", -1)).ok());
+  ASSERT_TRUE(ab.AddTable(make("B", "A", 0)).ok());
+  ASSERT_TRUE(ba.AddTable(make("B", "A", 1)).ok());
+  ASSERT_TRUE(ba.AddTable(make("A", "", -1)).ok());
+  auto query = [](const rel::Catalog& c) {
+    opt::QueryBlock b;
+    b.rels.push_back(opt::BaseRel{c.IndexOf("A"), "a"});
+    b.rels.push_back(opt::BaseRel{c.IndexOf("B"), "b"});
+    b.joins.push_back(opt::JoinEdge{0, "A_id", 1, "parent_A"});
+    b.output.push_back(opt::ColumnRef{1, "B_id", "b"});
+    opt::RelQuery q;
+    q.blocks.push_back(std::move(b));
+    return q;
+  };
+  EXPECT_EQ(CostCacheFingerprint(query(ab), ab),
+            CostCacheFingerprint(query(ba), ba));
+  EXPECT_EQ(query(ab).ToSql(ab), query(ba).ToSql(ba));
+  // Pointing the query at the other table by index changes the key.
+  opt::RelQuery swapped = query(ab);
+  std::swap(swapped.blocks[0].rels[0].table, swapped.blocks[0].rels[1].table);
+  EXPECT_NE(CostCacheFingerprint(swapped, ab),
+            CostCacheFingerprint(query(ab), ab));
 }
 
 // The cost-cache key hashes the translated query's structure directly:
@@ -308,10 +353,7 @@ TEST(CostCacheTest, FingerprintSeparatesEveryRenderedField) {
   const uint64_t key = CostCacheFingerprint(base, catalog);
   EXPECT_EQ(CostCacheFingerprint(*retranslated, again->catalog()), key);
 
-  std::string other_table;  // any catalog table but rel 0's
-  for (const auto& name : catalog.table_names()) {
-    if (name != b0.rels[0].table) other_table = name;
-  }
+  const int other_table = b0.rels[0].table == 0 ? 1 : 0;  // not rel 0's
   auto changed = [&](const char* field, auto mutate) {
     opt::RelQuery q = base;
     opt::QueryBlock& b = q.blocks[0];

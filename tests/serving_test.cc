@@ -587,7 +587,7 @@ TEST_F(ServingTest, PreparedPlanStalenessIsDetectedAfterTableMutation) {
   // Mutate the backing table out from under the cached prepared programs:
   // Insert clears the index/column registries, dangling the resolved
   // pointers the prepared state holds.
-  store::StoredTable& table = db_->GetTable("C");
+  store::StoredTable& table = db_->table(mapping_->catalog().IndexOf("C"));
   auto row = table.ReadRow(0);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(table.Insert(std::move(row).value()).ok());

@@ -288,9 +288,12 @@ TEST(DatabaseTest, CreatesAllTablesEmpty) {
   map::Mapping m = MapText("type A = a[ B* ] type B = b[ String ]");
   Database db(m.catalog());
   EXPECT_EQ(db.TotalRows(), 0u);
-  EXPECT_NE(db.FindTable("A"), nullptr);
-  EXPECT_NE(db.FindTable("B"), nullptr);
-  EXPECT_EQ(db.FindTable("Zzz"), nullptr);
+  ASSERT_EQ(db.size(), m.catalog().size());
+  for (size_t i = 0; i < db.size(); ++i) {  // catalog order
+    EXPECT_EQ(db.table(static_cast<int>(i)).meta().name,
+              m.catalog().table(static_cast<int>(i)).name);
+  }
+  EXPECT_EQ(db.table(m.catalog().IndexOf("B")).meta().name, "B");
 }
 
 TEST(DatabaseTest, NextIdMonotonic) {
@@ -306,7 +309,7 @@ TEST(DatabaseTest, NextIdMonotonic) {
 TEST(Shredder, ScalarColumnsCanonicalized) {
   map::Mapping m = MapText("type A = a[ x[ String ], y[ Integer ] ]");
   Database db = Shred(m, "<a><x>123</x><y>45</y></a>");
-  const StoredTable& t = db.GetTable("A");
+  const StoredTable& t = db.table(m.catalog().IndexOf("A"));
   ASSERT_EQ(t.row_count(), 1u);
   int xi = t.meta().ColumnIndex("x");
   int yi = t.meta().ColumnIndex("y");
@@ -318,8 +321,8 @@ TEST(Shredder, ScalarColumnsCanonicalized) {
 TEST(Shredder, ParentForeignKeysLinkRows) {
   map::Mapping m = MapText("type A = a[ B* ] type B = b[ String ]");
   Database db = Shred(m, "<a><b>x</b><b>y</b></a>");
-  const StoredTable& a = db.GetTable("A");
-  const StoredTable& b = db.GetTable("B");
+  const StoredTable& a = db.table(m.catalog().IndexOf("A"));
+  const StoredTable& b = db.table(m.catalog().IndexOf("B"));
   ASSERT_EQ(a.row_count(), 1u);
   ASSERT_EQ(b.row_count(), 2u);
   int key = a.meta().ColumnIndex("A_id");
@@ -331,7 +334,7 @@ TEST(Shredder, ParentForeignKeysLinkRows) {
 TEST(Shredder, OptionalAbsenceStoresNull) {
   map::Mapping m = MapText("type A = a[ x[ String ]?, y[ String ] ]");
   Database db = Shred(m, "<a><y>present</y></a>");
-  const StoredTable& t = db.GetTable("A");
+  const StoredTable& t = db.table(m.catalog().IndexOf("A"));
   EXPECT_TRUE(At(t, 0, t.meta().ColumnIndex("x")).is_null());
   EXPECT_EQ(At(t, 0, t.meta().ColumnIndex("y")), Value::Str("present"));
 }
@@ -340,8 +343,8 @@ TEST(Shredder, UnionPicksMatchingAlternative) {
   map::Mapping m = MapText(
       "type A = a[ (B | C) ] type B = b[ String ] type C = c[ Integer ]");
   Database db = Shred(m, "<a><c>9</c></a>");
-  EXPECT_EQ(db.GetTable("B").row_count(), 0u);
-  EXPECT_EQ(db.GetTable("C").row_count(), 1u);
+  EXPECT_EQ(db.table(m.catalog().IndexOf("B")).row_count(), 0u);
+  EXPECT_EQ(db.table(m.catalog().IndexOf("C")).row_count(), 1u);
 }
 
 TEST(Shredder, UnionBacktrackingRollsBackRows) {
@@ -351,14 +354,14 @@ TEST(Shredder, UnionBacktrackingRollsBackRows) {
       "type A = a[ (B | B2) ] type B = b[ x[ String ]? ] "
       "type B2 = b[ x[ String ]?, z[ String ] ]");
   Database db = Shred(m, "<a><b><x>1</x><z>2</z></b></a>");
-  EXPECT_EQ(db.GetTable("B").row_count(), 0u);
-  EXPECT_EQ(db.GetTable("B2").row_count(), 1u);
+  EXPECT_EQ(db.table(m.catalog().IndexOf("B")).row_count(), 0u);
+  EXPECT_EQ(db.table(m.catalog().IndexOf("B2")).row_count(), 1u);
 }
 
 TEST(Shredder, WildcardStoresTagName) {
   map::Mapping m = MapText("type A = a[ R* ] type R = r[ ~[ String ] ]");
   Database db = Shred(m, "<a><r><nyt>great</nyt></r><r><sun>meh</sun></r></a>");
-  const StoredTable& r = db.GetTable("R");
+  const StoredTable& r = db.table(m.catalog().IndexOf("R"));
   ASSERT_EQ(r.row_count(), 2u);
   int tilde = r.meta().ColumnIndex("tilde");
   EXPECT_EQ(At(r, 0, tilde), Value::Str("nyt"));
@@ -401,7 +404,7 @@ TEST(Shredder, RejectsUnknownElements) {
 TEST(Shredder, RecursiveTypes) {
   map::Mapping m = MapText("type N = n[ v[ Integer ], N* ]");
   Database db = Shred(m, "<n><v>1</v><n><v>2</v></n><n><v>3</v></n></n>");
-  const StoredTable& n = db.GetTable("N");
+  const StoredTable& n = db.table(m.catalog().IndexOf("N"));
   ASSERT_EQ(n.row_count(), 3u);
   int fk = n.meta().ColumnIndex("parent_N");
   int present = 0;
@@ -418,7 +421,7 @@ TEST(Shredder, MultipleDocumentsAccumulate) {
     auto doc = xml::ParseDocument("<a><x>v</x></a>");
     ASSERT_TRUE(ShredDocument(doc.value(), m, &db).ok());
   }
-  EXPECT_EQ(db.GetTable("A").row_count(), 3u);
+  EXPECT_EQ(db.table(m.catalog().IndexOf("A")).row_count(), 3u);
 }
 
 TEST(Shredder, RejectsUndeclaredAttributes) {
@@ -462,8 +465,8 @@ TEST(Reconstruct, ForeignKeyNamedLikeTheKeyTakesASuffix) {
   // would take too; the foreign key takes the first free suffix.
   const char* schema = "type id = r[ parent* ] type parent = p[ String ]";
   map::Mapping m = MapText(schema);
-  const rel::Table* parent = m.catalog().FindTable("parent");
-  ASSERT_NE(parent, nullptr);
+  ASSERT_GE(m.catalog().IndexOf("parent"), 0);
+  const rel::Table* parent = &m.catalog().table(m.catalog().IndexOf("parent"));
   EXPECT_EQ(parent->key_column, "parent_id");
   ASSERT_EQ(parent->foreign_keys.size(), 1u);
   EXPECT_EQ(parent->foreign_keys[0].column, "parent_id_2");
@@ -548,7 +551,7 @@ TEST(Reconstruct, UntypedDocumentViaAnyElementSchema) {
       "<doc><anything><nested>deep</nested><more>text</more></anything>"
       "<other/></doc>";
   Database db = Shred(m, text);
-  EXPECT_GT(db.GetTable("AnyElement").row_count(), 3u);
+  EXPECT_GT(db.table(m.catalog().IndexOf("AnyElement")).row_count(), 3u);
   auto rebuilt = ReconstructDocument(&db, m);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   auto original = xml::ParseDocument(text);
@@ -564,12 +567,12 @@ TEST(Reconstruct, EmptyDatabaseFails) {
 // ---- Backtracking: what a failed match attempt leaves behind ----
 
 // The tables of `m`'s concrete types, in name order.
-std::vector<std::string> TableNames(const map::Mapping& m) {
-  std::vector<std::string> names;
+std::vector<int> TablesByName(const map::Mapping& m) {
+  std::vector<int> tables;
   for (const map::TypeMapping& tm : m.types()) {
-    if (!tm.virtual_union) names.push_back(tm.table);
+    if (!tm.virtual_union) tables.push_back(tm.table);
   }
-  return names;
+  return tables;
 }
 
 // Every stored row, table by table (in name order) and in row order. Key
@@ -577,15 +580,17 @@ std::vector<std::string> TableNames(const map::Mapping& m) {
 // rendering does not depend on which ids failed match attempts used up.
 std::string StoredRows(const map::Mapping& m, const Database& db) {
   std::map<int64_t, std::string> row_of;
-  for (const auto& name : TableNames(m)) {
-    const StoredTable& t = db.GetTable(name);
+  for (int table : TablesByName(m)) {
+    const StoredTable& t = db.table(table);
+    const std::string& name = t.meta().name;
     for (size_t i = 0; i < t.row_count(); ++i) {
       row_of[At(t, i, 0).as_int()] = name + "#" + std::to_string(i);
     }
   }
   std::string out;
-  for (const auto& name : TableNames(m)) {
-    const StoredTable& t = db.GetTable(name);
+  for (int table : TablesByName(m)) {
+    const StoredTable& t = db.table(table);
+    const std::string& name = t.meta().name;
     std::set<std::string> fks;
     for (const auto& fk : t.meta().foreign_keys) fks.insert(fk.column);
     for (size_t i = 0; i < t.row_count(); ++i) {
@@ -713,8 +718,8 @@ TEST(Shredder, KeyIdsFollowDocumentPreOrder) {
       "<a><v>1</v><b><v>2</v><x>p</x><z>q</z></b>"
       "<a><v>3</v><b><v>4</v></b><a><v>5</v></a></a><b><v>6</v></b></a>");
   std::map<int64_t, int64_t> v_by_id;
-  for (const auto& name : m.catalog().table_names()) {
-    const StoredTable& t = db.GetTable(name);
+  for (size_t table = 0; table < db.size(); ++table) {
+    const StoredTable& t = db.table(static_cast<int>(table));
     const int v = t.meta().ColumnIndex("v");
     for (size_t i = 0; i < t.row_count(); ++i) {
       const int64_t id = At(t, i, 0).as_int();

@@ -39,8 +39,9 @@ opt::RelQuery Translate(const map::Mapping& m, const char* query_text) {
   return std::move(rq).value();
 }
 
-bool SqlContains(const opt::RelQuery& rq, const std::string& needle) {
-  return rq.ToSql().find(needle) != std::string::npos;
+bool SqlContains(const map::Mapping& m, const opt::RelQuery& rq,
+                 const std::string& needle) {
+  return rq.ToSql(m.catalog()).find(needle) != std::string::npos;
 }
 
 TEST(Translate, InlineColumnAccessNeedsNoJoin) {
@@ -110,7 +111,7 @@ TEST(Translate, BranchWithoutPredicatePathIsPruned) {
   opt::RelQuery rq = Translate(
       m, "FOR $v IN document(\"d\")/r/s WHERE $v/x = c1 RETURN $v/x");
   ASSERT_EQ(rq.blocks.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].rels[1].table, "S1");
+  EXPECT_EQ(rq.blocks[0].rels[1].table, m.catalog().IndexOf("S1"));
 }
 
 TEST(Translate, BranchWithoutReturnPathIsPruned) {
@@ -120,7 +121,7 @@ TEST(Translate, BranchWithoutReturnPathIsPruned) {
   opt::RelQuery rq =
       Translate(m, "FOR $v IN document(\"d\")/r/s RETURN $v/y");
   ASSERT_EQ(rq.blocks.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].rels[1].table, "S2");
+  EXPECT_EQ(rq.blocks[0].rels[1].table, m.catalog().IndexOf("S2"));
 }
 
 TEST(Translate, WildcardStepAddsTildePredicate) {
@@ -143,13 +144,13 @@ TEST(Translate, MaterializedWildcardSkipsExcludedBranch) {
       m, "FOR $v IN document(\"d\")/show RETURN $v/reviews/nyt");
   // Only the Nyt branch matches the literal step; no tilde filter needed.
   ASSERT_EQ(rq.blocks.size(), 1u);
-  EXPECT_TRUE(SqlContains(rq, "Nyt"));
+  EXPECT_TRUE(SqlContains(m, rq, "Nyt"));
   EXPECT_TRUE(rq.blocks[0].filters.empty());
   // A non-nyt tag goes to the Other branch with a tilde predicate.
   opt::RelQuery rq2 = Translate(
       m, "FOR $v IN document(\"d\")/show RETURN $v/reviews/suntimes");
   ASSERT_EQ(rq2.blocks.size(), 1u);
-  EXPECT_TRUE(SqlContains(rq2, "Other"));
+  EXPECT_TRUE(SqlContains(m, rq2, "Other"));
   ASSERT_EQ(rq2.blocks[0].filters.size(), 1u);
   EXPECT_EQ(rq2.blocks[0].filters[0].value.string_value, "suntimes");
 }
@@ -276,7 +277,7 @@ TEST(Translate, FilteredPublishJoinsDescendantChains) {
   ASSERT_EQ(rq.blocks.size(), 2u);  // main + Aka chain
   // The Aka block restricts by the show filter via the FK join.
   const opt::QueryBlock& aka_block = rq.blocks[1];
-  EXPECT_EQ(aka_block.rels.back().table, "Aka");
+  EXPECT_EQ(aka_block.rels.back().table, m.catalog().IndexOf("Aka"));
   EXPECT_FALSE(aka_block.joins.empty());
   EXPECT_FALSE(aka_block.filters.empty());
 }
@@ -290,7 +291,7 @@ TEST(Translate, SharedChildTablesDumpedOnceAcrossPartitions) {
   // Blocks: S1, Aka, S2 — Aka only once despite two partitions.
   int aka_blocks = 0;
   for (const auto& b : rq.blocks) {
-    if (b.rels[0].table == "Aka") ++aka_blocks;
+    if (b.rels[0].table == m.catalog().IndexOf("Aka")) ++aka_blocks;
   }
   EXPECT_EQ(aka_blocks, 1);
 }
@@ -301,8 +302,8 @@ TEST(Translate, RecursiveNavigationJoinsSameTableTwice) {
       m, "FOR $a IN document(\"d\")/n, $b IN $a/n RETURN $b/v");
   ASSERT_EQ(rq.blocks.size(), 1u);
   EXPECT_EQ(rq.blocks[0].rels.size(), 2u);
-  EXPECT_EQ(rq.blocks[0].rels[0].table, "N");
-  EXPECT_EQ(rq.blocks[0].rels[1].table, "N");
+  EXPECT_EQ(rq.blocks[0].rels[0].table, m.catalog().IndexOf("N"));
+  EXPECT_EQ(rq.blocks[0].rels[1].table, m.catalog().IndexOf("N"));
   EXPECT_NE(rq.blocks[0].rels[0].alias, rq.blocks[0].rels[1].alias);
 }
 
@@ -411,15 +412,15 @@ TEST(TranslateGolden, GeneratedSchemasMatchRecordedDigest) {
       auto mapping = map::MapSchema(config);
       ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
       ++configs;
-      for (const std::string& name : mapping->catalog().table_names()) {
-        for (const auto& col : mapping->catalog().GetTable(name).columns) {
+      for (const rel::Table& table : mapping->catalog().tables()) {
+        for (const auto& col : table.columns) {
           digest = common::HashString(col.name, digest);
         }
       }
       for (const xq::Query& q : queries) {
         auto rq = TranslateQuery(q, *mapping);
         ASSERT_TRUE(rq.ok()) << rq.status().ToString();
-        digest = common::HashString(rq->ToSql(), digest);
+        digest = common::HashString(rq->ToSql(mapping->catalog()), digest);
         blocks += static_cast<int>(rq->blocks.size());
       }
     }

@@ -226,6 +226,30 @@ TEST(Evaluator, SubqueryWithoutWhereIsLeftOuter) {
               r.rows[2][1].is_null());
 }
 
+// A left-outer miss pads the row with one NULL per column the subquery
+// returns, its own inner subqueries' columns included.
+TEST(Evaluator, LeftOuterMissPadsEveryNestedColumn) {
+  ResultSet r = Eval(
+      "FOR $v IN document(\"d\")/imdb/show RETURN $v/title, "
+      "FOR $e IN $v/episodes RETURN $e/name, $e/guest_director, "
+      "FOR $k IN $v/aka RETURN $k");
+  ASSERT_EQ(r.labels.size(), 4u);
+  ASSERT_EQ(r.rows.size(), 3u);
+  r.SortRows();
+  for (const auto& row : r.rows) EXPECT_EQ(row.size(), 4u);
+  // alpha has no episodes: all three inner columns are NULL.
+  EXPECT_EQ(r.rows[0][0], Value::Str("alpha"));
+  EXPECT_TRUE(r.rows[0][1].is_null());
+  EXPECT_TRUE(r.rows[0][2].is_null());
+  EXPECT_TRUE(r.rows[0][3].is_null());
+  // beta's episodes have no aka: only the innermost column is NULL.
+  EXPECT_EQ(r.rows[1][0], Value::Str("beta"));
+  EXPECT_EQ(r.rows[1][2], Value::Str("gd1"));
+  EXPECT_TRUE(r.rows[1][3].is_null());
+  EXPECT_EQ(r.rows[2][1], Value::Str("e2"));
+  EXPECT_TRUE(r.rows[2][3].is_null());
+}
+
 TEST(Evaluator, ValueJoinAcrossVariables) {
   ResultSet r = Eval(
       "FOR $a IN document(\"d\")/imdb/show, $b IN document(\"d\")/imdb/show "

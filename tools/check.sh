@@ -5,12 +5,12 @@
 #   tools/check.sh                           # plain build + tests
 #   tools/check.sh -DLEGODB_SANITIZE=address # ASan build + tests
 #   tools/check.sh --asan                    # ASan/UBSan build of the
-#                                            # optimizer, executor, serving,
-#                                            # storage, shred/reconstruct,
-#                                            # schema, p-schema, transform,
-#                                            # mapping, translation,
-#                                            # update-costing and search
-#                                            # suites, then two
+#                                            # catalog, optimizer, executor,
+#                                            # serving, storage,
+#                                            # shred/reconstruct, schema,
+#                                            # p-schema, transform, mapping,
+#                                            # translation, update-costing
+#                                            # and search suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving,
@@ -23,14 +23,16 @@
 #                                            # goldens
 #
 # --asan builds into build-asan with -DLEGODB_SANITIZE=address,undefined and
-# runs the suites whose bugs would be memory bugs: the join-order optimizer
-# (optimizer_test, costmodel_test: its DP memo is a flat array indexed by
-# relation-subset mask, so an indexing slip reads out of bounds), the
-# vectorized executor and expression VM (engine_equivalence_test proves
-# reference-vs-vectorized bit-identity across batch sizes, under
-# concurrency, and disk-vs-memory including forced hash-join spills;
-# engine_test, expr_vm_test), the
-# serving layer (serving_test: canonicalization, plan cache, admission
+# runs the suites whose bugs would be memory bugs: the catalog and the
+# suites that build catalogs and queries by hand (relational_test,
+# compare_ops_test: queries, foreign keys and databases name tables by
+# catalog index, so a stale index reads out of bounds), the join-order
+# optimizer (optimizer_test, costmodel_test: its DP memo is a flat array
+# indexed by relation-subset mask, so an indexing slip reads out of
+# bounds), the vectorized executor and expression VM
+# (engine_equivalence_test proves reference-vs-vectorized bit-identity
+# across batch sizes, under concurrency, and disk-vs-memory including
+# forced hash-join spills; engine_test, expr_vm_test), the serving layer (serving_test: canonicalization, plan cache, admission
 # control, 8-thread bit-identity), and the paged storage backend
 # (pager_test, storage_test), plus the two suites that shred and
 # reconstruct through the per-type programs, which hold pointers into the
@@ -91,9 +93,10 @@ if [[ "${1:-}" == "--asan" ]]; then
     optimizer_test costmodel_test engine_equivalence_test engine_test \
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
     equivalence_test xschema_test pschema_test transforms_test mapping_test \
-    translate_test update_test search_test micro_engine calibration
+    translate_test update_test search_test relational_test compare_ops_test \
+    micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R '^(optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test)$'
+    -R '^(relational_test|compare_ops_test|optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \

@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
     for (const auto& wq : engine.workload().queries) {
       auto rq = xlat::TranslateQuery(wq.query, result->mapping);
       if (!rq.ok()) continue;
-      std::printf("=== %s ===\n%s\n", wq.name.c_str(), rq->ToSql().c_str());
+      std::printf("=== %s ===\n%s\n", wq.name.c_str(), rq->ToSql(result->mapping.catalog()).c_str());
       auto planned = optimizer.PlanQuery(rq.value());
       if (planned.ok()) {
         for (size_t i = 0; i < planned->blocks.size(); ++i) {
