@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the mapping-engine components: schema
 // mapping, query translation, optimizer planning, transformation
-// enumeration, and one full GetPSchemaCost evaluation — the inner-loop
+// enumeration and application, schema fingerprinting, and one full
+// GetPSchemaCost evaluation — the inner-loop
 // operations whose latency bounds greedy-search time (the paper reports
 // ~3 seconds per iteration on 2001 hardware).
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "optimizer/optimizer.h"
 #include "translate/translate.h"
 #include "xquery/parser.h"
+#include "xschema/fingerprint.h"
 
 namespace {
 
@@ -97,6 +99,32 @@ void BM_EnumerateTransformations(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumerateTransformations);
+
+// One outline move on the all-inlined IMDB start, then Normalize, which
+// the rewrites that change references run: the move leaves every other
+// body physical, so Normalize returns those bodies as they are.
+void BM_ApplyTransformation(benchmark::State& state) {
+  xs::Schema config = ps::AllInlined(bench::AnnotatedImdb());
+  core::TransformOptions options;
+  options.inline_types = false;
+  const auto moves = core::EnumerateTransformations(config, options);
+  const core::TransformDescriptor& move = moves.front();
+  for (auto _ : state) {
+    auto next = core::ApplyTransformation(config, move);
+    xs::Schema normalized = ps::Normalize(next.value());
+    benchmark::DoNotOptimize(normalized);
+  }
+}
+BENCHMARK(BM_ApplyTransformation);
+
+void BM_FingerprintSchema(benchmark::State& state) {
+  xs::Schema config = ps::AllOutlined(bench::AnnotatedImdb());
+  for (auto _ : state) {
+    uint64_t fp = xs::FingerprintSchema(config);
+    benchmark::DoNotOptimize(fp);
+  }
+}
+BENCHMARK(BM_FingerprintSchema);
 
 void BM_GetPSchemaCost(benchmark::State& state) {
   xs::Schema config = ps::AllInlined(bench::AnnotatedImdb());

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -136,92 +136,209 @@ uint64_t CostCacheFingerprint(const opt::RelQuery& query,
 
 namespace {
 
-// Costs workloads against configurations, reusing a query's estimate when
-// the structural key of its translation plus the touched tables'
-// statistics matches an earlier configuration. Most single transformations
-// affect one or two types, so most workload queries hit the cache.
-//
-// Thread-safe: Cost() may run concurrently for different configurations.
-// The per-query caches sit behind one mutex (lookups are cheap; planning —
-// the expensive part — runs outside the lock), and the counters are
-// atomic. Two workers missing the same key concurrently may both plan it
-// (both count as evaluations), so per-(configuration, query) exactly one
-// of {cache_hit, cost_evaluation} is recorded and the totals invariant of
-// SearchStats holds at any thread count.
-class CachedCoster {
+// One configuration's view for dependency keys: each mapped type's name
+// hash, its dependency hash when used (stored body fingerprint, name,
+// instance count, parent links) and when only entered (name and entries,
+// hashed on first use), and the types by name hash.
+class DependencyKeys {
  public:
-  CachedCoster(const Workload& workload, const opt::CostParams& params,
-               bool enabled)
-      : workload_(workload), params_(params), enabled_(enabled) {
-    caches_.resize(workload.queries.size());
+  explicit DependencyKeys(const map::Mapping& mapping) : mapping_(mapping) {
+    const std::vector<map::TypeMapping>& types = mapping.types();
+    names_.reserve(types.size());
+    by_name_.reserve(types.size());
+    for (size_t i = 0; i < types.size(); ++i) {
+      names_.push_back(common::HashString(types[i].type_name));
+      by_name_.emplace_back(names_.back(), static_cast<int>(i));
+    }
+    std::sort(by_name_.begin(), by_name_.end());
+    used_.reserve(types.size());
+    for (size_t i = 0; i < types.size(); ++i) {
+      const map::TypeMapping& tm = types[i];
+      uint64_t h = common::HashCombine(names_[i], tm.body_fingerprint);
+      h = common::HashDouble(tm.instance_count, h);
+      h = common::HashInt(static_cast<int64_t>(tm.parents.size()), h);
+      for (const map::TypeMapping::ParentLink& link : tm.parents) {
+        h = common::HashCombine(h, names_[link.parent]);
+        h = common::HashDouble(types[link.parent].instance_count, h);
+      }
+      used_.push_back(h);
+    }
+    entered_.assign(types.size(), 0);
   }
 
-  StatusOr<double> Cost(const xs::Schema& pschema) {
-    LEGODB_FAILPOINT("search.cost_schema");
-    schemas_costed_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count("search.schemas_costed");
-    LEGODB_ASSIGN_OR_RETURN(map::Mapping mapping, map::MapSchema(pschema));
-    opt::Optimizer optimizer(mapping.catalog(), params_);
-    CostCacheKeyer keyer(mapping.catalog());
-    double total = 0;
-    for (size_t i = 0; i < workload_.queries.size(); ++i) {
-      const WorkloadQuery& wq = workload_.queries[i];
-      LEGODB_ASSIGN_OR_RETURN(opt::RelQuery rq,
-                              xlat::TranslateQuery(wq.query, mapping));
-      uint64_t key = 0;
-      if (enabled_) {
-        key = keyer.Key(rq);
-        std::optional<double> cached;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = caches_[i].find(key);
-          if (it != caches_[i].end()) cached = it->second;
-        }
-        if (cached) {
-          cache_hits_.fetch_add(1, std::memory_order_relaxed);
-          obs::Count("search.cache_hits");
-          total += wq.weight * *cached;
-          continue;
-        }
+  // The read set of one translation.
+  std::shared_ptr<const CachedCoster::ReadSet> Names(
+      const xlat::TypeReads& reads) const {
+    auto names = [&](const std::vector<int>& types) {
+      std::vector<uint64_t> out;
+      out.reserve(types.size());
+      for (int t : types) out.push_back(names_[t]);
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      return out;
+    };
+    auto set = std::make_shared<CachedCoster::ReadSet>();
+    set->used = names(reads.used);
+    set->entered = names(reads.entered);
+    std::erase_if(set->entered, [&](uint64_t name) {
+      return std::binary_search(set->used.begin(), set->used.end(), name);
+    });
+    return set;
+  }
+
+  // The dependency key of `reads` in this configuration, or nullopt when a
+  // type it names is not mapped here.
+  std::optional<uint64_t> Key(const CachedCoster::ReadSet& reads) {
+    uint64_t h = names_[mapping_.root()];
+    for (uint64_t name : reads.used) {
+      const int t = Find(name);
+      if (t < 0) return std::nullopt;
+      h = common::HashCombine(h, used_[t]);
+    }
+    h = common::HashInt(static_cast<int64_t>(reads.used.size()), h);
+    for (uint64_t name : reads.entered) {
+      const int t = Find(name);
+      if (t < 0) return std::nullopt;
+      h = common::HashCombine(h, Entered(t));
+    }
+    return common::Mix64(h);
+  }
+
+ private:
+  int Find(uint64_t name) const {
+    auto it = std::lower_bound(by_name_.begin(), by_name_.end(),
+                               std::make_pair(name, 0));
+    return it != by_name_.end() && it->first == name ? it->second : -1;
+  }
+
+  // What a path step reads of type `t` when it only enters it.
+  uint64_t Entered(int t) {
+    uint64_t& h = entered_[t];
+    if (h != 0) return h;
+    const map::TypeMapping& tm = mapping_.type(t);
+    h = common::HashInt(tm.virtual_union ? 1 : 0, names_[t]);
+    for (int alt : tm.union_alternatives) {
+      h = common::HashCombine(h, names_[alt]);
+    }
+    for (const map::TypeMapping::Entry& entry : tm.entries) {
+      if (!entry.node) {
+        h = common::HashCombine(h, names_[entry.hop]);
+        continue;
       }
+      h = common::HashInt(static_cast<int64_t>(entry.node->name.kind), h);
+      h = common::HashCombine(h, common::HashString(entry.node->name.name));
+    }
+    h |= 1;  // never 0, the mark of a hash not yet taken
+    return h;
+  }
+
+  const map::Mapping& mapping_;
+  std::vector<uint64_t> names_;    // by mapped type index
+  std::vector<uint64_t> used_;     // by mapped type index
+  std::vector<uint64_t> entered_;  // by mapped type index, 0 until hashed
+  std::vector<std::pair<uint64_t, int>> by_name_;
+};
+
+}  // namespace
+
+CachedCoster::CachedCoster(const Workload& workload,
+                           const opt::CostParams& params, bool enabled)
+    : workload_(workload),
+      params_(params),
+      enabled_(enabled),
+      caches_(workload.queries.size()) {}
+
+StatusOr<double> CachedCoster::Cost(
+    const xs::Schema& pschema,
+    std::span<const std::vector<QueryCost>* const> hints,
+    std::vector<QueryCost>* queries) {
+  LEGODB_FAILPOINT("search.cost_schema");
+  schemas_costed_.fetch_add(1, std::memory_order_relaxed);
+  obs::Count("search.schemas_costed");
+  LEGODB_ASSIGN_OR_RETURN(map::Mapping mapping, map::MapSchema(pschema));
+  opt::Optimizer optimizer(mapping.catalog(), params_);
+  CostCacheKeyer keyer(mapping.catalog());
+  std::optional<DependencyKeys> deps;
+  if (enabled_) deps.emplace(mapping);
+  std::vector<QueryCost> costs(workload_.queries.size());
+  double total = 0;
+  for (size_t i = 0; i < workload_.queries.size(); ++i) {
+    const WorkloadQuery& wq = workload_.queries[i];
+    QueryCost& qc = costs[i];
+    for (size_t h = 0; enabled_ && !qc.memo_hit && h < hints.size(); ++h) {
+      // Keyed under a hint's read set: a hit needs no translation.
+      const std::shared_ptr<const ReadSet>& hint = (*hints[h])[i].reads;
+      if (!hint || (h > 0 && hint == (*hints[h - 1])[i].reads)) continue;
+      std::optional<uint64_t> dep = deps->Key(*hint);
+      if (!dep) continue;
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = caches_[i].memo.find(*dep);
+      if (it != caches_[i].memo.end()) {
+        qc = QueryCost{it->second.cost, it->second.key, true,
+                       it->second.reads};
+      }
+    }
+    if (qc.memo_hit) {
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      obs::Count("search.cache_hits");
+      obs::Count("search.memo_hits");
+      total += wq.weight * qc.cost;
+      continue;
+    }
+    xlat::TypeReads reads;
+    LEGODB_ASSIGN_OR_RETURN(
+        opt::RelQuery rq,
+        xlat::TranslateQuery(wq.query, mapping, enabled_ ? &reads : nullptr));
+    std::optional<double> cached;
+    if (enabled_) {
+      qc.key = keyer.Key(rq);
+      qc.reads = deps->Names(reads);
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = caches_[i].costs.find(qc.key);
+      if (it != caches_[i].costs.end()) cached = it->second;
+    }
+    if (cached) {
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      obs::Count("search.cache_hits");
+      qc.cost = *cached;
+    } else {
       LEGODB_ASSIGN_OR_RETURN(opt::PlannedQuery planned,
                               optimizer.PlanQuery(rq));
       cost_evaluations_.fetch_add(1, std::memory_order_relaxed);
       obs::Count("search.cost_evaluations");
-      if (enabled_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        caches_[i].emplace(key, planned.total_cost);
-      }
-      total += wq.weight * planned.total_cost;
+      qc.cost = planned.total_cost;
     }
-    for (const auto& op : workload_.updates) {
-      LEGODB_ASSIGN_OR_RETURN(double cost,
-                              CostUpdate(mapping, op, params_));
-      total += op.weight * cost;
+    if (enabled_) {
+      // The memo entry and the cost-cache entry it stands for land
+      // together, so a later memo hit is a hit the cache would have given.
+      const uint64_t dep = *deps->Key(*qc.reads);
+      std::lock_guard<std::mutex> lock(mu_);
+      const double cost =
+          caches_[i].costs.emplace(qc.key, qc.cost).first->second;
+      caches_[i].memo.emplace(dep, MemoEntry{qc.key, cost, qc.reads});
     }
-    return total;
+    total += wq.weight * qc.cost;
   }
-
-  void FillStats(SearchStats* stats) const {
-    stats->cost_evaluations = cost_evaluations_.load();
-    stats->cache_hits = cache_hits_.load();
-    stats->schemas_costed = schemas_costed_.load();
+  for (const auto& op : workload_.updates) {
+    LEGODB_ASSIGN_OR_RETURN(double cost, CostUpdate(mapping, op, params_));
+    total += op.weight * cost;
   }
+  if (queries) *queries = std::move(costs);
+  return total;
+}
 
- private:
-  const Workload& workload_;
-  const opt::CostParams& params_;
-  bool enabled_;
-  std::mutex mu_;
-  std::vector<std::map<uint64_t, double>> caches_;
-  std::atomic<int64_t> cost_evaluations_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> schemas_costed_{0};
-};
+void CachedCoster::FillStats(SearchStats* stats) const {
+  stats->cost_evaluations = cost_evaluations_.load();
+  stats->cache_hits = cache_hits_.load();
+  stats->schemas_costed = schemas_costed_.load();
+}
+
+namespace {
 
 struct BeamEntry {
   xs::Schema schema;
   double cost = 0;
+  std::vector<CachedCoster::QueryCost> queries;  // what costing it found
 };
 
 // One candidate move of an iteration: a descriptor against a beam entry,
@@ -233,6 +350,9 @@ struct CandidateItem {
   uint64_t fingerprint = 0;
   bool unique = false;  // survived fingerprint dedupe
   std::optional<double> cost;  // set when costing succeeded
+  std::vector<CachedCoster::QueryCost> queries;  // what costing it found
+  // What costing the same move found one iteration earlier, if it ran.
+  const std::vector<CachedCoster::QueryCost>* previous = nullptr;
   // Evaluation-guard bookkeeping: a phase that ran but produced no result
   // is a skipped candidate (counted, never fatal); a phase that never ran
   // (wall-clock cancellation) is neither.
@@ -275,13 +395,16 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
   result.stats.threads_used = threads;
   CachedCoster coster(workload, params, options.cache_query_costs);
   double initial_cost;
+  std::vector<CachedCoster::QueryCost> initial_queries;
   {
     obs::Span initial_span("search.initial_cost");
-    LEGODB_ASSIGN_OR_RETURN(initial_cost, coster.Cost(initial));
+    LEGODB_ASSIGN_OR_RETURN(initial_cost,
+                            coster.Cost(initial, {}, &initial_queries));
   }
 
   int beam_width = std::max(1, options.beam_width);
-  std::vector<BeamEntry> beam = {BeamEntry{initial, initial_cost}};
+  std::vector<BeamEntry> beam = {
+      BeamEntry{initial, initial_cost, std::move(initial_queries)}};
   xs::Schema best_schema = std::move(initial);
   double best_cost = initial_cost;
   // Fingerprints of configurations already evaluated anywhere in the run.
@@ -298,6 +421,10 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
   std::string first_error;  // first skipped candidate's error, for diagnosis
   bool converged = false;
   int64_t candidates_budgeted = 0;  // against options.max_candidates
+
+  // What costing found for each move of the last iteration, by signature.
+  std::unordered_map<std::string, std::vector<CachedCoster::QueryCost>>
+      previous;
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     if (past_deadline()) {
@@ -382,6 +509,10 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
       }
     }
     candidates_budgeted += static_cast<int64_t>(todo.size());
+    for (size_t k : todo) {
+      auto it = previous.find(items[k].desc.Signature());
+      if (it != previous.end()) items[k].previous = &it->second;
+    }
     ParallelFor(
         todo.size(), threads,
         [&](size_t j) {
@@ -392,7 +523,11 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
           int64_t t0 = obs::NowNanos();
           CandidateItem& item = items[todo[j]];
           item.cost_attempted = true;
-          auto cost = coster.Cost(*item.schema);
+          const std::vector<CachedCoster::QueryCost>* hints[] = {
+              &beam[item.entry].queries, item.previous};
+          auto cost = coster.Cost(*item.schema,
+                                  std::span(hints, item.previous ? 2 : 1),
+                                  &item.queries);
           if (cost.ok()) {
             item.cost = *cost;
           } else if (item.error.empty()) {
@@ -401,6 +536,13 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
           work_ns.fetch_add(obs::NowNanos() - t0, std::memory_order_relaxed);
         },
         &cancel);
+
+    std::unordered_map<std::string, std::vector<CachedCoster::QueryCost>>
+        costed;
+    for (const CandidateItem& item : items) {
+      if (item.cost) costed.emplace(item.desc.Signature(), item.queries);
+    }
+    previous = std::move(costed);
 
     // Select sequentially in descriptor order: identical results and tie
     // breaks regardless of thread count. An attempted candidate without a
@@ -426,7 +568,8 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
         iter_best = *item.cost;
         best_item = &item;
       }
-      expanded.push_back(BeamEntry{std::move(*item.schema), *item.cost});
+      expanded.push_back(BeamEntry{std::move(*item.schema), *item.cost,
+                                   std::move(item.queries)});
     }
     result.stats.candidates_failed += failed;
     obs::Count("search.candidates_evaluated", evaluated);

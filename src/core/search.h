@@ -1,9 +1,14 @@
 #ifndef LEGODB_CORE_SEARCH_H_
 #define LEGODB_CORE_SEARCH_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -72,7 +77,10 @@ struct SearchOptions {
   // untouched). Implements the Section-7 idea of letting the optimizer
   // "reuse partial results from one evaluation to the next". The cache is
   // keyed per query on a collision-safe 64-bit fingerprint of the
-  // translated SQL plus the touched tables' statistics.
+  // translated SQL plus the touched tables' statistics, and a dependency
+  // memo in front of it skips translating and keying a query whose read
+  // types a move left alone (see CachedCoster). Turning it off translates
+  // and plans every query of every candidate.
   bool cache_query_costs = true;
 
   // Worker threads for candidate evaluation: each iteration's neighbors
@@ -155,7 +163,10 @@ SearchOptions GreedySoOptions();  // start all-outlined, apply inlining
 // its table by name, not index (row count, keys, FK parents' names, and each
 // column's type, width, null fraction, distincts and range), so keys match
 // across candidates. Fingerprints fill one slot per table index on first
-// use: a keyer hashes a table once however many queries touch it.
+// use: a keyer hashes a table once however many queries touch it. In the
+// search, a query is keyed only when the dependency memo (CachedCoster)
+// misses, so these hashes are paid for the tables of queries a move may
+// have changed.
 // Not thread-safe.
 class CostCacheKeyer {
  public:
@@ -170,6 +181,87 @@ class CostCacheKeyer {
 
   const rel::Catalog& catalog_;
   std::vector<std::optional<uint64_t>> table_hashes_;  // by table index
+};
+
+// Costs a workload against candidate configurations for the search,
+// reusing a query's estimate across configurations in two steps:
+//  - the cost cache: per query, the cost planned for each cost-cache key
+//    (CostCacheKeyer) of its translation;
+//  - in front of it, the dependency memo. Each translation records the
+//    mapped types it read (xlat::TypeReads), kept by type name: its read
+//    set. A configuration's dependency key for a read set folds, after the
+//    root's name, for each type the translation used, the body fingerprint
+//    the schema stored, the name, the instance count and the parent links
+//    (each parent's name and instance count), and for each type it only
+//    entered, the name and the entries (element names, hops, union
+//    alternatives). Those determine the translation and the statistics of
+//    every table it touches, so a key met before stands for the same
+//    cost-cache key and cost, and the query is neither translated nor
+//    keyed. It counts as the cache hit it would have been: each memo entry
+//    is written together with the cost-cache entry it came from.
+// A candidate is keyed under the read sets of configurations it likely
+// shares them with (Cost's `hints`): its parent's, since a move rarely
+// changes which types a query reads, then those of the same move one
+// iteration earlier, which read the types a move removes. The initial
+// configuration, and every query whose keys all miss, is translated.
+//
+// Thread-safe: Cost() may run concurrently for different configurations.
+// The per-query caches and memos sit behind one mutex (lookups are cheap;
+// translation and planning run outside the lock), and the counters are
+// atomic. Two workers missing the same key concurrently may both plan it
+// (both count as evaluations), so per (configuration, query) exactly one
+// of {cache_hit, cost_evaluation} is recorded and the totals invariant of
+// SearchStats holds at any thread count.
+class CachedCoster {
+ public:
+  // The types one translation read, by name hash, each list sorted: those
+  // it used, and those it only entered.
+  struct ReadSet {
+    std::vector<uint64_t> used;
+    std::vector<uint64_t> entered;
+  };
+
+  // What Cost() did for one workload query.
+  struct QueryCost {
+    double cost = 0;
+    uint64_t key = 0;        // the cost-cache key (0 when caching is off)
+    bool memo_hit = false;   // served by the dependency memo, untranslated
+    std::shared_ptr<const ReadSet> reads;  // set when caching is on
+  };
+
+  CachedCoster(const Workload& workload, const opt::CostParams& params,
+               bool enabled);
+
+  // The weighted cost of `pschema`: queries, then updates. `hints` are
+  // what Cost() reported for other configurations, tried in order for
+  // each query's read set; `queries`, when given, receives one entry per
+  // workload query.
+  StatusOr<double> Cost(
+      const xs::Schema& pschema,
+      std::span<const std::vector<QueryCost>* const> hints = {},
+      std::vector<QueryCost>* queries = nullptr);
+
+  void FillStats(SearchStats* stats) const;
+
+ private:
+  struct MemoEntry {
+    uint64_t key;
+    double cost;
+    std::shared_ptr<const ReadSet> reads;
+  };
+  struct QueryCache {
+    std::unordered_map<uint64_t, double> costs;       // by cost-cache key
+    std::unordered_map<uint64_t, MemoEntry> memo;     // by dependency key
+  };
+
+  const Workload& workload_;
+  const opt::CostParams& params_;
+  bool enabled_;
+  std::mutex mu_;
+  std::vector<QueryCache> caches_;  // by workload query
+  std::atomic<int64_t> cost_evaluations_{0};
+  std::atomic<int64_t> cache_hits_{0};
+  std::atomic<int64_t> schemas_costed_{0};
 };
 
 // The key of one query, from a fresh keyer (for callers keying one query).

@@ -255,8 +255,10 @@ StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
   std::vector<TypePtr> part_refs;
   std::vector<std::string> alt_names;
   for (const auto& alt : node->children) {
-    // Part_i: the body with the union narrowed to this alternative.
+    // Part_i: the body with the union narrowed to this alternative. The
+    // parts after the first get their own nodes.
     TypePtr part_body = ps::ReplaceAt(body, t.path, alt);
+    if (!part_refs.empty()) part_body = ps::CopyNodes(part_body);
     std::string part_name = out.FreshTypeName(t.type_name + "_Part");
     out.Define(part_name, std::move(part_body));
     part_refs.push_back(Type::Ref(part_name));
@@ -270,7 +272,7 @@ StatusOr<Schema> ApplyUnionDistribute(const Schema& schema,
     if (inlined.ok()) out = std::move(inlined).value();
   }
   out.GarbageCollect();
-  return ps::Normalize(out);
+  return ps::Normalize(std::move(out));
 }
 
 StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
@@ -287,13 +289,14 @@ StatusOr<Schema> ApplyUnionToOptions(const Schema& schema,
   for (const auto& alt : node->children) {
     TypePtr alt_body = schema.Find(alt->ref_name);
     if (!alt_body) return Status::NotFound("type " + alt->ref_name);
-    options.push_back(Type::Repetition(alt_body, 0, 1, presence));
+    options.push_back(
+        Type::Repetition(ps::CopyNodes(alt_body), 0, 1, presence));
   }
   Schema out = schema;
   out.Redefine(type,
                ps::ReplaceAt(body, t.path, Type::Sequence(std::move(options))));
   out.GarbageCollect();
-  return ps::Normalize(out);
+  return ps::Normalize(std::move(out));
 }
 
 StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
@@ -313,11 +316,12 @@ StatusOr<Schema> ApplyRepetitionSplit(const Schema& schema,
   double rest_avg = node->avg_count > 1 ? node->avg_count - 1 : 0;
   TypePtr rest = Type::Repetition(node->child, node->min_occurs - 1, rest_max,
                                   rest_avg);
-  TypePtr replacement = Type::Sequence({cbody, std::move(rest)});
+  TypePtr replacement =
+      Type::Sequence({ps::CopyNodes(cbody), std::move(rest)});
   Schema out = schema;
   out.Redefine(type, ps::ReplaceAt(body, t.path, std::move(replacement)));
   out.GarbageCollect();
-  return ps::Normalize(out);
+  return ps::Normalize(std::move(out));
 }
 
 StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
@@ -352,7 +356,7 @@ StatusOr<Schema> ApplyRepetitionMerge(const Schema& schema,
   Schema out = schema;
   out.Redefine(type,
                ps::ReplaceAt(body, seq_path, Type::Sequence(std::move(children))));
-  return ps::Normalize(out);
+  return ps::Normalize(std::move(out));
 }
 
 StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
@@ -369,12 +373,12 @@ StatusOr<Schema> ApplyWildcardMaterialize(const Schema& schema,
   std::string tagged_name = out.FreshTypeName(Capitalized(t.tag));
   out.Define(tagged_name, Type::Element(t.tag, node->child));
   std::string other_name = out.FreshTypeName("Other" + Capitalized(t.tag));
-  out.Define(other_name,
-             Type::Element(xs::NameClass::AnyExcept(t.tag), node->child));
+  out.Define(other_name, Type::Element(xs::NameClass::AnyExcept(t.tag),
+                                       ps::CopyNodes(node->child)));
   TypePtr replacement =
       Type::Union({Type::Ref(tagged_name), Type::Ref(other_name)});
   out.Redefine(type, ps::ReplaceAt(body, t.path, std::move(replacement)));
-  return ps::Normalize(out);
+  return ps::Normalize(std::move(out));
 }
 
 }  // namespace
@@ -387,7 +391,7 @@ StatusOr<Schema> ApplyTransformation(const Schema& schema,
       // Re-normalize: inlining can duplicate references to shared types.
       LEGODB_ASSIGN_OR_RETURN(xs::Schema out,
                               ps::InlineType(schema, t.type_name));
-      return ps::Normalize(out);
+      return ps::Normalize(std::move(out));
     }
     case TransformDescriptor::Kind::kOutline:
       return ps::OutlineAt(schema, t.type_name, t.path);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string_view>
 
 #include "common/check.h"
@@ -131,7 +130,8 @@ const xs::Type* Mapping::RootPosition(const std::string& step) const {
 }
 
 void Mapping::Step(const TypeMapping& tm, const xs::Type* at,
-                   const std::string& step, std::vector<Move>* out) const {
+                   const std::string& step, std::vector<Move>* out,
+                   std::vector<int>* read) const {
   const bool attribute_step = StartsWith(step, "@");
   bool matched_element = false;
   const std::string_view attribute_name =
@@ -165,25 +165,26 @@ void Mapping::Step(const TypeMapping& tm, const xs::Type* at,
   if (attribute_step) return;
   std::vector<const TypeMapping*> entered;
   for (const ChildRef& child : tm.children) {
-    if (child.node == at) Enter(child.type, step, &entered, 0, out);
+    if (child.node == at) Enter(child.type, step, &entered, 0, out, read);
   }
 }
 
 void Mapping::Enter(int type, const std::string& step,
                     std::vector<const TypeMapping*>* entered, int depth,
-                    std::vector<Move>* out) const {
+                    std::vector<Move>* out, std::vector<int>* read) const {
   if (depth > 8) return;
+  if (read) read->push_back(type);
   const TypeMapping& tm = types_[type];
   if (tm.virtual_union) {
     for (int alt : tm.union_alternatives) {
-      Enter(alt, step, entered, depth + 1, out);
+      Enter(alt, step, entered, depth + 1, out, read);
     }
     return;
   }
   entered->push_back(&tm);
   for (const TypeMapping::Entry& entry : tm.entries) {
     if (!entry.node) {
-      Enter(entry.hop, step, entered, depth + 1, out);
+      Enter(entry.hop, step, entered, depth + 1, out, read);
     } else if (entry.node->name.Matches(step)) {
       const Slot* tilde = entry.node->name.is_wildcard()
                               ? tm.FindSlot(entry.node, /*tilde=*/true)
@@ -234,6 +235,7 @@ class Mapper {
     TypeMapping* tm = &result_.types_[index_[t]];
     const TypePtr& body = schema_.body(t);
     tm->body = body.get();
+    tm->body_fingerprint = schema_.body_fingerprint(t);
     refs_ = &schema_.refs(t);
     next_ref_ = 0;
     if (body->kind == Type::Kind::kUnion) {
@@ -322,18 +324,35 @@ class Mapper {
   // Makes the column names of `tm`'s table unique: the key keeps its name,
   // then each foreign key in `parents` order and each slot in slot order
   // takes the first name not yet taken among its own and that name
-  // suffixed "_2", "_3", ...
+  // suffixed "_2", "_3", ... A table has a handful of columns, so each
+  // candidate name is checked against the names already given.
   static void NameColumns(TypeMapping* tm) {
-    std::set<std::string> taken{tm->type_name + "_id"};
-    auto unique = [&](std::string* column) {
-      std::string name = *column;
-      for (int i = 2; !taken.insert(name).second; ++i) {
-        name = *column + "_" + std::to_string(i);
+    size_t links = 0;  // the foreign keys named so far
+    size_t slots = 0;  // the slots named so far
+    auto taken = [&](const std::string& name) {
+      if (name.size() == tm->type_name.size() + 3 &&
+          name.starts_with(tm->type_name) && name.ends_with("_id")) {
+        return true;
       }
+      for (size_t i = 0; i < links; ++i) {
+        if (tm->parents[i].fk_column == name) return true;
+      }
+      for (size_t i = 0; i < slots; ++i) {
+        if (tm->slots[i].column == name) return true;
+      }
+      return false;
+    };
+    auto unique = [&](std::string* column) {
+      if (!taken(*column)) return;
+      int i = 2;
+      std::string name = *column + "_2";
+      while (taken(name)) name = *column + "_" + std::to_string(++i);
       *column = std::move(name);
     };
-    for (auto& link : tm->parents) unique(&link.fk_column);
-    for (Slot& slot : tm->slots) unique(&slot.column);
+    for (; links < tm->parents.size(); ++links) {
+      unique(&tm->parents[links].fk_column);
+    }
+    for (; slots < tm->slots.size(); ++slots) unique(&tm->slots[slots].column);
   }
 
   void WalkBody(const TypePtr& t, double presence, bool optional,

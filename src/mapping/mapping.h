@@ -48,8 +48,10 @@ struct ChildRef {
 // How one named type maps to the relational configuration.
 struct TypeMapping {
   std::string type_name;
-  // The type's body in the Mapping's schema.
+  // The type's body in the Mapping's schema, and the fingerprint the
+  // schema stored for it (xs::Schema::body_fingerprint).
   const xs::Type* body = nullptr;
+  uint64_t body_fingerprint = 0;
   // Its table's catalog index (named after the type); -1 when virtual.
   int table = -1;
   // A type whose body is purely a union of type references (e.g.
@@ -148,8 +150,11 @@ class Mapping {
   // element matched) an attribute of that name, then entries into each
   // type referenced at `at`, in `children` order. An "@name" step only
   // reaches the attribute. Only positions holding content are reached.
+  // When `read` is given, the index of every type the step looked into
+  // (each one entered, virtual unions and hops included, whether or not it
+  // admitted the step) is appended to it.
   void Step(const TypeMapping& tm, const xs::Type* at, const std::string& step,
-            std::vector<Move>* out) const;
+            std::vector<Move>* out, std::vector<int>* read = nullptr) const;
 
  private:
   friend class Mapper;
@@ -157,7 +162,7 @@ class Mapping {
   // admit `step`, having entered `entered` before it.
   void Enter(int type, const std::string& step,
              std::vector<const TypeMapping*>* entered, int depth,
-             std::vector<Move>* out) const;
+             std::vector<Move>* out, std::vector<int>* read) const;
 
   rel::Catalog catalog_;
   std::vector<TypeMapping> types_;  // sorted by type_name

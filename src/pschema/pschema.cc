@@ -1,5 +1,6 @@
 #include "pschema/pschema.h"
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 
@@ -98,28 +99,86 @@ std::string SuggestTypeName(const TypePtr& t) {
 
 // `t` with each direct child replaced by `f(child)`: the content of an
 // element, attribute or repetition, the items of a sequence, the
-// alternatives of a union. Leaves come back as they are.
+// alternatives of a union. `t` itself comes back when `f` returned every
+// child unchanged, and leaves always do, so a rewrite shares every subtree
+// it leaves alone.
 template <typename F>
 TypePtr MapChildren(const TypePtr& t, const F& f) {
   switch (t->kind) {
     case Type::Kind::kElement:
-      return Type::Element(t->name, f(t->child));
     case Type::Kind::kAttribute:
-      return Type::Attribute(t->name.name, f(t->child));
-    case Type::Kind::kRepetition:
-      return Type::Repetition(f(t->child), t->min_occurs, t->max_occurs,
+    case Type::Kind::kRepetition: {
+      TypePtr child = f(t->child);
+      if (child == t->child) return t;
+      if (t->kind == Type::Kind::kElement) {
+        return Type::Element(t->name, std::move(child));
+      }
+      if (t->kind == Type::Kind::kAttribute) {
+        return Type::Attribute(t->name.name, std::move(child));
+      }
+      return Type::Repetition(std::move(child), t->min_occurs, t->max_occurs,
                               t->avg_count);
+    }
     case Type::Kind::kSequence:
     case Type::Kind::kUnion: {
+      // Filled from the first child `f` changed on.
       std::vector<TypePtr> children;
-      children.reserve(t->children.size());
-      for (const auto& c : t->children) children.push_back(f(c));
+      for (size_t i = 0; i < t->children.size(); ++i) {
+        TypePtr c = f(t->children[i]);
+        if (children.empty()) {
+          if (c == t->children[i]) continue;
+          children.reserve(t->children.size());
+          children.assign(t->children.begin(), t->children.begin() + i);
+        }
+        children.push_back(std::move(c));
+      }
+      if (children.empty()) return t;
       return t->kind == Type::Kind::kSequence
                  ? Type::Sequence(std::move(children))
                  : Type::Union(std::move(children));
     }
     default:
       return t;
+  }
+}
+
+// Appends the inner (non-leaf) nodes of `t`.
+void InnerNodes(const Type& t, std::vector<const Type*>* out) {
+  if (!t.child && t.children.empty()) return;
+  out->push_back(&t);
+  if (t.child) InnerNodes(*t.child, out);
+  for (const auto& c : t.children) InnerNodes(*c, out);
+}
+
+// Gives every type whose body shares an inner node with an earlier type's
+// body, or holds one node twice, a copy of its body. The rewrites copy what
+// they duplicate (CopyNodes), so only an input built with shared subtrees
+// meets the slow path; Normalize ends with this pass.
+void Unshare(Schema* s) {
+  std::vector<const Type*> nodes;
+  for (int t = 0; t < static_cast<int>(s->size()); ++t) {
+    InnerNodes(*s->body(t), &nodes);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  if (std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end()) return;
+  // Rare: walk the types again, copying each body that meets a node seen
+  // before (in its own body or an earlier one).
+  std::vector<const Type*> seen;
+  for (int t = 0; t < static_cast<int>(s->size()); ++t) {
+    std::vector<const Type*> own;
+    InnerNodes(*s->body(t), &own);
+    std::sort(own.begin(), own.end());
+    bool shared = std::adjacent_find(own.begin(), own.end()) != own.end();
+    for (const Type* n : own) {
+      shared = shared || std::binary_search(seen.begin(), seen.end(), n);
+    }
+    if (shared) {
+      s->Redefine(t, CopyNodes(s->body(t)));
+      own.clear();
+      InnerNodes(*s->body(t), &own);
+    }
+    seen.insert(seen.end(), own.begin(), own.end());
+    std::sort(seen.begin(), seen.end());
   }
 }
 
@@ -152,18 +211,24 @@ struct RefOccurrence {
 };
 
 // The occurrences of references to each type, by the referenced type's
-// index.
+// index; with a `target`, those to `target` only, from the bodies whose
+// references name it.
 std::vector<std::vector<RefOccurrence>> CollectRefOccurrences(
-    const Schema& schema) {
+    const Schema& schema, int target = -1) {
   std::vector<std::vector<RefOccurrence>> occ(schema.size());
   for (int owner = 0; owner < static_cast<int>(schema.size()); ++owner) {
+    const std::vector<int>& refs = schema.refs(owner);
+    if (target >= 0 &&
+        std::find(refs.begin(), refs.end(), target) == refs.end()) {
+      continue;
+    }
     // The walk meets the references in pre-order, as refs() lists them.
-    const int* next_ref = schema.refs(owner).data();
+    const int* next_ref = refs.data();
     std::function<void(const TypePtr&, bool)> walk = [&](const TypePtr& t,
                                                          bool inlinable) {
       switch (t->kind) {
         case Type::Kind::kTypeRef:
-          if (*next_ref >= 0) {
+          if (*next_ref >= 0 && (target < 0 || *next_ref == target)) {
             occ[*next_ref].push_back(RefOccurrence{owner, inlinable});
           }
           ++next_ref;
@@ -226,9 +291,10 @@ TypePtr FlattenUnions(const TypePtr& t) {
 // A type referenced more than once from one body (e.g. `a[ B, c[ B* ] ]`)
 // would make the child table's parent FK ambiguous: reconstruction could
 // not tell which position a child row belongs to. Later references get an
-// aliased type with the same (shared) body, so each reference position owns
-// a distinct table. Recursive targets are skipped (aliasing would unfold
-// the cycle forever); their reconstruction ambiguity is inherent.
+// aliased type with a copy of the body, so each reference position owns a
+// distinct table and each body position a distinct node. Recursive targets
+// are skipped (aliasing would unfold the cycle forever); their
+// reconstruction ambiguity is inherent.
 Schema DisambiguateRepeatedRefs(Schema s) {
   std::vector<int> work(s.size());
   for (size_t i = 0; i < work.size(); ++i) work[i] = static_cast<int>(i);
@@ -236,6 +302,15 @@ Schema DisambiguateRepeatedRefs(Schema s) {
   while (!work.empty() && guard++ < 4096) {
     const int type = work.back();
     work.pop_back();
+    // Most bodies reference each type at most once; they need no walk.
+    const std::vector<int>& targets = s.refs(type);
+    bool repeated = false;
+    for (size_t i = 0; i < targets.size() && !repeated; ++i) {
+      repeated = targets[i] >= 0 &&
+                 std::find(targets.begin(), targets.begin() + i, targets[i]) !=
+                     targets.begin() + i;
+    }
+    if (!repeated) continue;
     // Copies: aliases defined during the walk may move the table.
     const TypePtr body = s.body(type);
     const std::vector<int> refs = s.refs(type);
@@ -250,15 +325,39 @@ Schema DisambiguateRepeatedRefs(Schema s) {
         return t;
       }
       std::string alias = s.FreshTypeName(t->ref_name);
-      work.push_back(s.Define(alias, s.body(target)));
+      work.push_back(s.Define(alias, CopyNodes(s.body(target))));
       return Type::RefWeighted(alias, t->ref_weight);
     };
-    s.Redefine(type, walk(body));
+    TypePtr rewritten = walk(body);
+    if (rewritten != body) s.Redefine(type, std::move(rewritten));
   }
   return s;
 }
 
 }  // namespace
+
+TypePtr CopyNodes(const TypePtr& t) {
+  switch (t->kind) {
+    case Type::Kind::kElement:
+      return Type::Element(t->name, CopyNodes(t->child));
+    case Type::Kind::kAttribute:
+      return Type::Attribute(t->name.name, CopyNodes(t->child));
+    case Type::Kind::kRepetition:
+      return Type::Repetition(CopyNodes(t->child), t->min_occurs,
+                              t->max_occurs, t->avg_count);
+    case Type::Kind::kSequence:
+    case Type::Kind::kUnion: {
+      std::vector<TypePtr> children;
+      children.reserve(t->children.size());
+      for (const auto& c : t->children) children.push_back(CopyNodes(c));
+      return t->kind == Type::Kind::kSequence
+                 ? Type::Sequence(std::move(children))
+                 : Type::Union(std::move(children));
+    }
+    default:
+      return t;
+  }
+}
 
 Status CheckPhysical(const Schema& schema) {
   LEGODB_RETURN_IF_ERROR(schema.Validate());
@@ -268,16 +367,18 @@ Status CheckPhysical(const Schema& schema) {
   return Status::OK();
 }
 
-Schema Normalize(const Schema& schema) {
-  Schema out = schema;
-  // Newly outlined types append already normalized. The body is copied:
-  // outlining may move the table.
+Schema Normalize(Schema out) {
+  // Newly outlined types append already normalized. A body that is
+  // already physical keeps its definition; NormalizeType would return it
+  // as it is. The body is copied: outlining may move the table.
   const int n = static_cast<int>(out.size());
   for (int t = 0; t < n; ++t) {
+    if (CheckPhysicalType(out.name(t), out.body(t)).ok()) continue;
     const TypePtr body = out.body(t);
     out.Redefine(t, NormalizeType(body, &out));
   }
   out = DisambiguateRepeatedRefs(std::move(out));
+  Unshare(&out);
   LEGODB_DCHECK(CheckPhysical(out).ok(),
                 "Normalize produced a non-physical schema");
   return out;
@@ -301,7 +402,7 @@ Schema AllOutlined(const Schema& schema) {
     const TypePtr body = out.body(t);
     out.Redefine(t, walk(body, /*is_body_root=*/true));
   }
-  return Normalize(out);
+  return Normalize(std::move(out));
 }
 
 Schema AllInlined(const Schema& schema, bool flatten_unions) {
@@ -310,7 +411,7 @@ Schema AllInlined(const Schema& schema, bool flatten_unions) {
     for (int t = 0; t < static_cast<int>(out.size()); ++t) {
       out.Redefine(t, FlattenUnions(out.body(t)));
     }
-    out = Normalize(out);
+    out = Normalize(std::move(out));
   }
   // Inline to fixpoint.
   while (true) {
@@ -330,7 +431,7 @@ Schema AllInlined(const Schema& schema, bool flatten_unions) {
   out.GarbageCollect();
   // Inlining can fold several references to the same shared type into one
   // body; re-normalize so repeated references get disambiguated.
-  return Normalize(out);
+  return Normalize(std::move(out));
 }
 
 TypePtr NodeAt(const TypePtr& type, const NodePath& path) {
@@ -397,7 +498,7 @@ StatusOr<Schema> InlineType(const Schema& schema,
                                    type_name + "'");
   }
   const std::vector<RefOccurrence> occurrences =
-      CollectRefOccurrences(schema)[type];
+      CollectRefOccurrences(schema, type)[type];
   if (occurrences.empty()) {
     return Status::InvalidArgument("type '" + type_name + "' is unreferenced");
   }

@@ -29,7 +29,13 @@ Status CheckPhysical(const xs::Schema& schema);
 // of sub-terms (every offending repetition/union operand gets a fresh named
 // type). This is the constructive proof of the paper's claim that any XML
 // Schema has an equivalent physical schema.
-xs::Schema Normalize(const xs::Schema& schema);
+//
+// Only the types whose bodies change are redefined: a body that is already
+// physical keeps its nodes, and a rewritten one shares every subtree the
+// rewrite left alone. The result never holds one inner node (element,
+// attribute, sequence, union, repetition) at two positions, within a body
+// or across bodies, because the mapper names body positions by node.
+xs::Schema Normalize(xs::Schema schema);
 
 // --- Initial configurations for the greedy search (Section 5.2) ----------
 
@@ -49,6 +55,11 @@ xs::Schema AllInlined(const xs::Schema& schema, bool flatten_unions = true);
 // A node position inside a type body: child indices from the body root.
 // (For kElement/kAttribute/kRepetition nodes the single child is index 0.)
 using NodePath = std::vector<int>;
+
+// A copy of `type` whose inner nodes are all new (leaves stay shared). A
+// rewrite that places a subtree at a second position of a schema places a
+// copy: the mapper names body positions by node.
+xs::TypePtr CopyNodes(const xs::TypePtr& type);
 
 // Returns the node at `path` in `type`, or nullptr if out of range.
 xs::TypePtr NodeAt(const xs::TypePtr& type, const NodePath& path);

@@ -1,7 +1,6 @@
 #include "translate/translate.h"
 
 #include <iterator>
-#include <map>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -65,8 +64,9 @@ struct Delta {
 
 class Translator {
  public:
-  Translator(const xq::Query& query, const Mapping& mapping)
-      : q_(query), m_(mapping) {}
+  Translator(const xq::Query& query, const Mapping& mapping,
+             TypeReads* reads)
+      : q_(query), m_(mapping), reads_(reads) {}
 
   StatusOr<opt::RelQuery> Run() {
     std::vector<World> worlds(1);
@@ -129,10 +129,19 @@ class Translator {
   }
 
  private:
-  // The id of variable `name`, assigned on first use.
+  // The id of variable `name`, assigned on first use: its position in
+  // `var_names_` (a query binds a handful of variables).
   int VarId(const std::string& name) {
-    return var_ids_.emplace(name, static_cast<int>(var_ids_.size()))
-        .first->second;
+    for (size_t i = 0; i < var_names_.size(); ++i) {
+      if (*var_names_[i] == name) return static_cast<int>(i);
+    }
+    var_names_.push_back(&name);
+    return static_cast<int>(var_names_.size()) - 1;
+  }
+
+  // Notes that the result stands on mapped type `type`.
+  void Use(int type) const {
+    if (reads_) reads_->used.push_back(type);
   }
 
   // ---- block building helpers ----
@@ -212,8 +221,11 @@ class Translator {
     const Pos& pos = from.pos;
     if (pos.rel < 0) return;
     std::vector<map::Move> moves;
-    m_.Step(*pos.type, pos.node, s, &moves);
+    m_.Step(*pos.type, pos.node, s, &moves,
+            reads_ ? &reads_->entered : nullptr);
     for (const map::Move& move : moves) {
+      for (const TypeMapping* t : move.entered) Use(m_.Index(*t));
+      Use(m_.Index(*move.type));
       Route r{from.adds, Pos{pos.rel, move.type, move.node}};
       const TypeMapping* parent = pos.type;
       for (const TypeMapping* child : move.entered) {
@@ -297,6 +309,7 @@ class Translator {
         if (b.steps.empty()) {
           return Status::Unsupported("document() binding needs a path");
         }
+        Use(m_.root());
         const TypeMapping& rtm = m_.type(m_.root());
         if (rtm.virtual_union) {
           return Status::Unsupported("virtual root type");
@@ -480,6 +493,7 @@ class Translator {
                         std::vector<opt::QueryBlock>* out) const {
     if (depth > 16 || (*done)[type]) return;
     (*done)[type] = true;
+    Use(type);
     const TypeMapping& tm = m_.type(type);
     if (!tm.virtual_union) {
       opt::QueryBlock block;
@@ -522,6 +536,7 @@ class Translator {
   // `f`: emits the block of all its columns and stacks its frame.
   void Descend(const Frame& f, int child, int vdepth, std::vector<Frame>* stack,
                int* emitted, std::vector<opt::QueryBlock>* out) const {
+    Use(child);
     const TypeMapping& ctm = m_.type(child);
     if (ctm.virtual_union) {
       if (vdepth > 8) return;
@@ -542,17 +557,25 @@ class Translator {
 
   const xq::Query& q_;
   const Mapping& m_;
-  std::map<std::string, int> var_ids_;
+  TypeReads* reads_;  // null: nothing is recorded
+  // The variables by id: names in the query, which outlives the translator.
+  std::vector<const std::string*> var_names_;
 };
 
 }  // namespace
 
 StatusOr<opt::RelQuery> TranslateQuery(const xq::Query& query,
                                        const Mapping& mapping) {
+  return TranslateQuery(query, mapping, nullptr);
+}
+
+StatusOr<opt::RelQuery> TranslateQuery(const xq::Query& query,
+                                       const Mapping& mapping,
+                                       TypeReads* reads) {
   LEGODB_FAILPOINT("translate.query");
   obs::ScopedTimer timer("translate.ms");
   obs::Count("translate.queries");
-  StatusOr<opt::RelQuery> result = Translator(query, mapping).Run();
+  StatusOr<opt::RelQuery> result = Translator(query, mapping, reads).Run();
   if (result.ok()) {
     obs::Count("translate.blocks",
                static_cast<int64_t>(result->blocks.size()));

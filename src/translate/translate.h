@@ -1,6 +1,8 @@
 #ifndef LEGODB_TRANSLATE_TRANSLATE_H_
 #define LEGODB_TRANSLATE_TRANSLATE_H_
 
+#include <vector>
+
 #include "common/status.h"
 #include "mapping/mapping.h"
 #include "optimizer/plan.h"
@@ -39,6 +41,29 @@ namespace legodb::xlat {
 // optional elements do not filter absent rows.
 StatusOr<opt::RelQuery> TranslateQuery(const xq::Query& query,
                                        const map::Mapping& mapping);
+
+// The mapped types one translation read, by index, in reading order and
+// possibly repeated.
+struct TypeReads {
+  // The types the result stands on: the root, each type a path step moved
+  // into (and each one it joined on the way) and each type a publish walk
+  // visited. The result depends on their bodies, names, instance counts
+  // and parent links (through their tables' statistics and foreign keys).
+  std::vector<int> used;
+  // The types a path step looked into for an entry (map::Mapping::Step's
+  // `read`), virtual unions and hops included, whether or not one matched.
+  // For those not also used, the result depends only on their names and
+  // entries: the entries' element names, hops and union alternatives.
+  std::vector<int> entered;
+};
+
+// As above, and records in `reads` the mapped types the translation read.
+// A configuration that agrees with this one on everything those types
+// contribute translates `query` to the same blocks over tables with the
+// same statistics.
+StatusOr<opt::RelQuery> TranslateQuery(const xq::Query& query,
+                                       const map::Mapping& mapping,
+                                       TypeReads* reads);
 
 }  // namespace legodb::xlat
 

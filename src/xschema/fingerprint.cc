@@ -69,7 +69,7 @@ uint64_t FingerprintSchema(const Schema& schema) {
   for (int t : schema.name_order()) {
     if (!reachable[t]) continue;
     h = HashCombine(h, HashString(schema.name(t)));
-    h = HashCombine(h, FingerprintType(schema.body(t)));
+    h = HashCombine(h, schema.body_fingerprint(t));
   }
   return Mix64(h);
 }

@@ -29,6 +29,8 @@ uint64_t FingerprintType(const TypePtr& type);
 
 // Fingerprint of the whole schema: root name plus (name, body fingerprint)
 // for every type reachable from the root, combined in sorted-name order.
+// The body fingerprints are the ones the schema stored when each type was
+// defined, so no body is rehashed here.
 uint64_t FingerprintSchema(const Schema& schema);
 
 }  // namespace legodb::xs

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "xschema/fingerprint.h"
 
 namespace legodb::xs {
 
@@ -55,6 +56,7 @@ void Schema::Redefine(int index, TypePtr type) {
       def.refs[i] = IndexOf(new_refs[i]->ref_name);
     }
   }
+  def.fingerprint = FingerprintType(type);
   def.body = std::move(type);
 }
 

@@ -1,6 +1,7 @@
 #ifndef LEGODB_XSCHEMA_SCHEMA_H_
 #define LEGODB_XSCHEMA_SCHEMA_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,8 +17,9 @@ namespace legodb::xs {
 // The types form one table in declaration order; a type's index is its
 // position there. Each type keeps the indexes its body's type references
 // resolve to, in pre-order (a node, its child, then its children), -1 for
-// an undefined name. Only the mutating calls resolve: Define also patches
-// earlier references to a new name, Undefine and GarbageCollect renumber.
+// an undefined name, and its body's fingerprint (xs::FingerprintType). Only
+// the mutating calls resolve and hash: Define also patches earlier
+// references to a new name, Undefine and GarbageCollect renumber.
 // Const methods are pure reads, safe from concurrent threads. Names stay
 // for display and for names arriving from outside (IndexOf, Has, Find,
 // Get).
@@ -42,6 +44,10 @@ class Schema {
   const std::string& name(int index) const { return types_[index].name; }
   const TypePtr& body(int index) const { return types_[index].body; }
   const std::vector<int>& refs(int index) const { return types_[index].refs; }
+  // FingerprintType(body(index)), computed when the body was defined.
+  uint64_t body_fingerprint(int index) const {
+    return types_[index].fingerprint;
+  }
   // Type indexes sorted by name.
   const std::vector<int>& name_order() const { return by_name_; }
 
@@ -79,6 +85,7 @@ class Schema {
     std::string name;
     TypePtr body;
     std::vector<int> refs;
+    uint64_t fingerprint = 0;
   };
 
   // Marks in `seen` (and appends to `order`, if given) the types reachable

@@ -372,6 +372,9 @@ TEST(TypeTable, AgreesWithNameResolutionOverSearchMoves) {
         ++configs;
         const std::vector<std::string> names = config.type_names();
         for (int i = 0; i < static_cast<int>(config.size()); ++i) {
+          ASSERT_EQ(config.body_fingerprint(i),
+                    xs::FingerprintType(config.body(i)))
+              << names[i];
           std::vector<int> resolved;
           for (const auto& ref : RefNamesOf(config, names[i])) {
             resolved.push_back(ScanIndex(config, ref));
@@ -400,6 +403,108 @@ TEST(TypeTable, AgreesWithNameResolutionOverSearchMoves) {
   }
   EXPECT_EQ(configs, 629);
   EXPECT_EQ(digest, 0xc473b7bf7762df38ull);
+}
+
+// ---- Normalize shares what a move leaves alone ----
+
+// The inner (non-leaf) nodes of every body of `s`, repeats included.
+std::vector<const Type*> InnerNodesOf(const Schema& s) {
+  std::vector<const Type*> nodes;
+  std::function<void(const Type&)> walk = [&](const Type& t) {
+    if (!t.child && t.children.empty()) return;
+    nodes.push_back(&t);
+    if (t.child) walk(*t.child);
+    for (const auto& c : t.children) walk(*c);
+  };
+  for (int i = 0; i < static_cast<int>(s.size()); ++i) walk(*s.body(i));
+  return nodes;
+}
+
+// True when no inner node sits at two positions of `s`.
+bool NoSharedInnerNodes(const Schema& s) {
+  std::vector<const Type*> nodes = InnerNodesOf(s);
+  std::sort(nodes.begin(), nodes.end());
+  return std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end();
+}
+
+// Every single move from the IMDB and auction starts, all rewritings on:
+// a type whose body the move did not rewrite (its body equals the
+// parent's) keeps the parent's body node, and no inner node sits at two
+// positions of the result.
+TEST(NormalizeSharing, MovesKeepUntouchedBodies) {
+  core::TransformOptions moves;
+  moves.union_distribute = true;
+  moves.union_to_options = true;
+  moves.repetition_split = true;
+  moves.repetition_merge = true;
+  moves.wildcard_materialize = true;
+  moves.wildcard_tags = {"nyt", "text"};
+  xs::StatsCollector collector;
+  collector.AddDocument(auction::Generate(auction::AuctionScale{}));
+  const std::vector<Schema> schemas{
+      xs::AnnotateSchema(*imdb::Schema(), *imdb::Stats()),
+      xs::AnnotateSchema(*auction::Schema(), collector.Finish())};
+  int checked = 0;
+  int kept = 0;
+  for (const Schema& schema : schemas) {
+    for (const Schema& start :
+         {Normalize(schema), AllInlined(schema), AllOutlined(schema)}) {
+      ASSERT_TRUE(NoSharedInnerNodes(start));
+      for (const auto& t : core::EnumerateTransformations(start, moves)) {
+        auto next = core::ApplyTransformation(start, t);
+        if (!next.ok()) continue;
+        ++checked;
+        const std::string move = t.Signature();
+        ASSERT_TRUE(NoSharedInnerNodes(*next)) << move;
+        for (int i = 0; i < static_cast<int>(next->size()); ++i) {
+          const int before = start.IndexOf(next->name(i));
+          if (before < 0 ||
+              !xs::TypeEquals(next->body(i), start.body(before))) {
+            continue;
+          }
+          ASSERT_EQ(next->body(i), start.body(before))
+              << move << " rebuilt " << next->name(i);
+          ++kept;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(kept, 10 * checked);
+}
+
+// DisambiguateRepeatedRefs gives an alias its own copy of the target's
+// body: equal structure, no shared inner node.
+TEST(NormalizeSharing, AliasesOwnTheirBodies) {
+  Schema s = Normalize(S("type A = a[ B, c[ B* ] ] "
+                         "type B = b[ d[ String ], e[ Integer ] ]"));
+  ASSERT_EQ(s.size(), 3u) << s.ToString();
+  const int target = s.IndexOf("B");
+  const int alias = s.IndexOf("B_2");
+  ASSERT_GE(target, 0);
+  ASSERT_GE(alias, 0) << s.ToString();
+  EXPECT_TRUE(xs::TypeEquals(s.body(target), s.body(alias)));
+  EXPECT_TRUE(NoSharedInnerNodes(s));
+  // Normalizing again rewrites nothing.
+  Schema again = Normalize(s);
+  for (int i = 0; i < static_cast<int>(s.size()); ++i) {
+    EXPECT_EQ(again.body(i), s.body(i)) << s.name(i);
+  }
+}
+
+// An input whose types share a subtree is normalized into one that does
+// not: the later type gets a copy.
+TEST(NormalizeSharing, SharedInputSubtreesAreCopied) {
+  TypePtr shared = Type::Element("x", Type::String());
+  Schema s;
+  s.Define("A", Type::Element("a", Type::Sequence({shared, Type::Ref("B")})));
+  s.Define("B", Type::Element("b", shared));
+  ASSERT_FALSE(NoSharedInnerNodes(s));
+  Schema n = Normalize(s);
+  EXPECT_TRUE(NoSharedInnerNodes(n));
+  EXPECT_EQ(n.body(0), s.body(0));
+  EXPECT_EQ(n.ToString(), s.ToString());
+  EXPECT_EQ(n.body_fingerprint(1), xs::FingerprintType(n.body(1)));
 }
 
 }  // namespace

@@ -3,16 +3,21 @@
 // cache, parallel costing), and the MappingEngine facade.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <set>
 #include <string>
 
 #include "auction/auction.h"
 #include "core/cost.h"
 #include "core/legodb.h"
+#include "core/parallel.h"
 #include "core/search.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
+#include "optimizer/optimizer.h"
 #include "pschema/pschema.h"
+#include "schema_fuzzer.h"
 #include "translate/translate.h"
 #include "xml/dom.h"
 #include "xquery/parser.h"
@@ -504,6 +509,264 @@ TEST(GreedySearchTest, DeterministicAcrossThreadCountsAuction) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(parallel.ok());
   ExpectIdenticalSearches(serial.value(), parallel.value());
+}
+
+// ---- The dependency memo against translating from scratch ----
+
+// Greedy descents costed the way the search costs them: every neighbour of
+// the current configuration by one CachedCoster at two workers, hinted
+// with the current configuration's and the same move's last results. Each
+// query the memo served untranslated is then translated and keyed from
+// scratch: the key must be the one stored with the memo entry, and the
+// cost the one planning that key gives, bit for bit.
+class MemoDifferential {
+ public:
+  MemoDifferential(const Workload& workload, const TransformOptions& moves)
+      : workload_(workload), moves_(moves), coster_(workload, params_, true) {}
+
+  // Descends from `start` for at most `iterations` moves.
+  void Run(const xs::Schema& start, int iterations) {
+    std::vector<CachedCoster::QueryCost> current_queries;
+    auto current_cost = coster_.Cost(start, {}, &current_queries);
+    ASSERT_TRUE(current_cost.ok()) << current_cost.status().ToString();
+    Check(start, current_queries);
+    xs::Schema current = start;
+    std::map<std::string, std::vector<CachedCoster::QueryCost>> previous;
+    for (int iter = 0; iter < iterations; ++iter) {
+      struct Candidate {
+        std::string move;
+        xs::Schema schema;
+        const std::vector<CachedCoster::QueryCost>* previous = nullptr;
+        std::vector<CachedCoster::QueryCost> queries;
+        std::optional<double> cost;
+      };
+      std::vector<Candidate> candidates;
+      for (const auto& desc : EnumerateTransformations(current, moves_)) {
+        auto next = ApplyTransformation(current, desc);
+        if (!next.ok()) continue;
+        Candidate c;
+        c.move = desc.Signature();
+        c.schema = std::move(next).value();
+        auto it = previous.find(c.move);
+        if (it != previous.end()) c.previous = &it->second;
+        candidates.push_back(std::move(c));
+      }
+      ParallelFor(candidates.size(), /*threads=*/2, [&](size_t k) {
+        Candidate& c = candidates[k];
+        const std::vector<CachedCoster::QueryCost>* hints[] = {
+            &current_queries, c.previous};
+        auto cost = coster_.Cost(c.schema, std::span(hints, c.previous ? 2 : 1),
+                                 &c.queries);
+        if (cost.ok()) c.cost = *cost;
+      });
+      previous.clear();
+      const Candidate* best = nullptr;
+      for (const Candidate& c : candidates) {
+        if (!c.cost) continue;
+        ++candidates_;
+        Check(c.schema, c.queries);
+        previous.emplace(c.move, c.queries);
+        if (!best || *c.cost < *best->cost) best = &c;
+      }
+      if (!best || *best->cost >= *current_cost) break;
+      current_cost = *best->cost;
+      current_queries = best->queries;
+      current = best->schema;
+    }
+  }
+
+  int candidates() const { return candidates_; }
+  int memo_hits() const { return memo_hits_; }
+  int misses() const { return misses_; }
+
+ private:
+  void Check(const xs::Schema& config,
+             const std::vector<CachedCoster::QueryCost>& queries) {
+    ASSERT_EQ(queries.size(), workload_.queries.size());
+    auto mapping = map::MapSchema(config);
+    ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const CachedCoster::QueryCost& q = queries[i];
+      ASSERT_TRUE(q.reads);
+      if (!q.memo_hit) {
+        ++misses_;
+        continue;
+      }
+      ++memo_hits_;
+      auto rq = xlat::TranslateQuery(workload_.queries[i].query, *mapping);
+      ASSERT_TRUE(rq.ok()) << rq.status().ToString();
+      ASSERT_EQ(CostCacheFingerprint(*rq, mapping->catalog()), q.key)
+          << workload_.queries[i].name << "\n" << config.ToString();
+      auto planned = planned_.find({i, q.key});
+      if (planned == planned_.end()) {
+        auto plan =
+            opt::Optimizer(mapping->catalog(), params_).PlanQuery(*rq);
+        ASSERT_TRUE(plan.ok());
+        planned = planned_.emplace(std::make_pair(i, q.key),
+                                   plan->total_cost).first;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(q.cost),
+                std::bit_cast<uint64_t>(planned->second))
+          << workload_.queries[i].name;
+    }
+  }
+
+  const Workload& workload_;
+  TransformOptions moves_;
+  opt::CostParams params_;
+  CachedCoster coster_;
+  std::map<std::pair<size_t, uint64_t>, double> planned_;
+  int candidates_ = 0;
+  int memo_hits_ = 0;
+  int misses_ = 0;
+};
+
+// The four Figure-10 searches: greedy-si and greedy-so on the lookup and
+// publish workloads, to convergence.
+TEST(DependencyMemoTest, MatchesTranslationOverFig10Searches) {
+  xs::Schema annotated = AnnotatedImdb();
+  auto publish = imdb::MakeWorkload("publish");
+  ASSERT_TRUE(publish.ok());
+  const Workload workloads[] = {Lookup(), publish.value()};
+  int hits = 0;
+  for (const Workload& workload : workloads) {
+    for (bool si : {true, false}) {
+      SearchOptions options = si ? GreedySiOptions() : GreedySoOptions();
+      MemoDifferential run(workload, options.transforms);
+      run.Run(si ? ps::AllInlined(annotated) : ps::AllOutlined(annotated),
+              options.max_iterations);
+      EXPECT_GT(run.candidates(), 20);
+      hits += run.memo_hits();
+    }
+  }
+  EXPECT_GT(hits, 1000);
+}
+
+// The element paths of `schema` from its root element, through type
+// references, at most `depth` references deep.
+void ElementPaths(const xs::Schema& schema, const xs::TypePtr& t,
+                  std::vector<std::string> path, int depth,
+                  std::vector<std::vector<std::string>>* out) {
+  switch (t->kind) {
+    case xs::Type::Kind::kElement:
+      if (t->name.is_wildcard()) return;
+      path.push_back(t->name.name);
+      out->push_back(path);
+      ElementPaths(schema, t->child, path, depth, out);
+      return;
+    case xs::Type::Kind::kSequence:
+    case xs::Type::Kind::kUnion:
+      for (const auto& c : t->children) {
+        ElementPaths(schema, c, path, depth, out);
+      }
+      return;
+    case xs::Type::Kind::kRepetition:
+      ElementPaths(schema, t->child, path, depth, out);
+      return;
+    case xs::Type::Kind::kTypeRef:
+      if (depth > 0) {
+        ElementPaths(schema, schema.Get(t->ref_name), path, depth - 1, out);
+      }
+      return;
+    default:
+      return;
+  }
+}
+
+// Generated schemas with every rewriting on, under a workload of lookups,
+// value filters and publishes over each one's element paths.
+TEST(DependencyMemoTest, MatchesTranslationOverFuzzedSchemas) {
+  TransformOptions moves;
+  moves.union_distribute = true;
+  moves.union_to_options = true;
+  moves.repetition_split = true;
+  moves.repetition_merge = true;
+  moves.wildcard_materialize = true;
+  moves.wildcard_tags = {"e1", "e2"};
+  int hits = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    xs::Schema schema = SchemaFuzzer(seed).Generate();
+    std::vector<std::vector<std::string>> paths;
+    ElementPaths(schema, schema.Get(schema.root_type()), {}, 4, &paths);
+    Workload workload;
+    for (size_t p = 0; p < paths.size() && p < 6; ++p) {
+      std::string doc = "document(\"d\")";
+      std::string rest;
+      for (const std::string& step : paths[p]) doc += "/" + step;
+      for (size_t k = 1; k < paths[p].size(); ++k) rest += "/" + paths[p][k];
+      const std::string n = std::to_string(p);
+      ASSERT_TRUE(
+          workload.Add("P" + n, "FOR $v IN " + doc + " RETURN $v", 1).ok());
+      if (rest.empty()) continue;
+      const std::string root = "document(\"d\")/" + paths[p][0];
+      ASSERT_TRUE(workload
+                      .Add("L" + n, "FOR $v IN " + root + " RETURN $v" + rest,
+                           1)
+                      .ok());
+      ASSERT_TRUE(workload
+                      .Add("F" + n,
+                           "FOR $v IN " + root + " WHERE $v" + rest +
+                               " = c1 RETURN $v",
+                           1)
+                      .ok());
+    }
+    for (const xs::Schema& start :
+         {ps::Normalize(schema), ps::AllInlined(schema)}) {
+      MemoDifferential run(workload, moves);
+      run.Run(start, 4);
+      hits += run.memo_hits();
+    }
+  }
+  EXPECT_GT(hits, 100);
+}
+
+// Costs `after` hinted with what costing `before` found, for one query:
+// the two configurations agree on every type the query uses, so only the
+// dependency named in each test tells them apart. The query must be
+// translated afresh and keyed as from scratch.
+void ExpectMemoMiss(const char* before, const char* after,
+                    const char* query) {
+  auto config = [](const char* text) {
+    auto parsed = xs::ParseSchema(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    return ps::Normalize(parsed.value());
+  };
+  Workload w;
+  ASSERT_TRUE(w.Add("Q", query, 1).ok());
+  opt::CostParams params;
+  CachedCoster coster(w, params, true);
+  std::vector<CachedCoster::QueryCost> first, second;
+  ASSERT_TRUE(coster.Cost(config(before), {}, &first).ok());
+  const std::vector<CachedCoster::QueryCost>* hints[] = {&first};
+  const xs::Schema next = config(after);
+  ASSERT_TRUE(coster.Cost(next, hints, &second).ok());
+  EXPECT_FALSE(second[0].memo_hit);
+  auto mapping = map::MapSchema(next);
+  ASSERT_TRUE(mapping.ok());
+  auto rq = xlat::TranslateQuery(w.queries[0].query, *mapping);
+  ASSERT_TRUE(rq.ok());
+  EXPECT_EQ(second[0].key, CostCacheFingerprint(*rq, mapping->catalog()));
+  EXPECT_NE(second[0].key, first[0].key);
+}
+
+// Step `c` looks into B for an entry and finds none; renaming B's element
+// to `c` makes the step land there.
+TEST(DependencyMemoTest, EnteredTypesAreDependencies) {
+  ExpectMemoMiss("type R = r[ a[ String ], B* ] type B = b[ String ]",
+                 "type R = r[ a[ String ], B* ] type B = c[ String ]",
+                 "FOR $v IN document(\"d\")/r RETURN $v/c");
+}
+
+// C's table has a foreign key to Q, a type the query never reads: Q's
+// instance count (5, then 10) sets that key's statistics, while C's own
+// count stays 30.
+TEST(DependencyMemoTest, ParentCountsAreDependencies) {
+  ExpectMemoMiss(
+      "type R = r[ P{10,10}, S ] type S = s[ Q{5,5} ] "
+      "type P = p[ C{2,2} ] type Q = q[ C{2,2} ] type C = c[ String ]",
+      "type R = r[ P{10,10}, S ] type S = s[ Q{10,10} ] "
+      "type P = p[ C{2,2} ] type Q = q[ C{1,1} ] type C = c[ String ]",
+      "FOR $v IN document(\"d\")/r/p/c RETURN $v");
 }
 
 // ---- MappingEngine facade ----

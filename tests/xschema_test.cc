@@ -602,6 +602,30 @@ TEST(Fingerprint, StableAcrossIdenticalParses) {
   EXPECT_EQ(FingerprintType(a->Get("Show")), FingerprintType(b->Get("Show")));
 }
 
+// Each type's body fingerprint is taken when the body is defined and
+// travels with the type through every renumbering.
+TEST(Fingerprint, StoredWithEachDefinition) {
+  auto parsed = ParseSchema("type R = r[ A, B* ] type A = a[ String ] "
+                            "type B = b[ Integer ] type Junk = j[ String ]");
+  ASSERT_TRUE(parsed.ok());
+  Schema s = parsed.value();
+  auto expect_stored = [](const Schema& schema) {
+    for (int i = 0; i < static_cast<int>(schema.size()); ++i) {
+      EXPECT_EQ(schema.body_fingerprint(i), FingerprintType(schema.body(i)))
+          << schema.name(i);
+    }
+  };
+  expect_stored(s);
+  s.Redefine(s.IndexOf("A"), Type::Element("a", Type::Integer()));
+  s.Define("C", Type::Element("c", Type::String()));
+  expect_stored(s);
+  s.Undefine(s.IndexOf("A"));
+  expect_stored(s);
+  s.GarbageCollect();
+  EXPECT_FALSE(s.Has("Junk"));
+  expect_stored(s);
+}
+
 TEST(Fingerprint, SensitiveToStructureNamesAndStats) {
   auto base = ParseSchema("type R = r[ a[ String<#8,#100> ], B* ] "
                           "type B = b[ Integer<#4,#0,#9,#10> ]");

@@ -17,7 +17,8 @@
 #                                            # online-reconfiguration and
 #                                            # paged-decode paths
 #   tools/check.sh --release-checks          # Release (NDEBUG) build of the
-#                                            # invariant/malformed-input suites
+#                                            # invariant/malformed-input suites,
+#                                            # the schema and p-schema suites
 #                                            # and the mapping, optimizer,
 #                                            # translation and update-costing
 #                                            # goldens
@@ -50,7 +51,8 @@
 # (mapping_test), query translation's interned variables, route deltas and
 # body positions (translate_test), update costing, which resolves its paths
 # through the same body positions (update_test), and the search's
-# cost-cache keys (search_test). Then two smoke gates: micro_engine's always-on
+# cost-cache keys and dependency memo, whose read sets index each
+# configuration's mapped types (search_test). Then two smoke gates: micro_engine's always-on
 # executor-equality check, and a disk calibration run with a deliberately
 # small pool whose --require-io fails the script if no real buffer-pool IO
 # was measured. Any sanitizer report or result mismatch fails the script.
@@ -59,7 +61,9 @@
 # ConcurrentServingIsBitIdentical, 8 clients, in the suite run above.)
 #
 # --tsan builds into build-tsan with -DLEGODB_SANITIZE=thread and runs the
-# tests exercising the parallel search (search_test, plus the transform and
+# tests exercising the parallel search (search_test, whose dependency-memo
+# differential costs candidates at two workers through one shared memo,
+# plus the transform and
 # pipeline suites that feed it, and robustness_test for budget cancellation
 # and failpoints under threads), the concurrent query serving path
 # (engine_equivalence_test races executors over one Database's index
@@ -76,7 +80,11 @@
 # --release-checks builds into build-release with -DCMAKE_BUILD_TYPE=Release
 # and runs the suites covering invariant checks and malformed inputs. This
 # proves LEGODB_CHECK still aborts (death tests) and the malformed-input
-# paths return clean Statuses with asserts compiled out. It also runs the
+# paths return clean Statuses with asserts compiled out. It runs
+# xschema_test and pschema_test there too: Normalize's CheckPhysical guard
+# is a LEGODB_DCHECK that NDEBUG compiles out, so the type-table digest,
+# the stored body fingerprints and Normalize's sharing of untouched bodies
+# must hold without it. It also runs the
 # suites that pin candidate costing bit for bit: mapping_test (the
 # MappingGolden catalog digest), optimizer_test (the golden plan digests and
 # the join enumeration's reference comparison), translate_test (the
@@ -123,9 +131,10 @@ if [[ "${1:-}" == "--release-checks" ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
   cmake --build build-release -j"$(nproc)" --target \
     robustness_test search_test common_test relational_test \
-    storage_test mapping_test optimizer_test translate_test update_test
+    storage_test mapping_test optimizer_test translate_test update_test \
+    xschema_test pschema_test
   ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
-    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test|translate_test|update_test)$'
+    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test|translate_test|update_test|xschema_test|pschema_test)$'
   exit 0
 fi
 
