@@ -86,10 +86,9 @@ int main() {
     if (body.kind == xs::Type::Kind::kElement && body.name.name == "show") {
       const store::StoredTable& table = db.table(tm.table);
       if (table.row_count() == 0) continue;
-      int key = table.meta().ColumnIndex(table.meta().key_column);
       auto first = table.ReadRow(0);
       if (!first.ok()) return 1;
-      int64_t id = (*first)[key].as_int();
+      int64_t id = (*first)[rel::Table::kKeyColumn].as_int();
       xml::NodePtr holder = xml::Node::Element("holder");
       if (store::ReconstructInstance(&db, mapping, tm.type_name, id,
                                      holder.get())

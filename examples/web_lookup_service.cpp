@@ -90,7 +90,9 @@ int main() {
   std::printf("\nSQL for Q1:\n%s\n\nplan:\n", rq->ToSql(mapping.catalog()).c_str());
   for (size_t i = 0; i < planned->blocks.size(); ++i) {
     std::printf("%s",
-                planned->blocks[i].plan->ToString(rq->blocks[i]).c_str());
+                planned->blocks[i]
+                    .plan->ToString(mapping.catalog(), rq->blocks[i])
+                    .c_str());
   }
   return 0;
 }

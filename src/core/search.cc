@@ -52,7 +52,6 @@ class FieldHasher {
 
 uint64_t TableStatsHash(const rel::Catalog& catalog, const rel::Table& t) {
   uint64_t h = common::HashString(t.name);
-  h = common::HashCombine(h, common::HashString(t.key_column));
   h = common::HashDouble(t.row_count, h);
   h = common::HashInt(static_cast<int64_t>(t.columns.size()), h);
   for (const auto& col : t.columns) {
@@ -66,7 +65,7 @@ uint64_t TableStatsHash(const rel::Catalog& catalog, const rel::Table& t) {
     h = common::HashInt(col.max, h);
   }
   for (const auto& fk : t.foreign_keys) {
-    h = common::HashCombine(h, common::HashString(fk.column));
+    h = common::HashInt(fk.column, h);
     h = common::HashCombine(
         h, common::HashString(catalog.table(fk.parent).name));
   }
@@ -95,20 +94,20 @@ uint64_t CostCacheKeyer::Key(const opt::RelQuery& query) {
     h.Int(static_cast<int64_t>(block.output.size()));
     for (const opt::ColumnRef& out : block.output) {
       h.Int(out.rel);
-      h.Str(out.column);
+      h.Int(out.column);
     }
     h.Int(static_cast<int64_t>(block.joins.size()));
     for (const opt::JoinEdge& j : block.joins) {
       h.Int(j.left_rel);
-      h.Str(j.left_column);
+      h.Int(j.left_column);
       h.Int(j.right_rel);
-      h.Str(j.right_column);
+      h.Int(j.right_column);
       h.Int(j.left_outer ? 1 : 0);
     }
     h.Int(static_cast<int64_t>(block.filters.size()));
     for (const opt::FilterPred& f : block.filters) {
       h.Int(f.rel);
-      h.Str(f.column);
+      h.Int(f.column);
       h.Int(f.not_null ? 1 : 0);
       if (f.not_null) continue;  // op and value are ignored
       h.Int(static_cast<int64_t>(f.op));
@@ -157,9 +156,9 @@ class DependencyKeys {
       uint64_t h = common::HashCombine(names_[i], tm.body_fingerprint);
       h = common::HashDouble(tm.instance_count, h);
       h = common::HashInt(static_cast<int64_t>(tm.parents.size()), h);
-      for (const map::TypeMapping::ParentLink& link : tm.parents) {
-        h = common::HashCombine(h, names_[link.parent]);
-        h = common::HashDouble(types[link.parent].instance_count, h);
+      for (int parent : tm.parents) {
+        h = common::HashCombine(h, names_[parent]);
+        h = common::HashDouble(types[parent].instance_count, h);
       }
       used_.push_back(h);
     }

@@ -158,11 +158,12 @@ SearchOptions GreedySoOptions();  // start all-outlined, apply inlining
 
 // Cost-cache keys for the translated queries of one configuration. A key
 // hashes the query's structure — publish flag, block count, and per block
-// the relations, outputs, join edges and filters: every field
-// QueryBlock::ToSql renders — and folds in, per relation, a fingerprint of
-// its table by name, not index (row count, keys, FK parents' names, and each
-// column's type, width, null fraction, distincts and range), so keys match
-// across candidates. Fingerprints fill one slot per table index on first
+// the relations, outputs, join edges and filters, columns by position:
+// every field QueryBlock::ToSql renders — and folds in, per relation, a
+// fingerprint of its table by name, not index (row count, each column's
+// name, type, width, null fraction, distincts and range in position order,
+// and its FKs' positions and parents' names), so keys match across
+// candidates. Fingerprints fill one slot per table index on first
 // use: a keyer hashes a table once however many queries touch it. In the
 // search, a query is keyed only when the dependency memo (CachedCoster)
 // misses, so these hashes are paid for the tables of queries a move may

@@ -834,20 +834,24 @@ std::string OpLabel(const ExecContext& ctx, const opt::PhysicalPlan& p) {
                ? ctx.block->rels[rel].alias
                : "?";
   };
+  // Prepare resolved every column the plan names, so each is in its table.
+  auto column = [&](int rel, int c) {
+    return alias(rel) + "." + (*ctx.tables)[rel]->meta().columns[c].name;
+  };
   switch (p.kind) {
     case opt::PhysicalPlan::Kind::kSeqScan:
       label += "(" + alias(p.rel) + ")";
       break;
     case opt::PhysicalPlan::Kind::kIndexLookup:
-      label += "(" + alias(p.rel) + "." + p.index_column + ")";
+      label += "(" + column(p.rel, p.index_column) + ")";
       break;
     case opt::PhysicalPlan::Kind::kHashJoin:
-      label += "(" + alias(p.left_join_rel) + "." + p.left_join_column + "=" +
-               alias(p.right_join_rel) + "." + p.right_join_column + ")";
+      label += "(" + column(p.left_join_rel, p.left_join_column) + "=" +
+               column(p.right_join_rel, p.right_join_column) + ")";
       break;
     case opt::PhysicalPlan::Kind::kIndexNLJoin:
-      label += "(" + alias(p.left_join_rel) + "." + p.left_join_column +
-               "->" + alias(p.rel) + "." + p.index_column + ")";
+      label += "(" + column(p.left_join_rel, p.left_join_column) + "->" +
+               column(p.rel, p.index_column) + ")";
       break;
     case opt::PhysicalPlan::Kind::kProject:
       break;
@@ -905,9 +909,11 @@ class BlockExecutor {
     const std::vector<const ColumnVector*>& outputs = project->outputs;
     xq::ResultSet result;
     for (const auto& out : block.output) {
-      result.labels.push_back(out.label.empty()
-                                  ? (out.rel >= 0 ? out.column : "NULL")
-                                  : out.label);
+      result.labels.push_back(
+          !out.label.empty() ? out.label
+          : out.rel == -1
+              ? "NULL"
+              : project->tables[out.rel]->meta().columns[out.column].name);
     }
 
     int64_t t0 = ctx_.timed ? obs::NowNanos() : 0;

@@ -72,12 +72,6 @@ void WithIntCmp(xq::CompareOp op, Run run) {
 
 }  // namespace
 
-std::string ExprEnv::QualifiedColumn(int rel, const std::string& column) const {
-  if (rel < 0 || rel >= static_cast<int>(tables.size())) {
-    return "rel#" + std::to_string(rel) + "." + column;
-  }
-  return tables[rel]->meta().name + "." + column;
-}
 
 StatusOr<Value> ResolveConstant(const std::map<std::string, Value>& params,
                                 const xq::Constant& c) {
@@ -98,26 +92,24 @@ StatusOr<Value> ResolveConstant(const std::map<std::string, Value>& params,
   return Status::Internal("bad constant");
 }
 
-StatusOr<const store::ColumnVector*> ResolveColumnVector(
-    const ExprEnv& env, int rel, const std::string& column, const char* what) {
+StatusOr<const store::ColumnVector*> ResolveColumnVector(const ExprEnv& env,
+                                                         int rel, int column,
+                                                         const char* what) {
   if (rel < 0 || rel >= static_cast<int>(env.tables.size())) {
     return Status::Internal(std::string(what) + " references relation #" +
                             std::to_string(rel) + " outside the block");
-  }
-  if (env.tables[rel]->meta().ColumnIndex(column) < 0) {
-    return Status::Internal(std::string(what) + " references unknown column '" +
-                            env.QualifiedColumn(rel, column) +
-                            "' (translator/catalog drift)");
   }
   return env.tables[rel]->GetOrBuildColumn(column);
 }
 
 // --- ExprProgramBuilder ---------------------------------------------------
 
-int ExprProgramBuilder::AddColumn(int rel, const store::ColumnVector* column,
-                                  std::string name) {
+StatusOr<int> ExprProgramBuilder::AddColumn(const ExprEnv& env, int rel,
+                                            int column, const char* what) {
+  LEGODB_ASSIGN_OR_RETURN(const store::ColumnVector* vector,
+                          ResolveColumnVector(env, rel, column, what));
   program_.columns_.push_back(
-      ExprProgram::ColumnSlot{rel, column, std::move(name)});
+      ExprProgram::ColumnSlot{rel, vector, env.tables[rel], column});
   return static_cast<int>(program_.columns_.size()) - 1;
 }
 
@@ -399,9 +391,12 @@ std::string ExprProgram::Disassemble() const {
   for (const Instr& ins : instrs_) {
     if (!out.empty()) out += "\n";
     switch (ins.op) {
-      case OpCode::kLoadCol:
-        out += "load_col " + columns_[ins.a].name;
+      case OpCode::kLoadCol: {
+        const rel::Table& meta = columns_[ins.a].table->meta();
+        out += "load_col " + meta.name + "." +
+               meta.columns[columns_[ins.a].position].name;
         break;
+      }
       case OpCode::kLoadConst:
         out += "load_const " + constants_[ins.a].ToString();
         break;
@@ -430,10 +425,8 @@ StatusOr<ExprProgram> CompileFilters(
   int terms = 0;
   for (const opt::FilterPred& f : filters) {
     if (f.rel != rel) continue;
-    LEGODB_ASSIGN_OR_RETURN(
-        const store::ColumnVector* col,
-        ResolveColumnVector(env, rel, f.column, "filter"));
-    int cslot = b.AddColumn(rel, col, env.QualifiedColumn(rel, f.column));
+    LEGODB_ASSIGN_OR_RETURN(int cslot,
+                            b.AddColumn(env, rel, f.column, "filter"));
     if (f.not_null) {
       b.LoadCol(cslot).TestNotNull();
     } else if (f.value.kind == xq::Constant::Kind::kSymbol) {
@@ -453,16 +446,12 @@ StatusOr<ExprProgram> CompileResiduals(const ExprEnv& env,
   int terms = 0;
   for (const opt::JoinEdge& e : edges) {
     LEGODB_ASSIGN_OR_RETURN(
-        const store::ColumnVector* lcol,
-        ResolveColumnVector(env, e.left_rel, e.left_column, "residual join"));
+        int lslot,
+        b.AddColumn(env, e.left_rel, e.left_column, "residual join"));
     LEGODB_ASSIGN_OR_RETURN(
-        const store::ColumnVector* rcol,
-        ResolveColumnVector(env, e.right_rel, e.right_column, "residual join"));
-    b.LoadCol(b.AddColumn(e.left_rel, lcol,
-                          env.QualifiedColumn(e.left_rel, e.left_column)));
-    b.LoadCol(b.AddColumn(e.right_rel, rcol,
-                          env.QualifiedColumn(e.right_rel, e.right_column)));
-    b.Cmp(xq::CompareOp::kEq);
+        int rslot,
+        b.AddColumn(env, e.right_rel, e.right_column, "residual join"));
+    b.LoadCol(lslot).LoadCol(rslot).Cmp(xq::CompareOp::kEq);
     if (++terms > 1) b.And();
   }
   return std::move(b).Build();

@@ -28,12 +28,13 @@
 // evaluate through a typed int64 fast path; mixed or string columns fall
 // back to the generic Value loop.
 //
-// Compilation resolves column names against the storage catalog up front:
-// unknown columns fail compilation, and unbound parameters fail BindParams
-// before any row is evaluated, with the same diagnostics the row engine
-// raised — they never silently drop rows. The produced bytecode is
-// deterministic: compiling the same predicate against the same tables
-// twice yields identical instruction streams (see Disassemble).
+// Compilation resolves column positions against the storage catalog up
+// front: columns outside their table fail compilation, and unbound
+// parameters fail BindParams before any row is evaluated, with the same
+// diagnostics the row engine raised — they never silently drop rows. The
+// produced bytecode is deterministic: compiling the same predicate against
+// the same tables twice yields identical instruction streams (see
+// Disassemble).
 
 #include <cstdint>
 #include <map>
@@ -78,12 +79,13 @@ class ExprProgram {
     int32_t a = -1;  // column / constant slot index
   };
 
-  // A column operand: the relation slot it binds lanes through plus the
-  // stored column.
+  // A column operand: the relation slot it binds lanes through, the stored
+  // column, and its table and position (which Disassemble renders).
   struct ColumnSlot {
     int rel = -1;
     const store::ColumnVector* column = nullptr;
-    std::string name;  // "alias.column", for Disassemble
+    const store::StoredTable* table = nullptr;
+    int position = -1;
   };
 
   bool empty() const { return instrs_.empty(); }
@@ -142,13 +144,17 @@ class ExprProgram {
   std::vector<const int32_t*> relptrs_;  // EvalRows' single-relation view
 };
 
+struct ExprEnv;
+
 // Assembles ExprPrograms; the typed compile entry points below use it, and
 // tests build arbitrary programs (including Or, which the current
 // translator never emits) directly.
 class ExprProgramBuilder {
  public:
-  // Registers a column operand; returns its slot for LoadCol.
-  int AddColumn(int rel, const store::ColumnVector* column, std::string name);
+  // Registers column `column` of relation `rel` of `env` as an operand,
+  // resolved as ResolveColumnVector does; returns its slot for LoadCol.
+  StatusOr<int> AddColumn(const ExprEnv& env, int rel, int column,
+                          const char* what);
   // Registers a constant; returns its slot for LoadConst.
   int AddConst(Value v);
   // Registers a named parameter slot (a constant whose value arrives via
@@ -170,13 +176,10 @@ class ExprProgramBuilder {
   ExprProgram program_;
 };
 
-// The tables of the executed block, in relation order, used to resolve
-// column names and fetch columns at compile time.
+// The tables of the executed block, in relation order, used to fetch
+// columns at compile time.
 struct ExprEnv {
   std::vector<store::StoredTable*> tables;
-
-  // "Table.column" for diagnostics (tolerates out-of-range rels).
-  std::string QualifiedColumn(int rel, const std::string& column) const;
 };
 
 // Resolves a plan constant to a runtime Value: literal ints/strings
@@ -185,11 +188,12 @@ struct ExprEnv {
 StatusOr<Value> ResolveConstant(const std::map<std::string, Value>& params,
                                 const xq::Constant& c);
 
-// Resolves `rel.column` to its stored column, with the row engine's
-// diagnostics on out-of-range relations and unknown columns (`what` names
-// the predicate kind, e.g. "filter" or "hash join").
-StatusOr<const store::ColumnVector*> ResolveColumnVector(
-    const ExprEnv& env, int rel, const std::string& column, const char* what);
+// Resolves column `column` of relation `rel` to its stored column: Internal
+// on a relation outside the block (`what` names the predicate kind, e.g.
+// "filter" or "hash join"), NotFound on a column outside its table.
+StatusOr<const store::ColumnVector*> ResolveColumnVector(const ExprEnv& env,
+                                                         int rel, int column,
+                                                         const char* what);
 
 // Compiles the subset of `filters` that applies to relation `rel` into one
 // conjunctive template program (empty program when none apply). Each

@@ -25,6 +25,8 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
     case opt::PhysicalPlan::Kind::kIndexLookup: {
       LEGODB_ASSIGN_OR_RETURN(np.filter,
                               CompileFilters(env, p->rel, p->filters));
+      LEGODB_ASSIGN_OR_RETURN(
+          np.index, env.tables[p->rel]->GetOrBuildIndex(p->index_column));
       for (const auto& f : p->filters) {
         if (f.rel == p->rel && f.column == p->index_column && !f.not_null &&
             f.op == xq::CompareOp::kEq) {
@@ -35,8 +37,6 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
       if (np.driver == nullptr) {
         return Status::Internal("index lookup without driving filter");
       }
-      LEGODB_ASSIGN_OR_RETURN(
-          np.index, env.tables[p->rel]->GetOrBuildIndex(p->index_column));
       break;
     }
     case opt::PhysicalPlan::Kind::kHashJoin: {
@@ -96,15 +96,14 @@ Status PreparedPrograms::AddBlock(const opt::QueryBlock& block,
     }
   }
   LEGODB_RETURN_IF_ERROR(WalkPlan(env, plan->child));
-  // A missing output column projects NULL (the outer-union publishing
-  // encoding relies on heterogeneous outputs).
+  // The NULL literal (`rel` -1) projects NULL: the outer-union publishing
+  // encoding relies on heterogeneous outputs.
   NodePrograms np;
   for (const auto& out : block.output) {
     const store::ColumnVector* vec = nullptr;
-    if (out.rel >= 0 &&
-        env.tables[out.rel]->meta().ColumnIndex(out.column) >= 0) {
+    if (out.rel != -1) {
       LEGODB_ASSIGN_OR_RETURN(
-          vec, env.tables[out.rel]->GetOrBuildColumn(out.column));
+          vec, ResolveColumnVector(env, out.rel, out.column, "output"));
     }
     np.outputs.push_back(vec);
   }

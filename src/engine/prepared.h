@@ -48,7 +48,7 @@ class PreparedPrograms {
     const store::HashIndex* index = nullptr;  // lookup/NL-join/shared index
     const xq::Constant* driver = nullptr;  // index lookup's key (plan-owned)
     // Projection root only: the block's tables in relation order, and one
-    // column per block output (nullptr projects NULL).
+    // column per block output (nullptr for the NULL literal).
     std::vector<store::StoredTable*> tables;
     std::vector<const store::ColumnVector*> outputs;
   };
@@ -63,8 +63,9 @@ class PreparedPrograms {
       const std::vector<opt::PhysicalPlanPtr>& block_plans);
 
   // Compiles one block's plan into this set. A plan not rooted at a
-  // projection is InvalidArgument, unknown tables are NotFound, unknown
-  // filter/join columns and malformed plan nodes are Internal.
+  // projection is InvalidArgument, tables outside the database and columns
+  // outside their tables are NotFound, relations outside the block and
+  // malformed plan nodes are Internal.
   Status AddBlock(const opt::QueryBlock& block,
                   const opt::PhysicalPlanPtr& plan);
 

@@ -36,24 +36,31 @@ class ReferenceBlockExecutor {
       }
       tables_.push_back(&e_->db_->table(rel.table));
     }
+    // The NULL literal (`rel` -1) projects NULL.
+    for (const auto& out : block_.output) {
+      if (out.rel != -1) {
+        LEGODB_RETURN_IF_ERROR(CheckColumn("output", out.rel, out.column));
+      }
+    }
+    LEGODB_RETURN_IF_ERROR(CheckPlan(plan->child.get()));
     LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> bindings, Exec(plan->child));
     xq::ResultSet result;
     for (const auto& out : block_.output) {
-      result.labels.push_back(out.label.empty()
-                                  ? (out.rel >= 0 ? out.column : "NULL")
-                                  : out.label);
+      result.labels.push_back(
+          !out.label.empty() ? out.label
+          : out.rel == -1
+              ? "NULL"
+              : tables_[out.rel]->meta().columns[out.column].name);
     }
     for (const Binding& binding : bindings) {
       std::vector<Value> row;
       row.reserve(block_.output.size());
       for (const auto& out : block_.output) {
-        if (out.rel < 0 || binding[out.rel] == nullptr) {
+        if (out.rel == -1 || binding[out.rel] == nullptr) {
           row.push_back(Value::MakeNull());
           continue;
         }
-        int idx = tables_[out.rel]->meta().ColumnIndex(out.column);
-        row.push_back(idx >= 0 ? (*binding[out.rel])[idx]
-                               : Value::MakeNull());
+        row.push_back((*binding[out.rel])[out.column]);
       }
       for (const Value& v : row) e_->stats_.bytes_out += v.ByteSize();
       e_->stats_.rows_out += 1;
@@ -63,12 +70,41 @@ class ReferenceBlockExecutor {
   }
 
  private:
-  Status UnknownColumn(const char* what, int rel,
-                       const std::string& column) const {
-    return Status::Internal(std::string(what) +
-                            " references unknown column '" +
-                            tables_[rel]->meta().name + "." + column +
-                            "' (translator/catalog drift)");
+  // Internal for a relation outside the block (`what` names the
+  // reference), NotFound for a column outside its table.
+  Status CheckColumn(const char* what, int rel, int column) const {
+    if (rel < 0 || static_cast<size_t>(rel) >= tables_.size()) {
+      return Status::Internal(std::string(what) + " references relation #" +
+                              std::to_string(rel) + " outside the block");
+    }
+    return tables_[rel]->meta().CheckColumn(column);
+  }
+
+  // Checks every column plan `p` reads row by row before any row is read
+  // (index columns are checked as their indexes are fetched).
+  Status CheckPlan(const opt::PhysicalPlan* p) const {
+    if (!p) return Status::OK();
+    for (const auto& f : p->filters) {
+      if (f.rel == p->rel) {
+        LEGODB_RETURN_IF_ERROR(CheckColumn("filter", f.rel, f.column));
+      }
+    }
+    for (const auto& e : p->residual_joins) {
+      LEGODB_RETURN_IF_ERROR(
+          CheckColumn("residual join", e.left_rel, e.left_column));
+      LEGODB_RETURN_IF_ERROR(
+          CheckColumn("residual join", e.right_rel, e.right_column));
+    }
+    if (p->kind == opt::PhysicalPlan::Kind::kHashJoin) {
+      LEGODB_RETURN_IF_ERROR(CheckColumn("hash join", p->right_join_rel,
+                                         p->right_join_column));
+    }
+    if (p->left) {  // a join: its probe/outer key
+      LEGODB_RETURN_IF_ERROR(
+          CheckColumn("join", p->left_join_rel, p->left_join_column));
+    }
+    LEGODB_RETURN_IF_ERROR(CheckPlan(p->left.get()));
+    return CheckPlan(p->right.get());
   }
 
   StatusOr<Value> ResolveConstant(const xq::Constant& c) const {
@@ -94,12 +130,10 @@ class ReferenceBlockExecutor {
       const {
     for (const auto& f : filters) {
       if (f.rel != rel) continue;
-      int idx = tables_[rel]->meta().ColumnIndex(f.column);
-      if (idx < 0) return UnknownColumn("filter", rel, f.column);
-      if (row[idx].is_null()) return false;
+      if (row[f.column].is_null()) return false;
       if (f.not_null) continue;
       LEGODB_ASSIGN_OR_RETURN(Value want, ResolveConstant(f.value));
-      if (!xq::ApplyCompare(f.op, row[idx], want)) return false;
+      if (!xq::ApplyCompare(f.op, row[f.column], want)) return false;
     }
     return true;
   }
@@ -111,14 +145,8 @@ class ReferenceBlockExecutor {
       const Row* l = merged[e.left_rel];
       const Row* r = merged[e.right_rel];
       if (!l || !r) return false;
-      int li = tables_[e.left_rel]->meta().ColumnIndex(e.left_column);
-      if (li < 0) return UnknownColumn("residual join", e.left_rel,
-                                       e.left_column);
-      int ri = tables_[e.right_rel]->meta().ColumnIndex(e.right_column);
-      if (ri < 0) return UnknownColumn("residual join", e.right_rel,
-                                       e.right_column);
-      const Value& lv = (*l)[li];
-      const Value& rv = (*r)[ri];
+      const Value& lv = (*l)[e.left_column];
+      const Value& rv = (*r)[e.right_column];
       if (lv.is_null() || rv.is_null() || !(lv == rv)) return false;
     }
     return true;
@@ -159,6 +187,8 @@ class ReferenceBlockExecutor {
       }
       case opt::PhysicalPlan::Kind::kIndexLookup: {
         StoredTable& t = *tables_[p->rel];
+        LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
+                                t.GetOrBuildIndex(p->index_column));
         // Find the driving filter.
         const opt::FilterPred* driver = nullptr;
         for (const auto& f : p->filters) {
@@ -172,8 +202,6 @@ class ReferenceBlockExecutor {
           return Status::Internal("index lookup without driving filter");
         }
         LEGODB_ASSIGN_OR_RETURN(Value key, ResolveConstant(driver->value));
-        LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
-                                t.GetOrBuildIndex(p->index_column));
         std::span<const int32_t> hits = index->Find(key);
         e_->stats_.seeks += 1 + static_cast<double>(hits.size());
         e_->stats_.tuples_processed += static_cast<double>(hits.size());
@@ -194,17 +222,9 @@ class ReferenceBlockExecutor {
         e_->stats_.tuples_processed +=
             static_cast<double>(probe.size() + build.size());
         int build_rel = p->right_join_rel;
-        int build_col =
-            tables_[build_rel]->meta().ColumnIndex(p->right_join_column);
-        if (build_col < 0) {
-          return UnknownColumn("hash join", build_rel, p->right_join_column);
-        }
+        int build_col = p->right_join_column;
         int probe_rel = p->left_join_rel;
-        int probe_col =
-            tables_[probe_rel]->meta().ColumnIndex(p->left_join_column);
-        if (probe_col < 0) {
-          return UnknownColumn("hash join", probe_rel, p->left_join_column);
-        }
+        int probe_col = p->left_join_column;
         std::unordered_map<Value, std::vector<const Binding*>, ValueHash>
             table;
         for (const Binding& b : build) {
@@ -241,11 +261,7 @@ class ReferenceBlockExecutor {
         LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
                                 inner.GetOrBuildIndex(p->index_column));
         int outer_rel = p->left_join_rel;
-        int outer_col =
-            tables_[outer_rel]->meta().ColumnIndex(p->left_join_column);
-        if (outer_col < 0) {
-          return UnknownColumn("index join", outer_rel, p->left_join_column);
-        }
+        int outer_col = p->left_join_column;
         std::vector<Binding> out;
         for (const Binding& l : outer) {
           const Row* row = l[outer_rel];

@@ -91,13 +91,13 @@ const Slot* TypeMapping::FindSlot(const xs::Type* node, bool tilde) const {
 
 int TypeMapping::SlotColumn(const xs::Type* node, bool tilde) const {
   const Slot* slot = FindSlot(node, tilde);
-  return slot ? kKeyColumn + 1 + static_cast<int>(slot - slots.data()) : -1;
+  return slot ? ColumnOf(*slot) : -1;
 }
 
 int TypeMapping::ParentColumn(int parent) const {
   for (size_t i = 0; i < parents.size(); ++i) {
-    if (parents[i].parent == parent) {
-      return kKeyColumn + 1 + static_cast<int>(slots.size() + i);
+    if (parents[i] == parent) {
+      return rel::Table::kKeyColumn + 1 + static_cast<int>(slots.size() + i);
     }
   }
   return -1;
@@ -212,11 +212,11 @@ class Mapper {
       index_[t] = static_cast<int>(types.size());
       types.emplace_back().type_name = schema_.name(t);
     }
+    slot_names_.resize(types.size());
     result_.root_ = index_[schema_.root()];
     for (int t : reachable) AnalyzeType(t);
     ComputeCounts();
     ComputeParents();
-    for (TypeMapping& tm : types) NameColumns(&tm);
     LEGODB_RETURN_IF_ERROR(BuildCatalog(reachable));
     result_.schema_ = schema_;
     return std::move(result_);
@@ -278,7 +278,7 @@ class Mapper {
   // its top-level element as an entry of the type.
   void AddSlot(Slot slot, TypeMapping* tm) {
     slot.node = around_.empty() ? nullptr : around_.back();
-    slot.column = ColumnName(slot.is_tilde);
+    slot_names_[result_.Index(*tm)].push_back(ColumnName(slot.is_tilde));
     const Type* top = TopElement();
     if (top && (tm->entries.empty() || tm->entries.back().node != top)) {
       tm->entries.push_back(TypeMapping::Entry{top});
@@ -300,7 +300,7 @@ class Mapper {
   // root element and wildcards, plus "tilde" for a wildcard's tag column. A
   // scalar directly in the root element is named after that element (e.g.
   // table Aka, column aka); a nameless position falls back to "_data".
-  // NameSlots makes the names unique.
+  // UniqueNames makes the names unique.
   std::string ColumnName(bool tilde) const {
     std::string name;
     for (const Type* n : around_) {
@@ -321,38 +321,29 @@ class Mapper {
     return name;
   }
 
-  // Makes the column names of `tm`'s table unique: the key keeps its name,
-  // then each foreign key in `parents` order and each slot in slot order
-  // takes the first name not yet taken among its own and that name
-  // suffixed "_2", "_3", ... A table has a handful of columns, so each
+  // Makes the names of `columns`, a table laid out with `slots` slot
+  // columns, unique: the key keeps its name, then each foreign key and then
+  // each slot takes the first name not yet taken among its own and that
+  // name suffixed "_2", "_3", ... A table has a handful of columns, so each
   // candidate name is checked against the names already given.
-  static void NameColumns(TypeMapping* tm) {
-    size_t links = 0;  // the foreign keys named so far
-    size_t slots = 0;  // the slots named so far
+  static void UniqueNames(size_t slots, std::vector<rel::Column>* columns) {
+    std::vector<const std::string*> given{&(*columns)[0].name};
     auto taken = [&](const std::string& name) {
-      if (name.size() == tm->type_name.size() + 3 &&
-          name.starts_with(tm->type_name) && name.ends_with("_id")) {
-        return true;
-      }
-      for (size_t i = 0; i < links; ++i) {
-        if (tm->parents[i].fk_column == name) return true;
-      }
-      for (size_t i = 0; i < slots; ++i) {
-        if (tm->slots[i].column == name) return true;
-      }
-      return false;
+      return std::any_of(given.begin(), given.end(),
+                         [&](const std::string* g) { return *g == name; });
     };
-    auto unique = [&](std::string* column) {
-      if (!taken(*column)) return;
-      int i = 2;
-      std::string name = *column + "_2";
-      while (taken(name)) name = *column + "_" + std::to_string(++i);
-      *column = std::move(name);
+    auto unique = [&](std::string* name) {
+      if (taken(*name)) {
+        int i = 2;
+        while (taken(*name + "_" + std::to_string(i))) ++i;
+        *name += "_" + std::to_string(i);
+      }
+      given.push_back(name);
     };
-    for (; links < tm->parents.size(); ++links) {
-      unique(&tm->parents[links].fk_column);
+    for (size_t c = 1 + slots; c < columns->size(); ++c) {
+      unique(&(*columns)[c].name);
     }
-    for (; slots < tm->slots.size(); ++slots) unique(&tm->slots[slots].column);
+    for (size_t c = 1; c <= slots; ++c) unique(&(*columns)[c].name);
   }
 
   void WalkBody(const TypePtr& t, double presence, bool optional,
@@ -520,11 +511,9 @@ class Mapper {
       for (int referrer : referrers_[parent]) Attach(referrer, child);
       return;
     }
-    auto& links = types[child].parents;
-    if (std::none_of(links.begin(), links.end(),
-                     [&](const auto& link) { return link.parent == parent; })) {
-      links.push_back(
-          TypeMapping::ParentLink{"parent_" + types[parent].type_name, parent});
+    auto& parents = types[child].parents;
+    if (std::find(parents.begin(), parents.end(), parent) == parents.end()) {
+      parents.push_back(parent);
     }
   }
 
@@ -538,19 +527,21 @@ class Mapper {
       rel::Table table;
       table.name = tm.type_name;
       table.row_count = std::max(0.0, tm.instance_count);
-      table.key_column = tm.type_name + "_id";
+      table.columns.reserve(1 + tm.slots.size() + tm.parents.size());
 
       rel::Column key;
-      key.name = table.key_column;
+      key.name = tm.type_name + "_id";
       key.type = rel::SqlType::Int();
       key.distincts = std::max(1.0, table.row_count);
       key.min = 1;
       key.max = static_cast<int64_t>(std::max(1.0, table.row_count));
       table.columns.push_back(std::move(key));
 
-      for (const auto& slot : tm.slots) {
+      std::vector<std::string>& names = slot_names_[index_[t]];
+      for (size_t i = 0; i < tm.slots.size(); ++i) {
+        const Slot& slot = tm.slots[i];
         rel::Column col;
-        col.name = slot.column;
+        col.name = std::move(names[i]);
         col.nullable = slot.optional;
         col.null_fraction =
             std::clamp(1.0 - slot.presence, 0.0, 1.0);
@@ -578,20 +569,20 @@ class Mapper {
         table.columns.push_back(std::move(col));
       }
 
-      for (const auto& link : tm.parents) {
+      for (int parent : tm.parents) {
         rel::Column fk;
-        fk.name = link.fk_column;
+        fk.name = "parent_" + types[parent].type_name;
         fk.type = rel::SqlType::Int();
         fk.nullable = tm.parents.size() > 1;
-        double parent_rows =
-            std::max(1.0, types[link.parent].instance_count);
+        double parent_rows = std::max(1.0, types[parent].instance_count);
         fk.distincts = std::min(parent_rows, std::max(1.0, table.row_count));
         fk.min = 1;
         fk.max = static_cast<int64_t>(parent_rows);
+        table.foreign_keys.push_back(rel::ForeignKey{
+            static_cast<int>(table.columns.size()), types[parent].table});
         table.columns.push_back(std::move(fk));
-        table.foreign_keys.push_back(
-            rel::ForeignKey{link.fk_column, types[link.parent].table});
       }
+      UniqueNames(tm.slots.size(), &table.columns);
       LEGODB_RETURN_IF_ERROR(
           result_.catalog_.AddTable(std::move(table)).status());
     }
@@ -611,6 +602,9 @@ class Mapper {
   int tables_ = 0;  // the tables numbered so far
   std::vector<const Type*> around_;
   std::vector<TypeMapping::Entry> ref_entries_;
+  // Each mapped type's slot column names, in `slots` order, until
+  // BuildCatalog moves them into its table.
+  std::vector<std::vector<std::string>> slot_names_;
   // ComputeParents: the types referencing each type (in index order, once
   // per reference), and the types the current reference's climb reached.
   std::vector<std::vector<int>> referrers_;

@@ -18,9 +18,8 @@ namespace legodb::map {
 // references by them.
 
 // A scalar (or wildcard-tag) position inside a type body that maps to a
-// column of the type's table.
+// column of the type's table (TypeMapping::ColumnOf).
 struct Slot {
-  std::string column;    // column name in the table
   // The body node whose value the slot holds: the element or attribute
   // directly around the scalar, the wildcard element itself for a tilde
   // slot, or null for a scalar directly at the body root.
@@ -78,23 +77,22 @@ struct TypeMapping {
   // Estimated number of instances (rows) of this type.
   double instance_count = 0;
 
-  // Foreign keys of this type's table: (column, effective parent type's
-  // index), one per parent.
-  struct ParentLink {
-    std::string fk_column;
-    int parent = -1;
-  };
-  std::vector<ParentLink> parents;
+  // The effective parent types' indexes, one per foreign key of this
+  // type's table.
+  std::vector<int> parents;
 
   // The slot owned by `node` (the tag slot of a wildcard when `tilde`), or
   // null.
   const Slot* FindSlot(const xs::Type* node, bool tilde) const;
 
   // Column positions in this type's table, as the mapper lays it out: the
-  // key first, then one column per slot in `slots` order, then one foreign
-  // key per link in `parents` order. The lookups return -1 when no slot is
-  // owned by `node` (or no link names type `parent`).
-  static constexpr int kKeyColumn = 0;
+  // key first (rel::Table::kKeyColumn), then one column per slot in `slots`
+  // order, then one foreign key per entry of `parents`. ColumnOf takes one
+  // of `slots`; the lookups return -1 when no slot is owned by `node` (or
+  // `parents` does not hold type `parent`).
+  int ColumnOf(const Slot& slot) const {
+    return rel::Table::kKeyColumn + 1 + static_cast<int>(&slot - slots.data());
+  }
   int SlotColumn(const xs::Type* node, bool tilde) const;
   int ParentColumn(int parent) const;
 };
@@ -120,8 +118,8 @@ struct Move {
 // The mapped types are the schema's types reachable from its root, numbered
 // once in name order: a type's index is its position in types(), and every
 // link between mapped types (ChildRef::type, union_alternatives,
-// Entry::hop, ParentLink::parent) is such an index. Names remain for
-// display, DDL and SQL.
+// Entry::hop, parents) is such an index. Names remain for display, DDL and
+// SQL; a column's name lives only in the catalog.
 class Mapping {
  public:
   const rel::Catalog& catalog() const { return catalog_; }

@@ -73,19 +73,16 @@ class BlockPlanner {
       Rel& r = rels_.emplace_back();
       r.table = &catalog_.table(t);
       r.width = r.table->RowWidth();
-      r.rows = FilteredRows(static_cast<int>(i));
+    }
+    LEGODB_RETURN_IF_ERROR(CheckColumns());
+    for (size_t i = 0; i < n; ++i) {
+      rels_[i].rows = FilteredRows(static_cast<int>(i));
     }
     words_ = std::max<size_t>(1, (block_.joins.size() + 63) / 64);
     edge_rows_.assign((n + 1) * words_, 0);
     uint64_t* outer = &edge_rows_[n * words_];
     for (size_t k = 0; k < block_.joins.size(); ++k) {
       const JoinEdge& e = block_.joins[k];
-      if (e.left_rel < 0 || e.right_rel < 0 ||
-          static_cast<size_t>(e.left_rel) >= n ||
-          static_cast<size_t>(e.right_rel) >= n) {
-        return Status::InvalidArgument(
-            "join edge references a relation outside the block");
-      }
       rels_[e.left_rel].adjacent |= 1ull << e.right_rel;
       rels_[e.right_rel].adjacent |= 1ull << e.left_rel;
       uint64_t bit = 1ull << (k % 64);
@@ -106,7 +103,6 @@ class BlockPlanner {
     auto root = std::make_shared<PhysicalPlan>();
     root->kind = PhysicalPlan::Kind::kProject;
     root->child = std::move(plan);
-    root->outputs = block_.output;
     double out_width = OutputWidth();
     root->est_rows = best.rows;
     root->est_cost = best.cost + best.rows * out_width * p_.write_per_byte +
@@ -143,20 +139,41 @@ class BlockPlanner {
     return p_.page_size > 0 ? p_.page_size : width;
   }
 
+  // Checks that every filter, join edge and output (but the NULL literal,
+  // `rel` -1) names a relation of the block and a column of its table.
+  Status CheckColumns() const {
+    auto check = [&](int rel, int column) {
+      if (rel < 0 || static_cast<size_t>(rel) >= rels_.size()) {
+        return Status::InvalidArgument(
+            "column of a relation outside the block");
+      }
+      return rels_[rel].table->CheckColumn(column);
+    };
+    for (const FilterPred& f : block_.filters) {
+      LEGODB_RETURN_IF_ERROR(check(f.rel, f.column));
+    }
+    for (const JoinEdge& e : block_.joins) {
+      LEGODB_RETURN_IF_ERROR(check(e.left_rel, e.left_column));
+      LEGODB_RETURN_IF_ERROR(check(e.right_rel, e.right_column));
+    }
+    for (const ColumnRef& out : block_.output) {
+      if (out.rel != -1) LEGODB_RETURN_IF_ERROR(check(out.rel, out.column));
+    }
+    return Status::OK();
+  }
+
   // ---- statistics helpers ----
 
-  const rel::Column* Col(int rel, const std::string& name) const {
-    return rels_[rel].table->FindColumn(name);
+  const rel::Column& Col(int rel, int column) const {
+    return rels_[rel].table->columns[column];
   }
 
-  double ColDistincts(int rel, const std::string& name) const {
-    const rel::Column* c = Col(rel, name);
-    return c ? std::max(1.0, c->distincts) : 1.0;
+  double ColDistincts(int rel, int column) const {
+    return std::max(1.0, Col(rel, column).distincts);
   }
 
-  double ColNullFrac(int rel, const std::string& name) const {
-    const rel::Column* c = Col(rel, name);
-    return c ? std::clamp(c->null_fraction, 0.0, 1.0) : 0.0;
+  double ColNullFrac(int rel, int column) const {
+    return std::clamp(Col(rel, column).null_fraction, 0.0, 1.0);
   }
 
   double BaseRows(int rel) const {
@@ -187,13 +204,13 @@ class BlockPlanner {
   // Range selectivity from the column's min/max statistics when the bound
   // is a known integer literal; System-R's 1/3 otherwise.
   double RangeSelectivity(const FilterPred& f) const {
-    const rel::Column* c = Col(f.rel, f.column);
-    if (!c || c->type.kind != rel::SqlType::Kind::kInt ||
-        f.value.kind != xq::Constant::Kind::kInt || c->max <= c->min) {
+    const rel::Column& c = Col(f.rel, f.column);
+    if (c.type.kind != rel::SqlType::Kind::kInt ||
+        f.value.kind != xq::Constant::Kind::kInt || c.max <= c.min) {
       return 1.0 / 3.0;
     }
-    double lo = static_cast<double>(c->min);
-    double hi = static_cast<double>(c->max);
+    double lo = static_cast<double>(c.min);
+    double hi = static_cast<double>(c.max);
     double bound = std::clamp(static_cast<double>(f.value.int_value), lo, hi);
     double below = (bound - lo) / (hi - lo);
     switch (f.op) {
@@ -217,29 +234,23 @@ class BlockPlanner {
   }
 
   // Effective distinct count of a join column among the filtered rows.
-  double EffDistincts(int rel, const std::string& column) const {
+  double EffDistincts(int rel, int column) const {
     return std::max(1.0,
                     std::min(ColDistincts(rel, column), rels_[rel].rows));
   }
 
-  bool Indexed(int rel, const std::string& column) const {
-    const rel::Table* t = rels_[rel].table;
-    if (column == t->key_column) return true;
-    for (const auto& fk : t->foreign_keys) {
-      if (fk.column == column) return true;
-    }
-    return p_.index_on_predicates && t->FindColumn(column) != nullptr;
+  bool Indexed(int rel, int column) const {
+    const std::vector<rel::ForeignKey>& fks = rels_[rel].table->foreign_keys;
+    return column == rel::Table::kKeyColumn || p_.index_on_predicates ||
+           std::any_of(fks.begin(), fks.end(),
+                       [&](const auto& fk) { return fk.column == column; });
   }
 
   double OutputWidth() const {
     double w = 0;
     for (const auto& out : block_.output) {
-      if (out.rel < 0) {  // NULL-literal column
-        w += 1.0;
-        continue;
-      }
-      const rel::Column* c = Col(out.rel, out.column);
-      w += c ? c->type.width : 8.0;
+      // The NULL literal is one byte.
+      w += out.rel < 0 ? 1.0 : Col(out.rel, out.column).type.width;
     }
     return std::max(w, 1.0);
   }
@@ -260,12 +271,12 @@ class BlockPlanner {
   }
 
   // Distincts over the unfiltered base table (for index probe fan-out).
-  double EffDistinctsBase(int rel, const std::string& column) const {
+  double EffDistinctsBase(int rel, int column) const {
     return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
   }
 
   // Index-nested-loops terms for probing `column` of base relation `rel`.
-  ProbeTerms ProbeTermsOf(int rel, const std::string& column) const {
+  ProbeTerms ProbeTermsOf(int rel, int column) const {
     return ProbeTerms{Indexed(rel, column),
                       BaseRows(rel) * (1.0 - ColNullFrac(rel, column)) /
                           EffDistinctsBase(rel, column),

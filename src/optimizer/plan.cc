@@ -3,11 +3,22 @@
 namespace legodb::opt {
 
 namespace {
-std::string QualifiedName(const QueryBlock& block, int rel,
-                          const std::string& column) {
-  if (rel < 0 || rel >= static_cast<int>(block.rels.size())) return column;
-  return block.rels[rel].alias + "." + column;
+
+// The name of column `column` of relation `rel`, after "alias." when
+// `qualified`: empty for the NULL literal (`rel` -1), "#<position>" outside
+// the block or the table.
+std::string ColumnName(const rel::Catalog& catalog, const QueryBlock& block,
+                       int rel, int column, bool qualified = false) {
+  if (rel < 0) return "";
+  if (static_cast<size_t>(rel) >= block.rels.size()) {
+    return "#" + std::to_string(column);
+  }
+  const rel::Table& table = catalog.table(block.rels[rel].table);
+  return (qualified ? block.rels[rel].alias + "." : "") +
+         (table.CheckColumn(column).ok() ? table.columns[column].name
+                                         : "#" + std::to_string(column));
 }
+
 }  // namespace
 
 std::string QueryBlock::ToSql(const rel::Catalog& catalog) const {
@@ -17,7 +28,7 @@ std::string QueryBlock::ToSql(const rel::Catalog& catalog) const {
   } else {
     for (size_t i = 0; i < output.size(); ++i) {
       if (i > 0) sql += ", ";
-      sql += QualifiedName(*this, output[i].rel, output[i].column);
+      sql += ColumnName(catalog, *this, output[i].rel, output[i].column, true);
     }
   }
   sql += "\nFROM ";
@@ -34,13 +45,14 @@ std::string QueryBlock::ToSql(const rel::Catalog& catalog) const {
     sql += cond;
   };
   for (const auto& j : joins) {
-    std::string cond = QualifiedName(*this, j.left_rel, j.left_column) +
-                       " = " + QualifiedName(*this, j.right_rel, j.right_column);
+    std::string cond =
+        ColumnName(catalog, *this, j.left_rel, j.left_column, true) + " = " +
+        ColumnName(catalog, *this, j.right_rel, j.right_column, true);
     if (j.left_outer) cond += " (+)";  // Oracle-style outer marker, display only
     add_cond(cond);
   }
   for (const auto& f : filters) {
-    add_cond(QualifiedName(*this, f.rel, f.column) +
+    add_cond(ColumnName(catalog, *this, f.rel, f.column, true) +
              (f.not_null ? " IS NOT NULL"
                          : std::string(" ") + xq::CompareOpName(f.op) + " " +
                                f.value.ToString()));
@@ -57,7 +69,8 @@ std::string RelQuery::ToSql(const rel::Catalog& catalog) const {
   return sql;
 }
 
-std::string PhysicalPlan::ToString(const QueryBlock& block, int indent) const {
+std::string PhysicalPlan::ToString(const rel::Catalog& catalog,
+                                   const QueryBlock& block, int indent) const {
   std::string pad(2 * indent, ' ');
   std::string out = pad;
   auto rel_name = [&](int r) {
@@ -65,10 +78,13 @@ std::string PhysicalPlan::ToString(const QueryBlock& block, int indent) const {
                ? block.rels[r].alias
                : "?";
   };
+  auto column = [&](int r, int c) {
+    return ColumnName(catalog, block, r, c, true);
+  };
   auto filters_str = [&]() {
     std::string s;
     for (const auto& f : filters) {
-      s += " [" + f.column +
+      s += " [" + ColumnName(catalog, block, f.rel, f.column) +
            (f.not_null ? " NOT NULL]"
                        : std::string(xq::CompareOpName(f.op)) +
                              f.value.ToString() + "]");
@@ -80,18 +96,17 @@ std::string PhysicalPlan::ToString(const QueryBlock& block, int indent) const {
       out += "SeqScan(" + rel_name(rel) + ")" + filters_str();
       break;
     case Kind::kIndexLookup:
-      out += "IndexLookup(" + rel_name(rel) + "." + index_column + ")" +
-             filters_str();
+      out += "IndexLookup(" + column(rel, index_column) + ")" + filters_str();
       break;
     case Kind::kHashJoin:
       out += std::string("HashJoin") + (left_outer ? "[left-outer]" : "") +
-             "(" + rel_name(left_join_rel) + "." + left_join_column + " = " +
-             rel_name(right_join_rel) + "." + right_join_column + ")";
+             "(" + column(left_join_rel, left_join_column) + " = " +
+             column(right_join_rel, right_join_column) + ")";
       break;
     case Kind::kIndexNLJoin:
       out += std::string("IndexNLJoin") + (left_outer ? "[left-outer]" : "") +
-             "(" + rel_name(left_join_rel) + "." + left_join_column + " -> " +
-             rel_name(rel) + "." + index_column + ")" + filters_str();
+             "(" + column(left_join_rel, left_join_column) + " -> " +
+             column(rel, index_column) + ")" + filters_str();
       break;
     case Kind::kProject:
       out += "Project";
@@ -102,9 +117,9 @@ std::string PhysicalPlan::ToString(const QueryBlock& block, int indent) const {
                 est_cost);
   out += buf;
   out += "\n";
-  if (left) out += left->ToString(block, indent + 1);
-  if (right) out += right->ToString(block, indent + 1);
-  if (child) out += child->ToString(block, indent + 1);
+  if (left) out += left->ToString(catalog, block, indent + 1);
+  if (right) out += right->ToString(catalog, block, indent + 1);
+  if (child) out += child->ToString(catalog, block, indent + 1);
   return out;
 }
 

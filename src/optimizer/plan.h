@@ -12,6 +12,9 @@
 
 namespace legodb::opt {
 
+// A column of relation `rel` is named by its position in that relation's
+// catalog table (rel::Table); ToSql and ToString look its name up.
+
 // A base relation occurrence in a query block (aliases disambiguate multiple
 // occurrences of the same table).
 struct BaseRel {
@@ -20,11 +23,11 @@ struct BaseRel {
 };
 
 // A column of a base relation, identified by the relation's index in the
-// owning QueryBlock.
+// owning QueryBlock; `rel` -1 is the NULL literal.
 struct ColumnRef {
   int rel = -1;
-  std::string column;
-  // Display label for the output (defaults to alias.column).
+  int column = -1;
+  // Display label for the output (defaults to the column's name).
   std::string label;
 };
 
@@ -32,9 +35,9 @@ struct ColumnRef {
 // left side (used for optional child tables in publish/return joins).
 struct JoinEdge {
   int left_rel = -1;
-  std::string left_column;
+  int left_column = -1;
   int right_rel = -1;
-  std::string right_column;
+  int right_column = -1;
   bool left_outer = false;
 };
 
@@ -43,7 +46,7 @@ struct JoinEdge {
 // NOT NULL test (strict projection over nullable inlined columns).
 struct FilterPred {
   int rel = -1;
-  std::string column;
+  int column = -1;
   xq::CompareOp op = xq::CompareOp::kEq;
   xq::Constant value;
   bool not_null = false;  // when set, `op`/`value` are ignored
@@ -91,23 +94,22 @@ struct PhysicalPlan {
   // kSeqScan / kIndexLookup / inner side of kIndexNLJoin.
   int rel = -1;
   std::vector<FilterPred> filters;   // residual filters on this rel
-  std::string index_column;          // kIndexLookup / kIndexNLJoin
+  int index_column = -1;             // kIndexLookup / kIndexNLJoin
 
   // kHashJoin / kIndexNLJoin.
   PhysicalPlanPtr left;   // probe / outer side
   PhysicalPlanPtr right;  // build side (kHashJoin only)
   int left_join_rel = -1;
-  std::string left_join_column;
+  int left_join_column = -1;
   int right_join_rel = -1;
-  std::string right_join_column;
+  int right_join_column = -1;
   bool left_outer = false;
   // When several join edges connect the two sides, one drives the
   // hash/index probe and the rest are checked per candidate pair.
   std::vector<JoinEdge> residual_joins;
 
-  // kProject.
+  // kProject (its outputs are the block's).
   PhysicalPlanPtr child;
-  std::vector<ColumnRef> outputs;
 
   // Estimates filled by the optimizer.
   double est_rows = 0;
@@ -119,8 +121,10 @@ struct PhysicalPlan {
   double est_seeks = 0;
   double est_bytes = 0;
 
-  // Indented operator-tree rendering for debugging and EXPLAIN output.
-  std::string ToString(const QueryBlock& block, int indent = 0) const;
+  // Indented operator-tree rendering for debugging and EXPLAIN output;
+  // `catalog` names the block's columns.
+  std::string ToString(const rel::Catalog& catalog, const QueryBlock& block,
+                       int indent = 0) const;
 };
 
 }  // namespace legodb::opt

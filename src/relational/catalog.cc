@@ -25,18 +25,19 @@ double Table::RowWidth() const {
   return width;
 }
 
-const Column* Table::FindColumn(const std::string& name) const {
-  for (const auto& col : columns) {
-    if (col.name == name) return &col;
-  }
-  return nullptr;
-}
-
 int Table::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < columns.size(); ++i) {
     if (columns[i].name == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+Status Table::CheckColumn(int column) const {
+  if (column >= 0 && static_cast<size_t>(column) < columns.size()) {
+    return Status::OK();
+  }
+  return Status::NotFound("no column #" + std::to_string(column) +
+                          " in table '" + name + "'");
 }
 
 StatusOr<int> Catalog::AddTable(Table table) {
@@ -47,6 +48,12 @@ StatusOr<int> Catalog::AddTable(Table table) {
     if (table.ColumnIndex(table.columns[i].name) != static_cast<int>(i)) {
       return Status::InvalidArgument("duplicate column '" +
                                      table.columns[i].name + "' in table '" +
+                                     table.name + "'");
+    }
+  }
+  for (const ForeignKey& fk : table.foreign_keys) {
+    if (!table.CheckColumn(fk.column).ok()) {
+      return Status::InvalidArgument("foreign key outside table '" +
                                      table.name + "'");
     }
   }
@@ -73,16 +80,16 @@ std::string Catalog::ToDdl() const {
   std::string out;
   for (const Table& t : tables_) {
     out += "TABLE " + t.name + " (";
-    for (size_t i = 0; i < t.columns.size(); ++i) {
+    for (int i = 0; i < static_cast<int>(t.columns.size()); ++i) {
       const Column& c = t.columns[i];
       if (i > 0) out += ",";
       out += "\n  " + c.name + " " + c.type.ToString();
       if (c.nullable) out += " NULL";
-      if (c.name == t.key_column) out += " PRIMARY KEY";
+      if (i == Table::kKeyColumn) out += " PRIMARY KEY";
     }
     for (const auto& fk : t.foreign_keys) {
-      out += ",\n  FOREIGN KEY (" + fk.column + ") REFERENCES " +
-             table(fk.parent).name;
+      out += ",\n  FOREIGN KEY (" + t.columns[fk.column].name +
+             ") REFERENCES " + table(fk.parent).name;
     }
     out += "\n)  -- " + std::to_string(static_cast<int64_t>(t.row_count)) +
            " rows, width " +

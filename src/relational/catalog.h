@@ -45,14 +45,17 @@ struct Column {
 
 // A foreign key column referencing the key of a parent table.
 struct ForeignKey {
-  std::string column;  // e.g. "parent_Show"
-  int parent = -1;     // the parent table's index in the catalog
+  int column = -1;  // its position in the child table
+  int parent = -1;  // the parent table's index in the catalog
 };
 
+// Queries, plans, foreign keys and stored tables name a column by its
+// position in `columns`, as the mapper lays it out: the key, the type's
+// slots, one foreign key per parent. Names are for display, SQL and DDL.
 struct Table {
+  static constexpr int kKeyColumn = 0;  // the primary key, "<name>_id"
+
   std::string name;
-  // Primary key column (always "<name>_id").
-  std::string key_column;
   std::vector<Column> columns;  // includes key and FK columns
   std::vector<ForeignKey> foreign_keys;
   double row_count = 0;
@@ -60,8 +63,11 @@ struct Table {
   // Sum of column widths (plus a fixed per-row overhead).
   double RowWidth() const;
 
-  const Column* FindColumn(const std::string& name) const;
-  int ColumnIndex(const std::string& name) const;  // -1 if absent
+  // The column named `name`, or -1: a linear scan, for names from outside.
+  int ColumnIndex(const std::string& name) const;
+  // OK when `column` is a position in this table; otherwise NotFound
+  // naming the table and the position.
+  Status CheckColumn(int column) const;
 
   static constexpr double kRowOverheadBytes = 8;
 };
@@ -75,8 +81,9 @@ class Catalog {
   Catalog() = default;
 
   // Appends `table` and returns its index. Rejects a duplicate table name,
-  // and a table with two columns of one name, with InvalidArgument
-  // (reachable from ingestion via the mapper, so recoverable).
+  // a table with two columns of one name and a foreign key outside the
+  // table's columns with InvalidArgument (reachable from ingestion via the
+  // mapper, so recoverable).
   StatusOr<int> AddTable(Table table);
 
   const std::vector<Table>& tables() const { return tables_; }

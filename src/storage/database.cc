@@ -490,26 +490,19 @@ StatusOr<TableIo> StoredTable::FetchRows(const int32_t* rows, size_t n) const {
   return touch.io();
 }
 
-StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
-    const std::string& column) {
+StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(int column) {
   LEGODB_ASSIGN_OR_RETURN(const ColumnVector* values,
                           GetOrBuildColumn(column));
   std::lock_guard<std::mutex> lock(index_mu_);
-  std::unique_ptr<HashIndex>& index =
-      indexes_[static_cast<size_t>(meta_.ColumnIndex(column))];
+  std::unique_ptr<HashIndex>& index = indexes_[static_cast<size_t>(column)];
   if (!index) index = std::make_unique<HashIndex>(*values);
   return static_cast<const HashIndex*>(index.get());
 }
 
-StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumn(
-    const std::string& column) {
-  const int idx = meta_.ColumnIndex(column);
-  if (idx < 0) {
-    return Status::Internal("no column '" + column + "' in table '" +
-                            meta_.name + "'");
-  }
+StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumn(int column) {
+  LEGODB_RETURN_IF_ERROR(meta_.CheckColumn(column));
   LEGODB_RETURN_IF_ERROR(Decode());
-  return &columns_[static_cast<size_t>(idx)];
+  return &columns_[static_cast<size_t>(column)];
 }
 
 Status StoredTable::Decode() {
@@ -579,9 +572,9 @@ Status Database::Flush() {
 Status Database::PrewarmIndexes() {
   for (int i : by_name_) {
     StoredTable& table = tables_[i];
-    if (!table.meta().key_column.empty()) {
+    if (!table.meta().columns.empty()) {
       LEGODB_RETURN_IF_ERROR(
-          table.GetOrBuildIndex(table.meta().key_column).status());
+          table.GetOrBuildIndex(rel::Table::kKeyColumn).status());
     }
     for (const auto& fk : table.meta().foreign_keys) {
       LEGODB_RETURN_IF_ERROR(table.GetOrBuildIndex(fk.column).status());

@@ -213,14 +213,15 @@ class StoredTable {
   // seek plus width bytes per row.
   StatusOr<TableIo> FetchRows(const int32_t* rows, size_t n) const;
 
-  // Returns the index on `column`, building it on first use (thread-safe).
-  // Internal error when the column does not exist in this table.
-  StatusOr<const HashIndex*> GetOrBuildIndex(const std::string& column);
+  // Returns the index on column `column` (its position in meta().columns),
+  // building it on first use (thread-safe). NotFound when the position is
+  // outside the table.
+  StatusOr<const HashIndex*> GetOrBuildIndex(int column);
 
-  // Returns `column`: on memory tables the column itself, on paged tables
-  // its decoded copy (see Decode). Internal error when the column does not
-  // exist.
-  StatusOr<const ColumnVector*> GetOrBuildColumn(const std::string& column);
+  // Returns column `column`: on memory tables the column itself, on paged
+  // tables its decoded copy (see Decode). NotFound when the position is
+  // outside the table.
+  StatusOr<const ColumnVector*> GetOrBuildColumn(int column);
 
   // Paged tables: unless already decoded, decodes the pages into the
   // columns in one page scan (thread-safe). No-op on memory tables.

@@ -52,7 +52,7 @@ class Reconstructor {
     Ctx ctx;
     ctx.rt = rt;
     ctx.row = row;
-    ctx.self_id = rt->columns[TypeMapping::kKeyColumn]->value(row).as_int();
+    ctx.self_id = rt->columns[rel::Table::kKeyColumn]->value(row).as_int();
     return EmitBody(programs_[type], 0, ctx, parent, /*under_optional=*/false);
   }
 
@@ -60,7 +60,7 @@ class Reconstructor {
   StatusOr<size_t> FindRow(int type, int64_t id) {
     StoredTable& table = db_->table(programs_[type].tm->table);
     LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
-                            table.GetOrBuildIndex(table.meta().key_column));
+                            table.GetOrBuildIndex(rel::Table::kKeyColumn));
     std::span<const int32_t> hits = index->FindInt(id);
     if (hits.empty()) {
       return Status::NotFound("no row with id " + std::to_string(id));
@@ -75,9 +75,9 @@ class Reconstructor {
     const TypeProgram& p = programs_[type];
     auto rt = std::make_unique<ReconstructType>();
     StoredTable& table = db_->table(p.tm->table);
-    for (const auto& column : table.meta().columns) {
+    for (size_t c = 0; c < table.meta().columns.size(); ++c) {
       LEGODB_ASSIGN_OR_RETURN(const ColumnVector* cv,
-                              table.GetOrBuildColumn(column.name));
+                              table.GetOrBuildColumn(static_cast<int>(c)));
       rt->columns.push_back(cv);
     }
     rt->link_begin.reserve(p.ops.size() + 1);
@@ -125,11 +125,9 @@ class Reconstructor {
     const int fk = cp.tm->ParentColumn(parent);
     if (fk < 0) return Status::OK();
     StoredTable& table = db_->table(cp.tm->table);
-    LEGODB_ASSIGN_OR_RETURN(
-        const HashIndex* index,
-        table.GetOrBuildIndex(table.meta().columns[fk].name));
+    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index, table.GetOrBuildIndex(fk));
     LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
-                            table.GetOrBuildColumn(table.meta().key_column));
+                            table.GetOrBuildColumn(rel::Table::kKeyColumn));
     out->push_back(ChildLink{child, index, keys});
     return Status::OK();
   }
@@ -297,7 +295,7 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
   LEGODB_ASSIGN_OR_RETURN(const ReconstructType* rt, r.Resolve(root_type));
   // The document root has the smallest node id (the shredder assigns ids in
   // document order; buffered insert order differs for recursive types).
-  const ColumnVector& keys = *rt->columns[TypeMapping::kKeyColumn];
+  const ColumnVector& keys = *rt->columns[rel::Table::kKeyColumn];
   size_t root_idx = 0;
   int64_t best_id = keys.value(0).as_int();
   for (size_t i = 1; i < keys.size(); ++i) {

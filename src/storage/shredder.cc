@@ -309,7 +309,7 @@ class Shredder {
     const ShredType& st = types_[type];
     Row row(st.columns, Value::MakeNull());
     const int64_t id = db_->NextId();
-    row[TypeMapping::kKeyColumn] = Value::Int(id);
+    row[rel::Table::kKeyColumn] = Value::Int(id);
     if (ctx->type >= 0) {
       // Virtual-union contraction links the child to the concrete parent
       // the caller passes, so a direct link exists.

@@ -160,11 +160,11 @@ class Translator {
 
   void AppendAllColumns(opt::QueryBlock* block, int rel) const {
     const rel::Table& table = m_.catalog().table(block->rels[rel].table);
-    for (const auto& col : table.columns) {
+    for (size_t c = 0; c < table.columns.size(); ++c) {
       opt::ColumnRef ref;
       ref.rel = rel;
-      ref.column = col.name;
-      ref.label = block->rels[rel].alias + "." + col.name;
+      ref.column = static_cast<int>(c);
+      ref.label = block->rels[rel].alias + "." + table.columns[c].name;
       block->output.push_back(std::move(ref));
     }
   }
@@ -175,31 +175,26 @@ class Translator {
   template <typename B>
   int JoinChild(B* b, size_t first, int parent_rel, const TypeMapping& parent,
                 const TypeMapping& child, bool outer) const {
-    const std::string* fk = nullptr;
-    for (const auto& link : child.parents) {
-      if (link.parent == m_.Index(parent)) {
-        fk = &link.fk_column;
-        break;
-      }
-    }
-    if (!fk) return -1;
+    const int fk = child.ParentColumn(m_.Index(parent));
+    if (fk < 0) return -1;
     int rel = AddRel(b, first, child);
     opt::JoinEdge edge;
     edge.left_rel = parent_rel;
-    edge.left_column = m_.catalog().table(parent.table).key_column;
+    edge.left_column = rel::Table::kKeyColumn;
     edge.right_rel = rel;
-    edge.right_column = *fk;
+    edge.right_column = fk;
     edge.left_outer = outer;
     b->joins.push_back(std::move(edge));
     return rel;
   }
 
-  // Restricts the wildcard position of `tilde` in `rel` to tag `tag`.
-  static void AddTildeFilter(Delta* adds, int rel, const Slot& tilde,
-                             const std::string& tag) {
+  // Restricts the wildcard position of `tilde`, a slot of `tm`, in `rel` to
+  // tag `tag`.
+  static void AddTildeFilter(Delta* adds, int rel, const TypeMapping& tm,
+                             const Slot& tilde, const std::string& tag) {
     opt::FilterPred pred;
     pred.rel = rel;
-    pred.column = tilde.column;
+    pred.column = tm.ColumnOf(tilde);
     pred.value = xq::Constant::Str(tag);
     adds->filters.push_back(std::move(pred));
   }
@@ -235,7 +230,9 @@ class Translator {
         parent = child;
       }
       if (r.pos.rel < 0) continue;
-      if (move.tilde) AddTildeFilter(&r.adds, r.pos.rel, *move.tilde, s);
+      if (move.tilde) {
+        AddTildeFilter(&r.adds, r.pos.rel, *move.type, *move.tilde, s);
+      }
       routes->push_back(std::move(r));
     }
   }
@@ -261,11 +258,12 @@ class Translator {
   }
 
   // Navigates a path to scalar values: the terminal position must hold a
-  // scalar slot (the element's own content).
+  // scalar slot (the element's own content), column `column` of `rel`.
   struct ScalarRoute {
     Delta adds;
     int rel;
     const Slot* slot;
+    int column;
   };
   std::vector<ScalarRoute> NavigateToScalar(
       Route start, size_t first, const std::vector<std::string>& steps,
@@ -276,7 +274,8 @@ class Translator {
       const Slot* slot =
           route.pos.type->FindSlot(route.pos.node, /*tilde=*/false);
       if (!slot) continue;
-      out.push_back(ScalarRoute{std::move(route.adds), route.pos.rel, slot});
+      out.push_back(ScalarRoute{std::move(route.adds), route.pos.rel, slot,
+                                route.pos.type->ColumnOf(*slot)});
     }
     return out;
   }
@@ -361,7 +360,7 @@ class Translator {
         Branch(w, lhs, &next, [&](ScalarRoute& route, World* w2) {
           opt::FilterPred pred;
           pred.rel = route.rel;
-          pred.column = route.slot->column;
+          pred.column = route.column;
           pred.op = p.op;
           pred.value = p.rhs_const;
           w2->block.filters.push_back(std::move(pred));
@@ -376,7 +375,7 @@ class Translator {
         Delta adds;  // left and right additions
         const ScalarRoute* left;
         int rel;
-        const Slot* slot;
+        int column;
       };
       std::vector<JoinRoute> joins;
       const Pos* rfrom = w.Var(rhs_var);
@@ -386,15 +385,15 @@ class Translator {
                                             p.rhs_path.steps,
                                             /*outer=*/false)) {
           joins.push_back(
-              JoinRoute{std::move(right.adds), &left, right.rel, right.slot});
+              JoinRoute{std::move(right.adds), &left, right.rel, right.column});
         }
       }
       Branch(w, joins, &next, [&](JoinRoute& route, World* w2) {
         opt::JoinEdge edge;
         edge.left_rel = route.left->rel;
-        edge.left_column = route.left->slot->column;
+        edge.left_column = route.left->column;
         edge.right_rel = route.rel;
-        edge.right_column = route.slot->column;
+        edge.right_column = route.column;
         w2->block.joins.push_back(std::move(edge));
       });
       // No routes: predicate unsatisfiable in this branch; world dropped.
@@ -434,14 +433,14 @@ class Translator {
       Branch(w, routes, &next, [&](ScalarRoute& route, World* w2) {
         opt::ColumnRef ref;
         ref.rel = route.rel;
-        ref.column = route.slot->column;
+        ref.column = route.column;
         ref.label = label;
         // Strict projection over a nullable inlined column: rows where the
         // value is absent are filtered out (IS NOT NULL).
         if (!outer_mode && route.slot->optional) {
           opt::FilterPred pred;
           pred.rel = route.rel;
-          pred.column = route.slot->column;
+          pred.column = route.column;
           pred.not_null = true;
           w2->block.filters.push_back(std::move(pred));
         }

@@ -75,7 +75,6 @@ TEST(CompareOps, RangeSelectivityUsesMinMax) {
   rel::Catalog catalog;
   rel::Table t;
   t.name = "T";
-  t.key_column = "T_id";
   t.row_count = 1000;
   rel::Column id, year;
   id.name = "T_id";
@@ -92,9 +91,9 @@ TEST(CompareOps, RangeSelectivityUsesMinMax) {
 
   opt::QueryBlock b;
   b.rels.push_back(opt::BaseRel{table, "t"});
-  b.output.push_back(opt::ColumnRef{0, "year", ""});
+  b.output.push_back(opt::ColumnRef{0, 1, ""});  // year
   // year > 2050: (2100-2050)/(2100-1900) = 25% of rows.
-  b.filters.push_back(opt::FilterPred{0, "year", xq::CompareOp::kGt,
+  b.filters.push_back(opt::FilterPred{0, 1, xq::CompareOp::kGt,
                                       xq::Constant::Int(2050)});
   auto planned = optimizer.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -118,7 +117,6 @@ TEST(CompareOps, RangePredicateNeverDrivesHashIndex) {
   rel::Catalog catalog;
   rel::Table t;
   t.name = "T";
-  t.key_column = "T_id";
   t.row_count = 1000;
   rel::Column id;
   id.name = "T_id";
@@ -131,8 +129,9 @@ TEST(CompareOps, RangePredicateNeverDrivesHashIndex) {
   opt::Optimizer optimizer(catalog);
   opt::QueryBlock b;
   b.rels.push_back(opt::BaseRel{table, "t"});
-  b.output.push_back(opt::ColumnRef{0, "T_id", ""});
-  b.filters.push_back(opt::FilterPred{0, "T_id", xq::CompareOp::kGt,
+  b.output.push_back(opt::ColumnRef{0, rel::Table::kKeyColumn, ""});
+  b.filters.push_back(opt::FilterPred{0, rel::Table::kKeyColumn,
+                                      xq::CompareOp::kGt,
                                       xq::Constant::Int(500)});
   auto planned = optimizer.PlanBlock(b);
   ASSERT_TRUE(planned.ok());

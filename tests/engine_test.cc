@@ -21,6 +21,13 @@ namespace {
 
 using opt::PhysicalPlan;
 
+// Column positions in the fixture's tables P(P_id) and
+// C(C_id, name, size, parent_P); SetUp checks them against the catalog.
+constexpr int kKey = rel::Table::kKeyColumn;
+constexpr int kName = 1;
+constexpr int kSize = 2;
+constexpr int kParentP = 3;
+
 // Fixture: Parent(2 rows) / Child(3 rows) shredded from a tiny document.
 class EngineTest : public ::testing::Test {
  protected:
@@ -32,6 +39,12 @@ class EngineTest : public ::testing::Test {
     auto mapping = map::MapSchema(ps::Normalize(schema.value()));
     ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
     mapping_ = std::make_unique<map::Mapping>(std::move(mapping).value());
+    const rel::Table& c = mapping_->catalog().table(Table("C"));
+    ASSERT_EQ(c.ColumnIndex("name"), kName);
+    ASSERT_EQ(c.ColumnIndex("size"), kSize);
+    ASSERT_EQ(c.ColumnIndex("parent_P"), kParentP);
+    ASSERT_EQ(c.columns.size(), 4u);
+    ASSERT_EQ(mapping_->catalog().table(Table("P")).columns.size(), 1u);
     db_ = std::make_unique<store::Database>(mapping_->catalog());
     auto doc = xml::ParseDocument(
         "<p>"
@@ -52,7 +65,7 @@ class EngineTest : public ::testing::Test {
   opt::QueryBlock ChildBlock() {
     opt::QueryBlock b;
     b.rels.push_back(opt::BaseRel{Table("C"), "c"});
-    b.output.push_back(opt::ColumnRef{0, "name", "name"});
+    b.output.push_back(opt::ColumnRef{0, kName, "name"});
     return b;
   }
 
@@ -62,8 +75,8 @@ class EngineTest : public ::testing::Test {
     opt::QueryBlock b;
     b.rels.push_back(opt::BaseRel{Table("P"), "p"});
     b.rels.push_back(opt::BaseRel{Table("C"), "c"});
-    b.joins.push_back(opt::JoinEdge{0, "P_id", 1, "parent_P", outer});
-    b.output.push_back(opt::ColumnRef{1, "name", "name"});
+    b.joins.push_back(opt::JoinEdge{0, kKey, 1, kParentP, outer});
+    b.output.push_back(opt::ColumnRef{1, kName, "name"});
     return b;
   }
 
@@ -94,7 +107,7 @@ TEST_F(EngineTest, SeqScanReturnsAllRows) {
 
 TEST_F(EngineTest, EqualityFilter) {
   opt::QueryBlock b = ChildBlock();
-  b.filters.push_back(opt::FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Str("alpha")});
+  b.filters.push_back(opt::FilterPred{0, kName, xq::CompareOp::kEq, xq::Constant::Str("alpha")});
   xq::ResultSet r = Execute(b);
   EXPECT_EQ(r.rows.size(), 2u);
 }
@@ -102,14 +115,14 @@ TEST_F(EngineTest, EqualityFilter) {
 TEST_F(EngineTest, SymbolicParameterBinds) {
   opt::QueryBlock b = ChildBlock();
   b.filters.push_back(
-      opt::FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
+      opt::FilterPred{0, kName, xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
   xq::ResultSet r = Execute(b, {{"c1", Value::Str("beta")}});
   EXPECT_EQ(r.rows.size(), 1u);
 }
 
 TEST_F(EngineTest, UnboundParameterErrors) {
   opt::QueryBlock b = ChildBlock();
-  b.filters.push_back(opt::FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c9")});
+  b.filters.push_back(opt::FilterPred{0, kName, xq::CompareOp::kEq, xq::Constant::Symbol("c9")});
   opt::Optimizer optimizer(mapping_->catalog());
   auto planned = optimizer.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -121,7 +134,7 @@ TEST_F(EngineTest, NotNullFilter) {
   opt::QueryBlock b = ChildBlock();
   opt::FilterPred f;
   f.rel = 0;
-  f.column = "size";
+  f.column = kSize;
   f.not_null = true;
   b.filters.push_back(f);
   xq::ResultSet r = Execute(b);
@@ -130,7 +143,7 @@ TEST_F(EngineTest, NotNullFilter) {
 
 TEST_F(EngineTest, IntegerFilterComparesNumerically) {
   opt::QueryBlock b = ChildBlock();
-  b.filters.push_back(opt::FilterPred{0, "size", xq::CompareOp::kEq, xq::Constant::Int(30)});
+  b.filters.push_back(opt::FilterPred{0, kSize, xq::CompareOp::kEq, xq::Constant::Int(30)});
   xq::ResultSet r = Execute(b);
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0], Value::Str("alpha"));
@@ -143,7 +156,7 @@ TEST_F(EngineTest, InnerJoinMatchesFks) {
 
 TEST_F(EngineTest, JoinWithFilterOnChild) {
   opt::QueryBlock b = JoinBlock(false);
-  b.filters.push_back(opt::FilterPred{1, "size", xq::CompareOp::kEq, xq::Constant::Int(10)});
+  b.filters.push_back(opt::FilterPred{1, kSize, xq::CompareOp::kEq, xq::Constant::Int(10)});
   xq::ResultSet r = Execute(b);
   EXPECT_EQ(r.rows.size(), 1u);
 }
@@ -152,7 +165,7 @@ TEST_F(EngineTest, LeftOuterJoinKeepsUnmatchedOuter) {
   // Filter children to none; the parent row must survive with NULL name.
   opt::QueryBlock b = JoinBlock(true);
   b.filters.push_back(
-      opt::FilterPred{1, "name", xq::CompareOp::kEq, xq::Constant::Str("nonexistent")});
+      opt::FilterPred{1, kName, xq::CompareOp::kEq, xq::Constant::Str("nonexistent")});
   xq::ResultSet r = Execute(b);
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_TRUE(r.rows[0][0].is_null());
@@ -168,11 +181,11 @@ TEST_F(EngineTest, ExplicitIndexNlJoinPlanExecutes) {
   join->kind = PhysicalPlan::Kind::kIndexNLJoin;
   join->left = scan;
   join->rel = 1;
-  join->index_column = "parent_P";
+  join->index_column = kParentP;
   join->left_join_rel = 0;
-  join->left_join_column = "P_id";
+  join->left_join_column = kKey;
   join->right_join_rel = 1;
-  join->right_join_column = "parent_P";
+  join->right_join_column = kParentP;
   auto project = std::make_shared<PhysicalPlan>();
   project->kind = PhysicalPlan::Kind::kProject;
   project->child = join;
@@ -185,11 +198,11 @@ TEST_F(EngineTest, ExplicitIndexNlJoinPlanExecutes) {
 
 TEST_F(EngineTest, ExplicitIndexLookupPlanExecutes) {
   opt::QueryBlock b = ChildBlock();
-  b.filters.push_back(opt::FilterPred{0, "C_id", xq::CompareOp::kEq, xq::Constant::Int(3)});
+  b.filters.push_back(opt::FilterPred{0, kKey, xq::CompareOp::kEq, xq::Constant::Int(3)});
   auto lookup = std::make_shared<PhysicalPlan>();
   lookup->kind = PhysicalPlan::Kind::kIndexLookup;
   lookup->rel = 0;
-  lookup->index_column = "C_id";
+  lookup->index_column = kKey;
   lookup->filters = b.filters;
   auto project = std::make_shared<PhysicalPlan>();
   project->kind = PhysicalPlan::Kind::kProject;
@@ -242,10 +255,10 @@ TEST_F(EngineTest, RejectsPlanWithoutProjection) {
   EXPECT_FALSE(exec.ExecuteBlock(ChildBlock(), scan).ok());
 }
 
-// --- Unknown-column regression --------------------------------------------
-// A filter or residual naming a column the catalog doesn't have means the
+// --- Column-outside-table regression ---------------------------------------
+// A filter or residual naming a position outside its table means the
 // translator and catalog drifted apart; the seed executor silently dropped
-// every row. Both executors must fail loudly, naming the table and column.
+// every row. Both executors must fail loudly, naming the table and position.
 
 opt::PhysicalPlanPtr ScanProjectPlan(
     int rel, const std::vector<opt::FilterPred>& filters) {
@@ -260,22 +273,28 @@ opt::PhysicalPlanPtr ScanProjectPlan(
 }
 
 TEST_F(EngineTest, UnknownFilterColumnIsAnErrorNotEmptyResult) {
-  opt::QueryBlock b = ChildBlock();
-  b.filters.push_back(
-      opt::FilterPred{0, "bogus", xq::CompareOp::kEq, xq::Constant::Str("x")});
-  opt::PhysicalPlanPtr plan = ScanProjectPlan(0, b.filters);
+  for (int column : {4, -1}) {
+    opt::QueryBlock b = ChildBlock();
+    b.filters.push_back(opt::FilterPred{0, column, xq::CompareOp::kEq,
+                                        xq::Constant::Str("x")});
+    opt::PhysicalPlanPtr plan = ScanProjectPlan(0, b.filters);
+    const std::string want =
+        "no column #" + std::to_string(column) + " in table 'C'";
 
-  Executor exec(db_.get());
-  auto r = exec.ExecuteBlock(b, plan);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("C.bogus"), std::string::npos)
-      << r.status().ToString();
+    Executor exec(db_.get());
+    auto r = exec.ExecuteBlock(b, plan);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(r.status().ToString().find(want), std::string::npos)
+        << r.status().ToString();
 
-  ReferenceExecutor ref(db_.get());
-  auto rr = ref.ExecuteBlock(b, plan);
-  ASSERT_FALSE(rr.ok());
-  EXPECT_NE(rr.status().ToString().find("C.bogus"), std::string::npos)
-      << rr.status().ToString();
+    ReferenceExecutor ref(db_.get());
+    auto rr = ref.ExecuteBlock(b, plan);
+    ASSERT_FALSE(rr.ok());
+    EXPECT_EQ(rr.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(rr.status().ToString().find(want), std::string::npos)
+        << rr.status().ToString();
+  }
 }
 
 // Hand-built hash join P (probe) x C (build) on P_id = parent_P.
@@ -295,9 +314,9 @@ opt::PhysicalPlanPtr HashJoinPlan(bool left_outer,
   join->left = probe;
   join->right = build;
   join->left_join_rel = 0;
-  join->left_join_column = "P_id";
+  join->left_join_column = kKey;
   join->right_join_rel = 1;
-  join->right_join_column = "parent_P";
+  join->right_join_column = kParentP;
   join->left_outer = left_outer;
   join->residual_joins = std::move(residuals);
   auto project = std::make_shared<PhysicalPlan>();
@@ -307,21 +326,27 @@ opt::PhysicalPlanPtr HashJoinPlan(bool left_outer,
 }
 
 TEST_F(EngineTest, UnknownResidualColumnIsAnErrorNotEmptyResult) {
-  opt::QueryBlock b = JoinBlock(false);
-  opt::PhysicalPlanPtr plan =
-      HashJoinPlan(false, {opt::JoinEdge{0, "bogus", 1, "parent_P", false}});
+  for (int column : {1, -1}) {
+    opt::QueryBlock b = JoinBlock(false);
+    opt::PhysicalPlanPtr plan = HashJoinPlan(
+        false, {opt::JoinEdge{0, column, 1, kParentP, false}});
+    const std::string want =
+        "no column #" + std::to_string(column) + " in table 'P'";
 
-  Executor exec(db_.get());
-  auto r = exec.ExecuteBlock(b, plan);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("P.bogus"), std::string::npos)
-      << r.status().ToString();
+    Executor exec(db_.get());
+    auto r = exec.ExecuteBlock(b, plan);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(r.status().ToString().find(want), std::string::npos)
+        << r.status().ToString();
 
-  ReferenceExecutor ref(db_.get());
-  auto rr = ref.ExecuteBlock(b, plan);
-  ASSERT_FALSE(rr.ok());
-  EXPECT_NE(rr.status().ToString().find("P.bogus"), std::string::npos)
-      << rr.status().ToString();
+    ReferenceExecutor ref(db_.get());
+    auto rr = ref.ExecuteBlock(b, plan);
+    ASSERT_FALSE(rr.ok());
+    EXPECT_EQ(rr.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(rr.status().ToString().find(want), std::string::npos)
+        << rr.status().ToString();
+  }
 }
 
 // --- Outer join vs. residual predicates -----------------------------------
@@ -333,7 +358,7 @@ TEST_F(EngineTest, OuterJoinPreservesRowOnceWhenAllResidualsFail) {
   // P_id (1) never equals C.size (10, NULL, 30): every one of the three
   // hash matches fails the residual.
   opt::PhysicalPlanPtr plan =
-      HashJoinPlan(true, {opt::JoinEdge{0, "P_id", 1, "size", false}});
+      HashJoinPlan(true, {opt::JoinEdge{0, kKey, 1, kSize, false}});
 
   for (size_t batch_size : {size_t{1}, size_t{4}, size_t{1024}}) {
     ExecOptions options;
@@ -358,10 +383,10 @@ TEST_F(EngineTest, OuterJoinResidualFailureWithMaterializedBuildSide) {
   opt::QueryBlock b = JoinBlock(true);
   opt::FilterPred not_null;
   not_null.rel = 1;
-  not_null.column = "size";
+  not_null.column = kSize;
   not_null.not_null = true;
   opt::PhysicalPlanPtr plan =
-      HashJoinPlan(true, {opt::JoinEdge{0, "P_id", 1, "size", false}},
+      HashJoinPlan(true, {opt::JoinEdge{0, kKey, 1, kSize, false}},
                    {not_null});
 
   Executor exec(db_.get());
@@ -376,7 +401,7 @@ TEST_F(EngineTest, OuterJoinStillEmitsMatchesThatPassResiduals) {
   // all three children join, no NULL-preserved row appears.
   opt::QueryBlock b = JoinBlock(true);
   opt::PhysicalPlanPtr plan =
-      HashJoinPlan(true, {opt::JoinEdge{1, "name", 1, "name", false}});
+      HashJoinPlan(true, {opt::JoinEdge{1, kName, 1, kName, false}});
   Executor exec(db_.get());
   auto r = exec.ExecuteBlock(b, plan);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -390,12 +415,12 @@ TEST_F(EngineTest, OuterJoinStillEmitsMatchesThatPassResiduals) {
 // matches Int(5) but never Str("5"), and NULL matches nothing. Every hash
 // table path must agree with the reference executor row for row.
 
+// Table `name`(name_id, `key_column`): the join key is column 1.
 rel::Table KeyTable(const std::string& name, const std::string& key_column) {
   rel::Table t;
   t.name = name;
-  t.key_column = name + "_id";
   rel::Column id, key;
-  id.name = t.key_column;
+  id.name = name + "_id";
   key.name = key_column;
   key.nullable = true;
   t.columns = {id, key};
@@ -409,8 +434,6 @@ rel::Table KeyTable(const std::string& name, const std::string& key_column) {
 enum class JoinPath { kSharedIndexHash, kMaterializedHash, kIndexNL };
 
 opt::PhysicalPlanPtr MixedJoinPlan(JoinPath path, int probe, bool outer) {
-  const char* columns[] = {"k", "v"};
-  const char* ids[] = {"A_id", "B_id"};
   const int build = 1 - probe;
   auto scan = [](int rel) {
     auto s = std::make_shared<PhysicalPlan>();
@@ -421,21 +444,21 @@ opt::PhysicalPlanPtr MixedJoinPlan(JoinPath path, int probe, bool outer) {
   auto join = std::make_shared<PhysicalPlan>();
   join->left = scan(probe);
   join->left_join_rel = probe;
-  join->left_join_column = columns[probe];
+  join->left_join_column = 1;
   join->right_join_rel = build;
-  join->right_join_column = columns[build];
+  join->right_join_column = 1;
   join->left_outer = outer;
   if (path == JoinPath::kIndexNL) {
     join->kind = PhysicalPlan::Kind::kIndexNLJoin;
     join->rel = build;
-    join->index_column = columns[build];
+    join->index_column = 1;
   } else {
     join->kind = PhysicalPlan::Kind::kHashJoin;
     auto build_scan = scan(build);
     if (path == JoinPath::kMaterializedHash) {
       opt::FilterPred not_null;
       not_null.rel = build;
-      not_null.column = ids[build];
+      not_null.column = kKey;
       not_null.not_null = true;
       build_scan->filters.push_back(not_null);
     }
@@ -466,16 +489,16 @@ TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
   for (const Value& v : b_keys) {
     ASSERT_TRUE(db.table(1).Insert({Value::Int(id++), v}).ok());
   }
-  auto a_col = db.table(0).GetOrBuildColumn("k");
-  auto b_col = db.table(1).GetOrBuildColumn("v");
+  auto a_col = db.table(0).GetOrBuildColumn(1);
+  auto b_col = db.table(1).GetOrBuildColumn(1);
   ASSERT_TRUE(a_col.ok() && b_col.ok());
   ASSERT_TRUE((*a_col)->typed_int());
   ASSERT_FALSE((*b_col)->typed_int());
 
   opt::QueryBlock b;
   b.rels = {opt::BaseRel{0, "a"}, opt::BaseRel{1, "b"}};
-  b.output = {opt::ColumnRef{0, "A_id", "a_id"}, opt::ColumnRef{0, "k", "k"},
-              opt::ColumnRef{1, "B_id", "b_id"}, opt::ColumnRef{1, "v", "v"}};
+  b.output = {opt::ColumnRef{0, kKey, "a_id"}, opt::ColumnRef{0, 1, "k"},
+              opt::ColumnRef{1, kKey, "b_id"}, opt::ColumnRef{1, 1, "v"}};
   for (JoinPath path : {JoinPath::kSharedIndexHash,
                         JoinPath::kMaterializedHash, JoinPath::kIndexNL}) {
     for (int probe : {0, 1}) {
@@ -483,8 +506,7 @@ TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
         std::string context = "path=" + std::to_string(static_cast<int>(path)) +
                               " probe=" + std::to_string(probe) +
                               " outer=" + std::to_string(outer);
-        b.joins = {opt::JoinEdge{probe, probe == 0 ? "k" : "v", 1 - probe,
-                                 probe == 0 ? "v" : "k", outer}};
+        b.joins = {opt::JoinEdge{probe, 1, 1 - probe, 1, outer}};
         opt::PhysicalPlanPtr plan = MixedJoinPlan(path, probe, outer);
         ReferenceExecutor ref(&db);
         auto want = ref.ExecuteBlock(b, plan);

@@ -1,6 +1,6 @@
 // Unit tests for the compiled-predicate bytecode (engine/expr_vm.h):
-// comparison semantics against columnar storage, NULL and
-// unbound-lane handling, compile-time diagnostics (unknown columns,
+// comparison semantics against columnar storage, NULL and unbound-lane
+// handling, compile-time diagnostics (columns outside their table,
 // out-of-range relations), unbound parameters at bind time, builder-level
 // And/Or programs, stack validation, and bytecode determinism.
 #include "engine/expr_vm.h"
@@ -23,7 +23,6 @@ using store::StoredTable;
 StoredTable MakeT() {
   rel::Table meta;
   meta.name = "T";
-  meta.key_column = "T_id";
   rel::Column id, x, s;
   id.name = "T_id";
   x.name = "x";
@@ -41,7 +40,6 @@ StoredTable MakeT() {
 StoredTable MakeU() {
   rel::Table meta;
   meta.name = "U";
-  meta.key_column = "U_id";
   rel::Column id, y;
   id.name = "U_id";
   y.name = "y";
@@ -53,7 +51,12 @@ StoredTable MakeU() {
   return t;
 }
 
-opt::FilterPred IntFilter(const char* column, xq::CompareOp op, int64_t v) {
+// Column positions: T.x, T.s and U.y.
+constexpr int kX = 1;
+constexpr int kS = 2;
+constexpr int kY = 1;
+
+opt::FilterPred IntFilter(int column, xq::CompareOp op, int64_t v) {
   opt::FilterPred f;
   f.rel = 0;
   f.column = column;
@@ -102,7 +105,7 @@ TEST_F(ExprVmTest, AllComparisonOpsOverIntColumn) {
       {Op::kGt, {0, 0, 0, 1}}, {Op::kGe, {0, 1, 0, 1}},
   };
   for (const Case& c : cases) {
-    EXPECT_EQ(EvalT({IntFilter("x", c.op, 20)}), c.expect)
+    EXPECT_EQ(EvalT({IntFilter(kX, c.op, 20)}), c.expect)
         << "op " << xq::CompareOpName(c.op);
   }
 }
@@ -110,7 +113,7 @@ TEST_F(ExprVmTest, AllComparisonOpsOverIntColumn) {
 TEST_F(ExprVmTest, StringEqualityFallsBackToGenericLoop) {
   opt::FilterPred f;
   f.rel = 0;
-  f.column = "s";
+  f.column = kS;
   f.op = xq::CompareOp::kEq;
   f.value = xq::Constant::Str("alpha");
   EXPECT_EQ(EvalT({f}), (std::vector<uint8_t>{1, 0, 0, 1}));
@@ -119,22 +122,22 @@ TEST_F(ExprVmTest, StringEqualityFallsBackToGenericLoop) {
 TEST_F(ExprVmTest, NotNullFilter) {
   opt::FilterPred f;
   f.rel = 0;
-  f.column = "x";
+  f.column = kX;
   f.not_null = true;
   EXPECT_EQ(EvalT({f}), (std::vector<uint8_t>{1, 1, 0, 1}));
 }
 
 TEST_F(ExprVmTest, ConjunctionOfFilters) {
   // x >= 20 AND x <= 20 selects only the x=20 row.
-  EXPECT_EQ(EvalT({IntFilter("x", xq::CompareOp::kGe, 20),
-                   IntFilter("x", xq::CompareOp::kLe, 20)}),
+  EXPECT_EQ(EvalT({IntFilter(kX, xq::CompareOp::kGe, 20),
+                   IntFilter(kX, xq::CompareOp::kLe, 20)}),
             (std::vector<uint8_t>{0, 1, 0, 0}));
 }
 
 TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
   // A filter on relation 1 compiles to an empty program for relation 0,
   // which selects every lane.
-  opt::FilterPred other = IntFilter("y", xq::CompareOp::kEq, 10);
+  opt::FilterPred other = IntFilter(kY, xq::CompareOp::kEq, 10);
   other.rel = 1;
   auto program = CompileFilters(env_, 0, {other});
   ASSERT_TRUE(program.ok()) << program.status().ToString();
@@ -145,11 +148,11 @@ TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
 
 TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
   // Row index -1 (outer-join miss) fails comparisons and NOT NULL alike.
-  auto eq = CompileFilters(env_, 0, {IntFilter("x", xq::CompareOp::kEq, 10)});
+  auto eq = CompileFilters(env_, 0, {IntFilter(kX, xq::CompareOp::kEq, 10)});
   ASSERT_TRUE(eq.ok());
   opt::FilterPred nn;
   nn.rel = 0;
-  nn.column = "x";
+  nn.column = kX;
   nn.not_null = true;
   auto notnull = CompileFilters(env_, 0, {nn});
   ASSERT_TRUE(notnull.ok());
@@ -164,22 +167,24 @@ TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
 }
 
 TEST_F(ExprVmTest, UnknownColumnFailsAtCompileTime) {
-  auto program =
-      CompileFilters(env_, 0, {IntFilter("bogus", xq::CompareOp::kEq, 1)});
-  ASSERT_FALSE(program.ok());
-  EXPECT_NE(program.status().message().find(
-                "filter references unknown column 'T.bogus' "
-                "(translator/catalog drift)"),
-            std::string::npos)
-      << program.status().ToString();
+  for (int column : {3, -1}) {
+    auto program =
+        CompileFilters(env_, 0, {IntFilter(column, xq::CompareOp::kEq, 1)});
+    ASSERT_FALSE(program.ok());
+    EXPECT_EQ(program.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(program.status().message().find(
+                  "no column #" + std::to_string(column) + " in table 'T'"),
+              std::string::npos)
+        << program.status().ToString();
+  }
 }
 
 TEST_F(ExprVmTest, OutOfRangeRelationFailsAtCompileTime) {
   opt::JoinEdge edge;
   edge.left_rel = 0;
-  edge.left_column = "x";
+  edge.left_column = kX;
   edge.right_rel = 5;
-  edge.right_column = "y";
+  edge.right_column = kY;
   auto program = CompileResiduals(env_, {edge});
   ASSERT_FALSE(program.ok());
   EXPECT_NE(
@@ -193,7 +198,7 @@ TEST_F(ExprVmTest, UnboundParameterFailsAtBind) {
   // fails before any row is evaluated.
   opt::FilterPred f;
   f.rel = 0;
-  f.column = "x";
+  f.column = kX;
   f.op = xq::CompareOp::kEq;
   f.value = xq::Constant::Symbol("c9");
   auto program = CompileFilters(env_, 0, {f});
@@ -210,9 +215,9 @@ TEST_F(ExprVmTest, UnboundParameterFailsAtBind) {
 TEST_F(ExprVmTest, ResidualJoinRequiresBothSidesNonNullAndEqual) {
   opt::JoinEdge edge;
   edge.left_rel = 0;
-  edge.left_column = "x";
+  edge.left_column = kX;
   edge.right_rel = 1;
-  edge.right_column = "y";
+  edge.right_column = kY;
   auto program = CompileResiduals(env_, {edge});
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   // Lanes pair T rows {0,1,2,3,0} with U rows {0,2,1,2,-1}:
@@ -229,10 +234,10 @@ TEST_F(ExprVmTest, ResidualJoinRequiresBothSidesNonNullAndEqual) {
 TEST_F(ExprVmTest, BuilderOrProgram) {
   // x = 10 OR x = 30 — Or is builder-only today (the translator never
   // emits disjunctions), but the bytecode must support it.
-  auto xcol = t_.GetOrBuildColumn("x");
-  ASSERT_TRUE(xcol.ok());
   ExprProgramBuilder b;
-  int slot = b.AddColumn(0, xcol.value(), "T.x");
+  auto column = b.AddColumn(env_, 0, kX, "test");
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  const int slot = *column;
   int ten = b.AddConst(Value::Int(10));
   int thirty = b.AddConst(Value::Int(30));
   b.LoadCol(slot).LoadConst(ten).Cmp(xq::CompareOp::kEq);
@@ -258,10 +263,10 @@ TEST_F(ExprVmTest, MalformedProgramsFailAtBuildTime) {
   }
   {
     // A bare column load is not a mask.
-    auto xcol = t_.GetOrBuildColumn("x");
-    ASSERT_TRUE(xcol.ok());
     ExprProgramBuilder b;
-    b.LoadCol(b.AddColumn(0, xcol.value(), "T.x"));
+    auto column = b.AddColumn(env_, 0, kX, "test");
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    b.LoadCol(*column);
     auto program = std::move(b).Build();
     ASSERT_FALSE(program.ok());
     EXPECT_NE(
@@ -272,11 +277,11 @@ TEST_F(ExprVmTest, MalformedProgramsFailAtBuildTime) {
 
 TEST_F(ExprVmTest, BytecodeIsDeterministic) {
   std::vector<opt::FilterPred> filters = {
-      IntFilter("x", xq::CompareOp::kGe, 10),
-      IntFilter("x", xq::CompareOp::kLe, 30)};
+      IntFilter(kX, xq::CompareOp::kGe, 10),
+      IntFilter(kX, xq::CompareOp::kLe, 30)};
   opt::FilterPred nn;
   nn.rel = 0;
-  nn.column = "s";
+  nn.column = kS;
   nn.not_null = true;
   filters.push_back(nn);
   auto a = CompileFilters(env_, 0, filters);

@@ -36,6 +36,12 @@ const rel::Table& TableOf(const Mapping& m, const std::string& name) {
   return m.catalog().table(m.catalog().IndexOf(name));
 }
 
+// The column of `t` named `name`, or null.
+const rel::Column* ColumnOf(const rel::Table& t, const std::string& name) {
+  const int c = t.ColumnIndex(name);
+  return c < 0 ? nullptr : &t.columns[c];
+}
+
 TEST(MapSchemaTest, OneTablePerNamedType) {
   Mapping m = M("type A = a[ B* ] type B = b[ String ]");
   EXPECT_GE(m.catalog().IndexOf("A"), 0);
@@ -46,9 +52,9 @@ TEST(MapSchemaTest, OneTablePerNamedType) {
 TEST(MapSchemaTest, KeyColumnNamedAfterType) {
   Mapping m = M("type A = a[ String ]");
   const rel::Table& t = TableOf(m, "A");
-  EXPECT_EQ(t.key_column, "A_id");
-  ASSERT_NE(t.FindColumn("A_id"), nullptr);
-  EXPECT_EQ(t.FindColumn("A_id")->type.kind, rel::SqlType::Kind::kInt);
+  EXPECT_EQ(t.ColumnIndex("A_id"), rel::Table::kKeyColumn);
+  EXPECT_EQ(t.columns[rel::Table::kKeyColumn].type.kind,
+            rel::SqlType::Kind::kInt);
 }
 
 TEST(MapSchemaTest, ScalarContentNamedAfterRootElement) {
@@ -56,8 +62,8 @@ TEST(MapSchemaTest, ScalarContentNamedAfterRootElement) {
   // — the paper's Figure 3.
   Mapping m = M("type Show = show[ Aka* ] type Aka = aka[ String ]");
   const rel::Table& aka = TableOf(m, "Aka");
-  EXPECT_NE(aka.FindColumn("aka"), nullptr);
-  EXPECT_NE(aka.FindColumn("parent_Show"), nullptr);
+  EXPECT_NE(ColumnOf(aka, "aka"), nullptr);
+  EXPECT_NE(ColumnOf(aka, "parent_Show"), nullptr);
   ASSERT_EQ(aka.foreign_keys.size(), 1u);
   EXPECT_EQ(aka.foreign_keys[0].parent, m.catalog().IndexOf("Show"));
 }
@@ -65,22 +71,22 @@ TEST(MapSchemaTest, ScalarContentNamedAfterRootElement) {
 TEST(MapSchemaTest, NestedSingletonContentFlattensWithPrefixes) {
   Mapping m = M("type A = a[ bio[ birthday[ String ], text[ String ] ] ]");
   const rel::Table& t = TableOf(m, "A");
-  EXPECT_NE(t.FindColumn("bio_birthday"), nullptr);
-  EXPECT_NE(t.FindColumn("bio_text"), nullptr);
+  EXPECT_NE(ColumnOf(t, "bio_birthday"), nullptr);
+  EXPECT_NE(ColumnOf(t, "bio_text"), nullptr);
 }
 
 TEST(MapSchemaTest, AttributesMapToColumns) {
   Mapping m = M("type A = a[ @type[ String ], title[ String ] ]");
   const rel::Table& t = TableOf(m, "A");
-  EXPECT_NE(t.FindColumn("type"), nullptr);
-  EXPECT_NE(t.FindColumn("title"), nullptr);
+  EXPECT_NE(ColumnOf(t, "type"), nullptr);
+  EXPECT_NE(ColumnOf(t, "title"), nullptr);
 }
 
 TEST(MapSchemaTest, DuplicateColumnNamesAreUniquified) {
   Mapping m = M("type A = a[ @x[ String ], x[ Integer ] ]");
   const rel::Table& t = TableOf(m, "A");
-  EXPECT_NE(t.FindColumn("x"), nullptr);
-  EXPECT_NE(t.FindColumn("x_2"), nullptr);
+  EXPECT_NE(ColumnOf(t, "x"), nullptr);
+  EXPECT_NE(ColumnOf(t, "x_2"), nullptr);
   // Slots never take the key's or a foreign key's name.
   Mapping k = M("type A = a[ A_id[ Integer ], B* ] "
                 "type B = b[ parent_A[ String ], B_id[ String ] ]");
@@ -95,14 +101,14 @@ TEST(MapSchemaTest, DuplicateColumnNamesAreUniquified) {
   EXPECT_EQ(b.columns[2].name, "B_id_2");
   EXPECT_EQ(b.columns[3].name, "parent_A");
   ASSERT_EQ(b.foreign_keys.size(), 1u);
-  EXPECT_EQ(b.foreign_keys[0].column, "parent_A");
+  EXPECT_EQ(b.foreign_keys[0].column, 3);
 }
 
 TEST(MapSchemaTest, OptionalContentIsNullable) {
   Mapping m = M("type A = a[ b[ String ]?, c[ Integer ] ]");
   const rel::Table& t = TableOf(m, "A");
-  EXPECT_TRUE(t.FindColumn("b")->nullable);
-  EXPECT_FALSE(t.FindColumn("c")->nullable);
+  EXPECT_TRUE(ColumnOf(t, "b")->nullable);
+  EXPECT_FALSE(ColumnOf(t, "c")->nullable);
 }
 
 TEST(MapSchemaTest, WildcardsGetTildeColumn) {
@@ -111,15 +117,15 @@ TEST(MapSchemaTest, WildcardsGetTildeColumn) {
   Mapping m = M("type Show = show[ Reviews* ] "
                 "type Reviews = reviews[ ~[ String ] ]");
   const rel::Table& t = TableOf(m, "Reviews");
-  EXPECT_NE(t.FindColumn("tilde"), nullptr);
-  EXPECT_NE(t.FindColumn("reviews"), nullptr);
+  EXPECT_NE(ColumnOf(t, "tilde"), nullptr);
+  EXPECT_NE(ColumnOf(t, "reviews"), nullptr);
 }
 
 TEST(MapSchemaTest, BareScalarBodyGetsDataColumn) {
   Mapping m = M("type A = a[ B* ] type B = (~[ String ])");
   const rel::Table& t = TableOf(m, "B");
-  EXPECT_NE(t.FindColumn("tilde"), nullptr);
-  EXPECT_NE(t.FindColumn("_data"), nullptr);
+  EXPECT_NE(ColumnOf(t, "tilde"), nullptr);
+  EXPECT_NE(ColumnOf(t, "_data"), nullptr);
 }
 
 TEST(MapSchemaTest, VirtualUnionTypesHaveNoTable) {
@@ -128,17 +134,17 @@ TEST(MapSchemaTest, VirtualUnionTypesHaveNoTable) {
   EXPECT_EQ(m.catalog().IndexOf("S"), -1);
   EXPECT_TRUE(m.GetType("S").virtual_union);
   // FKs skip the virtual type and point at the concrete parent A.
-  EXPECT_NE(TableOf(m, "S1").FindColumn("parent_A"), nullptr);
-  EXPECT_NE(TableOf(m, "S2").FindColumn("parent_A"), nullptr);
+  EXPECT_NE(ColumnOf(TableOf(m, "S1"), "parent_A"), nullptr);
+  EXPECT_NE(ColumnOf(TableOf(m, "S2"), "parent_A"), nullptr);
 }
 
 TEST(MapSchemaTest, SharedTypeGetsOneFkPerParent) {
   Mapping m = M("type R = r[ A*, B* ] type A = a[ C* ] type B = b[ C* ] "
                 "type C = c[ String ]");
   const rel::Table& c = TableOf(m, "C");
-  EXPECT_NE(c.FindColumn("parent_A"), nullptr);
-  EXPECT_NE(c.FindColumn("parent_B"), nullptr);
-  EXPECT_TRUE(c.FindColumn("parent_A")->nullable);
+  EXPECT_NE(ColumnOf(c, "parent_A"), nullptr);
+  EXPECT_NE(ColumnOf(c, "parent_B"), nullptr);
+  EXPECT_TRUE(ColumnOf(c, "parent_A")->nullable);
   EXPECT_EQ(c.foreign_keys.size(), 2u);
 }
 
@@ -146,7 +152,7 @@ TEST(MapSchemaTest, RecursiveTypeSelfFk) {
   // Recursive types map fine: the child FK references the same table.
   Mapping m = M("type N = n[ v[ Integer ], N* ]");
   const rel::Table& n = TableOf(m, "N");
-  EXPECT_NE(n.FindColumn("parent_N"), nullptr);
+  EXPECT_NE(ColumnOf(n, "parent_N"), nullptr);
   ASSERT_EQ(n.foreign_keys.size(), 1u);
   EXPECT_EQ(n.foreign_keys[0].parent, m.catalog().IndexOf("N"));
 }
@@ -163,11 +169,11 @@ TEST(MapSchemaTest, AnyElementSchemaFromSection32) {
   auto mapping = MapSchema(ps::Normalize(schema.value()));
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
   const rel::Table& any = TableOf(*mapping, "AnyElement");
-  EXPECT_NE(any.FindColumn("tilde"), nullptr);
-  EXPECT_NE(any.FindColumn("parent_AnyElement"), nullptr);
-  EXPECT_NE(any.FindColumn("parent_Root"), nullptr);
+  EXPECT_NE(ColumnOf(any, "tilde"), nullptr);
+  EXPECT_NE(ColumnOf(any, "parent_AnyElement"), nullptr);
+  EXPECT_NE(ColumnOf(any, "parent_Root"), nullptr);
   EXPECT_NE(
-      TableOf(*mapping, "AnyScalar").FindColumn("_data"), nullptr);
+      ColumnOf(TableOf(*mapping, "AnyScalar"), "_data"), nullptr);
 }
 
 TEST(MapSchemaTest, RejectsNonPhysicalSchema) {
@@ -204,12 +210,12 @@ TEST(MapStats, ColumnStatisticsPropagate) {
   auto mapping = MapSchema(ps::Normalize(AnnotatedImdb()));
   ASSERT_TRUE(mapping.ok());
   const rel::Table& show = TableOf(*mapping, "Show");
-  const rel::Column* title = show.FindColumn("title");
+  const rel::Column* title = ColumnOf(show, "title");
   ASSERT_NE(title, nullptr);
   EXPECT_EQ(title->type.kind, rel::SqlType::Kind::kChar);
   EXPECT_DOUBLE_EQ(title->type.width, 50);
   EXPECT_DOUBLE_EQ(title->distincts, 34798);
-  const rel::Column* year = show.FindColumn("year");
+  const rel::Column* year = ColumnOf(show, "year");
   ASSERT_NE(year, nullptr);
   EXPECT_EQ(year->min, 1800);
   EXPECT_EQ(year->max, 2100);
@@ -220,7 +226,7 @@ TEST(MapStats, FkDistinctsBoundedByParentRows) {
   auto mapping = MapSchema(ps::Normalize(AnnotatedImdb()));
   ASSERT_TRUE(mapping.ok());
   const rel::Column* fk =
-      TableOf(*mapping, "Aka").FindColumn("parent_Show");
+      ColumnOf(TableOf(*mapping, "Aka"), "parent_Show");
   ASSERT_NE(fk, nullptr);
   EXPECT_LE(fk->distincts, 34798);
   EXPECT_LE(fk->distincts, 13641);
@@ -325,7 +331,7 @@ uint64_t HashMapping(const Mapping& m, uint64_t digest) {
   auto bits = [](double v) { return std::bit_cast<int64_t>(v); };
   for (const rel::Table& t : m.catalog().tables()) {
     digest = common::HashString(t.name, digest);
-    digest = common::HashString(t.key_column, digest);
+    digest = common::HashString(t.columns[rel::Table::kKeyColumn].name, digest);
     digest = common::HashInt(bits(t.row_count), digest);
     for (const rel::Column& c : t.columns) {
       digest = common::HashString(c.name, digest);
@@ -338,16 +344,24 @@ uint64_t HashMapping(const Mapping& m, uint64_t digest) {
       digest = common::HashInt(c.max, digest);
     }
     for (const rel::ForeignKey& fk : t.foreign_keys) {
-      digest = common::HashString(fk.column, digest);
+      digest = common::HashString(t.columns[fk.column].name, digest);
       digest = common::HashString(m.catalog().table(fk.parent).name, digest);
     }
   }
   for (const TypeMapping& tm : m.types()) {
     digest = common::HashString(tm.type_name, digest);
     digest = common::HashInt(bits(tm.instance_count), digest);
-    for (const auto& link : tm.parents) {
-      digest = common::HashString(link.fk_column, digest);
-      digest = common::HashString(m.type(link.parent).type_name, digest);
+    // A foreign key's name is its table's column; a virtual union, which
+    // has no table, links to its parents by their names alone.
+    for (int parent : tm.parents) {
+      const std::string fk =
+          tm.table < 0 ? "parent_" + m.type(parent).type_name
+                       : m.catalog()
+                             .table(tm.table)
+                             .columns[tm.ParentColumn(parent)]
+                             .name;
+      digest = common::HashString(fk, digest);
+      digest = common::HashString(m.type(parent).type_name, digest);
     }
   }
   return digest;
@@ -431,7 +445,7 @@ TEST(MappingMeta, TypesAreNumberedInNameOrder) {
   EXPECT_EQ(m.type(1).union_alternatives, (std::vector<int>{3, 2}));
   for (int alt : {2, 3}) {
     ASSERT_EQ(m.type(alt).parents.size(), 1u);
-    EXPECT_EQ(m.type(alt).parents[0].parent, 0);
+    EXPECT_EQ(m.type(alt).parents[0], 0);
     EXPECT_EQ(m.type(alt).ParentColumn(0), 2);
     EXPECT_EQ(m.type(alt).ParentColumn(1), -1);
   }

@@ -38,11 +38,16 @@ rel::Column Col(const std::string& name, rel::SqlType type, double distincts,
 // an FK to Parent, numbered kParent and kChild.
 constexpr int kParent = 0;
 constexpr int kChild = 1;
+// Their columns after the key (rel::Table::kKeyColumn).
+constexpr int kKey = rel::Table::kKeyColumn;
+constexpr int kParentName = 1;
+constexpr int kParentKind = 2;
+constexpr int kChildValue = 1;
+constexpr int kChildFk = 2;
 rel::Catalog MakeCatalog() {
   rel::Catalog catalog;
   rel::Table parent;
   parent.name = "Parent";
-  parent.key_column = "Parent_id";
   parent.row_count = 10000;
   parent.columns = {Col("Parent_id", rel::SqlType::Int(), 10000),
                     Col("name", rel::SqlType::Char(40), 10000),
@@ -51,12 +56,11 @@ rel::Catalog MakeCatalog() {
 
   rel::Table child;
   child.name = "Child";
-  child.key_column = "Child_id";
   child.row_count = 100000;
   child.columns = {Col("Child_id", rel::SqlType::Int(), 100000),
                    Col("value", rel::SqlType::Char(100), 50000),
                    Col("parent_Parent", rel::SqlType::Int(), 10000)};
-  child.foreign_keys = {rel::ForeignKey{"parent_Parent", kParent}};
+  child.foreign_keys = {rel::ForeignKey{kChildFk, kParent}};
   catalog.AddTable(child);
   return catalog;
 }
@@ -65,7 +69,7 @@ rel::Catalog MakeCatalog() {
 QueryBlock ScanBlock(const rel::Catalog& catalog, const std::string& table) {
   QueryBlock b;
   b.rels.push_back(BaseRel{catalog.IndexOf(table), table});
-  b.output.push_back(ColumnRef{0, table + "_id", ""});
+  b.output.push_back(ColumnRef{0, kKey, ""});
   return b;
 }
 
@@ -82,7 +86,7 @@ TEST(Optimizer, KeyLookupUsesIndex) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   QueryBlock b = ScanBlock(catalog, "Parent");
-  b.filters.push_back(FilterPred{0, "Parent_id", xq::CompareOp::kEq, xq::Constant::Int(5)});
+  b.filters.push_back(FilterPred{0, kKey, xq::CompareOp::kEq, xq::Constant::Int(5)});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->plan->child->kind, PhysicalPlan::Kind::kIndexLookup);
@@ -93,7 +97,8 @@ TEST(Optimizer, NonIndexedFilterScansByDefault) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   QueryBlock b = ScanBlock(catalog, "Parent");
-  b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
+  b.filters.push_back(FilterPred{0, kParentName, xq::CompareOp::kEq,
+                                 xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->plan->child->kind, PhysicalPlan::Kind::kSeqScan);
@@ -105,7 +110,8 @@ TEST(Optimizer, PredicateIndexOptionEnablesLookup) {
   params.index_on_predicates = true;
   Optimizer opt(catalog, params);
   QueryBlock b = ScanBlock(catalog, "Parent");
-  b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
+  b.filters.push_back(FilterPred{0, kParentName, xq::CompareOp::kEq,
+                                 xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->plan->child->kind, PhysicalPlan::Kind::kIndexLookup);
@@ -115,7 +121,8 @@ TEST(Optimizer, SelectivityReducesCardinality) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   QueryBlock b = ScanBlock(catalog, "Parent");
-  b.filters.push_back(FilterPred{0, "kind", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
+  b.filters.push_back(FilterPred{0, kParentKind, xq::CompareOp::kEq,
+                                 xq::Constant::Symbol("c1")});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   EXPECT_NEAR(planned->rows, 10000.0 / 4, 1);  // 4 distinct kinds
@@ -125,14 +132,14 @@ TEST(Optimizer, NotNullSelectivityUsesNullFraction) {
   rel::Catalog catalog;
   rel::Table t;
   t.name = "T";
-  t.key_column = "T_id";
   t.row_count = 1000;
   t.columns = {Col("T_id", rel::SqlType::Int(), 1000),
                Col("opt", rel::SqlType::Char(10), 100, /*null_frac=*/0.75)};
   catalog.AddTable(t);
   Optimizer opt(catalog);
   QueryBlock b = ScanBlock(catalog, "T");
-  FilterPred f{0, "opt", xq::CompareOp::kEq, xq::Constant::Symbol("_"), /*not_null=*/true};
+  FilterPred f{0, 1, xq::CompareOp::kEq, xq::Constant::Symbol("_"),
+               /*not_null=*/true};
   b.filters.push_back(f);
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
@@ -143,8 +150,8 @@ QueryBlock JoinBlock() {
   QueryBlock b;
   b.rels.push_back(BaseRel{kParent, "p"});
   b.rels.push_back(BaseRel{kChild, "c"});
-  b.joins.push_back(JoinEdge{0, "Parent_id", 1, "parent_Parent", false});
-  b.output.push_back(ColumnRef{1, "value", ""});
+  b.joins.push_back(JoinEdge{0, kKey, 1, kChildFk, false});
+  b.output.push_back(ColumnRef{1, kChildValue, ""});
   return b;
 }
 
@@ -160,7 +167,7 @@ TEST(Optimizer, SelectiveJoinPrefersIndexNestedLoops) {
   rel::Catalog catalog = MakeCatalog();
   Optimizer opt(catalog);
   QueryBlock b = JoinBlock();
-  b.filters.push_back(FilterPred{0, "Parent_id", xq::CompareOp::kEq, xq::Constant::Int(7)});
+  b.filters.push_back(FilterPred{0, kKey, xq::CompareOp::kEq, xq::Constant::Int(7)});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   // One parent row drives probes into the child's FK index.
@@ -183,8 +190,8 @@ TEST(Optimizer, LeftOuterJoinCardinalityAtLeastOuter) {
   b.rels.push_back(BaseRel{kChild, "c"});
   b.rels.push_back(BaseRel{kParent, "p"});
   // Left-outer from Child to a filtered Parent: every child row survives...
-  b.joins.push_back(JoinEdge{0, "parent_Parent", 1, "Parent_id", true});
-  b.output.push_back(ColumnRef{0, "value", ""});
+  b.joins.push_back(JoinEdge{0, kChildFk, 1, kKey, true});
+  b.output.push_back(ColumnRef{0, kChildValue, ""});
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
   EXPECT_GE(planned->rows, 100000 * 0.99);
@@ -197,7 +204,6 @@ TEST(Optimizer, CostGrowsWithTableSize) {
     rel::Catalog catalog;
     rel::Table t;
     t.name = "T";
-    t.key_column = "T_id";
     t.row_count = 1000 * scales[i];
     t.columns = {Col("T_id", rel::SqlType::Int(), t.row_count),
                  Col("x", rel::SqlType::Char(50), t.row_count)};
@@ -217,14 +223,13 @@ TEST(Optimizer, FiveWayChainJoinPlans) {
   for (const char* name : {"A", "B", "C", "D", "E"}) {
     rel::Table t;
     t.name = name;
-    t.key_column = std::string(name) + "_id";
     t.row_count = 1000;
-    t.columns = {Col(t.key_column, rel::SqlType::Int(), 1000)};
+    t.columns = {Col(std::string(name) + "_id", rel::SqlType::Int(), 1000)};
     if (!prev.empty()) {
       t.columns.push_back(
           Col("parent_" + prev, rel::SqlType::Int(), 1000));
-      t.foreign_keys = {rel::ForeignKey{
-          "parent_" + prev, static_cast<int>(catalog.size()) - 1}};
+      t.foreign_keys = {
+          rel::ForeignKey{1, static_cast<int>(catalog.size()) - 1}};
     }
     catalog.AddTable(t);
     prev = name;
@@ -233,13 +238,9 @@ TEST(Optimizer, FiveWayChainJoinPlans) {
   for (int i = 0; i < 5; ++i) {
     std::string name(1, static_cast<char>('A' + i));
     b.rels.push_back(BaseRel{i, name});
-    if (i > 0) {
-      std::string parent(1, static_cast<char>('A' + i - 1));
-      b.joins.push_back(
-          JoinEdge{i - 1, parent + "_id", i, "parent_" + parent, false});
-    }
+    if (i > 0) b.joins.push_back(JoinEdge{i - 1, kKey, i, 1, false});
   }
-  b.output.push_back(ColumnRef{4, "E_id", ""});
+  b.output.push_back(ColumnRef{4, kKey, ""});
   Optimizer opt(catalog);
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
@@ -256,22 +257,18 @@ TEST(Optimizer, GreedyKicksInAboveDpLimit) {
     std::string name = "T" + std::to_string(i);
     rel::Table t;
     t.name = name;
-    t.key_column = name + "_id";
     t.row_count = 100;
-    t.columns = {Col(t.key_column, rel::SqlType::Int(), 100)};
+    t.columns = {Col(name + "_id", rel::SqlType::Int(), 100)};
     if (!prev.empty()) {
       t.columns.push_back(Col("parent_" + prev, rel::SqlType::Int(), 100));
-      t.foreign_keys = {rel::ForeignKey{"parent_" + prev, i - 1}};
+      t.foreign_keys = {rel::ForeignKey{1, i - 1}};
     }
     catalog.AddTable(t);
     b.rels.push_back(BaseRel{i, name});
-    if (i > 0) {
-      b.joins.push_back(
-          JoinEdge{i - 1, prev + "_id", i, "parent_" + prev, false});
-    }
+    if (i > 0) b.joins.push_back(JoinEdge{i - 1, kKey, i, 1, false});
     prev = name;
   }
-  b.output.push_back(ColumnRef{0, "T0_id", ""});
+  b.output.push_back(ColumnRef{0, kKey, ""});
   CostParams params;
   params.dp_rel_limit = 4;
   Optimizer opt(catalog, params);
@@ -310,7 +307,7 @@ TEST(Optimizer, WiderOutputCostsMore) {
   Optimizer opt(catalog);
   QueryBlock narrow = ScanBlock(catalog, "Child");
   QueryBlock wide = ScanBlock(catalog, "Child");
-  wide.output.push_back(ColumnRef{0, "value", ""});
+  wide.output.push_back(ColumnRef{0, kChildValue, ""});
   auto p_narrow = opt.PlanBlock(narrow);
   auto p_wide = opt.PlanBlock(wide);
   ASSERT_TRUE(p_narrow.ok());
@@ -324,7 +321,7 @@ TEST(Optimizer, PlanToStringRendersTree) {
   QueryBlock b = JoinBlock();
   auto planned = opt.PlanBlock(b);
   ASSERT_TRUE(planned.ok());
-  std::string s = planned->plan->ToString(b);
+  std::string s = planned->plan->ToString(catalog, b);
   EXPECT_NE(s.find("Project"), std::string::npos);
   EXPECT_NE(s.find("HashJoin"), std::string::npos);
 }
@@ -354,9 +351,8 @@ JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges,
   for (int i = 0; i < n; ++i) {
     rel::Table& t = tables[i];
     t.name = "T" + std::to_string(i);
-    t.key_column = t.name + "_id";
     t.row_count = uniform ? 100.0 : 100.0 * (i + 1);
-    t.columns = {Col(t.key_column, rel::SqlType::Int(), t.row_count),
+    t.columns = {Col(t.name + "_id", rel::SqlType::Int(), t.row_count),
                  Col("payload", rel::SqlType::Char(uniform ? 10 : 10 + 7 * i),
                      50)};
   }
@@ -365,18 +361,19 @@ JoinGraph MakeJoinGraph(int n, const std::vector<GraphEdge>& edges,
     const std::string& parent = tables[e.parent].name;
     rel::Table& child = tables[e.child];
     std::string fk = "parent_" + parent;
-    while (child.FindColumn(fk)) fk += "_";
+    while (child.ColumnIndex(fk) >= 0) fk += "_";
+    const int column = static_cast<int>(child.columns.size());
     child.columns.push_back(
         Col(fk, rel::SqlType::Int(), tables[e.parent].row_count));
-    child.foreign_keys.push_back(rel::ForeignKey{fk, e.parent});
-    g.block.joins.push_back(JoinEdge{e.parent, parent + "_id", e.child, fk,
-                                     e.left_outer});
+    child.foreign_keys.push_back(rel::ForeignKey{column, e.parent});
+    g.block.joins.push_back(
+        JoinEdge{e.parent, kKey, e.child, column, e.left_outer});
   }
   for (int i = 0; i < n; ++i) {
     g.catalog.AddTable(tables[i]);
     g.block.rels.push_back(BaseRel{i, tables[i].name});
   }
-  g.block.output.push_back(ColumnRef{n - 1, "payload", ""});
+  g.block.output.push_back(ColumnRef{n - 1, 1, ""});  // payload
   return g;
 }
 
@@ -444,7 +441,7 @@ TEST(JoinEnumeration, TwelveRelationOuterJoinBlockUsesDp) {
            {6, 10, true},
            {9, 11, true}});
   g.block.filters.push_back(
-      FilterPred{0, "T0_id", xq::CompareOp::kEq, xq::Constant::Int(3)});
+      FilterPred{0, kKey, xq::CompareOp::kEq, xq::Constant::Int(3)});
   Optimizer opt(g.catalog);
   ASSERT_EQ(opt.params().dp_rel_limit, 12);
   obs::Registry registry;
@@ -479,11 +476,29 @@ class PlanDigest {
     Int(static_cast<int64_t>(s.size()));
     Bytes(s.data(), s.size());
   }
+  // Digests `p`, a plan of `block` over `catalog`.
+  void Plan(const rel::Catalog& catalog, const QueryBlock& block,
+            const PhysicalPlanPtr& p) {
+    catalog_ = &catalog;
+    block_ = &block;
+    Plan(p);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  // A column by its catalog name (empty when unset), as plans named
+  // columns when the digests were recorded.
+  void Column(int rel, int column) {
+    Str(column < 0 ? std::string()
+                   : catalog_->table(block_->rels[rel].table)
+                         .columns[column]
+                         .name);
+  }
   void Edge(const JoinEdge& e) {
     Int(e.left_rel);
-    Str(e.left_column);
+    Column(e.left_rel, e.left_column);
     Int(e.right_rel);
-    Str(e.right_column);
+    Column(e.right_rel, e.right_column);
     Int(e.left_outer);
   }
   void Plan(const PhysicalPlanPtr& p) {
@@ -493,11 +508,11 @@ class PlanDigest {
     }
     Int(static_cast<int>(p->kind));
     Int(p->rel);
-    Str(p->index_column);
+    Column(p->rel, p->index_column);
     Int(static_cast<int64_t>(p->filters.size()));
     for (const auto& f : p->filters) {
       Int(f.rel);
-      Str(f.column);
+      Column(f.rel, f.column);
       Int(static_cast<int>(f.op));
       Int(static_cast<int>(f.value.kind));
       Str(f.value.symbol);
@@ -506,13 +521,15 @@ class PlanDigest {
       Int(f.not_null);
     }
     Int(p->left_join_rel);
-    Str(p->left_join_column);
+    Column(p->left_join_rel, p->left_join_column);
     Int(p->right_join_rel);
-    Str(p->right_join_column);
+    Column(p->right_join_rel, p->right_join_column);
     Int(p->left_outer);
     Int(static_cast<int64_t>(p->residual_joins.size()));
     for (const auto& e : p->residual_joins) Edge(e);
-    Int(static_cast<int64_t>(p->outputs.size()));
+    // The projection's outputs, which plans once copied from the block.
+    Int(static_cast<int64_t>(
+        p->kind == PhysicalPlan::Kind::kProject ? block_->output.size() : 0));
     Double(p->est_rows);
     Double(p->est_cost);
     Double(p->est_seeks);
@@ -521,9 +538,9 @@ class PlanDigest {
     Plan(p->right);
     Plan(p->child);
   }
-  uint64_t value() const { return h_; }
 
- private:
+  const rel::Catalog* catalog_ = nullptr;
+  const QueryBlock* block_ = nullptr;
   uint64_t h_ = 14695981039346656037ull;
 };
 
@@ -564,7 +581,7 @@ void DigestNeighbourhood(const xs::Schema& annotated,
           auto planned = opt.PlanBlock(block);
           ASSERT_TRUE(planned.ok()) << wq.name << ": "
                                     << planned.status().ToString();
-          totals->digest.Plan(planned->plan);
+          totals->digest.Plan(mapping->catalog(), block, planned->plan);
           totals->digest.Double(planned->cost);
           totals->digest.Double(planned->rows);
           ++totals->blocks;
@@ -703,8 +720,8 @@ DpObservations ExpectMatchesReference(const JoinGraph& g,
   EXPECT_EQ(planned.ok(), expected.ok());
   if (planned.ok() && expected.ok()) {
     PlanDigest got, want;
-    got.Plan(planned->plan);
-    want.Plan(expected->plan);
+    got.Plan(g.catalog, g.block, planned->plan);
+    want.Plan(g.catalog, g.block, expected->plan);
     EXPECT_EQ(got.value(), want.value());
     EXPECT_EQ(std::bit_cast<uint64_t>(planned->cost),
               std::bit_cast<uint64_t>(expected->cost));
@@ -797,7 +814,7 @@ TEST(JoinEnumeration, PlansMatchSubsetLoopReference) {
         JoinGraph g = MakeJoinGraph(n, edges, uniform);
         if (n > 2) {  // an index lookup on one relation
           g.block.filters.push_back(FilterPred{
-              1, "T1_id", xq::CompareOp::kEq, xq::Constant::Int(3)});
+              1, kKey, xq::CompareOp::kEq, xq::Constant::Int(3)});
         }
         std::string label = name + " n=" + std::to_string(n) +
                             (uniform ? " uniform" : "");
@@ -813,7 +830,8 @@ TEST(JoinEnumeration, PlansMatchSubsetLoopReference) {
 
 TEST(QueryBlockSql, RendersSelectFromWhere) {
   QueryBlock b = JoinBlock();
-  b.filters.push_back(FilterPred{0, "name", xq::CompareOp::kEq, xq::Constant::Symbol("c1")});
+  b.filters.push_back(FilterPred{0, kParentName, xq::CompareOp::kEq,
+                                 xq::Constant::Symbol("c1")});
   std::string sql = b.ToSql(MakeCatalog());
   EXPECT_NE(sql.find("SELECT c.value"), std::string::npos);
   EXPECT_NE(sql.find("FROM Parent p, Child c"), std::string::npos);

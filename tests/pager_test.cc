@@ -48,7 +48,6 @@ map::Mapping MapText(const char* schema_text) {
 rel::Table SimpleMeta() {
   rel::Table meta;
   meta.name = "T";
-  meta.key_column = "T_id";
   rel::Column id, x;
   id.name = "T_id";
   x.name = "x";
@@ -56,13 +55,14 @@ rel::Table SimpleMeta() {
   return meta;
 }
 
-// Four columns: the key, a string, an int with NULLs and a mixed-kind one.
+// Four columns: the key, a string, an int with NULLs (position kN) and a
+// mixed-kind one.
+constexpr int kN = 2;
 rel::Table WideMeta(const std::string& name) {
   rel::Table meta = SimpleMeta();
   meta.name = name;
-  meta.key_column = name + "_id";
   meta.columns.resize(4);
-  meta.columns[0].name = meta.key_column;
+  meta.columns[0].name = name + "_id";
   meta.columns[1].name = "s";
   meta.columns[2].name = "n";
   meta.columns[3].name = "m";
@@ -310,10 +310,10 @@ TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
     ASSERT_TRUE(t.Insert({Value::Int(i), Value::Str(i % 2 ? "odd" : "even")})
                     .ok());
   }
-  auto index = t.GetOrBuildIndex("x");
+  auto index = t.GetOrBuildIndex(1);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ((*index)->Find(Value::Str("odd")).size(), 10u);
-  auto col = t.GetOrBuildColumn("T_id");
+  auto col = t.GetOrBuildColumn(rel::Table::kKeyColumn);
   ASSERT_TRUE(col.ok());
   ASSERT_EQ((*col)->size(), 20u);
   EXPECT_EQ((*col)->value(7), Value::Int(7));
@@ -324,24 +324,24 @@ TEST(PagedTable, MutationsDropDecodedColumns) {
   ASSERT_TRUE(backend.ok());
   StoredTable t(WideMeta("T"), backend->get());
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(t.Insert(WideRow(i)).ok());
-  auto before = t.GetOrBuildColumn("n");
+  auto before = t.GetOrBuildColumn(kN);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ((*before)->size(), 20u);
 
   ASSERT_TRUE(t.Insert(WideRow(20)).ok());
-  auto after = t.GetOrBuildColumn("n");
+  auto after = t.GetOrBuildColumn(kN);
   ASSERT_TRUE(after.ok());
   ASSERT_EQ((*after)->size(), 21u);
   EXPECT_EQ((*after)->value(20), WideRow(20)[2]);
-  auto index = t.GetOrBuildIndex("T_id");
+  auto index = t.GetOrBuildIndex(rel::Table::kKeyColumn);
   ASSERT_TRUE(index.ok());
   EXPECT_EQ((*index)->FindInt(20).size(), 1u);
 
   ASSERT_TRUE(t.RemoveLastRows(2).ok());
-  auto rolled_back = t.GetOrBuildColumn("n");
+  auto rolled_back = t.GetOrBuildColumn(kN);
   ASSERT_TRUE(rolled_back.ok());
   EXPECT_EQ((*rolled_back)->size(), 19u);
-  index = t.GetOrBuildIndex("T_id");
+  index = t.GetOrBuildIndex(rel::Table::kKeyColumn);
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE((*index)->FindInt(19).empty());
   EXPECT_EQ((*index)->FindInt(18).size(), 1u);
@@ -374,11 +374,11 @@ TEST(PagedTable, ConcurrentFirstRequestsShareOneDecode) {
       for (size_t j = 0; j < 2 * columns.size(); ++j) {
         const size_t c = (k + j / 2) % columns.size();
         if ((k + j) % 2 == 0) {
-          auto column = paged.GetOrBuildColumn(columns[c].name);
+          auto column = paged.GetOrBuildColumn(static_cast<int>(c));
           EXPECT_TRUE(column.ok());
           if (column.ok()) seen_columns[k][c] = *column;
         } else {
-          auto index = paged.GetOrBuildIndex(columns[c].name);
+          auto index = paged.GetOrBuildIndex(static_cast<int>(c));
           EXPECT_TRUE(index.ok());
           if (index.ok()) seen_indexes[k][c] = *index;
         }
@@ -392,8 +392,8 @@ TEST(PagedTable, ConcurrentFirstRequestsShareOneDecode) {
     EXPECT_EQ(seen_indexes[k], seen_indexes[0]) << "thread " << k;
   }
   for (size_t c = 0; c < columns.size(); ++c) {
-    auto want = memory.GetOrBuildColumn(columns[c].name);
-    auto want_index = memory.GetOrBuildIndex(columns[c].name);
+    auto want = memory.GetOrBuildColumn(static_cast<int>(c));
+    auto want_index = memory.GetOrBuildIndex(static_cast<int>(c));
     ASSERT_TRUE(want.ok() && want_index.ok());
     ASSERT_NE(seen_columns[0][c], nullptr);
     ASSERT_NE(seen_indexes[0][c], nullptr);
@@ -516,19 +516,19 @@ TEST(PagedDatabase, FirstColumnRequestDecodesEachPageOnce) {
   BufferPool* pool = db.buffer_pool();
 
   uint64_t faults = pool->stats().faults;
-  ASSERT_TRUE(a.GetOrBuildColumn("s").ok());
+  ASSERT_TRUE(a.GetOrBuildColumn(1).ok());
   EXPECT_EQ(pool->stats().faults - faults, a_pages);
-  ASSERT_TRUE(b.GetOrBuildIndex("B_id").ok());
+  ASSERT_TRUE(b.GetOrBuildIndex(rel::Table::kKeyColumn).ok());
 
   faults = pool->stats().faults;
   StoredTable memory(WideMeta("A"));
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(memory.Insert(WideRow(i)).ok());
-  for (const rel::Column& column : a.meta().columns) {
-    auto got = a.GetOrBuildColumn(column.name);
-    ASSERT_TRUE(got.ok()) << column.name;
-    ExpectSameValues(**memory.GetOrBuildColumn(column.name), **got,
-                     column.name);
-    ASSERT_TRUE(a.GetOrBuildIndex(column.name).ok()) << column.name;
+  for (int c = 0; c < static_cast<int>(a.meta().columns.size()); ++c) {
+    const std::string& name = a.meta().columns[c].name;
+    auto got = a.GetOrBuildColumn(c);
+    ASSERT_TRUE(got.ok()) << name;
+    ExpectSameValues(**memory.GetOrBuildColumn(c), **got, name);
+    ASSERT_TRUE(a.GetOrBuildIndex(c).ok()) << name;
   }
   EXPECT_TRUE(db.PrewarmColumns().ok());
   EXPECT_TRUE(db.PrewarmIndexes().ok());
@@ -582,7 +582,9 @@ TEST(PagedDatabase, PrewarmBuildsIndexesAndColumns) {
   // The prewarmed index is served from the registry: no page is touched.
   uint64_t faults = db.buffer_pool()->stats().faults;
   EXPECT_TRUE(
-      db.table(m.catalog().IndexOf("B")).GetOrBuildIndex("B_id").ok());
+      db.table(m.catalog().IndexOf("B"))
+          .GetOrBuildIndex(rel::Table::kKeyColumn)
+          .ok());
   EXPECT_EQ(db.buffer_pool()->stats().faults, faults);
 }
 

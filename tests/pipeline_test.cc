@@ -75,9 +75,9 @@ TEST(Pipeline, MapSchemaProducesCatalog) {
   ASSERT_GE(catalog.IndexOf("Show"), 0);
   const rel::Table& show = catalog.table(catalog.IndexOf("Show"));
   EXPECT_NEAR(show.row_count, 34798, 1);
-  EXPECT_NE(show.FindColumn("title"), nullptr);
-  EXPECT_NE(show.FindColumn("year"), nullptr);
-  EXPECT_NE(show.FindColumn("type"), nullptr);
+  EXPECT_GE(show.ColumnIndex("title"), 0);
+  EXPECT_GE(show.ColumnIndex("year"), 0);
+  EXPECT_GE(show.ColumnIndex("type"), 0);
 }
 
 TEST(Pipeline, TranslateAndPlanLookupQuery) {

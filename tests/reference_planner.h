@@ -108,7 +108,6 @@ class BlockPlanner {
     auto root = std::make_shared<PhysicalPlan>();
     root->kind = PhysicalPlan::Kind::kProject;
     root->child = std::move(plan);
-    root->outputs = block_.output;
     double out_width = OutputWidth();
     root->est_rows = best.rows;
     root->est_cost = best.cost + best.rows * out_width * p_.write_per_byte +
@@ -147,17 +146,18 @@ class BlockPlanner {
 
   // ---- statistics helpers ----
 
-  const rel::Column* Col(int rel, const std::string& name) const {
-    return rels_[rel].table->FindColumn(name);
+  const rel::Column* Col(int rel, int column) const {
+    const rel::Table* t = rels_[rel].table;
+    return t->CheckColumn(column).ok() ? &t->columns[column] : nullptr;
   }
 
-  double ColDistincts(int rel, const std::string& name) const {
-    const rel::Column* c = Col(rel, name);
+  double ColDistincts(int rel, int column) const {
+    const rel::Column* c = Col(rel, column);
     return c ? std::max(1.0, c->distincts) : 1.0;
   }
 
-  double ColNullFrac(int rel, const std::string& name) const {
-    const rel::Column* c = Col(rel, name);
+  double ColNullFrac(int rel, int column) const {
+    const rel::Column* c = Col(rel, column);
     return c ? std::clamp(c->null_fraction, 0.0, 1.0) : 0.0;
   }
 
@@ -219,18 +219,18 @@ class BlockPlanner {
   }
 
   // Effective distinct count of a join column among the filtered rows.
-  double EffDistincts(int rel, const std::string& column) const {
+  double EffDistincts(int rel, int column) const {
     return std::max(1.0,
                     std::min(ColDistincts(rel, column), rels_[rel].rows));
   }
 
-  bool Indexed(int rel, const std::string& column) const {
+  bool Indexed(int rel, int column) const {
     const rel::Table* t = rels_[rel].table;
-    if (column == t->key_column) return true;
+    if (column == rel::Table::kKeyColumn) return true;
     for (const auto& fk : t->foreign_keys) {
       if (fk.column == column) return true;
     }
-    return p_.index_on_predicates && t->FindColumn(column) != nullptr;
+    return p_.index_on_predicates && Col(rel, column) != nullptr;
   }
 
   double OutputWidth() const {
@@ -262,12 +262,12 @@ class BlockPlanner {
   }
 
   // Distincts over the unfiltered base table (for index probe fan-out).
-  double EffDistinctsBase(int rel, const std::string& column) const {
+  double EffDistinctsBase(int rel, int column) const {
     return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
   }
 
   // Index-nested-loops terms for probing `column` of base relation `rel`.
-  ProbeTerms ProbeTermsOf(int rel, const std::string& column) const {
+  ProbeTerms ProbeTermsOf(int rel, int column) const {
     return ProbeTerms{Indexed(rel, column),
                       BaseRows(rel) * (1.0 - ColNullFrac(rel, column)) /
                           EffDistinctsBase(rel, column),

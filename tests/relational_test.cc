@@ -24,7 +24,6 @@ TEST(SqlTypeTest, Widths) {
 Table MakeTable(int parent = 0) {
   Table t;
   t.name = "Show";
-  t.key_column = "Show_id";
   t.row_count = 100;
   Column id, title, desc, fk;
   id.name = "Show_id";
@@ -38,14 +37,13 @@ Table MakeTable(int parent = 0) {
   fk.name = "parent_IMDB";
   fk.type = SqlType::Int();
   t.columns = {id, title, desc, fk};
-  t.foreign_keys = {ForeignKey{"parent_IMDB", parent}};
+  t.foreign_keys = {ForeignKey{3, parent}};
   return t;
 }
 
 Table MakeParent() {
   Table t;
   t.name = "IMDB";
-  t.key_column = "IMDB_id";
   t.row_count = 1;
   Column id;
   id.name = "IMDB_id";
@@ -62,11 +60,19 @@ TEST(TableTest, RowWidthAccountsForNullFractions) {
 
 TEST(TableTest, ColumnLookup) {
   Table t = MakeTable();
-  EXPECT_NE(t.FindColumn("title"), nullptr);
-  EXPECT_EQ(t.FindColumn("nope"), nullptr);
-  EXPECT_EQ(t.ColumnIndex("Show_id"), 0);
+  EXPECT_EQ(t.ColumnIndex("Show_id"), Table::kKeyColumn);
+  EXPECT_EQ(t.ColumnIndex("title"), 1);
   EXPECT_EQ(t.ColumnIndex("parent_IMDB"), 3);
   EXPECT_EQ(t.ColumnIndex("nope"), -1);
+  EXPECT_TRUE(t.CheckColumn(0).ok());
+  EXPECT_TRUE(t.CheckColumn(3).ok());
+  for (int outside : {-1, 4}) {
+    Status st = t.CheckColumn(outside);
+    EXPECT_EQ(st.code(), Status::Code::kNotFound);
+    EXPECT_NE(st.message().find("#" + std::to_string(outside)),
+              std::string::npos);
+    EXPECT_NE(st.message().find("'Show'"), std::string::npos);
+  }
 }
 
 TEST(CatalogTest, AddAndFind) {
@@ -94,6 +100,15 @@ TEST(CatalogTest, RejectsDuplicateColumnNames) {
   EXPECT_EQ(c.AddTable(MakeTable()).status().code(),
             Status::Code::kInvalidArgument);
   EXPECT_EQ(c.size(), 1u);
+}
+
+TEST(CatalogTest, RejectsForeignKeyOutsideTable) {
+  Catalog c;
+  Table t = MakeTable();
+  t.name = "Other";
+  t.foreign_keys[0].column = 4;
+  EXPECT_EQ(c.AddTable(t).status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(c.size(), 0u);
 }
 
 TEST(CatalogTest, TotalBytes) {

@@ -4,6 +4,7 @@
 // tools/check.sh --release-checks): nothing here may depend on `assert`.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -238,7 +239,6 @@ TEST(MalformedInputTest, QueryOverMissingElementIsEmptyNotFatal) {
 TEST(MalformedInputTest, DuplicateCatalogTableIsRecoverable) {
   rel::Table t;
   t.name = "T";
-  t.key_column = "T_id";
   rel::Catalog catalog;
   EXPECT_TRUE(catalog.AddTable(t).ok());
   Status st = catalog.AddTable(t).status();
@@ -255,7 +255,6 @@ TEST(MalformedInputTest, DuplicateCatalogTableIsRecoverable) {
 TEST(MalformedInputTest, TableIndexOutsideCatalogIsNotFound) {
   rel::Table t;
   t.name = "T";
-  t.key_column = "T_id";
   t.row_count = 1;
   t.columns.emplace_back().name = "T_id";
   rel::Catalog catalog;
@@ -266,7 +265,8 @@ TEST(MalformedInputTest, TableIndexOutsideCatalogIsNotFound) {
   opt::RelQuery good;
   good.blocks.emplace_back();
   good.blocks[0].rels.push_back(opt::BaseRel{0, "t"});
-  good.blocks[0].output.push_back(opt::ColumnRef{0, "T_id", "id"});
+  good.blocks[0].output.push_back(
+      opt::ColumnRef{0, rel::Table::kKeyColumn, "id"});
   opt::Optimizer optimizer(catalog);
   auto planned = optimizer.PlanQuery(good);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
@@ -293,6 +293,147 @@ TEST(MalformedInputTest, TableIndexOutsideCatalogIsNotFound) {
     EXPECT_EQ(engine::Executor(&db).ExecuteQuery(bad, plans).status().code(),
               Status::Code::kNotFound)
         << context;
+  }
+}
+
+// A copy of `plan` with `edit` applied to every node.
+opt::PhysicalPlanPtr EditPlan(
+    const opt::PhysicalPlanPtr& plan,
+    const std::function<void(opt::PhysicalPlan*)>& edit) {
+  if (!plan) return nullptr;
+  auto copy = std::make_shared<opt::PhysicalPlan>(*plan);
+  copy->left = EditPlan(plan->left, edit);
+  copy->right = EditPlan(plan->right, edit);
+  copy->child = EditPlan(plan->child, edit);
+  edit(copy.get());
+  return copy;
+}
+
+// Queries, plans and foreign keys name columns by position, so a position
+// outside its table — in an output, a filter, a join edge or an index —
+// must come back as NotFound naming the table from the optimizer and from
+// every executor, never as an out-of-bounds read or a silent NULL.
+TEST(MalformedInputTest, ColumnIndexOutsideTableIsNotFound) {
+  // P(P_id) and C(C_id, x, parent_P): a key lookup on P drives index
+  // nested loops into C's foreign-key index.
+  rel::Catalog catalog;
+  rel::Table p;
+  p.name = "P";
+  p.row_count = 10000;
+  p.columns.emplace_back().name = "P_id";
+  p.columns[0].distincts = 10000;
+  ASSERT_TRUE(catalog.AddTable(p).ok());
+  rel::Table c;
+  c.name = "C";
+  c.row_count = 100000;
+  for (const char* name : {"C_id", "x", "parent_P"}) {
+    c.columns.emplace_back().name = name;
+  }
+  c.columns[0].distincts = 100000;
+  c.columns[2].distincts = 10000;
+  c.foreign_keys.push_back(rel::ForeignKey{2, 0});
+  ASSERT_TRUE(catalog.AddTable(c).ok());
+  store::Database db(catalog);
+  ASSERT_TRUE(db.table(0).Insert({Value::Int(1)}).ok());
+  ASSERT_TRUE(
+      db.table(1).Insert({Value::Int(2), Value::Str("a"), Value::Int(1)}).ok());
+
+  opt::RelQuery good;
+  opt::QueryBlock& block = good.blocks.emplace_back();
+  block.rels = {opt::BaseRel{0, "p"}, opt::BaseRel{1, "c"}};
+  block.joins.push_back(opt::JoinEdge{0, 0, 1, 2, false});
+  block.filters.push_back(
+      opt::FilterPred{0, 0, xq::CompareOp::kEq, xq::Constant::Int(1)});
+  block.output.push_back(opt::ColumnRef{1, 1, "x"});
+  opt::Optimizer optimizer(catalog);
+  auto planned = optimizer.PlanQuery(good);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const opt::PhysicalPlanPtr& plan = planned->blocks[0].plan;
+  ASSERT_EQ(plan->child->kind, opt::PhysicalPlan::Kind::kIndexNLJoin);
+  ASSERT_EQ(plan->child->left->kind, opt::PhysicalPlan::Kind::kIndexLookup);
+  auto rows = engine::Executor(&db).ExecuteQuery(good, {plan});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 1u);
+
+  using Kind = opt::PhysicalPlan::Kind;
+  for (const int t : {0, 1}) {
+    for (int pos : {static_cast<int>(catalog.table(t).columns.size()), -1}) {
+      // Each case names position `pos` of table `t` in the block (so that
+      // the optimizer sees it) and in the plan (so that the executors do);
+      // the index case names it in the plan alone.
+      struct Case {
+        const char* what;
+        std::function<void(opt::QueryBlock*)> block;
+        std::function<void(opt::PhysicalPlan*)> plan;
+      };
+      std::vector<Case> cases;
+      if (t == 1) {
+        cases.push_back({"output",
+                         [&](opt::QueryBlock* b) { b->output[0].column = pos; },
+                         [](opt::PhysicalPlan*) {}});
+        cases.push_back(
+            {"join edge",
+             [&](opt::QueryBlock* b) { b->joins[0].right_column = pos; },
+             [&](opt::PhysicalPlan* n) {
+               // Index nested loops probe the edge's column of C.
+               if (n->kind == Kind::kIndexNLJoin) {
+                 n->right_join_column = pos;
+                 n->index_column = pos;
+               }
+             }});
+        cases.push_back({"index", nullptr, [&](opt::PhysicalPlan* n) {
+                           if (n->kind == Kind::kIndexNLJoin) {
+                             n->index_column = pos;
+                           }
+                         }});
+      } else {
+        cases.push_back(
+            {"filter",
+             [&](opt::QueryBlock* b) { b->filters[0].column = pos; },
+             [&](opt::PhysicalPlan* n) {
+               for (auto& f : n->filters) f.column = pos;
+             }});
+        cases.push_back(
+            {"join edge",
+             [&](opt::QueryBlock* b) { b->joins[0].left_column = pos; },
+             [&](opt::PhysicalPlan* n) {
+               if (n->kind == Kind::kIndexNLJoin) n->left_join_column = pos;
+             }});
+        cases.push_back({"index", nullptr, [&](opt::PhysicalPlan* n) {
+                           if (n->kind == Kind::kIndexLookup) {
+                             n->index_column = pos;
+                           }
+                         }});
+      }
+      for (const Case& bad_case : cases) {
+        const std::string context = std::string(bad_case.what) + " #" +
+                                    std::to_string(pos) + " of " +
+                                    catalog.table(t).name;
+        const std::string table = "table '" + catalog.table(t).name + "'";
+        auto expect_not_found = [&](const Status& st, const char* who) {
+          EXPECT_EQ(st.code(), Status::Code::kNotFound)
+              << context << " " << who << ": " << st.ToString();
+          EXPECT_NE(st.message().find(table), std::string::npos)
+              << context << " " << who << ": " << st.ToString();
+        };
+        opt::RelQuery bad = good;
+        if (bad_case.block) {
+          bad_case.block(&bad.blocks[0]);
+          expect_not_found(optimizer.PlanQuery(bad).status(), "optimizer");
+        }
+        std::vector<opt::PhysicalPlanPtr> plans{
+            EditPlan(plan, bad_case.plan)};
+        expect_not_found(
+            engine::PreparedPrograms::Compile(&db, bad, plans).status(),
+            "prepare");
+        expect_not_found(
+            engine::ReferenceExecutor(&db).ExecuteQuery(bad, plans).status(),
+            "reference");
+        expect_not_found(
+            engine::Executor(&db).ExecuteQuery(bad, plans).status(),
+            "executor");
+      }
+    }
   }
 }
 

@@ -290,13 +290,11 @@ TEST(CostCacheTest, FingerprintIgnoresTableNumbering) {
                  int parent_index) {
     rel::Table t;
     t.name = name;
-    t.key_column = name + "_id";
     t.row_count = 10;
-    t.columns.emplace_back().name = t.key_column;
+    t.columns.emplace_back().name = name + "_id";
     if (parent_index >= 0) {
-      std::string fk = "parent_" + parent;
-      t.columns.emplace_back().name = fk;
-      t.foreign_keys.push_back(rel::ForeignKey{fk, parent_index});
+      t.columns.emplace_back().name = "parent_" + parent;
+      t.foreign_keys.push_back(rel::ForeignKey{1, parent_index});
     }
     return t;
   };
@@ -309,8 +307,8 @@ TEST(CostCacheTest, FingerprintIgnoresTableNumbering) {
     opt::QueryBlock b;
     b.rels.push_back(opt::BaseRel{c.IndexOf("A"), "a"});
     b.rels.push_back(opt::BaseRel{c.IndexOf("B"), "b"});
-    b.joins.push_back(opt::JoinEdge{0, "A_id", 1, "parent_A"});
-    b.output.push_back(opt::ColumnRef{1, "B_id", "b"});
+    b.joins.push_back(opt::JoinEdge{0, 0, 1, 1});  // A_id = parent_A
+    b.output.push_back(opt::ColumnRef{1, 0, "b"});  // B_id
     opt::RelQuery q;
     q.blocks.push_back(std::move(b));
     return q;
@@ -372,22 +370,22 @@ TEST(CostCacheTest, FingerprintSeparatesEveryRenderedField) {
   changed("output rel", [&](Q&, B& b) {
     b.output[0].rel = b.output[0].rel == 0 ? 1 : 0;
   });
-  changed("output column", [](Q&, B& b) { b.output[0].column += "x"; });
+  changed("output column", [](Q&, B& b) { b.output[0].column += 1; });
   changed("join left rel", [&](Q&, B& b) {
     b.joins[0].left_rel = b.joins[0].left_rel == 0 ? 1 : 0;
   });
   changed("join right rel", [&](Q&, B& b) {
     b.joins[0].right_rel = b.joins[0].right_rel == 0 ? 1 : 0;
   });
-  changed("join left column", [](Q&, B& b) { b.joins[0].left_column += "x"; });
+  changed("join left column", [](Q&, B& b) { b.joins[0].left_column += 1; });
   changed("join right column",
-          [](Q&, B& b) { b.joins[0].right_column += "x"; });
+          [](Q&, B& b) { b.joins[0].right_column += 1; });
   changed("left_outer",
           [](Q&, B& b) { b.joins[0].left_outer = !b.joins[0].left_outer; });
   changed("filter rel", [&](Q&, B& b) {
     b.filters[0].rel = b.filters[0].rel == 0 ? 1 : 0;
   });
-  changed("filter column", [](Q&, B& b) { b.filters[0].column += "x"; });
+  changed("filter column", [](Q&, B& b) { b.filters[0].column += 1; });
   changed("filter op", [](Q&, B& b) { b.filters[0].op = xq::CompareOp::kLt; });
   changed("constant kind", [](Q&, B& b) {
     b.filters[0].value = xq::Constant::Str(b.filters[0].value.symbol);

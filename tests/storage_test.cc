@@ -57,7 +57,6 @@ Value At(const StoredTable& t, size_t row, int column) {
 TEST(StoredTable, InsertAndIndex) {
   rel::Table meta;
   meta.name = "T";
-  meta.key_column = "T_id";
   rel::Column id, x;
   id.name = "T_id";
   x.name = "x";
@@ -66,29 +65,33 @@ TEST(StoredTable, InsertAndIndex) {
   t.Insert({Value::Int(1), Value::Str("a")});
   t.Insert({Value::Int(2), Value::Str("a")});
   t.Insert({Value::Int(3), Value::MakeNull()});
-  auto index = t.GetOrBuildIndex("x");
+  auto index = t.GetOrBuildIndex(1);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ((*index)->Find(Value::Str("a")).size(), 2u);
   // NULLs are not indexed.
   EXPECT_TRUE((*index)->Find(Value::MakeNull()).empty());
-  EXPECT_FALSE(t.GetOrBuildIndex("no_such_column").ok());
+  for (int outside : {2, -1}) {
+    auto missing = t.GetOrBuildIndex(outside);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(missing.status().message().find("table 'T'"), std::string::npos);
+  }
 }
 
 TEST(StoredTable, InsertInvalidatesIndexes) {
   rel::Table meta;
   meta.name = "T";
-  meta.key_column = "T_id";
   rel::Column id;
   id.name = "T_id";
   meta.columns = {id};
   StoredTable t(meta);
   t.Insert({Value::Int(1)});
-  auto before = t.GetOrBuildIndex("T_id");
+  auto before = t.GetOrBuildIndex(rel::Table::kKeyColumn);
   ASSERT_TRUE(before.ok());
   EXPECT_TRUE((*before)->Find(Value::Int(2)).empty());
   t.Insert({Value::Int(2)});
   // The insert dropped the stale index; the rebuilt one sees the new row.
-  auto after = t.GetOrBuildIndex("T_id");
+  auto after = t.GetOrBuildIndex(rel::Table::kKeyColumn);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ((*after)->Find(Value::Int(2)).size(), 1u);
 }
@@ -244,7 +247,6 @@ void ExpectSameColumn(const ColumnVector& want, const ColumnVector& got,
 TEST(StoredTable, ColumnStateAfterMixedKindRollback) {
   rel::Table meta;
   meta.name = "T";
-  meta.key_column = "T_id";
   rel::Column id, x;
   id.name = "T_id";
   x.name = "x";
@@ -266,21 +268,22 @@ TEST(StoredTable, ColumnStateAfterMixedKindRollback) {
   }
   ASSERT_TRUE(rolled_back.Insert(string_row).ok());
   ASSERT_TRUE(paged.Insert(string_row).ok());
-  auto mixed = rolled_back.GetOrBuildColumn("x");
+  auto mixed = rolled_back.GetOrBuildColumn(1);
   ASSERT_TRUE(mixed.ok());
   EXPECT_FALSE((*mixed)->typed_int());
   EXPECT_EQ((*mixed)->value(3), Value::Str("forty"));
   ASSERT_TRUE(rolled_back.RemoveLastRows(1).ok());
   ASSERT_TRUE(paged.RemoveLastRows(1).ok());
 
-  for (const char* column : {"T_id", "x"}) {
+  for (int column : {0, 1}) {
     auto want = ints_only.GetOrBuildColumn(column);
     auto got = rolled_back.GetOrBuildColumn(column);
     auto decoded = paged.GetOrBuildColumn(column);
     ASSERT_TRUE(want.ok() && got.ok() && decoded.ok()) << column;
     EXPECT_TRUE((*want)->typed_int()) << column;
-    ExpectSameColumn(**want, **got, std::string(column) + " rolled back");
-    ExpectSameColumn(**want, **decoded, std::string(column) + " paged");
+    const std::string name = meta.columns[column].name;
+    ExpectSameColumn(**want, **got, name + " rolled back");
+    ExpectSameColumn(**want, **decoded, name + " paged");
   }
 }
 
@@ -467,9 +470,10 @@ TEST(Reconstruct, ForeignKeyNamedLikeTheKeyTakesASuffix) {
   map::Mapping m = MapText(schema);
   ASSERT_GE(m.catalog().IndexOf("parent"), 0);
   const rel::Table* parent = &m.catalog().table(m.catalog().IndexOf("parent"));
-  EXPECT_EQ(parent->key_column, "parent_id");
+  EXPECT_EQ(parent->columns[rel::Table::kKeyColumn].name, "parent_id");
   ASSERT_EQ(parent->foreign_keys.size(), 1u);
-  EXPECT_EQ(parent->foreign_keys[0].column, "parent_id_2");
+  EXPECT_EQ(parent->columns[parent->foreign_keys[0].column].name,
+            "parent_id_2");
   ExpectRoundTrip(schema, "<r><p>x</p></r>");
 }
 
@@ -591,7 +595,7 @@ std::string StoredRows(const map::Mapping& m, const Database& db) {
   for (int table : TablesByName(m)) {
     const StoredTable& t = db.table(table);
     const std::string& name = t.meta().name;
-    std::set<std::string> fks;
+    std::set<int> fks;
     for (const auto& fk : t.meta().foreign_keys) fks.insert(fk.column);
     for (size_t i = 0; i < t.row_count(); ++i) {
       out += name + "#" + std::to_string(i) + ":";
@@ -600,7 +604,9 @@ std::string StoredRows(const map::Mapping& m, const Database& db) {
         Value v = At(t, i, static_cast<int>(c));
         std::string cell = v.is_string() ? "'" + v.as_string() + "'"
                                          : v.ToString();
-        if (fks.count(column) && v.is_int()) cell = row_of[v.as_int()];
+        if (fks.count(static_cast<int>(c)) && v.is_int()) {
+          cell = row_of[v.as_int()];
+        }
         out += " " + column + "=" + cell;
       }
       out += "\n";

@@ -39,6 +39,13 @@ opt::RelQuery Translate(const map::Mapping& m, const char* query_text) {
   return std::move(rq).value();
 }
 
+// The catalog name of `ref`'s column (an output or a filter) in block `b`.
+template <typename Ref>
+std::string ColumnName(const map::Mapping& m, const opt::QueryBlock& b,
+                       const Ref& ref) {
+  return m.catalog().table(b.rels[ref.rel].table).columns[ref.column].name;
+}
+
 bool SqlContains(const map::Mapping& m, const opt::RelQuery& rq,
                  const std::string& needle) {
   return rq.ToSql(m.catalog()).find(needle) != std::string::npos;
@@ -50,7 +57,8 @@ TEST(Translate, InlineColumnAccessNeedsNoJoin) {
       m, "FOR $v IN document(\"d\")/a RETURN $v/x");
   ASSERT_EQ(rq.blocks.size(), 1u);
   EXPECT_EQ(rq.blocks[0].rels.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].output[0].column, "x");
+  EXPECT_EQ(ColumnName(m, rq.blocks[0], rq.blocks[0].output[0]),
+            "x");
 }
 
 TEST(Translate, CrossingTypeRefAddsFkJoin) {
@@ -61,8 +69,10 @@ TEST(Translate, CrossingTypeRefAddsFkJoin) {
   ASSERT_EQ(rq.blocks.size(), 1u);
   EXPECT_EQ(rq.blocks[0].rels.size(), 2u);
   ASSERT_EQ(rq.blocks[0].joins.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].joins[0].left_column, "A_id");
-  EXPECT_EQ(rq.blocks[0].joins[0].right_column, "parent_A");
+  const opt::JoinEdge& join = rq.blocks[0].joins[0];
+  EXPECT_EQ(join.left_column, rel::Table::kKeyColumn);
+  EXPECT_EQ(join.right_column,
+            m.catalog().table(m.GetType("B").table).ColumnIndex("parent_A"));
 }
 
 TEST(Translate, PredicateBecomesFilter) {
@@ -71,7 +81,8 @@ TEST(Translate, PredicateBecomesFilter) {
       m, "FOR $v IN document(\"d\")/a WHERE $v/y = 7 RETURN $v/x");
   ASSERT_EQ(rq.blocks.size(), 1u);
   ASSERT_EQ(rq.blocks[0].filters.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].filters[0].column, "y");
+  EXPECT_EQ(ColumnName(m, rq.blocks[0], rq.blocks[0].filters[0]),
+            "y");
   EXPECT_EQ(rq.blocks[0].filters[0].value.int_value, 7);
 }
 
@@ -80,18 +91,21 @@ TEST(Translate, NestedInlineContentUsesPrefixedColumn) {
       MapText("type A = a[ bio[ birthday[ String ] ] ]");
   opt::RelQuery rq = Translate(
       m, "FOR $v IN document(\"d\")/a RETURN $v/bio/birthday");
-  EXPECT_EQ(rq.blocks[0].output[0].column, "bio_birthday");
+  EXPECT_EQ(ColumnName(m, rq.blocks[0], rq.blocks[0].output[0]),
+            "bio_birthday");
 }
 
 TEST(Translate, AttributeStepResolves) {
   map::Mapping m = MapText("type A = a[ @type[ String ], x[ String ] ]");
   opt::RelQuery rq1 =
       Translate(m, "FOR $v IN document(\"d\")/a RETURN $v/@type");
-  EXPECT_EQ(rq1.blocks[0].output[0].column, "type");
+  EXPECT_EQ(ColumnName(m, rq1.blocks[0], rq1.blocks[0].output[0]),
+            "type");
   // Plain-name fallback, as the paper's Q1 writes $v/type.
   opt::RelQuery rq2 =
       Translate(m, "FOR $v IN document(\"d\")/a RETURN $v/type");
-  EXPECT_EQ(rq2.blocks[0].output[0].column, "type");
+  EXPECT_EQ(ColumnName(m, rq2.blocks[0], rq2.blocks[0].output[0]),
+            "type");
 }
 
 TEST(Translate, UnionBindingExpandsToUnionAll) {
@@ -131,7 +145,8 @@ TEST(Translate, WildcardStepAddsTildePredicate) {
       m, "FOR $v IN document(\"d\")/show RETURN $v/reviews/nyt");
   ASSERT_EQ(rq.blocks.size(), 1u);
   ASSERT_EQ(rq.blocks[0].filters.size(), 1u);
-  EXPECT_EQ(rq.blocks[0].filters[0].column, "tilde");
+  EXPECT_EQ(ColumnName(m, rq.blocks[0], rq.blocks[0].filters[0]),
+            "tilde");
   EXPECT_EQ(rq.blocks[0].filters[0].value.string_value, "nyt");
 }
 
@@ -160,16 +175,16 @@ TEST(Translate, MaterializedWildcardSkipsExcludedBranch) {
 // wildcard matches, and the plain-name attribute fallback only applies when
 // no element matched.
 TEST(Translate, SiblingRoutesFollowBodyOrder) {
-  auto output = [](const opt::QueryBlock& b) {
-    return b.rels[b.output[0].rel].alias + "." + b.output[0].column;
+  auto output = [](const map::Mapping& m, const opt::QueryBlock& b) {
+    return b.rels[b.output[0].rel].alias + "." + ColumnName(m, b, b.output[0]);
   };
   {
     map::Mapping m = MapText("type T = t[ a[ String ], a[ Integer ] ]");
     opt::RelQuery rq =
         Translate(m, "FOR $v IN document(\"d\")/t RETURN $v/a");
     ASSERT_EQ(rq.blocks.size(), 2u);
-    EXPECT_EQ(output(rq.blocks[0]), "T#0.a");
-    EXPECT_EQ(output(rq.blocks[1]), "T#0.a_2");
+    EXPECT_EQ(output(m, rq.blocks[0]), "T#0.a");
+    EXPECT_EQ(output(m, rq.blocks[1]), "T#0.a_2");
   }
   {
     map::Mapping m = MapText("type T = t[ ~[ String ], ~[ Integer ] ]");
@@ -179,9 +194,10 @@ TEST(Translate, SiblingRoutesFollowBodyOrder) {
     const char* tags[] = {"tilde", "tilde_2"};
     const char* columns[] = {"T#0.t", "T#0.t_2"};
     for (size_t i = 0; i < 2; ++i) {
-      EXPECT_EQ(output(rq.blocks[i]), columns[i]);
+      EXPECT_EQ(output(m, rq.blocks[i]), columns[i]);
       ASSERT_EQ(rq.blocks[i].filters.size(), 1u);
-      EXPECT_EQ(rq.blocks[i].filters[0].column, tags[i]);
+      EXPECT_EQ(ColumnName(m, rq.blocks[i], rq.blocks[i].filters[0]),
+            tags[i]);
       EXPECT_EQ(rq.blocks[i].filters[0].value.string_value, "x");
     }
   }
@@ -191,11 +207,12 @@ TEST(Translate, SiblingRoutesFollowBodyOrder) {
     opt::RelQuery rq =
         Translate(m, "FOR $v IN document(\"d\")/t RETURN $v/a");
     ASSERT_EQ(rq.blocks.size(), 2u);
-    EXPECT_EQ(output(rq.blocks[0]), "T#0.a");
+    EXPECT_EQ(output(m, rq.blocks[0]), "T#0.a");
     EXPECT_TRUE(rq.blocks[0].filters.empty());
-    EXPECT_EQ(output(rq.blocks[1]), "T#0.t");
+    EXPECT_EQ(output(m, rq.blocks[1]), "T#0.t");
     ASSERT_EQ(rq.blocks[1].filters.size(), 1u);
-    EXPECT_EQ(rq.blocks[1].filters[0].column, "tilde");
+    EXPECT_EQ(ColumnName(m, rq.blocks[1], rq.blocks[1].filters[0]),
+            "tilde");
     EXPECT_EQ(rq.blocks[1].filters[0].value.string_value, "a");
   }
 }

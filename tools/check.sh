@@ -6,6 +6,7 @@
 #   tools/check.sh -DLEGODB_SANITIZE=address # ASan build + tests
 #   tools/check.sh --asan                    # ASan/UBSan build of the
 #                                            # catalog, optimizer, executor,
+#                                            # malformed-input, end-to-end,
 #                                            # serving, storage,
 #                                            # shred/reconstruct, schema,
 #                                            # p-schema, transform, mapping,
@@ -52,7 +53,12 @@
 # body positions (translate_test), update costing, which resolves its paths
 # through the same body positions (update_test), and the search's
 # cost-cache keys and dependency memo, whose read sets index each
-# configuration's mapped types (search_test). Then two smoke gates: micro_engine's always-on
+# configuration's mapped types (search_test). Queries, plans, foreign keys
+# and stored tables name columns by position, so a missed range check is an
+# out-of-bounds read: it runs robustness_test, whose malformed-input cases
+# hand the optimizer and both executors positions outside their tables, and
+# pipeline_test and auction_test, which run translated queries end to end
+# against the DOM evaluator. Then two smoke gates: micro_engine's always-on
 # executor-equality check, and a disk calibration run with a deliberately
 # small pool whose --require-io fails the script if no real buffer-pool IO
 # was measured. Any sanitizer report or result mismatch fails the script.
@@ -102,9 +108,9 @@ if [[ "${1:-}" == "--asan" ]]; then
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
     equivalence_test xschema_test pschema_test transforms_test mapping_test \
     translate_test update_test search_test relational_test compare_ops_test \
-    micro_engine calibration
+    robustness_test pipeline_test auction_test micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R '^(relational_test|compare_ops_test|optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test)$'
+    -R '^(relational_test|compare_ops_test|optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test|robustness_test|pipeline_test|auction_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \

@@ -405,7 +405,8 @@ int main(int argc, char** argv) {
       if (planned.ok()) {
         for (size_t i = 0; i < planned->blocks.size(); ++i) {
           std::printf("%s", planned->blocks[i]
-                                .plan->ToString(rq->blocks[i])
+                                .plan->ToString(result->mapping.catalog(),
+                                                rq->blocks[i])
                                 .c_str());
         }
       }
