@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the substrate components: XML
-// parsing, validation, shredding, reconstruction, query execution, and the
-// hash index every equality probe goes through.
+// parsing and release, validation, shredding, reconstruction, query
+// execution, and the hash index every equality probe goes through.
 //
 // The reference-vs-batched executor equality check runs unconditionally in
 // main() before any benchmark (even with --benchmark_filter), and a
@@ -143,6 +143,59 @@ void BM_ReconstructPagedAllInlined(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReconstructPagedAllInlined)->Unit(benchmark::kMillisecond);
+
+// The XML substrate alone on the same scale-16 document, one layer each:
+// parsing its compact text, releasing the parsed DOM (`root.reset()`, the
+// step load-publish-paged times as xml.release), and rebuilding it from a
+// memory-backed database (no page decoding in the way).
+const std::string& PagedDocumentText() {
+  static const auto* text =
+      new std::string(xml::Serialize(PagedDocument(), /*pretty=*/false));
+  return *text;
+}
+
+void BM_ParseDocument(benchmark::State& state) {
+  const std::string& text = PagedDocumentText();
+  for (auto _ : state) {
+    auto doc = xml::ParseDocument(text);
+    benchmark::DoNotOptimize(doc);
+    state.PauseTiming();
+    doc = Status::Internal("released");
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseDocument)->Unit(benchmark::kMillisecond);
+
+void BM_ReleaseDocument(benchmark::State& state) {
+  const std::string& text = PagedDocumentText();
+  for (auto _ : state) {
+    state.PauseTiming();
+    xml::Document doc = bench::Unwrap(xml::ParseDocument(text), "parse");
+    state.ResumeTiming();
+    doc.root.reset();
+    benchmark::DoNotOptimize(doc);
+  }
+}
+// A fixed count: a release takes microseconds against a parse's tens of
+// milliseconds, so letting the timed part reach the minimum run time would
+// parse thousands of documents off the clock.
+BENCHMARK(BM_ReleaseDocument)->Unit(benchmark::kMillisecond)->Iterations(20);
+
+void BM_ReconstructDocument(benchmark::State& state) {
+  const map::Mapping mapping = PagedMapping();
+  store::Database db(mapping.catalog());
+  bench::Check(store::ShredDocument(PagedDocument(), mapping, &db), "shred");
+  for (auto _ : state) {
+    auto rebuilt = store::ReconstructDocument(&db, mapping);
+    benchmark::DoNotOptimize(rebuilt);
+    state.PauseTiming();
+    rebuilt = Status::Internal("released");
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ReconstructDocument)->Unit(benchmark::kMillisecond);
 
 // A prepared fig10 workload (lookup Q8/Q9/Q11/Q12/Q13 + publish
 // Q15/Q16/Q17) over the all-inlined IMDB configuration, shared by the

@@ -89,9 +89,9 @@ int main() {
       auto first = table.ReadRow(0);
       if (!first.ok()) return 1;
       int64_t id = (*first)[rel::Table::kKeyColumn].as_int();
-      xml::NodePtr holder = xml::Node::Element("holder");
-      if (store::ReconstructInstance(&db, mapping, tm.type_name, id,
-                                     holder.get())
+      xml::Document out;
+      xml::Node* holder = out.CreateRoot("holder");
+      if (store::ReconstructInstance(&db, mapping, tm.type_name, id, holder)
               .ok()) {
         std::printf("\nreconstructed <show> (id %lld) from table %s:\n%s",
                     static_cast<long long>(id), tm.type_name.c_str(),

@@ -112,8 +112,7 @@ StatusOr<core::Workload> MakeWorkload(const std::string& name) {
 xml::Document Generate(const AuctionScale& scale) {
   Rng rng(scale.seed);
   xml::Document doc;
-  doc.root = xml::Node::Element("site");
-  xml::Node* site = doc.root.get();
+  xml::Node* site = doc.CreateRoot("site");
 
   auto person_id = [](int i) { return "person" + std::to_string(i); };
   auto item_id = [](int i) { return "item" + std::to_string(i); };

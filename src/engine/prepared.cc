@@ -13,6 +13,7 @@ bool ProbesSharedIndex(const opt::PhysicalPlan& join) {
 Status PreparedPrograms::WalkPlan(const ExprEnv& env,
                                   const opt::PhysicalPlanPtr& p) {
   if (!p) return Status::Internal("null plan node");
+  LEGODB_RETURN_IF_ERROR(p->CheckRelations(env.tables.size()));
   NodePrograms np;
   switch (p->kind) {
     case opt::PhysicalPlan::Kind::kProject:

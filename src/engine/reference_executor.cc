@@ -80,10 +80,12 @@ class ReferenceBlockExecutor {
     return tables_[rel]->meta().CheckColumn(column);
   }
 
-  // Checks every column plan `p` reads row by row before any row is read
-  // (index columns are checked as their indexes are fetched).
+  // Checks every relation and every column plan `p` reads row by row before
+  // any row is read (index columns are checked as their indexes are
+  // fetched).
   Status CheckPlan(const opt::PhysicalPlan* p) const {
     if (!p) return Status::OK();
+    LEGODB_RETURN_IF_ERROR(p->CheckRelations(tables_.size()));
     for (const auto& f : p->filters) {
       if (f.rel == p->rel) {
         LEGODB_RETURN_IF_ERROR(CheckColumn("filter", f.rel, f.column));

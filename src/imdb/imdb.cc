@@ -224,8 +224,7 @@ const char* kOtherReviewSources[] = {"suntimes", "variety", "guardian"};
 xml::Document Generate(const ImdbScale& scale) {
   Rng rng(scale.seed);
   xml::Document doc;
-  doc.root = xml::Node::Element("imdb");
-  xml::Node* imdb = doc.root.get();
+  xml::Node* imdb = doc.CreateRoot("imdb");
 
   // A shared pool of person names so actor/director joins (Q12-Q14) hit.
   int people = std::max(scale.actors, scale.directors) + 10;

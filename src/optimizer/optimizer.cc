@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "obs/obs.h"
@@ -22,9 +23,6 @@ struct Entry {
 
   double cost = kInf;
   double rows = 0;
-  double width = 0;  // bytes per intermediate tuple
-  double seeks = 0;  // predicted seeks, inclusive of inputs
-  double bytes = 0;  // predicted bytes read, inclusive of inputs
   Op op = Op::kNone;
   int edge = -1;       // driving join edge, an index into QueryBlock::joins
   uint64_t probe = 0;  // left input: hash probe side / INLJ outer side
@@ -107,8 +105,8 @@ class BlockPlanner {
     root->est_rows = best.rows;
     root->est_cost = best.cost + best.rows * out_width * p_.write_per_byte +
                      best.rows * p_.cpu_per_tuple;
-    root->est_seeks = best.seeks;  // output writing adds no read IO
-    root->est_bytes = best.bytes;
+    root->est_seeks = root->child->est_seeks;  // writing adds no read IO
+    root->est_bytes = root->child->est_bytes;
     return PlannedBlock{root, root->est_cost, root->est_rows};
   }
 
@@ -345,7 +343,9 @@ class BlockPlanner {
     double bytes = PagedBytes(base * width);
     Entry best{seeks * p_.seek_cost + bytes * p_.read_per_byte +
                    base * p_.cpu_per_tuple,
-               out_rows, width, seeks, bytes, Entry::Op::kAccess};
+               out_rows, Entry::Op::kAccess};
+    double best_seeks = seeks;
+    double best_bytes = bytes;
     // Index lookup on the most selective indexed filter column (hash
     // indexes serve equality probes only).
     const FilterPred* index_filter = nullptr;
@@ -360,7 +360,9 @@ class BlockPlanner {
       double cost = seeks * p_.seek_cost + bytes * p_.read_per_byte +
                     matches * p_.cpu_per_tuple;
       if (cost < best.cost) {
-        best = Entry{cost, out_rows, width, seeks, bytes, Entry::Op::kAccess};
+        best = Entry{cost, out_rows, Entry::Op::kAccess};
+        best_seeks = seeks;
+        best_bytes = bytes;
         index_filter = &f;
       }
     }
@@ -372,7 +374,7 @@ class BlockPlanner {
     }
     plan->rel = rel;
     plan->filters = RelFilters(rel);  // residuals re-checked cheaply
-    SetEstimates(best, plan.get());
+    SetEstimates(best, best_seeks, best_bytes, plan.get());
     rels_[rel].leaf = std::move(plan);
     return best;
   }
@@ -385,11 +387,13 @@ class BlockPlanner {
     return filters;
   }
 
-  static void SetEstimates(const Entry& e, PhysicalPlan* plan) {
+  // `seeks` and `bytes` are the predicted IO, inclusive of inputs.
+  static void SetEstimates(const Entry& e, double seeks, double bytes,
+                           PhysicalPlan* plan) {
     plan->est_rows = e.rows;
     plan->est_cost = e.cost;
-    plan->est_seeks = e.seeks;
-    plan->est_bytes = e.bytes;
+    plan->est_seeks = seeks;
+    plan->est_bytes = bytes;
   }
 
   // ---- join combination ----
@@ -416,16 +420,26 @@ class BlockPlanner {
     return link;
   }
 
+  // The seeks and bytes index nested loops add probing `inner` once per
+  // outer row, for `outer_rows` rows.
+  std::pair<double, double> ProbeIo(double outer_rows,
+                                    const ProbeTerms& inner) const {
+    return {outer_rows * (p_.index_probe_seeks + inner.matches_per_probe),
+            outer_rows * inner.matches_per_probe * inner.probe_bytes};
+  }
+
   // The cheapest recipe joining planned subsets `a` and `b`, linked by
   // `link` (at least one edge), into a result of `out_rows`: a hash join
-  // either way round, then index nested loops into `b` when it is one base
-  // relation.
+  // either way round (unless `hash_join` is false), then index nested loops
+  // into `b` when it is one base relation.
   Entry Combine(const Entry& a, uint64_t mask_a, const Entry& b,
-                uint64_t mask_b, const Link& link, double out_rows) const {
+                uint64_t mask_b, const Link& link, double out_rows,
+                bool hash_join = true) const {
     Entry best;
     // Hash join: build the smaller side. Left-outer joins preserve the left
     // (probe=a) side; only the build_right orientation is valid.
-    for (int build_right = link.outer; build_right < 2; ++build_right) {
+    for (int build_right = hash_join ? link.outer : 2; build_right < 2;
+         ++build_right) {
       const Entry& probe = build_right ? a : b;
       const Entry& build = build_right ? b : a;
       double cost = probe.cost + build.cost +
@@ -433,12 +447,8 @@ class BlockPlanner {
                     probe.rows * p_.cpu_per_probe +  // probe
                     out_rows * p_.cpu_per_tuple;
       if (cost < best.cost) {
-        // Joins add CPU, not IO.
         best = Entry{cost,
                      out_rows,
-                     a.width + b.width,
-                     probe.seeks + build.seeks,
-                     probe.bytes + build.bytes,
                      Entry::Op::kHashJoin,
                      link.first,
                      build_right ? mask_a : mask_b,
@@ -448,17 +458,13 @@ class BlockPlanner {
     // Index nested loops: inner side must be a single base relation with an
     // index on its join column.
     if (std::popcount(mask_b) != 1) return best;
-    int inner_rel = std::countr_zero(mask_b);
     ForEachEdge([&](size_t w) { return link.word(w); }, [&](int k) {
       const EdgeTerms& e = edges_[k];
       bool inner_is_right = e.right == mask_b;
       if (e.outer && !inner_is_right) return;  // must preserve left
       const ProbeTerms& inner = e.probe[inner_is_right];
       if (!inner.indexed) return;
-      double seeks_added =
-          a.rows * (p_.index_probe_seeks + inner.matches_per_probe);
-      double bytes_added =
-          a.rows * inner.matches_per_probe * inner.probe_bytes;
+      const auto [seeks_added, bytes_added] = ProbeIo(a.rows, inner);
       double cost = a.cost + seeks_added * p_.seek_cost +
                     bytes_added * p_.read_per_byte +
                     a.rows * inner.matches_per_probe * p_.cpu_per_tuple +
@@ -466,9 +472,6 @@ class BlockPlanner {
       if (cost < best.cost) {
         best = Entry{cost,
                      out_rows,
-                     a.width + RowWidth(inner_rel),
-                     a.seeks + seeks_added,
-                     a.bytes + bytes_added,
                      Entry::Op::kIndexNLJoin,
                      k,
                      mask_a,
@@ -481,6 +484,8 @@ class BlockPlanner {
   // The join node a Combine recipe describes, over its inputs' plans
   // (`right` is unused for index nested loops, whose inner side is a base
   // relation probed in place); `link` holds the edges between its inputs.
+  // Its predicted IO is its inputs' plus, for index nested loops, the
+  // probes Combine priced.
   PhysicalPlanPtr BuildJoin(const Entry& e, const Link& link,
                             PhysicalPlanPtr left,
                             PhysicalPlanPtr right) const {
@@ -507,7 +512,17 @@ class BlockPlanner {
     ForEachEdge([&](size_t w) { return link.word(w); }, [&](int k) {
       if (k != e.edge) plan->residual_joins.push_back(block_.joins[k]);
     });
-    SetEstimates(e, plan.get());
+    const PhysicalPlan& a = *plan->left;
+    if (e.op == Entry::Op::kHashJoin) {  // joins add CPU, not IO
+      SetEstimates(e, a.est_seeks + plan->right->est_seeks,
+                   a.est_bytes + plan->right->est_bytes, plan.get());
+    } else {
+      const EdgeTerms& et = edges_[e.edge];
+      const ProbeTerms& inner = et.probe[et.right == e.build];
+      const auto [seeks_added, bytes_added] = ProbeIo(a.est_rows, inner);
+      SetEstimates(e, a.est_seeks + seeks_added, a.est_bytes + bytes_added,
+                   plan.get());
+    }
     return plan;
   }
 
@@ -632,7 +647,10 @@ class BlockPlanner {
       if ((std::has_single_bit(mb) ? a.cost : a.cost + b.cost) > entry.cost) {
         continue;
       }
-      Entry cand = Combine(a, ma, b, mb, link, entry.rows);
+      // An inner link's hash joins were priced both ways round in the
+      // first direction, and a tie cannot win in the second (SplitBefore).
+      Entry cand =
+          Combine(a, ma, b, mb, link, entry.rows, dir == 0 || link.outer);
       if (cand.valid() && SplitBefore(cand, sub, entry, mask)) {
         if (!entry.valid()) ++memo_size_;
         entry = cand;

@@ -69,6 +69,29 @@ std::string RelQuery::ToSql(const rel::Catalog& catalog) const {
   return sql;
 }
 
+Status PhysicalPlan::CheckRelations(size_t block_rels) const {
+  auto check = [&](const char* what, int r) {
+    if (r >= 0 && static_cast<size_t>(r) < block_rels) return Status::OK();
+    return Status::NotFound(std::string(what) + " names relation #" +
+                            std::to_string(r) + " of a block of " +
+                            std::to_string(block_rels));
+  };
+  switch (kind) {
+    case Kind::kSeqScan:
+    case Kind::kIndexLookup:
+      return check("scan", rel);
+    case Kind::kHashJoin:
+      LEGODB_RETURN_IF_ERROR(check("hash join probe", left_join_rel));
+      return check("hash join build", right_join_rel);
+    case Kind::kIndexNLJoin:
+      LEGODB_RETURN_IF_ERROR(check("index join inner", rel));
+      return check("index join outer", left_join_rel);
+    case Kind::kProject:
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
 std::string PhysicalPlan::ToString(const rel::Catalog& catalog,
                                    const QueryBlock& block, int indent) const {
   std::string pad(2 * indent, ' ');

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
 #include "relational/catalog.h"
 #include "xquery/ast.h"
@@ -120,6 +121,11 @@ struct PhysicalPlan {
   // fault traffic (bench/calibration correlates the two).
   double est_seeks = 0;
   double est_bytes = 0;
+
+  // NotFound unless every relation this node itself reads (its scanned or
+  // inner `rel`, its join keys' relations) is one of a block's `block_rels`
+  // relations. Children are not checked.
+  Status CheckRelations(size_t block_rels) const;
 
   // Indented operator-tree rendering for debugging and EXPLAIN output;
   // `catalog` names the block's columns.

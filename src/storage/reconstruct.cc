@@ -1,8 +1,11 @@
 #include "storage/reconstruct.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "mapping/program.h"
@@ -26,12 +29,14 @@ struct ChildLink {
 };
 
 // A concrete type's reconstruct program beyond its body (map::TypeProgram),
-// resolved on first use: its table's columns, and per type-ref or union op
-// the links its children are found through (virtual unions flattened).
+// resolved on first use: its table's columns, per type-ref or union op the
+// links its children are found through (virtual unions flattened), and per
+// literal element or attribute op its name, interned in the document built.
 struct ReconstructType {
   std::vector<const ColumnVector*> columns;
   std::vector<ChildLink> links;
   std::vector<uint32_t> link_begin;  // op i's links: [link_begin[i], [i+1])
+  std::vector<xml::NameId> names;    // by op; kNoName for other ops
 
   std::span<const ChildLink> Links(uint32_t op) const {
     return {links.data() + link_begin[op],
@@ -41,8 +46,10 @@ struct ReconstructType {
 
 class Reconstructor {
  public:
-  Reconstructor(Database* db, const Mapping& mapping)
+  // Builds into `arena`, the arena of the document being built.
+  Reconstructor(Database* db, const Mapping& mapping, xml::Arena* arena)
       : db_(db),
+        arena_(arena),
         programs_(map::CompileTypes(mapping)),
         types_(programs_.size()) {}
 
@@ -81,8 +88,15 @@ class Reconstructor {
       rt->columns.push_back(cv);
     }
     rt->link_begin.reserve(p.ops.size() + 1);
+    rt->names.reserve(p.ops.size());
     for (const BodyOp& op : p.ops) {
       rt->link_begin.push_back(static_cast<uint32_t>(rt->links.size()));
+      const Type& t = *op.type;
+      const bool named = t.kind == Type::Kind::kAttribute ||
+                         (t.kind == Type::Kind::kElement &&
+                          !t.name.is_wildcard());
+      rt->names.push_back(named ? arena_->Intern(t.name.name)
+                                : xml::kNoName);
       if (op.type->kind == Type::Kind::kTypeRef) {
         LEGODB_RETURN_IF_ERROR(AddLinks(type, op.ref, 0, &rt->links));
       } else if (op.type->kind == Type::Kind::kUnion) {
@@ -134,6 +148,14 @@ class Reconstructor {
 
   const Value* ValueAt(const Ctx& ctx, int column) const {
     return column < 0 ? nullptr : &ctx.rt->columns[column]->value(ctx.row);
+  }
+
+  // The text of non-null `v`; an integer is formatted into `buf`.
+  static std::string_view TextOf(const Value& v, std::array<char, 24>* buf) {
+    if (!v.is_int()) return v.as_string();
+    const auto [end, ec] =
+        std::to_chars(buf->data(), buf->data() + buf->size(), v.as_int());
+    return {buf->data(), static_cast<size_t>(end - buf->data())};
   }
 
   // True if any column value or descendant row exists inside op `i` —
@@ -206,32 +228,30 @@ class Reconstructor {
       case Type::Kind::kScalar: {
         const Value* v = ValueAt(ctx, op.column);
         if (v && !v->is_null()) {
-          std::string text = v->ToString();
-          if (!text.empty()) parent->AddText(std::move(text));
+          std::array<char, 24> buf;
+          const std::string_view text = TextOf(*v, &buf);
+          if (!text.empty()) parent->AddText(text);
         }
         return Status::OK();
       }
       case Type::Kind::kElement: {
-        std::string tag;
-        bool present = true;
+        xml::Node* elem = nullptr;
         if (t.name.is_wildcard()) {
           const Value* tilde = ValueAt(ctx, op.column);
-          present = tilde && !tilde->is_null();
-          if (present) tag = tilde->as_string();
+          if (!tilde || tilde->is_null()) return Status::OK();
+          elem = parent->AddElement(tilde->as_string());
         } else {
-          tag = t.name.name;
-          if (under_optional) present = HasDataUnder(p, i, ctx);
+          if (under_optional && !HasDataUnder(p, i, ctx)) return Status::OK();
+          elem = parent->AddElement(ctx.rt->names[i]);
         }
-        if (!present) return Status::OK();
-        xml::Node* elem =
-            parent->AddChild(xml::Node::Element(std::move(tag)));
         return EmitBody(p, p.Kids(op)[0], ctx, elem,
                         /*under_optional=*/false);
       }
       case Type::Kind::kAttribute: {
         const Value* v = ValueAt(ctx, op.column);
         if (v && !v->is_null()) {
-          parent->SetAttribute(t.name.name, v->ToString());
+          std::array<char, 24> buf;
+          parent->SetAttribute(ctx.rt->names[i], TextOf(*v, &buf));
         }
         return Status::OK();
       }
@@ -259,6 +279,7 @@ class Reconstructor {
   }
 
   Database* db_;
+  xml::Arena* arena_;
   const std::vector<TypeProgram> programs_;
   // By type index, beside programs_; null until resolved.
   std::vector<std::unique_ptr<ReconstructType>> types_;
@@ -276,7 +297,7 @@ Status ReconstructInstance(Database* db, const map::Mapping& mapping,
     return Status::InvalidArgument("not a concrete type: " + type_name);
   }
   const int type = mapping.Index(*tm);
-  Reconstructor r(db, mapping);
+  Reconstructor r(db, mapping, &parent->arena());
   LEGODB_ASSIGN_OR_RETURN(size_t row, r.FindRow(type, id));
   return r.EmitInstance(type, row, parent);
 }
@@ -291,7 +312,9 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
   if (db->table(tm.table).row_count() == 0) {
     return Status::NotFound("no root instance stored");
   }
-  Reconstructor r(db, mapping);
+  xml::Document doc;
+  xml::Node* holder = doc.CreateRoot("__doc__");
+  Reconstructor r(db, mapping, &holder->arena());
   LEGODB_ASSIGN_OR_RETURN(const ReconstructType* rt, r.Resolve(root_type));
   // The document root has the smallest node id (the shredder assigns ids in
   // document order; buffered insert order differs for recursive types).
@@ -305,13 +328,11 @@ StatusOr<xml::Document> ReconstructDocument(Database* db,
       root_idx = i;
     }
   }
-  xml::NodePtr holder = xml::Node::Element("__doc__");
-  LEGODB_RETURN_IF_ERROR(r.EmitInstance(root_type, root_idx, holder.get()));
+  LEGODB_RETURN_IF_ERROR(r.EmitInstance(root_type, root_idx, holder));
   if (holder->children().size() != 1 || !holder->children()[0]->is_element()) {
     return Status::Internal("reconstruction did not yield a single root");
   }
-  xml::Document doc;
-  doc.root = holder->ReleaseChild(0);
+  doc.SetRoot(holder->children()[0]);
   return doc;
 }
 

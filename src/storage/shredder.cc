@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,11 +46,16 @@ struct FirstSet {
 };
 
 // A type's shred program beyond its body (map::TypeProgram): the table its
-// rows go to.
+// rows go to, and its names bound to the document's name ids.
 struct ShredType {
   StoredTable* table = nullptr;  // null for virtual unions
   size_t columns = 0;
   FirstSet first;
+  // Per body op: the document's id of a literal element or attribute name
+  // (kNoName when the document lacks it, or for other ops).
+  std::vector<xml::NameId> names;
+  // Per document name id: whether `first.tags` holds it.
+  std::vector<uint8_t> first_names;
 };
 
 class Shredder {
@@ -72,8 +78,10 @@ class Shredder {
 
   Status Shred(const xml::Document& doc) {
     if (!doc.root) return Status::InvalidArgument("document has no root");
+    BindNames(doc);
     Ctx top;
-    top.items = std::span<const xml::NodePtr>(&doc.root, 1);
+    xml::Node* const root = doc.root.get();
+    top.items = std::span<xml::Node* const>(&root, 1);
     if (!ShredInstance(root_, &top) ||
         top.pos != top.items.size()) {
       return Status::InvalidArgument(
@@ -106,7 +114,7 @@ class Shredder {
 
   // Matching context for one type instance.
   struct Ctx {
-    std::span<const xml::NodePtr> items;
+    std::span<xml::Node* const> items;
     size_t pos = 0;
     // The element whose attributes apply (null at the document root), and
     // where its matched-attribute marks start in attr_marks_.
@@ -158,7 +166,7 @@ class Shredder {
   // Stores `text` in `column`; false when the text does not fit an integer
   // `content` or the mapper laid out no column here.
   bool SetScalar(Ctx* ctx, int column, const Type& content,
-                 const std::string& text) {
+                 std::string_view text) {
     if (content.kind == Type::Kind::kScalar &&
         content.scalar_kind == xs::ScalarKind::kInteger &&
         !IsInteger(StrTrim(text))) {
@@ -169,10 +177,11 @@ class Shredder {
     return true;
   }
 
-  // Matches op `op` of program `p` against the context; consumes items and
-  // fills columns. Returns false (restoring nothing itself — callers mark
-  // and restore) on mismatch.
-  bool Match(const TypeProgram& p, const BodyOp& op, Ctx* ctx) {
+  // Matches op `i` of program `p` (ctx's type) against the context;
+  // consumes items and fills columns. Returns false (restoring nothing
+  // itself — callers mark and restore) on mismatch.
+  bool Match(const TypeProgram& p, uint32_t i, Ctx* ctx) {
+    const BodyOp& op = p.ops[i];
     const Type& t = *op.type;
     switch (t.kind) {
       case Type::Kind::kEmpty:
@@ -193,13 +202,13 @@ class Shredder {
       }
       case Type::Kind::kElement: {
         if (ctx->pos >= ctx->items.size()) return false;
-        const xml::Node* item = ctx->items[ctx->pos].get();
-        if (!item->is_element() || !t.name.Matches(item->name())) {
+        const xml::Node* item = ctx->items[ctx->pos];
+        if (!item->is_element() || !NameMatches(t, i, *ctx, *item)) {
           return false;
         }
         if (t.name.is_wildcard()) {
           if (op.column < 0) return false;
-          SetCell(ctx, op.column, Value::Str(item->name()));
+          SetCell(ctx, op.column, Value::Str(std::string(item->name())));
         }
         // The element's attributes get one mark each; its content marks
         // them as it matches them.
@@ -213,7 +222,7 @@ class Shredder {
         inner.attr_base = attr_base;
         // Every attribute present on the element must be declared.
         const bool ok =
-            Match(p, p.ops[p.Kids(op)[0]], &inner) &&
+            Match(p, p.Kids(op)[0], &inner) &&
             inner.pos == inner.items.size() &&
             std::all_of(attr_marks_.begin() +
                             static_cast<std::ptrdiff_t>(attr_base),
@@ -226,10 +235,11 @@ class Shredder {
       }
       case Type::Kind::kAttribute: {
         if (!ctx->attr_elem) return false;
+        const xml::NameId name = types_[ctx->type].names[i];
         size_t index = 0;
-        for (const auto& [name, value] : ctx->attr_elem->attributes()) {
-          if (name == t.name.name) {
-            if (!SetScalar(ctx, op.column, *t.child, value)) return false;
+        for (const xml::Attribute& a : ctx->attr_elem->attributes()) {
+          if (a.id == name) {
+            if (!SetScalar(ctx, op.column, *t.child, a.value)) return false;
             uint8_t& mark = attr_marks_[ctx->attr_base + index];
             if (!mark) {
               mark = 1;
@@ -243,7 +253,7 @@ class Shredder {
       }
       case Type::Kind::kSequence: {
         for (uint32_t kid : p.Kids(op)) {
-          if (!Match(p, p.ops[kid], ctx)) return false;
+          if (!Match(p, kid, ctx)) return false;
         }
         return true;
       }
@@ -256,7 +266,7 @@ class Shredder {
         return false;
       }
       case Type::Kind::kRepetition: {
-        const BodyOp& item = p.ops[p.Kids(op)[0]];
+        const uint32_t item = p.Kids(op)[0];
         if (t.is_optional_rep()) {
           const Mark mark = Save(*ctx);
           if (Match(p, item, ctx)) return true;
@@ -288,9 +298,46 @@ class Shredder {
     if (ctx.pos >= ctx.items.size()) return false;
     const xml::Node& item = *ctx.items[ctx.pos];
     if (item.is_text()) return first.text;
-    return first.any_element ||
-           std::binary_search(first.tags.begin(), first.tags.end(),
-                              item.name());
+    return first.any_element || types_[type].first_names[item.name_id()];
+  }
+
+  // True if element `item` has a name op `i` of ctx's type accepts.
+  bool NameMatches(const Type& t, uint32_t i, const Ctx& ctx,
+                   const xml::Node& item) const {
+    const xml::NameId name = types_[ctx.type].names[i];
+    switch (t.name.kind) {
+      case xs::NameClass::Kind::kLiteral:
+        return item.name_id() == name;
+      case xs::NameClass::Kind::kAny:
+        return true;
+      case xs::NameClass::Kind::kAnyExcept:
+        return item.name_id() != name;
+    }
+    return false;
+  }
+
+  // Binds every type's literal names and first-set tags to `doc`'s name
+  // ids, so matching compares ids. A name the document lacks gets kNoName,
+  // which no element has.
+  void BindNames(const xml::Document& doc) {
+    const size_t name_count = doc.root->arena().name_count();
+    for (size_t type = 0; type < programs_.size(); ++type) {
+      ShredType& st = types_[type];
+      st.names.assign(programs_[type].ops.size(), xml::kNoName);
+      for (size_t i = 0; i < programs_[type].ops.size(); ++i) {
+        const Type& t = *programs_[type].ops[i].type;
+        if ((t.kind == Type::Kind::kElement ||
+             t.kind == Type::Kind::kAttribute) &&
+            t.name.kind != xs::NameClass::Kind::kAny) {
+          st.names[i] = doc.FindName(t.name.name);
+        }
+      }
+      st.first_names.assign(name_count, 0);
+      for (const std::string& tag : st.first.tags) {
+        const xml::NameId id = doc.FindName(tag);
+        if (id != xml::kNoName) st.first_names[id] = 1;
+      }
+    }
   }
 
   // Matches one instance of type `type` at ctx's position, as a child of
@@ -321,7 +368,7 @@ class Shredder {
     inner.row = &row;
     inner.type = type;
     inner.self_id = id;
-    const bool ok = Match(p, p.ops[0], &inner);
+    const bool ok = Match(p, 0, &inner);
     // This row's cell entries: it is buffered whole or dropped whole.
     cells_.resize(entry.cells);
     if (!ok) {

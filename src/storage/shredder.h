@@ -15,8 +15,9 @@ namespace legodb::store {
 //
 // Each call first compiles the mapping into per-type shred programs (body
 // ops with their columns, the table, the FK column per parent type, and
-// the items an instance can start with), so matching does no name
-// lookups. Matching is greedy with local backtracking over optionals and
+// the items an instance can start with) and binds their names to the
+// document's name ids, so matching does no name lookups or string
+// compares. Matching is greedy with local backtracking over optionals and
 // union alternatives, which is complete for the (unambiguous) content
 // models the transformations produce; a backtracking point marks trails of
 // the cells and attributes written instead of copying the row, and a type

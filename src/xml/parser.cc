@@ -1,29 +1,47 @@
 #include "xml/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/str_util.h"
 
 namespace legodb::xml {
 namespace {
 
-// Recursive-descent XML parser over a string_view cursor.
+// The characters std::isspace accepts in the "C" locale (what StrTrim trims).
+bool IsSpace(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+bool IsNameStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == ':';
+}
+bool IsNameChar(char c) {
+  return IsNameStart(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
+}
+
+// Recursive-descent XML parser over a string_view cursor, building straight
+// into the document's arena. Runs of character data are found with `find`
+// and copied once; only runs containing '&' are decoded.
 class Parser {
  public:
   explicit Parser(std::string_view input) : input_(input) {}
 
   StatusOr<Document> Parse() {
+    Document doc;
+    arena_ = &doc.NewArena();
     SkipProlog();
     if (Eof() || Peek() != '<') {
       return Error("expected root element");
     }
-    auto root = ParseElement();
-    if (!root.ok()) return root.status();
+    LEGODB_ASSIGN_OR_RETURN(Node * root, ParseElement());
     SkipMisc();
     if (!Eof()) return Error("trailing content after root element");
-    Document doc;
-    doc.root = std::move(root).value();
+    doc.SetRoot(root);
     return doc;
   }
 
@@ -35,21 +53,20 @@ class Parser {
   bool LookingAt(std::string_view token) const {
     return input_.substr(pos_, token.size()) == token;
   }
-  void Advance(size_t n = 1) {
-    for (size_t i = 0; i < n && pos_ < input_.size(); ++i) {
-      if (input_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-  }
+  void Advance(size_t n = 1) { pos_ = std::min(pos_ + n, input_.size()); }
   void SkipWhitespace() {
-    while (!Eof() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
+    while (!Eof() && IsSpace(input_[pos_])) ++pos_;
   }
 
+  // The line is counted only here, on the way out. An unterminated comment or
+  // PI jumps to the end of the input without counting the lines it skips, so
+  // its line stays where the jump began.
   Status Error(const std::string& msg) const {
-    return Status::ParseError("XML line " + std::to_string(line_) + ": " +
-                              msg);
+    const size_t end = std::min(pos_, line_end_);
+    const auto line =
+        1 + std::count(input_.begin(),
+                       input_.begin() + static_cast<std::ptrdiff_t>(end), '\n');
+    return Status::ParseError("XML line " + std::to_string(line) + ": " + msg);
   }
 
   // Skips the XML declaration, DOCTYPE, comments and PIs before the root.
@@ -84,64 +101,55 @@ class Parser {
   void SkipUntil(std::string_view token) {
     size_t found = input_.find(token, pos_);
     if (found == std::string_view::npos) {
+      line_end_ = std::min(line_end_, pos_);
       pos_ = input_.size();
       return;
     }
-    Advance(found - pos_ + token.size());
+    pos_ = found + token.size();
   }
 
   // <!DOCTYPE ...> possibly with a bracketed internal subset.
   void SkipDoctype() {
     int bracket_depth = 0;
     while (!Eof()) {
-      char c = Peek();
+      char c = input_[pos_++];
       if (c == '[') ++bracket_depth;
       if (c == ']') --bracket_depth;
-      if (c == '>' && bracket_depth <= 0) {
-        Advance();
-        return;
-      }
-      Advance();
+      if (c == '>' && bracket_depth <= 0) return;
     }
   }
 
-  static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  }
-  static bool IsNameChar(char c) {
-    return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-           c == '-' || c == '.';
-  }
-
-  StatusOr<std::string> ParseName() {
+  StatusOr<std::string_view> ParseName() {
     if (Eof() || !IsNameStart(Peek())) return Error("expected name");
     size_t start = pos_;
-    while (!Eof() && IsNameChar(Peek())) Advance();
-    return std::string(input_.substr(start, pos_ - start));
+    while (!Eof() && IsNameChar(input_[pos_])) ++pos_;
+    return input_.substr(start, pos_ - start);
   }
 
-  // Expands the five predefined entities and decimal/hex character refs.
-  StatusOr<std::string> DecodeText(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
+  // Appends `raw` with the five predefined entities and decimal/hex
+  // character refs expanded.
+  Status DecodeInto(std::string_view raw, std::string* out) const {
     for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] != '&') {
-        out += raw[i];
-        continue;
+      size_t amp = raw.find('&', i);
+      if (amp == std::string_view::npos) {
+        out->append(raw.substr(i));
+        break;
       }
+      out->append(raw.substr(i, amp - i));
+      i = amp;
       size_t semi = raw.find(';', i);
       if (semi == std::string_view::npos) return Error("unterminated entity");
       std::string_view ent = raw.substr(i + 1, semi - i - 1);
       if (ent == "lt") {
-        out += '<';
+        *out += '<';
       } else if (ent == "gt") {
-        out += '>';
+        *out += '>';
       } else if (ent == "amp") {
-        out += '&';
+        *out += '&';
       } else if (ent == "apos") {
-        out += '\'';
+        *out += '\'';
       } else if (ent == "quot") {
-        out += '"';
+        *out += '"';
       } else if (!ent.empty() && ent[0] == '#') {
         int base = 10;
         std::string_view digits = ent.substr(1);
@@ -157,42 +165,81 @@ class Parser {
         }
         // Encode as UTF-8.
         if (code < 0x80) {
-          out += static_cast<char>(code);
+          *out += static_cast<char>(code);
         } else if (code < 0x800) {
-          out += static_cast<char>(0xC0 | (code >> 6));
-          out += static_cast<char>(0x80 | (code & 0x3F));
+          *out += static_cast<char>(0xC0 | (code >> 6));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
         } else if (code < 0x10000) {
-          out += static_cast<char>(0xE0 | (code >> 12));
-          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (code & 0x3F));
+          *out += static_cast<char>(0xE0 | (code >> 12));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
         } else {
-          out += static_cast<char>(0xF0 | (code >> 18));
-          out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (code & 0x3F));
+          *out += static_cast<char>(0xF0 | (code >> 18));
+          *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
         }
       } else {
         return Error("unknown entity '&" + std::string(ent) + ";'");
       }
       i = semi;
     }
-    return out;
+    return Status::OK();
   }
 
-  StatusOr<NodePtr> ParseElement() {
+  // The character data since the last child element or start tag: one run
+  // viewed in the input while it is one entity-free run, else text_buf_.
+  class PendingText {
+   public:
+    explicit PendingText(std::string* buf) : buf_(buf) {}
+    void AddRun(std::string_view run) {
+      if (buffered_) {
+        buf_->append(run);
+      } else if (view_.empty()) {
+        view_ = run;
+      } else {
+        Buffer()->append(run);
+      }
+    }
+    std::string* Buffer() {
+      if (!buffered_) {
+        buf_->assign(view_);
+        buffered_ = true;
+      }
+      return buf_;
+    }
+    // The text so far; the next AddRun starts afresh.
+    std::string_view Take() {
+      std::string_view text = buffered_ ? std::string_view(*buf_) : view_;
+      view_ = {};
+      buffered_ = false;
+      return text;
+    }
+
+   private:
+    std::string* buf_;
+    std::string_view view_;
+    bool buffered_ = false;
+  };
+
+  // Whitespace-only runs between elements are formatting, not data.
+  void FlushText(PendingText* pending) {
+    std::string_view text = StrTrim(pending->Take());
+    if (!text.empty()) children_.push_back(arena_->NewText(text));
+  }
+
+  StatusOr<Node*> ParseElement() {
     if (!LookingAt("<")) return Error("expected '<'");
     Advance();
-    auto name = ParseName();
-    if (!name.ok()) return name.status();
-    NodePtr element = Node::Element(std::move(name).value());
+    LEGODB_ASSIGN_OR_RETURN(std::string_view name, ParseName());
+    Node* element = arena_->NewElement(arena_->Intern(name));
 
     // Attributes.
     while (true) {
       SkipWhitespace();
       if (Eof()) return Error("unterminated start tag");
       if (Peek() == '/' || Peek() == '>') break;
-      auto attr_name = ParseName();
-      if (!attr_name.ok()) return attr_name.status();
+      LEGODB_ASSIGN_OR_RETURN(std::string_view attr_name, ParseName());
       SkipWhitespace();
       if (Peek() != '=') return Error("expected '=' in attribute");
       Advance();
@@ -202,13 +249,17 @@ class Parser {
         return Error("expected quoted attribute value");
       }
       Advance();
-      size_t start = pos_;
-      while (!Eof() && Peek() != quote) Advance();
+      const size_t start = pos_;
+      pos_ = std::min(input_.find(quote, pos_), input_.size());
       if (Eof()) return Error("unterminated attribute value");
-      auto decoded = DecodeText(input_.substr(start, pos_ - start));
-      if (!decoded.ok()) return decoded.status();
+      std::string_view value = input_.substr(start, pos_ - start);
+      if (value.find('&') != std::string_view::npos) {
+        text_buf_.clear();
+        LEGODB_RETURN_IF_ERROR(DecodeInto(value, &text_buf_));
+        value = text_buf_;
+      }
       Advance();  // closing quote
-      element->SetAttribute(attr_name.value(), std::move(decoded).value());
+      element->SetAttribute(attr_name, value);
     }
 
     if (Peek() == '/') {
@@ -219,29 +270,28 @@ class Parser {
     }
     Advance();  // '>'
 
-    // Content.
-    std::string pending_text;
-    auto flush_text = [&]() {
-      // Whitespace-only runs between elements are formatting, not data.
-      if (!StrTrim(pending_text).empty()) {
-        element->AddText(std::string(StrTrim(pending_text)));
-      }
-      pending_text.clear();
-    };
+    // Content. children_ is a stack: this element's children sit above
+    // `first_child` until its close tag copies them into the arena.
+    const size_t first_child = children_.size();
+    PendingText pending(&text_buf_);
     while (true) {
-      if (Eof()) return Error("unterminated element <" + element->name() + ">");
+      if (Eof()) {
+        return Error("unterminated element <" + std::string(name) + ">");
+      }
       if (LookingAt("</")) {
-        flush_text();
+        FlushText(&pending);
         Advance(2);
-        auto close_name = ParseName();
-        if (!close_name.ok()) return close_name.status();
-        if (close_name.value() != element->name()) {
-          return Error("mismatched close tag </" + close_name.value() +
-                       "> for <" + element->name() + ">");
+        LEGODB_ASSIGN_OR_RETURN(std::string_view close_name, ParseName());
+        if (close_name != name) {
+          return Error("mismatched close tag </" + std::string(close_name) +
+                       "> for <" + std::string(name) + ">");
         }
         SkipWhitespace();
         if (Peek() != '>') return Error("expected '>'");
         Advance();
+        element->SetChildren(
+            std::span<Node* const>(children_).subspan(first_child));
+        children_.resize(first_child);
         return element;
       }
       if (LookingAt("<!--")) {
@@ -252,8 +302,8 @@ class Parser {
         Advance(9);
         size_t end = input_.find("]]>", pos_);
         if (end == std::string_view::npos) return Error("unterminated CDATA");
-        pending_text += std::string(input_.substr(pos_, end - pos_));
-        Advance(end - pos_ + 3);
+        pending.AddRun(input_.substr(pos_, end - pos_));
+        pos_ = end + 3;
         continue;
       }
       if (LookingAt("<?")) {
@@ -261,29 +311,39 @@ class Parser {
         continue;
       }
       if (Peek() == '<') {
-        flush_text();
-        auto child = ParseElement();
-        if (!child.ok()) return child.status();
-        element->AddChild(std::move(child).value());
+        FlushText(&pending);
+        LEGODB_ASSIGN_OR_RETURN(Node * child, ParseElement());
+        children_.push_back(child);
         continue;
       }
       // Character data up to the next markup.
-      size_t start = pos_;
-      while (!Eof() && Peek() != '<') Advance();
-      auto decoded = DecodeText(input_.substr(start, pos_ - start));
-      if (!decoded.ok()) return decoded.status();
-      pending_text += decoded.value();
+      const size_t start = pos_;
+      pos_ = std::min(input_.find('<', pos_), input_.size());
+      std::string_view run = input_.substr(start, pos_ - start);
+      if (run.find('&') == std::string_view::npos) {
+        pending.AddRun(run);
+      } else {
+        LEGODB_RETURN_IF_ERROR(DecodeInto(run, pending.Buffer()));
+      }
     }
   }
 
   std::string_view input_;
   size_t pos_ = 0;
-  int line_ = 1;
+  // Where an unterminated comment or PI jumped to the end (see Error).
+  size_t line_end_ = std::string_view::npos;
+  Arena* arena_ = nullptr;
+  std::vector<Node*> children_;  // open elements' children, innermost last
+  std::string text_buf_;         // decoded or merged character data
 };
 
 }  // namespace
 
 StatusOr<Document> ParseDocument(std::string_view input) {
+  // Nodes count their text bytes and children in 32 bits.
+  if (input.size() > UINT32_MAX) {
+    return Status::ParseError("XML input over 4 GiB");
+  }
   return Parser(input).Parse();
 }
 

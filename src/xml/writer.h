@@ -2,6 +2,7 @@
 #define LEGODB_XML_WRITER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/dom.h"
 
@@ -13,7 +14,7 @@ std::string Serialize(const Node& node, bool pretty = true);
 std::string Serialize(const Document& doc, bool pretty = true);
 
 // Escapes &, <, >, ", ' for use in character data / attribute values.
-std::string EscapeText(const std::string& text);
+std::string EscapeText(std::string_view text);
 
 }  // namespace legodb::xml
 

@@ -18,6 +18,11 @@ struct Item {
 
   Value ToValue() const {
     if (is_attr) return attr_value;
+    // The common case, one text child, needs no concatenated copy.
+    const auto children = node->children();
+    if (children.size() == 1 && children[0]->is_text()) {
+      return CanonicalValue(children[0]->text());
+    }
     return CanonicalValue(node->TextContent());
   }
 };
@@ -87,20 +92,23 @@ class Evaluator {
                          const std::string& step) {
     std::vector<Item> next;
     bool want_attr = StartsWith(step, "@");
-    std::string name = want_attr ? step.substr(1) : step;
+    std::string_view name = want_attr ? std::string_view(step).substr(1)
+                                      : std::string_view(step);
+    // Every item is a node of doc_, so one lookup names the step's id.
+    const xml::NameId id = doc_.FindName(name);
     for (const Item& item : items) {
       if (item.is_attr || item.node == nullptr) continue;
-      if (!want_attr) {
+      if (!want_attr && id != xml::kNoName) {
         size_t before = next.size();
-        for (const auto& child : item.node->children()) {
-          if (child->is_element() && child->name() == name) {
-            next.push_back(Item{child.get(), {}, false});
+        for (const xml::Node* child : item.node->children()) {
+          if (child->name_id() == id) {
+            next.push_back(Item{child, {}, false});
           }
         }
         if (next.size() > before) continue;
       }
       // Attribute access (explicit @name or fallback for plain names).
-      if (const std::string* v = item.node->FindAttribute(name)) {
+      if (const std::string_view* v = item.node->FindAttribute(name)) {
         next.push_back(Item{nullptr, CanonicalValue(*v), true});
       }
     }
@@ -258,7 +266,7 @@ void CollectLabels(const std::vector<ReturnItem>& items,
 
 }  // namespace
 
-Value CanonicalValue(const std::string& text) {
+Value CanonicalValue(std::string_view text) {
   std::string_view trimmed = StrTrim(text);
   if (IsInteger(trimmed)) {
     return Value::Int(std::strtoll(std::string(trimmed).c_str(), nullptr, 10));

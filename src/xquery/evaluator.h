@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "xml/dom.h"
@@ -34,7 +35,7 @@ StatusOr<ResultSet> EvaluateOnDocument(
 
 // Canonical scalar value of an XML text: integers parse as Int, everything
 // else is Str.
-Value CanonicalValue(const std::string& text);
+Value CanonicalValue(std::string_view text);
 
 // Column labels a query produces (also used by the relational executor).
 std::vector<std::string> QueryLabels(const Query& query);

@@ -16,14 +16,14 @@ void StatsCollector::AddTree(const xml::Node& root) {
   Visit(root, &path);
 }
 
-void StatsCollector::Record(const StatPath& path, const std::string& text,
+void StatsCollector::Record(const StatPath& path, std::string_view text,
                             bool has_text) {
   Accumulator& acc = acc_[path];
   ++acc.count;
   if (!has_text) return;
   ++acc.text_occurrences;
   acc.total_size += static_cast<double>(text.size());
-  acc.samples.push_back(text);
+  acc.samples.emplace_back(text);
   if (IsInteger(StrTrim(text))) {
     int64_t v = std::strtoll(std::string(StrTrim(text)).c_str(), nullptr, 10);
     if (acc.text_occurrences == 1) {
@@ -39,13 +39,13 @@ void StatsCollector::Record(const StatPath& path, const std::string& text,
 
 void StatsCollector::Visit(const xml::Node& node, StatPath* path) {
   if (!node.is_element()) return;
-  path->push_back(node.name());
+  path->push_back(std::string(node.name()));
 
   // Only direct text of this element counts toward its content size; child
   // elements contribute to their own paths.
   std::string direct_text;
   bool has_text = false;
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     if (child->is_text()) {
       direct_text += child->text();
       has_text = true;
@@ -62,13 +62,13 @@ void StatsCollector::Visit(const xml::Node& node, StatPath* path) {
     path->back() = std::move(actual);
   }
 
-  for (const auto& [attr_name, attr_value] : node.attributes()) {
-    path->push_back(attr_name);
-    Record(*path, attr_value, /*has_text=*/true);
+  for (const xml::Attribute& a : node.attributes()) {
+    path->push_back(std::string(a.name));
+    Record(*path, a.value, /*has_text=*/true);
     path->pop_back();
   }
 
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     Visit(*child, path);
   }
   path->pop_back();

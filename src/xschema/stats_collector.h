@@ -37,7 +37,7 @@ class StatsCollector {
   };
 
   void Visit(const xml::Node& node, StatPath* path);
-  void Record(const StatPath& path, const std::string& text, bool has_text);
+  void Record(const StatPath& path, std::string_view text, bool has_text);
 
   std::map<StatPath, Accumulator> acc_;
 };

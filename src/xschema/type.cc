@@ -4,7 +4,7 @@
 
 namespace legodb::xs {
 
-bool NameClass::Matches(const std::string& tag) const {
+bool NameClass::Matches(std::string_view tag) const {
   switch (kind) {
     case Kind::kLiteral:
       return tag == name;

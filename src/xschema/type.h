@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace legodb::xs {
@@ -41,7 +42,7 @@ struct NameClass {
   }
 
   bool is_wildcard() const { return kind != Kind::kLiteral; }
-  bool Matches(const std::string& tag) const;
+  bool Matches(std::string_view tag) const;
   // Renders as the paper writes it: "show", "~", "~!nyt".
   std::string ToString() const;
 

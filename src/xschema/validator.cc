@@ -25,18 +25,19 @@ class Matcher {
 
   // Validates `element`'s attributes and content against content type `t`.
   bool ValidateElementContent(const xml::Node& element, const TypePtr& t) {
-    std::vector<const xml::Node*> items;
-    for (const auto& child : element.children()) items.push_back(child.get());
+    const std::vector<const xml::Node*> items(element.children().begin(),
+                                              element.children().end());
 
     std::vector<State> finals =
         Match(t, items, element, {State{0, {}}}, /*depth=*/0);
     for (const State& s : finals) {
       if (s.pos != items.size()) continue;
       // Every attribute present on the element must have been matched.
-      const auto& attributes = element.attributes();
-      if (std::all_of(attributes.begin(), attributes.end(), [&](const auto& a) {
-            return s.attrs.count(a.first) > 0;
-          })) {
+      const auto attributes = element.attributes();
+      if (std::all_of(attributes.begin(), attributes.end(),
+                      [&](const xml::Attribute& a) {
+                        return s.attrs.count(std::string(a.name)) > 0;
+                      })) {
         return true;
       }
     }
@@ -86,7 +87,7 @@ class Matcher {
           // A scalar consumes one text item; String may also match empty
           // content (zero items).
           if (s.pos < items.size() && items[s.pos]->is_text()) {
-            const std::string& text = items[s.pos]->text();
+            const std::string_view text = items[s.pos]->text();
             if (t->scalar_kind == ScalarKind::kString ||
                 IsInteger(StrTrim(text))) {
               out.push_back(State{s.pos + 1, s.attrs});
@@ -112,7 +113,7 @@ class Matcher {
       }
       case Type::Kind::kAttribute: {
         const std::string& attr_name = t->name.name;
-        const std::string* value = parent.FindAttribute(attr_name);
+        const std::string_view* value = parent.FindAttribute(attr_name);
         if (value == nullptr) break;
         if (t->child && t->child->kind == Type::Kind::kScalar &&
             t->child->scalar_kind == ScalarKind::kInteger &&
@@ -196,7 +197,7 @@ Status ValidateElement(const xml::Node& element, const Schema& schema,
   if (matcher.ValidateWholeElement(element, t, 0)) {
     return Status::OK();
   }
-  return Status::InvalidArgument("element <" + element.name() +
+  return Status::InvalidArgument("element <" + std::string(element.name()) +
                                  "> does not match type '" + type_name + "'");
 }
 

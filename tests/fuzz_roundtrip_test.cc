@@ -41,8 +41,7 @@ TEST_P(FuzzRoundTrip, GeneratedDocumentsValidate) {
   SchemaFuzzer fuzzer(GetParam());
   Schema schema = fuzzer.Generate();
   ASSERT_TRUE(schema.Validate().ok()) << schema.ToString();
-  xml::Document doc;
-  doc.root = fuzzer.GenerateDocument(schema);
+  xml::Document doc = fuzzer.GenerateDocument(schema);
   Status st = xs::ValidateDocument(doc, schema);
   EXPECT_TRUE(st.ok()) << st.ToString() << "\nschema:\n"
                        << schema.ToString() << "\ndoc:\n"
@@ -123,8 +122,7 @@ std::map<Kind, int> RoundTripSingleMoves(const Schema& normalized,
 TEST_P(FuzzRoundTrip, ShredReconstructIdentityAcrossConfigs) {
   SchemaFuzzer fuzzer(GetParam());
   Schema schema = fuzzer.Generate();
-  xml::Document doc;
-  doc.root = fuzzer.GenerateDocument(schema);
+  xml::Document doc = fuzzer.GenerateDocument(schema);
   std::string original = xml::Serialize(doc);
 
   Schema normalized = ps::Normalize(schema);
@@ -143,8 +141,7 @@ TEST(FuzzMoveCoverage, SeedsOneToThirtyTwoDistributeAndMerge) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     SchemaFuzzer fuzzer(seed);
     Schema schema = fuzzer.Generate();
-    xml::Document doc;
-    doc.root = fuzzer.GenerateDocument(schema);
+    xml::Document doc = fuzzer.GenerateDocument(schema);
     const std::string original = xml::Serialize(doc);
     for (const auto& [kind, n] :
          RoundTripSingleMoves(ps::Normalize(schema), doc, original)) {
@@ -163,8 +160,7 @@ TEST(FuzzMoveCoverage, SeedsOneToThirtyTwoDistributeAndMerge) {
 TEST_P(FuzzRoundTrip, TransformationsPreserveValidity) {
   SchemaFuzzer fuzzer(GetParam());
   Schema schema = fuzzer.Generate();
-  xml::Document doc;
-  doc.root = fuzzer.GenerateDocument(schema);
+  xml::Document doc = fuzzer.GenerateDocument(schema);
   Schema normalized = ps::Normalize(schema);
   ASSERT_TRUE(xs::ValidateDocument(doc, normalized).ok());
 

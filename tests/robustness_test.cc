@@ -437,6 +437,81 @@ TEST(MalformedInputTest, ColumnIndexOutsideTableIsNotFound) {
   }
 }
 
+// A plan node names its own relations by position in the block too: a scan
+// of relation 3 in a one-relation block, or a join key on one, must come
+// back as NotFound from both executors, never as an out-of-bounds read.
+TEST(MalformedInputTest, PlanRelationOutsideBlockIsNotFound) {
+  rel::Catalog catalog;
+  rel::Table t;
+  t.name = "T";
+  t.row_count = 1;
+  t.columns.emplace_back().name = "T_id";
+  ASSERT_TRUE(catalog.AddTable(t).ok());
+  store::Database db(catalog);
+  ASSERT_TRUE(db.table(0).Insert({Value::Int(1)}).ok());
+  opt::RelQuery query;
+  opt::QueryBlock& block = query.blocks.emplace_back();
+  block.rels = {opt::BaseRel{0, "t"}};
+  block.output.push_back(opt::ColumnRef{0, 0, "id"});
+
+  using Kind = opt::PhysicalPlan::Kind;
+  auto scan = [](int rel) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kSeqScan;
+    node->rel = rel;
+    return node;
+  };
+  auto project = [](opt::PhysicalPlanPtr child) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kProject;
+    node->child = std::move(child);
+    return opt::PhysicalPlanPtr(node);
+  };
+  auto hash_join = [&](int left_rel, int right_rel) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kHashJoin;
+    node->left = scan(0);
+    node->right = scan(0);
+    node->left_join_rel = left_rel;
+    node->left_join_column = 0;
+    node->right_join_rel = right_rel;
+    node->right_join_column = 0;
+    return node;
+  };
+  auto index_join = [&](int inner_rel, int outer_rel) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kIndexNLJoin;
+    node->left = scan(0);
+    node->rel = inner_rel;
+    node->index_column = 0;
+    node->left_join_rel = outer_rel;
+    node->left_join_column = 0;
+    return node;
+  };
+
+  auto good = engine::ReferenceExecutor(&db).ExecuteQuery(
+      query, {project(scan(0))});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->rows.size(), 1u);
+
+  const std::vector<std::pair<const char*, opt::PhysicalPlanPtr>> cases = {
+      {"scan of relation 3", project(scan(3))},
+      {"scan of relation -1", project(scan(-1))},
+      {"hash join probe on relation 3", project(hash_join(3, 0))},
+      {"hash join build on relation 3", project(hash_join(0, 3))},
+      {"index join into relation 3", project(index_join(3, 0))},
+      {"index join from relation 3", project(index_join(0, 3))},
+  };
+  for (const auto& [what, plan] : cases) {
+    auto reference = engine::ReferenceExecutor(&db).ExecuteQuery(query, {plan});
+    EXPECT_EQ(reference.status().code(), Status::Code::kNotFound)
+        << what << " reference: " << reference.status().ToString();
+    auto executor = engine::Executor(&db).ExecuteQuery(query, {plan});
+    EXPECT_EQ(executor.status().code(), Status::Code::kNotFound)
+        << what << " executor: " << executor.status().ToString();
+  }
+}
+
 TEST(ParallelForTest, PreCancelledTokenRunsNothing) {
   core::CancelToken cancel;
   cancel.Cancel();

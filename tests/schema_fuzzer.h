@@ -45,12 +45,14 @@ class SchemaFuzzer {
   }
 
   // Generates a document valid under `schema` by construction.
-  xml::NodePtr GenerateDocument(const xs::Schema& schema) {
+  xml::Document GenerateDocument(const xs::Schema& schema) {
     xs::TypePtr body = schema.Get(schema.root_type());
-    xml::NodePtr holder = xml::Node::Element("__holder__");
-    EmitType(schema, body, holder.get(), 0);
+    xml::Document doc;
+    xml::Node* holder = doc.CreateRoot("__holder__");
+    EmitType(schema, body, holder, 0);
     EXPECT_EQ(holder->children().size(), 1u);
-    return holder->ReleaseChild(0);
+    if (!holder->children().empty()) doc.SetRoot(holder->children()[0]);
+    return doc;
   }
 
  private:
@@ -143,7 +145,7 @@ class SchemaFuzzer {
             tag = t->name.name + "x";
             break;
         }
-        xml::Node* elem = parent->AddChild(xml::Node::Element(tag));
+        xml::Node* elem = parent->AddElement(tag);
         EmitType(schema, t->child, elem, depth + 1);
         return;
       }

@@ -536,8 +536,9 @@ TEST(Reconstruct, SingleInstanceSubtree) {
   Database db = Shred(m, "<a><b><x>first</x></b><b><x>second</x></b></a>");
   // Reconstruct just the second b (id 3: ids are assigned in document
   // order: a=1, b=2, b=3).
-  xml::NodePtr holder = xml::Node::Element("h");
-  ASSERT_TRUE(ReconstructInstance(&db, m, "B", 3, holder.get()).ok());
+  xml::Document out;
+  xml::Node* holder = out.CreateRoot("h");
+  ASSERT_TRUE(ReconstructInstance(&db, m, "B", 3, holder).ok());
   EXPECT_EQ(xml::Serialize(*holder->children()[0], false),
             "<b><x>second</x></b>");
 }
@@ -736,6 +737,60 @@ TEST(Shredder, KeyIdsFollowDocumentPreOrder) {
   std::vector<int64_t> pre_order;
   for (const auto& [id, v] : v_by_id) pre_order.push_back(v);
   EXPECT_EQ(pre_order, (std::vector<int64_t>{1, 2, 3, 4, 5, 6}));
+}
+
+// The shredder compares element and attribute names by the document's name
+// ids. A document whose name table lacks a tag the schema requires cannot
+// match, and fails as any mismatch does, leaving nothing inserted.
+TEST(Shredder, DocumentWithoutARequiredNameFails) {
+  map::Mapping m = MapText("type A = a[ @k[ String ], x[ String ], y[ Integer ] ]");
+  for (const char* text : {"<a k='1'><x>1</x></a>",          // no y at all
+                           "<a k='1'><x>1</x><z>2</z></a>",  // z for y
+                           "<a><x>1</x><y>2</y></a>"}) {     // no k
+    auto doc = xml::ParseDocument(text);
+    ASSERT_TRUE(doc.ok());
+    Database db(m.catalog());
+    Status st = ShredDocument(doc.value(), m, &db);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << text;
+    EXPECT_EQ(st.message(), "document does not match the physical schema")
+        << text;
+    EXPECT_EQ(db.TotalRows(), 0u) << text;
+  }
+}
+
+// Name ids are per document: the same content under a differently ordered
+// name table (with names no node uses) shreds into the same rows.
+TEST(Shredder, DifferentNameTablesShredIntoIdenticalRows) {
+  map::Mapping m = MapText(
+      "type A = a[ @k[ String ], B*, ~!a[ String ]* ] "
+      "type B = b[ v[ Integer ], w[ String ]? ]");
+  const char* text =
+      "<a k='key'><b><v>1</v><w>x</w></b><b><v>2</v></b><t>tail</t></a>";
+  auto parsed = xml::ParseDocument(text);
+  ASSERT_TRUE(parsed.ok());
+
+  xml::Document built;
+  xml::Arena& arena = built.NewArena();
+  for (const char* name : {"unused", "w", "t", "v", "k", "b", "a"}) {
+    arena.Intern(name);
+  }
+  xml::Node* a = arena.NewElement(arena.Intern("a"));
+  built.SetRoot(a);
+  a->SetAttribute("k", "key");
+  xml::Node* b1 = a->AddElement("b");
+  b1->AddElement("v", "1");
+  b1->AddElement("w", "x");
+  a->AddElement("b")->AddElement("v", "2");
+  a->AddElement("t", "tail");
+  ASSERT_NE(built.FindName("a"), parsed->FindName("a"));
+  ASSERT_EQ(xml::Serialize(built), xml::Serialize(*parsed));
+
+  Database from_parsed(m.catalog());
+  ASSERT_TRUE(ShredDocument(*parsed, m, &from_parsed).ok());
+  Database from_built(m.catalog());
+  ASSERT_TRUE(ShredDocument(built, m, &from_built).ok());
+  EXPECT_EQ(from_parsed.TotalRows(), 4u);
+  EXPECT_EQ(StoredRows(m, from_built), StoredRows(m, from_parsed));
 }
 
 // ---- Id allocation under concurrency ----

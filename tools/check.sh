@@ -10,8 +10,9 @@
 #                                            # serving, storage,
 #                                            # shred/reconstruct, schema,
 #                                            # p-schema, transform, mapping,
-#                                            # translation, update-costing
-#                                            # and search suites, then two
+#                                            # translation, update-costing,
+#                                            # search and XML-substrate
+#                                            # suites, then two
 #                                            # bench smoke gates
 #   tools/check.sh --tsan                    # TSan pass over the parallel
 #                                            # search, concurrent serving,
@@ -56,9 +57,15 @@
 # configuration's mapped types (search_test). Queries, plans, foreign keys
 # and stored tables name columns by position, so a missed range check is an
 # out-of-bounds read: it runs robustness_test, whose malformed-input cases
-# hand the optimizer and both executors positions outside their tables, and
+# hand the optimizer and both executors positions outside their tables
+# and plan nodes naming relations outside their block, and
 # pipeline_test and auction_test, which run translated queries end to end
-# against the DOM evaluator. Then two smoke gates: micro_engine's always-on
+# against the DOM evaluator. The XML substrate hands out views into each
+# document's arena, so a read after the arena is freed is a use after free:
+# it runs xml_test (moved and reset documents, the parser's error paths),
+# xquery_test (the DOM evaluator walks those views) and imdb_test (the
+# generator builds a whole document through the arena). Then two smoke
+# gates: micro_engine's always-on
 # executor-equality check, and a disk calibration run with a deliberately
 # small pool whose --require-io fails the script if no real buffer-pool IO
 # was measured. Any sanitizer report or result mismatch fails the script.
@@ -108,9 +115,10 @@ if [[ "${1:-}" == "--asan" ]]; then
     expr_vm_test serving_test pager_test storage_test fuzz_roundtrip_test \
     equivalence_test xschema_test pschema_test transforms_test mapping_test \
     translate_test update_test search_test relational_test compare_ops_test \
-    robustness_test pipeline_test auction_test micro_engine calibration
+    robustness_test pipeline_test auction_test xml_test xquery_test imdb_test \
+    micro_engine calibration
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R '^(relational_test|compare_ops_test|optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test|robustness_test|pipeline_test|auction_test)$'
+    -R '^(relational_test|compare_ops_test|optimizer_test|costmodel_test|engine_equivalence_test|engine_test|expr_vm_test|serving_test|pager_test|storage_test|fuzz_roundtrip_test|equivalence_test|xschema_test|pschema_test|transforms_test|mapping_test|translate_test|update_test|search_test|robustness_test|pipeline_test|auction_test|xml_test|xquery_test|imdb_test)$'
   ./build-asan/bench/micro_engine --benchmark_filter=BM_Fig10Batched/1024 \
     --benchmark_min_time=0.05 > /dev/null
   ./build-asan/bench/calibration --reps=2 --backend=disk --pool-pages=8 \
