@@ -59,42 +59,23 @@ struct ColumnBatch {
   }
 };
 
-// Static metric names per operator (rows produced, inclusive wall time).
-struct OpMetricNames {
+// Per operator kind, in Kind order: its label and its static metric names
+// (rows produced, inclusive wall time).
+struct KindInfo {
+  const char* label;
   const char* rows;
   const char* ms;
 };
 
-OpMetricNames MetricNames(opt::PhysicalPlan::Kind kind) {
-  switch (kind) {
-    case opt::PhysicalPlan::Kind::kSeqScan:
-      return {"exec.seq_scan.rows", "exec.seq_scan.ms"};
-    case opt::PhysicalPlan::Kind::kIndexLookup:
-      return {"exec.index_lookup.rows", "exec.index_lookup.ms"};
-    case opt::PhysicalPlan::Kind::kHashJoin:
-      return {"exec.hash_join.rows", "exec.hash_join.ms"};
-    case opt::PhysicalPlan::Kind::kIndexNLJoin:
-      return {"exec.index_nl_join.rows", "exec.index_nl_join.ms"};
-    case opt::PhysicalPlan::Kind::kProject:
-      return {"exec.project.rows", "exec.project.ms"};
-  }
-  return {"exec.unknown.rows", "exec.unknown.ms"};
-}
-
-const char* KindLabel(opt::PhysicalPlan::Kind kind) {
-  switch (kind) {
-    case opt::PhysicalPlan::Kind::kSeqScan:
-      return "SeqScan";
-    case opt::PhysicalPlan::Kind::kIndexLookup:
-      return "IndexLookup";
-    case opt::PhysicalPlan::Kind::kHashJoin:
-      return "HashJoin";
-    case opt::PhysicalPlan::Kind::kIndexNLJoin:
-      return "IndexNLJoin";
-    case opt::PhysicalPlan::Kind::kProject:
-      return "Project";
-  }
-  return "Unknown";
+const KindInfo& Info(opt::PhysicalPlan::Kind kind) {
+  static constexpr KindInfo kInfo[] = {
+      {"SeqScan", "exec.seq_scan.rows", "exec.seq_scan.ms"},
+      {"IndexLookup", "exec.index_lookup.rows", "exec.index_lookup.ms"},
+      {"HashJoin", "exec.hash_join.rows", "exec.hash_join.ms"},
+      {"IndexNLJoin", "exec.index_nl_join.rows", "exec.index_nl_join.ms"},
+      {"Project", "exec.project.rows", "exec.project.ms"},
+  };
+  return kInfo[static_cast<int>(kind)];
 }
 
 // Shared state of one block execution: the compiled plan and the block's
@@ -217,118 +198,56 @@ class Operator {
   double bytes_ = 0;
 };
 
-// Shared filtering kernel for the two scan-shaped operators: runs the
-// compiled filter over `take` candidate row indices and appends the
-// selected ones to `out_col`. `cand` must hold the candidates as int32.
-class ScanFilter {
- public:
-  // Copies relation `rel`'s prepared filter template and binds this
-  // execution's parameters (no compilation, no catalog lookups).
-  Status Bind(const ExprProgram& filter, int rel,
-              const std::map<std::string, Value>& params) {
-    rel_ = rel;
-    program_ = filter;
-    return program_.BindParams(params);
-  }
-
-  bool empty() const { return program_.empty(); }
-
-  void Apply(const int32_t* cand, size_t take, std::vector<int32_t>* out_col) {
-    mask_.resize(take);
-    program_.EvalRows(rel_, cand, take, mask_.data());
-    for (size_t i = 0; i < take; ++i) {
-      if (mask_[i]) out_col->push_back(cand[i]);
-    }
-  }
-
-  // Evaluates the filter over `cand` and ANDs the result into `mask`.
-  void ApplyMask(const int32_t* cand, size_t take, uint8_t* mask) {
-    mask_.resize(take);
-    program_.EvalRows(rel_, cand, take, mask_.data());
-    for (size_t i = 0; i < take; ++i) mask[i] = mask[i] & mask_[i];
-  }
-
- private:
-  ExprProgram program_;
-  int rel_ = -1;
-  std::vector<uint8_t> mask_;
-};
-
-class SeqScanOp : public Operator {
+// A scan or an index lookup of one relation: reads its candidate row
+// indices a vector at a time (the table in order, or the index's hits for
+// the lookup's driving constant), fetches them, and keeps the rows that pass
+// the node's compiled filter.
+class AccessOp : public Operator {
  public:
   using Operator::Operator;
 
   Status Open() override {
-    LEGODB_RETURN_IF_ERROR(
-        filter_.Bind(prep_.filter, node_->rel, *ctx_->params));
+    // Copy the prepared template and bind this execution's parameters (no
+    // compilation, no catalog lookups).
+    filter_ = prep_.filter;
+    LEGODB_RETURN_IF_ERROR(filter_.BindParams(*ctx_->params));
+    if (node_->kind == opt::PhysicalPlan::Kind::kIndexLookup) {
+      LEGODB_ASSIGN_OR_RETURN(Value key,
+                              ResolveConstant(*ctx_->params, *prep_.driver));
+      hits_ = prep_.index->Find(key);
+    }
     return Charge(table(node_->rel)->SeekIo());
   }
 
   Status Next(ColumnBatch* out) override {
     out->Clear();
-    StoredTable* scanned = table(node_->rel);
-    size_t total = scanned->row_count();
+    StoredTable* t = table(node_->rel);
+    const bool lookup = node_->kind == opt::PhysicalPlan::Kind::kIndexLookup;
+    const size_t total = lookup ? hits_.size() : t->row_count();
     std::vector<int32_t>& col = out->rels[node_->rel];
-    // An empty batch signals end of stream, so keep scanning candidate
-    // vectors until at least one row survives or the table is exhausted.
-    // A selective filter can reject every candidate vector, so this loop —
-    // not just the root pull loop — must poll for deadline/cancellation.
+    // An empty batch signals end of stream, so keep reading candidate
+    // vectors until at least one row survives or none is left. A selective
+    // filter can reject every candidate vector, so this loop — not just the
+    // root pull loop — must poll for deadline/cancellation.
     while (col.empty() && pos_ < total) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
       size_t take = std::min(ctx_->batch_size, total - pos_);
-      LEGODB_RETURN_IF_ERROR(Charge(scanned->FetchRowRange(pos_, pos_ + take)));
-      if (filter_.empty()) {
-        col.resize(take);
-        std::iota(col.begin(), col.end(), static_cast<int32_t>(pos_));
+      std::vector<int32_t>& cand = filter_.empty() ? col : cand_;
+      if (lookup) {
+        cand.assign(hits_.begin() + pos_, hits_.begin() + pos_ + take);
+        LEGODB_RETURN_IF_ERROR(Charge(t->FetchRows(cand.data(), take)));
       } else {
-        cand_.resize(take);
-        std::iota(cand_.begin(), cand_.end(), static_cast<int32_t>(pos_));
-        filter_.Apply(cand_.data(), take, &col);
+        LEGODB_RETURN_IF_ERROR(Charge(t->FetchRowRange(pos_, pos_ + take)));
+        cand.resize(take);
+        std::iota(cand.begin(), cand.end(), static_cast<int32_t>(pos_));
       }
       pos_ += take;
-      CountInput(take);
-      stats().tuples_processed += static_cast<double>(take);
-    }
-    out->lanes = col.size();
-    return Status::OK();
-  }
-
- private:
-  ScanFilter filter_;
-  std::vector<int32_t> cand_;
-  size_t pos_ = 0;
-};
-
-class IndexLookupOp : public Operator {
- public:
-  using Operator::Operator;
-
-  Status Open() override {
-    LEGODB_RETURN_IF_ERROR(
-        filter_.Bind(prep_.filter, node_->rel, *ctx_->params));
-    LEGODB_ASSIGN_OR_RETURN(Value key,
-                            ResolveConstant(*ctx_->params, *prep_.driver));
-    hits_ = prep_.index->Find(key);
-    return Charge(table(node_->rel)->SeekIo());
-  }
-
-  Status Next(ColumnBatch* out) override {
-    out->Clear();
-    std::vector<int32_t>& col = out->rels[node_->rel];
-    // As in SeqScan: empty output means EOS, so drain candidate vectors
-    // until a row survives the residual filter (polling for interruption,
-    // as in SeqScan).
-    while (col.empty() && pos_ < hits_.size()) {
-      LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->batch_size, hits_.size() - pos_);
-      cand_.assign(hits_.begin() + pos_, hits_.begin() + pos_ + take);
-      pos_ += take;
-      LEGODB_RETURN_IF_ERROR(
-          Charge(table(node_->rel)->FetchRows(cand_.data(), take)));
-      if (filter_.empty()) {
-        col.assign(cand_.begin(), cand_.end());
-      } else {
-        filter_.Apply(cand_.data(), take, &col);
+      if (!filter_.empty()) {
+        mask_.resize(take);
+        filter_.EvalRows(node_->rel, cand_.data(), take, mask_.data());
+        for (size_t i = 0; i < take; ++i) {
+          if (mask_[i]) col.push_back(cand_[i]);
+        }
       }
       CountInput(take);
       stats().tuples_processed += static_cast<double>(take);
@@ -338,9 +257,10 @@ class IndexLookupOp : public Operator {
   }
 
  private:
-  ScanFilter filter_;
+  ExprProgram filter_;
   std::vector<int32_t> cand_;
-  std::span<const int32_t> hits_;
+  std::vector<uint8_t> mask_;
+  std::span<const int32_t> hits_;  // a lookup's candidates
   size_t pos_ = 0;
 };
 
@@ -523,7 +443,7 @@ class HashJoinOp : public Operator {
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(probe_->OpenTimed());
-    residuals_ = prep_.residuals;
+    residuals_ = prep_.filter;  // residual edges only: no parameters
     size_t nrels = ctx_->nrels();
     in_.Init(nrels);
     build_bound_.assign(nrels, 0);
@@ -694,9 +614,8 @@ class IndexNLJoinOp : public Operator {
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(outer_->OpenTimed());
-    LEGODB_RETURN_IF_ERROR(
-        filter_.Bind(prep_.filter, node_->rel, *ctx_->params));
-    residuals_ = prep_.residuals;
+    residuals_ = prep_.filter;
+    LEGODB_RETURN_IF_ERROR(residuals_.BindParams(*ctx_->params));
     in_.Init(ctx_->nrels());
     gather_.resize(ctx_->nrels());
     relptrs_.assign(ctx_->nrels(), nullptr);
@@ -729,18 +648,11 @@ class IndexNLJoinOp : public Operator {
       LEGODB_RETURN_IF_ERROR(Charge(
           table(inner_rel)->FetchRows(cand_.ord.data(), cand_.ord.size())));
 
-      // Combined selection: inner residual filters AND residual join edges,
-      // both over the candidate lanes.
+      // The inner relation's filters and the residual join edges, one
+      // program over the candidate lanes.
       const uint8_t* mask = nullptr;
-      size_t c = cand_.ord.size();
-      if (c > 0 && (!filter_.empty() || !residuals_.empty())) {
-        mask_.assign(c, 1);
-        if (!filter_.empty()) {
-          filter_.ApplyMask(cand_.ord.data(), c, mask_.data());
-        }
-        if (!residuals_.empty()) {
-          EvalResiduals(inner_rel);
-        }
+      if (!residuals_.empty() && !cand_.ord.empty()) {
+        EvalResiduals(inner_rel);
         mask = mask_.data();
       }
       cand_.EmitLanes(in_.lanes, mask, node_->left_outer);
@@ -761,21 +673,18 @@ class IndexNLJoinOp : public Operator {
       relptrs_[r] = in_.bound(r) ? gather_[r].data() : nullptr;
     }
     relptrs_[inner_rel] = cand_.ord.data();
-    rmask_.resize(c);
+    mask_.resize(c);
     residuals_.Eval(LaneView{relptrs_.data(), relptrs_.size(), c},
-                    rmask_.data());
-    for (size_t j = 0; j < c; ++j) mask_[j] = mask_[j] & rmask_[j];
+                    mask_.data());
   }
 
   std::unique_ptr<Operator> outer_;
-  ScanFilter filter_;
   ExprProgram residuals_;
   ColumnBatch in_;
   JoinCandidates cand_;
   std::vector<std::vector<int32_t>> gather_;
   std::vector<const int32_t*> relptrs_;
   std::vector<uint8_t> mask_;
-  std::vector<uint8_t> rmask_;
 };
 
 // Builds the operator tree under a projection root, collecting every
@@ -785,7 +694,6 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
                                             int depth,
                                             std::vector<Operator*>* preorder,
                                             std::vector<int>* depths) {
-  if (!p) return Status::Internal("null plan node");
   const PreparedPrograms::NodePrograms* prep = ctx->prepared->Find(p.get());
   if (prep == nullptr) return Status::Internal("plan node was not prepared");
   preorder->push_back(nullptr);  // this node's pre-order slot, filled below
@@ -794,10 +702,8 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
   std::unique_ptr<Operator> op;
   switch (p->kind) {
     case opt::PhysicalPlan::Kind::kSeqScan:
-      op = std::make_unique<SeqScanOp>(ctx, p.get(), *prep);
-      break;
     case opt::PhysicalPlan::Kind::kIndexLookup:
-      op = std::make_unique<IndexLookupOp>(ctx, p.get(), *prep);
+      op = std::make_unique<AccessOp>(ctx, p.get(), *prep);
       break;
     case opt::PhysicalPlan::Kind::kHashJoin: {
       LEGODB_ASSIGN_OR_RETURN(
@@ -828,13 +734,9 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
 }
 
 std::string OpLabel(const ExecContext& ctx, const opt::PhysicalPlan& p) {
-  std::string label = KindLabel(p.kind);
-  auto alias = [&](int rel) {
-    return rel >= 0 && rel < static_cast<int>(ctx.block->rels.size())
-               ? ctx.block->rels[rel].alias
-               : "?";
-  };
-  // Prepare resolved every column the plan names, so each is in its table.
+  std::string label = Info(p.kind).label;
+  // CheckPlan put every relation and column the plan names in range.
+  auto alias = [&](int rel) { return ctx.block->rels[rel].alias; };
   auto column = [&](int rel, int c) {
     return alias(rel) + "." + (*ctx.tables)[rel]->meta().columns[c].name;
   };
@@ -962,7 +864,7 @@ class BlockExecutor {
     obs::Count("exec.project.rows", static_cast<int64_t>(result.rows.size()));
     if (obs::Current() != nullptr) {
       for (Operator* op : preorder) {
-        OpMetricNames names = MetricNames(op->node()->kind);
+        const KindInfo& names = Info(op->node()->kind);
         obs::Count(names.rows, op->rows_produced());
         obs::Observe(names.ms, op->millis());
       }

@@ -124,40 +124,6 @@ int ExprProgramBuilder::AddParam(std::string name) {
   return slot;
 }
 
-ExprProgramBuilder& ExprProgramBuilder::LoadCol(int slot) {
-  program_.instrs_.push_back(
-      {ExprProgram::OpCode::kLoadCol, xq::CompareOp::kEq, slot});
-  return *this;
-}
-
-ExprProgramBuilder& ExprProgramBuilder::LoadConst(int slot) {
-  program_.instrs_.push_back(
-      {ExprProgram::OpCode::kLoadConst, xq::CompareOp::kEq, slot});
-  return *this;
-}
-
-ExprProgramBuilder& ExprProgramBuilder::Cmp(xq::CompareOp op) {
-  program_.instrs_.push_back({ExprProgram::OpCode::kCmp, op, -1});
-  return *this;
-}
-
-ExprProgramBuilder& ExprProgramBuilder::TestNotNull() {
-  program_.instrs_.push_back(
-      {ExprProgram::OpCode::kTestNotNull, xq::CompareOp::kEq, -1});
-  return *this;
-}
-
-ExprProgramBuilder& ExprProgramBuilder::And() {
-  program_.instrs_.push_back(
-      {ExprProgram::OpCode::kAnd, xq::CompareOp::kEq, -1});
-  return *this;
-}
-
-ExprProgramBuilder& ExprProgramBuilder::Or() {
-  program_.instrs_.push_back({ExprProgram::OpCode::kOr, xq::CompareOp::kEq, -1});
-  return *this;
-}
-
 StatusOr<ExprProgram> ExprProgramBuilder::Build() && {
   // Type-check the stream once: operands ('o') and masks ('m') must balance
   // so Eval can dispatch without per-instruction validation.
@@ -420,7 +386,8 @@ std::string ExprProgram::Disassemble() const {
 // --- Predicate compilation ------------------------------------------------
 
 StatusOr<ExprProgram> CompileFilters(
-    const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters) {
+    const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters,
+    const std::vector<opt::JoinEdge>& edges) {
   ExprProgramBuilder b;
   int terms = 0;
   for (const opt::FilterPred& f : filters) {
@@ -437,13 +404,6 @@ StatusOr<ExprProgram> CompileFilters(
     }
     if (++terms > 1) b.And();
   }
-  return std::move(b).Build();
-}
-
-StatusOr<ExprProgram> CompileResiduals(const ExprEnv& env,
-                                       const std::vector<opt::JoinEdge>& edges) {
-  ExprProgramBuilder b;
-  int terms = 0;
   for (const opt::JoinEdge& e : edges) {
     LEGODB_ASSIGN_OR_RETURN(
         int lslot,
@@ -455,6 +415,11 @@ StatusOr<ExprProgram> CompileResiduals(const ExprEnv& env,
     if (++terms > 1) b.And();
   }
   return std::move(b).Build();
+}
+
+StatusOr<ExprProgram> CompileResiduals(const ExprEnv& env,
+                                       const std::vector<opt::JoinEdge>& edges) {
+  return CompileFilters(env, -1, {}, edges);
 }
 
 }  // namespace legodb::engine

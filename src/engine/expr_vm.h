@@ -161,18 +161,26 @@ class ExprProgramBuilder {
   // BindParams); returns its slot for LoadConst.
   int AddParam(std::string name);
 
-  ExprProgramBuilder& LoadCol(int slot);
-  ExprProgramBuilder& LoadConst(int slot);
-  ExprProgramBuilder& Cmp(xq::CompareOp op);
-  ExprProgramBuilder& TestNotNull();
-  ExprProgramBuilder& And();
-  ExprProgramBuilder& Or();
+  ExprProgramBuilder& LoadCol(int slot) { return Emit(Op::kLoadCol, slot); }
+  ExprProgramBuilder& LoadConst(int slot) { return Emit(Op::kLoadConst, slot); }
+  ExprProgramBuilder& Cmp(xq::CompareOp op) { return Emit(Op::kCmp, -1, op); }
+  ExprProgramBuilder& TestNotNull() { return Emit(Op::kTestNotNull); }
+  ExprProgramBuilder& And() { return Emit(Op::kAnd); }
+  ExprProgramBuilder& Or() { return Emit(Op::kOr); }
 
   // Validates stack balance (exactly one mask left, no underflow) and
   // returns the program. Internal error on malformed streams.
   StatusOr<ExprProgram> Build() &&;
 
  private:
+  using Op = ExprProgram::OpCode;
+
+  ExprProgramBuilder& Emit(Op op, int32_t a = -1,
+                           xq::CompareOp cmp = xq::CompareOp::kEq) {
+    program_.instrs_.push_back({op, cmp, a});
+    return *this;
+  }
+
   ExprProgram program_;
 };
 
@@ -201,9 +209,11 @@ StatusOr<const store::ColumnVector*> ResolveColumnVector(const ExprEnv& env,
 // LoadCol TestNotNull; terms are And-chained in filter order. Literals bake
 // in; symbolic constants become named parameter slots, so one compilation
 // serves any number of executions — copy the template and BindParams the
-// copy with that execution's bindings.
+// copy with that execution's bindings. The residual join `edges` follow,
+// And-chained, as CompileResiduals compiles them.
 StatusOr<ExprProgram> CompileFilters(
-    const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters);
+    const ExprEnv& env, int rel, const std::vector<opt::FilterPred>& filters,
+    const std::vector<opt::JoinEdge>& edges = {});
 
 // Compiles residual join edges into one conjunctive program of column =
 // column equalities (LoadCol LoadCol Cmp=). Unbound lanes on either side

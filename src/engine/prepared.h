@@ -31,8 +31,8 @@
 namespace legodb::engine {
 
 // Whether hash join `join` probes its build table's shared index instead of
-// materializing its build side: the build side is a bare unfiltered scan of
-// the build relation. The rule reads plan shape only, so both backends and
+// materializing its build side: the build side is a bare scan of the build
+// relation, with no filter or residual. The rule reads plan shape only, so both backends and
 // every way of watching a query run the same join.
 bool ProbesSharedIndex(const opt::PhysicalPlan& join);
 
@@ -41,8 +41,9 @@ class PreparedPrograms {
   // Everything one operator reads instead of compiling or resolving.
   // Unused members stay empty/null for node kinds that don't need them.
   struct NodePrograms {
-    ExprProgram filter;     // parameterized filter template (scan kinds)
-    ExprProgram residuals;  // residual join edges (join kinds; no params)
+    // The node's filters on its `rel`, then its residual join edges: one
+    // parameterized template.
+    ExprProgram filter;
     const store::ColumnVector* left_key = nullptr;   // probe/outer join key
     const store::ColumnVector* right_key = nullptr;  // hash-join build key
     const store::HashIndex* index = nullptr;  // lookup/NL-join/shared index
@@ -62,10 +63,10 @@ class PreparedPrograms {
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);
 
-  // Compiles one block's plan into this set. A plan not rooted at a
-  // projection is InvalidArgument, tables outside the database and columns
-  // outside their tables are NotFound, relations outside the block and
-  // malformed plan nodes are Internal.
+  // Compiles one block's plan into this set, after opt::CheckPlan: tables
+  // outside the database, relations outside the block and columns outside
+  // their tables are NotFound, a plan that does not compute its block is
+  // InvalidArgument.
   Status AddBlock(const opt::QueryBlock& block,
                   const opt::PhysicalPlanPtr& plan);
 

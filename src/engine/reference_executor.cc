@@ -27,22 +27,15 @@ class ReferenceBlockExecutor {
       : e_(e), block_(block) {}
 
   StatusOr<xq::ResultSet> Run(const opt::PhysicalPlanPtr& plan) {
-    if (!plan || plan->kind != opt::PhysicalPlan::Kind::kProject) {
-      return Status::InvalidArgument("plan root must be a projection");
-    }
+    std::vector<const rel::Table*> metas;
     for (const auto& rel : block_.rels) {
       if (rel.table < 0 || static_cast<size_t>(rel.table) >= e_->db_->size()) {
         return Status::NotFound("no table #" + std::to_string(rel.table));
       }
       tables_.push_back(&e_->db_->table(rel.table));
+      metas.push_back(&tables_.back()->meta());
     }
-    // The NULL literal (`rel` -1) projects NULL.
-    for (const auto& out : block_.output) {
-      if (out.rel != -1) {
-        LEGODB_RETURN_IF_ERROR(CheckColumn("output", out.rel, out.column));
-      }
-    }
-    LEGODB_RETURN_IF_ERROR(CheckPlan(plan->child.get()));
+    LEGODB_RETURN_IF_ERROR(opt::CheckPlan(block_, metas, plan));
     LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> bindings, Exec(plan->child));
     xq::ResultSet result;
     for (const auto& out : block_.output) {
@@ -70,45 +63,6 @@ class ReferenceBlockExecutor {
   }
 
  private:
-  // Internal for a relation outside the block (`what` names the
-  // reference), NotFound for a column outside its table.
-  Status CheckColumn(const char* what, int rel, int column) const {
-    if (rel < 0 || static_cast<size_t>(rel) >= tables_.size()) {
-      return Status::Internal(std::string(what) + " references relation #" +
-                              std::to_string(rel) + " outside the block");
-    }
-    return tables_[rel]->meta().CheckColumn(column);
-  }
-
-  // Checks every relation and every column plan `p` reads row by row before
-  // any row is read (index columns are checked as their indexes are
-  // fetched).
-  Status CheckPlan(const opt::PhysicalPlan* p) const {
-    if (!p) return Status::OK();
-    LEGODB_RETURN_IF_ERROR(p->CheckRelations(tables_.size()));
-    for (const auto& f : p->filters) {
-      if (f.rel == p->rel) {
-        LEGODB_RETURN_IF_ERROR(CheckColumn("filter", f.rel, f.column));
-      }
-    }
-    for (const auto& e : p->residual_joins) {
-      LEGODB_RETURN_IF_ERROR(
-          CheckColumn("residual join", e.left_rel, e.left_column));
-      LEGODB_RETURN_IF_ERROR(
-          CheckColumn("residual join", e.right_rel, e.right_column));
-    }
-    if (p->kind == opt::PhysicalPlan::Kind::kHashJoin) {
-      LEGODB_RETURN_IF_ERROR(CheckColumn("hash join", p->right_join_rel,
-                                         p->right_join_column));
-    }
-    if (p->left) {  // a join: its probe/outer key
-      LEGODB_RETURN_IF_ERROR(
-          CheckColumn("join", p->left_join_rel, p->left_join_column));
-    }
-    LEGODB_RETURN_IF_ERROR(CheckPlan(p->left.get()));
-    return CheckPlan(p->right.get());
-  }
-
   StatusOr<Value> ResolveConstant(const xq::Constant& c) const {
     switch (c.kind) {
       case xq::Constant::Kind::kInt:
@@ -127,22 +81,23 @@ class ReferenceBlockExecutor {
     return Status::Internal("bad constant");
   }
 
-  StatusOr<bool> PassFilters(int rel, const Row& row,
-                             const std::vector<opt::FilterPred>& filters)
-      const {
-    for (const auto& f : filters) {
-      if (f.rel != rel) continue;
+  // Whether `row` of `p`'s relation passes `p`'s filters and, at a scan or
+  // lookup, its residual (self) edges.
+  StatusOr<bool> PassFilters(const opt::PhysicalPlan& p, const Row& row) const {
+    for (const auto& f : p.filters) {
+      if (f.rel != p.rel) continue;
       if (row[f.column].is_null()) return false;
       if (f.not_null) continue;
       LEGODB_ASSIGN_OR_RETURN(Value want, ResolveConstant(f.value));
       if (!xq::ApplyCompare(f.op, row[f.column], want)) return false;
     }
-    return true;
+    return p.kind == opt::PhysicalPlan::Kind::kIndexNLJoin ||
+           p.residual_joins.empty() ||
+           ResidualsPass(p, NewBinding(p.rel, &row));
   }
 
   // Extra join predicates beyond the driving hash/index edge.
-  StatusOr<bool> ResidualsPass(const opt::PhysicalPlan& p,
-                               const Binding& merged) const {
+  bool ResidualsPass(const opt::PhysicalPlan& p, const Binding& merged) const {
     for (const auto& e : p.residual_joins) {
       const Row* l = merged[e.left_rel];
       const Row* r = merged[e.right_rel];
@@ -169,51 +124,31 @@ class ReferenceBlockExecutor {
 
   double RowWidth(int rel) const { return tables_[rel]->meta().RowWidth(); }
 
+  // Runs node `p` of a plan CheckPlan has passed.
   StatusOr<std::vector<Binding>> Exec(const opt::PhysicalPlanPtr& p) {
-    if (!p) return Status::Internal("null plan node");
     switch (p->kind) {
-      case opt::PhysicalPlan::Kind::kSeqScan: {
-        const StoredTable& t = *tables_[p->rel];
-        e_->stats_.seeks += 1;
-        e_->stats_.tuples_processed += static_cast<double>(t.row_count());
-        e_->stats_.bytes_read +=
-            static_cast<double>(t.row_count()) * RowWidth(p->rel);
-        std::vector<Binding> out;
-        for (size_t idx = 0; idx < t.row_count(); ++idx) {
-          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(idx));
-          LEGODB_ASSIGN_OR_RETURN(bool pass,
-                                  PassFilters(p->rel, row, p->filters));
-          if (pass) out.push_back(NewBinding(p->rel, Keep(std::move(row))));
-        }
-        return out;
-      }
+      case opt::PhysicalPlan::Kind::kSeqScan:
       case opt::PhysicalPlan::Kind::kIndexLookup: {
+        // A scan reads every row after one seek, a lookup seeks each hit.
         StoredTable& t = *tables_[p->rel];
-        LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
-                                t.GetOrBuildIndex(p->index_column));
-        // Find the driving filter.
-        const opt::FilterPred* driver = nullptr;
-        for (const auto& f : p->filters) {
-          if (f.rel == p->rel && f.column == p->index_column &&
-              !f.not_null && f.op == xq::CompareOp::kEq) {
-            driver = &f;
-            break;
-          }
+        const bool lookup = p->kind == opt::PhysicalPlan::Kind::kIndexLookup;
+        std::span<const int32_t> hits;
+        if (lookup) {
+          LEGODB_ASSIGN_OR_RETURN(const store::HashIndex* index,
+                                  t.GetOrBuildIndex(p->index_column));
+          LEGODB_ASSIGN_OR_RETURN(Value key,
+                                  ResolveConstant(p->DrivingFilter()->value));
+          hits = index->Find(key);
         }
-        if (!driver) {
-          return Status::Internal("index lookup without driving filter");
-        }
-        LEGODB_ASSIGN_OR_RETURN(Value key, ResolveConstant(driver->value));
-        std::span<const int32_t> hits = index->Find(key);
-        e_->stats_.seeks += 1 + static_cast<double>(hits.size());
-        e_->stats_.tuples_processed += static_cast<double>(hits.size());
-        e_->stats_.bytes_read +=
-            static_cast<double>(hits.size()) * RowWidth(p->rel);
+        const size_t n = lookup ? hits.size() : t.row_count();
+        e_->stats_.seeks += 1 + (lookup ? static_cast<double>(n) : 0);
+        e_->stats_.tuples_processed += static_cast<double>(n);
+        e_->stats_.bytes_read += static_cast<double>(n) * RowWidth(p->rel);
         std::vector<Binding> out;
-        for (int32_t idx : hits) {
-          LEGODB_ASSIGN_OR_RETURN(Row row, t.ReadRow(static_cast<size_t>(idx)));
-          LEGODB_ASSIGN_OR_RETURN(bool pass,
-                                  PassFilters(p->rel, row, p->filters));
+        for (size_t i = 0; i < n; ++i) {
+          LEGODB_ASSIGN_OR_RETURN(
+              Row row, t.ReadRow(lookup ? static_cast<size_t>(hits[i]) : i));
+          LEGODB_ASSIGN_OR_RETURN(bool pass, PassFilters(*p, row));
           if (pass) out.push_back(NewBinding(p->rel, Keep(std::move(row))));
         }
         return out;
@@ -246,8 +181,7 @@ class ReferenceBlockExecutor {
                 for (size_t i = 0; i < merged.size(); ++i) {
                   if ((*r)[i]) merged[i] = (*r)[i];
                 }
-                LEGODB_ASSIGN_OR_RETURN(bool pass, ResidualsPass(*p, merged));
-                if (!pass) continue;
+                if (!ResidualsPass(*p, merged)) continue;
                 out.push_back(std::move(merged));
                 matched = true;
               }
@@ -278,13 +212,11 @@ class ReferenceBlockExecutor {
             for (int32_t idx : hits) {
               LEGODB_ASSIGN_OR_RETURN(Row irow,
                                       inner.ReadRow(static_cast<size_t>(idx)));
-              LEGODB_ASSIGN_OR_RETURN(bool pass,
-                                      PassFilters(p->rel, irow, p->filters));
+              LEGODB_ASSIGN_OR_RETURN(bool pass, PassFilters(*p, irow));
               if (!pass) continue;
               Binding merged = l;
               merged[p->rel] = Keep(std::move(irow));
-              LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
-              if (!rpass) continue;
+              if (!ResidualsPass(*p, merged)) continue;
               out.push_back(std::move(merged));
               matched = true;
             }
@@ -293,8 +225,8 @@ class ReferenceBlockExecutor {
         }
         return out;
       }
-      case opt::PhysicalPlan::Kind::kProject:
-        return Status::Internal("nested projection");
+      case opt::PhysicalPlan::Kind::kProject:  // CheckPlan admits none here
+        break;
     }
     return Status::Internal("unknown plan node");
   }

@@ -41,11 +41,12 @@ struct ProbeTerms {
 };
 
 // One join edge as the join enumeration reads it, computed once per block:
-// the right endpoint's mask, the outer flag, the edge's selectivity and the
-// probe terms with each side as the inner relation.
+// the right endpoint's mask, the relation a left-outer edge preserves, the
+// edge's selectivity and the probe terms with each side as the inner
+// relation.
 struct EdgeTerms {
-  uint64_t right = 0;  // 1 << right_rel
-  bool outer = false;  // left_outer
+  uint64_t right = 0;      // 1 << right_rel
+  uint64_t preserved = 0;  // 1 << left_rel if left_outer, else 0
   double selectivity = 0;
   ProbeTerms probe[2];  // [0]: left side inner, [1]: right side inner
 };
@@ -63,16 +64,17 @@ class BlockPlanner {
     if (n > 62) return Status::Unsupported("too many relations in block");
     obs::Count("optimizer.blocks_planned");
     obs::Observe("optimizer.block_rels", static_cast<double>(n));
+    std::vector<const rel::Table*> tables;
     for (size_t i = 0; i < n; ++i) {
       const int t = block_.rels[i].table;
       if (t < 0 || static_cast<size_t>(t) >= catalog_.size()) {
         return Status::NotFound("no table #" + std::to_string(t));
       }
       Rel& r = rels_.emplace_back();
-      r.table = &catalog_.table(t);
+      r.table = tables.emplace_back(&catalog_.table(t));
       r.width = r.table->RowWidth();
     }
-    LEGODB_RETURN_IF_ERROR(CheckColumns());
+    LEGODB_RETURN_IF_ERROR(CheckColumns(block_, tables));
     for (size_t i = 0; i < n; ++i) {
       rels_[i].rows = FilteredRows(static_cast<int>(i));
     }
@@ -135,29 +137,6 @@ class BlockPlanner {
   // row itself, or the whole page holding it.
   double ProbeBytes(double width) const {
     return p_.page_size > 0 ? p_.page_size : width;
-  }
-
-  // Checks that every filter, join edge and output (but the NULL literal,
-  // `rel` -1) names a relation of the block and a column of its table.
-  Status CheckColumns() const {
-    auto check = [&](int rel, int column) {
-      if (rel < 0 || static_cast<size_t>(rel) >= rels_.size()) {
-        return Status::InvalidArgument(
-            "column of a relation outside the block");
-      }
-      return rels_[rel].table->CheckColumn(column);
-    };
-    for (const FilterPred& f : block_.filters) {
-      LEGODB_RETURN_IF_ERROR(check(f.rel, f.column));
-    }
-    for (const JoinEdge& e : block_.joins) {
-      LEGODB_RETURN_IF_ERROR(check(e.left_rel, e.left_column));
-      LEGODB_RETURN_IF_ERROR(check(e.right_rel, e.right_column));
-    }
-    for (const ColumnRef& out : block_.output) {
-      if (out.rel != -1) LEGODB_RETURN_IF_ERROR(check(out.rel, out.column));
-    }
-    return Status::OK();
   }
 
   // ---- statistics helpers ----
@@ -283,7 +262,7 @@ class BlockPlanner {
 
   EdgeTerms EdgeTermsOf(const JoinEdge& e) const {
     return EdgeTerms{1ull << e.right_rel,
-                     e.left_outer,
+                     e.left_outer ? 1ull << e.left_rel : 0,
                      EdgeSelectivity(e),
                      {ProbeTermsOf(e.left_rel, e.left_column),
                       ProbeTermsOf(e.right_rel, e.right_column)}};
@@ -373,18 +352,17 @@ class BlockPlanner {
       plan->index_column = index_filter->column;
     }
     plan->rel = rel;
-    plan->filters = RelFilters(rel);  // residuals re-checked cheaply
+    for (const auto& f : block_.filters) {  // residuals re-checked cheaply
+      if (f.rel == rel) plan->filters.push_back(f);
+    }
+    for (const JoinEdge& e : block_.joins) {  // the self edges
+      if (e.left_rel == rel && e.right_rel == rel) {
+        plan->residual_joins.push_back(e);
+      }
+    }
     SetEstimates(best, best_seeks, best_bytes, plan.get());
     rels_[rel].leaf = std::move(plan);
     return best;
-  }
-
-  std::vector<FilterPred> RelFilters(int rel) const {
-    std::vector<FilterPred> filters;
-    for (const auto& f : block_.filters) {
-      if (f.rel == rel) filters.push_back(f);
-    }
-    return filters;
   }
 
   // `seeks` and `bytes` are the predicted IO, inclusive of inputs.
@@ -404,9 +382,12 @@ class BlockPlanner {
     const uint64_t* a = nullptr;
     const uint64_t* b = nullptr;
     int first = -1;  // -1: no edge joins the subsets
-    bool outer = false;  // some linking edge is left-outer
+    // The left_rel of each linking left-outer edge: a join of the two
+    // subsets must have all of them on its probe/outer side.
+    uint64_t preserved = 0;
 
     uint64_t word(size_t w) const { return a[w] & b[w]; }
+    bool Preserves(uint64_t probe) const { return !(preserved & ~probe); }
   };
 
   Link LinkBetween(const uint64_t* a, const uint64_t* b) const {
@@ -415,7 +396,9 @@ class BlockPlanner {
     for (size_t w = words_; w-- > 0;) {
       uint64_t both = a[w] & b[w];
       if (both) link.first = static_cast<int>(w * 64) + std::countr_zero(both);
-      link.outer |= (both & outer[w]) != 0;
+      for (uint64_t o = both & outer[w]; o; o &= o - 1) {
+        link.preserved |= edges_[w * 64 + std::countr_zero(o)].preserved;
+      }
     }
     return link;
   }
@@ -431,15 +414,14 @@ class BlockPlanner {
   // The cheapest recipe joining planned subsets `a` and `b`, linked by
   // `link` (at least one edge), into a result of `out_rows`: a hash join
   // either way round (unless `hash_join` is false), then index nested loops
-  // into `b` when it is one base relation.
+  // into `b` when it is one base relation. Either join method is tried only
+  // with every relation the link preserves on its probe/outer side.
   Entry Combine(const Entry& a, uint64_t mask_a, const Entry& b,
                 uint64_t mask_b, const Link& link, double out_rows,
                 bool hash_join = true) const {
     Entry best;
-    // Hash join: build the smaller side. Left-outer joins preserve the left
-    // (probe=a) side; only the build_right orientation is valid.
-    for (int build_right = hash_join ? link.outer : 2; build_right < 2;
-         ++build_right) {
+    for (int build_right = hash_join ? 0 : 2; build_right < 2; ++build_right) {
+      if (!link.Preserves(build_right ? mask_a : mask_b)) continue;
       const Entry& probe = build_right ? a : b;
       const Entry& build = build_right ? b : a;
       double cost = probe.cost + build.cost +
@@ -457,12 +439,10 @@ class BlockPlanner {
     }
     // Index nested loops: inner side must be a single base relation with an
     // index on its join column.
-    if (std::popcount(mask_b) != 1) return best;
+    if (std::popcount(mask_b) != 1 || !link.Preserves(mask_a)) return best;
     ForEachEdge([&](size_t w) { return link.word(w); }, [&](int k) {
       const EdgeTerms& e = edges_[k];
-      bool inner_is_right = e.right == mask_b;
-      if (e.outer && !inner_is_right) return;  // must preserve left
-      const ProbeTerms& inner = e.probe[inner_is_right];
+      const ProbeTerms& inner = e.probe[e.right == mask_b];
       if (!inner.indexed) return;
       const auto [seeks_added, bytes_added] = ProbeIo(a.rows, inner);
       double cost = a.cost + seeks_added * p_.seek_cost +
@@ -494,17 +474,7 @@ class BlockPlanner {
     const JoinEdge& d = block_.joins[e.edge];
     // The driving edge oriented probe/outer side first.
     bool d_left_first = (1ull << d.left_rel) & e.probe;
-    if (e.op == Entry::Op::kHashJoin) {
-      plan->kind = PhysicalPlan::Kind::kHashJoin;
-      plan->right = std::move(right);
-      plan->left_outer = link.outer;
-    } else {
-      plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
-      plan->rel = std::countr_zero(e.build);
-      plan->index_column = d_left_first ? d.right_column : d.left_column;
-      plan->filters = RelFilters(plan->rel);
-      plan->left_outer = d.left_outer;
-    }
+    plan->left_outer = link.preserved != 0;
     plan->left_join_rel = d_left_first ? d.left_rel : d.right_rel;
     plan->left_join_column = d_left_first ? d.left_column : d.right_column;
     plan->right_join_rel = d_left_first ? d.right_rel : d.left_rel;
@@ -512,6 +482,20 @@ class BlockPlanner {
     ForEachEdge([&](size_t w) { return link.word(w); }, [&](int k) {
       if (k != e.edge) plan->residual_joins.push_back(block_.joins[k]);
     });
+    if (e.op == Entry::Op::kHashJoin) {
+      plan->kind = PhysicalPlan::Kind::kHashJoin;
+      plan->right = std::move(right);
+    } else {
+      plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
+      plan->rel = std::countr_zero(e.build);
+      plan->index_column = plan->right_join_column;
+      // The inner relation's predicates, from the access path it replaces.
+      const PhysicalPlan& leaf = *rels_[plan->rel].leaf;
+      plan->filters = leaf.filters;
+      plan->residual_joins.insert(plan->residual_joins.end(),
+                                  leaf.residual_joins.begin(),
+                                  leaf.residual_joins.end());
+    }
     const PhysicalPlan& a = *plan->left;
     if (e.op == Entry::Op::kHashJoin) {  // joins add CPU, not IO
       SetEstimates(e, a.est_seeks + plan->right->est_seeks,
@@ -647,10 +631,9 @@ class BlockPlanner {
       if ((std::has_single_bit(mb) ? a.cost : a.cost + b.cost) > entry.cost) {
         continue;
       }
-      // An inner link's hash joins were priced both ways round in the
-      // first direction, and a tie cannot win in the second (SplitBefore).
-      Entry cand =
-          Combine(a, ma, b, mb, link, entry.rows, dir == 0 || link.outer);
+      // The hash joins were priced both ways round in the first direction,
+      // and a tie cannot win in the second (SplitBefore).
+      Entry cand = Combine(a, ma, b, mb, link, entry.rows, dir == 0);
       if (cand.valid() && SplitBefore(cand, sub, entry, mask)) {
         if (!entry.valid()) ++memo_size_;
         entry = cand;

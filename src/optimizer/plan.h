@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,8 @@ struct FilterPred {
   xq::CompareOp op = xq::CompareOp::kEq;
   xq::Constant value;
   bool not_null = false;  // when set, `op`/`value` are ignored
+
+  bool operator==(const FilterPred&) const = default;
 };
 
 // A select-project-join block: the unit the optimizer plans.
@@ -106,7 +109,9 @@ struct PhysicalPlan {
   int right_join_column = -1;
   bool left_outer = false;
   // When several join edges connect the two sides, one drives the
-  // hash/index probe and the rest are checked per candidate pair.
+  // hash/index probe and the rest are checked per candidate pair. A scan or
+  // lookup, and an index nested loops join for its inner relation, also
+  // check here the relation's self edges (both ends on it).
   std::vector<JoinEdge> residual_joins;
 
   // kProject (its outputs are the block's).
@@ -122,16 +127,42 @@ struct PhysicalPlan {
   double est_seeks = 0;
   double est_bytes = 0;
 
-  // NotFound unless every relation this node itself reads (its scanned or
-  // inner `rel`, its join keys' relations) is one of a block's `block_rels`
-  // relations. Children are not checked.
-  Status CheckRelations(size_t block_rels) const;
+  // kIndexLookup: the equality filter on `index_column` whose constant the
+  // lookup probes with; nullptr when it has none.
+  const FilterPred* DrivingFilter() const;
 
   // Indented operator-tree rendering for debugging and EXPLAIN output;
   // `catalog` names the block's columns.
   std::string ToString(const rel::Catalog& catalog, const QueryBlock& block,
                        int indent = 0) const;
 };
+
+// CheckPlan's R1 on the block alone: each filter, join edge and output
+// (but the NULL literal, `rel` -1) names a block relation (InvalidArgument)
+// and a column of its table `tables[rel]` (NotFound naming the table).
+Status CheckColumns(const QueryBlock& block,
+                    std::span<const rel::Table* const> tables);
+
+// The one test of a physical plan against its block: OK when `plan`
+// computes `block`, whose relation i is over `tables[i]`. Every optimizer
+// plan passes; every executor runs it before reading a row. In order:
+//  R1 ranges (NotFound): CheckColumns; each relation a node names is in the
+//     block and each column position it names is in its table.
+//  R2 shape: a projection root with a child; no other projection, no null
+//     join child; an index lookup has a DrivingFilter.
+//  R3 sides: a join's left key is on its left side, its right key on its
+//     build side or its inner `rel`; the sides share no relation; the plan
+//     binds every block relation.
+//  R4 coverage: each block filter is at its relation's access node (scan,
+//     lookup, or index nested loops into it); each block edge is applied
+//     once, at the node where its relations first meet (a self edge at the
+//     access node), as driving edge or residual. Extra predicates may ride.
+//  R5 outer joins: a join is left-outer iff a block edge between its sides
+//     is, and each such edge has its `left_rel` on the left side.
+// R2-R5 fail InvalidArgument; over 64 relations is Unsupported.
+Status CheckPlan(const QueryBlock& block,
+                 std::span<const rel::Table* const> tables,
+                 const PhysicalPlanPtr& plan);
 
 }  // namespace legodb::opt
 

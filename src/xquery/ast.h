@@ -32,6 +32,7 @@ struct Constant {
   static Constant Int(int64_t v);
   static Constant Str(std::string v);
   std::string ToString() const;
+  bool operator==(const Constant&) const = default;
 };
 
 // Comparison operators supported in WHERE clauses.

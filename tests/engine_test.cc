@@ -532,6 +532,92 @@ TEST_F(EngineTest, MixedKindJoinKeysMatchReference) {
   }
 }
 
+// --- Outer-join orientation ------------------------------------------------
+// P's optional children C and D are two left-outer edges of one block. A
+// hash join must probe from P for both: probing from a child and marking the
+// join left-outer drops every parent without such a child. Scaling the
+// statistics steers the planner through its orientations; at every scaling
+// both executors must return all three parents, and the plan must pass
+// CheckPlan.
+TEST(OuterJoinOrientation, LeftOuterHashJoinsPreserveTheParent) {
+  auto schema = xs::ParseSchema(
+      "type R = r[ P* ] type P = p[ a[String], C*, D* ] "
+      "type C = c[String] type D = d[String]");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  auto mapping = map::MapSchema(ps::Normalize(schema.value()));
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  const rel::Catalog& catalog = mapping->catalog();
+  store::Database db(catalog);
+  auto doc = xml::ParseDocument(
+      "<r><p><a>one</a><c>x</c><d>y</d></p>"
+      "<p><a>two</a><d>z</d></p>"
+      "<p><a>three</a><c>w</c></p></r>");
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(store::ShredDocument(doc.value(), *mapping, &db).ok());
+
+  const int tables[3] = {catalog.IndexOf("P"), catalog.IndexOf("C"),
+                         catalog.IndexOf("D")};
+  opt::QueryBlock block;
+  block.rels = {opt::BaseRel{tables[0], "p"}, opt::BaseRel{tables[1], "c"},
+                opt::BaseRel{tables[2], "d"}};
+  block.output.push_back(
+      opt::ColumnRef{0, catalog.table(tables[0]).ColumnIndex("a"), "a"});
+  for (int child : {1, 2}) {
+    const rel::Table& t = catalog.table(tables[child]);
+    ASSERT_EQ(t.foreign_keys.size(), 1u);
+    const int fk = t.foreign_keys[0].column;
+    block.joins.push_back(opt::JoinEdge{0, kKey, child, fk, true});
+    // The child's one column besides its key and its foreign key.
+    const int value = fk == 1 ? 2 : 1;
+    ASSERT_EQ(t.columns.size(), 3u);
+    block.output.push_back(opt::ColumnRef{child, value, t.columns[value].name});
+  }
+  std::vector<const rel::Table*> metas;
+  for (int t : tables) metas.push_back(&catalog.table(t));
+
+  int scalings = 0;
+  for (double p_scale : {1.0, 10.0, 100.0, 1000.0}) {
+    for (double c_scale : {1.0, 10.0, 100.0, 1000.0, 10000.0}) {
+      for (double d_scale : {1.0, 10.0, 100.0, 1000.0, 10000.0}) {
+        const std::string context = "P x" + std::to_string(p_scale) +
+                                    " C x" + std::to_string(c_scale) +
+                                    " D x" + std::to_string(d_scale);
+        const double scales[3] = {p_scale, c_scale, d_scale};
+        rel::Catalog scaled;
+        for (int index = 0; index < static_cast<int>(catalog.size());
+             ++index) {
+          rel::Table t = catalog.table(index);
+          for (int i = 0; i < 3; ++i) {
+            if (index != tables[i]) continue;
+            t.row_count *= scales[i];
+            for (rel::Column& c : t.columns) c.distincts *= scales[i];
+          }
+          ASSERT_TRUE(scaled.AddTable(std::move(t)).ok());
+        }
+        auto planned = opt::Optimizer(scaled).PlanBlock(block);
+        ASSERT_TRUE(planned.ok()) << context << planned.status().ToString();
+        Status checked = opt::CheckPlan(block, metas, planned->plan);
+        EXPECT_TRUE(checked.ok()) << context << ": " << checked.ToString();
+
+        auto want = ReferenceExecutor(&db).ExecuteBlock(block, planned->plan);
+        ASSERT_TRUE(want.ok()) << context << want.status().ToString();
+        EXPECT_EQ(want->rows.size(), 3u)
+            << context << "\n" << planned->plan->ToString(scaled, block);
+        for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+          ExecOptions options;
+          options.batch_size = batch_size;
+          auto got = Executor(&db, {}, options).ExecuteBlock(block,
+                                                             planned->plan);
+          ASSERT_TRUE(got.ok()) << context << got.status().ToString();
+          EXPECT_EQ(got->rows, want->rows) << context;
+        }
+        ++scalings;
+      }
+    }
+  }
+  EXPECT_EQ(scalings, 100);
+}
+
 TEST_F(EngineTest, ExplainAnalyzeRendersProfiledExecution) {
   opt::QueryBlock block = JoinBlock(false);
   opt::Optimizer optimizer(mapping_->catalog());

@@ -461,6 +461,14 @@ TEST(JoinEnumeration, TwelveRelationOuterJoinBlockUsesDp) {
 
 // ---- Golden plans over the paper's workloads ---------------------------
 
+// The tables of `block`'s relations, as CheckPlan takes them.
+std::vector<const rel::Table*> BlockTables(const rel::Catalog& catalog,
+                                           const QueryBlock& block) {
+  std::vector<const rel::Table*> tables;
+  for (const BaseRel& r : block.rels) tables.push_back(&catalog.table(r.table));
+  return tables;
+}
+
 // FNV-1a over a structural walk of a plan: every field the engine reads,
 // with estimates as exact bit patterns (ToString() rounds costs and omits
 // residual joins, so it cannot pin a plan down).
@@ -581,6 +589,9 @@ void DigestNeighbourhood(const xs::Schema& annotated,
           auto planned = opt.PlanBlock(block);
           ASSERT_TRUE(planned.ok()) << wq.name << ": "
                                     << planned.status().ToString();
+          Status checked = CheckPlan(
+              block, BlockTables(mapping->catalog(), block), planned->plan);
+          EXPECT_TRUE(checked.ok()) << wq.name << ": " << checked.ToString();
           totals->digest.Plan(mapping->catalog(), block, planned->plan);
           totals->digest.Double(planned->cost);
           totals->digest.Double(planned->rows);
@@ -631,9 +642,10 @@ TEST(OptimizerGolden, PlansMatchRecordedDigest) {
   // Coverage: the neighbourhoods reach past dp_rel_limit into greedy.
   EXPECT_EQ(totals.greedy_blocks, 50);
   EXPECT_EQ(totals.widest, 16u);
-  // Recorded from the map-memo DP that enumerated every subset.
+  // Recorded when a join came to keep every relation a left-outer edge
+  // preserves on its probe/outer side.
   EXPECT_EQ(totals.blocks, 2815);
-  EXPECT_EQ(totals.digest.value(), 0xc58cd3b5e3970cafull);
+  EXPECT_EQ(totals.digest.value(), 0xd9130dbcbb84eb2cull);
 }
 
 // The same neighbourhoods with paged IO terms and indexes on predicate
@@ -704,7 +716,7 @@ struct DpObservations {
 // Plans `g` with the optimizer and with the reference planner and requires
 // the same outcome bit for bit: status, plan digest, cost and rows, and on
 // the DP path the same memo size and no more pairs than the reference
-// tried splits.
+// tried splits. Every plan either planner emits passes CheckPlan.
 DpObservations ExpectMatchesReference(const JoinGraph& g,
                                       const CostParams& params,
                                       const std::string& label) {
@@ -718,6 +730,12 @@ DpObservations ExpectMatchesReference(const JoinGraph& g,
   reference::BlockPlanner ref(g.catalog, params, g.block);
   StatusOr<PlannedBlock> expected = ref.Plan();
   EXPECT_EQ(planned.ok(), expected.ok());
+  for (const StatusOr<PlannedBlock>* p : {&planned, &expected}) {
+    if (!p->ok()) continue;
+    Status checked =
+        CheckPlan(g.block, BlockTables(g.catalog, g.block), (*p)->plan);
+    EXPECT_TRUE(checked.ok()) << checked.ToString();
+  }
   if (planned.ok() && expected.ok()) {
     PlanDigest got, want;
     got.Plan(g.catalog, g.block, planned->plan);

@@ -7,6 +7,7 @@
 #include "core/legodb.h"
 #include "core/search.h"
 #include "engine/executor.h"
+#include "engine/reference_executor.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
 #include "optimizer/optimizer.h"
@@ -14,10 +15,12 @@
 #include "storage/reconstruct.h"
 #include "storage/shredder.h"
 #include "translate/translate.h"
+#include "xml/parser.h"
 #include "xml/writer.h"
 #include "xquery/evaluator.h"
 #include "xquery/parser.h"
 #include "xschema/annotate.h"
+#include "xschema/schema_parser.h"
 #include "xschema/validator.h"
 
 namespace legodb {
@@ -202,6 +205,55 @@ TEST_P(EquivalenceTest, AllOutlinedConfiguration) {
 INSTANTIATE_TEST_SUITE_P(ScalarQueries, EquivalenceTest,
                          ::testing::Values("Q1", "Q2", "Q3", "Q4", "Q5", "Q6",
                                            "Q7", "Q8"));
+
+// A value join between two children of one element translates into a self
+// edge, `C.x = C.y` on one relation: the plan applies it at C's access
+// node, so both executors return the rows the DOM evaluator does.
+TEST(Pipeline, SelfValueJoinMatchesDom) {
+  auto schema = xs::ParseSchema(
+      "type R = r[ C* ] type C = c[ x[String], y[String] ]");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  auto mapping = map::MapSchema(ps::Normalize(schema.value()));
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  auto doc = xml::ParseDocument(
+      "<r><c><x>a</x><y>a</y></c><c><x>a</x><y>b</y></c>"
+      "<c><x>b</x><y>c</y></c></r>");
+  ASSERT_TRUE(doc.ok());
+  store::Database db(mapping->catalog());
+  ASSERT_TRUE(store::ShredDocument(doc.value(), mapping.value(), &db).ok());
+
+  auto query = xq::ParseQuery(
+      "FOR $c IN document(\"d\")/r/c WHERE $c/x = $c/y RETURN $c/x");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto expected = xq::EvaluateOnDocument(query.value(), doc.value());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->rows.size(), 1u);
+
+  auto rq = xlat::TranslateQuery(query.value(), mapping.value());
+  ASSERT_TRUE(rq.ok()) << rq.status().ToString();
+  ASSERT_EQ(rq->blocks.size(), 1u);
+  const std::vector<opt::JoinEdge>& joins = rq->blocks[0].joins;
+  EXPECT_TRUE(std::any_of(joins.begin(), joins.end(), [](const auto& e) {
+    return e.left_rel == e.right_rel;
+  })) << rq->ToSql(mapping->catalog());
+  auto planned = opt::Optimizer(mapping->catalog()).PlanQuery(rq.value());
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  std::vector<opt::PhysicalPlanPtr> plans{planned->blocks[0].plan};
+  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+    engine::ExecOptions options;
+    options.batch_size = batch_size;
+    auto actual = engine::Executor(&db, {}, options).ExecuteQuery(*rq, plans);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_TRUE(expected->SameRows(actual.value()))
+        << "expected:\n" << expected->ToString() << "\nactual:\n"
+        << actual->ToString();
+  }
+  auto reference = engine::ReferenceExecutor(&db).ExecuteQuery(*rq, plans);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_TRUE(expected->SameRows(reference.value()))
+      << "expected:\n" << expected->ToString() << "\nreference:\n"
+      << reference->ToString();
+}
 
 TEST(Pipeline, GreedySearchImprovesLookupWorkload) {
   xs::Schema annotated = AnnotatedImdb();

@@ -4,7 +4,8 @@
 // strictly cheapest recipe; edges between two subsets are found by scanning
 // every join edge. optimizer_test plans generated join graphs with it and
 // with opt::Optimizer and requires bit-identical plans, so this copy is a
-// test-only reference and must not change.
+// test-only reference: it changes only with the planner's rules (as for
+// the outer-join orientation and self-edge placement), never its search.
 #ifndef LEGODB_TESTS_REFERENCE_PLANNER_H_
 #define LEGODB_TESTS_REFERENCE_PLANNER_H_
 
@@ -350,6 +351,7 @@ class BlockPlanner {
     }
     plan->rel = rel;
     plan->filters = RelFilters(rel);  // residuals re-checked cheaply
+    plan->residual_joins = SelfEdges(rel);
     SetEstimates(best, plan.get());
     rels_[rel].leaf = std::move(plan);
     return best;
@@ -363,6 +365,15 @@ class BlockPlanner {
     return filters;
   }
 
+  // The join edges with both ends on `rel`, which its access node applies.
+  std::vector<JoinEdge> SelfEdges(int rel) const {
+    std::vector<JoinEdge> edges;
+    for (const JoinEdge& e : block_.joins) {
+      if (e.left_rel == rel && e.right_rel == rel) edges.push_back(e);
+    }
+    return edges;
+  }
+
   static void SetEstimates(const Entry& e, PhysicalPlan* plan) {
     plan->est_rows = e.rows;
     plan->est_cost = e.cost;
@@ -373,10 +384,11 @@ class BlockPlanner {
   // ---- join combination ----
 
   // The join edges between two disjoint subsets, summarized: the first in
-  // block order (it drives the join) and whether any is left-outer.
+  // block order (it drives the join) and the left relation of each
+  // left-outer one, which a join must keep on its probe/outer side.
   struct Link {
     int first = -1;  // -1: no edge joins the subsets
-    bool outer = false;
+    uint64_t preserved = 0;
   };
 
   Link LinkBetween(uint64_t a, uint64_t b) const {
@@ -384,7 +396,7 @@ class BlockPlanner {
     for (size_t k = 0; k < edges_.size(); ++k) {
       if (!Joins(k, a, b)) continue;
       if (link.first < 0) link.first = static_cast<int>(k);
-      link.outer |= edges_[k].outer;
+      if (edges_[k].outer) link.preserved |= edges_[k].left;
     }
     return link;
   }
@@ -396,9 +408,9 @@ class BlockPlanner {
   Entry Combine(const Entry& a, uint64_t mask_a, const Entry& b,
                 uint64_t mask_b, Link link, double out_rows) const {
     Entry best;
-    // Hash join: build the smaller side. Left-outer joins preserve the left
-    // (probe=a) side; only the build_right orientation is valid.
-    for (int build_right = link.outer; build_right < 2; ++build_right) {
+    // Hash join, either side building, with the preserved relations probing.
+    for (int build_right = 0; build_right < 2; ++build_right) {
+      if (link.preserved & ~(build_right ? mask_a : mask_b)) continue;
       const Entry& probe = build_right ? a : b;
       const Entry& build = build_right ? b : a;
       double cost = probe.cost + build.cost +
@@ -419,15 +431,13 @@ class BlockPlanner {
       }
     }
     // Index nested loops: inner side must be a single base relation with an
-    // index on its join column.
-    if (std::popcount(mask_b) != 1) return best;
+    // index on its join column, and preserve no relation.
+    if (std::popcount(mask_b) != 1 || (link.preserved & mask_b)) return best;
     int inner_rel = std::countr_zero(mask_b);
     for (auto k = static_cast<size_t>(link.first); k < edges_.size(); ++k) {
       if (!Joins(k, mask_a, mask_b)) continue;
       const EdgeTerms& e = edges_[k];
-      bool inner_is_right = e.right == mask_b;
-      if (e.outer && !inner_is_right) continue;  // must preserve left
-      const ProbeTerms& inner = e.probe[inner_is_right];
+      const ProbeTerms& inner = e.probe[e.right == mask_b];
       if (!inner.indexed) continue;
       double seeks_added =
           a.rows * (p_.index_probe_seeks + inner.matches_per_probe);
@@ -470,7 +480,6 @@ class BlockPlanner {
       plan->rel = std::countr_zero(e.build);
       plan->index_column = d_left_first ? d.right_column : d.left_column;
       plan->filters = RelFilters(plan->rel);
-      plan->left_outer = d.left_outer;
     }
     plan->left_join_rel = d_left_first ? d.left_rel : d.right_rel;
     plan->left_join_column = d_left_first ? d.left_column : d.right_column;
@@ -478,11 +487,14 @@ class BlockPlanner {
     plan->right_join_column = d_left_first ? d.right_column : d.left_column;
     for (size_t k = 0; k < edges_.size(); ++k) {
       if (!Joins(k, e.probe, e.build)) continue;
-      if (e.op == Entry::Op::kHashJoin) {
-        plan->left_outer |= block_.joins[k].left_outer;
-      }
+      plan->left_outer |= block_.joins[k].left_outer;
       if (static_cast<int>(k) != e.edge) {
         plan->residual_joins.push_back(block_.joins[k]);
+      }
+    }
+    if (e.op == Entry::Op::kIndexNLJoin) {
+      for (const JoinEdge& self : SelfEdges(plan->rel)) {
+        plan->residual_joins.push_back(self);
       }
     }
     SetEstimates(e, plan.get());

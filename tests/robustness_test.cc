@@ -439,7 +439,8 @@ TEST(MalformedInputTest, ColumnIndexOutsideTableIsNotFound) {
 
 // A plan node names its own relations by position in the block too: a scan
 // of relation 3 in a one-relation block, or a join key on one, must come
-// back as NotFound from both executors, never as an out-of-bounds read.
+// back as NotFound from compilation and both executors, never as an
+// out-of-bounds read.
 TEST(MalformedInputTest, PlanRelationOutsideBlockIsNotFound) {
   rel::Catalog catalog;
   rel::Table t;
@@ -506,9 +507,132 @@ TEST(MalformedInputTest, PlanRelationOutsideBlockIsNotFound) {
     auto reference = engine::ReferenceExecutor(&db).ExecuteQuery(query, {plan});
     EXPECT_EQ(reference.status().code(), Status::Code::kNotFound)
         << what << " reference: " << reference.status().ToString();
+    auto compiled = engine::PreparedPrograms::Compile(&db, query, {plan});
+    EXPECT_EQ(compiled.status().code(), Status::Code::kNotFound)
+        << what << " compile: " << compiled.status().ToString();
     auto executor = engine::Executor(&db).ExecuteQuery(query, {plan});
     EXPECT_EQ(executor.status().code(), Status::Code::kNotFound)
         << what << " executor: " << executor.status().ToString();
+  }
+}
+
+// A plan whose nodes are all in range can still fail to compute its block:
+// a missing child, a nested projection, sides that overlap or bind one
+// relation twice, a dropped join edge, an outer join that preserves the
+// wrong side. Compilation and both executors refuse each one with the
+// verdict of opt::CheckPlan, before reading a row.
+TEST(MalformedInputTest, PlanThatDoesNotComputeItsBlockIsRejected) {
+  // P(P_id) and C(C_id, parent_P), two children of the one parent.
+  rel::Catalog catalog;
+  rel::Table p;
+  p.name = "P";
+  p.columns.emplace_back().name = "P_id";
+  ASSERT_TRUE(catalog.AddTable(p).ok());
+  rel::Table c;
+  c.name = "C";
+  for (const char* name : {"C_id", "parent_P"}) c.columns.emplace_back().name = name;
+  c.foreign_keys.push_back(rel::ForeignKey{1, 0});
+  ASSERT_TRUE(catalog.AddTable(c).ok());
+  store::Database db(catalog);
+  ASSERT_TRUE(db.table(0).Insert({Value::Int(1)}).ok());
+  for (int64_t id : {2, 3}) {
+    ASSERT_TRUE(db.table(1).Insert({Value::Int(id), Value::Int(1)}).ok());
+  }
+  // P left-outer joined to C on P_id = parent_P.
+  opt::RelQuery query;
+  opt::QueryBlock& block = query.blocks.emplace_back();
+  block.rels = {opt::BaseRel{0, "p"}, opt::BaseRel{1, "c"}};
+  block.joins.push_back(opt::JoinEdge{0, 0, 1, 1, true});
+  block.output.push_back(opt::ColumnRef{1, 0, "c"});
+
+  using Kind = opt::PhysicalPlan::Kind;
+  auto scan = [](int rel) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kSeqScan;
+    node->rel = rel;
+    return opt::PhysicalPlanPtr(node);
+  };
+  auto project = [](opt::PhysicalPlanPtr child) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kProject;
+    node->child = std::move(child);
+    return opt::PhysicalPlanPtr(node);
+  };
+  // A hash join probing `left` on (probe_rel, probe_column) and building
+  // `right` on (build_rel, build_column), left-outer unless `inner`.
+  auto hash_join = [](opt::PhysicalPlanPtr left, opt::PhysicalPlanPtr right,
+                      int probe_rel, int probe_column, int build_rel,
+                      int build_column, bool inner = false) {
+    auto node = std::make_shared<opt::PhysicalPlan>();
+    node->kind = Kind::kHashJoin;
+    node->left = std::move(left);
+    node->right = std::move(right);
+    node->left_join_rel = probe_rel;
+    node->left_join_column = probe_column;
+    node->right_join_rel = build_rel;
+    node->right_join_column = build_column;
+    node->left_outer = !inner;
+    return opt::PhysicalPlanPtr(node);
+  };
+
+  const opt::PhysicalPlanPtr good =
+      project(hash_join(scan(0), scan(1), 0, 0, 1, 1));
+  auto rows = engine::ReferenceExecutor(&db).ExecuteQuery(query, {good});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 2u);
+
+  // The same block with a second, inner edge P_id = C_id.
+  opt::RelQuery two_edges = query;
+  two_edges.blocks[0].joins.push_back(opt::JoinEdge{0, 0, 1, 0, false});
+
+  struct Case {
+    const char* what;
+    const opt::RelQuery* query;
+    opt::PhysicalPlanPtr plan;
+    const char* verdict;
+  };
+  const std::vector<Case> cases = {
+      {"null join child", &query,
+       project(hash_join(scan(0), nullptr, 0, 0, 1, 1)), "null plan node"},
+      {"nested projection", &query,
+       project(hash_join(project(scan(0)), scan(1), 0, 0, 1, 1)),
+       "nested projection"},
+      {"overlapping sides", &query,
+       project(hash_join(hash_join(scan(0), scan(1), 0, 0, 1, 1), scan(1), 0,
+                         0, 1, 1)),
+       "join sides share a relation"},
+      {"relation bound twice", &query,
+       project(hash_join(scan(0), scan(0), 0, 0, 0, 0)),
+       "join sides share a relation"},
+      {"relation unbound", &query, project(scan(0)),
+       "leaves a block relation unbound"},
+      {"dropped join edge", &two_edges,
+       project(hash_join(scan(0), scan(1), 0, 0, 1, 1)),
+       "join edge #1 missing where its relations meet"},
+      {"outer join probing from the child", &query,
+       project(hash_join(scan(1), scan(0), 1, 1, 0, 0)),
+       "left-outer join edge #0 preserves its right side"},
+      {"inner join of a left-outer edge", &query,
+       project(hash_join(scan(0), scan(1), 0, 0, 1, 1, /*inner=*/true)),
+       "join's left_outer disagrees with the edges it applies"},
+  };
+  for (const Case& bad : cases) {
+    auto expect_rejected = [&](const Status& st, const char* who) {
+      EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+          << bad.what << " " << who << ": " << st.ToString();
+      EXPECT_NE(st.message().find(bad.verdict), std::string::npos)
+          << bad.what << " " << who << ": " << st.ToString();
+    };
+    expect_rejected(
+        engine::ReferenceExecutor(&db).ExecuteQuery(*bad.query, {bad.plan})
+            .status(),
+        "reference");
+    expect_rejected(
+        engine::PreparedPrograms::Compile(&db, *bad.query, {bad.plan}).status(),
+        "compile");
+    expect_rejected(
+        engine::Executor(&db).ExecuteQuery(*bad.query, {bad.plan}).status(),
+        "executor");
   }
 }
 

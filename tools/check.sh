@@ -20,7 +20,8 @@
 #                                            # paged-decode paths
 #   tools/check.sh --release-checks          # Release (NDEBUG) build of the
 #                                            # invariant/malformed-input suites,
-#                                            # the schema and p-schema suites
+#                                            # the schema and p-schema suites,
+#                                            # the engine and end-to-end suites
 #                                            # and the mapping, optimizer,
 #                                            # translation and update-costing
 #                                            # goldens
@@ -103,7 +104,9 @@
 # the join enumeration's reference comparison), translate_test (the
 # TranslateGolden SQL digest) and update_test (update costs), so they hold
 # under the optimization level perfbench builds with, not only under the
-# default RelWithDebInfo build.
+# default RelWithDebInfo build. It runs engine_test and pipeline_test there
+# as well, so that opt::CheckPlan's verdicts and the outer-join orientation
+# and self-join regressions hold at that optimization level.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -146,9 +149,9 @@ if [[ "${1:-}" == "--release-checks" ]]; then
   cmake --build build-release -j"$(nproc)" --target \
     robustness_test search_test common_test relational_test \
     storage_test mapping_test optimizer_test translate_test update_test \
-    xschema_test pschema_test
+    xschema_test pschema_test engine_test pipeline_test
   ctest --test-dir build-release --output-on-failure -j"$(nproc)" \
-    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test|translate_test|update_test|xschema_test|pschema_test)$'
+    -R '^(robustness_test|search_test|common_test|relational_test|storage_test|mapping_test|optimizer_test|translate_test|update_test|xschema_test|pschema_test|engine_test|pipeline_test)$'
   exit 0
 fi
 
